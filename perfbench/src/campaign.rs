@@ -6,7 +6,7 @@
 //! batching and the pool.
 
 use crate::metrics::Report;
-use crate::stats::{median, Summary};
+use crate::stats::{median, windowed_p90, Summary};
 use crate::trace::SpanLog;
 use crate::{nproc, sys, Args};
 use harborsim_core::experiments::ext_open_system;
@@ -33,16 +33,27 @@ pub enum Kind {
 /// Engine set-ups per run; `setup_s` is their median. One takes about
 /// 0.1 ms, so only a median over many is steady from run to run.
 const SETUP_REPS: usize = 101;
-/// Ranks per node of the DES grid: sized so one campaign takes about a
-/// second on a 2-thread host, giving each run several operations.
-const DES_RPN: u32 = 8;
-/// Seeds one open-system operation runs.
-const OPEN_SEEDS: usize = 16;
+/// Ranks per node of the DES grid: one, so every message crosses the
+/// network and one campaign takes about 0.15 s on a 2-thread host; a
+/// run holds over a hundred operations, and their median is steady.
+const DES_RPN: u32 = 1;
+/// Seeds one open-system operation runs: few enough that a run holds
+/// over a hundred operations (about 0.15-0.2 s each on a 2-thread host),
+/// enough windows for a steady `latency_tail_ms`.
+const OPEN_SEEDS: usize = 2;
 /// The storm's arrival rate, jobs/s, for 60-80% node utilization on
 /// Lenox (0.05/s gives 30%; 0.5/s saturates with a growing backlog).
 const OPEN_RATE: f64 = 0.15;
+/// Campaigns per window; `latency_tail_ms` is the median over windows of
+/// their p90. A run holds too few campaigns for windows with 10 beyond
+/// the p90, and the host's slow stretches of a few seconds set a whole
+/// run's p90; the run's qualifying percentile is printed beside it.
+const TAIL_WINDOW: usize = 10;
 /// Repetitions of each sub-millisecond layer timing in a traced run.
 const LAYER_REPS: u64 = 20;
+/// Executes at each shard count behind `des.shard_speedup`; it compares
+/// their medians.
+const SHARD_REPS: usize = 5;
 
 impl Kind {
     fn name(self) -> &'static str {
@@ -228,15 +239,23 @@ fn open_reference(grid: &Grid, log: &mut SpanLog) -> io::Result<CampaignReport> 
 
 /// Run one campaign workload.
 pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
+    let script = kind.script(args.seed);
+    let grid = grid(&script)?;
+    let mut log = SpanLog::new();
+    let mut report = Report::default();
+    // Sharded DES runs its shards on `harborsim_par::gang` threads, not
+    // the batch pool, so the shard scaling is timed on every CPU the host
+    // gives, before the pin below.
+    let speedup = if args.trace {
+        Some(shard_speedup(kind, &script, grid.seeds[0], &mut log)?)
+    } else {
+        None
+    };
     // `harborsim_par::run` can deadlock when two of its workers steal at
     // once (each holds its own deque's lock while locking the other's),
     // and these workloads run thousands of batches per run; on one CPU
     // the pool runs each batch inline.
     sys::pin_to_one_cpu()?;
-    let script = kind.script(args.seed);
-    let grid = grid(&script)?;
-    let mut log = SpanLog::new();
-    let mut report = Report::default();
     // every plan one operation resolves: the grid points, or for an open
     // campaign every class of its job mix
     let classes: Vec<Scenario> = match kind {
@@ -338,12 +357,15 @@ pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
     let loop_s = start.elapsed().as_secs_f64();
     let ops_ms: Vec<f64> = plain.iter().chain(&traced).map(|s| s * 1e3).collect();
     let lat = Summary::of(&ops_ms).expect("at least one operation");
+    let tail = windowed_p90(&ops_ms, TAIL_WINDOW).unwrap_or(lat.tail);
     println!(
-        "  {op} campaigns in {loop_s:.3} s: p50 {:.3} ms, {} {:.3} ms (n={})",
+        "  {op} campaigns in {loop_s:.3} s: p50 {:.3} ms, {} {:.3} ms (n={}), \
+         median p90 of {} windows of {TAIL_WINDOW} {tail:.3} ms",
         lat.p50,
         lat.tail_label(),
         lat.tail,
-        lat.n
+        lat.n,
+        lat.n / TAIL_WINDOW,
     );
     if !args.trace {
         report.set("setup_s", median(&setup));
@@ -352,8 +374,8 @@ pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
         let busy: f64 = plain.iter().sum();
         report.set("throughput_qps", op as f64 / busy);
         report.set("latency_p50_ms", lat.p50);
-        report.set("latency_tail_ms", lat.tail);
-        report.set("peak_rss_mb", sys::peak_rss_mb(false));
+        report.set("latency_tail_ms", tail);
+        report.set("peak_rss_mb", sys::peak_rss_mb(None));
         return Ok(report);
     }
 
@@ -398,6 +420,7 @@ pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
         open_layers(&grid, &engine, &mut log, &mut executes, &mut report)?;
     } else {
         let busy: f64 = executes.secs.iter().sum();
+        // over the CPUs the pinned campaign may use: one
         report.set("par.busy_share", busy / (lat.p50 / 1e3 * nproc() as f64));
     }
     for (metric, span) in [
@@ -414,8 +437,7 @@ pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
     }
     report.set("scenario.execute_des_s", median(&executes.secs));
     report.set("des.msgs_per_s", executes.msgs_per_s());
-    let speedup = shard_speedup(kind, &script, grid.seeds[0], &mut log)?;
-    report.set("des.shard_speedup", speedup);
+    report.set("des.shard_speedup", speedup.unwrap_or_default());
     log.write(
         &args
             .out
@@ -491,10 +513,15 @@ fn shard_speedup(kind: Kind, script: &str, seed: u64, log: &mut SpanLog) -> io::
     let mut time = |shards: usize| -> io::Result<f64> {
         scenario.shards = shards as u32;
         let plan = scenario.compile().map_err(fail)?;
-        let (_, us) = log.time(shards as u64, "des.shard_execute", || {
-            plan.execute(seed, &mut Recorder::off())
-        });
-        Ok(us)
+        let us: Vec<f64> = (0..SHARD_REPS)
+            .map(|_| {
+                log.time(shards as u64, "des.shard_execute", || {
+                    plan.execute(seed, &mut Recorder::off())
+                })
+                .1
+            })
+            .collect();
+        Ok(median(&us))
     };
     let one = time(1)?;
     let many = time(nproc())?;

@@ -109,6 +109,9 @@ pub struct Phase {
     pub tally: Tally,
     /// Phase start to the last reply, seconds.
     pub wall_s: f64,
+    /// Requests sent; a closed phase that sent its whole order stopped
+    /// before `run_for` had passed.
+    pub sent: usize,
     /// Request timelines, in reply order (empty unless traced).
     pub spans: Vec<RequestSpan>,
 }
@@ -252,8 +255,10 @@ impl Conn {
 }
 
 /// Drive one phase against the daemon at `addr` over `conns` fresh
-/// connections. Request `k` is `items[order[k % order.len()]]`; `trace`
-/// keeps every request's timeline.
+/// connections. Request `k` is `items[order[k]]`: no request is sent
+/// twice, so a closed phase stops early once it has sent all of `order`,
+/// and an open phase needs an entry per scheduled arrival. `trace` keeps
+/// every request's timeline.
 ///
 /// # Errors
 /// Only connecting fails the phase; later socket errors, bad framing and
@@ -267,6 +272,12 @@ pub fn drive(
     trace: bool,
 ) -> io::Result<Phase> {
     assert!(!order.is_empty(), "a phase needs requests to send");
+    if let Load::Open { schedule } = load {
+        assert!(
+            order.len() >= schedule.len(),
+            "an open phase needs a request per arrival"
+        );
+    }
     let mut conns = (0..conns.max(1))
         .map(|_| Conn::open(addr))
         .collect::<io::Result<Vec<_>>>()?;
@@ -280,20 +291,19 @@ pub fn drive(
     };
     let give_up = send_until + DRAIN_LIMIT;
     let mut next = 0usize;
-    let item = |k: usize| order[k % order.len()];
     loop {
         let now = Instant::now();
         let sending = match load {
             Load::Closed { depth, .. } => {
                 if now < send_until {
                     for c in conns.iter_mut().filter(|c| c.alive) {
-                        while c.waiting.len() < depth {
-                            c.queue(items, item(next), None, &mut tally);
+                        while c.waiting.len() < depth && next < order.len() {
+                            c.queue(items, order[next], None, &mut tally);
                             next += 1;
                         }
                     }
                 }
-                now < send_until
+                now < send_until && next < order.len()
             }
             Load::Open { schedule } => {
                 while next < schedule.len() && start + schedule[next] <= now {
@@ -307,7 +317,7 @@ pub fn drive(
                         break;
                     };
                     let due = start + schedule[next];
-                    conns[c].queue(items, item(next), Some(due), &mut tally);
+                    conns[c].queue(items, order[next], Some(due), &mut tally);
                     next += 1;
                 }
                 next < schedule.len()
@@ -357,6 +367,7 @@ pub fn drive(
     Ok(Phase {
         tally,
         wall_s: (last_reply - start).as_secs_f64(),
+        sent: next,
         spans,
     })
 }
@@ -425,13 +436,14 @@ mod tests {
     #[test]
     fn closed_and_open_phases_check_every_reply() {
         let (daemon, items) = live();
-        let order = [0, 1, 2];
+        let order: Vec<u32> = (0..60).map(|k| k % 3).collect();
         let closed = Load::Closed {
             depth: 2,
             run_for: Duration::from_millis(200),
         };
         let closed = drive(daemon.addr(), 2, &items, &order, closed, false).expect("connects");
         assert!(closed.tally.attempted >= 4);
+        assert_eq!(closed.tally.attempted, closed.sent as u64);
         assert_eq!(closed.tally.failed, 0);
         assert_eq!(closed.tally.latency_ms.len() as u64, closed.tally.attempted);
         assert!(closed.tally.lag_ms.is_empty() && closed.spans.is_empty());
@@ -453,6 +465,28 @@ mod tests {
     }
 
     #[test]
+    fn a_closed_phase_sends_its_order_once_and_stops() {
+        let (daemon, items) = live();
+        let closed = Load::Closed {
+            depth: 4,
+            run_for: Duration::from_secs(30),
+        };
+        let t = Instant::now();
+        let phase =
+            drive(daemon.addr(), 2, &items, &[0, 1, 2, 0, 1], closed, true).expect("connects");
+        assert!(
+            t.elapsed() < Duration::from_secs(10),
+            "it did not wait out run_for"
+        );
+        assert_eq!(
+            (phase.sent, phase.tally.attempted, phase.tally.failed),
+            (5, 5, 0)
+        );
+        assert_eq!(phase.spans.len(), 5);
+        daemon.shutdown();
+    }
+
+    #[test]
     fn wrong_replies_count_as_failures() {
         let (daemon, mut items) = live();
         let last = items[1].expected.len() - 2;
@@ -461,7 +495,8 @@ mod tests {
         let open = Load::Open {
             schedule: &schedule,
         };
-        let open = drive(daemon.addr(), 1, &items, &[0, 1, 2], open, false).expect("connects");
+        let order: Vec<u32> = (0..12).map(|k| k % 3).collect();
+        let open = drive(daemon.addr(), 1, &items, &order, open, false).expect("connects");
         assert_eq!(open.tally.attempted, 12);
         assert_eq!(open.tally.failed, 4, "item 1 is every third request");
         assert_eq!(open.tally.latency_ms.len(), 8);

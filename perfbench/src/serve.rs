@@ -10,9 +10,9 @@
 //! client's wire work inside each round trip, and the same requests
 //! replayed in process through each layer's public functions.
 
-use crate::loadgen::{drive, frame, Load};
+use crate::loadgen::{drive, frame, Load, Phase};
 use crate::metrics::Report;
-use crate::stats::{median, percentile, Summary};
+use crate::stats::{median, percentile, windowed_p90, Summary};
 use crate::trace::SpanLog;
 use crate::traffic::{self, Traffic};
 use crate::{nproc, sys, Args};
@@ -53,13 +53,15 @@ impl Mix {
         }
     }
 
-    /// Distinct closed-phase requests prepared per second of the phase.
-    /// The closed order wraps past them; a `serve-sweep` seed therefore
-    /// recurs no sooner than this many times the phase length later.
+    /// Closed-phase requests prepared per second of the phase, each sent
+    /// once: well above the closed-phase capacity on a 2-thread host, so
+    /// only a much faster daemon makes a slice run out and end early.
+    /// `serve-sweep` prepares each request's reply in process at set-up,
+    /// which bounds its margin.
     fn closed_per_s(self) -> f64 {
         match self {
-            Mix::Hot => 30_000.0,
-            Mix::Sweep => 3_000.0,
+            Mix::Hot => 60_000.0,
+            Mix::Sweep => 9_000.0,
         }
     }
 }
@@ -70,14 +72,14 @@ const SETUP_REPS: usize = 15;
 const DEPTH: usize = 4;
 /// Share of `--seconds` the closed phase sends for.
 const CLOSED_SHARE: f64 = 0.4;
-/// Slices of the closed phase, each on fresh connections;
-/// `throughput_qps` is their median, which a short stall cannot move.
+/// Slices of the closed phase, each on fresh connections and its own
+/// share of the closed order; `throughput_qps` is their median, which a
+/// short stall cannot move.
 const CLOSED_SLICES: u32 = 8;
 /// Share of `--seconds` the open phase's schedule spans.
 const OPEN_SHARE: f64 = 0.5;
 /// Replies per open-phase window; `latency_tail_ms` is the median over
-/// windows of the highest percentile a window supports with 10 replies
-/// beyond it, the p90.
+/// windows of their p90, which has 10 replies beyond it in each.
 const TAIL_WINDOW: usize = 100;
 /// Requests in the traced depth-1 pass and its in-process replay.
 const PROBE_REQUESTS: usize = 2000;
@@ -90,10 +92,17 @@ pub fn run(mix: Mix, args: &Args) -> io::Result<Report> {
     let open_s = OPEN_SHARE * args.seconds as f64;
     let closed_len = (mix.closed_per_s() * closed_for.as_secs_f64()).ceil() as usize;
     let t = Instant::now();
-    let traffic = match mix {
-        Mix::Hot => traffic::hot(args.seed, closed_len, mix.open_rate(), open_s),
-        Mix::Sweep => traffic::sweep(args.seed, closed_len, mix.open_rate(), open_s),
+    let build = match mix {
+        Mix::Hot => traffic::hot,
+        Mix::Sweep => traffic::sweep,
     };
+    let traffic = build(
+        args.seed,
+        closed_len,
+        mix.open_rate(),
+        open_s,
+        PROBE_REQUESTS,
+    );
     println!(
         "{}: {} distinct requests and their replies prepared in process in {:.2} s",
         mix.name(),
@@ -131,6 +140,38 @@ pub fn run(mix: Mix, args: &Args) -> io::Result<Report> {
     Ok(report)
 }
 
+/// The `k`-th of [`CLOSED_SLICES`] equal shares of the closed order.
+fn slice(closed: &[u32], k: u32) -> &[u32] {
+    let at = |k: u32| closed.len() * k as usize / CLOSED_SLICES as usize;
+    &closed[at(k)..at(k + 1)]
+}
+
+/// One closed slice: `k`'s share of the closed order for its share of
+/// the phase. A slice that sends its whole share ends early; its
+/// throughput stands, but the prepared requests were too few.
+fn closed_slice(
+    addr: SocketAddr,
+    conns: usize,
+    traffic: &Traffic,
+    k: u32,
+    closed_for: Duration,
+    trace: bool,
+) -> io::Result<Phase> {
+    let order = slice(&traffic.closed, k);
+    let load = Load::Closed {
+        depth: DEPTH,
+        run_for: closed_for / CLOSED_SLICES,
+    };
+    let phase = drive(addr, conns, &traffic.items, order, load, trace)?;
+    if phase.sent == order.len() {
+        eprintln!(
+            "closed slice {k} sent all {} of its prepared requests before its time was up",
+            order.len()
+        );
+    }
+    Ok(phase)
+}
+
 /// The end-to-end run: closed phase, open phase, peak memory.
 fn measure(
     mix: Mix,
@@ -141,19 +182,8 @@ fn measure(
     report: &mut Report,
 ) -> io::Result<()> {
     let mut qps = Vec::with_capacity(CLOSED_SLICES as usize);
-    for _ in 0..CLOSED_SLICES {
-        let load = Load::Closed {
-            depth: DEPTH,
-            run_for: closed_for / CLOSED_SLICES,
-        };
-        let slice = drive(
-            daemon.addr,
-            conns,
-            &traffic.items,
-            &traffic.closed,
-            load,
-            false,
-        )?;
+    for k in 0..CLOSED_SLICES {
+        let slice = closed_slice(daemon.addr, conns, traffic, k, closed_for, false)?;
         report.add(&slice.tally);
         qps.push(slice.qps());
     }
@@ -168,6 +198,7 @@ fn measure(
         open,
         false,
     )?;
+    let peak_rss_mb = sys::peak_rss_mb(Some(daemon.child.id()));
     daemon.shutdown()?;
     report.add(&open.tally);
     println!(
@@ -177,21 +208,8 @@ fn measure(
     );
     report.set("throughput_qps", median(&qps));
     if let Some(lat) = Summary::of(&open.tally.latency_ms) {
-        // the p90 of each window of TAIL_WINDOW replies (10 beyond it in
-        // each), median over the windows: a scheduling stall on a shared
-        // host moves a few windows, not the metric, where the whole-phase
-        // p99 swung twofold between runs of one seed
-        let windows: Vec<f64> = open
-            .tally
-            .latency_ms
-            .chunks_exact(TAIL_WINDOW)
-            .filter_map(|w| Summary::of(w).map(|s| s.tail))
-            .collect();
-        let tail = if windows.is_empty() {
-            lat.tail
-        } else {
-            median(&windows)
-        };
+        // the whole-phase p99 swung twofold between runs of one seed
+        let tail = windowed_p90(&open.tally.latency_ms, TAIL_WINDOW).unwrap_or(lat.tail);
         println!(
             "  open phase: {} requests at {}/s; latency p50 {:.4} ms (n={}), {} {:.4} ms, \
              median p90 of {} windows of {TAIL_WINDOW} {:.4} ms",
@@ -201,13 +219,13 @@ fn measure(
             lat.n,
             lat.tail_label(),
             lat.tail,
-            windows.len(),
+            lat.n / TAIL_WINDOW,
             tail
         );
         report.set("latency_p50_ms", lat.p50);
         report.set("latency_tail_ms", tail);
     }
-    report.set("peak_rss_mb", sys::peak_rss_mb(true));
+    report.set("peak_rss_mb", peak_rss_mb);
     Ok(())
 }
 
@@ -230,18 +248,7 @@ fn attribute(
     let mut next_trace = 0;
     for k in 0..CLOSED_SLICES {
         let traced = matches!(k % 4, 1 | 2);
-        let load = Load::Closed {
-            depth: DEPTH,
-            run_for: closed_for / CLOSED_SLICES,
-        };
-        let phase = drive(
-            daemon.addr,
-            conns,
-            &traffic.items,
-            &traffic.closed,
-            load,
-            traced,
-        )?;
+        let phase = closed_slice(daemon.addr, conns, traffic, k, closed_for, traced)?;
         slices[usize::from(traced)].push(phase.qps());
         report.add(&phase.tally);
         next_trace = log.requests(next_trace, &phase.spans);
@@ -345,10 +352,6 @@ fn attribute(
     )
 }
 
-fn probe_order(traffic: &Traffic) -> impl Iterator<Item = &u32> {
-    traffic.open.iter().cycle().take(PROBE_REQUESTS)
-}
-
 fn decode(body: &str) -> LabRequest {
     wire::decode_request(body).expect("the benchmark's own request bytes decode")
 }
@@ -374,7 +377,7 @@ fn depth_one(
     let mut client = LabClient::connect(addr)?;
     let mut rtt = Vec::with_capacity(PROBE_REQUESTS);
     let mut failed = 0;
-    for (k, &item) in probe_order(traffic).enumerate() {
+    for (k, &item) in traffic.probe.iter().enumerate() {
         let req = decode(&traffic.bodies[item as usize]);
         let trace = PROBE_TRACE + k as u64;
         let (reply, us) = log.time(trace, "socket.round_trip", || client.query(&req));
@@ -410,7 +413,7 @@ fn replay(traffic: &Traffic, log: &mut SpanLog) -> Replay {
     let twin = QueryEngine::new();
     twin.warm_start();
     let mut r = Replay::default();
-    for (k, &item) in probe_order(traffic).enumerate() {
+    for (k, &item) in traffic.probe.iter().enumerate() {
         let trace = PROBE_TRACE + k as u64;
         let typed = decode(&traffic.bodies[item as usize]);
         let (text, encode_request) = log.time(trace, "wire.encode_request", || {
@@ -501,8 +504,7 @@ impl Daemon {
 
     /// Ask for a drained shutdown and wait for the process to exit.
     fn shutdown(mut self) -> io::Result<()> {
-        let request = b"POST /v1/shutdown HTTP/1.1\r\nHost: perfbench\r\nContent-Length: 0\r\n\r\n";
-        exchange(self.addr, request)?;
+        LabClient::connect(self.addr)?.shutdown()?;
         let deadline = Instant::now() + Duration::from_secs(15);
         while Instant::now() < deadline {
             if let Some(status) = self.child.try_wait()? {
@@ -548,12 +550,40 @@ fn exchange(addr: SocketAddr, request: &[u8]) -> io::Result<Vec<u8>> {
 
 /// The daemon's `GET /v1/stats` counters.
 fn daemon_stats(addr: SocketAddr) -> io::Result<EngineStats> {
-    let reply = exchange(addr, b"GET /v1/stats HTTP/1.1\r\nHost: perfbench\r\n\r\n")?;
-    let text = std::str::from_utf8(body(&reply)).map_err(io::Error::other)?;
-    match wire::decode_response(text).map_err(io::Error::other)? {
+    match LabClient::connect(addr)?.stats()? {
         LabResponse::Stats(stats) => Ok(stats),
         other => Err(io::Error::other(format!(
             "the stats route answered {other:?}"
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    #[test]
+    fn no_sweep_request_or_seed_is_sent_twice() {
+        let t = traffic::sweep(4, 400, 200.0, 0.5, 30);
+        let sent: Vec<u32> = (0..CLOSED_SLICES)
+            .flat_map(|k| slice(&t.closed, k).iter().copied())
+            .chain(t.open.iter().copied())
+            .chain(t.probe.iter().copied())
+            .collect();
+        assert_eq!(
+            sent.len(),
+            t.items.len(),
+            "the slices cover the closed order"
+        );
+        let distinct: HashSet<u32> = sent.iter().copied().collect();
+        assert_eq!(distinct.len(), sent.len(), "the slices share no request");
+        let mut seeds = HashSet::new();
+        for &i in &sent {
+            if let LabRequest::Execute { seed, .. } = decode(&t.bodies[i as usize]) {
+                assert!(seeds.insert(seed), "seed {seed} is sent twice");
+            }
+        }
+        assert!(seeds.len() > sent.len() / 2, "most requests execute");
     }
 }

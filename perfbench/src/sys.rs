@@ -1,11 +1,10 @@
-//! The system calls std has no wrapper for: `ppoll(2)`, so the load
-//! generator sleeps until a reply arrives or a send falls due;
-//! `getrusage(2)`, for the peak resident set of the process under test;
-//! and `sched_{get,set}affinity(2)`, to keep the campaign workloads on
-//! one CPU.
+//! What std has no wrapper for: `ppoll(2)`, so the load generator sleeps
+//! until a reply arrives or a send falls due; `sched_{get,set}affinity(2)`,
+//! to keep the campaign workloads on one CPU; and the peak resident set
+//! of the process under test, from `/proc`.
 
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-compile_error!("the benchmark declares the 64-bit Linux layouts of pollfd, timespec and rusage");
+compile_error!("the benchmark declares the 64-bit Linux layouts of pollfd and timespec");
 
 use std::os::fd::AsRawFd;
 use std::time::Duration;
@@ -23,26 +22,8 @@ struct Timespec {
     tv_nsec: i64,
 }
 
-#[repr(C)]
-struct Timeval {
-    tv_sec: i64,
-    tv_usec: i64,
-}
-
-/// `struct rusage`: two timevals, then fourteen longs, `ru_maxrss`
-/// (KiB) first.
-#[repr(C)]
-struct Rusage {
-    utime: Timeval,
-    stime: Timeval,
-    maxrss: i64,
-    rest: [i64; 13],
-}
-
 const POLLIN: i16 = 0x1;
 const POLLOUT: i16 = 0x4;
-const RUSAGE_SELF: i32 = 0;
-const RUSAGE_CHILDREN: i32 = -1;
 
 extern "C" {
     fn ppoll(
@@ -51,7 +32,6 @@ extern "C" {
         timeout: *const Timespec,
         sigmask: *const std::ffi::c_void,
     ) -> i32;
-    fn getrusage(who: i32, usage: *mut Rusage) -> i32;
     fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
     fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
 }
@@ -106,32 +86,35 @@ pub fn wait<S: AsRawFd>(socks: &[(&S, bool)], timeout: Duration) {
     }
 }
 
-/// Peak resident set in MiB of this process, or with `children` of the
-/// largest child process it has waited for.
-pub fn peak_rss_mb(children: bool) -> f64 {
-    let mut usage = Rusage {
-        utime: Timeval {
-            tv_sec: 0,
-            tv_usec: 0,
-        },
-        stime: Timeval {
-            tv_sec: 0,
-            tv_usec: 0,
-        },
-        maxrss: 0,
-        rest: [0; 13],
-    };
-    let who = if children {
-        RUSAGE_CHILDREN
-    } else {
-        RUSAGE_SELF
-    };
-    // SAFETY: `usage` is a valid, exclusively borrowed `struct rusage` in
-    // the 64-bit Linux layout, and `who` is one of its defined selectors.
-    let rc = unsafe { getrusage(who, &mut usage) };
-    if rc == 0 {
-        usage.maxrss as f64 / 1024.0
-    } else {
-        0.0
+/// Peak resident set (`VmHWM`) in MiB of process `pid`, or of this
+/// process for `None`; 0 if it cannot be read.
+///
+/// `getrusage(RUSAGE_CHILDREN)` would not do for a spawned daemon: a
+/// child started by `vfork` + `exec` inherits the parent's high-water
+/// mark at the exec, so it would report the benchmark's own memory.
+pub fn peak_rss_mb(pid: Option<u32>) -> f64 {
+    let path = pid.map_or("/proc/self/status".to_string(), |pid| {
+        format!("/proc/{pid}/status")
+    });
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kib| kib / 1024.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn peak_rss_reads_the_named_process() {
+        let own = peak_rss_mb(None);
+        assert!(own > 0.0);
+        // other tests run alongside, so the mark may have risen since
+        assert!(peak_rss_mb(Some(std::process::id())) >= own);
+        assert_eq!(peak_rss_mb(Some(u32::MAX)), 0.0, "no such process");
     }
 }

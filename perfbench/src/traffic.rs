@@ -49,10 +49,12 @@ pub struct Traffic {
     pub items: Vec<Item>,
     /// Each item's request body on the wire.
     pub bodies: Vec<String>,
-    /// Item order of the closed phase (cycled if the phase outruns it).
+    /// Item order of the closed phase, each entry sent once.
     pub closed: Vec<u32>,
     /// Item order of the open phase, one per scheduled arrival.
     pub open: Vec<u32>,
+    /// Item order of the traced run's depth-1 pass.
+    pub probe: Vec<u32>,
     /// Open-phase due offsets, ascending.
     pub schedule: Vec<Duration>,
 }
@@ -99,7 +101,7 @@ pub fn poisson_schedule(rng: &mut RngStream, rate_per_s: f64, seconds: f64) -> V
 
 /// `serve-hot`: execute requests over the 12-entry menu, entries drawn
 /// Zipf, seeds cycling by position.
-pub fn hot(seed: u64, closed_len: usize, open_rate: f64, open_s: f64) -> Traffic {
+pub fn hot(seed: u64, closed_len: usize, open_rate: f64, open_s: f64, probe_len: usize) -> Traffic {
     let engine = QueryEngine::new();
     let (items, bodies) = (0..MENU_LEN)
         .flat_map(|m| (0..HOT_SEED_CYCLE).map(move |s| (m, s)))
@@ -115,11 +117,14 @@ pub fn hot(seed: u64, closed_len: usize, open_rate: f64, open_s: f64) -> Traffic
     let mut rng = root.derive("open");
     let schedule = poisson_schedule(&mut rng, open_rate, open_s);
     let open = (0..schedule.len()).map(|k| draw(&mut rng, k)).collect();
+    let mut rng = root.derive("probe");
+    let probe = (0..probe_len).map(|k| draw(&mut rng, k)).collect();
     Traffic {
         items,
         bodies,
         closed,
         open,
+        probe,
         schedule,
     }
 }
@@ -158,11 +163,19 @@ pub fn sweep_scenario(u: usize) -> Scenario {
 }
 
 /// `serve-sweep`: plan and execute requests drawn uniformly from the
-/// universe, every execute under a seed no other request uses.
-pub fn sweep(seed: u64, closed_len: usize, open_rate: f64, open_s: f64) -> Traffic {
+/// universe, every execute under a seed no other request uses. The
+/// closed, open and probe orders take consecutive runs of the items.
+pub fn sweep(
+    seed: u64,
+    closed_len: usize,
+    open_rate: f64,
+    open_s: f64,
+    probe_len: usize,
+) -> Traffic {
     let root = RngStream::new(seed).derive("serve-sweep");
     let schedule = poisson_schedule(&mut root.derive("open"), open_rate, open_s);
-    let total = closed_len + schedule.len();
+    let open_end = closed_len + schedule.len();
+    let total = open_end + probe_len;
     // the workload seed above a request counter, under 2^53 so the JSON
     // wire carries it exactly
     let base = (seed & 0xFF_FFFF) << 28;
@@ -211,7 +224,8 @@ pub fn sweep(seed: u64, closed_len: usize, open_rate: f64, open_s: f64) -> Traff
         items,
         bodies,
         closed: (0..closed_len as u32).collect(),
-        open: (closed_len as u32..total as u32).collect(),
+        open: (closed_len as u32..open_end as u32).collect(),
+        probe: (open_end as u32..total as u32).collect(),
         schedule,
     }
 }
@@ -236,13 +250,14 @@ mod tests {
 
     #[test]
     fn hot_streams_are_seeded_zipf_draws_with_cycling_seeds() {
-        let a = hot(3, 20_000, 500.0, 1.0);
-        let b = hot(3, 20_000, 500.0, 1.0);
+        let a = hot(3, 20_000, 500.0, 1.0, 50);
+        let b = hot(3, 20_000, 500.0, 1.0, 50);
         assert_eq!(
-            (&a.closed, &a.open, &a.schedule),
-            (&b.closed, &b.open, &b.schedule)
+            (&a.closed, &a.open, &a.probe, &a.schedule),
+            (&b.closed, &b.open, &b.probe, &b.schedule)
         );
-        assert_ne!(a.closed, hot(4, 20_000, 500.0, 1.0).closed);
+        assert_ne!(a.closed, hot(4, 20_000, 500.0, 1.0, 50).closed);
+        assert_eq!(a.probe.len(), 50);
         assert_eq!(a.items.len(), MENU_LEN * HOT_SEED_CYCLE as usize);
         assert_eq!(a.open.len(), a.schedule.len());
         for (k, &i) in a.closed.iter().enumerate() {
@@ -270,7 +285,7 @@ mod tests {
 
     #[test]
     fn sweep_executes_never_share_a_seed() {
-        let t = sweep(9, 60, 100.0, 0.5);
+        let t = sweep(9, 60, 100.0, 0.5, 20);
         let mut seeds = HashSet::new();
         for body in &t.bodies {
             if let LabRequest::Execute { seed, .. } = wire::decode_request(body).expect("decodes") {
@@ -278,6 +293,6 @@ mod tests {
             }
         }
         assert!(!seeds.is_empty());
-        assert_eq!(t.items.len(), t.closed.len() + t.open.len());
+        assert_eq!(t.items.len(), t.closed.len() + t.open.len() + t.probe.len());
     }
 }
