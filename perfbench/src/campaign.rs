@@ -6,7 +6,8 @@
 //! batching and the pool.
 
 use crate::metrics::Report;
-use crate::stats::{median, windowed_p90, Summary};
+use crate::pace::{self, Pace, Probe};
+use crate::stats::{median, Summary};
 use crate::trace::SpanLog;
 use crate::{nproc, sys, Args};
 use harborsim_core::experiments::ext_open_system;
@@ -32,23 +33,18 @@ pub enum Kind {
 
 /// Engine set-ups per run; `setup_s` is their median. One takes about
 /// 0.1 ms, so only a median over many is steady from run to run.
-const SETUP_REPS: usize = 101;
+const SETUP_REPS: usize = 301;
 /// Ranks per node of the DES grid: one, so every message crosses the
 /// network and one campaign takes about 0.15 s on a 2-thread host; a
 /// run holds over a hundred operations, and their median is steady.
 const DES_RPN: u32 = 1;
 /// Seeds one open-system operation runs: few enough that a run holds
 /// over a hundred operations (about 0.15-0.2 s each on a 2-thread host),
-/// enough windows for a steady `latency_tail_ms`.
+/// so their median is steady.
 const OPEN_SEEDS: usize = 2;
 /// The storm's arrival rate, jobs/s, for 60-80% node utilization on
 /// Lenox (0.05/s gives 30%; 0.5/s saturates with a growing backlog).
 const OPEN_RATE: f64 = 0.15;
-/// Campaigns per window; `latency_tail_ms` is the median over windows of
-/// their p90. A run holds too few campaigns for windows with 10 beyond
-/// the p90, and the host's slow stretches of a few seconds set a whole
-/// run's p90; the run's qualifying percentile is printed beside it.
-const TAIL_WINDOW: usize = 10;
 /// Repetitions of each sub-millisecond layer timing in a traced run.
 const LAYER_REPS: u64 = 20;
 /// Executes at each shard count behind `des.shard_speedup`; it compares
@@ -271,7 +267,9 @@ pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
         Kind::Des => grid.runs.iter().map(|(_, s)| s).collect(),
         Kind::Open => classes.iter().collect(),
     };
+    let mut pace = Pace::new(Probe::Compute);
     let mut setup = Vec::with_capacity(SETUP_REPS);
+    let mut setup_paces = vec![pace.sample()?];
     let mut engine = None;
     for _ in 0..SETUP_REPS {
         let t0 = Instant::now();
@@ -282,8 +280,10 @@ pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
                 .map_err(fail)?;
         }
         setup.push(t0.elapsed().as_secs_f64());
+        setup_paces.push(pace.sample()?);
         engine = Some(fresh);
     }
+    let setup = pace::scale(&setup, &setup_paces);
     let engine = engine.expect("at least one set-up");
     for (i, scenario) in targets.iter().enumerate() {
         log.time(i as u64, "lab.plan_hit", || engine.plan(scenario))
@@ -320,7 +320,10 @@ pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
 
     let stats_before = engine.stats();
     let batched_before = engine.batched_executes();
-    let (mut plain, mut traced) = (Vec::new(), Vec::new());
+    // every operation's wall time in order, whether it was traced, and
+    // the host's pace before the first and after each
+    let (mut took_ms, mut traced_ops) = (Vec::new(), Vec::new());
+    let mut paces = vec![pace.sample()?];
     let mut last = None;
     let start = Instant::now();
     let mut op = 0u64;
@@ -345,36 +348,40 @@ pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
             );
         }
         report.count(1, u64::from(!correct));
-        let took = (t1 - t0).as_secs_f64();
-        if traced_op {
-            traced.push(took);
-        } else {
-            plain.push(took);
-        }
+        took_ms.push((t1 - t0).as_secs_f64() * 1e3);
+        traced_ops.push(traced_op);
+        paces.push(pace.sample()?);
         last = Some(reply);
         op += 1;
     }
     let loop_s = start.elapsed().as_secs_f64();
-    let ops_ms: Vec<f64> = plain.iter().chain(&traced).map(|s| s * 1e3).collect();
+    let raw = Summary::of(&took_ms).expect("at least one operation");
+    let ops_ms = pace::scale(&took_ms, &paces);
+    let pick = |want: bool| -> Vec<f64> {
+        let ops = ops_ms.iter().zip(&traced_ops);
+        ops.filter(|(_, &t)| t == want).map(|(ms, _)| *ms).collect()
+    };
+    let (plain, traced) = (pick(false), pick(true));
     let lat = Summary::of(&ops_ms).expect("at least one operation");
-    let tail = windowed_p90(&ops_ms, TAIL_WINDOW).unwrap_or(lat.tail);
     println!(
-        "  {op} campaigns in {loop_s:.3} s: p50 {:.3} ms, {} {:.3} ms (n={}), \
-         median p90 of {} windows of {TAIL_WINDOW} {tail:.3} ms",
+        "  {op} campaigns in {loop_s:.3} s: p50 {:.3} ms as timed, host pace {:.3} \
+         (from {:.3} to {:.3}); at the reference pace p50 {:.3} ms, {} {:.3} ms (n={})",
+        raw.p50,
+        median(&paces),
+        paces.iter().copied().fold(f64::INFINITY, f64::min),
+        paces.iter().copied().fold(0.0, f64::max),
         lat.p50,
         lat.tail_label(),
         lat.tail,
         lat.n,
-        lat.n / TAIL_WINDOW,
     );
     if !args.trace {
         report.set("setup_s", median(&setup));
         // campaigns per second of campaign time: the last operation's
         // overrun past `--seconds` does not quantize it
-        let busy: f64 = plain.iter().sum();
-        report.set("throughput_qps", op as f64 / busy);
+        let busy_s: f64 = plain.iter().sum::<f64>() / 1e3;
+        report.set("throughput_qps", op as f64 / busy_s);
         report.set("latency_p50_ms", lat.p50);
-        report.set("latency_tail_ms", tail);
         report.set("peak_rss_mb", sys::peak_rss_mb(None));
         return Ok(report);
     }
@@ -385,7 +392,7 @@ pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
             (median(&traced) / median(&plain) - 1.0) * 100.0,
         );
     }
-    report.set("lab.handle_us", lat.p50 * 1e3);
+    report.set("lab.handle_us", raw.p50 * 1e3);
     report.cache(
         &stats_before,
         &engine.stats(),
@@ -421,7 +428,7 @@ pub fn run(kind: Kind, args: &Args) -> io::Result<Report> {
     } else {
         let busy: f64 = executes.secs.iter().sum();
         // over the CPUs the pinned campaign may use: one
-        report.set("par.busy_share", busy / (lat.p50 / 1e3 * nproc() as f64));
+        report.set("par.busy_share", busy / (raw.p50 / 1e3 * nproc() as f64));
     }
     for (metric, span) in [
         ("script.compile_us", "script.compile"),

@@ -14,6 +14,7 @@
 mod campaign;
 mod loadgen;
 mod metrics;
+mod pace;
 mod serve;
 mod stats;
 mod sys;
@@ -81,6 +82,9 @@ pub fn nproc() -> usize {
 }
 
 fn main() {
+    if std::env::args().nth(1).as_deref() == Some(pace::IDLE_FLAG) {
+        return;
+    }
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("harborsim-perfbench: {e}\n{USAGE}");
         std::process::exit(2);

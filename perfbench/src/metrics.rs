@@ -37,11 +37,10 @@ const fn higher(name: &'static str, unit: &'static str) -> Metric {
 pub const WORKLOADS: [&str; 4] = ["serve-hot", "serve-sweep", "campaign-des", "campaign-open"];
 
 /// What `--trace 0` reports, on every workload.
-pub const END_TO_END: [Metric; 5] = [
+pub const END_TO_END: [Metric; 4] = [
     lower("setup_s", "s"),
     higher("throughput_qps", "1/s"),
     lower("latency_p50_ms", "ms"),
-    lower("latency_tail_ms", "ms"),
     lower("peak_rss_mb", "MiB"),
 ];
 

@@ -5,17 +5,22 @@
 //! A run spawns the daemon [`SETUP_REPS`] times (`setup_s` is the median
 //! of spawn to first correct reply, warm start included) and measures on
 //! the last one: a closed phase for `throughput_qps`, then an open phase
-//! at a fixed Poisson rate for the latencies. A traced run adds the layer
-//! attribution: daemon counter deltas, a depth-1 socket pass with the
-//! client's wire work inside each round trip, and the same requests
-//! replayed in process through each layer's public functions.
+//! at a fixed Poisson rate for the latencies. The daemon runs on one CPU
+//! and this process on another, both kept out of idle while timed; each
+//! end-to-end timing is scaled by the host's pace on the daemon's CPU
+//! (see `pace`), sampled between spawns, slices and segments. A traced
+//! run adds the layer attribution: daemon counter deltas, a depth-1
+//! socket pass with the client's wire work inside each round trip, and
+//! the same requests replayed in process through each layer's public
+//! functions.
 
 use crate::loadgen::{drive, frame, Load, Phase};
 use crate::metrics::Report;
-use crate::stats::{median, percentile, windowed_p90, Summary};
+use crate::pace::{self, Pace, Probe};
+use crate::stats::{median, percentile, Summary};
 use crate::trace::SpanLog;
 use crate::traffic::{self, Traffic};
-use crate::{nproc, sys, Args};
+use crate::{sys, Args};
 use harborsim_core::lab::wire;
 use harborsim_core::{EngineStats, LabClient, LabRequest, LabResponse, QueryEngine};
 use harborsim_des::trace::Recorder;
@@ -67,7 +72,7 @@ impl Mix {
 }
 
 /// Daemon spawns per run; `setup_s` is their median.
-const SETUP_REPS: usize = 15;
+const SETUP_REPS: usize = 41;
 /// Requests in flight per connection in the closed phase.
 const DEPTH: usize = 4;
 /// Share of `--seconds` the closed phase sends for.
@@ -75,12 +80,12 @@ const CLOSED_SHARE: f64 = 0.4;
 /// Slices of the closed phase, each on fresh connections and its own
 /// share of the closed order; `throughput_qps` is their median, which a
 /// short stall cannot move.
-const CLOSED_SLICES: u32 = 8;
+const CLOSED_SLICES: u32 = 20;
 /// Share of `--seconds` the open phase's schedule spans.
 const OPEN_SHARE: f64 = 0.5;
-/// Replies per open-phase window; `latency_tail_ms` is the median over
-/// windows of their p90, which has 10 replies beyond it in each.
-const TAIL_WINDOW: usize = 100;
+/// Consecutive parts of the open phase, with the host's pace sampled
+/// between them.
+const OPEN_SEGMENTS: usize = 10;
 /// Requests in the traced depth-1 pass and its in-process replay.
 const PROBE_REQUESTS: usize = 2000;
 /// First trace id of the depth-1 pass, clear of the phases' ids.
@@ -111,33 +116,66 @@ pub fn run(mix: Mix, args: &Args) -> io::Result<Report> {
     );
     let mut report = Report::default();
     let probe = &traffic.items[traffic.closed[0] as usize];
+    let allowed = sys::allowed_cpus()?;
+    let cpus = Cpus {
+        daemon: allowed[0],
+        client: allowed[allowed.len() - 1],
+        conns: allowed.len().min(2),
+    };
+    sys::pin_to(cpus.client)?;
+    let mut spawn_pace = Pace::new(Probe::Spawn);
     let mut setup = Vec::with_capacity(SETUP_REPS);
+    let mut setup_paces = vec![cpus.pace(&mut spawn_pace)?];
     let mut daemon = None;
     for rep in 0..SETUP_REPS {
+        let awake = cpus.awake()?;
         let t0 = Instant::now();
-        let spawned = Daemon::spawn(&args.daemon)?;
+        let spawned = cpus.spawn(&args.daemon)?;
         let correct = exchange(spawned.addr, &probe.request)? == probe.expected;
         setup.push(t0.elapsed().as_secs_f64());
+        drop(awake);
         report.count(1, u64::from(!correct));
         if rep + 1 < SETUP_REPS {
             spawned.shutdown()?;
         } else {
             daemon = Some(spawned);
         }
+        setup_paces.push(cpus.pace(&mut spawn_pace)?);
     }
+    let setup = pace::scale(&setup, &setup_paces);
     let daemon = daemon.expect("at least one set-up");
     println!(
         "  set-up: spawn to first correct reply, median {:.4} s of {SETUP_REPS}",
         median(&setup)
     );
-    let conns = nproc().min(2);
     if args.trace {
-        attribute(mix, args, &traffic, daemon, conns, closed_for, &mut report)?;
+        attribute(
+            mix,
+            args,
+            &traffic,
+            daemon,
+            cpus.conns,
+            closed_for,
+            &mut report,
+        )?;
     } else {
-        measure(mix, &traffic, daemon, conns, closed_for, &mut report)?;
+        measure(mix, &traffic, daemon, cpus, closed_for, &mut report)?;
         report.set("setup_s", median(&setup));
     }
     Ok(report)
+}
+
+/// The open phase cut into [`OPEN_SEGMENTS`] consecutive parts: each
+/// part's share of the open order, and its schedule, due offsets counted
+/// from the part's first arrival.
+fn open_segments(traffic: &Traffic) -> impl Iterator<Item = (&[u32], Vec<Duration>)> {
+    let n = traffic.schedule.len();
+    (0..OPEN_SEGMENTS).filter_map(move |k| {
+        let (from, to) = (n * k / OPEN_SEGMENTS, n * (k + 1) / OPEN_SEGMENTS);
+        let part = traffic.schedule.get(from..to).filter(|p| !p.is_empty())?;
+        let schedule = part.iter().map(|&due| due - part[0]).collect();
+        Some((&traffic.open[from..to], schedule))
+    })
 }
 
 /// The `k`-th of [`CLOSED_SLICES`] equal shares of the closed order.
@@ -177,53 +215,77 @@ fn measure(
     mix: Mix,
     traffic: &Traffic,
     daemon: Daemon,
-    conns: usize,
+    cpus: Cpus,
     closed_for: Duration,
     report: &mut Report,
 ) -> io::Result<()> {
-    let mut qps = Vec::with_capacity(CLOSED_SLICES as usize);
+    let (conns, pace) = (cpus.conns, &mut Pace::new(Probe::Switch));
+    // seconds per reply in each slice, and the host's pace around each
+    let mut per_reply = Vec::with_capacity(CLOSED_SLICES as usize);
+    let mut paces = vec![cpus.pace(pace)?];
     for k in 0..CLOSED_SLICES {
+        let awake = cpus.awake()?;
         let slice = closed_slice(daemon.addr, conns, traffic, k, closed_for, false)?;
+        drop(awake);
         report.add(&slice.tally);
-        qps.push(slice.qps());
+        per_reply.push(1.0 / slice.qps());
+        paces.push(cpus.pace(pace)?);
     }
-    let open = Load::Open {
-        schedule: &traffic.schedule,
-    };
-    let open = drive(
-        daemon.addr,
-        conns,
-        &traffic.items,
-        &traffic.open,
-        open,
-        false,
-    )?;
-    let peak_rss_mb = sys::peak_rss_mb(Some(daemon.child.id()));
-    daemon.shutdown()?;
-    report.add(&open.tally);
+    let raw_qps = 1.0 / median(&per_reply);
+    let qps: Vec<f64> = pace::scale(&per_reply, &paces)
+        .iter()
+        .map(|s| 1.0 / s)
+        .collect();
     println!(
         "  closed phase: {CLOSED_SLICES} slices of {:.2} s over {conns} connections x depth \
-         {DEPTH}: {qps:.0?} q/s",
+         {DEPTH}: median {raw_qps:.0} q/s as timed, host pace {:.3} (from {:.3} to {:.3}); \
+         at the reference pace {qps:.0?} q/s",
         closed_for.as_secs_f64() / f64::from(CLOSED_SLICES),
+        median(&paces),
+        paces.iter().copied().fold(f64::INFINITY, f64::min),
+        paces.iter().copied().fold(0.0, f64::max),
     );
     report.set("throughput_qps", median(&qps));
-    if let Some(lat) = Summary::of(&open.tally.latency_ms) {
-        // the whole-phase p99 swung twofold between runs of one seed
-        let tail = windowed_p90(&open.tally.latency_ms, TAIL_WINDOW).unwrap_or(lat.tail);
+    // the open phase in segments, each on fresh connections, the pace
+    // sampled between them; latencies kept in order, scaled by the pace
+    // around their segment
+    let (mut raw_ms, mut latency_ms) = (Vec::new(), Vec::new());
+    let mut before = cpus.pace(pace)?;
+    for (order, schedule) in open_segments(traffic) {
+        let awake = cpus.awake()?;
+        let open = drive(
+            daemon.addr,
+            conns,
+            &traffic.items,
+            order,
+            Load::Open {
+                schedule: &schedule,
+            },
+            false,
+        )?;
+        drop(awake);
+        report.add(&open.tally);
+        let after = cpus.pace(pace)?;
+        let at = (before + after) / 2.0;
+        latency_ms.extend(open.tally.latency_ms.iter().map(|ms| ms / at));
+        raw_ms.extend(open.tally.latency_ms);
+        before = after;
+    }
+    let peak_rss_mb = sys::peak_rss_mb(Some(daemon.child.id()));
+    daemon.shutdown()?;
+    if let Some(lat) = Summary::of(&latency_ms) {
         println!(
-            "  open phase: {} requests at {}/s; latency p50 {:.4} ms (n={}), {} {:.4} ms, \
-             median p90 of {} windows of {TAIL_WINDOW} {:.4} ms",
+            "  open phase: {} requests at {}/s in {OPEN_SEGMENTS} segments; p50 {:.4} ms as \
+             timed; at the reference pace latency p50 {:.4} ms, {} {:.4} ms (n={})",
             traffic.schedule.len(),
             mix.open_rate(),
+            median(&raw_ms),
             lat.p50,
-            lat.n,
             lat.tail_label(),
             lat.tail,
-            lat.n / TAIL_WINDOW,
-            tail
+            lat.n,
         );
         report.set("latency_p50_ms", lat.p50);
-        report.set("latency_tail_ms", tail);
     }
     report.set("peak_rss_mb", peak_rss_mb);
     Ok(())
@@ -456,6 +518,39 @@ fn replay(traffic: &Traffic, log: &mut SpanLog) -> Replay {
         r.response_bytes.push(out.len() as f64);
     }
     r
+}
+
+/// Where the daemon and the load generator run: a CPU each where the
+/// host gives two, so neither queues behind the other's threads.
+#[derive(Debug, Clone, Copy)]
+struct Cpus {
+    daemon: usize,
+    client: usize,
+    /// Load-generator connections: one per CPU the host gives, at most 2.
+    conns: usize,
+}
+
+impl Cpus {
+    /// Spawn a daemon, which inherits the spawning thread's CPU.
+    fn spawn(self, bin: &Path) -> io::Result<Daemon> {
+        sys::pin_to(self.daemon)?;
+        let daemon = Daemon::spawn(bin);
+        sys::pin_to(self.client)?;
+        daemon
+    }
+
+    /// Keep both CPUs awake while the guard is held.
+    fn awake(self) -> io::Result<sys::Awake> {
+        sys::Awake::on(&[self.daemon, self.client])
+    }
+
+    /// The pace of the daemon's CPU, sampled while the daemon is idle.
+    fn pace(self, pace: &mut Pace) -> io::Result<f64> {
+        sys::pin_to(self.daemon)?;
+        let at = pace.sample()?;
+        sys::pin_to(self.client)?;
+        Ok(at)
+    }
 }
 
 /// A `reproduce_all --serve` child process. Dropping it kills the

@@ -79,23 +79,6 @@ impl Summary {
     }
 }
 
-/// The p90 of each run of `window` consecutive samples, median over the
-/// runs; `None` when `samples` fills no run. Where the host slows for a
-/// few seconds at a time, such a stretch moves a few windows but not
-/// their median, while it sets a whole run's p90 once it covers a tenth
-/// of the run.
-pub fn windowed_p90(samples: &[f64], window: usize) -> Option<f64> {
-    let tails: Vec<f64> = samples
-        .chunks_exact(window.max(1))
-        .map(|w| {
-            let mut sorted = w.to_vec();
-            sorted.sort_by(f64::total_cmp);
-            percentile(&sorted, 90.0)
-        })
-        .collect();
-    (!tails.is_empty()).then(|| median(&tails))
-}
-
 /// Median of `samples`, or 0 for none.
 pub fn median(samples: &[f64]) -> f64 {
     Summary::of(samples).map_or(0.0, |s| s.p50)
@@ -140,18 +123,5 @@ mod tests {
         assert_eq!(s.tail_label(), "p99");
         assert!(Summary::of(&[]).is_none());
         assert_eq!(median(&[]), 0.0);
-    }
-
-    #[test]
-    fn windowed_tails_take_the_median_window() {
-        // three windows of ten; the middle one holds a slow stretch
-        let mut xs: Vec<f64> = (0..30).map(|i| f64::from(i % 10)).collect();
-        xs[10..15].fill(100.0);
-        assert_eq!(windowed_p90(&xs, 10), Some(8.0));
-        // the whole run's p90 is the slow stretch
-        assert_eq!(Summary::of(&xs).map(|s| s.tail), Some(100.0));
-        // a partial window is left out, and no full window gives none
-        assert_eq!(windowed_p90(&xs[10..25], 10), Some(100.0));
-        assert_eq!(windowed_p90(&xs[..9], 10), None);
     }
 }
