@@ -24,7 +24,7 @@ use crate::job::Job;
 use crate::scheduler::SchedCore;
 use harborsim_container::StagePlan;
 use harborsim_des::trace::{Recorder, SpanCategory};
-use harborsim_des::{Engine, FluidLink, SimDuration, SimTime};
+use harborsim_des::{Engine, Event, FluidLink, SimDuration, SimTime};
 
 /// A job in an open campaign, fully sampled before simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,8 +122,8 @@ struct Slot {
 
 struct St {
     core: SchedCore,
-    registry: FluidLink<St>,
-    pfs: FluidLink<St>,
+    registry: FluidLink<Ev>,
+    pfs: FluidLink<Ev>,
     /// Pending arrivals, soonest last.
     arrivals: Vec<OpenJob>,
     slots: Vec<Option<Slot>>,
@@ -132,12 +132,32 @@ struct St {
     rec: Recorder,
 }
 
-fn registry_of(st: &mut St) -> &mut FluidLink<St> {
-    &mut st.registry
+/// The open engine's events.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// The next pending arrival submits.
+    Arrival,
+    /// One staging part of job `id` (fixed latency or a flow) finished.
+    StagePartDone(u32),
+    /// Job `id`'s solver finished and frees its nodes.
+    Finish {
+        id: u32,
+        nodes: u32,
+    },
+    RegistryTimer,
+    PfsTimer,
 }
 
-fn pfs_of(st: &mut St) -> &mut FluidLink<St> {
-    &mut st.pfs
+impl Event<St> for Ev {
+    fn fire(self, eng: &mut Engine<St, Ev>, st: &mut St) {
+        match self {
+            Ev::Arrival => arrive(eng, st),
+            Ev::StagePartDone(id) => stage_part_done(eng, st, id),
+            Ev::Finish { id, nodes } => finish(eng, st, id, nodes),
+            Ev::RegistryTimer => FluidLink::on_timer(eng, st, |st| &mut st.registry),
+            Ev::PfsTimer => FluidLink::on_timer(eng, st, |st| &mut st.pfs),
+        }
+    }
 }
 
 /// Run an open campaign to completion. Jobs may arrive in any order;
@@ -161,8 +181,8 @@ pub fn run_open(cluster: &OpenCluster, jobs: Vec<OpenJob>, rec: &mut Recorder) -
     let max_id = jobs.iter().map(|j| j.id + 1).max().unwrap_or(0);
     let mut state = St {
         core: SchedCore::new(cluster.total_nodes),
-        registry: FluidLink::new(cluster.registry_bps, registry_of),
-        pfs: FluidLink::new(cluster.pfs_bps, pfs_of),
+        registry: FluidLink::new(cluster.registry_bps, Ev::RegistryTimer),
+        pfs: FluidLink::new(cluster.pfs_bps, Ev::PfsTimer),
         arrivals: Vec::new(),
         slots: (0..max_id).map(|_| None).collect(),
         records: Vec::new(),
@@ -172,7 +192,7 @@ pub fn run_open(cluster: &OpenCluster, jobs: Vec<OpenJob>, rec: &mut Recorder) -
     state.rec.declare_tracks(max_id);
     jobs.reverse();
     state.arrivals = jobs;
-    let mut eng: Engine<St> = Engine::new();
+    let mut eng: Engine<St, Ev> = Engine::new();
     next_arrival(&mut eng, &mut state);
     eng.run(&mut state);
     assert!(state.arrivals.is_empty(), "open run left arrivals pending");
@@ -210,51 +230,53 @@ pub fn run_open(cluster: &OpenCluster, jobs: Vec<OpenJob>, rec: &mut Recorder) -
     }
 }
 
-/// Schedule the next pending arrival; it enqueues, dispatches, chains.
-fn next_arrival(eng: &mut Engine<St>, st: &mut St) {
-    let Some(next) = st.arrivals.last() else {
-        return;
-    };
-    let at = SimTime::ZERO + SimDuration::from_secs_f64(next.submit_s);
-    eng.schedule_at(at, move |eng, st: &mut St| {
-        st.events += 1;
-        let job = st
-            .arrivals
-            .pop()
-            .expect("arrival event with no job pending");
-        let id = job.id;
-        st.core.enqueue(Job::new(
-            id,
-            job.nodes,
-            job.walltime_s,
-            job.walltime_s,
-            job.submit_s,
-        ));
-        assert!(
-            st.slots[id as usize].is_none(),
-            "duplicate open job id {id}"
-        );
-        st.slots[id as usize] = Some(Slot {
-            job,
-            granted: SimTime::ZERO,
-            solve_started: SimTime::ZERO,
-            backfilled: false,
-            pending: 0,
-        });
-        dispatch(eng, st);
-        next_arrival(eng, st);
+/// Schedule the next pending arrival, if any.
+fn next_arrival(eng: &mut Engine<St, Ev>, st: &mut St) {
+    if let Some(next) = st.arrivals.last() {
+        let at = SimTime::ZERO + SimDuration::from_secs_f64(next.submit_s);
+        eng.schedule_event_at(at, Ev::Arrival);
+    }
+}
+
+/// The next pending arrival submits: it enqueues, dispatches, chains.
+fn arrive(eng: &mut Engine<St, Ev>, st: &mut St) {
+    st.events += 1;
+    let job = st
+        .arrivals
+        .pop()
+        .expect("arrival event with no job pending");
+    let id = job.id;
+    st.core.enqueue(Job::new(
+        id,
+        job.nodes,
+        job.walltime_s,
+        job.walltime_s,
+        job.submit_s,
+    ));
+    assert!(
+        st.slots[id as usize].is_none(),
+        "duplicate open job id {id}"
+    );
+    st.slots[id as usize] = Some(Slot {
+        job,
+        granted: SimTime::ZERO,
+        solve_started: SimTime::ZERO,
+        backfilled: false,
+        pending: 0,
     });
+    dispatch(eng, st);
+    next_arrival(eng, st);
 }
 
 /// Grant pass: every job the core starts begins its staging phase.
-fn dispatch(eng: &mut Engine<St>, st: &mut St) {
+fn dispatch(eng: &mut Engine<St, Ev>, st: &mut St) {
     let now = eng.now();
     for (job, backfilled) in st.core.grants(now) {
         begin_stage(eng, st, job.id, backfilled);
     }
 }
 
-fn begin_stage(eng: &mut Engine<St>, st: &mut St, id: u32, backfilled: bool) {
+fn begin_stage(eng: &mut Engine<St, Ev>, st: &mut St, id: u32, backfilled: bool) {
     let now = eng.now();
     let (stage, submit) = {
         let slot = st.slots[id as usize]
@@ -279,26 +301,23 @@ fn begin_stage(eng: &mut Engine<St>, st: &mut St, id: u32, backfilled: bool) {
         SimTime::ZERO + SimDuration::from_secs_f64(submit),
         now,
     );
-    eng.schedule(
+    eng.schedule_event(
         SimDuration::from_secs_f64(stage.fixed_s),
-        move |eng, st: &mut St| stage_part_done(eng, st, id),
+        Ev::StagePartDone(id),
     );
     if stage.registry_bytes > 0.0 {
         st.registry
-            .start_flow(eng, stage.registry_bytes, move |eng, st| {
-                stage_part_done(eng, st, id)
-            });
+            .start_flow(eng, stage.registry_bytes, Ev::StagePartDone(id));
     }
     if stage.pfs_bytes > 0.0 {
-        st.pfs.start_flow(eng, stage.pfs_bytes, move |eng, st| {
-            stage_part_done(eng, st, id)
-        });
+        st.pfs
+            .start_flow(eng, stage.pfs_bytes, Ev::StagePartDone(id));
     }
 }
 
 /// One staging part (fixed latency or a flow) finished; when all have,
 /// the solver starts.
-fn stage_part_done(eng: &mut Engine<St>, st: &mut St, id: u32) {
+fn stage_part_done(eng: &mut Engine<St, Ev>, st: &mut St, id: u32) {
     st.events += 1;
     let now = eng.now();
     let (granted, solver_s, nodes) = {
@@ -316,29 +335,32 @@ fn stage_part_done(eng: &mut Engine<St>, st: &mut St, id: u32) {
     let solver = SimDuration::from_secs_f64(solver_s);
     st.rec
         .span(SpanCategory::Launch, "job-run", id, now, now + solver);
-    eng.schedule(solver, move |eng, st: &mut St| {
-        st.events += 1;
-        let now = eng.now();
-        st.core.release(id, nodes, now);
-        let slot = st.slots[id as usize]
-            .take()
-            .expect("finishing job has no slot");
-        st.records.push(OpenJobRecord {
-            id,
-            tenant: slot.job.tenant,
-            class: slot.job.class,
-            nodes: slot.job.nodes,
-            submit_s: slot.job.submit_s,
-            wait_s: slot
-                .granted
-                .since(SimTime::ZERO + SimDuration::from_secs_f64(slot.job.submit_s))
-                .as_secs_f64(),
-            stage_s: slot.solve_started.since(slot.granted).as_secs_f64(),
-            run_s: now.since(slot.solve_started).as_secs_f64(),
-            backfilled: slot.backfilled,
-        });
-        dispatch(eng, st);
+    eng.schedule_event(solver, Ev::Finish { id, nodes });
+}
+
+/// Job `id`'s solver finished: free its nodes, record it, dispatch.
+fn finish(eng: &mut Engine<St, Ev>, st: &mut St, id: u32, nodes: u32) {
+    st.events += 1;
+    let now = eng.now();
+    st.core.release(id, nodes, now);
+    let slot = st.slots[id as usize]
+        .take()
+        .expect("finishing job has no slot");
+    st.records.push(OpenJobRecord {
+        id,
+        tenant: slot.job.tenant,
+        class: slot.job.class,
+        nodes: slot.job.nodes,
+        submit_s: slot.job.submit_s,
+        wait_s: slot
+            .granted
+            .since(SimTime::ZERO + SimDuration::from_secs_f64(slot.job.submit_s))
+            .as_secs_f64(),
+        stage_s: slot.solve_started.since(slot.granted).as_secs_f64(),
+        run_s: now.since(slot.solve_started).as_secs_f64(),
+        backfilled: slot.backfilled,
     });
+    dispatch(eng, st);
 }
 
 #[cfg(test)]

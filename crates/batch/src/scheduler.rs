@@ -16,7 +16,7 @@
 
 use crate::job::{Job, JobOutcome};
 use harborsim_des::trace::{Recorder, SpanCategory};
-use harborsim_des::{Engine, SimTime};
+use harborsim_des::{Engine, Event, SimTime};
 use std::collections::VecDeque;
 
 pub(crate) struct Running {
@@ -211,7 +211,7 @@ impl Scheduler {
     /// simulation as a chained event source: only the next pending
     /// arrival is ever scheduled.
     pub fn run(self, rec: &mut Recorder) -> ScheduleResult {
-        let mut eng: Engine<State> = Engine::new();
+        let mut eng: Engine<State, Ev> = Engine::new();
         let mut jobs = self.jobs;
         jobs.sort_by_key(|j| (j.submit, j.id));
         let mut state = State {
@@ -244,32 +244,56 @@ impl Scheduler {
     }
 }
 
-/// Schedule the next pending arrival (if any): it enqueues its job, runs
-/// a grant pass, and chains the arrival after it.
-fn next_arrival(eng: &mut Engine<State>, st: &mut State) {
-    let Some(next) = st.arrivals.last() else {
-        return;
-    };
-    eng.schedule_at(next.submit, move |eng, st: &mut State| {
-        let job = st
-            .arrivals
-            .pop()
-            .expect("arrival event with no job pending");
-        st.core.enqueue(job);
-        dispatch(eng, st);
-        next_arrival(eng, st);
-    });
+/// The closed scheduler's events.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// The next pending arrival submits: enqueue it, run a grant pass,
+    /// and chain the arrival after it.
+    Arrival,
+    /// A running job finished and frees its nodes.
+    Finish { id: u32, nodes: u32 },
+}
+
+impl Event<State> for Ev {
+    fn fire(self, eng: &mut Engine<State, Ev>, st: &mut State) {
+        match self {
+            Ev::Arrival => {
+                let job = st
+                    .arrivals
+                    .pop()
+                    .expect("arrival event with no job pending");
+                st.core.enqueue(job);
+                dispatch(eng, st);
+                next_arrival(eng, st);
+            }
+            Ev::Finish { id, nodes } => {
+                let now = eng.now();
+                st.core.release(id, nodes, now);
+                if let Some(o) = st.outcomes.iter_mut().find(|o| o.id == id) {
+                    o.end = now;
+                }
+                dispatch(eng, st);
+            }
+        }
+    }
+}
+
+/// Schedule the next pending arrival (if any).
+fn next_arrival(eng: &mut Engine<State, Ev>, st: &mut State) {
+    if let Some(next) = st.arrivals.last() {
+        eng.schedule_event_at(next.submit, Ev::Arrival);
+    }
 }
 
 /// Run a grant pass and start everything it returns.
-fn dispatch(eng: &mut Engine<State>, st: &mut State) {
+fn dispatch(eng: &mut Engine<State, Ev>, st: &mut State) {
     let now = eng.now();
     for (job, backfilled) in st.core.grants(now) {
         start_job(eng, st, job, backfilled);
     }
 }
 
-fn start_job(eng: &mut Engine<State>, st: &mut State, job: Job, backfilled: bool) {
+fn start_job(eng: &mut Engine<State, Ev>, st: &mut State, job: Job, backfilled: bool) {
     let now = eng.now();
     let (cat, name) = if backfilled {
         (SpanCategory::Backfill, "backfill-wait")
@@ -290,15 +314,13 @@ fn start_job(eng: &mut Engine<State>, st: &mut State, job: Job, backfilled: bool
         end: now, // patched at finish
         wait: now.since(job.submit),
     });
-    let (id, nodes, runtime) = (job.id, job.nodes, job.runtime);
-    eng.schedule(runtime, move |eng, st: &mut State| {
-        let now = eng.now();
-        st.core.release(id, nodes, now);
-        if let Some(o) = st.outcomes.iter_mut().find(|o| o.id == id) {
-            o.end = now;
-        }
-        dispatch(eng, st);
-    });
+    eng.schedule_event(
+        job.runtime,
+        Ev::Finish {
+            id: job.id,
+            nodes: job.nodes,
+        },
+    );
 }
 
 #[cfg(test)]

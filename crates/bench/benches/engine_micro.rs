@@ -3,15 +3,38 @@
 //! work-stealing pool against the fixed-chunk baseline, and the lab's
 //! plan-cache hit path.
 
-use harborsim_bench::baseline::{churn_arena, churn_reference};
+use harborsim_bench::baseline::churn_arena;
 use harborsim_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use harborsim_des::trace::Recorder;
-use harborsim_des::{Engine, FluidLink, RngStream, SimDuration};
+use harborsim_des::{Engine, Event, FluidLink, RngStream, SimDuration};
 use harborsim_mpi::analytic::EngineConfig;
 use harborsim_mpi::workload::{CommPhase, JobProfile, StepProfile};
 use harborsim_mpi::{DesEngine, RankMap};
 use harborsim_net::{DataPath, NetworkModel, Topology, TransportSelection};
 use std::hint::black_box;
+
+/// Counts down the state, chaining itself 10 ns later until it hits zero.
+#[derive(Clone, Copy)]
+struct Tick;
+
+impl Event<u64> for Tick {
+    fn fire(self, eng: &mut Engine<u64, Tick>, left: &mut u64) {
+        if *left > 0 {
+            *left -= 1;
+            eng.schedule_event(SimDuration::from_nanos(10), Tick);
+        }
+    }
+}
+
+/// Counts its firings.
+#[derive(Clone, Copy)]
+struct Count;
+
+impl Event<u64> for Count {
+    fn fire(self, _eng: &mut Engine<u64, Count>, count: &mut u64) {
+        *count += 1;
+    }
+}
 
 fn bench_des_events(c: &mut Criterion) {
     let mut g = c.benchmark_group("des_kernel");
@@ -19,14 +42,8 @@ fn bench_des_events(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n));
     g.bench_function("event_chain_100k", |b| {
         b.iter(|| {
-            let mut eng: Engine<u64> = Engine::new();
-            fn tick(eng: &mut Engine<u64>, left: &mut u64) {
-                if *left > 0 {
-                    *left -= 1;
-                    eng.schedule(SimDuration::from_nanos(10), tick);
-                }
-            }
-            eng.schedule(SimDuration::from_nanos(10), tick);
+            let mut eng: Engine<u64, Tick> = Engine::new();
+            eng.schedule_event(SimDuration::from_nanos(10), Tick);
             let mut left = n;
             eng.run(&mut left);
             black_box(eng.now())
@@ -34,9 +51,9 @@ fn bench_des_events(c: &mut Criterion) {
     });
     g.bench_function("heap_fanout_10k", |b| {
         b.iter(|| {
-            let mut eng: Engine<u64> = Engine::new();
+            let mut eng: Engine<u64, Count> = Engine::new();
             for i in 0..10_000u64 {
-                eng.schedule(SimDuration::from_nanos(i % 997), |_, c| *c += 1);
+                eng.schedule_event(SimDuration::from_nanos(i % 997), Count);
             }
             let mut count = 0;
             eng.run(&mut count);
@@ -47,9 +64,7 @@ fn bench_des_events(c: &mut Criterion) {
 }
 
 /// Schedule/cancel/pop churn — the access pattern the MPI protocol events
-/// produce — on the arena + 4-ary-heap engine versus the boxed-closure
-/// `BinaryHeap` + tombstone-set representation it replaced. The acceptance
-/// bar for the event-loop rework is ≥2x events/sec here.
+/// produce — on the arena + 4-ary-heap event core.
 fn bench_event_churn(c: &mut Criterion) {
     const ROUNDS: usize = 32;
     const BATCH: usize = 512;
@@ -57,9 +72,6 @@ fn bench_event_churn(c: &mut Criterion) {
     g.throughput(Throughput::Elements((ROUNDS * BATCH) as u64));
     g.bench_function("arena_typed", |b| {
         b.iter(|| black_box(churn_arena(ROUNDS, BATCH)));
-    });
-    g.bench_function("boxed_binaryheap", |b| {
-        b.iter(|| black_box(churn_reference(ROUNDS, BATCH)));
     });
     g.finish();
 }
@@ -115,24 +127,34 @@ fn bench_execute_many(c: &mut Criterion) {
 
 fn bench_fluid(c: &mut Criterion) {
     struct St {
-        link: FluidLink<St>,
+        link: FluidLink<Flow>,
         done: u32,
     }
-    fn acc(s: &mut St) -> &mut FluidLink<St> {
-        &mut s.link
+    #[derive(Clone, Copy)]
+    enum Flow {
+        Start,
+        Done,
+        LinkTimer,
+    }
+    impl Event<St> for Flow {
+        fn fire(self, eng: &mut Engine<St, Flow>, st: &mut St) {
+            match self {
+                Flow::Start => st.link.start_flow(eng, 1e6, Flow::Done),
+                Flow::Done => st.done += 1,
+                Flow::LinkTimer => FluidLink::on_timer(eng, st, |st| &mut st.link),
+            }
+        }
     }
     let mut g = c.benchmark_group("fluid_link");
     g.bench_function("storm_512_flows", |b| {
         b.iter(|| {
-            let mut eng: Engine<St> = Engine::new();
+            let mut eng: Engine<St, Flow> = Engine::new();
             let mut st = St {
-                link: FluidLink::new(1e9, acc),
+                link: FluidLink::new(1e9, Flow::LinkTimer),
                 done: 0,
             };
             for i in 0..512u64 {
-                eng.schedule(SimDuration::from_micros(i), |eng, st: &mut St| {
-                    st.link.start_flow(eng, 1e6, |_, st| st.done += 1);
-                });
+                eng.schedule_event(SimDuration::from_micros(i), Flow::Start);
             }
             eng.run(&mut st);
             black_box(st.done)

@@ -19,14 +19,12 @@ use harborsim_alya::mesh::{TubeMesh, NB_XM, NB_XP, NB_YM, NB_YP};
 use harborsim_alya::{CfdConfig, CfdSolver};
 use harborsim_batch::{run_open, OpenCluster, OpenJob};
 use harborsim_container::StagePlan;
-use harborsim_des::queue::EventQueue;
 use harborsim_des::trace::Recorder;
 use harborsim_des::{Engine, Event, RngStream, SimDuration};
 use harborsim_mpi::analytic::EngineConfig;
 use harborsim_mpi::workload::{CommPhase, JobProfile, StepProfile};
 use harborsim_mpi::{DesEngine, RankMap};
 use harborsim_net::{DataPath, NetworkModel, Topology, TransportSelection};
-use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -47,11 +45,6 @@ pub struct BenchBaseline {
     pub spin_mops: f64,
     /// Arena + 4-ary-heap engine on the churn workload, events/sec.
     pub des_churn_new_eps: f64,
-    /// Boxed-closure `BinaryHeap` + tombstone-set reference on the same
-    /// workload, events/sec.
-    pub des_churn_old_eps: f64,
-    /// `des_churn_new_eps / des_churn_old_eps`.
-    pub churn_speedup: f64,
     /// CFD step at 13×13×24 (radius 5), cell-updates/sec.
     pub cfd_small_cups: f64,
     /// CFD step at 21×21×48 (radius 8), cell-updates/sec.
@@ -156,59 +149,6 @@ pub fn churn_arena(rounds: usize, batch: usize) -> u64 {
             eng.cancel(*id);
         }
         eng.run(&mut fired);
-    }
-    fired
-}
-
-/// The same workload on the representation the engine replaced, replicated
-/// from the seed engine: per event an `id: Option<u64>` tag plus a boxed
-/// closure in the reference `BinaryHeap` queue, cancellation through a
-/// tombstone hash set probed on every cancellable pop, and a peek-then-pop
-/// event loop.
-pub fn churn_reference(rounds: usize, batch: usize) -> u64 {
-    struct Entry {
-        id: Option<u64>,
-        f: Box<dyn FnOnce(&mut u64)>,
-    }
-    let mut q: EventQueue<Entry> = EventQueue::new();
-    let mut cancelled: HashSet<u64> = HashSet::new();
-    let mut next_id = 0u64;
-    let mut rng = RngStream::new(0xC0DE);
-    let mut ids = Vec::with_capacity(batch);
-    let mut now = harborsim_des::SimTime::ZERO;
-    let mut fired = 0u64;
-    for _ in 0..rounds {
-        ids.clear();
-        for _ in 0..batch {
-            let at = now + SimDuration::from_nanos(rng.below(1000));
-            let id = next_id;
-            next_id += 1;
-            // capture state, as the engine's protocol closures did — a
-            // captureless closure would box a ZST and skip the allocation
-            let step = 1u64;
-            q.push(
-                at,
-                Entry {
-                    id: Some(id),
-                    f: Box::new(move |fired: &mut u64| *fired += step),
-                },
-            );
-            ids.push(id);
-        }
-        for id in ids.iter().skip(1).step_by(3) {
-            cancelled.insert(*id);
-        }
-        while let Some(at) = q.peek_time() {
-            let s = q.pop().expect("peeked entry vanished");
-            debug_assert_eq!(s.at, at);
-            if let Some(id) = s.payload.id {
-                if cancelled.remove(&id) {
-                    continue;
-                }
-            }
-            now = s.at;
-            (s.payload.f)(&mut fired);
-        }
     }
     fired
 }
@@ -506,15 +446,12 @@ pub fn measure() -> BenchBaseline {
     let (daemon_mux_qps, daemon_mux_p99_ms) = daemon_rates(ServeMode::Reactor, 4);
     let daemon_open_conns = daemon_open_conns();
     let churn_events = (CHURN_ROUNDS * CHURN_BATCH) as f64;
-    let new_eps = rate_of(churn_events, || churn_arena(CHURN_ROUNDS, CHURN_BATCH));
-    let old_eps = rate_of(churn_events, || churn_reference(CHURN_ROUNDS, CHURN_BATCH));
+    let churn_eps = rate_of(churn_events, || churn_arena(CHURN_ROUNDS, CHURN_BATCH));
     let serial_eps = par_des_eps(1);
     let sharded_eps = par_des_eps(4);
     BenchBaseline {
         spin_mops: spin,
-        des_churn_new_eps: new_eps,
-        des_churn_old_eps: old_eps,
-        churn_speedup: new_eps / old_eps,
+        des_churn_new_eps: churn_eps,
         cfd_small_cups: cfd_rate(13, 13, 24, 5.0, 20),
         cfd_large_cups: cfd_rate(21, 21, 48, 8.0, 5),
         cfd_momentum_speedup: momentum_speedup(),
@@ -538,11 +475,9 @@ impl BenchBaseline {
     /// Serialize to the committed JSON shape.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"schema\": 5,\n  \"spin_mops\": {:.1},\n  \"des_churn_new_eps\": {:.0},\n  \"des_churn_old_eps\": {:.0},\n  \"churn_speedup\": {:.2},\n  \"cfd_small_cups\": {:.0},\n  \"cfd_large_cups\": {:.0},\n  \"cfd_momentum_speedup\": {:.2},\n  \"execute_many_rps\": {:.1},\n  \"par_des_serial_eps\": {:.0},\n  \"par_des_eps\": {:.0},\n  \"par_des_speedup\": {:.2},\n  \"host_threads\": {:.0},\n  \"open_system_eps\": {:.0},\n  \"daemon_qps\": {:.1},\n  \"daemon_p99_ms\": {:.2},\n  \"daemon_mux_qps\": {:.1},\n  \"daemon_mux_p99_ms\": {:.2},\n  \"daemon_open_conns\": {:.0}\n}}\n",
+            "{{\n  \"schema\": 5,\n  \"spin_mops\": {:.1},\n  \"des_churn_new_eps\": {:.0},\n  \"cfd_small_cups\": {:.0},\n  \"cfd_large_cups\": {:.0},\n  \"cfd_momentum_speedup\": {:.2},\n  \"execute_many_rps\": {:.1},\n  \"par_des_serial_eps\": {:.0},\n  \"par_des_eps\": {:.0},\n  \"par_des_speedup\": {:.2},\n  \"host_threads\": {:.0},\n  \"open_system_eps\": {:.0},\n  \"daemon_qps\": {:.1},\n  \"daemon_p99_ms\": {:.2},\n  \"daemon_mux_qps\": {:.1},\n  \"daemon_mux_p99_ms\": {:.2},\n  \"daemon_open_conns\": {:.0}\n}}\n",
             self.spin_mops,
             self.des_churn_new_eps,
-            self.des_churn_old_eps,
-            self.churn_speedup,
             self.cfd_small_cups,
             self.cfd_large_cups,
             self.cfd_momentum_speedup,
@@ -574,8 +509,6 @@ impl BenchBaseline {
         Some(BenchBaseline {
             spin_mops: field("spin_mops")?,
             des_churn_new_eps: field("des_churn_new_eps")?,
-            des_churn_old_eps: field("des_churn_old_eps")?,
-            churn_speedup: field("churn_speedup")?,
             cfd_small_cups: field("cfd_small_cups")?,
             cfd_large_cups: field("cfd_large_cups")?,
             cfd_momentum_speedup: field("cfd_momentum_speedup")?,
@@ -601,7 +534,6 @@ impl BenchBaseline {
         format!(
             "  calibration spin        {:>12.1} Mops/s\n\
              \x20 DES churn (arena)       {:>12.3e} events/s\n\
-             \x20 DES churn (reference)   {:>12.3e} events/s  (speedup {:.2}x)\n\
              \x20 CFD step 13x13x24       {:>12.3e} cell-updates/s\n\
              \x20 CFD step 21x21x48       {:>12.3e} cell-updates/s  (momentum sweep {:.2}x)\n\
              \x20 cached-plan execute     {:>12.1} runs/s\n\
@@ -613,8 +545,6 @@ impl BenchBaseline {
              \x20 reactor open conns      {:>12.0} keep-alive sockets over 4 workers",
             self.spin_mops,
             self.des_churn_new_eps,
-            self.des_churn_old_eps,
-            self.churn_speedup,
             self.cfd_small_cups,
             self.cfd_large_cups,
             self.cfd_momentum_speedup,
@@ -743,10 +673,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn churn_workloads_fire_the_same_events() {
-        // both representations must execute the identical logical workload
+    fn churn_fires_every_uncancelled_event() {
         let fired = churn_arena(4, 30);
-        assert_eq!(fired, churn_reference(4, 30));
         // per round: 30 scheduled, every third of the tail cancelled
         let cancelled_per_round = (1..30).step_by(3).count() as u64;
         assert_eq!(fired, 4 * (30 - cancelled_per_round));
@@ -757,8 +685,6 @@ mod tests {
         let b = BenchBaseline {
             spin_mops: 1234.5,
             des_churn_new_eps: 2.0e7,
-            des_churn_old_eps: 1.0e7,
-            churn_speedup: 2.0,
             cfd_small_cups: 3.0e7,
             cfd_large_cups: 2.5e7,
             cfd_momentum_speedup: 1.4,
@@ -799,8 +725,6 @@ mod tests {
         let base = BenchBaseline {
             spin_mops: 1000.0,
             des_churn_new_eps: 1.0e7,
-            des_churn_old_eps: 5.0e6,
-            churn_speedup: 2.0,
             cfd_small_cups: 1.0,
             cfd_large_cups: 1.0,
             cfd_momentum_speedup: 1.0,
@@ -837,8 +761,6 @@ mod tests {
         let mut base = BenchBaseline {
             spin_mops: 1000.0,
             des_churn_new_eps: 1.0e7,
-            des_churn_old_eps: 5.0e6,
-            churn_speedup: 2.0,
             cfd_small_cups: 1.0,
             cfd_large_cups: 1.0,
             cfd_momentum_speedup: 1.0,
@@ -878,8 +800,6 @@ mod tests {
         let base = BenchBaseline {
             spin_mops: 1000.0,
             des_churn_new_eps: 1.0e7,
-            des_churn_old_eps: 5.0e6,
-            churn_speedup: 2.0,
             cfd_small_cups: 1.0,
             cfd_large_cups: 1.0,
             cfd_momentum_speedup: 1.0,
@@ -937,8 +857,6 @@ mod tests {
         let base = BenchBaseline {
             spin_mops: 1000.0,
             des_churn_new_eps: 1.0e7,
-            des_churn_old_eps: 5.0e6,
-            churn_speedup: 2.0,
             cfd_small_cups: 1.0,
             cfd_large_cups: 1.0,
             cfd_momentum_speedup: 1.0,

@@ -17,7 +17,7 @@
 use crate::image::{ImageFormat, ImageManifest};
 use crate::runtime::{ExecutionEnvironment, RuntimeKind};
 use harborsim_des::trace::{Recorder, SpanCategory};
-use harborsim_des::{Engine, FluidLink, SimDuration, SimTime};
+use harborsim_des::{Engine, Event, FluidLink, SimDuration, SimTime};
 use harborsim_hw::StorageSpec;
 
 /// Bytes of the image a starting container actually reads (binary + shared
@@ -72,25 +72,122 @@ pub struct DeploymentReport {
 }
 
 struct Dep {
-    registry: FluidLink<Dep>,
-    pfs: FluidLink<Dep>,
+    registry: FluidLink<DepEv>,
+    pfs: FluidLink<DepEv>,
+    /// Compressed bytes of each image layer, pull order.
+    layer_bytes: Vec<u64>,
     layers_left: Vec<u32>,
+    /// Bytes of the image each node faults in from the parallel FS.
+    working_set_bytes: f64,
     unpack_bytes: u64,
     start_s: f64,
+    /// Start span name: "process-start" on bare metal, else
+    /// "container-start".
+    start_name: &'static str,
     remaining: u32,
     /// Always capturing: the report is derived from the recorded spans.
     rec: Recorder,
 }
 
-fn reg_of(d: &mut Dep) -> &mut FluidLink<Dep> {
-    &mut d.registry
-}
-fn pfs_of(d: &mut Dep) -> &mut FluidLink<Dep> {
-    &mut d.pfs
+/// The deployment's events; `node` is also the node's trace track.
+#[derive(Clone, Copy)]
+enum DepEv {
+    /// The node resolved the image on shared storage: fault in its
+    /// working set from the parallel filesystem.
+    ReadWorkingSet {
+        node: u32,
+    },
+    /// The working-set read that started at `t0` finished.
+    WorkingSetRead {
+        node: u32,
+        t0: SimTime,
+    },
+    /// Warm Docker: the registry metadata check finished.
+    MetadataChecked {
+        node: u32,
+    },
+    /// Cold Docker: metadata done, pull every layer concurrently.
+    PullLayers {
+        node: u32,
+    },
+    /// One layer pull that started at `t0` finished.
+    LayerPulled {
+        node: u32,
+        t0: SimTime,
+    },
+    /// The layers are unpacked: start the container.
+    Unpacked {
+        node: u32,
+    },
+    /// A node's process or container is up.
+    NodeReady,
+    RegistryTimer,
+    PfsTimer,
 }
 
-fn node_ready(_eng: &Engine<Dep>, d: &mut Dep, _node: usize) {
-    d.remaining -= 1;
+impl Event<Dep> for DepEv {
+    fn fire(self, eng: &mut Engine<Dep, DepEv>, d: &mut Dep) {
+        let now = eng.now();
+        match self {
+            DepEv::ReadWorkingSet { node } => {
+                let ws = d.working_set_bytes;
+                d.pfs
+                    .start_flow(eng, ws, DepEv::WorkingSetRead { node, t0: now });
+            }
+            DepEv::WorkingSetRead { node, t0 } => {
+                d.rec
+                    .span(SpanCategory::Pull, "pfs-working-set", node, t0, now);
+                d.start(eng, node);
+            }
+            DepEv::MetadataChecked { node } => {
+                d.rec.span(
+                    SpanCategory::Pull,
+                    "registry-metadata",
+                    node,
+                    SimTime::ZERO,
+                    now,
+                );
+                d.start(eng, node);
+            }
+            DepEv::PullLayers { node } => {
+                for &bytes in &d.layer_bytes {
+                    d.registry
+                        .start_flow(eng, bytes as f64, DepEv::LayerPulled { node, t0: now });
+                }
+            }
+            DepEv::LayerPulled { node, t0 } => {
+                d.rec.span(SpanCategory::Pull, "layer-pull", node, t0, now);
+                d.layers_left[node as usize] -= 1;
+                if d.layers_left[node as usize] == 0 {
+                    // all layers local: unpack, then start
+                    let unpack = SimDuration::from_secs_f64(d.unpack_bytes as f64 / UNPACK_BPS);
+                    d.rec.span(
+                        SpanCategory::Unpack,
+                        "unpack-layers",
+                        node,
+                        now,
+                        now + unpack,
+                    );
+                    eng.schedule_event(unpack, DepEv::Unpacked { node });
+                }
+            }
+            DepEv::Unpacked { node } => d.start(eng, node),
+            DepEv::NodeReady => d.remaining -= 1,
+            DepEv::RegistryTimer => FluidLink::on_timer(eng, d, |d| &mut d.registry),
+            DepEv::PfsTimer => FluidLink::on_timer(eng, d, |d| &mut d.pfs),
+        }
+    }
+}
+
+impl Dep {
+    /// Start `node`'s process or container now; it is ready once started.
+    fn start(&mut self, eng: &mut Engine<Dep, DepEv>, node: u32) {
+        let now = eng.now();
+        let start = SimDuration::from_secs_f64(self.start_s);
+        self.rec
+            .span(SpanCategory::Start, self.start_name, node, now, now + start);
+        eng.schedule_event(start, DepEv::NodeReady);
+    }
 }
 
 impl DeployPlan {
@@ -108,18 +205,26 @@ impl DeployPlan {
         let meta_s = self.shared_storage.metadata_op_s();
 
         let mut dep = Dep {
-            registry: FluidLink::new(self.registry_uplink_bps, reg_of),
-            pfs: FluidLink::new(pfs_bw, pfs_of),
+            registry: FluidLink::new(self.registry_uplink_bps, DepEv::RegistryTimer),
+            pfs: FluidLink::new(pfs_bw, DepEv::PfsTimer),
+            layer_bytes: self
+                .image
+                .layers
+                .iter()
+                .map(|l| l.compressed_bytes())
+                .collect(),
             layers_left: vec![self.image.layers.len() as u32; n],
+            working_set_bytes: 0.0,
             unpack_bytes: self.image.uncompressed_bytes(),
             start_s: self.env.runtime.start_seconds(),
+            start_name: "container-start",
             remaining: self.nodes,
             // the local recorder always captures, whatever the caller's
             // mode: deriving the report needs the span end times
             rec: Recorder::capturing(),
         };
         dep.rec.declare_tracks(self.nodes);
-        let mut eng: Engine<Dep> = Engine::new();
+        let mut eng: Engine<Dep, DepEv> = Engine::new();
 
         let mut gateway_seconds = 0.0;
         let mut bytes_pulled: u64 = 0;
@@ -130,123 +235,31 @@ impl DeployPlan {
                 // load the executable + libraries from shared storage
                 let ws = WORKING_SET_BYTES.min(170_000_000) as f64;
                 bytes_from_pfs = ws as u64 * self.nodes as u64;
-                for node in 0..n {
-                    let delay = SimDuration::from_secs_f64(meta_s * 40.0);
-                    eng.schedule(delay, move |eng, d: &mut Dep| {
-                        let t0 = eng.now();
-                        d.pfs.start_flow(eng, ws, move |eng, d| {
-                            let now = eng.now();
-                            d.rec
-                                .span(SpanCategory::Pull, "pfs-working-set", node as u32, t0, now);
-                            let start = SimDuration::from_secs_f64(d.start_s);
-                            d.rec.span(
-                                SpanCategory::Start,
-                                "process-start",
-                                node as u32,
-                                now,
-                                now + start,
-                            );
-                            eng.schedule(start, move |eng, d| node_ready(eng, d, node));
-                        });
-                    });
+                dep.working_set_bytes = ws;
+                dep.start_name = "process-start";
+                let delay = SimDuration::from_secs_f64(meta_s * 40.0);
+                for node in 0..self.nodes {
+                    eng.schedule_event(delay, DepEv::ReadWorkingSet { node });
                 }
             }
             RuntimeKind::Docker => {
+                let delay = SimDuration::from_secs_f64(REGISTRY_METADATA_S);
                 if self.docker_layers_cached {
                     // warm node caches: metadata check + start only
-                    for node in 0..n {
-                        let delay = SimDuration::from_secs_f64(REGISTRY_METADATA_S);
-                        eng.schedule(delay, move |eng, d: &mut Dep| {
-                            let now = eng.now();
-                            d.rec.span(
-                                SpanCategory::Pull,
-                                "registry-metadata",
-                                node as u32,
-                                SimTime::ZERO,
-                                now,
-                            );
-                            let start = SimDuration::from_secs_f64(d.start_s);
-                            d.rec.span(
-                                SpanCategory::Start,
-                                "container-start",
-                                node as u32,
-                                now,
-                                now + start,
-                            );
-                            eng.schedule(start, move |eng, d| node_ready(eng, d, node));
-                        });
+                    for node in 0..self.nodes {
+                        eng.schedule_event(delay, DepEv::MetadataChecked { node });
                     }
                 } else {
-                    bytes_pulled = self
-                        .image
-                        .layers
-                        .iter()
-                        .map(|l| l.compressed_bytes())
-                        .sum::<u64>()
-                        * self.nodes as u64;
-                    for node in 0..n {
-                        let layers: Vec<u64> = self
-                            .image
-                            .layers
-                            .iter()
-                            .map(|l| l.compressed_bytes())
-                            .collect();
-                        let delay = SimDuration::from_secs_f64(REGISTRY_METADATA_S);
-                        eng.schedule(delay, move |eng, d: &mut Dep| {
-                            let t0 = eng.now();
-                            for &bytes in &layers {
-                                d.registry.start_flow(eng, bytes as f64, move |eng, d| {
-                                    let now = eng.now();
-                                    d.rec.span(
-                                        SpanCategory::Pull,
-                                        "layer-pull",
-                                        node as u32,
-                                        t0,
-                                        now,
-                                    );
-                                    d.layers_left[node] -= 1;
-                                    if d.layers_left[node] == 0 {
-                                        // all layers local: unpack, then start
-                                        let unpack = SimDuration::from_secs_f64(
-                                            d.unpack_bytes as f64 / UNPACK_BPS,
-                                        );
-                                        d.rec.span(
-                                            SpanCategory::Unpack,
-                                            "unpack-layers",
-                                            node as u32,
-                                            now,
-                                            now + unpack,
-                                        );
-                                        eng.schedule(unpack, move |eng, d| {
-                                            let now = eng.now();
-                                            let start = SimDuration::from_secs_f64(d.start_s);
-                                            d.rec.span(
-                                                SpanCategory::Start,
-                                                "container-start",
-                                                node as u32,
-                                                now,
-                                                now + start,
-                                            );
-                                            eng.schedule(start, move |eng, d| {
-                                                node_ready(eng, d, node)
-                                            });
-                                        });
-                                    }
-                                });
-                            }
-                        });
+                    bytes_pulled = dep.layer_bytes.iter().sum::<u64>() * self.nodes as u64;
+                    for node in 0..self.nodes {
+                        eng.schedule_event(delay, DepEv::PullLayers { node });
                     }
                 }
             }
             RuntimeKind::Singularity | RuntimeKind::Shifter => {
                 // Shifter: one-time gateway conversion before any node starts
                 if self.env.runtime == RuntimeKind::Shifter && !self.shifter_udi_cached {
-                    let pull = self
-                        .image
-                        .layers
-                        .iter()
-                        .map(|l| l.compressed_bytes())
-                        .sum::<u64>();
+                    let pull = dep.layer_bytes.iter().sum::<u64>();
                     bytes_pulled = pull;
                     gateway_seconds = REGISTRY_METADATA_S
                         + pull as f64 / self.registry_uplink_bps
@@ -255,6 +268,7 @@ impl DeployPlan {
                 }
                 let ws = WORKING_SET_BYTES.min(image_bytes.max(1)) as f64;
                 bytes_from_pfs = ws as u64 * self.nodes as u64;
+                dep.working_set_bytes = ws;
                 let gw = SimDuration::from_secs_f64(gateway_seconds);
                 if gateway_seconds > 0.0 {
                     // the one-time gateway conversion, on its own track
@@ -266,26 +280,10 @@ impl DeployPlan {
                         SimTime::ZERO + gw,
                     );
                 }
-                for node in 0..n {
-                    // mount: a handful of metadata ops + superblock reads
-                    let delay = gw + SimDuration::from_secs_f64(meta_s * 6.0);
-                    eng.schedule(delay, move |eng, d: &mut Dep| {
-                        let t0 = eng.now();
-                        d.pfs.start_flow(eng, ws, move |eng, d| {
-                            let now = eng.now();
-                            d.rec
-                                .span(SpanCategory::Pull, "pfs-working-set", node as u32, t0, now);
-                            let start = SimDuration::from_secs_f64(d.start_s);
-                            d.rec.span(
-                                SpanCategory::Start,
-                                "container-start",
-                                node as u32,
-                                now,
-                                now + start,
-                            );
-                            eng.schedule(start, move |eng, d| node_ready(eng, d, node));
-                        });
-                    });
+                // mount: a handful of metadata ops + superblock reads
+                let delay = gw + SimDuration::from_secs_f64(meta_s * 6.0);
+                for node in 0..self.nodes {
+                    eng.schedule_event(delay, DepEv::ReadWorkingSet { node });
                 }
             }
         }

@@ -496,6 +496,8 @@ pub struct QueryEngine {
     exec_flights: Mutex<HashMap<ExecKey, Arc<ExecFlight>>>,
     /// Executions served by cloning another execution's result.
     batched: AtomicU64,
+    /// Plans this engine compiled successfully (cached or not).
+    compiled: AtomicU64,
 }
 
 impl Default for QueryEngine {
@@ -524,6 +526,7 @@ impl QueryEngine {
             fallback_taper: None,
             exec_flights: Mutex::new(HashMap::new()),
             batched: AtomicU64::new(0),
+            compiled: AtomicU64::new(0),
         }
     }
 
@@ -625,16 +628,22 @@ impl QueryEngine {
 
     fn resolve(&self, scenario: &Scenario) -> (Result<Arc<ScenarioPlan>, HarborError>, Resolution) {
         match PlanKey::of(scenario, self.fallback_taper) {
-            Some(key) => self
-                .cache
-                .resolve(key, || scenario.compile_with(self.fallback_taper)),
+            Some(key) => self.cache.resolve(key, || self.compile(scenario)),
             None => {
                 self.cache.uncached.fetch_add(1, Ordering::Relaxed);
                 let t0 = Instant::now();
-                let plan = scenario.compile_with(self.fallback_taper).map(Arc::new);
+                let plan = self.compile(scenario).map(Arc::new);
                 (plan, Resolution::Uncached(t0.elapsed()))
             }
         }
+    }
+
+    /// Compile `scenario` under this engine's taper fallback, counting
+    /// successful compiles.
+    fn compile(&self, scenario: &Scenario) -> Result<ScenarioPlan, HarborError> {
+        let plan = scenario.compile_with(self.fallback_taper)?;
+        self.compiled.fetch_add(1, Ordering::Relaxed);
+        Ok(plan)
     }
 
     /// Run a batch of queries: plans resolve concurrently through the
@@ -883,6 +892,12 @@ impl QueryEngine {
     pub fn batched_executes(&self) -> u64 {
         self.batched.load(Ordering::Relaxed)
     }
+
+    /// Plans this engine has compiled successfully, cached or uncached:
+    /// N identical queries through one engine compile exactly one plan.
+    pub fn plans_compiled(&self) -> u64 {
+        self.compiled.load(Ordering::Relaxed)
+    }
 }
 
 /// Collapse a recorder's mode into the admission-batching key tag: off,
@@ -939,12 +954,11 @@ mod tests {
     #[test]
     fn identical_queries_share_one_plan() {
         let lab = QueryEngine::new();
-        let before = crate::scenario::plans_compiled();
         let queries = (0..8).map(|_| Query::new(scenario(2), &[1, 2])).collect();
         let results = lab.handle(LabRequest::Batch { queries }).into_batch();
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(
-            crate::scenario::plans_compiled() - before,
+            lab.plans_compiled(),
             1,
             "8 identical queries must share one compile"
         );
@@ -1015,11 +1029,10 @@ mod tests {
                 .nodes(1)
                 .ranks_per_node(4)
         };
-        let before = crate::scenario::plans_compiled();
         lab.handle(LabRequest::Batch {
             queries: vec![Query::new(mk(), &[1]), Query::new(mk(), &[1])],
         });
-        assert_eq!(crate::scenario::plans_compiled() - before, 2);
+        assert_eq!(lab.plans_compiled(), 2);
         let stats = lab.stats();
         assert_eq!(stats.uncached, 2);
         assert_eq!(stats.entries, 0);

@@ -26,7 +26,6 @@ use harborsim_mpi::{
 };
 use harborsim_net::{NetworkModel, Topology};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 pub use harborsim_container::runtime::ExecutionEnvironment as Execution;
@@ -51,16 +50,6 @@ pub enum EngineKind {
 pub fn topology_for(cluster: &ClusterSpec) -> Topology {
     Topology::from_layout(&cluster.fabric_layout)
 }
-
-/// Number of [`ScenarioPlan`]s compiled by this process so far. Plans are
-/// the expensive, cacheable unit of the lab layer; tests assert around
-/// this counter (in the style of `builds_executed`) that a sweep of N
-/// identical queries compiles exactly one plan.
-pub fn plans_compiled() -> u64 {
-    PLANS_COMPILED.load(Ordering::Relaxed)
-}
-
-static PLANS_COMPILED: AtomicU64 = AtomicU64::new(0);
 
 /// What a scenario run produces.
 #[derive(Debug, Clone)]
@@ -365,7 +354,6 @@ impl Scenario {
                 ),
             ),
         ];
-        PLANS_COMPILED.fetch_add(1, Ordering::Relaxed);
         Ok(ScenarioPlan {
             map,
             job,
@@ -483,21 +471,25 @@ impl ScenarioPlan {
 /// image, so sweeps (any number of points × seeds) share a single
 /// [`BuildEngine`] run. Also the image every open-campaign job stages
 /// (see [`crate::open`]).
+///
+/// Single-flight: the map lock is held across the build, so concurrent
+/// sweep workers that miss together wait for one build instead of each
+/// running their own. A build runs once per CPU model per process, so
+/// serializing the misses costs nothing measurable.
 pub(crate) fn shared_alya_image(cpu: &CpuModel) -> Result<ImageManifest, BuildError> {
     static IMAGES: OnceLock<Mutex<HashMap<String, ImageManifest>>> = OnceLock::new();
-    let images = IMAGES.get_or_init(|| Mutex::new(HashMap::new()));
     let key = format!("{cpu:?}");
-    if let Some(hit) = images.lock().unwrap().get(&key).cloned() {
-        return Ok(hit);
+    let mut images = IMAGES
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .expect("an image build panicked while holding the image cache");
+    if let Some(hit) = images.get(&key) {
+        return Ok(hit.clone());
     }
     let manifest = BuildEngine::self_contained(cpu.clone())
         .build(&harborsim_container::build::alya_recipe())?
         .manifest;
-    images
-        .lock()
-        .unwrap()
-        .entry(key)
-        .or_insert_with(|| manifest.clone());
+    images.insert(key, manifest.clone());
     Ok(manifest)
 }
 

@@ -3,7 +3,7 @@
 //! Every scheduled event lives in a slot of this arena until it fires or is
 //! cancelled; the heap orders bare slot indices, so the hot loop never moves
 //! payloads around. Slots carry a generation counter: an
-//! [`EventId`](crate::engine::EventId) is `(slot, generation)`, cancellation
+//! [`EventId`](crate::core::EventId) is `(slot, generation)`, cancellation
 //! is an O(1) generation bump that empties the payload in place, and a stale
 //! handle (the event already fired, or the slot was recycled) simply fails
 //! the generation check. Cancelled slots are *lazily* freed — the heap entry
@@ -39,13 +39,6 @@ impl<E> Default for EventArena<E> {
 impl<E> EventArena<E> {
     pub(crate) fn new() -> Self {
         EventArena::default()
-    }
-
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        EventArena {
-            slots: Vec::with_capacity(n),
-            free_head: NIL,
-        }
     }
 
     /// Store `payload`, returning `(slot, generation)`.
@@ -95,7 +88,7 @@ impl<E> EventArena<E> {
     }
 
     /// Drop all payloads and rebuild the free list, keeping the slot
-    /// storage (engine reuse). Generations advance so pre-reset handles
+    /// storage (core reuse). Generations advance so pre-reset handles
     /// cannot alias post-reset events.
     pub(crate) fn clear(&mut self) {
         self.free_head = NIL;

@@ -1,26 +1,39 @@
-//! The per-shard event core: slab + keyed 4-ary heap + clock.
+//! The event core: slab + keyed 4-ary heap + clock.
 //!
-//! [`EventCore`] is the piece of the monolithic [`Engine`](crate::Engine)
-//! that a parallel discrete-event simulation needs *per shard*: an event
-//! arena, a min-heap, and a local clock — without the boxed-closure API,
-//! cancellation handles, or a run loop. The caller owns the loop, which is
+//! [`EventCore`] is the one pending-event set of the kernel: an event
+//! arena, a min-heap, and a local clock, with a caller-owned loop. The
+//! serial [`Engine`](crate::Engine) is a thin run loop over one core; a
+//! parallel discrete-event simulation holds one core *per shard*, which is
 //! what conservative synchronization needs: each shard pops only events
 //! inside the current safe horizon via [`EventCore::pop_within`] and parks
 //! at a barrier until a new horizon is agreed.
 //!
-//! Ordering is by a caller-packed key, not an engine-local sequence
-//! number: `(time, tie)` with the tie-breaker carrying a layout-invariant
-//! `(source domain, per-domain sequence)` pair. Because the key is a pure
-//! function of *which domain scheduled the event and in what order*, the
-//! global pop order of the union of all shards' cores is identical for
-//! every shard count — the property the serial-vs-sharded differential
-//! test pins.
+//! Ordering is by a caller-packed key: `(time, tie)`. The engine's tie is
+//! its scheduling sequence number; the sharded MPI engine's tie carries a
+//! layout-invariant `(source domain, per-domain sequence)` pair. Because
+//! that key is a pure function of *which domain scheduled the event and in
+//! what order*, the global pop order of the union of all shards' cores is
+//! identical for every shard count — the property the serial-vs-sharded
+//! differential test pins.
+//!
+//! Cancellation is an O(1) generation bump in the arena: the heap entry
+//! stays behind as a tombstone that [`EventCore::pop_within`] skips.
 
 use crate::arena::EventArena;
-use crate::heap::EventHeap;
+use crate::heap::{pack, EventHeap};
 use crate::time::SimTime;
 
-/// One shard's pending-event set and clock.
+/// Handle to a scheduled event, returned by [`EventCore::schedule_keyed`].
+/// The handle is `(slot, generation)` into the core's event arena;
+/// cancelling a fired or already-cancelled event fails the generation
+/// check and is a no-op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EventId {
+    slot: u32,
+    generation: u32,
+}
+
+/// One pending-event set and its clock.
 ///
 /// Events are plain values (`E`); scheduling stores them in a slab and
 /// orders bare slot indices, so the hot loop never moves payloads.
@@ -47,55 +60,65 @@ impl<E> EventCore<E> {
         }
     }
 
-    /// Current shard-local simulation time: the timestamp of the last
-    /// event popped (zero before the first pop).
+    /// Current simulation time: the timestamp of the last event popped
+    /// (zero before the first pop).
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Number of pending events.
+    /// Number of pending events, cancelled tombstones included.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// True when no events are pending.
+    /// True when no events (live or cancelled) are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.len() == 0
     }
 
     /// Schedule `ev` at absolute time `at`, tie-broken by `tie` (smaller
-    /// fires first among equal times). Coexisting `(at, tie)` pairs must
-    /// be distinct; the sharded engine guarantees this by packing
-    /// `(domain, per-domain sequence)` into the tie.
+    /// fires first among equal times), returning a handle that can cancel
+    /// it before it fires. Coexisting `(at, tie)` pairs must be distinct.
     #[inline]
-    pub fn schedule_keyed(&mut self, at: SimTime, tie: u64, ev: E) {
+    pub fn schedule_keyed(&mut self, at: SimTime, tie: u64, ev: E) -> EventId {
         debug_assert!(at >= self.now, "event scheduled in the past");
-        let (slot, _gen) = self.arena.insert(ev);
-        let key = ((at.0 as u128) << 64) | tie as u128;
-        self.heap.push_keyed(key, slot);
+        let (slot, generation) = self.arena.insert(ev);
+        self.heap.push_keyed(pack(at, tie), slot);
+        EventId { slot, generation }
     }
 
-    /// Timestamp of the earliest pending event, if any.
+    /// Cancel a scheduled event. Cancelling an event that already fired
+    /// (or was already cancelled) is a no-op.
+    #[inline]
+    pub fn cancel(&mut self, id: EventId) {
+        self.arena.cancel(id.slot, id.generation);
+    }
+
+    /// Timestamp of the earliest pending entry (possibly a tombstone).
     #[inline]
     pub fn min_time(&self) -> Option<SimTime> {
         self.heap.peek_time()
     }
 
-    /// Pop the earliest event if it fires at or before `horizon`,
-    /// advancing the clock to its timestamp. `None` means the next event
-    /// (if any) lies beyond the horizon — the shard must re-synchronize
-    /// before it may process further.
+    /// Pop the earliest live event if it fires at or before `horizon`,
+    /// advancing the clock to its timestamp; cancelled tombstones on the
+    /// way are dropped without touching the clock. `None` means the next
+    /// event (if any) lies beyond the horizon — a shard must
+    /// re-synchronize before it may process further.
     #[inline]
     pub fn pop_within(&mut self, horizon: SimTime) -> Option<E> {
-        let (at, slot) = self.heap.pop_within(horizon)?;
-        let ev = self.arena.take(slot).expect("keyed event slot is live");
-        self.now = at;
-        Some(ev)
+        loop {
+            let (at, slot) = self.heap.pop_within(horizon)?;
+            if let Some(ev) = self.arena.take(slot) {
+                self.now = at;
+                return Some(ev);
+            }
+        }
     }
 
     /// Drop all pending events and rewind the clock, keeping allocations
-    /// (shard reuse across runs).
+    /// (shard reuse across runs). Outstanding [`EventId`]s are invalidated.
     pub fn reset(&mut self) {
         self.now = SimTime::ZERO;
         self.heap.clear();
@@ -146,5 +169,23 @@ mod tests {
         assert_eq!(c.min_time(), None);
         c.schedule_keyed(SimTime(1), 0, 3);
         assert_eq!(c.pop_within(SimTime::MAX), Some(3));
+    }
+
+    #[test]
+    fn cancelled_events_are_skipped_without_advancing_time() {
+        let mut c: EventCore<u8> = EventCore::new();
+        let early = c.schedule_keyed(SimTime(5), 0, 1);
+        c.schedule_keyed(SimTime(9), 1, 2);
+        c.cancel(early);
+        assert_eq!(c.len(), 2, "the tombstone stays queued until popped");
+        assert_eq!(c.pop_within(SimTime(6)), None);
+        assert_eq!(
+            c.now(),
+            SimTime::ZERO,
+            "a tombstone pop must not advance time"
+        );
+        assert_eq!(c.pop_within(SimTime::MAX), Some(2));
+        c.cancel(early); // stale: already gone
+        assert!(c.is_empty());
     }
 }

@@ -1,82 +1,67 @@
 //! The event loop.
 //!
-//! An [`Engine<S>`] owns the simulated clock and the pending-event set; the
-//! user owns a state value `S` that every event callback receives mutably
-//! alongside the engine itself, so callbacks can both mutate the model and
-//! schedule further events.
+//! An [`Engine<S, E>`] owns the simulated clock and the pending-event set;
+//! the user owns a state value `S` and an event type `E` — usually a
+//! plain `enum` of the model's event kinds — that implements [`Event`].
+//! Firing an event hands it the engine and the state mutably, so events
+//! can both mutate the model and schedule further events.
 //!
 //! ```
-//! use harborsim_des::{Engine, SimDuration};
+//! use harborsim_des::{Engine, Event, SimDuration};
 //!
-//! let mut engine: Engine<u32> = Engine::new();
-//! engine.schedule(SimDuration::from_secs(1), |eng, count| {
-//!     *count += 1;
-//!     // chain another event 500ms later
-//!     eng.schedule(SimDuration::from_millis(500), |_, count| *count += 10);
-//! });
+//! #[derive(Clone, Copy)]
+//! enum Ev {
+//!     First,
+//!     Second,
+//! }
+//!
+//! impl Event<u32> for Ev {
+//!     fn fire(self, eng: &mut Engine<u32, Ev>, count: &mut u32) {
+//!         match self {
+//!             Ev::First => {
+//!                 *count += 1;
+//!                 // chain another event 500ms later
+//!                 eng.schedule_event(SimDuration::from_millis(500), Ev::Second);
+//!             }
+//!             Ev::Second => *count += 10,
+//!         }
+//!     }
+//! }
+//!
+//! let mut engine: Engine<u32, Ev> = Engine::new();
+//! engine.schedule_event(SimDuration::from_secs(1), Ev::First);
 //! let mut count = 0;
 //! engine.run(&mut count);
 //! assert_eq!(count, 11);
 //! assert_eq!(engine.now().as_secs_f64(), 1.5);
 //! ```
 //!
-//! # Two event representations
-//!
-//! The engine is generic over the event payload `E`. The default,
-//! [`BoxedEvent<S>`], is a boxed `FnOnce` — maximally convenient, one heap
-//! allocation per event. Hot loops (the message-level MPI engine) instead
-//! define a plain `enum` of their event kinds, implement [`Event`] for it,
-//! and schedule through [`Engine::schedule_event`]: payloads then live in a
-//! slab arena with free-list reuse, the heap orders packed `(time, seq)`
-//! integers, and the steady-state loop performs **zero** heap allocations.
-//! Cancellation is an O(1) generation bump in the arena — no tombstone set
-//! to grow or drain.
+//! The engine is a thin run loop over one [`EventCore`]: payloads live in
+//! the core's slab arena with free-list reuse, the heap orders packed
+//! `(time, sequence)` integers, and the steady-state loop performs **zero**
+//! heap allocations. The only state the engine adds is the sequence
+//! counter that makes same-instant events fire in scheduling order; it
+//! restarts whenever the queue has drained, so long runs cannot creep
+//! toward overflow and replays restart from an identical sequence stream.
+//! Cancellation is the core's O(1) generation bump.
 
-use crate::arena::EventArena;
-use crate::heap::EventHeap;
+use crate::core::{EventCore, EventId};
 use crate::time::{SimDuration, SimTime};
 use std::marker::PhantomData;
 
-/// Handle to a cancellable event, returned by
-/// [`Engine::schedule_cancellable`]. The handle is `(slot, generation)`
-/// into the engine's event arena; cancelling a fired or already-cancelled
-/// event fails the generation check and is a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId {
-    slot: u32,
-    generation: u32,
-}
-
 /// A typed event: fired by value, with the engine and user state in hand.
-///
-/// Implementors are usually small `Copy` enums; the trait consumes `self`
-/// so closures-captured-by-value (via [`BoxedEvent`]) fit the same shape.
 pub trait Event<S>: Sized {
     /// Execute the event.
     fn fire(self, eng: &mut Engine<S, Self>, state: &mut S);
 }
 
-/// The callback type carried by a [`BoxedEvent`].
-type EventFn<S> = Box<dyn FnOnce(&mut Engine<S>, &mut S)>;
-
-/// The fallback event representation: a boxed `FnOnce` callback. This is
-/// the default type parameter of [`Engine`], so `Engine<S>` keeps the
-/// closure-based API unchanged.
-pub struct BoxedEvent<S>(EventFn<S>);
-
-impl<S> Event<S> for BoxedEvent<S> {
-    fn fire(self, eng: &mut Engine<S>, state: &mut S) {
-        (self.0)(eng, state)
-    }
-}
-
-/// A deterministic discrete-event simulation engine over user state `S`.
-pub struct Engine<S, E = BoxedEvent<S>> {
-    now: SimTime,
-    heap: EventHeap,
-    arena: EventArena<E>,
+/// A deterministic discrete-event simulation engine over user state `S`
+/// and event type `E`.
+pub struct Engine<S, E> {
+    core: EventCore<E>,
+    /// Tie-breaker of the next scheduled event.
+    seq: u64,
     executed: u64,
-    horizon: SimTime,
     _state: PhantomData<fn(&mut S)>,
 }
 
@@ -87,46 +72,20 @@ impl<S, E: Event<S>> Default for Engine<S, E> {
 }
 
 impl<S, E: Event<S>> Engine<S, E> {
-    /// A fresh engine with the clock at zero and no horizon.
+    /// A fresh engine with the clock at zero.
     pub fn new() -> Self {
         Engine {
-            now: SimTime::ZERO,
-            heap: EventHeap::new(),
-            arena: EventArena::new(),
+            core: EventCore::new(),
+            seq: 0,
             executed: 0,
-            horizon: SimTime::MAX,
             _state: PhantomData,
         }
-    }
-
-    /// A fresh engine with room for `n` pending events before the heap or
-    /// arena reallocate.
-    pub fn with_capacity(n: usize) -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            heap: EventHeap::with_capacity(n),
-            arena: EventArena::with_capacity(n),
-            executed: 0,
-            horizon: SimTime::MAX,
-            _state: PhantomData,
-        }
-    }
-
-    /// Return the engine to its initial state — clock at zero, no pending
-    /// events, no horizon — while keeping the heap and arena allocations.
-    /// Outstanding [`EventId`] handles are invalidated.
-    pub fn reset(&mut self) {
-        self.now = SimTime::ZERO;
-        self.heap.clear();
-        self.arena.clear();
-        self.executed = 0;
-        self.horizon = SimTime::MAX;
     }
 
     /// The current simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now()
     }
 
     /// Total number of events executed so far.
@@ -136,56 +95,50 @@ impl<S, E: Event<S>> Engine<S, E> {
 
     /// Number of events still pending (including cancelled tombstones).
     pub fn events_pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Stop the run loop once the clock would pass `at`. Events scheduled
-    /// strictly after the horizon are left unexecuted.
-    pub fn set_horizon(&mut self, at: SimTime) {
-        self.horizon = at;
+        self.core.len()
     }
 
     /// Schedule a typed event after `delay` from the current time.
     #[inline]
     pub fn schedule_event(&mut self, delay: SimDuration, event: E) {
-        self.schedule_event_at(self.now + delay, event);
+        self.schedule_event_at(self.now() + delay, event);
     }
 
     /// Schedule a typed event at an absolute time `at` (not in the past).
     #[inline]
     pub fn schedule_event_at(&mut self, at: SimTime, event: E) {
-        debug_assert!(at >= self.now, "cannot schedule into the past");
-        let (slot, _) = self.arena.insert(event);
-        self.heap.push(at, slot);
+        self.push(at, event);
     }
 
     /// Schedule a typed event after `delay`, returning a handle that can
     /// cancel it before it fires.
     #[inline]
     pub fn schedule_cancellable_event(&mut self, delay: SimDuration, event: E) -> EventId {
-        let at = self.now + delay;
-        debug_assert!(at >= self.now, "cannot schedule into the past");
-        let (slot, generation) = self.arena.insert(event);
-        self.heap.push(at, slot);
-        EventId { slot, generation }
+        self.push(self.now() + delay, event)
     }
 
     /// Cancel a previously scheduled cancellable event. Cancelling an event
     /// that already fired is a no-op.
     pub fn cancel(&mut self, id: EventId) {
-        self.arena.cancel(id.slot, id.generation);
+        self.core.cancel(id);
     }
 
-    /// Run until the event set is exhausted or the horizon is reached.
-    /// Returns the number of events executed during this call.
+    #[inline]
+    fn push(&mut self, at: SimTime, event: E) -> EventId {
+        if self.core.is_empty() {
+            // only coexisting events need distinct sequence numbers
+            self.seq = 0;
+        }
+        let id = self.core.schedule_keyed(at, self.seq, event);
+        self.seq += 1;
+        id
+    }
+
+    /// Run until the event set is exhausted. Returns the number of events
+    /// executed during this call.
     pub fn run(&mut self, state: &mut S) -> u64 {
         let before = self.executed;
-        while let Some((at, slot)) = self.heap.pop_within(self.horizon) {
-            let Some(event) = self.arena.take(slot) else {
-                continue; // cancelled tombstone
-            };
-            debug_assert!(at >= self.now, "event queue went backwards");
-            self.now = at;
+        while let Some(event) = self.core.pop_within(SimTime::MAX) {
             self.executed += 1;
             event.fire(self, state);
         }
@@ -196,53 +149,14 @@ impl<S, E: Event<S>> Engine<S, E> {
     /// for tests against runaway event cascades). Returns `true` if the event
     /// set was exhausted within the budget.
     pub fn run_bounded(&mut self, state: &mut S, limit: u64) -> bool {
-        let mut n = 0;
-        loop {
-            if n >= limit {
-                return match self.heap.peek_time() {
-                    Some(at) => at > self.horizon,
-                    None => true,
-                };
-            }
-            let Some((at, slot)) = self.heap.pop_within(self.horizon) else {
+        for _ in 0..limit {
+            let Some(event) = self.core.pop_within(SimTime::MAX) else {
                 return true;
             };
-            let Some(event) = self.arena.take(slot) else {
-                continue;
-            };
-            self.now = at;
             self.executed += 1;
-            n += 1;
             event.fire(self, state);
         }
-    }
-}
-
-impl<S> Engine<S, BoxedEvent<S>> {
-    /// Schedule `f` to run after `delay` from the current time.
-    pub fn schedule<F>(&mut self, delay: SimDuration, f: F)
-    where
-        F: FnOnce(&mut Engine<S>, &mut S) + 'static,
-    {
-        self.schedule_event(delay, BoxedEvent(Box::new(f)));
-    }
-
-    /// Schedule `f` at an absolute time `at` (must not be in the past).
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
-    where
-        F: FnOnce(&mut Engine<S>, &mut S) + 'static,
-    {
-        self.schedule_event_at(at, BoxedEvent(Box::new(f)));
-    }
-
-    /// Schedule `f` after `delay`, returning a handle that can cancel it
-    /// before it fires (used by the fluid-link model to retract completion
-    /// estimates when the set of competing flows changes).
-    pub fn schedule_cancellable<F>(&mut self, delay: SimDuration, f: F) -> EventId
-    where
-        F: FnOnce(&mut Engine<S>, &mut S) + 'static,
-    {
-        self.schedule_cancellable_event(delay, BoxedEvent(Box::new(f)))
+        self.core.is_empty()
     }
 }
 
@@ -250,152 +164,176 @@ impl<S> Engine<S, BoxedEvent<S>> {
 mod tests {
     use super::*;
 
+    /// A test event: log `(now, label)`, optionally chaining a follow-up
+    /// `Log` after `then` nanoseconds, or cancel a handle.
+    #[derive(Clone, Copy)]
+    enum Ev {
+        Log(u64),
+        Chain(u64, u64),
+        Cancel(EventId),
+    }
+
+    impl Event<Vec<(u64, u64)>> for Ev {
+        fn fire(self, eng: &mut Engine<Vec<(u64, u64)>, Ev>, log: &mut Vec<(u64, u64)>) {
+            match self {
+                Ev::Log(label) => log.push((eng.now().as_nanos(), label)),
+                Ev::Chain(label, then) => {
+                    log.push((eng.now().as_nanos(), label));
+                    eng.schedule_event(SimDuration::from_nanos(then), Ev::Log(label + 1));
+                }
+                Ev::Cancel(id) => eng.cancel(id),
+            }
+        }
+    }
+
+    type Eng = Engine<Vec<(u64, u64)>, Ev>;
+
+    fn ns(n: u64) -> SimDuration {
+        SimDuration::from_nanos(n)
+    }
+
     #[test]
     fn events_run_in_order_and_clock_advances() {
-        let mut eng: Engine<Vec<(u64, &'static str)>> = Engine::new();
-        eng.schedule(SimDuration::from_secs(2), |e, log| {
-            log.push((e.now().as_nanos(), "b"))
-        });
-        eng.schedule(SimDuration::from_secs(1), |e, log| {
-            log.push((e.now().as_nanos(), "a"))
-        });
+        let mut eng = Eng::new();
+        eng.schedule_event(ns(2), Ev::Log(2));
+        eng.schedule_event(ns(1), Ev::Log(1));
         let mut log = Vec::new();
-        let n = eng.run(&mut log);
-        assert_eq!(n, 2);
-        assert_eq!(log, vec![(1_000_000_000, "a"), (2_000_000_000, "b")]);
+        assert_eq!(eng.run(&mut log), 2);
+        assert_eq!(log, vec![(1, 1), (2, 2)]);
     }
 
     #[test]
     fn chained_events_see_updated_now() {
-        let mut eng: Engine<Vec<f64>> = Engine::new();
-        eng.schedule(SimDuration::from_secs(1), |e, times| {
-            times.push(e.now().as_secs_f64());
-            e.schedule(SimDuration::from_secs(1), |e, times| {
-                times.push(e.now().as_secs_f64());
-            });
-        });
-        let mut times = Vec::new();
-        eng.run(&mut times);
-        assert_eq!(times, vec![1.0, 2.0]);
+        let mut eng = Eng::new();
+        eng.schedule_event(ns(1000), Ev::Chain(7, 1000));
+        let mut log = Vec::new();
+        eng.run(&mut log);
+        assert_eq!(log, vec![(1000, 7), (2000, 8)]);
+        assert_eq!(eng.now().as_nanos(), 2000);
     }
 
     #[test]
     fn cancelled_events_do_not_fire() {
-        let mut eng: Engine<u32> = Engine::new();
-        let id = eng.schedule_cancellable(SimDuration::from_secs(1), |_, c| *c += 1);
-        eng.schedule(SimDuration::from_millis(500), move |e, _| e.cancel(id));
-        let mut count = 0;
-        eng.run(&mut count);
-        assert_eq!(count, 0);
-        // two events were processed, but one was a tombstone
+        let mut eng = Eng::new();
+        let id = eng.schedule_cancellable_event(ns(10), Ev::Log(1));
+        eng.schedule_event(ns(5), Ev::Cancel(id));
+        let mut log = Vec::new();
+        eng.run(&mut log);
+        assert!(log.is_empty());
+        // two events were queued, but one was a tombstone
         assert_eq!(eng.events_executed(), 1);
+        assert_eq!(
+            eng.now().as_nanos(),
+            5,
+            "a tombstone does not move the clock"
+        );
     }
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        let mut eng: Engine<u32> = Engine::new();
-        let id = eng.schedule_cancellable(SimDuration::from_millis(1), |_, c| *c += 1);
-        let mut count = 0;
-        eng.run(&mut count);
+        let mut eng = Eng::new();
+        let id = eng.schedule_cancellable_event(ns(1), Ev::Log(1));
+        let mut log = Vec::new();
+        eng.run(&mut log);
         eng.cancel(id); // already fired
-        eng.run(&mut count);
-        assert_eq!(count, 1);
+        eng.run(&mut log);
+        assert_eq!(log, vec![(1, 1)]);
     }
 
     #[test]
     fn cancel_does_not_hit_recycled_slot() {
-        let mut eng: Engine<u32> = Engine::new();
-        let id = eng.schedule_cancellable(SimDuration::from_millis(1), |_, c| *c += 1);
-        let mut count = 0;
-        eng.run(&mut count);
+        let mut eng = Eng::new();
+        let id = eng.schedule_cancellable_event(ns(1), Ev::Log(1));
+        let mut log = Vec::new();
+        eng.run(&mut log);
         // the fired event's slot is recycled by the next schedule
-        let _id2 = eng.schedule_cancellable(SimDuration::from_millis(1), |_, c| *c += 10);
+        let _id2 = eng.schedule_cancellable_event(ns(1), Ev::Log(2));
         eng.cancel(id); // stale handle must not cancel the new event
-        eng.run(&mut count);
-        assert_eq!(count, 11);
-    }
-
-    #[test]
-    fn horizon_stops_execution() {
-        let mut eng: Engine<u32> = Engine::new();
-        for i in 1..=10 {
-            eng.schedule(SimDuration::from_secs(i), |_, c| *c += 1);
-        }
-        eng.set_horizon(SimTime::ZERO + SimDuration::from_secs(5));
-        let mut count = 0;
-        eng.run(&mut count);
-        assert_eq!(count, 5);
-        assert_eq!(eng.events_pending(), 5);
+        eng.run(&mut log);
+        assert_eq!(log, vec![(1, 1), (2, 2)]);
     }
 
     #[test]
     fn run_bounded_reports_exhaustion() {
-        let mut eng: Engine<u32> = Engine::new();
-        for _ in 0..4 {
-            eng.schedule(SimDuration::from_secs(1), |_, c| *c += 1);
+        let mut eng = Eng::new();
+        for i in 0..4 {
+            eng.schedule_event(ns(1), Ev::Log(i));
         }
-        let mut count = 0;
-        assert!(!eng.run_bounded(&mut count, 2));
-        assert_eq!(count, 2);
-        assert!(eng.run_bounded(&mut count, 100));
-        assert_eq!(count, 4);
+        let mut log = Vec::new();
+        assert!(!eng.run_bounded(&mut log, 2));
+        assert_eq!(log.len(), 2);
+        assert!(eng.run_bounded(&mut log, 100));
+        assert_eq!(log.len(), 4);
     }
 
     #[test]
     fn simultaneous_events_fifo() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let mut eng = Eng::new();
         for i in 0..50 {
-            eng.schedule(SimDuration::from_secs(1), move |_, log| log.push(i));
+            eng.schedule_event(ns(1), Ev::Log(i));
         }
         let mut log = Vec::new();
         eng.run(&mut log);
-        assert_eq!(log, (0..50).collect::<Vec<_>>());
+        assert_eq!(log, (0..50).map(|i| (1, i)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn tie_sequence_restarts_when_the_queue_drains() {
+        let mut eng = Eng::new();
+        eng.schedule_event(ns(1), Ev::Log(0));
+        eng.schedule_event(ns(1), Ev::Log(1));
+        let mut log = Vec::new();
+        eng.run(&mut log);
+        eng.schedule_event(ns(1), Ev::Log(2));
+        assert_eq!(eng.seq, 1, "a drained queue restarts the sequence stream");
+        // and ties still break in scheduling order after the restart
+        eng.schedule_event(ns(1), Ev::Log(3));
+        eng.run(&mut log);
+        assert_eq!(log, vec![(1, 0), (1, 1), (2, 2), (2, 3)]);
+    }
+
+    #[test]
+    fn a_cancelled_tombstone_keeps_the_sequence_running() {
+        let mut eng = Eng::new();
+        let id = eng.schedule_cancellable_event(ns(5), Ev::Log(0));
+        eng.cancel(id);
+        // the tombstone is still queued: the next event must not reuse
+        // sequence 0 alongside it
+        eng.schedule_event(ns(5), Ev::Log(1));
+        assert_eq!(eng.seq, 2);
+        let mut log = Vec::new();
+        eng.run(&mut log);
+        assert_eq!(log, vec![(5, 1)]);
     }
 
     #[test]
     fn typed_events_fire_without_boxing() {
         #[derive(Clone, Copy)]
-        enum Ev {
+        enum Tick {
             Tick(u64),
             Stop,
         }
-        impl Event<u64> for Ev {
-            fn fire(self, eng: &mut Engine<u64, Ev>, count: &mut u64) {
+        impl Event<u64> for Tick {
+            fn fire(self, eng: &mut Engine<u64, Tick>, count: &mut u64) {
                 match self {
-                    Ev::Tick(left) => {
+                    Tick::Tick(left) => {
                         *count += 1;
                         if left > 1 {
-                            eng.schedule_event(SimDuration::from_nanos(5), Ev::Tick(left - 1));
+                            eng.schedule_event(ns(5), Tick::Tick(left - 1));
                         } else {
-                            eng.schedule_event(SimDuration::ZERO, Ev::Stop);
+                            eng.schedule_event(SimDuration::ZERO, Tick::Stop);
                         }
                     }
-                    Ev::Stop => {}
+                    Tick::Stop => {}
                 }
             }
         }
-        let mut eng: Engine<u64, Ev> = Engine::with_capacity(4);
-        eng.schedule_event(SimDuration::from_nanos(5), Ev::Tick(100));
+        let mut eng: Engine<u64, Tick> = Engine::new();
+        eng.schedule_event(ns(5), Tick::Tick(100));
         let mut count = 0;
         eng.run(&mut count);
         assert_eq!(count, 100);
         assert_eq!(eng.events_executed(), 101);
         assert_eq!(eng.now().as_nanos(), 500);
-    }
-
-    #[test]
-    fn reset_reuses_engine_and_invalidates_handles() {
-        let mut eng: Engine<u32> = Engine::new();
-        let id = eng.schedule_cancellable(SimDuration::from_secs(1), |_, c| *c += 1);
-        eng.set_horizon(SimTime::ZERO);
-        eng.reset();
-        assert_eq!(eng.events_pending(), 0);
-        assert_eq!(eng.events_executed(), 0);
-        eng.schedule(SimDuration::from_secs(1), |_, c| *c += 10);
-        eng.cancel(id); // pre-reset handle must not touch the new event
-        let mut count = 0;
-        eng.run(&mut count);
-        assert_eq!(count, 10);
-        assert_eq!(eng.now().as_secs_f64(), 1.0);
     }
 }

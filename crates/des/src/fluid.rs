@@ -10,45 +10,88 @@
 //! pending completion timer is retracted and re-aimed at the new earliest
 //! finisher. This is exact for the fluid model (no time-stepping error) and
 //! costs `O(n)` per flow arrival/departure.
+//!
+//! The link speaks the caller's event type `E`: each flow carries a typed
+//! continuation, and the completion timer is a caller-chosen `E` value
+//! whose handler calls [`FluidLink::on_timer`].
 
-use crate::engine::{Engine, EventId};
+use crate::core::EventId;
+use crate::engine::{Engine, Event};
 use crate::time::{SimDuration, SimTime};
-
-type Cont<S> = Box<dyn FnOnce(&mut Engine<S>, &mut S)>;
 
 /// Volume below which a flow counts as finished (absorbs floating-point
 /// residue from repeated rate changes).
 const DONE_EPS_BYTES: f64 = 1e-6;
 
-struct Flow<S> {
+struct Flow<E> {
     size: f64,
     remaining: f64,
-    cont: Option<Cont<S>>,
+    cont: E,
 }
 
 /// A shared link of fixed capacity with max-min fair sharing.
 ///
-/// Because completion timers must find the link again from inside an event
-/// callback, the link is constructed with an *accessor*: a plain `fn` that
-/// projects the user state `S` to this link.
-pub struct FluidLink<S> {
+/// The link lives inside the simulation state `S`. Because the completion
+/// timer must find the link again from inside an event handler, the
+/// caller's event type carries a variant for it, and that variant's
+/// handler passes [`FluidLink::on_timer`] an accessor: a plain `fn` that
+/// projects the state to this link.
+///
+/// ```
+/// use harborsim_des::{Engine, Event, FluidLink, SimDuration};
+///
+/// struct St {
+///     link: FluidLink<Ev>,
+///     done: u32,
+/// }
+///
+/// #[derive(Clone, Copy)]
+/// enum Ev {
+///     Start,
+///     Done,
+///     LinkTimer,
+/// }
+///
+/// impl Event<St> for Ev {
+///     fn fire(self, eng: &mut Engine<St, Ev>, st: &mut St) {
+///         match self {
+///             Ev::Start => st.link.start_flow(eng, 100.0, Ev::Done),
+///             Ev::Done => st.done += 1,
+///             Ev::LinkTimer => FluidLink::on_timer(eng, st, |st| &mut st.link),
+///         }
+///     }
+/// }
+///
+/// let mut eng: Engine<St, Ev> = Engine::new();
+/// let mut st = St { link: FluidLink::new(100.0, Ev::LinkTimer), done: 0 };
+/// eng.schedule_event(SimDuration::ZERO, Ev::Start);
+/// eng.schedule_event(SimDuration::ZERO, Ev::Start);
+/// eng.run(&mut st);
+/// // two 100 B flows share 100 B/s: both finish at t = 2 s
+/// assert_eq!(st.done, 2);
+/// assert!((eng.now().as_secs_f64() - 2.0).abs() < 1e-6);
+/// ```
+pub struct FluidLink<E> {
     capacity_bps: f64,
-    flows: Vec<Flow<S>>,
+    flows: Vec<Flow<E>>,
     last_advance: SimTime,
     timer: Option<EventId>,
-    accessor: fn(&mut S) -> &mut FluidLink<S>,
+    timer_event: E,
+    /// Continuations of the flows the current timer completed; kept
+    /// between timers so firing them allocates nothing at steady state.
+    completed: Vec<E>,
     completed_flows: u64,
     bytes_completed: f64,
     peak_concurrency: usize,
 }
 
-impl<S: 'static> FluidLink<S> {
-    /// A link carrying `capacity_bytes_per_sec`, reachable through
-    /// `accessor` from the simulation state.
+impl<E> FluidLink<E> {
+    /// A link carrying `capacity_bytes_per_sec` whose completion timer is
+    /// scheduled as `timer_event`.
     ///
     /// # Panics
     /// Panics if the capacity is not strictly positive and finite.
-    pub fn new(capacity_bytes_per_sec: f64, accessor: fn(&mut S) -> &mut FluidLink<S>) -> Self {
+    pub fn new(capacity_bytes_per_sec: f64, timer_event: E) -> Self {
         assert!(
             capacity_bytes_per_sec.is_finite() && capacity_bytes_per_sec > 0.0,
             "link capacity must be positive"
@@ -58,32 +101,12 @@ impl<S: 'static> FluidLink<S> {
             flows: Vec::new(),
             last_advance: SimTime::ZERO,
             timer: None,
-            accessor,
+            timer_event,
+            completed: Vec::new(),
             completed_flows: 0,
             bytes_completed: 0.0,
             peak_concurrency: 0,
         }
-    }
-
-    /// Begin transferring `bytes`; `cont` runs when the transfer completes
-    /// under fair sharing with all concurrently active flows.
-    pub fn start_flow<F>(&mut self, eng: &mut Engine<S>, bytes: f64, cont: F)
-    where
-        F: FnOnce(&mut Engine<S>, &mut S) + 'static,
-    {
-        assert!(
-            bytes.is_finite() && bytes >= 0.0,
-            "flow size must be non-negative"
-        );
-        self.advance(eng.now());
-        let size = bytes.max(DONE_EPS_BYTES);
-        self.flows.push(Flow {
-            size,
-            remaining: size,
-            cont: Some(Box::new(cont)),
-        });
-        self.peak_concurrency = self.peak_concurrency.max(self.flows.len());
-        self.reschedule(eng);
     }
 
     /// Number of flows currently in progress.
@@ -120,27 +143,71 @@ impl<S: 'static> FluidLink<S> {
         }
     }
 
-    /// Pull out the continuations of every flow that has finished.
-    fn take_completed(&mut self) -> Vec<Cont<S>> {
-        let mut done = Vec::new();
+    /// Move the continuations of every finished flow into `completed`.
+    fn take_completed(&mut self) {
         let mut i = 0;
         while i < self.flows.len() {
             if self.flows[i].remaining <= DONE_EPS_BYTES {
-                let mut f = self.flows.swap_remove(i);
+                let f = self.flows.swap_remove(i);
                 self.completed_flows += 1;
                 self.bytes_completed += f.size;
-                if let Some(c) = f.cont.take() {
-                    done.push(c);
-                }
+                self.completed.push(f.cont);
             } else {
                 i += 1;
             }
         }
-        done
+    }
+}
+
+impl<E: Clone> FluidLink<E> {
+    /// Begin transferring `bytes`; `cont` fires when the transfer completes
+    /// under fair sharing with all concurrently active flows.
+    pub fn start_flow<S>(&mut self, eng: &mut Engine<S, E>, bytes: f64, cont: E)
+    where
+        E: Event<S>,
+    {
+        assert!(
+            bytes.is_finite() && bytes >= 0.0,
+            "flow size must be non-negative"
+        );
+        self.advance(eng.now());
+        let size = bytes.max(DONE_EPS_BYTES);
+        self.flows.push(Flow {
+            size,
+            remaining: size,
+            cont,
+        });
+        self.peak_concurrency = self.peak_concurrency.max(self.flows.len());
+        self.reschedule(eng);
+    }
+
+    /// Handle this link's completion timer: fire the continuations of the
+    /// flows that finished, inline and in completion order, then re-aim
+    /// the timer. `link` projects the state to this link.
+    pub fn on_timer<S>(eng: &mut Engine<S, E>, state: &mut S, link: fn(&mut S) -> &mut Self)
+    where
+        E: Event<S>,
+    {
+        let mut completed = {
+            let l = link(state);
+            l.timer = None;
+            l.advance(eng.now());
+            l.take_completed();
+            std::mem::take(&mut l.completed)
+        };
+        for cont in completed.drain(..) {
+            cont.fire(eng, state);
+        }
+        let l = link(state);
+        l.completed = completed;
+        l.reschedule(eng);
     }
 
     /// Re-aim the completion timer at the earliest finisher.
-    fn reschedule(&mut self, eng: &mut Engine<S>) {
+    fn reschedule<S>(&mut self, eng: &mut Engine<S, E>)
+    where
+        E: Event<S>,
+    {
         if let Some(t) = self.timer.take() {
             eng.cancel(t);
         }
@@ -158,24 +225,7 @@ impl<S: 'static> FluidLink<S> {
         // the event loop forever at the same instant)
         let dt = SimDuration::from_secs_f64((min_remaining / per_flow).max(0.0))
             .saturating_add(SimDuration::from_nanos(1));
-        let acc = self.accessor;
-        self.timer = Some(eng.schedule_cancellable(dt, move |eng, state| {
-            Self::on_timer(eng, state, acc);
-        }));
-    }
-
-    fn on_timer(eng: &mut Engine<S>, state: &mut S, acc: fn(&mut S) -> &mut FluidLink<S>) {
-        let completed: Vec<Cont<S>> = {
-            let link = acc(state);
-            link.timer = None;
-            link.advance(eng.now());
-            link.take_completed()
-        };
-        for cont in completed {
-            cont(eng, state);
-        }
-        let link = acc(state);
-        link.reschedule(eng);
+        self.timer = Some(eng.schedule_cancellable_event(dt, self.timer_event.clone()));
     }
 }
 
@@ -184,27 +234,36 @@ mod tests {
     use super::*;
 
     struct St {
-        link: FluidLink<St>,
+        link: FluidLink<Ev>,
         finished: Vec<(u32, f64)>,
     }
 
-    fn link_of(st: &mut St) -> &mut FluidLink<St> {
-        &mut st.link
+    #[derive(Clone, Copy)]
+    enum Ev {
+        Start { idx: u32, bytes: f64 },
+        Finished(u32),
+        LinkTimer,
     }
 
-    fn start(eng: &mut Engine<St>, at: SimDuration, idx: u32, bytes: f64) {
-        eng.schedule(at, move |eng, st: &mut St| {
-            st.link.start_flow(eng, bytes, move |eng, st| {
-                st.finished.push((idx, eng.now().as_secs_f64()));
-            });
-        });
+    impl Event<St> for Ev {
+        fn fire(self, eng: &mut Engine<St, Ev>, st: &mut St) {
+            match self {
+                Ev::Start { idx, bytes } => st.link.start_flow(eng, bytes, Ev::Finished(idx)),
+                Ev::Finished(idx) => st.finished.push((idx, eng.now().as_secs_f64())),
+                Ev::LinkTimer => FluidLink::on_timer(eng, st, |st| &mut st.link),
+            }
+        }
     }
 
-    fn fresh() -> (Engine<St>, St) {
+    fn start(eng: &mut Engine<St, Ev>, at: SimDuration, idx: u32, bytes: f64) {
+        eng.schedule_event(at, Ev::Start { idx, bytes });
+    }
+
+    fn fresh() -> (Engine<St, Ev>, St) {
         (
             Engine::new(),
             St {
-                link: FluidLink::new(100.0, link_of), // 100 B/s
+                link: FluidLink::new(100.0, Ev::LinkTimer), // 100 B/s
                 finished: Vec::new(),
             },
         )
@@ -280,6 +339,19 @@ mod tests {
         eng.run(&mut st);
         assert_eq!(st.finished.len(), 1);
         assert!(st.finished[0].1 < 1e-6);
+    }
+
+    #[test]
+    fn simultaneous_finishers_fire_in_swap_remove_order() {
+        let (mut eng, mut st) = fresh();
+        for i in 0..4 {
+            start(&mut eng, SimDuration::ZERO, i, 100.0);
+        }
+        eng.run(&mut st);
+        // all four finish on one timer; the scan swap-removes flow 0, pulls
+        // the last flow into its place, and so on
+        let order: Vec<u32> = st.finished.iter().map(|f| f.0).collect();
+        assert_eq!(order, vec![0, 3, 2, 1]);
     }
 
     #[test]

@@ -1,22 +1,19 @@
-//! A 4-ary min-heap over packed `(time, sequence)` keys.
+//! A 4-ary min-heap over packed `(time, tie)` keys.
 //!
-//! The pending-event set of the [`Engine`](crate::engine::Engine) is a flat
-//! pair of arrays: one `u128` key per entry (`time` in the high 64 bits,
-//! the tie-breaking sequence number in the low 64) and one arena slot index.
+//! The pending-event set of the [`EventCore`](crate::core::EventCore) is a
+//! flat pair of arrays: one `u128` key per entry (`time` in the high 64
+//! bits, the caller's tie-breaker in the low 64) and one arena slot index.
 //! Ordering a single integer instead of a struct keeps sift comparisons
 //! branch-free, and the 4-ary layout halves the tree depth of a binary heap
 //! — the shape that matters for the schedule-soon/pop-soon churn the MPI
 //! protocol events produce, where entries rarely sink far.
-//!
-//! The sequence counter resets to zero whenever the heap drains, so long
-//! campaigns reusing one engine cannot creep toward overflow and replays
-//! restart from an identical sequence stream.
 
 use crate::time::SimTime;
 
+/// The heap key of an entry firing at `at` with tie-breaker `tie`.
 #[inline]
-fn pack(at: SimTime, seq: u64) -> u128 {
-    ((at.0 as u128) << 64) | seq as u128
+pub(crate) fn pack(at: SimTime, tie: u64) -> u128 {
+    ((at.0 as u128) << 64) | tie as u128
 }
 
 #[inline]
@@ -24,13 +21,12 @@ fn unpack_time(key: u128) -> SimTime {
     SimTime((key >> 64) as u64)
 }
 
-/// The engine's pending-event set: a min-heap of `(key, slot)` pairs in
+/// The pending-event set: a min-heap of `(key, slot)` pairs in
 /// structure-of-arrays layout.
 #[derive(Debug, Default)]
 pub(crate) struct EventHeap {
     keys: Vec<u128>,
     slots: Vec<u32>,
-    next_seq: u64,
 }
 
 impl EventHeap {
@@ -38,40 +34,18 @@ impl EventHeap {
         EventHeap::default()
     }
 
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        EventHeap {
-            keys: Vec::with_capacity(n),
-            slots: Vec::with_capacity(n),
-            next_seq: 0,
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.keys.len()
     }
 
-    /// Drop all entries but keep the allocations (engine reuse).
+    /// Drop all entries but keep the allocations (core reuse).
     pub(crate) fn clear(&mut self) {
         self.keys.clear();
         self.slots.clear();
-        self.next_seq = 0;
     }
 
-    /// Insert `slot` to fire at `at`; ties fire in insertion order.
-    #[inline]
-    pub(crate) fn push(&mut self, at: SimTime, slot: u32) {
-        let key = pack(at, self.next_seq);
-        self.next_seq += 1;
-        self.keys.push(key);
-        self.slots.push(slot);
-        self.sift_up(self.keys.len() - 1);
-    }
-
-    /// Insert `slot` under a caller-packed key (time in the high 64 bits,
-    /// an arbitrary tie-breaker in the low 64). The sharded
-    /// [`EventCore`](crate::core::EventCore) uses this to order events by a
-    /// layout-invariant `(time, domain, sequence)` key instead of the
-    /// engine-local insertion sequence; callers must keep coexisting keys
+    /// Insert `slot` under a [`pack`]ed key (time in the high 64 bits, the
+    /// tie-breaker in the low 64); callers must keep coexisting keys
     /// distinct.
     #[inline]
     pub(crate) fn push_keyed(&mut self, key: u128, slot: u32) {
@@ -87,7 +61,7 @@ impl EventHeap {
     }
 
     /// Remove and return the earliest entry's `(time, slot)`.
-    /// The engine itself always pops through [`EventHeap::pop_within`].
+    /// The core itself always pops through [`EventHeap::pop_within`].
     #[cfg(test)]
     fn pop(&mut self) -> Option<(SimTime, u32)> {
         let key = *self.keys.first()?;
@@ -115,10 +89,6 @@ impl EventHeap {
         self.slots.swap_remove(0);
         if !self.keys.is_empty() {
             self.sift_down(0);
-        } else {
-            // Fully drained: restart the sequence stream. Safe because only
-            // coexisting entries need distinct sequence numbers.
-            self.next_seq = 0;
         }
         slot
     }
@@ -186,30 +156,28 @@ mod tests {
     #[test]
     fn pops_in_key_order() {
         let mut h = EventHeap::new();
-        for (i, t) in [30u64, 10, 20, 10, 5].into_iter().enumerate() {
-            h.push(SimTime(t), i as u32);
+        for (i, (t, tie)) in [(30u64, 0u64), (10, 1), (20, 2), (10, 3), (5, 4)]
+            .into_iter()
+            .enumerate()
+        {
+            h.push_keyed(pack(SimTime(t), tie), i as u32);
         }
         let mut order = Vec::new();
         while let Some((t, s)) = h.pop() {
             order.push((t.0, s));
         }
-        // time-sorted, ties (the two t=10 entries) in insertion order
+        // time-sorted, the two t=10 entries by tie
         assert_eq!(order, vec![(5, 4), (10, 1), (10, 3), (20, 2), (30, 0)]);
     }
 
     #[test]
-    fn seq_resets_when_drained() {
+    fn pop_within_refuses_later_entries() {
         let mut h = EventHeap::new();
-        h.push(SimTime(1), 0);
-        h.push(SimTime(1), 1);
-        assert_eq!(h.pop().unwrap().1, 0);
-        assert_eq!(h.pop().unwrap().1, 1);
-        assert_eq!(h.next_seq, 0, "drain must restart the sequence stream");
-        // and ties still break in insertion order after the reset
-        h.push(SimTime(2), 7);
-        h.push(SimTime(2), 8);
-        assert_eq!(h.pop().unwrap().1, 7);
-        assert_eq!(h.pop().unwrap().1, 8);
+        h.push_keyed(pack(SimTime(7), 0), 3);
+        assert_eq!(h.pop_within(SimTime(6)), None);
+        assert_eq!(h.peek_time(), Some(SimTime(7)));
+        assert_eq!(h.pop_within(SimTime(7)), Some((SimTime(7), 3)));
+        assert_eq!(h.pop_within(SimTime::MAX), None);
     }
 
     #[test]
@@ -221,10 +189,10 @@ mod tests {
             let mut expect: Vec<(u64, u32)> = Vec::new();
             for i in 0..n {
                 let t = rng.below(50);
-                h.push(SimTime(t), i as u32);
+                h.push_keyed(pack(SimTime(t), i as u64), i as u32);
                 expect.push((t, i as u32));
             }
-            expect.sort(); // stable order == (time, insertion) order here
+            expect.sort(); // (time, tie) order, the tie being the index
             let mut got = Vec::new();
             while let Some((t, s)) = h.pop() {
                 got.push((t.0, s));

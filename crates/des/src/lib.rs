@@ -5,22 +5,23 @@
 //! The kernel is deliberately process-less: events are values scheduled at
 //! absolute simulated times, executed in `(time, sequence)` order so that
 //! simultaneous events always fire in the order they were scheduled.
-//! Payloads live in a slab arena indexed by a 4-ary min-heap of packed
-//! `(time, seq)` keys; convenience callers use boxed `FnOnce` callbacks
-//! ([`BoxedEvent`], the default), hot loops implement [`Event`] on a plain
-//! enum and run allocation-free. Determinism is a hard requirement for the
-//! HarborSim study — the same seed must regenerate byte-identical figures.
+//! Every simulation implements [`Event`] on a plain enum of its event
+//! kinds; payloads live in a slab arena indexed by a 4-ary min-heap of
+//! packed `(time, tie)` keys, so the event loop runs allocation-free.
+//! Determinism is a hard requirement for the HarborSim study — the same
+//! seed must regenerate byte-identical figures.
 //!
 //! Building blocks:
 //!
 //! - [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated clock.
-//! - [`Engine`] — the event loop; schedule with [`Engine::schedule`] or the
-//!   cancellable [`Engine::schedule_cancellable`].
-//! - [`EventCore`] — the engine's slab + heap + clock as a standalone
-//!   per-shard unit with caller-packed keys and a caller-owned loop, for
-//!   conservatively synchronized parallel simulations.
-//! - [`Resource`] — a FIFO server pool with finite capacity (models NICs,
-//!   registry connections, filesystem servers, daemons...).
+//! - [`EventCore`] — the one pending-event set: slab + heap + clock with
+//!   caller-packed keys, cancellation, and a caller-owned loop. The
+//!   sharded MPI engine runs one per shard.
+//! - [`Engine`] — the serial event loop over one [`EventCore`]; schedule
+//!   with [`Engine::schedule_event`] or the cancellable
+//!   [`Engine::schedule_cancellable_event`].
+//! - [`CoreResource`] — a FIFO server pool with finite capacity (models
+//!   NICs, switch pipes, registry connections, daemons...).
 //! - [`FluidLink`] — a fair-share ("fluid flow") bandwidth model for shared
 //!   links where concurrent transfers split capacity (parallel filesystems,
 //!   registry uplinks).
@@ -34,7 +35,6 @@ pub mod core;
 pub mod engine;
 pub mod fluid;
 mod heap;
-pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -42,10 +42,10 @@ pub mod time;
 pub mod timeline;
 pub mod trace;
 
-pub use crate::core::EventCore;
-pub use engine::{BoxedEvent, Engine, Event, EventId};
+pub use crate::core::{EventCore, EventId};
+pub use engine::{Engine, Event};
 pub use fluid::FluidLink;
-pub use resource::{CoreResource, Resource, TypedResource};
+pub use resource::CoreResource;
 pub use rng::RngStream;
 pub use time::{SimDuration, SimTime};
 pub use timeline::Timeline;

@@ -1,151 +1,21 @@
 //! FIFO server pools with finite capacity.
 //!
-//! A [`Resource`] models anything that serves at most `capacity` users at a
-//! time and queues the rest in arrival order: a node's NIC send engine, a
-//! registry's connection limit, a filesystem's metadata server, the Docker
-//! daemon's single build lock.
-//!
-//! Continuations are scheduled on the engine with zero delay when granted, so
-//! grants interleave deterministically with other same-instant events.
+//! A [`CoreResource`] models anything that serves at most `capacity` users
+//! at a time and queues the rest in arrival order: a node's NIC send
+//! engine, a switch pipe, a bridge, a registry's connection limit, the
+//! Docker daemon's single build lock.
 
-use crate::engine::{Engine, Event};
-use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
-
-type Cont<S> = Box<dyn FnOnce(&mut Engine<S>, &mut S)>;
-
-/// A finite-capacity FIFO resource whose continuations are *typed events*
-/// rather than boxed closures.
-///
-/// Behaviourally identical to [`Resource`] — grants are zero-delay events,
-/// waiters are served in arrival order, the same statistics are kept — but
-/// the waiter queue holds plain values of the caller's event type `E`, so
-/// steady-state acquire/release traffic allocates nothing once the queue's
-/// ring buffer has grown. Used by the message-level MPI engine, whose link,
-/// pipe, and bridge resources sit on the hot path.
-pub struct TypedResource<E> {
-    capacity: u32,
-    in_use: u32,
-    waiters: VecDeque<E>,
-    // statistics
-    grants: u64,
-    max_queue: usize,
-    busy_integral_ns: u128,
-    last_change: SimTime,
-}
-
-impl<E> TypedResource<E> {
-    /// A resource with `capacity` simultaneous servers.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: u32) -> Self {
-        assert!(capacity > 0, "resource capacity must be positive");
-        TypedResource {
-            capacity,
-            in_use: 0,
-            waiters: VecDeque::new(),
-            grants: 0,
-            max_queue: 0,
-            busy_integral_ns: 0,
-            last_change: SimTime::ZERO,
-        }
-    }
-
-    /// Return the resource to its initial state with `capacity` servers,
-    /// keeping the waiter queue's allocation (scratch-pool reuse).
-    pub fn reset(&mut self, capacity: u32) {
-        assert!(capacity > 0, "resource capacity must be positive");
-        self.capacity = capacity;
-        self.in_use = 0;
-        self.waiters.clear();
-        self.grants = 0;
-        self.max_queue = 0;
-        self.busy_integral_ns = 0;
-        self.last_change = SimTime::ZERO;
-    }
-
-    /// Request one server; `cont` fires (via a zero-delay event) as soon as
-    /// a server is available, in FIFO order.
-    pub fn acquire<S>(&mut self, eng: &mut Engine<S, E>, cont: E)
-    where
-        E: Event<S>,
-    {
-        if self.in_use < self.capacity {
-            self.account(eng.now());
-            self.in_use += 1;
-            self.grants += 1;
-            eng.schedule_event(SimDuration::ZERO, cont);
-        } else {
-            self.waiters.push_back(cont);
-            self.max_queue = self.max_queue.max(self.waiters.len());
-        }
-    }
-
-    /// Return one server; the oldest waiter (if any) is granted immediately.
-    ///
-    /// # Panics
-    /// Panics if no server is currently held.
-    pub fn release<S>(&mut self, eng: &mut Engine<S, E>)
-    where
-        E: Event<S>,
-    {
-        assert!(self.in_use > 0, "release without matching acquire");
-        self.account(eng.now());
-        if let Some(cont) = self.waiters.pop_front() {
-            // hand the server straight to the next waiter
-            self.grants += 1;
-            eng.schedule_event(SimDuration::ZERO, cont);
-        } else {
-            self.in_use -= 1;
-        }
-    }
-
-    fn account(&mut self, now: SimTime) {
-        let dt = now.since(self.last_change).as_nanos() as u128;
-        self.busy_integral_ns += dt * self.in_use as u128;
-        self.last_change = now;
-    }
-
-    /// Servers currently held.
-    pub fn in_use(&self) -> u32 {
-        self.in_use
-    }
-
-    /// Requests currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.waiters.len()
-    }
-
-    /// Total grants issued so far.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Longest queue observed.
-    pub fn max_queue(&self) -> usize {
-        self.max_queue
-    }
-
-    /// Mean number of busy servers over `[0, now]`.
-    pub fn mean_utilization(&mut self, now: SimTime) -> f64 {
-        self.account(now);
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy_integral_ns as f64 / now.as_nanos() as f64
-    }
-}
 
 /// A finite-capacity FIFO resource decoupled from any engine.
 ///
-/// The shard-aware variant of [`TypedResource`]: `acquire`/`release` return
-/// the continuation to grant instead of scheduling it, so the same resource
-/// works inside a per-shard [`EventCore`](crate::EventCore) loop where
+/// `acquire`/`release` return the continuation to grant instead of
+/// scheduling it, so the same resource works on an [`Engine`](crate::Engine)
+/// and inside a per-shard [`EventCore`](crate::EventCore) loop, where
 /// scheduling needs a shard-assigned event key the resource cannot know.
-/// `Some(cont)` means the caller must schedule `cont` now with zero delay
-/// (preserving the deterministic same-instant interleaving the engine-bound
-/// resources have); `None` from `acquire` means the request was queued.
+/// `Some(cont)` means the caller must schedule `cont` now with zero delay,
+/// so grants interleave deterministically with other same-instant events;
+/// `None` from `acquire` means the request was queued.
 #[derive(Debug)]
 pub struct CoreResource<E> {
     capacity: u32,
@@ -218,208 +88,75 @@ impl<E> CoreResource<E> {
     }
 }
 
-/// A finite-capacity FIFO resource.
-///
-/// The resource does not know which state field it lives in; callers hold it
-/// inside their simulation state `S` and pass the engine explicitly:
-///
-/// ```
-/// use harborsim_des::{Engine, Resource, SimDuration};
-///
-/// struct State { nic: Resource<State>, done: u32 }
-/// let mut eng: Engine<State> = Engine::new();
-/// let mut state = State { nic: Resource::new(1), done: 0 };
-/// for _ in 0..3 {
-///     eng.schedule(SimDuration::ZERO, |eng, st| {
-///         st.nic.acquire(eng, |eng, st| {
-///             // hold the NIC for 1ms, then release
-///             eng.schedule(SimDuration::from_millis(1), |eng, st| {
-///                 st.done += 1;
-///                 st.nic.release(eng);
-///             });
-///         });
-///     });
-/// }
-/// eng.run(&mut state);
-/// assert_eq!(state.done, 3);
-/// assert_eq!(eng.now(), harborsim_des::SimTime::ZERO + SimDuration::from_millis(3));
-/// ```
-pub struct Resource<S> {
-    capacity: u32,
-    in_use: u32,
-    waiters: VecDeque<Cont<S>>,
-    // statistics
-    grants: u64,
-    max_queue: usize,
-    busy_integral_ns: u128,
-    last_change: SimTime,
-}
-
-impl<S: 'static> Resource<S> {
-    /// A resource with `capacity` simultaneous servers.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: u32) -> Self {
-        assert!(capacity > 0, "resource capacity must be positive");
-        Resource {
-            capacity,
-            in_use: 0,
-            waiters: VecDeque::new(),
-            grants: 0,
-            max_queue: 0,
-            busy_integral_ns: 0,
-            last_change: SimTime::ZERO,
-        }
-    }
-
-    /// Request one server; `cont` runs (via a zero-delay event) as soon as a
-    /// server is available, in FIFO order.
-    pub fn acquire<F>(&mut self, eng: &mut Engine<S>, cont: F)
-    where
-        F: FnOnce(&mut Engine<S>, &mut S) + 'static,
-    {
-        if self.in_use < self.capacity {
-            self.account(eng.now());
-            self.in_use += 1;
-            self.grants += 1;
-            eng.schedule(SimDuration::ZERO, cont);
-        } else {
-            self.waiters.push_back(Box::new(cont));
-            self.max_queue = self.max_queue.max(self.waiters.len());
-        }
-    }
-
-    /// Return one server; the oldest waiter (if any) is granted immediately.
-    ///
-    /// # Panics
-    /// Panics if no server is currently held.
-    pub fn release(&mut self, eng: &mut Engine<S>) {
-        assert!(self.in_use > 0, "release without matching acquire");
-        self.account(eng.now());
-        if let Some(cont) = self.waiters.pop_front() {
-            // hand the server straight to the next waiter
-            self.grants += 1;
-            eng.schedule(SimDuration::ZERO, cont);
-        } else {
-            self.in_use -= 1;
-        }
-    }
-
-    fn account(&mut self, now: SimTime) {
-        let dt = now.since(self.last_change).as_nanos() as u128;
-        self.busy_integral_ns += dt * self.in_use as u128;
-        self.last_change = now;
-    }
-
-    /// Servers currently held.
-    pub fn in_use(&self) -> u32 {
-        self.in_use
-    }
-
-    /// Requests currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.waiters.len()
-    }
-
-    /// Total grants issued so far.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Longest queue observed.
-    pub fn max_queue(&self) -> usize {
-        self.max_queue
-    }
-
-    /// Mean number of busy servers over `[0, now]`.
-    pub fn mean_utilization(&mut self, now: SimTime) -> f64 {
-        self.account(now);
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy_integral_ns as f64 / now.as_nanos() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, Event, SimDuration};
 
+    /// Unit jobs through one resource on an engine: each arrives at zero,
+    /// holds a server for `HOLD`, and logs `(idx, finish time)`.
     struct St {
-        res: Resource<St>,
-        order: Vec<u32>,
-        finish_times: Vec<f64>,
+        res: CoreResource<Ev>,
+        finish: Vec<(u32, f64)>,
     }
 
-    fn job(eng: &mut Engine<St>, idx: u32, hold: SimDuration) {
-        eng.schedule(SimDuration::ZERO, move |eng, st: &mut St| {
-            st.res.acquire(eng, move |eng, _st| {
-                eng.schedule(hold, move |eng, st| {
-                    st.order.push(idx);
-                    st.finish_times.push(eng.now().as_secs_f64());
-                    st.res.release(eng);
-                });
-            });
-        });
+    #[derive(Clone, Copy)]
+    enum Ev {
+        Arrive(u32),
+        Granted(u32),
+        Done(u32),
+    }
+
+    const HOLD: SimDuration = SimDuration::from_secs(1);
+
+    impl Event<St> for Ev {
+        fn fire(self, eng: &mut Engine<St, Ev>, st: &mut St) {
+            let granted = match self {
+                Ev::Arrive(i) => st.res.acquire(Ev::Granted(i)),
+                Ev::Granted(i) => {
+                    eng.schedule_event(HOLD, Ev::Done(i));
+                    None
+                }
+                Ev::Done(i) => {
+                    st.finish.push((i, eng.now().as_secs_f64()));
+                    st.res.release()
+                }
+            };
+            if let Some(cont) = granted {
+                eng.schedule_event(SimDuration::ZERO, cont);
+            }
+        }
+    }
+
+    fn serve(capacity: u32, jobs: u32) -> St {
+        let mut eng = Engine::new();
+        let mut st = St {
+            res: CoreResource::new(capacity),
+            finish: Vec::new(),
+        };
+        for i in 0..jobs {
+            eng.schedule_event(SimDuration::ZERO, Ev::Arrive(i));
+        }
+        eng.run(&mut st);
+        st
     }
 
     #[test]
     fn fifo_order_preserved() {
-        let mut eng = Engine::new();
-        let mut st = St {
-            res: Resource::new(1),
-            order: Vec::new(),
-            finish_times: Vec::new(),
-        };
-        for i in 0..5 {
-            job(&mut eng, i, SimDuration::from_secs(1));
-        }
-        eng.run(&mut st);
-        assert_eq!(st.order, vec![0, 1, 2, 3, 4]);
-        assert_eq!(st.finish_times, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(st.res.grants(), 5);
-        assert_eq!(st.res.max_queue(), 4);
+        let st = serve(1, 5);
+        assert_eq!(
+            st.finish,
+            vec![(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (4, 5.0)]
+        );
+        assert_eq!(st.res.in_use(), 0);
+        assert_eq!(st.res.queue_len(), 0);
     }
 
     #[test]
     fn capacity_two_runs_pairs_concurrently() {
-        let mut eng = Engine::new();
-        let mut st = St {
-            res: Resource::new(2),
-            order: Vec::new(),
-            finish_times: Vec::new(),
-        };
-        for i in 0..4 {
-            job(&mut eng, i, SimDuration::from_secs(1));
-        }
-        eng.run(&mut st);
+        let st = serve(2, 4);
         // pairs (0,1) finish at t=1, pairs (2,3) at t=2
-        assert_eq!(st.finish_times, vec![1.0, 1.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut eng = Engine::new();
-        let mut st = St {
-            res: Resource::new(1),
-            order: Vec::new(),
-            finish_times: Vec::new(),
-        };
-        job(&mut eng, 0, SimDuration::from_secs(1));
-        eng.run(&mut st);
-        // hold 1s, then idle: at t=2s utilization should be 0.5
-        let now = eng.now() + SimDuration::from_secs(1);
-        let util = st.res.mean_utilization(now);
-        assert!((util - 0.5).abs() < 1e-9, "util={util}");
-    }
-
-    #[test]
-    #[should_panic(expected = "release without matching acquire")]
-    fn release_without_acquire_panics() {
-        let mut eng: Engine<St> = Engine::new();
-        let mut res: Resource<St> = Resource::new(1);
-        res.release(&mut eng);
+        assert_eq!(st.finish, vec![(0, 1.0), (1, 1.0), (2, 2.0), (3, 2.0)]);
     }
 
     #[test]
@@ -446,7 +183,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "release without matching acquire")]
-    fn core_resource_release_without_acquire_panics() {
+    fn release_without_acquire_panics() {
         let mut r: CoreResource<u32> = CoreResource::new(1);
         let _ = r.release();
     }

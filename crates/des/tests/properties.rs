@@ -1,7 +1,11 @@
 //! Property-style tests of the DES kernel, driven by deterministic
 //! [`RngStream`] case generation (seeded, reproducible, dependency-free).
 
-use harborsim_des::{Engine, FluidLink, Resource, RngStream, SimDuration};
+use harborsim_des::{
+    CoreResource, Engine, Event, EventId, FluidLink, RngStream, SimDuration, SimTime,
+};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Deterministic replacement for proptest case generation.
 fn cases(label: &str, n: u64) -> impl Iterator<Item = RngStream> {
@@ -14,20 +18,25 @@ fn random_vec(rng: &mut RngStream, max_len: u64, max_val: u64) -> Vec<u64> {
     (0..len).map(|_| rng.below(max_val)).collect()
 }
 
+/// Appends `(now, label)` to a log when fired.
+#[derive(Clone, Copy)]
+struct Log(u64);
+
+impl Event<Vec<(u64, u64)>> for Log {
+    fn fire(self, eng: &mut Engine<Vec<(u64, u64)>, Log>, log: &mut Vec<(u64, u64)>) {
+        log.push((eng.now().as_nanos(), self.0));
+    }
+}
+
 /// Events always execute in (time, schedule-order) sequence, whatever
 /// order they were submitted in.
 #[test]
 fn event_order_is_time_then_fifo() {
     for mut rng in cases("event-order", 64) {
         let delays = random_vec(&mut rng, 200, 1_000);
-        let mut eng: Engine<Vec<(u64, usize)>> = Engine::new();
+        let mut eng: Engine<Vec<(u64, u64)>, Log> = Engine::new();
         for (i, &d) in delays.iter().enumerate() {
-            eng.schedule(
-                SimDuration::from_nanos(d),
-                move |eng, log: &mut Vec<(u64, usize)>| {
-                    log.push((eng.now().as_nanos(), i));
-                },
-            );
+            eng.schedule_event(SimDuration::from_nanos(d), Log(i as u64));
         }
         let mut log = Vec::new();
         eng.run(&mut log);
@@ -45,28 +54,45 @@ fn event_order_is_time_then_fifo() {
 /// finishes at exactly ceil(n/c)*d.
 #[test]
 fn resource_makespan_exact() {
+    struct St {
+        res: CoreResource<Job>,
+        done: u32,
+    }
+    #[derive(Clone, Copy)]
+    enum Job {
+        Arrive,
+        Granted,
+        Release,
+    }
+    const HOLD: SimDuration = SimDuration::from_millis(10);
+    impl Event<St> for Job {
+        fn fire(self, eng: &mut Engine<St, Job>, st: &mut St) {
+            let granted = match self {
+                Job::Arrive => st.res.acquire(Job::Granted),
+                Job::Granted => {
+                    eng.schedule_event(HOLD, Job::Release);
+                    None
+                }
+                Job::Release => {
+                    st.done += 1;
+                    st.res.release()
+                }
+            };
+            if let Some(cont) = granted {
+                eng.schedule_event(SimDuration::ZERO, cont);
+            }
+        }
+    }
     for mut rng in cases("resource-makespan", 64) {
         let jobs = 1 + rng.below(59) as u32;
         let capacity = 1 + rng.below(7) as u32;
-        struct St {
-            res: Resource<St>,
-            done: u32,
-        }
-        let mut eng: Engine<St> = Engine::new();
+        let mut eng: Engine<St, Job> = Engine::new();
         let mut st = St {
-            res: Resource::new(capacity),
+            res: CoreResource::new(capacity),
             done: 0,
         };
-        let hold = SimDuration::from_millis(10);
         for _ in 0..jobs {
-            eng.schedule(SimDuration::ZERO, move |eng, st: &mut St| {
-                st.res.acquire(eng, move |eng, _| {
-                    eng.schedule(hold, move |eng, st: &mut St| {
-                        st.done += 1;
-                        st.res.release(eng);
-                    });
-                });
-            });
+            eng.schedule_event(SimDuration::ZERO, Job::Arrive);
         }
         eng.run(&mut st);
         assert_eq!(st.done, jobs);
@@ -78,28 +104,35 @@ fn resource_makespan_exact() {
 /// Fair-share links conserve bytes and never exceed capacity.
 #[test]
 fn fluid_link_conserves() {
+    struct St {
+        link: FluidLink<Flow>,
+        done: usize,
+    }
+    #[derive(Clone, Copy)]
+    enum Flow {
+        Start(f64),
+        Done,
+        LinkTimer,
+    }
+    impl Event<St> for Flow {
+        fn fire(self, eng: &mut Engine<St, Flow>, st: &mut St) {
+            match self {
+                Flow::Start(bytes) => st.link.start_flow(eng, bytes, Flow::Done),
+                Flow::Done => st.done += 1,
+                Flow::LinkTimer => FluidLink::on_timer(eng, st, |st| &mut st.link),
+            }
+        }
+    }
     for mut rng in cases("fluid-conserves", 64) {
         let n = 1 + rng.below(39);
         let sizes: Vec<f64> = (0..n).map(|_| rng.uniform_range(1.0, 1e6)).collect();
-        struct St {
-            link: FluidLink<St>,
-            done: usize,
-        }
-        fn acc(s: &mut St) -> &mut FluidLink<St> {
-            &mut s.link
-        }
-        let mut eng: Engine<St> = Engine::new();
+        let mut eng: Engine<St, Flow> = Engine::new();
         let mut st = St {
-            link: FluidLink::new(1e6, acc),
+            link: FluidLink::new(1e6, Flow::LinkTimer),
             done: 0,
         };
         for (i, &bytes) in sizes.iter().enumerate() {
-            eng.schedule(
-                SimDuration::from_micros(i as u64 * 37),
-                move |eng, st: &mut St| {
-                    st.link.start_flow(eng, bytes, |_, st| st.done += 1);
-                },
-            );
+            eng.schedule_event(SimDuration::from_micros(i as u64 * 37), Flow::Start(bytes));
         }
         eng.run(&mut st);
         assert_eq!(st.done, sizes.len());
@@ -133,16 +166,93 @@ fn rng_substreams_stable() {
     }
 }
 
-/// Differential test of the arena + 4-ary-heap engine against the retained
-/// reference queue (the original `BinaryHeap` + tombstone-set design):
+/// The reference pending-event set: a `BinaryHeap` ordered by
+/// `(time, sequence)`, the sequence restarting whenever the queue drains.
+/// Deliberately the simplest correct design, independent of the kernel's
+/// arena + 4-ary heap.
+struct EventQueue<T> {
+    heap: BinaryHeap<Scheduled<T>>,
+    next_seq: u64,
+}
+
+struct Scheduled<T> {
+    at: SimTime,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> PartialEq for Scheduled<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<T> Eq for Scheduled<T> {}
+
+impl<T> PartialOrd for Scheduled<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Scheduled<T> {
+    // Reversed so that `BinaryHeap` (a max-heap) pops the *earliest* entry.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl<T> EventQueue<T> {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, payload: T) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Scheduled { at, seq, payload });
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<T>> {
+        let popped = self.heap.pop();
+        if popped.is_some() && self.heap.is_empty() {
+            self.next_seq = 0;
+        }
+        popped
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
+
+#[test]
+fn reference_queue_pops_in_time_then_schedule_order() {
+    let mut q = EventQueue::new();
+    q.push(SimTime(30), "c");
+    q.push(SimTime(10), "a");
+    q.push(SimTime(20), "b");
+    q.push(SimTime(10), "a2");
+    let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|s| s.payload)).collect();
+    assert_eq!(order, vec!["a", "a2", "b", "c"]);
+    assert_eq!(q.next_seq, 0, "a drained queue restarts its sequence");
+}
+
+/// Differential test of the arena + 4-ary-heap engine against the
+/// reference queue (a `BinaryHeap` + tombstone-set design):
 /// interleaved schedule/cancel/pop sequences must match event-for-event —
 /// same labels, same fire times, same pending counts, same clock.
 #[test]
 fn arena_engine_matches_reference_queue() {
-    use harborsim_des::queue::EventQueue;
-    use harborsim_des::{EventId, SimTime};
-    use std::collections::HashSet;
-
     for mut rng in cases("differential", 64) {
         // Reference model: the pre-arena engine semantics, spelled out.
         let mut refq: EventQueue<(u64, Option<u64>)> = EventQueue::new();
@@ -152,7 +262,7 @@ fn arena_engine_matches_reference_queue() {
         let mut next_cid = 0u64;
 
         // Subject: the production engine.
-        let mut eng: Engine<Vec<(u64, u64)>> = Engine::new();
+        let mut eng: Engine<Vec<(u64, u64)>, Log> = Engine::new();
         let mut eng_log: Vec<(u64, u64)> = Vec::new();
         let mut handles: Vec<(u64, EventId)> = Vec::new();
 
@@ -168,7 +278,7 @@ fn arena_engine_matches_reference_queue() {
                     }
                 }
                 *ref_now = s.at;
-                ref_log.push((label, s.at.as_nanos()));
+                ref_log.push((s.at.as_nanos(), label));
                 break;
             }
         };
@@ -179,23 +289,17 @@ fn arena_engine_matches_reference_queue() {
             match rng.below(4) {
                 0 => {
                     let d = SimDuration::from_nanos(rng.below(1_000));
-                    let l = label;
+                    refq.push(ref_now + d, (label, None));
+                    eng.schedule_event(d, Log(label));
                     label += 1;
-                    refq.push(ref_now + d, (l, None));
-                    eng.schedule(d, move |e, log: &mut Vec<(u64, u64)>| {
-                        log.push((l, e.now().as_nanos()))
-                    });
                 }
                 1 => {
                     let d = SimDuration::from_nanos(rng.below(1_000));
-                    let l = label;
-                    label += 1;
                     let cid = next_cid;
                     next_cid += 1;
-                    refq.push(ref_now + d, (l, Some(cid)));
-                    let id = eng.schedule_cancellable(d, move |e, log: &mut Vec<(u64, u64)>| {
-                        log.push((l, e.now().as_nanos()))
-                    });
+                    refq.push(ref_now + d, (label, Some(cid)));
+                    let id = eng.schedule_cancellable_event(d, Log(label));
+                    label += 1;
                     handles.push((cid, id));
                 }
                 2 => {
@@ -230,14 +334,19 @@ fn arena_engine_matches_reference_queue() {
 /// Engine determinism: identical schedules produce identical histories.
 #[test]
 fn engine_is_deterministic() {
+    #[derive(Clone, Copy)]
+    struct Mix;
+    impl Event<u64> for Mix {
+        fn fire(self, eng: &mut Engine<u64, Mix>, acc: &mut u64) {
+            *acc = acc.wrapping_mul(31).wrapping_add(eng.now().as_nanos());
+        }
+    }
     for mut rng in cases("determinism", 64) {
         let delays = random_vec(&mut rng, 100, 10_000);
         let run = |delays: &[u64]| -> (u64, u64) {
-            let mut eng: Engine<u64> = Engine::new();
+            let mut eng: Engine<u64, Mix> = Engine::new();
             for &d in delays {
-                eng.schedule(SimDuration::from_nanos(d), move |eng, acc: &mut u64| {
-                    *acc = acc.wrapping_mul(31).wrapping_add(eng.now().as_nanos());
-                });
+                eng.schedule_event(SimDuration::from_nanos(d), Mix);
             }
             let mut acc = 0;
             eng.run(&mut acc);

@@ -10,6 +10,10 @@
 //!    tallies, per-rank queues, message state) lives in pooled scratch.
 //!    Per-run setup (taking the scratch box, assembling `SimResult`) may
 //!    allocate, but only O(1) per run.
+//!
+//! The counter is per thread, so a measurement sees only the allocations
+//! of the thread running it, never those of sibling tests running
+//! concurrently in the same binary.
 
 use harborsim_des::trace::Recorder;
 use harborsim_mpi::analytic::EngineConfig;
@@ -18,24 +22,32 @@ use harborsim_mpi::{AnalyticEngine, DesEngine, RankMap};
 use harborsim_net::{DataPath, LinkGraph, LinkSchedule, NetworkModel, RouteTable};
 use harborsim_net::{Topology, TransportSelection};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAlloc;
 
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic.
+// SAFETY: delegates directly to `System`; the counter is a const-initialised
+// thread-local `Cell` with no destructor, so touching it never allocates and
+// stays valid for the whole life of the thread.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -46,8 +58,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

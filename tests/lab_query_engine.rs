@@ -2,17 +2,16 @@
 //! must distinguish every scenario-builder knob, and a storm of identical
 //! concurrent queries must compile exactly one plan.
 //!
-//! The single-flight test asserts around the process-wide compile counter
-//! ([`harborsim::study::scenario::plans_compiled`]); the fingerprint test
-//! only computes keys and compiles nothing, so the two share this binary
-//! without perturbing the counter.
+//! The single-flight test reads the compile count of the engine it drives
+//! ([`QueryEngine::plans_compiled`]), so sibling tests running in the same
+//! binary cannot perturb it.
 
 use std::sync::{Arc, Barrier};
 
 use harborsim::hw::presets;
 use harborsim::mpi::Placement;
 use harborsim::study::lab::{PlanKey, QueryEngine};
-use harborsim::study::scenario::{plans_compiled, EngineKind, Execution, Scenario};
+use harborsim::study::scenario::{EngineKind, Execution, Scenario};
 use harborsim::study::workloads;
 
 fn base() -> Scenario {
@@ -151,7 +150,6 @@ fn memoization_is_opt_in() {
 #[test]
 fn sixty_four_concurrent_identical_queries_compile_one_plan() {
     let lab = Arc::new(QueryEngine::new());
-    let before = plans_compiled();
     let barrier = Arc::new(Barrier::new(64));
     let handles: Vec<_> = (0..64)
         .map(|_| {
@@ -168,7 +166,7 @@ fn sixty_four_concurrent_identical_queries_compile_one_plan() {
         h.join().expect("query thread panics");
     }
     assert_eq!(
-        plans_compiled() - before,
+        lab.plans_compiled(),
         1,
         "64 identical concurrent queries must share one compile"
     );
