@@ -11,6 +11,10 @@
 //! what makes the writer deterministic and the protocol golden tests
 //! byte-stable.
 //!
+//! Strings parse in linear time: each run of bytes between escapes is
+//! copied with one `push_str`, so a long string at the daemon's body cap
+//! costs milliseconds.
+//!
 //! Numbers are `f64`. Integers up to 2^53 round-trip exactly, which
 //! covers every counter the protocol carries; full-width `u64`
 //! fingerprints travel as fixed-width hex *strings* (see
@@ -64,14 +68,11 @@ impl Json {
     /// [`JsonError`] with the 1-based position of the first offending
     /// byte.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src, pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != src.len() {
             return Err(p.error("trailing characters after document"));
         }
         Ok(v)
@@ -274,7 +275,7 @@ impl From<Vec<Json>> for Json {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -282,7 +283,7 @@ impl Parser<'_> {
     fn error(&self, msg: impl Into<String>) -> JsonError {
         let mut line = 1u32;
         let mut col = 1u32;
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
+        for &b in &self.bytes()[..self.pos.min(self.src.len())] {
             if b == b'\n' {
                 line += 1;
                 col = 1;
@@ -297,8 +298,12 @@ impl Parser<'_> {
         }
     }
 
+    fn bytes(&self) -> &[u8] {
+        self.src.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -334,7 +339,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -353,7 +358,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes()[start..self.pos]).unwrap();
         match text.parse::<f64>() {
             Ok(x) if x.is_finite() => Ok(Json::Num(x)),
             _ => Err(self.error(format!("malformed number '{text}'"))),
@@ -364,6 +369,14 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the maximal run of bytes that need no decoding in one
+            // step. Every stop byte is ASCII, so the run ends on a char
+            // boundary and slicing `src` cannot split a scalar.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[run..self.pos]);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -383,7 +396,7 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
@@ -398,17 +411,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are trustworthy).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.error("unescaped control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.error("unescaped control character in string")),
             }
         }
     }
@@ -539,5 +542,53 @@ mod tests {
         let s = v.write();
         assert_eq!(s, "\"a\\\"b\\\\c\\u0001\\t\"");
         assert_eq!(Json::parse(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn multi_byte_runs_survive_intact() {
+        let v = Json::parse("[\"é𝄞 und é\",\"𝄞\"]").unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("é𝄞 und é"));
+        assert_eq!(items[1].as_str(), Some("𝄞"));
+        assert_eq!(Json::parse(&v.write()).unwrap(), v);
+    }
+
+    #[test]
+    fn escapes_directly_next_to_runs() {
+        let v = Json::parse(r#""a\"b\\céd""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\"b\\céd"));
+        let v = Json::parse(r#""\néx\t""#).unwrap();
+        assert_eq!(v.as_str(), Some("\néx\t"));
+        assert_eq!(Json::parse(r#""""#).unwrap().as_str(), Some(""));
+    }
+
+    #[test]
+    fn control_byte_mid_run_reports_its_own_position() {
+        // columns count bytes: `é` is two of them
+        let e = Json::parse("[\n\"é\u{1}cd\"]").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 4), "{e}");
+        assert_eq!(e.msg, "unescaped control character in string");
+        let e = Json::parse("\"abc").unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.msg.as_str()),
+            (1, 5, "unterminated string")
+        );
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB of mixed one- and multi-byte text with an escape per
+        // unit: linear parsing takes milliseconds; re-validating the
+        // rest of the document per character took minutes
+        const UNIT: &str = "ab𝄞é\\n";
+        let units = (4 << 20) / UNIT.len();
+        let src = format!("{{\"pad\":\"{}\",\"kind\":\"stats\"}}", UNIT.repeat(units));
+        let t0 = std::time::Instant::now();
+        let v = Json::parse(&src).unwrap();
+        let took = t0.elapsed();
+        assert!(took < std::time::Duration::from_secs(10), "{took:?}");
+        let pad = v.get("pad").and_then(Json::as_str).unwrap();
+        assert_eq!(pad.len(), units * (UNIT.len() - 1), "one escape per unit");
+        assert_eq!(v.get("kind").and_then(Json::as_str), Some("stats"));
     }
 }

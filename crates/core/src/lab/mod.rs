@@ -12,8 +12,8 @@
 //!
 //! 1. **Plan resolution.** Each query's scenario is fingerprinted into a
 //!    canonical [`PlanKey`] and looked up in a [`PlanCache`]: an LRU of
-//!    `Arc<ScenarioPlan>` *sharded N ways by key fingerprint* (so
-//!    concurrent resolves of different keys rarely share a mutex), with
+//!    `Arc<ScenarioPlan>` *sharded N ways by key hash* (so concurrent
+//!    resolves of different keys rarely share a mutex), with
 //!    *single-flight* deduplication per key — N concurrent identical
 //!    queries trigger exactly one compile (and, for deployment
 //!    scenarios, one image build) while the other N−1 block on the
@@ -51,6 +51,7 @@ use harborsim_des::trace::{Recorder, SpanCategory};
 use harborsim_des::{SimDuration, SimTime};
 use harborsim_mpi::Placement;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -172,17 +173,66 @@ impl PlanKey {
     /// `Debug` rendering, which covers every field. This is what the
     /// script layer's golden tests compare — two scenarios fingerprint
     /// identically exactly when they compile to observably identical
-    /// plans. It is also the cache's shard selector, so one hot key only
-    /// ever contends on its own shard.
+    /// plans. It is computed only where it is reported (plan responses,
+    /// campaign rows); the cache never renders it and picks shards by a
+    /// cheaper key hash instead.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        use std::fmt::Write as _;
+        let mut fnv = Fnv1a(0xcbf2_9ce4_8422_2325);
+        write!(fnv, "{self:?}").expect("hashing a Debug rendering cannot fail");
+        fnv.0
     }
 }
+
+/// FNV-1a fed the `Debug` rendering piece by piece as it is formatted,
+/// so a fingerprint never allocates the rendering.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for byte in s.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// A [`PlanKey`] with its hash under the cache's [`RandomState`],
+/// computed once per resolve: the shard is picked from it and the shard
+/// map reuses it through [`PassThrough`] rather than hashing the key a
+/// second time.
+#[derive(Clone, PartialEq, Eq)]
+struct HashedKey {
+    hash: u64,
+    key: PlanKey,
+}
+
+impl Hash for HashedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The shard maps' hasher: hands back the hash a [`HashedKey`] carries.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard maps hash only HashedKey, which writes one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type ShardMap = HashMap<HashedKey, (Slot, u64), BuildHasherDefault<PassThrough>>;
 
 /// Point-in-time cache statistics — one shard's (via
 /// [`PlanCache::shard_stats`]) or the aggregate over all shards (via
@@ -247,10 +297,10 @@ struct Flight {
 }
 
 /// One cache shard: its own mutex, map, and traffic counters. A key
-/// belongs to shard `fingerprint % n_shards`, so the per-shard counters
-/// double as a map of where the Zipf-hot keys land.
+/// belongs to the shard its [`HashedKey`] hash selects, so the per-shard
+/// counters double as a map of where the Zipf-hot keys land.
 struct CacheShard {
-    map: Mutex<HashMap<PlanKey, (Slot, u64)>>,
+    map: Mutex<ShardMap>,
     hits: AtomicU64,
     misses: AtomicU64,
     waits: AtomicU64,
@@ -260,7 +310,7 @@ struct CacheShard {
 impl CacheShard {
     fn new() -> CacheShard {
         CacheShard {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(ShardMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             waits: AtomicU64::new(0),
@@ -270,7 +320,7 @@ impl CacheShard {
 
     /// Lock this shard's map, counting acquisitions that had to block
     /// behind another holder.
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PlanKey, (Slot, u64)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, ShardMap> {
         match self.map.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
@@ -300,15 +350,18 @@ const DEFAULT_SHARDS: usize = 8;
 /// Sharded LRU plan cache with single-flight deduplication. Usually used
 /// through [`QueryEngine`]; standalone only in tests and benches.
 ///
-/// Keys are distributed over shards by [`PlanKey::fingerprint`]; each
-/// shard has its own mutex, so resolves of different keys contend only
-/// when their fingerprints collide modulo the shard count. The LRU
-/// *budget* stays global: one capacity, one logical clock, and eviction
-/// scans every shard for the globally coldest ready plan — so capacity
-/// semantics are identical to the old single-mutex cache.
+/// Keys are distributed over shards by a hash of the key, computed once
+/// per resolve and reused by the shard's map; each shard has its own
+/// mutex, so resolves of different keys contend only when their hashes
+/// pick the same shard. The LRU *budget* stays global: one capacity, one
+/// logical clock, and eviction scans every shard for the globally
+/// coldest ready plan — so capacity semantics are identical to the old
+/// single-mutex cache.
 pub struct PlanCache {
     capacity: usize,
     shards: Vec<CacheShard>,
+    /// Keyed per cache, so clients cannot aim keys at one shard or slot.
+    hasher: RandomState,
     /// Global LRU clock: stamps are comparable across shards.
     clock: AtomicU64,
     uncached: AtomicU64,
@@ -329,6 +382,7 @@ impl PlanCache {
         PlanCache {
             capacity,
             shards: (0..n_shards).map(|_| CacheShard::new()).collect(),
+            hasher: RandomState::new(),
             clock: AtomicU64::new(0),
             uncached: AtomicU64::new(0),
         }
@@ -339,8 +393,17 @@ impl PlanCache {
         self.shards.len()
     }
 
-    fn shard_of(&self, fingerprint: u64) -> &CacheShard {
-        &self.shards[(fingerprint % self.shards.len() as u64) as usize]
+    fn hashed(&self, key: PlanKey) -> HashedKey {
+        HashedKey {
+            hash: self.hasher.hash_one(&key),
+            key,
+        }
+    }
+
+    /// The shard a key hash selects. It reads the high half, so the
+    /// choice is independent of the low bits the shard map's slots use.
+    fn shard_index(&self, hash: u64) -> usize {
+        ((hash >> 32) % self.shards.len() as u64) as usize
     }
 
     /// Resolve `key` to a plan, compiling via `compile` on a miss. At most
@@ -352,7 +415,8 @@ impl PlanCache {
         key: PlanKey,
         compile: impl FnOnce() -> Result<ScenarioPlan, HarborError>,
     ) -> (Result<Arc<ScenarioPlan>, HarborError>, Resolution) {
-        let shard = self.shard_of(key.fingerprint());
+        let key = self.hashed(key);
+        let shard = &self.shards[self.shard_index(key.hash)];
         let flight: Arc<Flight>;
         {
             let mut map = shard.lock();
@@ -1078,6 +1142,36 @@ mod tests {
             .execution(Execution::singularity_self_contained())
             .nodes([1u32, 2, 3, 4][i % 4])
             .ranks_per_node(if i < 4 { 14 } else { 7 })
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // a change to the hash input (a key field, its Debug rendering)
+        // moves this value; the script and wire goldens report it
+        let key = PlanKey::of(&scenario(2), None).unwrap();
+        assert_eq!(key.fingerprint(), 0xad63_1317_1d03_757a);
+    }
+
+    #[test]
+    fn equal_keys_share_a_shard_and_distinct_keys_spread() {
+        let cache = PlanCache::new(64);
+        let shard = |s: &Scenario| {
+            let key = cache.hashed(PlanKey::of(s, None).unwrap());
+            cache.shard_index(key.hash)
+        };
+        let mut used = std::collections::BTreeSet::new();
+        for cluster in presets::all() {
+            for (nodes, rpn) in [(1u32, 4u32), (2, 4), (4, 2)] {
+                let mk = || {
+                    Scenario::new(cluster.clone(), workloads::artery_cfd_small())
+                        .nodes(nodes)
+                        .ranks_per_node(rpn)
+                };
+                assert_eq!(shard(&mk()), shard(&mk()), "equal keys, one shard");
+                used.insert(shard(&mk()));
+            }
+        }
+        assert!(used.len() >= 2, "12 distinct keys on shards {used:?}");
     }
 
     #[test]

@@ -48,8 +48,19 @@ where
     U: Send,
     F: Fn(I) -> U + Sync,
 {
+    run_on(worker_count(items.len()), items, f)
+}
+
+/// [`run`] on exactly `workers` threads (at most one per item), whatever
+/// the host's parallelism — the seam tests use to force stealing.
+fn run_on<I, U, F>(workers: usize, items: Vec<I>, f: F) -> Vec<U>
+where
+    I: Send,
+    U: Send,
+    F: Fn(I) -> U + Sync,
+{
     let n = items.len();
-    let workers = worker_count(n);
+    let workers = workers.min(n);
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -76,8 +87,12 @@ where
                     loop {
                         // Own deque first (pop back: LIFO keeps the block
                         // warm), then steal from the front of the others
-                        // (FIFO: take the victim's coldest work).
-                        let idx = deques[w].lock().unwrap().pop_back().or_else(|| {
+                        // (FIFO: take the victim's coldest work). The own
+                        // pop is a statement of its own so its guard drops
+                        // before any steal: holding it while locking a
+                        // victim lets two stealers wait on each other.
+                        let own = deques[w].lock().expect("deque lock poisoned").pop_back();
+                        let idx = own.or_else(|| {
                             (1..workers)
                                 .find_map(|d| deques[(w + d) % workers].lock().unwrap().pop_front())
                         });
@@ -490,5 +505,27 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         pool.submit(move || tx.send(42u8).unwrap());
         assert_eq!(rx.recv().unwrap(), 42);
+    }
+
+    #[test]
+    fn concurrent_steals_never_deadlock() {
+        // Tiny batches on two workers make both drain at once and steal
+        // from each other; a watchdog turns a deadlock into a failure.
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let batches = thread::spawn(move || {
+            let _done = done; // dropped on return or panic: wakes the watchdog
+            for batch in 0..20_000u64 {
+                let out = run_on(2, vec![batch, batch + 1, batch + 2], |x| x * 2);
+                assert_eq!(out, vec![batch * 2, batch * 2 + 2, batch * 2 + 4]);
+            }
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(120));
+        assert!(
+            waited != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "20 000 small batches did not finish in 120 s: steal deadlock"
+        );
+        batches
+            .join()
+            .expect("every batch returns its items doubled");
     }
 }

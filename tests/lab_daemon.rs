@@ -6,7 +6,8 @@
 //! reactor must hold hundreds of keep-alive connections over a small
 //! worker pool, and hostile framing (oversized heads and bodies, garbled
 //! lengths, slow-loris dribble) must be answered with the right status
-//! and a close, never a hang.
+//! and a close, never a hang, while a body padded with a 1 MiB string is
+//! answered promptly.
 
 use harborsim::hw::presets;
 use harborsim::study::lab::daemon::{LabClient, LabDaemon, ServeMode};
@@ -384,6 +385,41 @@ fn slow_loris_times_out_without_wedging_the_reactor() {
 #[test]
 fn slow_loris_times_out_without_wedging_the_threaded_fallback() {
     slow_loris_times_out_without_wedging(ServeMode::Threaded);
+}
+
+/// A `stats` request padded with a 1 MiB unknown string field is
+/// answered well inside the read timeout on both front ends: JSON
+/// strings parse in one linear pass, so a large body cannot hold a
+/// worker for minutes.
+fn padded_body_is_answered_promptly(mode: ServeMode) {
+    let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 2)
+        .expect("bind loopback")
+        .mode(mode);
+    let addr = daemon.local_addr();
+    let handle = daemon.spawn();
+
+    let body = format!(
+        r#"{{"v":1,"kind":"stats","pad":"{}"}}"#,
+        "x".repeat(1 << 20)
+    );
+    let request = format!(
+        "POST /v1/lab HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let reply = raw_roundtrip(addr, request.as_bytes());
+    assert!(reply.starts_with("HTTP/1.1 200"), "{mode:?}: {reply:?}");
+    assert!(reply.contains(r#""kind":"stats""#), "{mode:?}: {reply:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn padded_body_is_answered_promptly_on_the_reactor() {
+    padded_body_is_answered_promptly(ServeMode::Reactor);
+}
+
+#[test]
+fn padded_body_is_answered_promptly_on_the_threaded_fallback() {
+    padded_body_is_answered_promptly(ServeMode::Threaded);
 }
 
 /// Pipelined requests on one connection come back in request order,
