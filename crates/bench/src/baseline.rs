@@ -7,13 +7,19 @@
 //! load generator — and writes them to
 //! `target/study/BENCH_baseline.json`. A copy committed at the repository
 //! root (`BENCH_baseline.json`) records the trajectory PR-over-PR; the CI
-//! smoke job re-measures and fails if DES events/sec regresses more than
-//! 20% against the committed numbers.
+//! smoke job re-measures and fails if a gated metric regresses against
+//! the committed numbers.
+//!
+//! Every metric is one row of [`METRICS`]: its JSON key, how it prints,
+//! and the [`Gate`] that compares it. Serialization, parsing, the report
+//! and the regression check are each one loop over that table, so a new
+//! metric costs one row plus its measurement. A key the committed file
+//! lacks skips its row's comparison with a warning naming the key.
 //!
 //! Raw throughput is machine-dependent, so every run also measures a tiny
-//! integer-spin calibration loop; comparisons divide each rate by the spin
-//! rate of its own run, cancelling the machine out (the same normalization
-//! the paper's cross-machine tables rely on).
+//! integer-spin calibration loop; rate comparisons divide each rate by the
+//! spin rate of its own run, cancelling the machine out (the same
+//! normalization the paper's cross-machine tables rely on).
 
 use harborsim_alya::mesh::{TubeMesh, NB_XM, NB_XP, NB_YM, NB_YP};
 use harborsim_alya::{CfdConfig, CfdSolver};
@@ -34,64 +40,108 @@ const CHURN_ROUNDS: usize = 64;
 const CHURN_BATCH: usize = 512;
 /// Timing repetitions; the best (least-interfered) sample is kept.
 const TIMING_REPS: usize = 5;
-/// Allowed normalized events/sec regression before the gate fails.
+/// Allowed drop of a gated rate or ratio before the gate fails.
 const REGRESSION_TOLERANCE: f64 = 0.20;
+/// Growth of a tail metric that earns a warning.
+const TAIL_WARN_FACTOR: f64 = 3.0;
+/// The calibration row every rate is normalized by.
+const SPIN_MOPS: &str = "spin_mops";
+/// The context row a same-host ratio is compared under.
+const HOST_THREADS: &str = "host_threads";
 
-/// One measured baseline: absolute rates plus the calibration spin rate
-/// that makes them comparable across machines.
+/// How a metric is compared against the committed baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// A throughput: normalized by each run's `spin_mops`, fails past a
+    /// 20% drop.
+    Rate,
+    /// A ratio that depends on the host's parallelism: compared raw,
+    /// only when both runs saw the same `host_threads`; fails past a
+    /// 20% drop.
+    SameHostRatio,
+    /// A capability floor: no normalization, any drop fails.
+    Floor,
+    /// A tail latency: warns when it grows past 3×, never fails (the
+    /// p99 of a loopback socket on a shared runner is scheduler noise as
+    /// much as code).
+    TailWarn,
+    /// Recorded for context, never compared.
+    Context,
+}
+
+/// One row of the baseline table.
+#[derive(Debug, Clone, Copy)]
+pub struct Metric {
+    /// JSON key in `BENCH_baseline.json`.
+    pub name: &'static str,
+    /// What the human-readable report calls it.
+    pub label: &'static str,
+    /// Unit printed after the value in the report.
+    pub unit: &'static str,
+    /// Decimal places in both the JSON and the report.
+    pub decimals: usize,
+    /// How the regression check compares it.
+    pub gate: Gate,
+}
+
+const fn row(
+    name: &'static str,
+    label: &'static str,
+    unit: &'static str,
+    decimals: usize,
+    gate: Gate,
+) -> Metric {
+    Metric {
+        name,
+        label,
+        unit,
+        decimals,
+        gate,
+    }
+}
+
+/// Every tracked metric, in `BENCH_baseline.json` order.
+#[rustfmt::skip]
+pub const METRICS: &[Metric] = &[
+    // wrapping-multiply spin loop: the machine's pace
+    row(SPIN_MOPS, "calibration spin", "Mops/s", 1, Gate::Context),
+    // arena + 4-ary-heap engine on the churn workload
+    row("des_churn_new_eps", "DES churn (arena)", "events/s", 0, Gate::Rate),
+    // CFD step at 13x13x24 (radius 5) and 21x21x48 (radius 8)
+    row("cfd_small_cups", "CFD step 13x13x24", "cell-updates/s", 0, Gate::Context),
+    row("cfd_large_cups", "CFD step 21x21x48", "cell-updates/s", 0, Gate::Context),
+    // cross-section-list momentum sweep vs the full-plane scan it replaced
+    row("cfd_momentum_speedup", "CFD momentum sweep speedup", "x", 2, Gate::Context),
+    // `ScenarioPlan::execute` on a cached plan
+    row("execute_many_rps", "cached-plan execute", "runs/s", 1, Gate::Context),
+    // the 256-node fat-tree campaign, serial and on 4 shards (bit-identical)
+    row("par_des_serial_eps", "DES 256n campaign (1 shard)", "events/s", 0, Gate::Context),
+    row("par_des_eps", "DES 256n campaign (4 shards)", "events/s", 0, Gate::Context),
+    // par_des_eps / par_des_serial_eps: at or below 1.0 on one hardware
+    // thread, the speedup materializes with the host's parallelism
+    row("par_des_speedup", "sharded-DES speedup", "x", 2, Gate::SameHostRatio),
+    row(HOST_THREADS, "host threads", "hardware threads", 0, Gate::Context),
+    // open-system engine (arrivals + EASY backfill + staging flows)
+    row("open_system_eps", "open-system storm", "events/s", 0, Gate::Context),
+    // lab daemon, closed loop, 4 clients x 4 pipelined requests
+    row("daemon_mux_qps", "lab daemon (depth 4)", "queries/s", 1, Gate::Rate),
+    row("daemon_mux_p99_ms", "lab daemon p99 (depth 4)", "ms", 2, Gate::TailWarn),
+    // keep-alive sockets the reactor held at once over 4 workers
+    row("daemon_open_conns", "reactor open conns", "connections", 0, Gate::Floor),
+];
+
+fn index(name: &str) -> Option<usize> {
+    METRICS.iter().position(|m| m.name == name)
+}
+
+/// One baseline: a value per [`METRICS`] row, absolute rates plus the
+/// calibration spin rate that makes them comparable across machines.
+/// A measured baseline fills every row; one parsed from a committed
+/// file may lack rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchBaseline {
-    /// Calibration: wrapping-multiply spin loop, million ops/sec.
-    pub spin_mops: f64,
-    /// Arena + 4-ary-heap engine on the churn workload, events/sec.
-    pub des_churn_new_eps: f64,
-    /// CFD step at 13×13×24 (radius 5), cell-updates/sec.
-    pub cfd_small_cups: f64,
-    /// CFD step at 21×21×48 (radius 8), cell-updates/sec.
-    pub cfd_large_cups: f64,
-    /// Cross-section-list momentum sweep vs the branch-tested full-plane
-    /// scan it replaced, on identical data.
-    pub cfd_momentum_speedup: f64,
-    /// `ScenarioPlan::execute` on a cached plan, runs/sec.
-    pub execute_many_rps: f64,
-    /// Serial DES on the 256-node fat-tree campaign, events/sec.
-    pub par_des_serial_eps: f64,
-    /// Sharded DES (4 shards) on the same campaign, events/sec. The
-    /// shard count is an execution knob, not a model knob — the sharded
-    /// run is bit-identical to serial.
-    pub par_des_eps: f64,
-    /// `par_des_eps / par_des_serial_eps`. Only meaningful next to
-    /// [`BenchBaseline::host_threads`]: on a single-hardware-thread host
-    /// the shards time-slice one core and the ratio sits at or below
-    /// 1.0; the speedup materializes with the hardware parallelism.
-    pub par_des_speedup: f64,
-    /// Hardware threads available to the measuring process — the honest
-    /// context for `par_des_speedup`.
-    pub host_threads: f64,
-    /// Open-system campaign engine (arrivals + EASY backfill + staging
-    /// flows) on the canned storm workload, events/sec.
-    pub open_system_eps: f64,
-    /// Lab daemon (threaded front end) under the closed-loop load
-    /// generator (4 clients, Zipf query mix over the scenario menu,
-    /// seeds cycling mod 3), answered queries/sec over the loopback
-    /// socket.
-    pub daemon_qps: f64,
-    /// 99th-percentile request latency of the same run, milliseconds.
-    /// Tracked as a warning (tail latency on a shared CI runner is too
-    /// noisy to gate hard).
-    pub daemon_p99_ms: f64,
-    /// Lab daemon (epoll reactor front end) under the same closed-loop
-    /// generator with 4 pipelined requests in flight per connection,
-    /// answered queries/sec.
-    pub daemon_mux_qps: f64,
-    /// 99th-percentile request latency of the mux run, milliseconds
-    /// (tracked, not gated, like `daemon_p99_ms`).
-    pub daemon_mux_p99_ms: f64,
-    /// Simultaneous keep-alive connections the reactor held over a
-    /// 4-worker pool, every one of them answering queries — the
-    /// concurrency headroom the reactor exists for (thread-per-
-    /// connection caps at the pool size). Gated as a floor, not a rate.
-    pub daemon_open_conns: f64,
+    /// Indexed like [`METRICS`]; `None` where the source had no value.
+    values: Vec<Option<f64>>,
 }
 
 /// Best-of-N wall-clock timing of `work`, returning `units / seconds`.
@@ -352,27 +402,24 @@ fn open_system_eps() -> f64 {
 }
 
 /// Daemon throughput and tail latency under the built-in load
-/// generator, one serving model at a time: bind a warm-started daemon
-/// on a loopback port, drive it closed-loop (no think time — the
-/// regression gate wants the throughput ceiling, not an arrival-rate
-/// echo), and read qps + p99 off the report. The threaded run keeps
-/// `in_flight: 1` (the pre-reactor workload, so `daemon_qps` stays
-/// comparable PR-over-PR); the reactor run pipelines 4 per connection —
-/// the concurrency the mux front end exists for. `--serve-bench` runs
-/// the same generator with Poisson pacing for the arrival-process view.
-fn daemon_rates(mode: harborsim_core::lab::daemon::ServeMode, in_flight: usize) -> (f64, f64) {
+/// generator: bind a warm-started daemon on a loopback port, drive it
+/// closed-loop (no think time — the regression gate wants the throughput
+/// ceiling, not an arrival-rate echo) with 4 pipelined requests in
+/// flight per connection, and read qps + p99 off the report.
+/// `--serve-bench` runs the same generator with Poisson pacing for the
+/// arrival-process view.
+fn daemon_mux_rates() -> (f64, f64) {
     use harborsim_core::lab::daemon::LabDaemon;
     use harborsim_core::lab::QueryEngine;
     use std::sync::Arc;
     let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 4)
-        .expect("bind the baseline daemon on loopback")
-        .mode(mode);
+        .expect("bind the baseline daemon on loopback");
     let handle = daemon.spawn();
     let report = crate::loadgen::run_with(
         handle.addr(),
         4,
         96,
-        crate::loadgen::Drive::Closed { in_flight },
+        crate::loadgen::Drive::Closed { in_flight: 4 },
     );
     handle.shutdown();
     assert_eq!(report.errors, 0, "baseline loadgen run errored: {report:?}");
@@ -384,13 +431,12 @@ fn daemon_rates(mode: harborsim_core::lab::daemon::ServeMode, in_flight: usize) 
 /// *again* (proving none were dropped to make room), and read the
 /// daemon's own `open_conns` counter with all of them still connected.
 fn daemon_open_conns() -> f64 {
-    use harborsim_core::lab::daemon::{LabClient, LabDaemon, ServeMode};
+    use harborsim_core::lab::daemon::{LabClient, LabDaemon};
     use harborsim_core::lab::{LabRequest, QueryEngine};
     use std::sync::Arc;
     const CONNS: usize = 256;
     let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 4)
-        .expect("bind the baseline daemon on loopback")
-        .mode(ServeMode::Reactor);
+        .expect("bind the baseline daemon on loopback");
     let handle = daemon.spawn();
     let mut clients: Vec<LabClient> = (0..CONNS)
         .map(|i| LabClient::connect(handle.addr()).unwrap_or_else(|e| panic!("connect {i}: {e}")))
@@ -440,232 +486,183 @@ fn execute_many_rps() -> f64 {
 /// Measure the full baseline. Takes a few seconds; intended for
 /// `reproduce_all --bench-baseline` and the CI smoke job.
 pub fn measure() -> BenchBaseline {
-    use harborsim_core::lab::daemon::ServeMode;
     let spin = spin_mops();
-    let (daemon_qps, daemon_p99_ms) = daemon_rates(ServeMode::Threaded, 1);
-    let (daemon_mux_qps, daemon_mux_p99_ms) = daemon_rates(ServeMode::Reactor, 4);
+    let (daemon_mux_qps, daemon_mux_p99_ms) = daemon_mux_rates();
     let daemon_open_conns = daemon_open_conns();
     let churn_events = (CHURN_ROUNDS * CHURN_BATCH) as f64;
     let churn_eps = rate_of(churn_events, || churn_arena(CHURN_ROUNDS, CHURN_BATCH));
     let serial_eps = par_des_eps(1);
     let sharded_eps = par_des_eps(4);
-    BenchBaseline {
-        spin_mops: spin,
-        des_churn_new_eps: churn_eps,
-        cfd_small_cups: cfd_rate(13, 13, 24, 5.0, 20),
-        cfd_large_cups: cfd_rate(21, 21, 48, 8.0, 5),
-        cfd_momentum_speedup: momentum_speedup(),
-        execute_many_rps: execute_many_rps(),
-        par_des_serial_eps: serial_eps,
-        par_des_eps: sharded_eps,
-        par_des_speedup: sharded_eps / serial_eps,
-        host_threads: std::thread::available_parallelism()
-            .map(|n| n.get() as f64)
-            .unwrap_or(1.0),
-        open_system_eps: open_system_eps(),
-        daemon_qps,
-        daemon_p99_ms,
-        daemon_mux_qps,
-        daemon_mux_p99_ms,
-        daemon_open_conns,
-    }
+    BenchBaseline::measured([
+        (SPIN_MOPS, spin),
+        ("des_churn_new_eps", churn_eps),
+        ("cfd_small_cups", cfd_rate(13, 13, 24, 5.0, 20)),
+        ("cfd_large_cups", cfd_rate(21, 21, 48, 8.0, 5)),
+        ("cfd_momentum_speedup", momentum_speedup()),
+        ("execute_many_rps", execute_many_rps()),
+        ("par_des_serial_eps", serial_eps),
+        ("par_des_eps", sharded_eps),
+        ("par_des_speedup", sharded_eps / serial_eps),
+        (
+            HOST_THREADS,
+            std::thread::available_parallelism().map_or(1.0, |n| n.get() as f64),
+        ),
+        ("open_system_eps", open_system_eps()),
+        ("daemon_mux_qps", daemon_mux_qps),
+        ("daemon_mux_p99_ms", daemon_mux_p99_ms),
+        ("daemon_open_conns", daemon_open_conns),
+    ])
 }
 
 impl BenchBaseline {
-    /// Serialize to the committed JSON shape.
+    /// A complete baseline from `(name, value)` pairs.
+    ///
+    /// # Panics
+    /// On a name that is not a [`METRICS`] row, or a row left without a
+    /// value.
+    fn measured<const N: usize>(pairs: [(&str, f64); N]) -> BenchBaseline {
+        let mut values = vec![None; METRICS.len()];
+        for (name, value) in pairs {
+            let i = index(name).unwrap_or_else(|| panic!("{name} is not a baseline metric"));
+            values[i] = Some(value);
+        }
+        if let Some(i) = values.iter().position(Option::is_none) {
+            panic!("no value measured for {}", METRICS[i].name);
+        }
+        BenchBaseline { values }
+    }
+
+    /// The value of metric `name`, if this baseline has one.
+    pub fn get(&self, name: &str) -> Option<f64> {
+        self.values[index(name)?]
+    }
+
+    /// Rows that have a value, with their table entry.
+    fn present(&self) -> impl Iterator<Item = (&'static Metric, f64)> + '_ {
+        METRICS
+            .iter()
+            .zip(&self.values)
+            .filter_map(|(m, v)| Some((m, (*v)?)))
+    }
+
+    /// Serialize to the committed JSON shape: one `"name": value` line
+    /// per present row, in table order, at the row's decimals.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": 5,\n  \"spin_mops\": {:.1},\n  \"des_churn_new_eps\": {:.0},\n  \"cfd_small_cups\": {:.0},\n  \"cfd_large_cups\": {:.0},\n  \"cfd_momentum_speedup\": {:.2},\n  \"execute_many_rps\": {:.1},\n  \"par_des_serial_eps\": {:.0},\n  \"par_des_eps\": {:.0},\n  \"par_des_speedup\": {:.2},\n  \"host_threads\": {:.0},\n  \"open_system_eps\": {:.0},\n  \"daemon_qps\": {:.1},\n  \"daemon_p99_ms\": {:.2},\n  \"daemon_mux_qps\": {:.1},\n  \"daemon_mux_p99_ms\": {:.2},\n  \"daemon_open_conns\": {:.0}\n}}\n",
-            self.spin_mops,
-            self.des_churn_new_eps,
-            self.cfd_small_cups,
-            self.cfd_large_cups,
-            self.cfd_momentum_speedup,
-            self.execute_many_rps,
-            self.par_des_serial_eps,
-            self.par_des_eps,
-            self.par_des_speedup,
-            self.host_threads,
-            self.open_system_eps,
-            self.daemon_qps,
-            self.daemon_p99_ms,
-            self.daemon_mux_qps,
-            self.daemon_mux_p99_ms,
-            self.daemon_open_conns,
-        )
+        let lines: Vec<String> = self
+            .present()
+            .map(|(m, v)| format!("  \"{}\": {v:.*}", m.name, m.decimals))
+            .collect();
+        format!("{{\n{}\n}}\n", lines.join(",\n"))
     }
 
-    /// Parse the committed JSON shape (tolerant of field order).
+    /// Parse a committed baseline. Keys the table does not know are
+    /// ignored and rows the file lacks stay empty; only `spin_mops` is
+    /// required, since every rate is normalized by it.
     pub fn from_json(text: &str) -> Option<BenchBaseline> {
-        let field = |key: &str| -> Option<f64> {
-            let pat = format!("\"{key}\"");
-            let at = text.find(&pat)? + pat.len();
-            let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
+        let json = harborsim_core::json::Json::parse(text).ok()?;
+        let parsed = BenchBaseline {
+            values: METRICS
+                .iter()
+                .map(|m| json.get(m.name).and_then(|v| v.as_f64()))
+                .collect(),
         };
-        Some(BenchBaseline {
-            spin_mops: field("spin_mops")?,
-            des_churn_new_eps: field("des_churn_new_eps")?,
-            cfd_small_cups: field("cfd_small_cups")?,
-            cfd_large_cups: field("cfd_large_cups")?,
-            cfd_momentum_speedup: field("cfd_momentum_speedup")?,
-            execute_many_rps: field("execute_many_rps")?,
-            par_des_serial_eps: field("par_des_serial_eps")?,
-            par_des_eps: field("par_des_eps")?,
-            par_des_speedup: field("par_des_speedup")?,
-            host_threads: field("host_threads")?,
-            // schema 2 baselines predate the open engine, schema 3 the
-            // daemon, schema 4 the reactor; parse them with the metrics
-            // absent rather than discarding the whole file
-            open_system_eps: field("open_system_eps").unwrap_or(0.0),
-            daemon_qps: field("daemon_qps").unwrap_or(0.0),
-            daemon_p99_ms: field("daemon_p99_ms").unwrap_or(0.0),
-            daemon_mux_qps: field("daemon_mux_qps").unwrap_or(0.0),
-            daemon_mux_p99_ms: field("daemon_mux_p99_ms").unwrap_or(0.0),
-            daemon_open_conns: field("daemon_open_conns").unwrap_or(0.0),
-        })
+        parsed.get(SPIN_MOPS)?;
+        Some(parsed)
     }
 
-    /// A human-readable report.
+    /// A human-readable report, one line per present row.
     pub fn to_ascii(&self) -> String {
-        format!(
-            "  calibration spin        {:>12.1} Mops/s\n\
-             \x20 DES churn (arena)       {:>12.3e} events/s\n\
-             \x20 CFD step 13x13x24       {:>12.3e} cell-updates/s\n\
-             \x20 CFD step 21x21x48       {:>12.3e} cell-updates/s  (momentum sweep {:.2}x)\n\
-             \x20 cached-plan execute     {:>12.1} runs/s\n\
-             \x20 DES 256n campaign (1)   {:>12.3e} events/s\n\
-             \x20 DES 256n campaign (4)   {:>12.3e} events/s  ({:.2}x on {:.0} host thread(s))\n\
-             \x20 open-system storm       {:>12.3e} events/s\n\
-             \x20 lab daemon (threaded)   {:>12.1} queries/s  (p99 {:.2} ms)\n\
-             \x20 lab daemon (reactor)    {:>12.1} queries/s  (p99 {:.2} ms, pipeline depth 4)\n\
-             \x20 reactor open conns      {:>12.0} keep-alive sockets over 4 workers",
-            self.spin_mops,
-            self.des_churn_new_eps,
-            self.cfd_small_cups,
-            self.cfd_large_cups,
-            self.cfd_momentum_speedup,
-            self.execute_many_rps,
-            self.par_des_serial_eps,
-            self.par_des_eps,
-            self.par_des_speedup,
-            self.host_threads,
-            self.open_system_eps,
-            self.daemon_qps,
-            self.daemon_p99_ms,
-            self.daemon_mux_qps,
-            self.daemon_mux_p99_ms,
-            self.daemon_open_conns,
-        )
+        let lines: Vec<String> = self
+            .present()
+            .map(|(m, v)| format!("  {:<28} {v:>14.*} {}", m.label, m.decimals, m.unit))
+            .collect();
+        lines.join("\n")
     }
 
-    /// Compare against a committed baseline, normalizing both sides by
-    /// their own calibration spin rate. Returns `(violations, warnings)`:
-    /// empty violations = pass, warnings are comparisons that were
-    /// skipped rather than failed. Gates: the DES churn events/sec rate,
-    /// and — only when both runs saw the same hardware thread count —
-    /// the sharded-DES speedup ratio, which is a property of the host's
-    /// parallelism as much as of the code and would false-alarm across
-    /// machines. The other rates are tracked but informational.
+    /// Compare against a committed baseline, row by row under each
+    /// row's [`Gate`]. Returns `(violations, warnings)`: empty
+    /// violations = pass; warnings are tail moves and comparisons that
+    /// were skipped rather than failed, each naming its metric.
     pub fn check_regression(&self, committed: &BenchBaseline) -> (Vec<String>, Vec<String>) {
         let mut violations = Vec::new();
         let mut warnings = Vec::new();
-        let norm_now = self.des_churn_new_eps / self.spin_mops;
-        let norm_then = committed.des_churn_new_eps / committed.spin_mops;
-        let ratio = norm_now / norm_then;
-        if ratio < 1.0 - REGRESSION_TOLERANCE {
-            violations.push(format!(
-                "DES events/sec regressed {:.0}% vs the committed baseline \
-                 (normalized {norm_now:.0} vs {norm_then:.0} events per Mspin)",
-                (1.0 - ratio) * 100.0
-            ));
-        }
-        if committed.daemon_qps == 0.0 {
-            warnings.push(
-                "skipping the daemon_qps comparison: the committed baseline predates \
-                 the lab daemon (schema < 4)"
-                    .to_string(),
-            );
-        } else {
-            let norm_now = self.daemon_qps / self.spin_mops;
-            let norm_then = committed.daemon_qps / committed.spin_mops;
-            let ratio = norm_now / norm_then;
-            if ratio < 1.0 - REGRESSION_TOLERANCE {
-                violations.push(format!(
-                    "daemon queries/sec regressed {:.0}% vs the committed baseline \
-                     (normalized {norm_now:.2} vs {norm_then:.2} queries per Mspin)",
-                    (1.0 - ratio) * 100.0
-                ));
+        for (i, m) in METRICS.iter().enumerate() {
+            if m.gate == Gate::Context {
+                continue;
             }
-            // tail latency is informational: CI runners share cores and
-            // the p99 of a loopback socket is scheduler noise as much as
-            // code — surface big shifts, never fail on them
-            if committed.daemon_p99_ms > 0.0 && self.daemon_p99_ms > 3.0 * committed.daemon_p99_ms {
+            let name = m.name;
+            let (Some(now), Some(then)) = (self.values[i], committed.values[i]) else {
                 warnings.push(format!(
-                    "daemon p99 latency moved {:.2} ms -> {:.2} ms (tracked, not gated)",
-                    committed.daemon_p99_ms, self.daemon_p99_ms
+                    "skipping {name}: the committed baseline has no \"{name}\" key"
                 ));
-            }
-        }
-        if committed.daemon_mux_qps == 0.0 {
-            warnings.push(
-                "skipping the daemon_mux_qps comparison: the committed baseline predates \
-                 the reactor front end (schema < 5)"
-                    .to_string(),
-            );
-        } else {
-            let norm_now = self.daemon_mux_qps / self.spin_mops;
-            let norm_then = committed.daemon_mux_qps / committed.spin_mops;
-            let ratio = norm_now / norm_then;
-            if ratio < 1.0 - REGRESSION_TOLERANCE {
-                violations.push(format!(
-                    "reactor daemon queries/sec regressed {:.0}% vs the committed baseline \
-                     (normalized {norm_now:.2} vs {norm_then:.2} queries per Mspin)",
-                    (1.0 - ratio) * 100.0
-                ));
-            }
-            if committed.daemon_mux_p99_ms > 0.0
-                && self.daemon_mux_p99_ms > 3.0 * committed.daemon_mux_p99_ms
-            {
-                warnings.push(format!(
-                    "reactor daemon p99 latency moved {:.2} ms -> {:.2} ms (tracked, not gated)",
-                    committed.daemon_mux_p99_ms, self.daemon_mux_p99_ms
-                ));
-            }
-        }
-        // The connection count is a capability floor, not a rate: no
-        // spin normalization, any shrink is a regression.
-        if committed.daemon_open_conns > 0.0 && self.daemon_open_conns < committed.daemon_open_conns
-        {
-            violations.push(format!(
-                "reactor held {:.0} simultaneous connections, the committed baseline held {:.0}",
-                self.daemon_open_conns, committed.daemon_open_conns
-            ));
-        }
-        if self.host_threads != committed.host_threads {
-            warnings.push(format!(
-                "skipping the par_des_speedup comparison: this host has {:.0} \
-                 hardware thread(s), the committed baseline was measured on {:.0}",
-                self.host_threads, committed.host_threads
-            ));
-        } else {
-            let ratio = self.par_des_speedup / committed.par_des_speedup;
-            if ratio < 1.0 - REGRESSION_TOLERANCE {
-                violations.push(format!(
-                    "sharded-DES speedup regressed {:.0}% vs the committed baseline \
-                     ({:.2}x vs {:.2}x on {:.0} host thread(s))",
-                    (1.0 - ratio) * 100.0,
-                    self.par_des_speedup,
-                    committed.par_des_speedup,
-                    self.host_threads
-                ));
+                continue;
+            };
+            let drop_pct = |ratio: f64| (1.0 - ratio) * 100.0;
+            match m.gate {
+                Gate::Rate => {
+                    let spin = |b: &BenchBaseline| {
+                        b.get(SPIN_MOPS)
+                            .expect("a baseline always has its calibration spin")
+                    };
+                    let (norm_now, norm_then) = (now / spin(self), then / spin(committed));
+                    let ratio = norm_now / norm_then;
+                    if ratio < 1.0 - REGRESSION_TOLERANCE {
+                        violations.push(format!(
+                            "{name} regressed {:.0}% vs the committed baseline \
+                             (normalized {norm_now:.2} vs {norm_then:.2} {} per Mspin)",
+                            drop_pct(ratio),
+                            m.unit
+                        ));
+                    }
+                }
+                Gate::SameHostRatio => {
+                    let (host_now, host_then) =
+                        (self.get(HOST_THREADS), committed.get(HOST_THREADS));
+                    if host_now.is_none() || host_now != host_then {
+                        warnings.push(format!(
+                            "skipping {name}: {HOST_THREADS} is {} here and {} in the \
+                             committed baseline",
+                            show(host_now),
+                            show(host_then)
+                        ));
+                        continue;
+                    }
+                    let ratio = now / then;
+                    if ratio < 1.0 - REGRESSION_TOLERANCE {
+                        violations.push(format!(
+                            "{name} regressed {:.0}% vs the committed baseline \
+                             ({now:.2} vs {then:.2} on {} host thread(s))",
+                            drop_pct(ratio),
+                            show(host_now)
+                        ));
+                    }
+                }
+                Gate::Floor => {
+                    if now < then {
+                        violations.push(format!(
+                            "{name} fell to {now:.0} {}, below the committed floor of {then:.0}",
+                            m.unit
+                        ));
+                    }
+                }
+                Gate::TailWarn => {
+                    if now > TAIL_WARN_FACTOR * then {
+                        warnings.push(format!(
+                            "{name} moved {then:.2} -> {now:.2} {} (tracked, not gated)",
+                            m.unit
+                        ));
+                    }
+                }
+                Gate::Context => unreachable!("context rows are skipped above"),
             }
         }
         (violations, warnings)
     }
+}
+
+/// A possibly missing value, for warnings.
+fn show(v: Option<f64>) -> String {
+    v.map_or_else(|| "missing".to_string(), |v| format!("{v:.0}"))
 }
 
 #[cfg(test)]
@@ -680,220 +677,198 @@ mod tests {
         assert_eq!(fired, 4 * (30 - cancelled_per_round));
     }
 
+    /// The committed file at the repository root.
+    const COMMITTED: &str = include_str!("../../../BENCH_baseline.json");
+
+    /// A complete baseline with round numbers; `edits` overrides rows.
+    fn sample(edits: &[(&str, f64)]) -> BenchBaseline {
+        let mut b = BenchBaseline::measured([
+            (SPIN_MOPS, 1000.0),
+            ("des_churn_new_eps", 1.0e7),
+            ("cfd_small_cups", 1.0),
+            ("cfd_large_cups", 1.0),
+            ("cfd_momentum_speedup", 1.0),
+            ("execute_many_rps", 1.0),
+            ("par_des_serial_eps", 1.0e6),
+            ("par_des_eps", 2.0e6),
+            ("par_des_speedup", 2.0),
+            (HOST_THREADS, 4.0),
+            ("open_system_eps", 1.0e5),
+            ("daemon_mux_qps", 800.0),
+            ("daemon_mux_p99_ms", 8.0),
+            ("daemon_open_conns", 256.0),
+        ]);
+        for &(name, value) in edits {
+            b.values[index(name).expect("known metric")] = Some(value);
+        }
+        b
+    }
+
+    /// `b` with row `name` removed, as a committed file lacking the key.
+    fn without(mut b: BenchBaseline, name: &str) -> BenchBaseline {
+        b.values[index(name).expect("known metric")] = None;
+        b
+    }
+
     #[test]
     fn json_round_trips() {
-        let b = BenchBaseline {
-            spin_mops: 1234.5,
-            des_churn_new_eps: 2.0e7,
-            cfd_small_cups: 3.0e7,
-            cfd_large_cups: 2.5e7,
-            cfd_momentum_speedup: 1.4,
-            execute_many_rps: 800.0,
-            par_des_serial_eps: 1.0e6,
-            par_des_eps: 3.0e6,
-            par_des_speedup: 3.0,
-            host_threads: 8.0,
-            open_system_eps: 5.0e5,
-            daemon_qps: 250.0,
-            daemon_p99_ms: 12.5,
-            daemon_mux_qps: 410.0,
-            daemon_mux_p99_ms: 9.5,
-            daemon_open_conns: 256.0,
-        };
+        let b = sample(&[
+            (SPIN_MOPS, 1234.5),
+            ("cfd_momentum_speedup", 1.4),
+            ("par_des_speedup", 3.0),
+            ("daemon_mux_p99_ms", 9.5),
+        ]);
         let parsed = BenchBaseline::from_json(&b.to_json()).expect("parses");
         assert_eq!(parsed, b);
+        // only spin_mops is required
         assert!(BenchBaseline::from_json("{}").is_none());
-        // a schema-2 file (no open_system_eps) still parses, metric zeroed
-        let legacy = b
+        assert!(BenchBaseline::from_json("not json").is_none());
+        // a file lacking rows parses with exactly those rows empty
+        let partial = b
             .to_json()
-            .replace("  \"open_system_eps\": 500000,\n", "")
-            .replace("  \"daemon_qps\": 250.0,\n", "")
-            .replace("  \"daemon_p99_ms\": 12.50,\n", "")
-            .replace("  \"daemon_mux_qps\": 410.0,\n", "")
-            .replace("  \"daemon_mux_p99_ms\": 9.50,\n", "")
-            .replace("  \"daemon_open_conns\": 256\n", "");
-        let parsed = BenchBaseline::from_json(&legacy).expect("schema 2 parses");
-        assert_eq!(parsed.open_system_eps, 0.0);
-        assert_eq!(parsed.daemon_qps, 0.0);
-        assert_eq!(parsed.daemon_mux_qps, 0.0);
-        assert_eq!(parsed.daemon_open_conns, 0.0);
-        assert_eq!(parsed.par_des_speedup, 3.0);
+            .replace("  \"open_system_eps\": 100000,\n", "")
+            .replace("  \"daemon_mux_qps\": 800.0,\n", "");
+        let parsed = BenchBaseline::from_json(&partial).expect("partial file parses");
+        assert_eq!(parsed.get("open_system_eps"), None);
+        assert_eq!(parsed.get("daemon_mux_qps"), None);
+        assert_eq!(parsed.get("par_des_speedup"), Some(3.0));
+        assert_eq!(parsed.to_json(), partial);
+    }
+
+    #[test]
+    fn committed_baseline_round_trips_byte_for_byte() {
+        let parsed = BenchBaseline::from_json(COMMITTED).expect("the committed file parses");
+        assert_eq!(parsed.to_json(), COMMITTED);
+    }
+
+    #[test]
+    fn table_keys_are_the_committed_keys() {
+        let Ok(harborsim_core::json::Json::Obj(fields)) =
+            harborsim_core::json::Json::parse(COMMITTED)
+        else {
+            panic!("the committed baseline is a JSON object");
+        };
+        let committed: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let table: Vec<&str> = METRICS.iter().map(|m| m.name).collect();
+        assert_eq!(table, committed);
+    }
+
+    #[test]
+    fn a_missing_rate_key_skips_with_one_warning_naming_it() {
+        let committed = BenchBaseline::from_json(COMMITTED).expect("parses");
+        let lacking = BenchBaseline::from_json(
+            &COMMITTED.replace("  \"des_churn_new_eps\": 20793316,\n", ""),
+        )
+        .expect("parses without the row");
+        let (violations, warnings) = committed.check_regression(&lacking);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("des_churn_new_eps"), "{warnings:?}");
     }
 
     #[test]
     fn regression_gate_normalizes_by_spin_rate() {
-        let base = BenchBaseline {
-            spin_mops: 1000.0,
-            des_churn_new_eps: 1.0e7,
-            cfd_small_cups: 1.0,
-            cfd_large_cups: 1.0,
-            cfd_momentum_speedup: 1.0,
-            execute_many_rps: 1.0,
-            par_des_serial_eps: 1.0e6,
-            par_des_eps: 2.0e6,
-            par_des_speedup: 2.0,
-            host_threads: 4.0,
-            open_system_eps: 1.0e5,
-            daemon_qps: 300.0,
-            daemon_p99_ms: 10.0,
-            daemon_mux_qps: 600.0,
-            daemon_mux_p99_ms: 8.0,
-            daemon_open_conns: 256.0,
-        };
+        let base = sample(&[]);
         // a machine half as fast across the board is NOT a regression
-        let mut slower_machine = base.clone();
-        slower_machine.spin_mops = 500.0;
-        slower_machine.des_churn_new_eps = 5.0e6;
+        let slower_machine = sample(&[
+            (SPIN_MOPS, 500.0),
+            ("des_churn_new_eps", 5.0e6),
+            ("daemon_mux_qps", 400.0),
+        ]);
         let (violations, warnings) = slower_machine.check_regression(&base);
         assert!(violations.is_empty() && warnings.is_empty());
         // same machine, 30% fewer events/sec IS one
-        let mut regressed = base.clone();
-        regressed.des_churn_new_eps = 0.7e7;
-        assert_eq!(regressed.check_regression(&base).0.len(), 1);
+        let regressed = sample(&[("des_churn_new_eps", 0.7e7)]);
+        let (violations, _) = regressed.check_regression(&base);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("des_churn_new_eps"));
         // 10% is inside the tolerance
-        let mut noise = base.clone();
-        noise.des_churn_new_eps = 0.9e7;
+        let noise = sample(&[("des_churn_new_eps", 0.9e7)]);
         assert!(noise.check_regression(&base).0.is_empty());
     }
 
     #[test]
     fn speedup_gate_skips_across_host_thread_counts() {
-        let mut base = BenchBaseline {
-            spin_mops: 1000.0,
-            des_churn_new_eps: 1.0e7,
-            cfd_small_cups: 1.0,
-            cfd_large_cups: 1.0,
-            cfd_momentum_speedup: 1.0,
-            execute_many_rps: 1.0,
-            par_des_serial_eps: 1.0e6,
-            par_des_eps: 3.0e6,
-            par_des_speedup: 3.0,
-            host_threads: 8.0,
-            open_system_eps: 1.0e5,
-            daemon_qps: 300.0,
-            daemon_p99_ms: 10.0,
-            daemon_mux_qps: 600.0,
-            daemon_mux_p99_ms: 8.0,
-            daemon_open_conns: 256.0,
-        };
+        let base = sample(&[
+            ("par_des_eps", 3.0e6),
+            ("par_des_speedup", 3.0),
+            (HOST_THREADS, 8.0),
+        ]);
         // same thread count, speedup collapsed: a violation, no warning
-        let mut collapsed = base.clone();
-        collapsed.par_des_eps = 1.2e6;
-        collapsed.par_des_speedup = 1.2;
+        let collapsed = sample(&[
+            ("par_des_eps", 1.2e6),
+            ("par_des_speedup", 1.2),
+            (HOST_THREADS, 8.0),
+        ]);
         let (violations, warnings) = collapsed.check_regression(&base);
         assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("sharded-DES speedup"));
+        assert!(violations[0].contains("par_des_speedup"));
         assert!(warnings.is_empty());
         // the committed baseline came from a 1-thread CI runner: the same
         // collapsed numbers are incomparable, so the gate warns and skips
-        base.host_threads = 1.0;
-        base.par_des_eps = 0.9e6;
-        base.par_des_speedup = 0.9;
-        let (violations, warnings) = collapsed.check_regression(&base);
+        let one_thread = sample(&[
+            ("par_des_eps", 0.9e6),
+            ("par_des_speedup", 0.9),
+            (HOST_THREADS, 1.0),
+        ]);
+        let (violations, warnings) = collapsed.check_regression(&one_thread);
         assert!(violations.is_empty(), "{violations:?}");
         assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("skipping the par_des_speedup"));
+        assert!(warnings[0].contains("skipping par_des_speedup"));
+        assert!(warnings[0].contains(HOST_THREADS));
     }
 
     #[test]
-    fn daemon_gate_normalizes_skips_legacy_and_warns_on_tails() {
-        let base = BenchBaseline {
-            spin_mops: 1000.0,
-            des_churn_new_eps: 1.0e7,
-            cfd_small_cups: 1.0,
-            cfd_large_cups: 1.0,
-            cfd_momentum_speedup: 1.0,
-            execute_many_rps: 1.0,
-            par_des_serial_eps: 1.0e6,
-            par_des_eps: 2.0e6,
-            par_des_speedup: 2.0,
-            host_threads: 4.0,
-            open_system_eps: 1.0e5,
-            daemon_qps: 400.0,
-            daemon_p99_ms: 10.0,
-            daemon_mux_qps: 800.0,
-            daemon_mux_p99_ms: 8.0,
-            daemon_open_conns: 256.0,
-        };
+    fn daemon_gate_normalizes_skips_missing_keys_and_warns_on_tails() {
+        let base = sample(&[]);
         // 30% fewer queries/sec on the same machine: a violation
-        let mut slow = base.clone();
-        slow.daemon_qps = 280.0;
+        let slow = sample(&[("daemon_mux_qps", 560.0)]);
         let (violations, _) = slow.check_regression(&base);
         assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("daemon queries/sec"));
+        assert!(violations[0].contains("daemon_mux_qps"));
         // a machine half as fast across the board is not one
-        let mut slower_machine = base.clone();
-        slower_machine.spin_mops = 500.0;
-        slower_machine.daemon_qps = 200.0;
+        let slower_machine = sample(&[(SPIN_MOPS, 500.0), ("daemon_mux_qps", 400.0)]);
         assert!(slower_machine.check_regression(&base).0.is_empty());
-        // a schema-3 committed baseline (no daemon numbers) skips with a
-        // warning instead of dividing by zero
+        // a committed baseline without the daemon rows skips each gated
+        // one with a warning naming it, instead of dividing by zero
         let mut legacy = base.clone();
-        legacy.daemon_qps = 0.0;
-        legacy.daemon_p99_ms = 0.0;
-        legacy.daemon_mux_qps = 0.0;
-        legacy.daemon_mux_p99_ms = 0.0;
-        legacy.daemon_open_conns = 0.0;
+        for name in ["daemon_mux_qps", "daemon_mux_p99_ms", "daemon_open_conns"] {
+            legacy = without(legacy, name);
+        }
         let (violations, warnings) = base.check_regression(&legacy);
         assert!(violations.is_empty(), "{violations:?}");
-        assert!(warnings
-            .iter()
-            .any(|w| w.contains("skipping the daemon_qps")));
-        assert!(warnings
-            .iter()
-            .any(|w| w.contains("skipping the daemon_mux_qps")));
+        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        for name in ["daemon_mux_qps", "daemon_mux_p99_ms", "daemon_open_conns"] {
+            assert!(
+                warnings
+                    .iter()
+                    .any(|w| w.contains(&format!("skipping {name}"))),
+                "{warnings:?}"
+            );
+        }
         // a 4x tail-latency move is a warning, never a violation
-        let mut spiky = base.clone();
-        spiky.daemon_p99_ms = 40.0;
-        spiky.daemon_mux_p99_ms = 32.0;
+        let spiky = sample(&[("daemon_mux_p99_ms", 32.0)]);
         let (violations, warnings) = spiky.check_regression(&base);
         assert!(violations.is_empty(), "{violations:?}");
-        assert!(warnings.iter().any(|w| w.contains("daemon p99")));
-        assert!(warnings.iter().any(|w| w.contains("reactor daemon p99")));
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("daemon_mux_p99_ms"));
     }
 
     #[test]
-    fn reactor_gates_catch_mux_and_connection_regressions() {
-        let base = BenchBaseline {
-            spin_mops: 1000.0,
-            des_churn_new_eps: 1.0e7,
-            cfd_small_cups: 1.0,
-            cfd_large_cups: 1.0,
-            cfd_momentum_speedup: 1.0,
-            execute_many_rps: 1.0,
-            par_des_serial_eps: 1.0e6,
-            par_des_eps: 2.0e6,
-            par_des_speedup: 2.0,
-            host_threads: 4.0,
-            open_system_eps: 1.0e5,
-            daemon_qps: 400.0,
-            daemon_p99_ms: 10.0,
-            daemon_mux_qps: 800.0,
-            daemon_mux_p99_ms: 8.0,
-            daemon_open_conns: 256.0,
-        };
-        // 30% fewer mux queries/sec on the same machine: a violation
-        let mut slow = base.clone();
-        slow.daemon_mux_qps = 560.0;
-        let (violations, _) = slow.check_regression(&base);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("reactor daemon queries/sec"));
-        // a machine half as fast across the board is not one
-        let mut slower_machine = base.clone();
-        slower_machine.spin_mops = 500.0;
-        slower_machine.daemon_mux_qps = 400.0;
-        assert!(slower_machine.check_regression(&base).0.is_empty());
+    fn connection_floor_is_absolute() {
+        let base = sample(&[]);
         // the connection floor is absolute: fewer sockets held is a
         // violation even on a slower machine
-        let mut shrunk = base.clone();
-        shrunk.spin_mops = 500.0;
-        shrunk.daemon_open_conns = 64.0;
+        let shrunk = sample(&[
+            (SPIN_MOPS, 500.0),
+            ("daemon_mux_qps", 400.0),
+            ("daemon_open_conns", 64.0),
+        ]);
         let (violations, _) = shrunk.check_regression(&base);
         assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("simultaneous connections"));
+        assert!(violations[0].contains("daemon_open_conns"));
         // holding more than the committed floor passes
-        let mut grown = base.clone();
-        grown.daemon_open_conns = 512.0;
+        let grown = sample(&[("daemon_open_conns", 512.0)]);
         assert!(grown.check_regression(&base).0.is_empty());
     }
 }

@@ -35,10 +35,11 @@
 //! - `--bench-baseline` — measure the simulator's hot-path throughput (DES
 //!   event churn, CFD cell-updates, cached-plan execute-many, lab-daemon
 //!   queries/sec under the built-in load generator), write it to
-//!   `target/study/BENCH_baseline.json`, and fail if DES events/sec or
-//!   daemon queries/sec regress more than 20% against the committed
-//!   `BENCH_baseline.json` at the repository root (spin-calibrated, so the
-//!   gate is machine-independent).
+//!   `target/study/BENCH_baseline.json`, and fail if a gated metric
+//!   regresses against the committed `BENCH_baseline.json` at the
+//!   repository root — DES events/sec or daemon queries/sec down more than
+//!   20% (spin-calibrated, so the gate is machine-independent), or the
+//!   reactor's connection floor shrinking.
 //! - `--serve <addr>` — skip the reproduction and run the lab as a
 //!   resident daemon on `addr` (e.g. `127.0.0.1:7878`): plan cache
 //!   warm-started for the four paper clusters, queries answered over the
@@ -46,11 +47,10 @@
 //!   `POST /v1/shutdown`). Runs until a shutdown request arrives.
 //! - `--serve-bench` — start daemons on ephemeral loopback ports and turn
 //!   the built-in load generator on them: the closed loop (fixed in-flight
-//!   pipelined requests per connection) against both front ends — the
-//!   thread-per-connection fallback and the epoll reactor — then an
+//!   pipelined requests per connection, depths 1 and 4), then an
 //!   open-loop Poisson run (latency-corrected, so slow responses cannot
-//!   hide behind coordinated omission) and a connection-count sweep on the
-//!   reactor. Prints throughput, latency tails (p50/p99/p999), the
+//!   hide behind coordinated omission) and a connection-count sweep.
+//!   Prints throughput, latency tails (p50/p99/p999), the
 //!   per-connection error breakdown, and the per-shard cache counters.
 //! - `--burst <addr>` — pipelined burst against an *already running*
 //!   daemon at `addr`: 64 connections, pipeline depth 4, 16 queries each.
@@ -101,14 +101,13 @@ fn bench_row(label: &str, report: &harborsim_bench::loadgen::LoadgenReport) -> u
 }
 
 /// `--serve-bench`: daemon + load generator in one process. Runs the
-/// closed loop against both front ends (thread-per-connection and the
-/// epoll reactor, pipeline depths 1 and 4), an open-loop Poisson run,
+/// closed loop at pipeline depths 1 and 4, an open-loop Poisson run,
 /// and a connection-count sweep; reports throughput, latency tails
 /// (p50/p99/p999), the per-connection error breakdown, and the
 /// per-shard cache counters (the Zipf hot-head skew made visible).
 fn serve_bench_run() {
     use harborsim_bench::loadgen::{connection_sweep, run_with, Drive};
-    use harborsim_core::lab::daemon::{LabDaemon, ServeMode};
+    use harborsim_core::lab::daemon::LabDaemon;
     const CLIENTS: usize = 8;
     const REQUESTS_PER_CLIENT: u64 = 64;
     const POISSON_RATE_PER_S: f64 = 2000.0;
@@ -124,18 +123,13 @@ fn serve_bench_run() {
         harborsim_bench::loadgen::MENU_LEN
     );
 
-    // Closed loop, both front ends: same offered load, the only change
-    // is how the daemon multiplexes connections.
+    // Closed loop, a fresh daemon per depth: same connections, the only
+    // change is how many requests each keeps in flight.
     println!("closed loop (fixed in-flight per connection):");
-    for (mode, in_flight) in [
-        (ServeMode::Threaded, 1),
-        (ServeMode::Reactor, 1),
-        (ServeMode::Reactor, 4),
-    ] {
+    for in_flight in [1, 4] {
         let engine = std::sync::Arc::new(QueryEngine::new());
         let daemon = LabDaemon::bind("127.0.0.1:0", engine, WORKERS)
-            .expect("bind the serve-bench daemon on loopback")
-            .mode(mode);
+            .expect("bind the serve-bench daemon on loopback");
         let addr = daemon.local_addr();
         let handle = daemon.spawn();
         let report = run_with(
@@ -144,10 +138,7 @@ fn serve_bench_run() {
             REQUESTS_PER_CLIENT,
             Drive::Closed { in_flight },
         );
-        errors += bench_row(
-            &format!("{} / pipeline depth {in_flight}", mode.name()),
-            &report,
-        );
+        errors += bench_row(&format!("reactor / pipeline depth {in_flight}"), &report);
         handle.shutdown();
     }
 
@@ -155,8 +146,7 @@ fn serve_bench_run() {
     // the accumulated shard skew.
     let engine = std::sync::Arc::new(QueryEngine::new());
     let daemon = LabDaemon::bind("127.0.0.1:0", std::sync::Arc::clone(&engine), WORKERS)
-        .expect("bind the serve-bench daemon on loopback")
-        .mode(ServeMode::Reactor);
+        .expect("bind the serve-bench daemon on loopback");
     let addr = daemon.local_addr();
     let handle = daemon.spawn();
     println!(

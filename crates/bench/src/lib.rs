@@ -1,6 +1,7 @@
 //! # harborsim-bench
 //!
-//! The benchmark harness: Criterion benches (one per figure/table plus the
+//! The benchmark harness: benches on the in-tree, Criterion-shaped
+//! [`harness`] (one per figure/table plus the
 //! DESIGN.md §5 ablations and engine micro-benchmarks) and the
 //! `reproduce_all` binary that regenerates every artifact of the paper into
 //! `target/study/`.

@@ -30,7 +30,8 @@
 //! p50/p99/p999 — and each connection reports its own error count, so a
 //! single sick socket is visible instead of vanishing into an
 //! aggregate. The report's `qps` and `p99_ms` land in
-//! `BENCH_baseline.json` (schema 5) next to the solver hot paths.
+//! `BENCH_baseline.json` (`daemon_mux_qps`, `daemon_mux_p99_ms`) next to
+//! the solver hot paths.
 
 use harborsim_core::lab::daemon::LabClient;
 use harborsim_core::lab::{LabRequest, LabResponse};
@@ -443,7 +444,7 @@ fn drive_open(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harborsim_core::lab::daemon::{LabDaemon, ServeMode};
+    use harborsim_core::lab::daemon::LabDaemon;
     use harborsim_core::lab::QueryEngine;
     use std::sync::Arc;
 
@@ -494,12 +495,9 @@ mod tests {
     }
 
     #[test]
-    fn connection_sweep_covers_each_count_on_the_threaded_fallback() {
-        // The sweep and the drive modes are front-end agnostic: run
-        // this one against the portable threaded server.
-        let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 4)
-            .expect("bind loopback")
-            .mode(ServeMode::Threaded);
+    fn connection_sweep_covers_each_count() {
+        let daemon =
+            LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 4).expect("bind loopback");
         let handle = daemon.spawn();
         let sweep = connection_sweep(handle.addr(), &[1, 2, 4], 6, 2);
         assert_eq!(sweep.len(), 3);

@@ -1,13 +1,12 @@
-//! HTTP/1.1 request framing shared by both daemon front ends.
+//! HTTP/1.1 request framing for the daemon.
 //!
 //! The [`reactor`](super::reactor) parses heads incrementally out of a
 //! per-connection byte buffer (partial reads are the normal case on a
-//! nonblocking socket); the threaded fallback reads line-by-line off a
-//! blocking `BufReader`. Both classify hostile framing through one
-//! [`FrameError`], so a client sees the same clean status code — `431`
-//! for an oversized head, `413` for an oversized body, `400` for a
-//! garbled `Content-Length`, `408` for a head that never finishes
-//! arriving — no matter which server answered.
+//! nonblocking socket) and classifies hostile framing through one
+//! [`FrameError`], so a client sees one clean status code and message
+//! per failure — `431` for an oversized head, `413` for an oversized
+//! body, `400` for a garbled `Content-Length`, `408` for a request that
+//! never finishes arriving.
 
 use std::fmt;
 
@@ -18,7 +17,7 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
 /// Why a request could not be framed, each mapping to one clean HTTP
-/// status (except I/O, where the connection is simply gone).
+/// status.
 #[derive(Debug)]
 pub enum FrameError {
     /// Head exceeded [`MAX_HEAD_BYTES`] → `431`.
@@ -30,22 +29,16 @@ pub enum FrameError {
     /// The head did not complete within the read deadline → `408`
     /// (the slow-loris case).
     Timeout,
-    /// The peer vanished mid-message; nothing to answer.
-    Io(std::io::Error),
 }
 
 impl FrameError {
-    /// The HTTP status this framing failure answers with (`None` for
-    /// I/O errors — there is no one left to answer).
-    pub fn status(&self) -> Option<(u16, &'static str)> {
+    /// The HTTP status and message this framing failure answers with.
+    pub fn status(&self) -> (u16, &'static str) {
         match self {
-            FrameError::HeadTooLarge => Some((431, "request head exceeds 8KB")),
-            FrameError::BodyTooLarge => Some((413, "request body exceeds 8MB")),
-            FrameError::BadContentLength => {
-                Some((400, "Content-Length is not an unsigned integer"))
-            }
-            FrameError::Timeout => Some((408, "request head timed out")),
-            FrameError::Io(_) => None,
+            FrameError::HeadTooLarge => (431, "request head exceeds 8KB"),
+            FrameError::BodyTooLarge => (413, "request body exceeds 8MB"),
+            FrameError::BadContentLength => (400, "Content-Length is not an unsigned integer"),
+            FrameError::Timeout => (408, "request head timed out"),
         }
     }
 }
@@ -155,7 +148,6 @@ pub fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str
 }
 
 /// Render a full response (status line + headers + body) into `out`.
-/// Both front ends emit exactly these bytes.
 pub fn render_response(out: &mut Vec<u8>, status: u16, body: &str) {
     let reason = match status {
         200 => "OK",
@@ -230,10 +222,10 @@ mod tests {
             parse_head(garbled),
             Err(FrameError::BadContentLength)
         ));
-        assert_eq!(FrameError::HeadTooLarge.status().unwrap().0, 431);
-        assert_eq!(FrameError::BodyTooLarge.status().unwrap().0, 413);
-        assert_eq!(FrameError::BadContentLength.status().unwrap().0, 400);
-        assert_eq!(FrameError::Timeout.status().unwrap().0, 408);
+        assert_eq!(FrameError::HeadTooLarge.status().0, 431);
+        assert_eq!(FrameError::BodyTooLarge.status().0, 413);
+        assert_eq!(FrameError::BadContentLength.status().0, 400);
+        assert_eq!(FrameError::Timeout.status().0, 408);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The resident lab daemon: a hand-rolled HTTP/1.1 front end over the
-//! [`wire`] protocol, with two interchangeable serving models.
+//! [`wire`] protocol, served by one epoll reactor.
 //!
 //! Fully in-tree like the rest of the vendored stack. Three routes:
 //!
@@ -9,23 +9,20 @@
 //! | `GET /v1/stats` | — | the wire-encoded stats response |
 //! | `POST /v1/shutdown` | — | final stats; then the daemon drains and exits |
 //!
-//! Two front ends share the framing layer in [`http`] and answer
-//! byte-identically:
-//!
-//! * [`ServeMode::Reactor`] (default on Linux) — one epoll reactor
-//!   thread multiplexes every connection over nonblocking sockets and
-//!   hands decoded requests to a [`WorkerPool`] of engine workers; see
-//!   [`reactor`]. Hundreds of idle keep-alive connections cost nothing.
-//! * [`ServeMode::Threaded`] (the portable fallback) — the pre-reactor
-//!   model: the accept loop parks each connection on a pool worker, so
-//!   open connections are bounded by pool size.
+//! One reactor thread multiplexes every connection over nonblocking
+//! sockets, frames requests with [`http`], and hands them to a
+//! [`WorkerPool`](harborsim_par::WorkerPool) of engine workers; see
+//! [`reactor`]. Hundreds of idle keep-alive connections cost nothing.
+//! There is no second serving model: the daemon needs epoll, so off
+//! Linux [`LabDaemon::bind`] fails with [`io::ErrorKind::Unsupported`].
 //!
 //! Binding [`warm_starts`](super::QueryEngine::warm_start) the engine —
 //! route tables and job profiles for the four paper clusters are
-//! compiled before the first request arrives — and shutdown is
-//! cooperative: the handler sets a flag and self-connects to unblock
-//! the accept loop, in-flight work drains, and late arrivals are
-//! answered `503` rather than silently served or dropped.
+//! compiled before the first request arrives — and creates the epoll
+//! instance and the wake pipe, so a platform that cannot provide them
+//! fails at bind, not mid-serve. Shutdown is cooperative: the handler
+//! sets a flag and rings the wake pipe, in-flight work drains, and late
+//! arrivals are answered `503` rather than silently served or dropped.
 //!
 //! [`LabClient`] is the matching blocking client (one keep-alive
 //! connection, with an explicit [pipelined](LabClient::query_pipelined)
@@ -33,82 +30,82 @@
 //! daemon through it, exercising the same code path as any external
 //! HTTP client.
 
+// Off Linux `bind` refuses, so the serving half of this module is never
+// reached there.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
+
 pub mod http;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 
+/// Off Linux there is no epoll: `open` refuses, so no
+/// daemon is ever bound and these placeholders are never built.
+#[cfg(not(target_os = "linux"))]
+mod reactor {
+    use super::Shared;
+    use std::io;
+    use std::net::TcpListener;
+    use std::sync::Arc;
+
+    pub(crate) struct Epoll;
+    pub(crate) struct WakePipe;
+
+    impl WakePipe {
+        pub(crate) fn ring(&self) {}
+    }
+
+    pub(crate) fn open() -> io::Result<(Epoll, WakePipe)> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the lab daemon's reactor needs epoll (Linux only)",
+        ))
+    }
+
+    pub(crate) fn serve(_: TcpListener, _: Epoll, _: Arc<Shared>, _: usize) {
+        unreachable!("bind refuses off Linux")
+    }
+}
+
 use super::protocol::{DaemonStats, LabRequest, LabResponse};
 use super::{wire, QueryEngine};
-use harborsim_par::WorkerPool;
+use reactor::{Epoll, WakePipe};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use http::FrameError;
+use std::time::Duration;
 
 /// Default per-request read deadline (covers the whole head+body, so a
 /// slow-loris dribbling one byte per read still hits it).
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How a bound daemon serves its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One epoll reactor thread multiplexing every connection
-    /// (Linux-only; silently falls back to [`ServeMode::Threaded`]
-    /// elsewhere).
-    Reactor,
-    /// Thread-per-connection on the worker pool — the portable
-    /// fallback, and the pre-reactor behaviour.
-    Threaded,
-}
-
-impl ServeMode {
-    /// The platform default: the reactor where epoll exists.
-    pub fn auto() -> ServeMode {
-        if cfg!(target_os = "linux") {
-            ServeMode::Reactor
-        } else {
-            ServeMode::Threaded
-        }
-    }
-
-    /// Stable lowercase name, as reported in `GET /v1/stats`.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeMode::Reactor => "reactor",
-            ServeMode::Threaded => "threaded",
-        }
-    }
-}
-
 pub(crate) struct Shared {
     pub(crate) engine: Arc<QueryEngine>,
     pub(crate) stop: AtomicBool,
+    /// Workers ring it after queueing a completion; `request_stop`
+    /// rings it to get the stop flag seen.
+    pub(crate) wake: WakePipe,
     pub(crate) addr: SocketAddr,
-    pub(crate) mode: ServeMode,
     pub(crate) read_timeout: Duration,
     /// Accept-loop errors survived (EMFILE and friends).
     pub(crate) accept_errors: AtomicU64,
     /// Requests answered `503` because they arrived after the stop flag.
     pub(crate) late_503s: AtomicU64,
-    /// Connections currently open (reactor: registered with epoll;
-    /// threaded: running on a pool worker).
+    /// Connections currently registered with the reactor.
     pub(crate) open_conns: AtomicU64,
 }
 
 impl Shared {
-    /// Flag the accept loop down and self-connect to unblock it.
+    /// Flag the reactor down and wake it.
     fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
+        self.wake.ring();
     }
 
     /// Snapshot of the daemon-side counters for `GET /v1/stats`.
     fn daemon_stats(&self) -> DaemonStats {
         DaemonStats {
-            mode: self.mode.name().to_string(),
+            mode: "reactor".to_string(),
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
             late_503s: self.late_503s.load(Ordering::Relaxed),
             open_conns: self.open_conns.load(Ordering::Relaxed),
@@ -119,9 +116,10 @@ impl Shared {
 /// A bound-but-not-yet-serving lab daemon.
 pub struct LabDaemon {
     listener: TcpListener,
+    epoll: Epoll,
+    wake: WakePipe,
     engine: Arc<QueryEngine>,
     workers: usize,
-    mode: ServeMode,
     read_timeout: Duration,
     addr: SocketAddr,
 }
@@ -133,32 +131,29 @@ pub struct DaemonHandle {
 }
 
 impl LabDaemon {
-    /// Bind to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// warm-start `engine`'s plan cache for the four paper clusters.
-    /// `workers` is the resident engine-worker pool size. The serve
-    /// mode defaults to [`ServeMode::auto`].
+    /// Bind to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port),
+    /// warm-start `engine`'s plan cache for the four paper clusters, and
+    /// create the reactor's epoll instance and wake pipe. `workers` is
+    /// the resident engine-worker pool size.
     ///
     /// # Errors
-    /// Socket errors from bind.
+    /// Socket errors from bind; the OS error if epoll or the wake pipe
+    /// cannot be created; [`io::ErrorKind::Unsupported`] off Linux.
     pub fn bind(addr: &str, engine: Arc<QueryEngine>, workers: usize) -> io::Result<LabDaemon> {
+        let (epoll, wake) = reactor::open()?;
         engine.warm_start();
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(LabDaemon {
             listener,
+            epoll,
+            wake,
             engine,
             workers,
-            mode: ServeMode::auto(),
             read_timeout: READ_TIMEOUT,
             addr,
         })
-    }
-
-    /// Select the serving model (builder-style, before `serve`/`spawn`).
-    #[must_use]
-    pub fn mode(mut self, mode: ServeMode) -> LabDaemon {
-        self.mode = mode;
-        self
     }
 
     /// Override the per-request read deadline (builder-style). The
@@ -175,46 +170,34 @@ impl LabDaemon {
         self.addr
     }
 
-    fn into_parts(self) -> (TcpListener, Arc<Shared>, usize) {
+    fn into_parts(self) -> (TcpListener, Epoll, Arc<Shared>, usize) {
         let shared = Arc::new(Shared {
             engine: self.engine,
             stop: AtomicBool::new(false),
+            wake: self.wake,
             addr: self.addr,
-            mode: self.mode,
             read_timeout: self.read_timeout,
             accept_errors: AtomicU64::new(0),
             late_503s: AtomicU64::new(0),
             open_conns: AtomicU64::new(0),
         });
-        (self.listener, shared, self.workers)
+        (self.listener, self.epoll, shared, self.workers)
     }
 
     /// Serve until a `POST /v1/shutdown` arrives (or
     /// [`DaemonHandle::shutdown`] is called on a spawned daemon).
     /// Consumes the daemon; queued requests drain before return.
     pub fn serve(self) {
-        let (listener, shared, workers) = self.into_parts();
-        serve_inner(listener, shared, workers);
+        let (listener, epoll, shared, workers) = self.into_parts();
+        reactor::serve(listener, epoll, shared, workers);
     }
 
     /// Serve on a background thread; the handle shuts it down.
     pub fn spawn(self) -> DaemonHandle {
-        let (listener, shared, workers) = self.into_parts();
+        let (listener, epoll, shared, workers) = self.into_parts();
         let serving = Arc::clone(&shared);
-        let thread = std::thread::spawn(move || serve_inner(listener, serving, workers));
+        let thread = std::thread::spawn(move || reactor::serve(listener, epoll, serving, workers));
         DaemonHandle { shared, thread }
-    }
-}
-
-fn serve_inner(listener: TcpListener, shared: Arc<Shared>, workers: usize) {
-    match shared.mode {
-        ServeMode::Threaded => serve_threaded(listener, shared, workers),
-        ServeMode::Reactor => {
-            #[cfg(target_os = "linux")]
-            reactor::serve(listener, shared, workers);
-            #[cfg(not(target_os = "linux"))]
-            serve_threaded(listener, shared, workers);
-        }
     }
 }
 
@@ -233,167 +216,6 @@ impl DaemonHandle {
     pub fn shutdown(self) {
         self.shared.request_stop();
         let _ = self.thread.join();
-    }
-}
-
-/// The portable thread-per-connection front end.
-fn serve_threaded(listener: TcpListener, shared: Arc<Shared>, workers: usize) {
-    let pool = WorkerPool::new(workers);
-    let mut backoff = Duration::from_millis(1);
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => {
-                backoff = Duration::from_millis(1);
-                stream
-            }
-            Err(_) => {
-                // A persistent accept error (EMFILE under connection
-                // pressure is the classic) must not spin the loop hot:
-                // count it and back off, bounded so recovery is quick.
-                shared.accept_errors.fetch_add(1, Ordering::Relaxed);
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(100));
-                continue;
-            }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            // Accepted concurrently with request_stop(): answer 503
-            // instead of silently serving (or silently dropping) it.
-            answer_late_503(stream, &shared);
-            break;
-        }
-        let shared = Arc::clone(&shared);
-        pool.submit(move || {
-            shared.open_conns.fetch_add(1, Ordering::Relaxed);
-            handle_connection(stream, &shared);
-            shared.open_conns.fetch_sub(1, Ordering::Relaxed);
-        });
-    }
-    drop(pool); // joins: every accepted connection finishes
-}
-
-/// Best-effort `503` to a connection that arrived after the stop flag.
-/// (The wake-up self-connect from `request_stop` lands here too; it
-/// never reads the answer, which is fine.)
-fn answer_late_503(mut stream: TcpStream, shared: &Shared) {
-    shared.late_503s.fetch_add(1, Ordering::Relaxed);
-    let _ = write_response(&mut stream, 503, &wire_error("daemon is shutting down"));
-}
-
-/// Serve one connection: HTTP/1.1 requests until the peer closes, asks
-/// to close, errors, or times out. Leftover bytes after each request
-/// are kept, so pipelined requests are answered in order here too.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_nodelay(true);
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut writer = stream;
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let (head, body) = match read_request_framed(&mut reader, &mut buf, shared.read_timeout) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => return, // clean close (or idle past the deadline)
-            Err(e) => {
-                if let Some((status, msg)) = e.status() {
-                    let _ = write_response(&mut writer, status, &wire_error(msg));
-                }
-                return;
-            }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            // The stop flag was set while this request was in flight
-            // (the shutdown request itself was already routed when it
-            // set the flag, so it cannot land here).
-            shared.late_503s.fetch_add(1, Ordering::Relaxed);
-            let _ = write_response(&mut writer, 503, &wire_error("daemon is shutting down"));
-            return;
-        }
-        let (status, response_body) = route(&head.method, &head.path, &body, shared);
-        if write_response(&mut writer, status, &response_body).is_err() {
-            return;
-        }
-        if !head.keep_alive || shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
-/// Read one framed request off a blocking socket, carrying leftover
-/// bytes (pipelined successors) in `buf` across calls. The deadline
-/// covers the whole message. `Ok(None)` = the peer closed (or went
-/// idle past the deadline) *between* requests — a quiet close.
-fn read_request_framed(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    timeout: Duration,
-) -> Result<Option<(http::Head, Vec<u8>)>, FrameError> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some((head, consumed)) = http::parse_head(buf)? {
-            let total = consumed + head.content_length;
-            while buf.len() < total {
-                match fill(stream, buf, deadline)? {
-                    0 => {
-                        return Err(FrameError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "eof in body",
-                        )))
-                    }
-                    _ => continue,
-                }
-            }
-            let body = buf[consumed..total].to_vec();
-            buf.drain(..total);
-            return Ok(Some((head, body)));
-        }
-        let mid_message = !buf.is_empty();
-        match fill(stream, buf, deadline) {
-            Ok(0) if mid_message => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof in head",
-                )))
-            }
-            Ok(0) => return Ok(None),
-            Ok(_) => {}
-            // Idle keep-alive peers just get closed; a half-sent head
-            // is the slow-loris case and earns a 408.
-            Err(FrameError::Timeout) if !mid_message => return Ok(None),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// One bounded read with the remaining deadline as the socket timeout.
-fn fill(stream: &mut TcpStream, buf: &mut Vec<u8>, deadline: Instant) -> Result<usize, FrameError> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err(FrameError::Timeout);
-    }
-    stream
-        .set_read_timeout(Some(remaining))
-        .map_err(FrameError::Io)?;
-    let mut chunk = [0u8; 4096];
-    match stream.read(&mut chunk) {
-        Ok(0) => Ok(0),
-        Ok(n) => {
-            buf.extend_from_slice(&chunk[..n]);
-            Ok(n)
-        }
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            Err(FrameError::Timeout)
-        }
-        Err(e) => Err(FrameError::Io(e)),
     }
 }
 
@@ -450,13 +272,6 @@ pub(crate) fn wire_error(msg: &str) -> String {
         kind: "wire".to_string(),
         msg: msg.to_string(),
     }))
-}
-
-fn write_response(writer: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    let mut out = Vec::with_capacity(body.len() + 128);
-    http::render_response(&mut out, status, body);
-    writer.write_all(&out)?;
-    writer.flush()
 }
 
 /// A blocking lab client over one keep-alive connection — what the load

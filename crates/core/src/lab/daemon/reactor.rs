@@ -33,23 +33,26 @@
 //! empty `rbuf` are left open indefinitely, which is what lets one
 //! reactor hold hundreds of parked connections over a 4-worker pool.
 //!
-//! Shutdown is cooperative and level-triggered: once the stop flag is
-//! up, buffered requests are answered `503`, every connection is marked
-//! close-after-drain, accepts are answered `503` and closed, and the
-//! loop exits when no work is in flight and every write buffer has
-//! drained (with a bounded grace period for stuck peers). The pool is
-//! joined before the wake pipe is torn down, so a worker can never ring
-//! a closed fd.
+//! Shutdown is cooperative and level-triggered: the stop flag goes up
+//! and the wake pipe rings, buffered requests are answered `503`, every
+//! connection is marked close-after-drain, accepts are answered `503`
+//! and closed, and the loop exits when no work is in flight and every
+//! write buffer has drained (with a bounded grace period for stuck
+//! peers). The wake pipe lives in the daemon's shared state, which every
+//! queued job holds, so a worker can never ring a closed fd.
 //!
-//! Everything is raw `epoll`/`pipe2` FFI — no new crates — and the
-//! module only exists on Linux; [`ServeMode`](super::ServeMode) falls
-//! back to the threaded server elsewhere.
+//! This is the daemon's only front end. Everything is raw
+//! `epoll`/`pipe2` FFI — no new crates — and the module only exists on
+//! Linux; elsewhere [`LabDaemon::bind`](super::LabDaemon::bind) fails
+//! with `Unsupported`. The epoll instance and the wake pipe are created
+//! at bind (`open`), so their failure is a bind error, never a
+//! fallback.
 
 use super::http;
 use super::{route, wire_error, Shared};
 use harborsim_par::WorkerPool;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
@@ -110,30 +113,58 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 /// Token for the wake pipe's read end.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
+/// An owned epoll instance, closed on drop.
+pub(crate) struct Epoll(i32);
+
+impl Drop for Epoll {
+    fn drop(&mut self) {
+        // SAFETY: the fd came from a successful epoll_create1 and is
+        // owned by this value alone, so it is closed exactly once.
+        unsafe {
+            sys::close(self.0);
+        }
+    }
+}
+
 /// The wakeup pipe: workers ring the write end after queueing a
-/// completion; the reactor drains the read end. Both ends nonblocking
-/// (a full pipe is still a wake-up; a spurious byte is harmless).
-struct WakePipe {
+/// completion, and shutdown rings it to get the stop flag seen; the
+/// reactor drains the read end. Both ends nonblocking (a full pipe is
+/// still a wake-up; a spurious byte is harmless).
+pub(crate) struct WakePipe {
     r: i32,
     w: i32,
 }
 
-impl WakePipe {
-    fn new() -> Option<WakePipe> {
-        let mut fds = [0i32; 2];
-        let rc = unsafe { sys::pipe2(fds.as_mut_ptr(), sys::O_NONBLOCK | sys::O_CLOEXEC) };
-        if rc != 0 {
-            return None;
-        }
-        Some(WakePipe {
-            r: fds[0],
-            w: fds[1],
-        })
+/// Create the reactor's epoll instance and wake pipe.
+///
+/// # Errors
+/// The OS error from `epoll_create1` or `pipe2`.
+pub(crate) fn open() -> io::Result<(Epoll, WakePipe)> {
+    // SAFETY: epoll_create1 takes no pointers; a negative result is
+    // checked before the fd is used.
+    let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+    if epfd < 0 {
+        return Err(io::Error::last_os_error());
     }
+    let epoll = Epoll(epfd);
+    let mut fds = [0i32; 2];
+    // SAFETY: `fds` is a live, writable array of the two ints pipe2
+    // fills; a nonzero result is checked before they are used.
+    let rc = unsafe { sys::pipe2(fds.as_mut_ptr(), sys::O_NONBLOCK | sys::O_CLOEXEC) };
+    if rc != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    let wake = WakePipe {
+        r: fds[0],
+        w: fds[1],
+    };
+    Ok((epoll, wake))
+}
 
+impl WakePipe {
     /// One byte down the pipe; EAGAIN (pipe already full) is a wake-up
     /// too, so the result is ignored.
-    fn ring(&self) {
+    pub(crate) fn ring(&self) {
         let byte = 1u8;
         unsafe {
             let _ = sys::write(self.w, &byte, 1);
@@ -233,25 +264,19 @@ impl Conn {
     }
 }
 
-/// Serve the daemon through the reactor. Called from
-/// [`serve_inner`](super::serve_inner); falls back to the threaded
-/// server if epoll or the wake pipe cannot be created.
-pub(crate) fn serve(listener: TcpListener, shared: Arc<Shared>, workers: usize) {
-    match Reactor::new(listener, shared, workers) {
-        Ok(mut reactor) => reactor.run(),
-        Err((listener, shared, workers)) => super::serve_threaded(listener, shared, workers),
-    }
+/// Serve the daemon through the reactor until it stops and drains.
+/// `listener` is nonblocking and `epoll` fresh, both from
+/// [`LabDaemon::bind`](super::LabDaemon::bind).
+pub(crate) fn serve(listener: TcpListener, epoll: Epoll, shared: Arc<Shared>, workers: usize) {
+    Reactor::new(listener, epoll, shared, workers).run();
 }
 
 struct Reactor {
-    // Field order is drop order: the pool joins (workers may still
-    // ring the wake pipe) before the pipe's fds close.
     pool: WorkerPool,
-    wake: Arc<WakePipe>,
     completions: Arc<Mutex<Vec<Completion>>>,
     listener: TcpListener,
     shared: Arc<Shared>,
-    epfd: i32,
+    epoll: Epoll,
     conns: Vec<Option<Conn>>,
     /// Last generation seen per slot; bumped on close so stale
     /// completions for a recycled slot are dropped.
@@ -267,43 +292,14 @@ struct Reactor {
     stop_deadline: Option<Instant>,
 }
 
-impl Drop for Reactor {
-    fn drop(&mut self) {
-        unsafe {
-            sys::close(self.epfd);
-        }
-    }
-}
-
 impl Reactor {
-    /// Build the reactor; hand everything back on failure so the caller
-    /// can fall back to the threaded server.
-    #[allow(clippy::type_complexity)]
-    fn new(
-        listener: TcpListener,
-        shared: Arc<Shared>,
-        workers: usize,
-    ) -> Result<Reactor, (TcpListener, Arc<Shared>, usize)> {
-        if listener.set_nonblocking(true).is_err() {
-            return Err((listener, shared, workers));
-        }
-        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            let _ = listener.set_nonblocking(false);
-            return Err((listener, shared, workers));
-        }
-        let Some(wake) = WakePipe::new() else {
-            unsafe { sys::close(epfd) };
-            let _ = listener.set_nonblocking(false);
-            return Err((listener, shared, workers));
-        };
+    fn new(listener: TcpListener, epoll: Epoll, shared: Arc<Shared>, workers: usize) -> Reactor {
         let reactor = Reactor {
             pool: WorkerPool::new(workers),
-            wake: Arc::new(wake),
             completions: Arc::new(Mutex::new(Vec::new())),
             listener,
             shared,
-            epfd,
+            epoll,
             conns: Vec::new(),
             gens: Vec::new(),
             free: VecDeque::new(),
@@ -313,8 +309,13 @@ impl Reactor {
             accept_resume: None,
             stop_deadline: None,
         };
-        reactor.ctl(sys::EPOLL_CTL_ADD, reactor.wake.r, sys::EPOLLIN, TOKEN_WAKE);
-        Ok(reactor)
+        reactor.ctl(
+            sys::EPOLL_CTL_ADD,
+            reactor.shared.wake.r,
+            sys::EPOLLIN,
+            TOKEN_WAKE,
+        );
+        reactor
     }
 
     fn ctl(&self, op: i32, fd: i32, events: u32, token: u64) {
@@ -323,7 +324,7 @@ impl Reactor {
             data: token,
         };
         unsafe {
-            let _ = sys::epoll_ctl(self.epfd, op, fd, &mut ev);
+            let _ = sys::epoll_ctl(self.epoll.0, op, fd, &mut ev);
         }
     }
 
@@ -356,7 +357,12 @@ impl Reactor {
         let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
         loop {
             let n = unsafe {
-                sys::epoll_wait(self.epfd, events.as_mut_ptr(), events.len() as i32, TICK_MS)
+                sys::epoll_wait(
+                    self.epoll.0,
+                    events.as_mut_ptr(),
+                    events.len() as i32,
+                    TICK_MS,
+                )
             };
             if n < 0 {
                 // EINTR or worse; either way a short sleep beats a
@@ -369,7 +375,7 @@ impl Reactor {
                 let (mask, token) = (copied.events, copied.data);
                 match token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.wake.drain(),
+                    TOKEN_WAKE => self.shared.wake.drain(),
                     slot => self.conn_event(slot as usize, mask),
                 }
             }
@@ -379,8 +385,7 @@ impl Reactor {
                 break;
             }
         }
-        // Close every socket, then (via drop order) join the pool and
-        // tear down the wake pipe.
+        // Close every socket; dropping the reactor then joins the pool.
         self.conns.clear();
     }
 
@@ -450,8 +455,8 @@ impl Reactor {
             armed: 0,
         };
         if self.shared.stop.load(Ordering::SeqCst) {
-            // Accepted concurrently with shutdown (satellite: the wake
-            // self-connect lands here too): answer 503 and drain out.
+            // Accepted concurrently with shutdown: answer 503 and
+            // drain out.
             self.shared.late_503s.fetch_add(1, Ordering::Relaxed);
             http::render_response(&mut conn.wbuf, 503, &wire_error("daemon is shutting down"));
             conn.next_seq = 1;
@@ -608,7 +613,7 @@ impl Reactor {
                 Err(e) => {
                     // Hostile framing: answer the mapped status (431/
                     // 413/400) in sequence, then drain and close.
-                    let (status, msg) = e.status().unwrap_or((400, "malformed request"));
+                    let (status, msg) = e.status();
                     let mut bytes = Vec::new();
                     http::render_response(&mut bytes, status, &wire_error(msg));
                     let conn = self.conns[slot].as_mut().expect("live conn");
@@ -636,7 +641,6 @@ impl Reactor {
         let path = head.path.clone();
         let shared = Arc::clone(&self.shared);
         let completions = Arc::clone(&self.completions);
-        let wake = Arc::clone(&self.wake);
         self.pool.submit(move || {
             let (status, response) = route(&method, &path, &body, &shared);
             let mut bytes = Vec::with_capacity(response.len() + 128);
@@ -650,7 +654,7 @@ impl Reactor {
                     seq,
                     bytes,
                 });
-            wake.ring();
+            shared.wake.ring();
         });
     }
 
@@ -741,8 +745,9 @@ impl Reactor {
             if conn.head_deadline.is_some_and(|d| now >= d) {
                 // Slow loris: a request has been partial for the whole
                 // read budget. 408 in sequence, then drain and close.
+                let (status, msg) = http::FrameError::Timeout.status();
                 let mut bytes = Vec::new();
-                http::render_response(&mut bytes, 408, &wire_error("request head timed out"));
+                http::render_response(&mut bytes, status, &wire_error(msg));
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
                 conn.file_response(seq, bytes);

@@ -214,7 +214,8 @@ pub struct EngineStats {
 /// [`EngineStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DaemonStats {
-    /// Serving model: `"reactor"` or `"threaded"`.
+    /// Serving model: always `"reactor"`, the daemon's only front end
+    /// (kept on the wire so clients can tell what answered).
     pub mode: String,
     /// Accept-loop errors survived (EMFILE and friends).
     pub accept_errors: u64,

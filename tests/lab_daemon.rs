@@ -1,7 +1,6 @@
 //! Integration tests for the lab daemon: concurrent socket clients must
-//! see exactly the results a serial in-process replay produces — on both
-//! front ends (epoll reactor and the thread-per-connection fallback) —
-//! the sharded cache counters must conserve the aggregate under the
+//! see exactly the results a serial in-process replay produces, the
+//! sharded cache counters must conserve the aggregate under the
 //! storm, campaign scripts must run (and fail typed) over the wire, the
 //! reactor must hold hundreds of keep-alive connections over a small
 //! worker pool, and hostile framing (oversized heads and bodies, garbled
@@ -10,7 +9,7 @@
 //! answered promptly.
 
 use harborsim::hw::presets;
-use harborsim::study::lab::daemon::{LabClient, LabDaemon, ServeMode};
+use harborsim::study::lab::daemon::{LabClient, LabDaemon};
 use harborsim::study::lab::{CampaignRowKind, LabRequest, LabResponse, PlanKey, QueryEngine};
 use harborsim::study::scenario::{Execution, Outcome, Scenario};
 use harborsim::study::workloads;
@@ -50,14 +49,12 @@ fn assert_same_outcome(label: &str, over_wire: &Outcome, direct: &Outcome) {
 /// The tentpole acceptance test: CLIENTS threads hammer one daemon over
 /// real sockets; every response must be bit-identical to a serial
 /// in-process replay of the same (scenario, seed) schedule, and the
-/// per-shard cache counters must add up exactly to the aggregate. Runs
-/// against both front ends — the reactor and the threaded fallback must
-/// be indistinguishable at the protocol level.
-fn storm_matches_the_serial_replay(mode: ServeMode) {
+/// per-shard cache counters must add up exactly to the aggregate.
+#[test]
+fn concurrent_clients_match_the_serial_replay_on_the_reactor() {
     let engine = Arc::new(QueryEngine::new());
-    let daemon = LabDaemon::bind("127.0.0.1:0", Arc::clone(&engine), CLIENTS)
-        .expect("bind loopback")
-        .mode(mode);
+    let daemon =
+        LabDaemon::bind("127.0.0.1:0", Arc::clone(&engine), CLIENTS).expect("bind loopback");
     let addr = daemon.local_addr();
     let handle = daemon.spawn();
 
@@ -124,23 +121,13 @@ fn storm_matches_the_serial_replay(mode: ServeMode) {
 
     // the wire view carries the daemon block the in-process view lacks
     let d = stats.daemon.as_ref().expect("daemon stats over the wire");
-    assert_eq!(d.mode, mode.name());
+    assert_eq!(d.mode, "reactor");
     assert_eq!(d.accept_errors, 0);
     assert!(d.open_conns >= 1, "the stats connection itself is open");
 
     handle.shutdown();
     // in-process view agrees with the wire view
     assert_eq!(engine.stats().hits, stats.cache.hits);
-}
-
-#[test]
-fn concurrent_clients_match_the_serial_replay_on_the_reactor() {
-    storm_matches_the_serial_replay(ServeMode::Reactor);
-}
-
-#[test]
-fn concurrent_clients_match_the_serial_replay_on_the_threaded_fallback() {
-    storm_matches_the_serial_replay(ServeMode::Threaded);
 }
 
 /// Campaigns run server-side: one `.hsim` script over the socket, rows
@@ -248,17 +235,12 @@ fn identical_wire_queries_share_executes_without_changing_results() {
 
 /// The multiplexing acceptance test: 256 keep-alive connections stay
 /// open simultaneously over a 4-worker pool, every one of them
-/// answering queries, and the daemon's own stats report the count. The
-/// threaded fallback cannot pass this (open connections are bounded by
-/// pool size); the reactor exists so this holds.
-#[cfg(target_os = "linux")]
+/// answering queries, and the daemon's own stats report the count.
 #[test]
 fn reactor_holds_256_simultaneous_keepalive_connections() {
     const CONNS: usize = 256;
     let engine = Arc::new(QueryEngine::new());
-    let daemon = LabDaemon::bind("127.0.0.1:0", engine, 4)
-        .expect("bind loopback")
-        .mode(ServeMode::Reactor);
+    let daemon = LabDaemon::bind("127.0.0.1:0", engine, 4).expect("bind loopback");
     let addr = daemon.local_addr();
     let handle = daemon.spawn();
 
@@ -303,13 +285,13 @@ fn raw_roundtrip(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Hostile framing gets the right status and a close on both front
-/// ends: oversized heads 431, oversized declared bodies 413, garbled
-/// Content-Length 400 — never a hang, never a wedged worker.
-fn hostile_framing_is_rejected(mode: ServeMode) {
-    let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 2)
-        .expect("bind loopback")
-        .mode(mode);
+/// Hostile framing gets the right status and a close: oversized heads
+/// 431, oversized declared bodies 413, garbled Content-Length 400 —
+/// never a hang, never a wedged worker.
+#[test]
+fn hostile_framing_is_rejected_on_the_reactor() {
+    let daemon =
+        LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 2).expect("bind loopback");
     let addr = daemon.local_addr();
     let handle = daemon.spawn();
 
@@ -318,15 +300,15 @@ fn hostile_framing_is_rejected(mode: ServeMode) {
         "a".repeat(9 * 1024)
     );
     let reply = raw_roundtrip(addr, huge_head.as_bytes());
-    assert!(reply.starts_with("HTTP/1.1 431"), "{mode:?}: {reply:?}");
+    assert!(reply.starts_with("HTTP/1.1 431"), "{reply:?}");
 
     let huge_body = "POST /v1/lab HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n";
     let reply = raw_roundtrip(addr, huge_body.as_bytes());
-    assert!(reply.starts_with("HTTP/1.1 413"), "{mode:?}: {reply:?}");
+    assert!(reply.starts_with("HTTP/1.1 413"), "{reply:?}");
 
     let garbled = "POST /v1/lab HTTP/1.1\r\nContent-Length: banana\r\n\r\n";
     let reply = raw_roundtrip(addr, garbled.as_bytes());
-    assert!(reply.starts_with("HTTP/1.1 400"), "{mode:?}: {reply:?}");
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
 
     // the daemon is still healthy afterwards
     let mut client = LabClient::connect(addr).expect("connect after abuse");
@@ -335,23 +317,13 @@ fn hostile_framing_is_rejected(mode: ServeMode) {
     handle.shutdown();
 }
 
-#[test]
-fn hostile_framing_is_rejected_on_the_reactor() {
-    hostile_framing_is_rejected(ServeMode::Reactor);
-}
-
-#[test]
-fn hostile_framing_is_rejected_on_the_threaded_fallback() {
-    hostile_framing_is_rejected(ServeMode::Threaded);
-}
-
 /// A slow-loris connection dribbling a partial head times out with a
 /// 408 and a close — and while it dribbles, healthy clients keep
 /// getting served (the whole point of the per-request deadline).
-fn slow_loris_times_out_without_wedging(mode: ServeMode) {
+#[test]
+fn slow_loris_times_out_without_wedging_the_reactor() {
     let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 2)
         .expect("bind loopback")
-        .mode(mode)
         .read_timeout(Duration::from_millis(300));
     let addr = daemon.local_addr();
     let handle = daemon.spawn();
@@ -373,28 +345,18 @@ fn slow_loris_times_out_without_wedging(mode: ServeMode) {
     let mut out = Vec::new();
     loris.read_to_end(&mut out).expect("daemon must close");
     let reply = String::from_utf8_lossy(&out);
-    assert!(reply.starts_with("HTTP/1.1 408"), "{mode:?}: {reply:?}");
+    assert!(reply.starts_with("HTTP/1.1 408"), "{reply:?}");
     handle.shutdown();
 }
 
-#[test]
-fn slow_loris_times_out_without_wedging_the_reactor() {
-    slow_loris_times_out_without_wedging(ServeMode::Reactor);
-}
-
-#[test]
-fn slow_loris_times_out_without_wedging_the_threaded_fallback() {
-    slow_loris_times_out_without_wedging(ServeMode::Threaded);
-}
-
 /// A `stats` request padded with a 1 MiB unknown string field is
-/// answered well inside the read timeout on both front ends: JSON
+/// answered well inside the read timeout: JSON
 /// strings parse in one linear pass, so a large body cannot hold a
 /// worker for minutes.
-fn padded_body_is_answered_promptly(mode: ServeMode) {
-    let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 2)
-        .expect("bind loopback")
-        .mode(mode);
+#[test]
+fn padded_body_is_answered_promptly_on_the_reactor() {
+    let daemon =
+        LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 2).expect("bind loopback");
     let addr = daemon.local_addr();
     let handle = daemon.spawn();
 
@@ -407,28 +369,18 @@ fn padded_body_is_answered_promptly(mode: ServeMode) {
         body.len()
     );
     let reply = raw_roundtrip(addr, request.as_bytes());
-    assert!(reply.starts_with("HTTP/1.1 200"), "{mode:?}: {reply:?}");
-    assert!(reply.contains(r#""kind":"stats""#), "{mode:?}: {reply:?}");
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply:?}");
+    assert!(reply.contains(r#""kind":"stats""#), "{reply:?}");
     handle.shutdown();
-}
-
-#[test]
-fn padded_body_is_answered_promptly_on_the_reactor() {
-    padded_body_is_answered_promptly(ServeMode::Reactor);
-}
-
-#[test]
-fn padded_body_is_answered_promptly_on_the_threaded_fallback() {
-    padded_body_is_answered_promptly(ServeMode::Threaded);
 }
 
 /// Pipelined requests on one connection come back in request order,
 /// each a complete typed response — the framing layer may never
 /// interleave or reorder.
-fn pipelined_requests_come_back_in_order(mode: ServeMode) {
-    let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 2)
-        .expect("bind loopback")
-        .mode(mode);
+#[test]
+fn pipelined_requests_come_back_in_order_on_the_reactor() {
+    let daemon =
+        LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 2).expect("bind loopback");
     let addr = daemon.local_addr();
     let handle = daemon.spawn();
 
@@ -451,24 +403,14 @@ fn pipelined_requests_come_back_in_order(mode: ServeMode) {
     handle.shutdown();
 }
 
-#[test]
-fn pipelined_requests_come_back_in_order_on_the_reactor() {
-    pipelined_requests_come_back_in_order(ServeMode::Reactor);
-}
-
-#[test]
-fn pipelined_requests_come_back_in_order_on_the_threaded_fallback() {
-    pipelined_requests_come_back_in_order(ServeMode::Threaded);
-}
-
 /// Shutdown under load drains instead of wedging: clients racing a
 /// shutdown either get a real answer or a typed 503/socket error, the
 /// shutdown completes promptly, and every in-flight answer is still
 /// bit-identical to the serial replay.
-fn shutdown_under_load_drains(mode: ServeMode) {
-    let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 4)
-        .expect("bind loopback")
-        .mode(mode);
+#[test]
+fn shutdown_under_load_drains_on_the_reactor() {
+    let daemon =
+        LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 4).expect("bind loopback");
     let addr = daemon.local_addr();
     let handle = daemon.spawn();
 
@@ -507,14 +449,4 @@ fn shutdown_under_load_drains(mode: ServeMode) {
             assert_same_outcome(&format!("racing grid point {i}"), &over_wire, &direct);
         }
     }
-}
-
-#[test]
-fn shutdown_under_load_drains_on_the_reactor() {
-    shutdown_under_load_drains(ServeMode::Reactor);
-}
-
-#[test]
-fn shutdown_under_load_drains_on_the_threaded_fallback() {
-    shutdown_under_load_drains(ServeMode::Threaded);
 }
