@@ -13,7 +13,10 @@
 //!
 //! Strings parse in linear time: each run of bytes between escapes is
 //! copied with one `push_str`, so a long string at the daemon's body cap
-//! costs milliseconds.
+//! costs milliseconds. Objects do too: duplicate keys are found through
+//! a per-object hash index (see `KeyIndex`), so a 50,000-key object
+//! costs milliseconds rather than the seconds a scan of the fields
+//! parsed so far took.
 //!
 //! Numbers are `f64`. Integers up to 2^53 round-trip exactly, which
 //! covers every counter the protocol carries; full-width `u64`
@@ -21,6 +24,7 @@
 //! [`Json::fingerprint`]) so no bits are ever squeezed through a float.
 
 use std::fmt::Write as _;
+use std::hash::{BuildHasher, RandomState};
 
 /// A parsed or under-construction JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,14 +72,7 @@ impl Json {
     /// [`JsonError`] with the 1-based position of the first offending
     /// byte.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { src, pos: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != src.len() {
-            return Err(p.error("trailing characters after document"));
-        }
-        Ok(v)
+        Parser::new(src).document()
     }
 
     /// Compact deterministic rendering: no whitespace, object fields in
@@ -277,9 +274,93 @@ const MAX_DEPTH: usize = 64;
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// Hashes object keys for duplicate detection. Keyed per document,
+    /// so a client cannot pick keys that all land in one probe chain.
+    keys: RandomState,
+    /// Key comparisons made finding duplicates; the linearity test
+    /// reads it.
+    key_compares: u64,
+}
+
+/// The positions of one object's fields by key hash: open addressing
+/// with linear probing, kept at most half full. Slots store the key's
+/// hash, so a lookup compares key strings only on a hash match; an
+/// object of n keys costs O(n) expected time whatever its duplicates.
+#[derive(Default)]
+struct KeyIndex {
+    /// `(hash, position + 1)`; position 0 marks an empty slot.
+    slots: Vec<(u64, usize)>,
+}
+
+impl KeyIndex {
+    /// The position of `key` among `fields`, or `None` after noting that
+    /// it is about to be pushed at `fields.len()`.
+    fn find_or_insert(
+        &mut self,
+        fields: &[(String, Json)],
+        hash: u64,
+        key: &str,
+        compares: &mut u64,
+    ) -> Option<usize> {
+        if 2 * (fields.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match self.slots[i] {
+                (_, 0) => {
+                    self.slots[i] = (hash, fields.len() + 1);
+                    return None;
+                }
+                (h, pos) if h == hash => {
+                    *compares += 1;
+                    if fields[pos - 1].0 == key {
+                        return Some(pos - 1);
+                    }
+                }
+                _ => {}
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Double the slot count (at least 8) and re-place every entry.
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        let len = (old.len() * 2).max(8);
+        self.slots = vec![(0, 0); len];
+        for (hash, pos) in old.into_iter().filter(|&(_, pos)| pos != 0) {
+            let mut i = hash as usize & (len - 1);
+            while self.slots[i].1 != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = (hash, pos);
+        }
+    }
 }
 
 impl Parser<'_> {
+    fn new(src: &str) -> Parser<'_> {
+        Parser {
+            src,
+            pos: 0,
+            keys: RandomState::new(),
+            key_compares: 0,
+        }
+    }
+
+    /// One whole document: a value with optional surrounding whitespace.
+    fn document(&mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let v = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(self.error("trailing characters after document"));
+        }
+        Ok(v)
+    }
+
     fn error(&self, msg: impl Into<String>) -> JsonError {
         let mut line = 1u32;
         let mut col = 1u32;
@@ -442,6 +523,7 @@ impl Parser<'_> {
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut fields: Vec<(String, Json)> = Vec::new();
+        let mut index = KeyIndex::default();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -454,8 +536,10 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
-            match fields.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => *v = value,
+            let hash = self.keys.hash_one(key.as_str());
+            match index.find_or_insert(&fields, hash, &key, &mut self.key_compares) {
+                // the last duplicate wins, at the first one's position
+                Some(i) => fields[i].1 = value,
                 None => fields.push((key, value)),
             }
             self.skip_ws();
@@ -573,6 +657,47 @@ mod tests {
             (e.line, e.col, e.msg.as_str()),
             (1, 5, "unterminated string")
         );
+    }
+
+    #[test]
+    fn the_last_duplicate_key_wins_at_the_first_position() {
+        let v = Json::parse(r#"{"a":1,"b":2,"a":3,"c":4,"b":5,"a":6}"#).unwrap();
+        assert_eq!(v.write(), r#"{"a":6,"b":5,"c":4}"#);
+        // equal after unescaping is a duplicate
+        let v = Json::parse(r#"{"k":1,"\u006b":2}"#).unwrap();
+        assert_eq!(v.write(), r#"{"k":2}"#);
+    }
+
+    /// An object whose `n` distinct keys each appear twice, the repeats
+    /// in reverse order, with the number of key comparisons its parse
+    /// made.
+    fn doubled_object_compares(n: usize) -> u64 {
+        let keys: Vec<String> = (0..n).map(|i| format!("\"key{i}\":{i}")).collect();
+        let repeats: Vec<String> = (0..n).rev().map(|i| format!("\"key{i}\":-{i}")).collect();
+        let src = format!("{{{},{}}}", keys.join(","), repeats.join(","));
+        let mut p = Parser::new(&src);
+        let v = p.document().unwrap();
+        let Json::Obj(fields) = &v else {
+            panic!("an object parses to an object");
+        };
+        assert_eq!(fields.len(), n);
+        assert_eq!(fields[n - 1].0, format!("key{}", n - 1), "first positions");
+        assert_eq!(fields[n - 1].1, Json::Num(-((n - 1) as f64)), "last value");
+        p.key_compares
+    }
+
+    #[test]
+    fn wide_objects_find_duplicates_in_linear_key_comparisons() {
+        // every repeat must meet its first occurrence once; hashing keeps
+        // the rest away, so comparisons stay linear in the key count
+        // where the old scan of the fields so far made n²/2 of them
+        for n in [1_000, 4_000, 16_000] {
+            let compares = doubled_object_compares(n);
+            assert!(
+                (n as u64..=2 * n as u64).contains(&compares),
+                "{n} doubled keys took {compares} key comparisons"
+            );
+        }
     }
 
     #[test]

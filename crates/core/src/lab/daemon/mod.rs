@@ -10,9 +10,14 @@
 //! | `POST /v1/shutdown` | — | final stats; then the daemon drains and exits |
 //!
 //! One reactor thread multiplexes every connection over nonblocking
-//! sockets, frames requests with [`http`], and hands them to a
-//! [`WorkerPool`](harborsim_par::WorkerPool) of engine workers; see
-//! [`reactor`]. Hundreds of idle keep-alive connections cost nothing.
+//! sockets, frames requests with [`http`], and classifies each once
+//! into a `Route`. A warm, small analytic execute
+//! ([`QueryEngine::handle_warm`](super::QueryEngine::handle_warm)) is
+//! answered on the reactor thread itself; every other request goes to a
+//! [`WorkerPool`](harborsim_par::WorkerPool) of engine workers as a
+//! `Job`. Both paths render through one `answer` function, so a reply's
+//! bytes do not depend on where it ran; see [`reactor`]. Hundreds of
+//! idle keep-alive connections cost nothing.
 //! There is no second serving model: the daemon needs epoll, so off
 //! Linux [`LabDaemon::bind`] fails with [`io::ErrorKind::Unsupported`].
 //!
@@ -93,6 +98,8 @@ pub(crate) struct Shared {
     pub(crate) late_503s: AtomicU64,
     /// Connections currently registered with the reactor.
     pub(crate) open_conns: AtomicU64,
+    /// Warm executes the reactor answered itself, without the pool.
+    pub(crate) inline_answers: AtomicU64,
 }
 
 impl Shared {
@@ -180,6 +187,7 @@ impl LabDaemon {
             accept_errors: AtomicU64::new(0),
             late_503s: AtomicU64::new(0),
             open_conns: AtomicU64::new(0),
+            inline_answers: AtomicU64::new(0),
         });
         (self.listener, self.epoll, shared, self.workers)
     }
@@ -212,6 +220,12 @@ impl DaemonHandle {
         &self.shared.engine
     }
 
+    /// Warm executes answered on the reactor thread so far (see
+    /// [`reactor`]). In process only: the wire stats do not carry it.
+    pub fn inline_answers(&self) -> u64 {
+        self.shared.inline_answers.load(Ordering::Relaxed)
+    }
+
     /// Stop accepting, drain in-flight connections, and join.
     pub fn shutdown(self) {
         self.shared.request_stop();
@@ -219,49 +233,75 @@ impl DaemonHandle {
     }
 }
 
-/// Dispatch one request to the engine; the response body is always a
-/// wire-encoded [`LabResponse`]. Stats responses are stamped with the
-/// daemon-side counters on the way out (the in-process engine path
-/// leaves them `None`).
-pub(crate) fn route(method: &str, path: &str, body: &[u8], shared: &Shared) -> (u16, String) {
-    match (method, path) {
-        ("POST", "/v1/lab") => {
-            let text = match std::str::from_utf8(body) {
-                Ok(text) => text,
-                Err(_) => return (400, wire_error("request body is not UTF-8")),
-            };
-            match wire::decode_request(text) {
-                Ok(req) => (
-                    200,
-                    wire::encode_response(&with_daemon_stats(shared.engine.handle(req), shared)),
-                ),
-                Err(e) => (400, wire_error(&e.msg)),
-            }
+/// What a request asks for, classified once from its method and path.
+pub(crate) enum Route {
+    /// `POST /v1/lab`: a wire-encoded [`LabRequest`] body.
+    Lab,
+    /// `GET /v1/stats`.
+    Stats,
+    /// `POST /v1/shutdown`.
+    Shutdown,
+    /// Anything else: `404`.
+    NotFound,
+}
+
+impl Route {
+    pub(crate) fn of(method: &str, path: &str) -> Route {
+        match (method, path) {
+            ("POST", "/v1/lab") => Route::Lab,
+            ("GET", "/v1/stats") => Route::Stats,
+            ("POST", "/v1/shutdown") => Route::Shutdown,
+            _ => Route::NotFound,
         }
-        ("GET", "/v1/stats") => (
-            200,
-            wire::encode_response(&with_daemon_stats(
-                shared.engine.handle(LabRequest::Stats),
-                shared,
-            )),
-        ),
-        ("POST", "/v1/shutdown") => {
-            let stats = wire::encode_response(&with_daemon_stats(
-                shared.engine.handle(LabRequest::Stats),
-                shared,
-            ));
-            shared.request_stop();
-            (200, stats)
-        }
-        _ => (404, wire_error(&format!("no route {method} {path}"))),
     }
 }
 
-fn with_daemon_stats(mut resp: LabResponse, shared: &Shared) -> LabResponse {
+/// A routed request on its way to a worker.
+pub(crate) enum Job {
+    /// A lab request the reactor already decoded.
+    Lab(LabRequest),
+    /// A lab body too large to decode on the reactor.
+    LabBody(Vec<u8>),
+    Stats,
+    Shutdown,
+    /// The `404` message.
+    NotFound(String),
+}
+
+/// Decode a `POST /v1/lab` body, or give the `400` reply it earns.
+pub(crate) fn decode(body: &[u8]) -> Result<LabRequest, (u16, String)> {
+    let text =
+        std::str::from_utf8(body).map_err(|_| (400, wire_error("request body is not UTF-8")))?;
+    wire::decode_request(text).map_err(|e| (400, wire_error(&e.msg)))
+}
+
+/// Run one job on the engine and render its reply.
+pub(crate) fn run(job: Job, shared: &Shared) -> (u16, String) {
+    match job {
+        Job::Lab(req) => answer(shared.engine.handle(req), shared),
+        Job::LabBody(body) => match decode(&body) {
+            Ok(req) => answer(shared.engine.handle(req), shared),
+            Err(reply) => reply,
+        },
+        Job::Stats => answer(shared.engine.handle(LabRequest::Stats), shared),
+        Job::Shutdown => {
+            let reply = answer(shared.engine.handle(LabRequest::Stats), shared);
+            shared.request_stop();
+            reply
+        }
+        Job::NotFound(msg) => (404, wire_error(&msg)),
+    }
+}
+
+/// The reply to an engine response, whichever thread produced it: the
+/// body is the wire-encoded [`LabResponse`], and a stats response is
+/// stamped with the daemon-side counters on the way out (the in-process
+/// engine path leaves them `None`).
+pub(crate) fn answer(mut resp: LabResponse, shared: &Shared) -> (u16, String) {
     if let LabResponse::Stats(ref mut stats) = resp {
         stats.daemon = Some(shared.daemon_stats());
     }
-    resp
+    (200, wire::encode_response(&resp))
 }
 
 /// A wire-encoded error response (decodes to

@@ -1,37 +1,74 @@
 //! The epoll reactor front end: one thread multiplexing every
-//! connection.
+//! connection, answering warm queries itself.
 //!
 //! ```text
 //!                    epoll_wait
 //!   listener ──────┐     │
 //!   wake pipe ─────┤     ▼                     ┌────────────────┐
-//!   conn 0..N ─────┴─► reactor ── LabRequest ─►│  WorkerPool    │
-//!                        ▲  │ parse/flush      │  (engine runs  │
-//!                        │  ▼                  │   off-thread)  │
-//!                   completions ◄── response ──┘────────────────┘
-//!                   (queue + 1 byte on the wake pipe)
+//!   conn 0..N ─────┴─► reactor ───── Job ─────►│  WorkerPool    │
+//!                      │  ▲  parse/decode/     │  (engine runs  │
+//!                      │  │  flush             │   off-thread)  │
+//!       warm analytic  │  │                    └───────┬────────┘
+//!       execute: runs ─┘  └── completions ◄─ response ─┘
+//!       here, no hand-off     (queue + 1 byte on the wake pipe)
 //! ```
 //!
 //! Per connection, a small state machine over two reused buffers:
 //! `rbuf` accumulates reads until [`http::parse_head`] yields a full
-//! head and the `Content-Length` body is present; each decoded request
-//! is stamped with a sequence number and dispatched to the pool; the
-//! worker routes it, renders the full HTTP response bytes, pushes them
-//! on the completion queue, and rings the wake pipe. The reactor
-//! reorders completions by sequence number so pipelined requests are
-//! answered strictly in request order, and `wbuf` drains to the socket
-//! under `EPOLLOUT` when a write would block (partial writes keep their
-//! position; interest is re-armed until the buffer empties).
+//! head and the `Content-Length` body is present. Each request is
+//! stamped with a sequence number and its method and path are
+//! classified once into a `Route`. Then it is answered on one of two
+//! paths:
+//!
+//! - **Here, on the reactor thread.** A `POST /v1/lab` body of at most
+//!   `INLINE_MAX_BODY` (4 KiB; hot requests are about 250 bytes) is
+//!   decoded here; a decode error is answered `400` here. A decoded
+//!   `Execute` whose plan is resident, on the analytic engine, with at
+//!   most [`INLINE_MAX_RANKS`](crate::lab::INLINE_MAX_RANKS) (256) ranks
+//!   runs to completion here through
+//!   [`QueryEngine::handle_warm`](crate::lab::QueryEngine::handle_warm).
+//!   That skips both thread crossings of the pool path — a boxed job
+//!   through the pool's channel, and the reply back through the
+//!   completion queue, a wake-pipe byte and an epoll wake — which were
+//!   most of a warm round trip while the execute itself takes
+//!   microseconds. The two caps bound what this thread can spend on one
+//!   request: a body at the 8 MiB cap would stall every connection for
+//!   its decode, and the analytic engine's cost grows with ranks (the
+//!   largest plan on the benchmark's hot menu, 192 ranks, executes in
+//!   about 41 µs; a 256-node FSI plan takes milliseconds).
+//! - **On the pool,** for everything else: cold, DES or large plans,
+//!   plans, batches, campaigns, stats, shutdown, 404s and large bodies.
+//!   A request decoded here travels as its `LabRequest`, so it is never
+//!   decoded twice; a large body travels undecoded. The worker runs
+//!   the job, renders the full HTTP response bytes, pushes them on the
+//!   completion queue, and rings the wake pipe.
+//!
+//! Both paths render replies through the same `answer` function, so a
+//! query's bytes do not depend on where it ran. The reactor files
+//! every reply by sequence number, so pipelined requests are answered
+//! strictly in request order: an answer given here waits in the reorder
+//! buffer behind earlier pooled requests on its connection. `wbuf`
+//! drains to the socket under `EPOLLOUT` when a write would block
+//! (partial writes keep their position; interest is re-armed until the
+//! buffer empties).
+//!
+//! Fairness: once a read has produced answers given here, the reactor
+//! stops reading that connection and returns to `epoll_wait`; the
+//! epoll is level-triggered, so the connection is reported again while
+//! it has bytes to read. One client pipelining thousands of warm
+//! executes thus gets one read's worth (16 KiB) per turn, and a
+//! depth-1 client on another connection is answered between turns.
 //!
 //! Backpressure is per connection: past `MAX_PIPELINE` outstanding
 //! requests or `MAX_WRITE_BACKLOG` unflushed response bytes the
 //! reactor drops `EPOLLIN` interest, letting TCP push back on the
 //! client; parsing resumes from the already-buffered bytes as
-//! completions drain. A head (or body) that stays incomplete past the
-//! daemon's read deadline is answered `408` and the connection closed —
-//! the slow-loris budget — while *idle* keep-alive connections with an
-//! empty `rbuf` are left open indefinitely, which is what lets one
-//! reactor hold hundreds of parked connections over a 4-worker pool.
+//! completions drain or the write backlog flushes. A head (or body)
+//! that stays incomplete past the daemon's read deadline is answered
+//! `408` and the connection closed — the slow-loris budget — while
+//! *idle* keep-alive connections with an empty `rbuf` are left open
+//! indefinitely, which is what lets one reactor hold hundreds of parked
+//! connections over a 4-worker pool.
 //!
 //! Shutdown is cooperative and level-triggered: the stop flag goes up
 //! and the wake pipe rings, buffered requests are answered `503`, every
@@ -49,7 +86,7 @@
 //! fallback.
 
 use super::http;
-use super::{route, wire_error, Shared};
+use super::{answer, decode, run, wire_error, Job, Route, Shared};
 use harborsim_par::WorkerPool;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -59,6 +96,11 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Largest `POST /v1/lab` body the reactor decodes itself. Hot requests
+/// are about 250 bytes, and a 4 KiB body decodes in microseconds; a
+/// larger one goes to the pool undecoded, so a body at the 8 MiB cap
+/// never stalls every connection.
+const INLINE_MAX_BODY: usize = 4 * 1024;
 /// Most outstanding (dispatched or reordering) responses per
 /// connection before the reactor stops reading from it.
 const MAX_PIPELINE: usize = 256;
@@ -262,6 +304,52 @@ impl Conn {
             self.reorder.push((seq, bytes));
         }
     }
+}
+
+/// Where one framed request is answered.
+enum Step {
+    /// Here, on the reactor thread: the reply's status and body.
+    Now(u16, String),
+    /// On the pool.
+    Pool(Job),
+}
+
+/// Route one framed request. A lab body of at most [`INLINE_MAX_BODY`]
+/// bytes is decoded here: a decode error is answered here, and a warm,
+/// small analytic execute ([`QueryEngine::handle_warm`]) runs to
+/// completion here. Every other request becomes a pool job, a decoded
+/// one travelling as its [`LabRequest`](crate::lab::LabRequest) so it is
+/// never decoded twice.
+///
+/// [`QueryEngine::handle_warm`]: crate::lab::QueryEngine::handle_warm
+fn step(shared: &Shared, head: &http::Head, body: &[u8]) -> Step {
+    match Route::of(&head.method, &head.path) {
+        Route::Lab if body.len() <= INLINE_MAX_BODY => match decode(body) {
+            Ok(req) => match shared.engine.handle_warm(req) {
+                Ok(resp) => {
+                    shared.inline_answers.fetch_add(1, Ordering::Relaxed);
+                    let (status, body) = answer(resp, shared);
+                    Step::Now(status, body)
+                }
+                Err(req) => Step::Pool(Job::Lab(req)),
+            },
+            Err((status, body)) => Step::Now(status, body),
+        },
+        Route::Lab => Step::Pool(Job::LabBody(body.to_vec())),
+        Route::Stats => Step::Pool(Job::Stats),
+        Route::Shutdown => Step::Pool(Job::Shutdown),
+        Route::NotFound => Step::Pool(Job::NotFound(format!(
+            "no route {} {}",
+            head.method, head.path
+        ))),
+    }
+}
+
+/// The full HTTP response bytes for one reply.
+fn rendered(status: u16, body: &str) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(body.len() + 128);
+    http::render_response(&mut bytes, status, body);
+    bytes
 }
 
 /// Serve the daemon through the reactor until it stops and drains.
@@ -498,6 +586,15 @@ impl Reactor {
         }
         if mask & sys::EPOLLOUT != 0 {
             self.try_flush(slot);
+            // A connection paused on its write backlog may hold requests
+            // that no completion will come back to resume: requests
+            // answered here leave nothing in flight.
+            if self.conns[slot]
+                .as_ref()
+                .is_some_and(|c| !c.rbuf.is_empty())
+            {
+                self.pump_parse(slot);
+            }
         }
         self.update_interest(slot);
     }
@@ -516,9 +613,16 @@ impl Reactor {
                 }
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
-                    self.pump_parse(slot);
+                    let answered_here = self.pump_parse(slot);
                     if self.conns[slot].is_none() {
                         return; // close-after-drain already flushed out
+                    }
+                    if answered_here {
+                        // Answers given here cost this thread's time:
+                        // let the other connections have their turn.
+                        // Level-triggered epoll reports this one again
+                        // while it has more to read.
+                        break;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -544,22 +648,25 @@ impl Reactor {
         }
     }
 
-    /// Parse every complete request out of `rbuf`, dispatching each to
-    /// the pool (or answering 503 inline once stopping). Leaves partial
-    /// bytes for the next read and manages the slow-loris deadline.
-    fn pump_parse(&mut self, slot: usize) {
+    /// Parse every complete request out of `rbuf`, answering each here
+    /// or dispatching it to the pool (see [`step`]; once stopping, every
+    /// request is answered 503 here). Leaves partial bytes for the next
+    /// read and manages the slow-loris deadline. True if any request was
+    /// answered here.
+    fn pump_parse(&mut self, slot: usize) -> bool {
+        let mut answered_here = false;
         loop {
             let conn = self.conns[slot].as_mut().expect("live conn");
             if conn.close_after_drain {
                 conn.rbuf.clear();
                 conn.head_deadline = None;
-                return;
+                return answered_here;
             }
             if conn.over_budget() {
                 // Paused on purpose: the buffered partial is not the
                 // peer's fault, so no slow-loris deadline.
                 conn.head_deadline = None;
-                return;
+                return answered_here;
             }
             match http::parse_head(&conn.rbuf) {
                 Ok(Some((head, consumed))) => {
@@ -568,36 +675,35 @@ impl Reactor {
                         // Head complete, body still arriving.
                         let deadline = Instant::now() + self.shared.read_timeout;
                         conn.head_deadline.get_or_insert(deadline);
-                        return;
+                        return answered_here;
                     }
-                    let body = conn.rbuf[consumed..total].to_vec();
-                    conn.rbuf.drain(..total);
                     conn.head_deadline = None;
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
                     if !head.keep_alive {
                         conn.close_after_drain = true;
                     }
-                    if self.shared.stop.load(Ordering::SeqCst) {
+                    let next = if self.shared.stop.load(Ordering::SeqCst) {
                         // Late arrival after the stop flag: 503, never
                         // the engine. (The shutdown request itself was
                         // dispatched before the flag went up.)
                         self.shared.late_503s.fetch_add(1, Ordering::Relaxed);
-                        let mut bytes = Vec::new();
-                        http::render_response(
-                            &mut bytes,
-                            503,
-                            &wire_error("daemon is shutting down"),
-                        );
-                        let conn = self.conns[slot].as_mut().expect("live conn");
-                        conn.file_response(seq, bytes);
                         conn.close_after_drain = true;
+                        Step::Now(503, wire_error("daemon is shutting down"))
                     } else {
-                        self.dispatch(slot, seq, &head, body);
+                        step(&self.shared, &head, &conn.rbuf[consumed..total])
+                    };
+                    conn.rbuf.drain(..total);
+                    match next {
+                        Step::Now(status, body) => {
+                            conn.file_response(seq, rendered(status, &body));
+                            answered_here = true;
+                        }
+                        Step::Pool(job) => self.dispatch(slot, seq, job),
                     }
                     self.try_flush(slot);
                     if self.conns[slot].is_none() {
-                        return;
+                        return answered_here;
                     }
                 }
                 Ok(None) => {
@@ -608,43 +714,38 @@ impl Reactor {
                         let deadline = Instant::now() + self.shared.read_timeout;
                         conn.head_deadline.get_or_insert(deadline);
                     }
-                    return;
+                    return answered_here;
                 }
                 Err(e) => {
                     // Hostile framing: answer the mapped status (431/
                     // 413/400) in sequence, then drain and close.
                     let (status, msg) = e.status();
-                    let mut bytes = Vec::new();
-                    http::render_response(&mut bytes, status, &wire_error(msg));
                     let conn = self.conns[slot].as_mut().expect("live conn");
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
-                    conn.file_response(seq, bytes);
+                    conn.file_response(seq, rendered(status, &wire_error(msg)));
                     conn.close_after_drain = true;
                     conn.rbuf.clear();
                     conn.head_deadline = None;
                     self.try_flush(slot);
-                    return;
+                    return true;
                 }
             }
         }
     }
 
-    /// Hand one decoded request to the pool; the worker routes it and
+    /// Hand one routed request to the pool; the worker runs it and
     /// rings the wake pipe with the rendered response.
-    fn dispatch(&mut self, slot: usize, seq: u64, head: &http::Head, body: Vec<u8>) {
+    fn dispatch(&mut self, slot: usize, seq: u64, job: Job) {
         let conn = self.conns[slot].as_mut().expect("live conn");
         conn.in_flight += 1;
         self.total_in_flight += 1;
         let gen = conn.gen;
-        let method = head.method.clone();
-        let path = head.path.clone();
         let shared = Arc::clone(&self.shared);
         let completions = Arc::clone(&self.completions);
         self.pool.submit(move || {
-            let (status, response) = route(&method, &path, &body, &shared);
-            let mut bytes = Vec::with_capacity(response.len() + 128);
-            http::render_response(&mut bytes, status, &response);
+            let (status, body) = run(job, &shared);
+            let bytes = rendered(status, &body);
             completions
                 .lock()
                 .expect("completion queue")
@@ -746,11 +847,9 @@ impl Reactor {
                 // Slow loris: a request has been partial for the whole
                 // read budget. 408 in sequence, then drain and close.
                 let (status, msg) = http::FrameError::Timeout.status();
-                let mut bytes = Vec::new();
-                http::render_response(&mut bytes, status, &wire_error(msg));
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
-                conn.file_response(seq, bytes);
+                conn.file_response(seq, rendered(status, &wire_error(msg)));
                 conn.close_after_drain = true;
                 conn.rbuf.clear();
                 conn.head_deadline = None;

@@ -277,6 +277,10 @@ impl CacheStats {
     }
 }
 
+/// One query after plan resolution: its plan (or compile error), how it
+/// was obtained, and the seeds to execute.
+type Resolved = (Result<Arc<ScenarioPlan>, HarborError>, Resolution, Vec<u64>);
+
 /// How a query's plan was obtained, with the wall-clock cost.
 enum Resolution {
     Hit,
@@ -473,6 +477,29 @@ impl PlanCache {
         (done.clone().unwrap(), Resolution::Wait(t0.elapsed()))
     }
 
+    /// The resident plan for `key`, only if it is ready and `accept`
+    /// takes it. Only then is the lookup a hit: it bumps the LRU stamp
+    /// and counts. A missing key, an in-flight compile or a refused plan
+    /// counts nothing and leaves the cache as it was, so a caller that
+    /// falls back to [`PlanCache::resolve`] still resolves exactly once.
+    fn ready_if(
+        &self,
+        key: PlanKey,
+        accept: impl FnOnce(&ScenarioPlan) -> bool,
+    ) -> Option<Arc<ScenarioPlan>> {
+        let key = self.hashed(key);
+        let shard = &self.shards[self.shard_index(key.hash)];
+        let mut map = shard.lock();
+        match map.get_mut(&key) {
+            Some((Slot::Ready(plan), last_use)) if accept(plan) => {
+                *last_use = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+                shard.hits.fetch_add(1, Ordering::Relaxed);
+                Some(Arc::clone(plan))
+            }
+            _ => None,
+        }
+    }
+
     /// Evict least-recently-used *ready* plans until the global residency
     /// fits the capacity; in-flight slots are never evicted (waiters hold
     /// their rendezvous). Takes the shard locks in index order — this is
@@ -539,6 +566,13 @@ struct ExecFlight {
     /// it to make the sharing deterministic rather than timing-lucky).
     waiters: AtomicU64,
 }
+
+/// Most ranks a plan may have for [`QueryEngine::handle_warm`] to run
+/// its execute. The analytic engine's cost grows with ranks: the largest
+/// plan on the daemon's hot menu (192 ranks) executes in about 41 µs,
+/// while a 256-node FSI plan takes milliseconds, which a caller on a
+/// latency-critical thread must never pay.
+pub const INLINE_MAX_RANKS: u32 = 256;
 
 /// The concurrent query engine every sweep routes through.
 ///
@@ -660,11 +694,7 @@ impl QueryEngine {
                 Err(e) => LabResponse::Error(e),
             },
             LabRequest::Execute { scenario, seed } => {
-                let mut batch = self.run_batch(vec![Query::new(*scenario, &[seed])], rec);
-                match batch.remove(0) {
-                    Ok(mut outcomes) => LabResponse::Execute(Box::new(outcomes.remove(0))),
-                    Err(e) => LabResponse::Error(e),
-                }
+                execute_response(self.run_batch(vec![Query::new(*scenario, &[seed])], rec))
             }
             LabRequest::Batch { queries } => LabResponse::Batch(self.run_batch(queries, rec)),
             LabRequest::Campaign { script } => match self.run_campaign(&script, rec) {
@@ -678,6 +708,34 @@ impl QueryEngine {
                 daemon: None,
             }),
         }
+    }
+
+    /// Answer `req` now only if that is cheap and bounded: an `Execute`
+    /// whose plan is already resident, on the analytic engine, with at
+    /// most [`INLINE_MAX_RANKS`] ranks. The answer is the one
+    /// [`QueryEngine::handle`] gives, with the same spans, counters and
+    /// admission batching. Any other request comes back untouched as
+    /// `Err`, having counted nothing, so a later `handle` of it resolves
+    /// through the cache exactly once. The daemon's reactor answers warm
+    /// queries through this without a thread hand-off.
+    ///
+    /// # Errors
+    /// The request itself, when it is not a warm, small analytic execute.
+    pub fn handle_warm(&self, req: LabRequest) -> Result<LabResponse, LabRequest> {
+        let LabRequest::Execute { scenario, seed } = req else {
+            return Err(req);
+        };
+        let plan = PlanKey::of(&scenario, self.fallback_taper).and_then(|key| {
+            self.cache.ready_if(key, |plan| {
+                plan.engine_name() == "analytic" && plan.rank_map().ranks() <= INLINE_MAX_RANKS
+            })
+        });
+        let Some(plan) = plan else {
+            return Err(LabRequest::Execute { scenario, seed });
+        };
+        let resolved = vec![(Ok(plan), Resolution::Hit, vec![seed])];
+        let mut rec = Recorder::aggregating();
+        Ok(execute_response(self.run_resolved(resolved, &mut rec)))
     }
 
     /// Resolve one scenario to its (possibly shared) compiled plan — the
@@ -728,6 +786,17 @@ impl QueryEngine {
             let (plan, how) = self.resolve(&q.scenario);
             (plan, how, q.seeds)
         });
+        self.run_resolved(resolved, rec)
+    }
+
+    /// Phase 2 of [`QueryEngine::run_batch`] over queries whose plans are
+    /// already resolved: record each resolution, then execute every
+    /// `(plan, seed)` item.
+    fn run_resolved(
+        &self,
+        resolved: Vec<Resolved>,
+        rec: &mut Recorder,
+    ) -> Vec<Result<Vec<Outcome>, HarborError>> {
         for (_, how, _) in &resolved {
             let (name, dur) = match how {
                 Resolution::Hit => ("plan-cache-hit", std::time::Duration::ZERO),
@@ -750,7 +819,7 @@ impl QueryEngine {
             );
             rec.counter(counter, 1.0);
         }
-        // Phase 2 — flatten to (query, seed) items and shard. Each item
+        // Flatten to (query, seed) items and shard. Each item
         // records into its own sibling recorder; merging back in item
         // order keeps the roll-up deterministic regardless of stealing.
         // Identical (plan, seed) items in flight at the same moment
@@ -961,6 +1030,14 @@ impl QueryEngine {
     /// N identical queries through one engine compile exactly one plan.
     pub fn plans_compiled(&self) -> u64 {
         self.compiled.load(Ordering::Relaxed)
+    }
+}
+
+/// The response to a one-query, one-seed batch: its outcome or its error.
+fn execute_response(mut batch: Vec<Result<Vec<Outcome>, HarborError>>) -> LabResponse {
+    match batch.remove(0) {
+        Ok(mut outcomes) => LabResponse::Execute(Box::new(outcomes.remove(0))),
+        Err(e) => LabResponse::Error(e),
     }
 }
 
@@ -1292,6 +1369,68 @@ mod tests {
             assert_eq!(outcomes[0].result.compute, direct.result.compute);
         }
         assert_eq!(rec.rollup().count(SpanCategory::Run), 4);
+    }
+
+    #[test]
+    fn warm_lookups_count_and_stamp_only_what_they_accept() {
+        let lab = QueryEngine::with_capacity(2);
+        let des = || {
+            scenario(1).engine(EngineKind::Des {
+                max_steps_per_kind: 2,
+            })
+        };
+        let refused = |req: Result<LabResponse, LabRequest>| {
+            assert!(matches!(req, Err(LabRequest::Execute { seed: 5, .. })));
+        };
+        // cold: handed back, nothing counted, nothing compiled
+        refused(lab.handle_warm(LabRequest::execute(scenario(2), 5)));
+        assert_eq!(lab.stats(), CacheStats::default());
+        assert_eq!(lab.plans_compiled(), 0);
+
+        // warm: one hit, and the answer `handle` gives
+        lab.plan(&scenario(2)).unwrap();
+        let before = lab.stats();
+        let warm = lab
+            .handle_warm(LabRequest::execute(scenario(2), 5))
+            .ok()
+            .expect("a resident analytic plan answers")
+            .into_outcome();
+        assert_eq!(lab.stats().hits, before.hits + 1);
+        let direct = QueryEngine::new()
+            .handle(LabRequest::execute(scenario(2), 5))
+            .into_outcome();
+        assert_eq!(warm.elapsed, direct.elapsed);
+        assert_eq!(warm.result, direct.result);
+
+        // refused even though resident: DES, or over the rank budget
+        let big = Scenario::new(presets::marenostrum4(), workloads::artery_cfd_small())
+            .nodes(8)
+            .ranks_per_node(48);
+        const { assert!(8 * 48 > INLINE_MAX_RANKS) };
+        for s in [des(), big] {
+            let lab = QueryEngine::new();
+            lab.plan(&s).unwrap();
+            let before = lab.stats();
+            refused(lab.handle_warm(LabRequest::execute(s, 5)));
+            assert_eq!(lab.stats(), before, "a refused lookup counts nothing");
+        }
+        assert!(matches!(
+            lab.handle_warm(LabRequest::plan(scenario(2))),
+            Err(LabRequest::Plan { .. })
+        ));
+
+        // an accepted lookup stamps its plan as used and a refused one
+        // does not, so the refused plan is the one evicted next
+        let lab = QueryEngine::with_capacity(2);
+        lab.plan(&scenario(1)).unwrap();
+        lab.plan(&des()).unwrap();
+        assert!(lab.handle_warm(LabRequest::execute(scenario(1), 5)).is_ok());
+        refused(lab.handle_warm(LabRequest::execute(des(), 5)));
+        lab.plan(&scenario(4)).unwrap();
+        assert!(lab.handle_warm(LabRequest::execute(scenario(1), 5)).is_ok());
+        let before = lab.stats();
+        lab.plan(&des()).unwrap();
+        assert_eq!(lab.stats().misses, before.misses + 1, "DES plan evicted");
     }
 
     #[test]

@@ -6,15 +6,22 @@
 //! worker pool, and hostile framing (oversized heads and bodies, garbled
 //! lengths, slow-loris dribble) must be answered with the right status
 //! and a close, never a hang, while a body padded with a 1 MiB string is
-//! answered promptly.
+//! answered promptly. Warm, small analytic executes are answered on the
+//! reactor thread itself: in request order behind pooled requests, never
+//! for a DES, over-budget or cold plan, never blocked behind a long
+//! execute on the pool, and never at the cost of starving another
+//! connection.
 
 use harborsim::hw::presets;
-use harborsim::study::lab::daemon::{LabClient, LabDaemon};
-use harborsim::study::lab::{CampaignRowKind, LabRequest, LabResponse, PlanKey, QueryEngine};
-use harborsim::study::scenario::{Execution, Outcome, Scenario};
+use harborsim::study::lab::daemon::{DaemonHandle, LabClient, LabDaemon};
+use harborsim::study::lab::{
+    wire, CampaignRowKind, LabRequest, LabResponse, PlanKey, QueryEngine, INLINE_MAX_RANKS,
+};
+use harborsim::study::scenario::{EngineKind, Execution, Outcome, Scenario};
 use harborsim::study::workloads;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -449,4 +456,229 @@ fn shutdown_under_load_drains_on_the_reactor() {
             assert_same_outcome(&format!("racing grid point {i}"), &over_wire, &direct);
         }
     }
+}
+
+/// The raw HTTP request [`LabClient::send`] writes for `req`, with
+/// `Connection: close` when `close` is set.
+fn lab_post(addr: SocketAddr, req: &LabRequest, close: bool) -> Vec<u8> {
+    let body = wire::encode_request(req).expect("encodable request");
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    format!(
+        "POST /v1/lab HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{connection}\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// Read one HTTP response off `reader` and return its body.
+fn read_reply(reader: &mut impl BufRead) -> String {
+    let mut length = 0usize;
+    let mut line = String::new();
+    loop {
+        line.clear();
+        assert!(reader.read_line(&mut line).expect("reply head") > 0, "eof");
+        let trimmed = line.trim_end();
+        if trimmed.is_empty() {
+            break;
+        }
+        if let Some(value) = trimmed.strip_prefix("Content-Length:") {
+            length = value.trim().parse().expect("numeric length");
+        }
+    }
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).expect("reply body");
+    String::from_utf8(body).expect("UTF-8 reply")
+}
+
+/// Warm `scenario`'s plan through the pool (a plan request never runs
+/// on the reactor).
+fn warm(client: &mut LabClient, scenario: Scenario) {
+    let reply = client.query(&LabRequest::plan(scenario)).expect("plan");
+    assert!(matches!(reply, LabResponse::Plan(_)), "{reply:?}");
+}
+
+fn spawn(workers: usize) -> DaemonHandle {
+    LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), workers)
+        .expect("bind loopback")
+        .spawn()
+}
+
+/// A warm execute answered on the reactor waits in the reorder buffer
+/// behind the pooled requests before it, and the daemon counts exactly
+/// the warm executes as answered there.
+#[test]
+fn pipelined_warm_executes_answer_inline_in_request_order() {
+    let handle = spawn(2);
+    let mut client = LabClient::connect(handle.addr()).expect("connect");
+    warm(&mut client, grid_scenario(1).0);
+    assert_eq!(handle.inline_answers(), 0, "plans always take the pool");
+
+    let responses = client
+        .query_pipelined(&[
+            LabRequest::plan(grid_scenario(2).0),
+            LabRequest::execute(grid_scenario(1).0, 7),
+            LabRequest::Stats,
+            LabRequest::execute(grid_scenario(1).0, 8),
+        ])
+        .expect("pipelined batch");
+    assert!(
+        matches!(responses[0], LabResponse::Plan(_)),
+        "{:?}",
+        responses[0]
+    );
+    assert!(
+        matches!(responses[2], LabResponse::Stats(_)),
+        "{:?}",
+        responses[2]
+    );
+    let direct = QueryEngine::new();
+    for (i, seed) in [(1, 7u64), (3, 8)] {
+        let LabResponse::Execute(over_wire) = &responses[i] else {
+            panic!("response {i} answers an execute: {:?}", responses[i]);
+        };
+        let expect = direct
+            .handle(LabRequest::execute(grid_scenario(1).0, seed))
+            .into_outcome();
+        assert_same_outcome(&format!("inline seed {seed}"), over_wire, &expect);
+    }
+    assert_eq!(handle.inline_answers(), 2, "exactly the two warm executes");
+    handle.shutdown();
+}
+
+/// Only a warm, small analytic execute runs on the reactor: a DES plan,
+/// a plan over the rank budget and a cold plan all take the pool, and
+/// the budget is inclusive.
+#[test]
+fn des_over_budget_and_cold_executes_never_go_inline() {
+    let handle = spawn(2);
+    let mut client = LabClient::connect(handle.addr()).expect("connect");
+    let des = || {
+        grid_scenario(0).0.engine(EngineKind::Des {
+            max_steps_per_kind: 2,
+        })
+    };
+    let mn4 = |nodes: u32, rpn: u32| {
+        Scenario::new(presets::marenostrum4(), workloads::artery_cfd_small())
+            .nodes(nodes)
+            .ranks_per_node(rpn)
+    };
+    const { assert!(8 * 48 > INLINE_MAX_RANKS && 16 * 16 == INLINE_MAX_RANKS) };
+    warm(&mut client, des());
+    warm(&mut client, mn4(8, 48));
+    let executes = [des(), mn4(8, 48), grid_scenario(3).0];
+    for scenario in executes {
+        let reply = client.query(&LabRequest::execute(scenario, 1));
+        assert!(matches!(reply, Ok(LabResponse::Execute(_))), "{reply:?}");
+    }
+    assert_eq!(handle.inline_answers(), 0, "DES, over budget, cold");
+
+    // the cold execute compiled its plan, so the same query is now warm;
+    // so is a plan at exactly the rank budget
+    warm(&mut client, mn4(16, 16));
+    for scenario in [grid_scenario(3).0, mn4(16, 16)] {
+        let reply = client.query(&LabRequest::execute(scenario, 1));
+        assert!(matches!(reply, Ok(LabResponse::Execute(_))), "{reply:?}");
+    }
+    assert_eq!(handle.inline_answers(), 2);
+    handle.shutdown();
+}
+
+/// With one worker held by a long DES execute on connection A, a warm
+/// execute on connection B is still answered: it never waits for the
+/// pool.
+#[test]
+fn a_warm_execute_is_answered_while_a_des_execute_holds_the_only_worker() {
+    let handle = spawn(1);
+    let addr = handle.addr();
+    let mut b = LabClient::connect(addr).expect("connect B");
+    warm(&mut b, grid_scenario(0).0);
+
+    // about 2 s of message-level simulation on a 2-thread host
+    let long = Scenario::new(presets::marenostrum4(), workloads::artery_cfd_small())
+        .nodes(16)
+        .ranks_per_node(48)
+        .engine(EngineKind::Des {
+            max_steps_per_kind: 5,
+        });
+    let resident = handle.engine().stats().entries;
+    let mut a = TcpStream::connect(addr).expect("connect A");
+    a.write_all(&lab_post(addr, &LabRequest::execute(long, 1), true))
+        .expect("send the DES execute");
+    // A holds the only worker once its plan's slot is in the cache
+    // (in flight while it compiles, ready while it executes)
+    while handle.engine().stats().entries == resident {
+        std::thread::yield_now();
+    }
+
+    let reply = b.query(&LabRequest::execute(grid_scenario(0).0, 2));
+    assert!(matches!(reply, Ok(LabResponse::Execute(_))), "{reply:?}");
+    assert_eq!(handle.inline_answers(), 1);
+    a.set_nonblocking(true).expect("nonblocking probe");
+    let mut probe = [0u8; 1];
+    let pending = a.peek(&mut probe);
+    assert!(
+        matches!(&pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the DES execute must still be outstanding: {pending:?}"
+    );
+
+    a.set_nonblocking(false).expect("blocking read");
+    a.set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    let mut out = Vec::new();
+    a.read_to_end(&mut out).expect("A's reply");
+    let reply = String::from_utf8_lossy(&out);
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply:?}");
+    assert!(reply.contains(r#""kind":"execute""#), "{reply:?}");
+    handle.shutdown();
+}
+
+/// A connection pipelining thousands of warm executes, each answered on
+/// the reactor, does not keep a depth-1 client on another connection
+/// waiting until the flood ends.
+#[test]
+fn a_pipelined_flood_of_warm_executes_does_not_starve_another_connection() {
+    const FLOOD: usize = 4000;
+    let handle = spawn(2);
+    let addr = handle.addr();
+    let mut client = LabClient::connect(addr).expect("connect");
+    warm(&mut client, grid_scenario(0).0);
+
+    let request = lab_post(addr, &LabRequest::execute(grid_scenario(0).0, 3), false);
+    let flood = TcpStream::connect(addr).expect("connect the flood");
+    let mut writer = flood.try_clone().expect("clone the flood socket");
+    let answered = Arc::new(AtomicUsize::new(0));
+    let done = Arc::new(AtomicBool::new(false));
+    let sender = std::thread::spawn(move || {
+        for _ in 0..FLOOD {
+            writer.write_all(&request).expect("flood write");
+        }
+    });
+    let receiver = {
+        let (answered, done) = (Arc::clone(&answered), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut reader = BufReader::new(flood);
+            for _ in 0..FLOOD {
+                assert!(read_reply(&mut reader).contains(r#""kind":"execute""#));
+                answered.fetch_add(1, Ordering::SeqCst);
+            }
+            done.store(true, Ordering::SeqCst);
+        })
+    };
+    while answered.load(Ordering::SeqCst) < 50 {
+        std::thread::yield_now();
+    }
+
+    let reply = client.query(&LabRequest::execute(grid_scenario(0).0, 4));
+    assert!(matches!(reply, Ok(LabResponse::Execute(_))), "{reply:?}");
+    let during = answered.load(Ordering::SeqCst);
+    assert!(
+        !done.load(Ordering::SeqCst),
+        "the depth-1 client waited for the whole flood ({during} of {FLOOD} answered)"
+    );
+
+    sender.join().expect("flood sender");
+    receiver.join().expect("flood receiver");
+    assert_eq!(answered.load(Ordering::SeqCst), FLOOD);
+    assert_eq!(handle.inline_answers(), FLOOD as u64 + 1);
+    handle.shutdown();
 }
