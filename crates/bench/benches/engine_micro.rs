@@ -122,6 +122,23 @@ fn bench_execute_many(c: &mut Criterion) {
             black_box(plan.execute(seed, &mut Recorder::off()).elapsed)
         });
     });
+    // the once-per-plan cost a cached plan's executes no longer pay: a
+    // fresh MareNostrum4 128x48 plan, executed once (compile untimed)
+    let fresh = Scenario::new(
+        harborsim_hw::presets::marenostrum4(),
+        harborsim_core::workloads::artery_cfd_small(),
+    )
+    .nodes(128)
+    .ranks_per_node(48);
+    g.bench_function("fresh_plan_first_execute_mn4_128x48", |b| {
+        b.iter_with_setup(
+            || fresh.compile().expect("scenario compiles"),
+            |plan| {
+                black_box(plan.execute(1, &mut Recorder::off()).elapsed);
+                plan
+            },
+        );
+    });
     g.finish();
 }
 

@@ -152,6 +152,30 @@ impl Bencher {
             }
         }
     }
+
+    /// Like [`Bencher::iter`], but each sample first builds a fresh input
+    /// with `setup`, untimed, and times only `routine` on it. The routine's
+    /// output is dropped after the clock stops, so a routine can hand its
+    /// input back to keep that drop out of the timing.
+    pub fn iter_with_setup<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
+        &mut self,
+        mut setup: S,
+        mut routine: R,
+    ) {
+        std::hint::black_box(routine(setup()));
+        let started = Instant::now();
+        loop {
+            let input = setup();
+            let t0 = Instant::now();
+            let output = routine(input);
+            self.total += t0.elapsed();
+            drop(std::hint::black_box(output));
+            self.iters += 1;
+            if self.iters >= self.max_samples || started.elapsed() >= BENCH_BUDGET {
+                break;
+            }
+        }
+    }
 }
 
 /// Mirrors `criterion::criterion_group!`: bundles bench functions into one
@@ -196,6 +220,29 @@ mod tests {
         });
         g.finish();
         // one warm-up + at most three samples
+        assert!((2..=4).contains(&runs), "runs={runs}");
+    }
+
+    #[test]
+    fn bencher_with_setup_builds_one_input_per_run() {
+        let mut c = Criterion::default();
+        let mut g = c.benchmark_group("selftest");
+        g.sample_size(3);
+        let (mut built, mut runs) = (0u64, 0u64);
+        g.bench_function("with_setup", |b| {
+            b.iter_with_setup(
+                || {
+                    built += 1;
+                    built
+                },
+                |input| {
+                    runs += 1;
+                    assert_eq!(input, runs, "each run gets its own fresh input");
+                },
+            );
+        });
+        g.finish();
+        assert_eq!(built, runs);
         assert!((2..=4).contains(&runs), "runs={runs}");
     }
 

@@ -568,10 +568,12 @@ struct ExecFlight {
 }
 
 /// Most ranks a plan may have for [`QueryEngine::handle_warm`] to run
-/// its execute. The analytic engine's cost grows with ranks: the largest
-/// plan on the daemon's hot menu (192 ranks) executes in about 41 µs,
-/// while a 256-node FSI plan takes milliseconds, which a caller on a
-/// latency-critical thread must never pay.
+/// its execute. A resident plan costs its job once, on its first execute,
+/// and every later execute only replays that table, whatever the rank
+/// count; so the cap bounds only a first execute's costing, which grows
+/// with ranks. On the daemon's hot menu the largest plan (192 ranks)
+/// costs in about 41 µs, while a 256-node FSI plan takes milliseconds,
+/// which a caller on a latency-critical thread must never pay.
 pub const INLINE_MAX_RANKS: u32 = 256;
 
 /// The concurrent query engine every sweep routes through.
@@ -683,16 +685,20 @@ impl QueryEngine {
     /// nothing.
     pub fn handle_traced(&self, req: LabRequest, rec: &mut Recorder) -> LabResponse {
         match req {
-            LabRequest::Plan { scenario } => match self.plan(&scenario) {
-                Ok(plan) => LabResponse::Plan(PlanInfo {
-                    fingerprint: PlanKey::of(&scenario, self.fallback_taper)
-                        .map(|k| k.fingerprint()),
-                    engine: plan.engine_name().to_string(),
-                    ranks: plan.rank_map().ranks(),
-                    deployment: plan.deployment().is_some(),
-                }),
-                Err(e) => LabResponse::Error(e),
-            },
+            LabRequest::Plan { scenario } => {
+                let key = PlanKey::of(&scenario, self.fallback_taper);
+                // the fingerprint of the key resolved below, rendered once
+                let fingerprint = key.as_ref().map(PlanKey::fingerprint);
+                match self.resolve(key, &scenario).0 {
+                    Ok(plan) => LabResponse::Plan(PlanInfo {
+                        fingerprint,
+                        engine: plan.engine_name().to_string(),
+                        ranks: plan.rank_map().ranks(),
+                        deployment: plan.deployment().is_some(),
+                    }),
+                    Err(e) => LabResponse::Error(e),
+                }
+            }
             LabRequest::Execute { scenario, seed } => {
                 execute_response(self.run_batch(vec![Query::new(*scenario, &[seed])], rec))
             }
@@ -745,11 +751,18 @@ impl QueryEngine {
     /// # Errors
     /// See [`Scenario::compile`].
     pub fn plan(&self, scenario: &Scenario) -> Result<Arc<ScenarioPlan>, HarborError> {
-        self.resolve(scenario).0
+        self.resolve(PlanKey::of(scenario, self.fallback_taper), scenario)
+            .0
     }
 
-    fn resolve(&self, scenario: &Scenario) -> (Result<Arc<ScenarioPlan>, HarborError>, Resolution) {
-        match PlanKey::of(scenario, self.fallback_taper) {
+    /// Resolve `scenario` through the cache under `key`, its
+    /// [`PlanKey::of`] under this engine's taper fallback.
+    fn resolve(
+        &self,
+        key: Option<PlanKey>,
+        scenario: &Scenario,
+    ) -> (Result<Arc<ScenarioPlan>, HarborError>, Resolution) {
+        match key {
             Some(key) => self.cache.resolve(key, || self.compile(scenario)),
             None => {
                 self.cache.uncached.fetch_add(1, Ordering::Relaxed);
@@ -783,7 +796,8 @@ impl QueryEngine {
         // fingerprints collapse onto one compile via the single-flight
         // cache; distinct ones compile in parallel.
         let resolved = harborsim_par::run(queries, |q| {
-            let (plan, how) = self.resolve(&q.scenario);
+            let key = PlanKey::of(&q.scenario, self.fallback_taper);
+            let (plan, how) = self.resolve(key, &q.scenario);
             (plan, how, q.seeds)
         });
         self.run_resolved(resolved, rec)

@@ -4,9 +4,12 @@
 //! A [`Scenario`] is the builder; [`Scenario::compile`] validates it once
 //! and produces a [`ScenarioPlan`] — placement, job profile, composed
 //! network, engine, and (if requested) the built image and deployment
-//! model, all resolved up front. [`ScenarioPlan::execute`] then costs one
+//! model, all resolved up front. [`ScenarioPlan::execute`] then runs one
 //! seed with no validation, no profile rebuild and no image rebuild, which
-//! is what the repetition-and-sweep layer in [`crate::runner`] leans on.
+//! is what the repetition-and-sweep layer in [`crate::runner`] leans on. On
+//! the analytic engine the first execute also costs the job, once per plan
+//! ([`harborsim_mpi::AnalyticCost`]); every execute after it only replays
+//! that table under its seed.
 
 use crate::error::HarborError;
 use crate::open::OpenSpec;
@@ -21,11 +24,12 @@ use harborsim_hw::{ClusterSpec, CpuModel, FabricLayout};
 use harborsim_mpi::analytic::EngineConfig;
 use harborsim_mpi::workload::JobProfile;
 use harborsim_mpi::{
-    route_table, AnalyticEngine, DesEngine, PerfEngine, Placement, RankMap, SimResult,
-    TruncatingDes,
+    route_table, AnalyticCost, AnalyticEngine, DesEngine, PerfEngine, Placement, RankMap,
+    SimResult, TruncatingDes,
 };
 use harborsim_net::{NetworkModel, Topology};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 pub use harborsim_container::runtime::ExecutionEnvironment as Execution;
@@ -52,7 +56,7 @@ pub fn topology_for(cluster: &ClusterSpec) -> Topology {
 }
 
 /// What a scenario run produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
     /// Solver elapsed time (the quantity the paper's figures plot).
     pub elapsed: SimDuration,
@@ -295,15 +299,21 @@ impl Scenario {
             table.graph_mut().degrade(id, factor);
         }
         let routes = Arc::new(table);
-        let engine: Box<dyn PerfEngine + Send + Sync> = match self.engine {
-            EngineKind::Analytic => Box::new(AnalyticEngine::with_routes(
-                self.cluster.node.clone(),
-                network,
-                map,
-                config,
-                routes,
-            )),
-            EngineKind::Des { max_steps_per_kind } => Box::new(TruncatingDes {
+        let engine = match self.engine {
+            EngineKind::Analytic => PlanEngine::Analytic {
+                engine: AnalyticEngine::with_routes(
+                    self.cluster.node.clone(),
+                    network,
+                    map,
+                    config,
+                    routes,
+                ),
+                // filled by the first execute, not here: a plan that is
+                // only described (a lab `Plan` request) never pays for it
+                cost: OnceLock::new(),
+                costings: AtomicU64::new(0),
+            },
+            EngineKind::Des { max_steps_per_kind } => PlanEngine::Des(TruncatingDes {
                 inner: DesEngine::with_routes(
                     self.cluster.node.clone(),
                     network,
@@ -388,12 +398,28 @@ impl Scenario {
     }
 }
 
+/// The engine a plan executes on.
+enum PlanEngine {
+    /// The analytic engine and its job's seed-independent cost.
+    Analytic {
+        engine: AnalyticEngine,
+        /// The job's cost table, filled by the first execute.
+        cost: OnceLock<AnalyticCost>,
+        /// Cost tables computed for this plan (see
+        /// [`ScenarioPlan::costings`]).
+        costings: AtomicU64,
+    },
+    /// The message-level engine under step truncation, which simulates
+    /// every seed from scratch.
+    Des(TruncatingDes),
+}
+
 /// A compiled scenario: everything seed-independent resolved, ready to
 /// execute any number of seeds.
 pub struct ScenarioPlan {
     map: RankMap,
     job: JobProfile,
-    engine: Box<dyn PerfEngine + Send + Sync>,
+    engine: PlanEngine,
     deployment: Option<DeploymentReport>,
     /// Deployment spans captured at compile time, replayed per execute.
     deployment_trace: Option<TraceBuffer>,
@@ -412,13 +438,38 @@ impl ScenarioPlan {
     /// [`Recorder::aggregating`] the outcome's breakdowns are populated,
     /// with [`Recorder::off`] elapsed time and traffic counters stay
     /// exact but compute/comm attribution comes out zero.
+    ///
+    /// On the analytic engine the first execute costs the job and keeps
+    /// the table; later executes only replay it. The table is published
+    /// without a lock: executes that race to be first each compute the
+    /// same table, one is kept, and none waits for another.
     pub fn execute(&self, seed: u64, rec: &mut Recorder) -> Outcome {
         if rec.is_enabled() {
             if let Some(buf) = &self.deployment_trace {
                 rec.absorb(buf);
             }
         }
-        let result = self.engine.run_traced(&self.job, seed, rec);
+        let result = match &self.engine {
+            PlanEngine::Analytic {
+                engine,
+                cost,
+                costings,
+            } => {
+                let table = match cost.get() {
+                    Some(table) => table,
+                    None => {
+                        costings.fetch_add(1, Ordering::Relaxed);
+                        // a racing execute may have filled the cell
+                        // meanwhile; its table is the same, so losing the
+                        // `set` is harmless
+                        let _ = cost.set(engine.cost(&self.job));
+                        cost.get().expect("the cost cell was just filled")
+                    }
+                };
+                engine.replay(table, seed, rec)
+            }
+            PlanEngine::Des(des) => des.run_traced(&self.job, seed, rec),
+        };
         let mut attrs = self.attrs.clone();
         attrs.push(("engine", AttrValue::Text(result.engine.to_string())));
         attrs.push(("seed", AttrValue::Int(seed)));
@@ -457,7 +508,22 @@ impl ScenarioPlan {
 
     /// Short name of the selected engine ("analytic", "des").
     pub fn engine_name(&self) -> &'static str {
-        self.engine.name()
+        match &self.engine {
+            PlanEngine::Analytic { .. } => "analytic",
+            PlanEngine::Des(des) => des.name(),
+        }
+    }
+
+    /// How many times this plan has costed its job on the analytic
+    /// engine: 0 until the first execute, then 1 however many executes
+    /// follow, unless first executes raced (each of those costs the job,
+    /// and one table is kept). The costing is an execute's only per-rank
+    /// work. Always 0 on the DES, which keeps no per-plan cost.
+    pub fn costings(&self) -> u64 {
+        match &self.engine {
+            PlanEngine::Analytic { costings, .. } => costings.load(Ordering::Relaxed),
+            PlanEngine::Des(_) => 0,
+        }
     }
 
     /// The deployment model, if the scenario requested one.

@@ -9,13 +9,17 @@
 //! has (steps are run-length encoded), which is what lets HarborSim sweep
 //! the MareNostrum4 FSI case to 12,288 ranks in microseconds.
 //!
-//! All per-run working state — the link schedule, per-node round tallies,
-//! per-phase and per-run link accumulators — lives in a pooled `Scratch`
-//! reused across runs, so repeated `execute(seed)` on a cached plan
-//! allocates nothing here. Phase costs proper are plain scalars
-//! (`PhaseCost` is `Copy`); the per-link vectors that used to ride along
-//! in it accumulate in place in the scratch instead, with the identical
-//! floating-point operation order, so results are bit-for-bit unchanged.
+//! A run splits in two. [`AnalyticEngine::cost`] does everything that does
+//! not depend on the seed, once per plan: it deposits every round's
+//! messages on the link graph (the only per-rank work) and keeps the result
+//! as an [`AnalyticCost`] table: each step's compute seconds, each phase's
+//! seconds and bridge share, the message and byte totals, and per-link busy
+//! seconds and bytes. [`AnalyticEngine::replay`] does the per-seed work: it
+//! draws the run factor, walks the table emitting spans, and renders the
+//! link labels, in `O(phases + links)`. The round-counting scratch is a
+//! local of `cost`; nothing is pooled. Every floating-point operation keeps
+//! the order of a single pass (`(compute × reps) × run_factor`), so a
+//! replayed table is bit-identical to costing the seed from scratch.
 //!
 //! Modelling decisions (shared with the DES engine where applicable):
 //!
@@ -36,7 +40,7 @@ use crate::workload::{CommPhase, JobProfile, StepProfile};
 use harborsim_des::trace::{Recorder, SpanCategory};
 use harborsim_des::{RngStream, SimDuration, SimTime};
 use harborsim_hw::NodeSpec;
-use harborsim_net::{LinkId, LinkSchedule, NetworkModel, RouteTable, ScratchPool};
+use harborsim_net::{LinkId, LinkSchedule, NetworkModel, RouteTable};
 use std::sync::Arc;
 
 /// Knobs common to both engines.
@@ -62,7 +66,7 @@ impl Default for EngineConfig {
 }
 
 /// Scalar cost of one communication phase. The per-link tallies the phase
-/// deposits accumulate in the run [`Scratch`], not here.
+/// deposits accumulate in the costing's [`Scratch`], not here.
 #[derive(Debug, Clone, Copy, Default)]
 struct PhaseCost {
     seconds: f64,
@@ -93,9 +97,9 @@ impl PhaseCost {
     }
 }
 
-/// Pooled per-run working state: the round being counted (per-node message
+/// Working state of one costing: the round being counted (per-node message
 /// tallies + the fluid link schedule), the current phase's per-link
-/// accumulators, and the whole run's per-link accumulators.
+/// accumulators, and the whole job's per-link accumulators.
 #[derive(Debug)]
 struct Scratch {
     /// Fluid schedule of the round being counted.
@@ -110,50 +114,26 @@ struct Scratch {
     phase_busy: Vec<f64>,
     /// Per-link payload bytes deposited by the current phase.
     phase_bytes: Vec<u64>,
-    /// Per-link busy seconds over the whole run.
+    /// Per-link busy seconds over the whole job.
     link_busy: Vec<f64>,
-    /// Per-link payload bytes over the whole run.
+    /// Per-link payload bytes over the whole job.
     link_bytes: Vec<u64>,
 }
 
-impl Default for Scratch {
-    fn default() -> Scratch {
+impl Scratch {
+    /// Zeroed state for a plan with `links` links over `nodes` nodes.
+    fn new(links: usize, nodes: usize) -> Scratch {
         Scratch {
-            sched: LinkSchedule::new(0),
-            out: Vec::new(),
-            intra: Vec::new(),
+            sched: LinkSchedule::new(links),
+            out: vec![0; nodes],
+            intra: vec![0; nodes],
             total_cut: 0,
             total_intra: 0,
-            phase_busy: Vec::new(),
-            phase_bytes: Vec::new(),
-            link_busy: Vec::new(),
-            link_bytes: Vec::new(),
+            phase_busy: vec![0.0; links],
+            phase_bytes: vec![0; links],
+            link_busy: vec![0.0; links],
+            link_bytes: vec![0; links],
         }
-    }
-}
-
-impl Scratch {
-    /// Size for this plan and zero everything, keeping allocations.
-    fn reset(&mut self, links: usize, nodes: usize) {
-        if self.sched.busy_s().len() == links {
-            self.sched.reset();
-        } else {
-            self.sched = LinkSchedule::new(links);
-        }
-        self.out.clear();
-        self.out.resize(nodes, 0);
-        self.intra.clear();
-        self.intra.resize(nodes, 0);
-        self.total_cut = 0;
-        self.total_intra = 0;
-        self.phase_busy.clear();
-        self.phase_busy.resize(links, 0.0);
-        self.phase_bytes.clear();
-        self.phase_bytes.resize(links, 0);
-        self.link_busy.clear();
-        self.link_busy.resize(links, 0.0);
-        self.link_bytes.clear();
-        self.link_bytes.resize(links, 0);
     }
 
     /// Start counting a fresh communication round.
@@ -177,6 +157,41 @@ impl Scratch {
     }
 }
 
+/// One stretch of the bulk-synchronous timeline, before the seed's run
+/// factor scales it.
+#[derive(Debug, Clone, Copy)]
+enum Segment {
+    /// A step's compute: the slowest rank's seconds times the step's
+    /// repeat count.
+    Compute(f64),
+    /// A communication phase after the step's repeat count.
+    Phase {
+        seconds: f64,
+        /// Share of `seconds` spent in the serialized container-bridge path.
+        bridge_s: f64,
+        cat: SpanCategory,
+        name: &'static str,
+    },
+}
+
+/// The seed-independent cost of one job on one [`AnalyticEngine`]: the
+/// timeline's segments, the traffic totals and the per-link tallies.
+/// Built by [`AnalyticEngine::cost`] and turned into a seed's result by
+/// [`AnalyticEngine::replay`] on the engine that built it. It holds no
+/// link labels; `replay` renders them.
+#[derive(Debug, Clone)]
+pub struct AnalyticCost {
+    /// Compute and phase segments in timeline order.
+    segments: Vec<Segment>,
+    inter_msgs: u64,
+    intra_msgs: u64,
+    inter_bytes: u64,
+    /// Per-link busy seconds; empty when no byte crossed the fabric.
+    link_busy: Vec<f64>,
+    /// Per-link payload bytes; empty when no byte crossed the fabric.
+    link_bytes: Vec<u64>,
+}
+
 /// The analytic engine.
 #[derive(Debug, Clone)]
 pub struct AnalyticEngine {
@@ -189,7 +204,6 @@ pub struct AnalyticEngine {
     /// Engine knobs.
     pub config: EngineConfig,
     routes: Arc<RouteTable>,
-    scratch: ScratchPool<Scratch>,
 }
 
 impl AnalyticEngine {
@@ -226,7 +240,6 @@ impl AnalyticEngine {
             map,
             config,
             routes,
-            scratch: ScratchPool::new(),
         }
     }
 
@@ -246,29 +259,29 @@ impl AnalyticEngine {
     /// alternate). The timing and breakdown in the returned [`SimResult`]
     /// are *derived from* the recorded spans; with a disabled recorder
     /// `elapsed` and traffic counters are still exact but `compute`/`comm`
-    /// attribution comes out zero.
+    /// attribution comes out zero. Costs `job` afresh; callers that run
+    /// many seeds of one job keep its [`AnalyticEngine::cost`] and
+    /// [`AnalyticEngine::replay`] it.
     pub fn run_traced(&self, job: &JobProfile, seed: u64, rec: &mut Recorder) -> SimResult {
-        let mut rng = RngStream::new(seed).derive("analytic-run");
-        // one multiplicative run-to-run factor (machine state, turbo, ...)
-        let run_factor = rng.lognormal_factor(0.004);
+        self.replay(&self.cost(job), seed, rec)
+    }
 
-        let mut local = Recorder::like(rec);
-        local.declare_tracks(1);
-        let mut t = SimTime::ZERO;
+    /// Cost everything about `job` that does not depend on the seed:
+    /// `O(phases × ranks·log ranks)`, the engine's only per-rank work.
+    pub fn cost(&self, job: &JobProfile) -> AnalyticCost {
+        let nlinks = self.routes.graph().len();
+        let mut s = Scratch::new(nlinks, self.map.nodes as usize);
+        let mut segments =
+            Vec::with_capacity(job.steps.iter().map(|(step, _)| 1 + step.comm.len()).sum());
         let mut inter_msgs = 0u64;
         let mut intra_msgs = 0u64;
         let mut inter_bytes = 0u64;
-        let nlinks = self.routes.graph().len();
-        let mut s = self.scratch.take().unwrap_or_default();
-        s.reset(nlinks, self.map.nodes as usize);
 
         for (step, reps) in &job.steps {
             let reps = *reps as u64;
-            let compute_d = SimDuration::from_secs_f64(
-                self.step_compute_seconds(step) * reps as f64 * run_factor,
-            );
-            local.span(SpanCategory::Compute, "solver-compute", 0, t, t + compute_d);
-            t += compute_d;
+            segments.push(Segment::Compute(
+                self.step_compute_seconds(step) * reps as f64,
+            ));
             for phase in &step.comm {
                 let (cost, cat, name) = self.phase_cost(&mut s, phase);
                 let cost = cost.times(reps);
@@ -282,42 +295,91 @@ impl AnalyticEngine {
                     s.link_busy[i] += s.phase_busy[i];
                     s.link_bytes[i] += s.phase_bytes[i];
                 }
-                let d = SimDuration::from_secs_f64(cost.seconds * run_factor);
-                local.span(cat, name, 0, t, t + d);
-                if cost.bridge_s > 0.0 {
-                    // nested inside the phase span: the serialized bridge
-                    // share, already part of `d` — informational only
-                    let bd = SimDuration::from_secs_f64(cost.bridge_s * run_factor);
-                    local.span(SpanCategory::Bridge, "bridge-serialization", 0, t, t + bd);
-                }
-                t += d;
+                segments.push(Segment::Phase {
+                    seconds: cost.seconds,
+                    bridge_s: cost.bridge_s,
+                    cat,
+                    name,
+                });
             }
         }
 
-        let links = if inter_bytes > 0 {
-            let g = self.routes.graph();
-            (0..g.len())
-                .map(|i| LinkUsage {
-                    label: g.label(LinkId(i as u32)),
-                    busy_s: s.link_busy[i],
-                    bytes: s.link_bytes[i],
-                })
-                .collect()
+        let (link_busy, link_bytes) = if inter_bytes > 0 {
+            (s.link_busy, s.link_bytes)
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
+        AnalyticCost {
+            segments,
+            inter_msgs,
+            intra_msgs,
+            inter_bytes,
+            link_busy,
+            link_bytes,
+        }
+    }
+
+    /// Turn `cost` (from [`AnalyticEngine::cost`] on this engine) into
+    /// `seed`'s result: draw the run-to-run factor, emit the timeline's
+    /// spans through `rec` as [`AnalyticEngine::run_traced`] does, and
+    /// attach the link table. `O(phases + links)`, with no per-rank work.
+    pub fn replay(&self, cost: &AnalyticCost, seed: u64, rec: &mut Recorder) -> SimResult {
+        let mut rng = RngStream::new(seed).derive("analytic-run");
+        // one multiplicative run-to-run factor (machine state, turbo, ...)
+        let run_factor = rng.lognormal_factor(0.004);
+
+        let mut local = Recorder::like(rec);
+        local.declare_tracks(1);
+        let mut t = SimTime::ZERO;
+        for segment in &cost.segments {
+            match *segment {
+                Segment::Compute(seconds) => {
+                    let d = SimDuration::from_secs_f64(seconds * run_factor);
+                    local.span(SpanCategory::Compute, "solver-compute", 0, t, t + d);
+                    t += d;
+                }
+                Segment::Phase {
+                    seconds,
+                    bridge_s,
+                    cat,
+                    name,
+                } => {
+                    let d = SimDuration::from_secs_f64(seconds * run_factor);
+                    local.span(cat, name, 0, t, t + d);
+                    if bridge_s > 0.0 {
+                        // nested inside the phase span: the serialized
+                        // bridge share, already part of `d` — informational
+                        let bd = SimDuration::from_secs_f64(bridge_s * run_factor);
+                        local.span(SpanCategory::Bridge, "bridge-serialization", 0, t, t + bd);
+                    }
+                    t += d;
+                }
+            }
+        }
+
+        let g = self.routes.graph();
+        let links = cost
+            .link_busy
+            .iter()
+            .zip(&cost.link_bytes)
+            .enumerate()
+            .map(|(i, (&busy_s, &bytes))| LinkUsage {
+                label: g.label(LinkId(i as u32)),
+                busy_s,
+                bytes,
+            })
+            .collect();
         let result = SimResult {
             elapsed: t - SimTime::ZERO,
             compute: local.rollup().max_track(SpanCategory::Compute),
             comm: CommBreakdown::from_trace(local.rollup()),
-            inter_node_msgs: inter_msgs,
-            intra_node_msgs: intra_msgs,
-            inter_node_bytes: inter_bytes,
+            inter_node_msgs: cost.inter_msgs,
+            intra_node_msgs: cost.intra_msgs,
+            inter_node_bytes: cost.inter_bytes,
             links,
             engine: "analytic",
         };
         rec.merge(local);
-        self.scratch.put(s);
         result
     }
 
@@ -637,15 +699,20 @@ mod tests {
     }
 
     #[test]
-    fn repeated_runs_reuse_pooled_scratch() {
-        let e = engine(4, 28, 1, DataPath::Host);
+    fn one_cost_replays_every_seed_as_a_fresh_run() {
+        let e = engine(4, 28, 1, DataPath::docker_default_bridge());
         let job = JobProfile::uniform(cfd_like_step(), 10);
-        let first = e.run(&job, 3);
-        assert_eq!(e.scratch.idle(), 1, "run must return its scratch");
-        for _ in 0..3 {
-            assert_eq!(e.run(&job, 3), first, "pooled scratch must not leak state");
+        let cost = e.cost(&job);
+        for seed in [0, 3, 42, u64::MAX] {
+            let mut fresh = Recorder::capturing();
+            let mut replayed = Recorder::capturing();
+            assert_eq!(
+                e.replay(&cost, seed, &mut replayed),
+                e.run_traced(&job, seed, &mut fresh),
+                "seed {seed}"
+            );
+            assert_eq!(replayed.take_buffer(), fresh.take_buffer(), "seed {seed}");
         }
-        assert_eq!(e.scratch.idle(), 1);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! a truncated job with the result scaled back, which is how HarborSim
 //! makes message-level simulation affordable on long production runs.
 //!
-//! Callers that pick an engine at configuration time (the `Scenario`
-//! layer in `harborsim-core`) hold a `Box<dyn PerfEngine + Send + Sync>`
-//! and stay agnostic of the choice on the hot path.
+//! Callers that hold one engine of either kind (experiments, benches,
+//! tests) run it through the trait. The `Scenario` layer in
+//! `harborsim-core` instead matches on its two engines, because it keeps
+//! the analytic engine's per-plan [`AnalyticCost`](crate::AnalyticCost)
+//! beside it.
 
 use crate::analytic::AnalyticEngine;
 use crate::des_engine::DesEngine;

@@ -33,7 +33,7 @@ pub mod result;
 pub mod thread_mpi;
 pub mod workload;
 
-pub use analytic::AnalyticEngine;
+pub use analytic::{AnalyticCost, AnalyticEngine};
 pub use des_engine::DesEngine;
 pub use engine::{PerfEngine, TruncatingDes};
 pub use mapping::{route_table, Placement, RankMap};

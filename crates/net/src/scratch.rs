@@ -1,12 +1,13 @@
 //! A tiny thread-safe free-list of reusable scratch state.
 //!
-//! Engines that execute a cached plan repeatedly (`ScenarioPlan::execute`
-//! over many seeds) keep their per-run working state — event arenas, link
-//! schedules, tally vectors — in a [`ScratchPool`] instead of reallocating
-//! it every run: take a box off the pool (or build a fresh one on first
-//! use), reset it in place, run, put it back. Concurrent executions on the
-//! lab's worker pool each take their own box, so the pool grows to the peak
-//! concurrency and then stops allocating.
+//! An engine that simulates every seed of a cached plan afresh (the DES
+//! under `ScenarioPlan::execute` over many seeds) keeps its per-run working
+//! state — event arenas, link schedules, tally vectors — in a
+//! [`ScratchPool`] instead of reallocating it every run: take a box off
+//! the pool (or build a fresh one on first use), reset it in place, run,
+//! put it back. Concurrent executions on the lab's worker pool each take
+//! their own box, so the pool grows to the peak concurrency and then stops
+//! allocating.
 //!
 //! The pool deliberately knows nothing about the scratch type: resetting is
 //! the caller's job, because only the engine knows which dimensions of the

@@ -7,9 +7,11 @@
 //! 2. Both engines' `run_traced` cost is constant in the step count: a run
 //!    with 10x the steps performs the *same number* of allocations as a
 //!    short run, because everything that scales with steps (events, link
-//!    tallies, per-rank queues, message state) lives in pooled scratch.
-//!    Per-run setup (taking the scratch box, assembling `SimResult`) may
-//!    allocate, but only O(1) per run.
+//!    tallies, per-rank queues, message state) lives in scratch reused
+//!    from step to step: pooled across runs in the DES, built once per
+//!    costing in the analytic engine. Per-run setup (taking or building
+//!    the scratch, assembling `SimResult`) may allocate, but only O(1) per
+//!    run.
 //!
 //! The counter is per thread, so a measurement sees only the allocations
 //! of the thread running it, never those of sibling tests running
