@@ -256,7 +256,40 @@ fn bench_des_mpi(c: &mut Criterion) {
     g.bench_function("message_level_112_ranks", |b| {
         b.iter(|| black_box(engine.run(&job, 1).elapsed));
     });
+    // the largest campaign-des grid point, in fired events/s: the
+    // per-event cost of the kernel, protocol and link costing together
+    let (engine, job) = fsi_mn4_32x1_des2();
+    let (_, events) = engine.run_counted(&job, 1, &mut Recorder::off());
+    g.throughput(Throughput::Elements(events));
+    g.bench_function("fsi_mn4_32x1_des2", |b| {
+        b.iter(|| black_box(engine.run_counted(&job, 1, &mut Recorder::off()).1));
+    });
     g.finish();
+}
+
+/// `fsi-mn4` on 32 MareNostrum4 nodes at one rank per node, bare metal,
+/// truncated to 2 steps per kind (`engine des 2`): the engine and job a
+/// plan of the largest campaign-des grid point runs.
+fn fsi_mn4_32x1_des2() -> (DesEngine, JobProfile) {
+    use harborsim_core::scenario::Scenario;
+    let scenario = Scenario::new(
+        harborsim_hw::presets::marenostrum4(),
+        harborsim_core::workloads::artery_fsi_mn4(),
+    )
+    .nodes(32)
+    .ranks_per_node(1);
+    let plan = scenario.compile().expect("scenario compiles");
+    let config = EngineConfig {
+        compute_tax: scenario.env.runtime.compute_tax(),
+        ..EngineConfig::default()
+    };
+    let engine = DesEngine::new(
+        scenario.cluster.node.clone(),
+        scenario.network_model(),
+        plan.rank_map(),
+        config,
+    );
+    (engine, plan.job().truncated(2).0)
 }
 
 /// Per-shard scaling of the conservative parallel DES on the 256-node

@@ -1,4 +1,4 @@
-//! The event core: slab + keyed 4-ary heap + clock.
+//! The event core: slab + keyed 4-ary heap with a zero-delay lane + clock.
 //!
 //! [`EventCore`] is the one pending-event set of the kernel: an event
 //! arena, a min-heap, and a local clock, with a caller-owned loop. The
@@ -16,8 +16,23 @@
 //! identical for every shard count — the property the serial-vs-sharded
 //! differential test pins.
 //!
-//! Cancellation is an O(1) generation bump in the arena: the heap entry
-//! stays behind as a tombstone that [`EventCore::pop_within`] skips.
+//! Zero-delay schedules skip the heap. An event scheduled at the instant
+//! of the last pop, with a key above every other such event still
+//! pending, joins a FIFO lane beside the heap, and each pop takes the
+//! smaller key of the lane front and the heap root. Resource grants and
+//! same-instant wake-ups cost an append instead of a sift, and the pop
+//! order stays the global key order: every user of the core (the serial
+//! engine, the sharded MPI engine, deployment, the schedulers,
+//! [`FluidLink`](crate::FluidLink)) keeps its exact schedule. [`len`],
+//! [`is_empty`], [`min_time`] and [`reset`] all count the lane.
+//!
+//! Cancellation is an O(1) generation bump in the arena: the heap or lane
+//! entry stays behind as a tombstone that [`EventCore::pop_within`] skips.
+//!
+//! [`len`]: EventCore::len
+//! [`is_empty`]: EventCore::is_empty
+//! [`min_time`]: EventCore::min_time
+//! [`reset`]: EventCore::reset
 
 use crate::arena::EventArena;
 use crate::heap::{pack, EventHeap};

@@ -2,10 +2,10 @@
 //! [`RngStream`] case generation (seeded, reproducible, dependency-free).
 
 use harborsim_des::{
-    CoreResource, Engine, Event, EventId, FluidLink, RngStream, SimDuration, SimTime,
+    CoreResource, Engine, Event, EventCore, EventId, FluidLink, RngStream, SimDuration, SimTime,
 };
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 /// Deterministic replacement for proptest case generation.
 fn cases(label: &str, n: u64) -> impl Iterator<Item = RngStream> {
@@ -253,7 +253,27 @@ fn reference_queue_pops_in_time_then_schedule_order() {
 /// same labels, same fire times, same pending counts, same clock.
 #[test]
 fn arena_engine_matches_reference_queue() {
-    for mut rng in cases("differential", 64) {
+    engine_matches_reference_queue("differential", |rng| rng.below(1_000));
+}
+
+/// [`arena_engine_matches_reference_queue`] with three quarters of the
+/// schedules at zero delay, so most pushes land in the core's zero-delay
+/// lane, cancels hit lane entries, and pops merge the lane with the heap.
+#[test]
+fn zero_delay_heavy_engine_matches_reference_queue() {
+    engine_matches_reference_queue("differential-zero-delay", |rng| {
+        if rng.below(4) == 0 {
+            rng.below(1_000)
+        } else {
+            0
+        }
+    });
+}
+
+/// Drive the production engine and the reference queue through the same
+/// random schedule/cancel/pop sequence, drawing delays (ns) from `delay`.
+fn engine_matches_reference_queue(label: &str, delay: fn(&mut RngStream) -> u64) {
+    for mut rng in cases(label, 64) {
         // Reference model: the pre-arena engine semantics, spelled out.
         let mut refq: EventQueue<(u64, Option<u64>)> = EventQueue::new();
         let mut ref_cancelled: HashSet<u64> = HashSet::new();
@@ -288,13 +308,13 @@ fn arena_engine_matches_reference_queue() {
         for _ in 0..steps {
             match rng.below(4) {
                 0 => {
-                    let d = SimDuration::from_nanos(rng.below(1_000));
+                    let d = SimDuration::from_nanos(delay(&mut rng));
                     refq.push(ref_now + d, (label, None));
                     eng.schedule_event(d, Log(label));
                     label += 1;
                 }
                 1 => {
-                    let d = SimDuration::from_nanos(rng.below(1_000));
+                    let d = SimDuration::from_nanos(delay(&mut rng));
                     let cid = next_cid;
                     next_cid += 1;
                     refq.push(ref_now + d, (label, Some(cid)));
@@ -354,4 +374,176 @@ fn engine_is_deterministic() {
         };
         assert_eq!(run(&delays), run(&delays));
     }
+}
+
+/// The event core under caller-packed ties, the way the sharded MPI engine
+/// keys events: ties are not monotone, so a same-instant schedule may sort
+/// before the zero-delay lane's back and must take the heap. Random
+/// schedules (mostly at the current instant), cancels and horizon-bounded
+/// pops must match a sorted map of the live entries: same events, same
+/// clock, same pending counts and earliest time.
+#[test]
+fn event_core_with_lane_matches_a_sorted_map() {
+    for mut rng in cases("core-lane", 64) {
+        let mut core: EventCore<u64> = EventCore::new();
+        // (time, tie) -> (label, live); cancelled entries stay as
+        // tombstones until they would pop, as in the core
+        let mut want: BTreeMap<(u64, u64), (u64, bool)> = BTreeMap::new();
+        let mut ids: Vec<((u64, u64), EventId)> = Vec::new();
+        let mut now = 0u64;
+        for label in 0..300u64 {
+            match rng.below(5) {
+                0..=2 => {
+                    let at = now + if rng.below(4) == 0 { rng.below(50) } else { 0 };
+                    // a random tie above the label keeps keys distinct
+                    let tie = rng.below(64) << 20 | label;
+                    ids.push(((at, tie), core.schedule_keyed(SimTime(at), tie, label)));
+                    want.insert((at, tie), (label, true));
+                }
+                3 => {
+                    if !ids.is_empty() {
+                        let (key, id) = ids[rng.below(ids.len() as u64) as usize];
+                        core.cancel(id);
+                        if let Some(e) = want.get_mut(&key) {
+                            e.1 = false;
+                        }
+                    }
+                }
+                _ => {
+                    let horizon = now + rng.below(8);
+                    let got = core.pop_within(SimTime(horizon));
+                    let mut expect = None;
+                    while let Some((&(at, tie), &(label, live))) = want.first_key_value() {
+                        if at > horizon {
+                            break;
+                        }
+                        want.remove(&(at, tie));
+                        if live {
+                            now = at;
+                            expect = Some(label);
+                            break;
+                        }
+                    }
+                    assert_eq!(got, expect);
+                }
+            }
+            assert_eq!(core.now(), SimTime(now));
+            assert_eq!(core.len(), want.len());
+            assert_eq!(core.is_empty(), want.is_empty());
+            let earliest = want.first_key_value().map(|(&(at, _), _)| SimTime(at));
+            assert_eq!(core.min_time(), earliest);
+        }
+    }
+}
+
+#[test]
+fn cancelling_a_lane_entry_leaves_a_tombstone() {
+    let mut core: EventCore<&str> = EventCore::new();
+    core.schedule_keyed(SimTime(5), 0, "first");
+    assert_eq!(core.pop_within(SimTime::MAX), Some("first"));
+    // both at the current instant, in key order: the lane takes them
+    let doomed = core.schedule_keyed(SimTime(5), 1, "doomed");
+    core.schedule_keyed(SimTime(5), 2, "kept");
+    core.schedule_keyed(SimTime(9), 3, "later");
+    core.cancel(doomed);
+    assert_eq!(core.len(), 3, "the tombstone stays queued until it pops");
+    assert_eq!(core.min_time(), Some(SimTime(5)));
+    assert_eq!(core.pop_within(SimTime::MAX), Some("kept"));
+    assert_eq!(core.len(), 1);
+    core.cancel(doomed); // stale: already popped as a tombstone
+    assert_eq!(core.pop_within(SimTime::MAX), Some("later"));
+    assert!(core.is_empty());
+}
+
+#[test]
+fn a_horizon_refuses_a_lane_entry() {
+    let mut core: EventCore<&str> = EventCore::new();
+    core.schedule_keyed(SimTime(5), 0, "first");
+    assert_eq!(core.pop_within(SimTime(5)), Some("first"));
+    core.schedule_keyed(SimTime(5), 1, "lane");
+    // a shard may be handed a horizon below its own clock
+    assert_eq!(core.pop_within(SimTime(4)), None);
+    assert_eq!(core.now(), SimTime(5));
+    assert_eq!(core.len(), 1);
+    assert_eq!(core.min_time(), Some(SimTime(5)));
+    assert_eq!(core.pop_within(SimTime(5)), Some("lane"));
+    assert!(core.is_empty());
+}
+
+#[test]
+fn len_is_empty_min_time_and_reset_count_the_lane() {
+    let mut core: EventCore<u32> = EventCore::new();
+    core.schedule_keyed(SimTime(3), 0, 0);
+    assert_eq!(core.pop_within(SimTime::MAX), Some(0));
+    core.schedule_keyed(SimTime(3), 1, 1);
+    core.schedule_keyed(SimTime(3), 2, 2);
+    core.schedule_keyed(SimTime(7), 0, 3);
+    assert_eq!(core.len(), 3);
+    assert!(!core.is_empty());
+    assert_eq!(core.min_time(), Some(SimTime(3)));
+    assert_eq!(core.pop_within(SimTime::MAX), Some(1));
+    assert_eq!(core.len(), 2);
+    core.reset();
+    assert_eq!(core.len(), 0);
+    assert!(core.is_empty());
+    assert_eq!(core.min_time(), None);
+    assert_eq!(core.now(), SimTime::ZERO);
+    // the rewound core starts a fresh lane at time zero
+    core.schedule_keyed(SimTime::ZERO, 5, 4);
+    core.schedule_keyed(SimTime::ZERO, 1, 5);
+    assert_eq!(core.pop_within(SimTime::MAX), Some(5));
+    assert_eq!(core.pop_within(SimTime::MAX), Some(4));
+    assert!(core.is_empty());
+}
+
+/// Schedules a zero-delay `Log` for each label it carries when fired.
+#[derive(Clone, Copy)]
+enum Burst {
+    Log(u64),
+    Fan(u64, u64),
+}
+
+impl Event<Vec<(u64, u64)>> for Burst {
+    fn fire(self, eng: &mut Engine<Vec<(u64, u64)>, Burst>, log: &mut Vec<(u64, u64)>) {
+        match self {
+            Burst::Log(label) => log.push((eng.now().as_nanos(), label)),
+            Burst::Fan(first, n) => {
+                for label in first..first + n {
+                    eng.schedule_event(SimDuration::ZERO, Burst::Log(label));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tie_sequence_restarts_after_the_queue_drains_through_the_lane() {
+    let mut eng: Engine<Vec<(u64, u64)>, Burst> = Engine::new();
+    let mut log = Vec::new();
+    eng.schedule_event(SimDuration::from_nanos(10), Burst::Fan(0, 3));
+    eng.run(&mut log);
+    assert_eq!(eng.events_pending(), 0);
+    // drained at t = 10: the sequence restarts, and the restarted keys
+    // must still fire in scheduling order through a fresh lane
+    eng.schedule_event(SimDuration::ZERO, Burst::Fan(3, 2));
+    eng.schedule_event(SimDuration::ZERO, Burst::Log(5));
+    let doomed = eng.schedule_cancellable_event(SimDuration::ZERO, Burst::Log(99));
+    eng.cancel(doomed);
+    eng.schedule_event(SimDuration::from_nanos(1), Burst::Fan(6, 2));
+    eng.run(&mut log);
+    assert_eq!(
+        log,
+        vec![
+            (10, 0),
+            (10, 1),
+            (10, 2),
+            (10, 5),
+            (10, 3),
+            (10, 4),
+            (11, 6),
+            (11, 7)
+        ]
+    );
+    // a fan and 3 logs, then 2 fans and 5 logs; the tombstone never fires
+    assert_eq!(eng.events_executed(), 4 + 7);
 }

@@ -42,14 +42,24 @@
 //! event is keyed `(time, scheduling domain, per-domain sequence)`, a pure
 //! function of the (deterministic) per-domain schedule order, so the
 //! per-domain pop order — and with it every result and span — is identical
-//! for *any* shard count. `tests/shards_differential.rs` pins serial vs
-//! sharded bit-equality; `shards = 1` (the default) skips threads and
-//! barriers entirely.
+//! for *any* shard count. The unit test `sharded_runs_match_serial_bit_for_bit`
+//! and `tests/engines_agree.rs` (`sharded_des_agrees_*`) pin serial vs
+//! sharded bit-equality, and `tests/des_golden.rs` pins the values
+//! themselves; `shards = 1` (the default) skips threads, barriers and the
+//! per-schedule target lookup entirely.
 //!
-//! Event payloads are `Copy` values in per-shard slab arenas; instruction
-//! queues, resources, and tallies live in pooled `DesScratch` reused across
-//! runs, so the steady-state event loop of `plan.execute(seed)` performs no
-//! heap allocation.
+//! # Cost per event
+//!
+//! Event payloads are 40-byte `Copy` values in per-shard slab arenas:
+//! route events carry `(src, dst, bytes)` and look the route, its
+//! serialization time and its latency up again from the route table
+//! rather than carrying them. Per-run constants (overheads, handshakes,
+//! the bridge hold, the pipe latency) are converted to durations once per
+//! run, the rank → domain map is a table built once per engine, and the
+//! message table hashes with the identity, since `match_id` has already
+//! mixed its key. Instruction queues, resources, and tallies live in
+//! pooled `DesScratch` reused across runs, so the steady-state event loop
+//! of `plan.execute(seed)` performs no heap allocation.
 //!
 //! The engine is deterministic for a given seed and cross-validated against
 //! the analytic engine in `tests/engines_agree.rs`.
@@ -64,6 +74,7 @@ use harborsim_des::{CoreResource, EventCore, RngStream, SimDuration, SimTime};
 use harborsim_hw::NodeSpec;
 use harborsim_net::{LinkId, NetworkModel, Route, RouteTable, ScratchPool, TransportParams};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -131,6 +142,30 @@ struct RankState {
     finished: bool,
 }
 
+/// The message table's hasher: the identity on the `u64` message id,
+/// which [`match_id`] has already mixed.
+#[derive(Default)]
+struct MidHasher(u64);
+
+impl Hasher for MidHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the message table hashes only u64 message ids");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, mid: u64) {
+        self.0 = mid;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Per-message protocol state, keyed by message id.
+type MsgTable = HashMap<u64, MsgState, BuildHasherDefault<MidHasher>>;
+
 #[derive(Default)]
 struct MsgState {
     arrived: bool,
@@ -141,19 +176,53 @@ struct MsgState {
     rdv_sender: Option<(u32, u32, u64)>,
 }
 
+/// One transport's parameters and its per-message durations, converted
+/// once per run.
+#[derive(Debug, Clone, Copy)]
+struct Transport {
+    params: TransportParams,
+    /// Sender-side CPU overhead of one message.
+    send_overhead: SimDuration,
+    /// Rendezvous request/ack round trip: `2 (L + 2 o)`.
+    handshake: SimDuration,
+}
+
+impl Transport {
+    fn new(params: TransportParams) -> Transport {
+        Transport {
+            params,
+            send_overhead: SimDuration::from_secs_f64(params.overhead_s),
+            handshake: SimDuration::from_secs_f64(
+                2.0 * (params.latency_s + 2.0 * params.overhead_s),
+            ),
+        }
+    }
+}
+
 /// Shared immutable job context.
 struct JobCtx {
     job: JobProfile,
     map: RankMap,
     node: NodeSpec,
-    inter: TransportParams,
-    intra: TransportParams,
+    inter: Transport,
+    intra: Transport,
+    /// Receive overhead, the larger of the two transports' (the receiver
+    /// does not tell them apart).
+    recv_overhead: SimDuration,
+    /// One cross-leaf rendezvous leg, request or ack: `L + 2 o` inter.
+    rdv_leg: SimDuration,
+    /// Latency of the intra-node pipe.
+    pipe_latency: SimDuration,
     /// Serialized per-message bridge cost (Docker), 0 on host networking.
     bridge_serial_s: f64,
+    /// [`JobCtx::bridge_serial_s`] as a duration.
+    bridge_hold: SimDuration,
     config: EngineConfig,
     routes: Arc<RouteTable>,
     /// Per-slot drain rate of each link (bytes/s), dense by link id.
     link_rate: Arc<[f64]>,
+    /// Owning domain (leaf group) of each rank.
+    rank_domain: Arc<[u32]>,
     /// Owning shard of each domain (leaf group), dense by leaf id.
     shard_of_domain: Box<[u32]>,
 }
@@ -162,12 +231,7 @@ impl JobCtx {
     /// The domain (leaf group) that owns `rank`'s protocol state.
     #[inline]
     fn domain_of_rank(&self, rank: u32) -> u32 {
-        self.routes.graph().leaf_of(self.map.node_of(rank))
-    }
-
-    #[inline]
-    fn domain_of_node(&self, node: u32) -> u32 {
-        self.routes.graph().leaf_of(node)
+        self.rank_domain[rank as usize]
     }
 
     #[inline]
@@ -175,18 +239,40 @@ impl JobCtx {
         self.domain_of_rank(a) == self.domain_of_rank(b)
     }
 
+    #[inline]
+    fn node_of(&self, rank: u32) -> u32 {
+        self.routes.node_of(rank)
+    }
+
+    #[inline]
+    fn same_node(&self, a: u32, b: u32) -> bool {
+        self.node_of(a) == self.node_of(b)
+    }
+
+    /// The transport a message from `src` to `dst` takes.
+    #[inline]
+    fn transport(&self, src: u32, dst: u32) -> &Transport {
+        if self.same_node(src, dst) {
+            &self.intra
+        } else {
+            &self.inter
+        }
+    }
+
     /// The domain whose shard must process `ev`. Every resource and every
     /// message-table entry is touched by exactly one domain: node links and
     /// pipes by their node's leaf, leaf links by their own leaf, message
-    /// state by the *receiver's* leaf.
+    /// state by the *receiver's* leaf. A node's bridge carries only its own
+    /// ranks' sends, and its pipe only messages between its own ranks, so
+    /// the node's leaf is the domain of `src` (bridge) or `dst` (pipe).
+    #[inline]
     fn domain_of_ev(&self, ev: &Ev) -> u32 {
         match *ev {
             Ev::Advance { rank } => self.domain_of_rank(rank),
-            Ev::Transfer { src, .. } => self.domain_of_rank(src),
-            Ev::BridgeGranted { node, .. }
-            | Ev::BridgeDone { node, .. }
-            | Ev::PipeGranted { node, .. }
-            | Ev::PipeSerDone { node, .. } => self.domain_of_node(node),
+            Ev::Transfer { src, .. }
+            | Ev::BridgeGranted { src, .. }
+            | Ev::BridgeDone { src, .. } => self.domain_of_rank(src),
+            Ev::PipeGranted { dst, .. } | Ev::PipeSerDone { dst, .. } => self.domain_of_rank(dst),
             Ev::RouteGranted { dst, .. } | Ev::RouteSerDone { dst, .. } => self.domain_of_rank(dst),
             Ev::SegGranted { src, dst, seg, .. } | Ev::SegSerDone { src, dst, seg, .. } => {
                 if seg == 0 {
@@ -200,6 +286,21 @@ impl JobCtx {
             Ev::RdvGrant { src, .. } => self.domain_of_rank(src),
             Ev::Deliver { dst, .. } => self.domain_of_rank(dst),
         }
+    }
+
+    /// A same-leaf route's serialization time for `bytes`, at the
+    /// narrowest per-slot rate of its links.
+    fn route_ser(&self, route: &Route, bytes: u64) -> SimDuration {
+        let mut rate = f64::INFINITY;
+        for &l in route.links() {
+            rate = rate.min(self.link_rate[l.index()]);
+        }
+        SimDuration::from_secs_f64(bytes as f64 / rate)
+    }
+
+    /// Transport plus switch latency of an inter-node route.
+    fn route_latency(&self, route: &Route) -> SimDuration {
+        SimDuration::from_secs_f64(self.inter.params.latency_s + route.latency_s())
     }
 }
 
@@ -238,32 +339,21 @@ enum Ev {
         node: u32,
         dst: u32,
         ser: SimDuration,
-        lat: SimDuration,
         mid: u64,
     },
     /// Payload fully through the pipe: release, then deliver after latency.
-    PipeSerDone {
-        node: u32,
-        dst: u32,
-        lat: SimDuration,
-        mid: u64,
-    },
-    /// Link `idx - 1` of a same-leaf route granted; claim the next one.
+    PipeSerDone { node: u32, dst: u32, mid: u64 },
+    /// Link `idx - 1` of the same-leaf route `src → dst` granted; claim
+    /// the next one.
     RouteGranted {
-        route: Route,
-        idx: u8,
-        ser: SimDuration,
-        lat: SimDuration,
+        src: u32,
         dst: u32,
+        bytes: u64,
+        idx: u8,
         mid: u64,
     },
     /// Payload streamed across all held links: release them, deliver later.
-    RouteSerDone {
-        route: Route,
-        lat: SimDuration,
-        dst: u32,
-        mid: u64,
-    },
+    RouteSerDone { src: u32, dst: u32, mid: u64 },
     /// Link `idx - 1` of a cross-leaf segment granted; claim the next one.
     /// `seg` 0 holds node-up + leaf-up at the source leaf, `seg` 1 holds
     /// leaf-down + node-down at the destination leaf.
@@ -313,6 +403,10 @@ enum Ev {
     Deliver { dst: u32, mid: u64 },
 }
 
+// Route events carry `(src, dst, bytes)`, not the route: an arena slot
+// stays at 48 bytes.
+const _: () = assert!(std::mem::size_of::<Ev>() == 40);
+
 /// Domain bits of the event key tie-breaker; 40 bits of per-domain
 /// sequence below, 24 bits of domain above.
 const DOMAIN_SHIFT: u32 = 40;
@@ -324,6 +418,8 @@ const SEQ_MASK: u64 = (1 << DOMAIN_SHIFT) - 1;
 /// path identical to the serial engine.
 struct ShardSim {
     id: u32,
+    /// The run has one shard: every event stays local.
+    serial: bool,
     ctx: Arc<JobCtx>,
     core: EventCore<Ev>,
     ranks: Vec<RankState>,
@@ -331,7 +427,7 @@ struct ShardSim {
     links: Vec<CoreResource<Ev>>,
     pipes: Vec<CoreResource<Ev>>,
     bridges: Vec<CoreResource<Ev>>,
-    msgs: HashMap<u64, MsgState>,
+    msgs: MsgTable,
     /// Per-domain schedule counters — the event key tie-breakers.
     dseq: Vec<u64>,
     /// Domain of the event currently firing; keys every schedule it makes.
@@ -359,12 +455,17 @@ impl ShardSim {
 
     /// Schedule `ev` after `d`, keyed by the firing domain and its schedule
     /// counter. Cross-shard targets go to the outbox instead of the heap.
+    #[inline]
     fn sched_after(&mut self, d: SimDuration, ev: Ev) {
         let at = self.now() + d;
         let seq = self.dseq[self.cause as usize];
         self.dseq[self.cause as usize] = seq + 1;
         debug_assert!(seq <= SEQ_MASK, "per-domain schedule counter overflow");
         let tie = ((self.cause as u64) << DOMAIN_SHIFT) | (seq & SEQ_MASK);
+        if self.serial {
+            self.core.schedule_keyed(at, tie, ev);
+            return;
+        }
         let target = self.ctx.domain_of_ev(&ev);
         let shard = self.ctx.shard_of_domain[target as usize];
         if shard == self.id {
@@ -410,7 +511,7 @@ fn fire(sim: &mut ShardSim, ev: Ev) {
             bytes,
             mid,
         } => {
-            let hold = SimDuration::from_secs_f64(sim.ctx.bridge_serial_s);
+            let hold = sim.ctx.bridge_hold;
             // bridge tracks sit above the rank tracks: ranks + node
             let track = sim.ctx.map.ranks() + node;
             let t0 = sim.now();
@@ -446,50 +547,31 @@ fn fire(sim: &mut ShardSim, ev: Ev) {
             node,
             dst,
             ser,
-            lat,
             mid,
         } => {
             // hold the pipe for the serialization time
-            sim.sched_after(
-                ser,
-                Ev::PipeSerDone {
-                    node,
-                    dst,
-                    lat,
-                    mid,
-                },
-            );
+            sim.sched_after(ser, Ev::PipeSerDone { node, dst, mid });
         }
-        Ev::PipeSerDone {
-            node,
-            dst,
-            lat,
-            mid,
-        } => {
+        Ev::PipeSerDone { node, dst, mid } => {
             sim.release_pipe(node);
             // payload fully through; delivery after the latency
-            sim.sched_after(lat, Ev::Deliver { dst, mid });
+            sim.sched_after(sim.ctx.pipe_latency, Ev::Deliver { dst, mid });
         }
         Ev::RouteGranted {
-            route,
+            src,
+            dst,
+            bytes,
             idx,
-            ser,
-            lat,
-            dst,
             mid,
-        } => acquire_route(sim, route, idx as usize, ser, lat, dst, mid),
-        Ev::RouteSerDone {
-            route,
-            lat,
-            dst,
-            mid,
-        } => {
+        } => acquire_route(sim, src, dst, bytes, idx as usize, mid),
+        Ev::RouteSerDone { src, dst, mid } => {
+            let route = sim.ctx.routes.route(src, dst);
             for &l in route.links() {
                 sim.release_link(l);
             }
             // payload fully on the wire; delivery after transport +
             // switch latency
-            sim.sched_after(lat, Ev::Deliver { dst, mid });
+            sim.sched_after(sim.ctx.route_latency(&route), Ev::Deliver { dst, mid });
         }
         Ev::SegGranted {
             src,
@@ -513,8 +595,7 @@ fn fire(sim: &mut ShardSim, ev: Ev) {
             }
             if seg == 0 {
                 // hop to the destination leaf: transport + switch latency
-                let t = sim.ctx.inter;
-                let lat = SimDuration::from_secs_f64(t.latency_s + route.latency_s());
+                let lat = sim.ctx.route_latency(&route);
                 sim.sched_after(
                     lat,
                     Ev::SegArrive {
@@ -544,10 +625,8 @@ fn fire(sim: &mut ShardSim, ev: Ev) {
             let m = sim.msgs.entry(mid).or_default();
             if m.recv_posted {
                 // receiver ready: ack back to the sender's leaf
-                let t = sim.ctx.inter;
-                let g = SimDuration::from_secs_f64(t.latency_s + 2.0 * t.overhead_s);
                 sim.sched_after(
-                    g,
+                    sim.ctx.rdv_leg,
                     Ev::RdvGrant {
                         src,
                         dst,
@@ -589,7 +668,7 @@ struct ShardScratch {
     links: Vec<CoreResource<Ev>>,
     pipes: Vec<CoreResource<Ev>>,
     bridges: Vec<CoreResource<Ev>>,
-    msgs: HashMap<u64, MsgState>,
+    msgs: MsgTable,
     link_bytes: Vec<u64>,
     dseq: Vec<u64>,
     outboxes: Vec<Vec<(u128, Ev)>>,
@@ -770,6 +849,8 @@ pub struct DesEngine {
     slots: Arc<[u32]>,
     /// Per-slot drain rate of each link (bytes/s), precomputed once.
     link_rate: Arc<[f64]>,
+    /// Owning domain (leaf group) of each rank, precomputed once.
+    rank_domain: Arc<[u32]>,
     scratch: ScratchPool<DesScratch>,
 }
 
@@ -814,6 +895,9 @@ impl DesEngine {
             slots.push(s);
             link_rate.push(cap / s as f64);
         }
+        let rank_domain = (0..map.ranks())
+            .map(|r| graph.leaf_of(map.node_of(r)))
+            .collect();
         DesEngine {
             node,
             network,
@@ -823,6 +907,7 @@ impl DesEngine {
             routes,
             slots: slots.into(),
             link_rate: link_rate.into(),
+            rank_domain,
             scratch: ScratchPool::new(),
         }
     }
@@ -888,16 +973,23 @@ impl DesEngine {
         let shards = self.effective_shards() as usize;
         let shard_of_domain = partition_domains(domains, shards as u32);
         let root = RngStream::new(seed).derive("des-run");
+        let (inter, intra) = (self.network.inter, self.network.intra);
+        let bridge_serial_s = self.network.node_serialized_per_msg_s;
         let ctx = Arc::new(JobCtx {
             job: job.clone(),
             map: self.map,
             node: self.node.clone(),
-            inter: self.network.inter,
-            intra: self.network.intra,
-            bridge_serial_s: self.network.node_serialized_per_msg_s,
+            inter: Transport::new(inter),
+            intra: Transport::new(intra),
+            recv_overhead: SimDuration::from_secs_f64(intra.overhead_s.max(inter.overhead_s)),
+            rdv_leg: SimDuration::from_secs_f64(inter.latency_s + 2.0 * inter.overhead_s),
+            pipe_latency: SimDuration::from_secs_f64(intra.latency_s),
+            bridge_serial_s,
+            bridge_hold: SimDuration::from_secs_f64(bridge_serial_s),
             config: self.config.clone(),
             routes: self.routes.clone(),
             link_rate: self.link_rate.clone(),
+            rank_domain: self.rank_domain.clone(),
             shard_of_domain,
         });
 
@@ -925,6 +1017,7 @@ impl DesEngine {
                 local.declare_tracks(p);
                 ShardSim {
                     id: id as u32,
+                    serial: shards == 1,
                     ctx: ctx.clone(),
                     core: std::mem::take(&mut sc.core),
                     ranks: std::mem::take(&mut sc.ranks),
@@ -1376,8 +1469,7 @@ fn advance(sim: &mut ShardSim, rank: u32) {
                 return;
             }
             PrimOp::Send { dst, bytes, mid } => {
-                let overhead = start_send(sim, rank, dst, bytes, mid);
-                let d = SimDuration::from_secs_f64(overhead);
+                let d = start_send(sim, rank, dst, bytes, mid);
                 let now = sim.now();
                 sim.rec
                     .span(SpanCategory::Protocol, "send-overhead", rank, now, now + d);
@@ -1394,9 +1486,8 @@ fn advance(sim: &mut ShardSim, rank: u32) {
                 if m.arrived {
                     sim.msgs.remove(&mid);
                     // same-node vs inter overhead difference is tiny on the
-                    // receive side; use the transport the sender used
-                    let o = sim.ctx.intra.overhead_s.max(sim.ctx.inter.overhead_s);
-                    let d = SimDuration::from_secs_f64(o);
+                    // receive side; one overhead serves both
+                    let d = sim.ctx.recv_overhead;
                     sim.rec
                         .span(SpanCategory::Protocol, "recv-overhead", rank, now, now + d);
                     sim.sched_after(d, Ev::Advance { rank });
@@ -1406,9 +1497,7 @@ fn advance(sim: &mut ShardSim, rank: u32) {
                 m.waiting = Some((rank, now, family));
                 if let Some((src, dst, bytes)) = m.rdv_sender.take() {
                     // rendezvous partner was parked: run the handshake now
-                    let t = *transport_for(sim, src, dst);
-                    let handshake = 2.0 * (t.latency_s + 2.0 * t.overhead_s);
-                    let hd = SimDuration::from_secs_f64(handshake);
+                    let hd = sim.ctx.transport(src, dst).handshake;
                     if sim.ctx.same_domain(src, dst) {
                         sim.rec.span(
                             SpanCategory::Protocol,
@@ -1447,31 +1536,22 @@ fn advance(sim: &mut ShardSim, rank: u32) {
     }
 }
 
-fn transport_for(sim: &ShardSim, src: u32, dst: u32) -> &TransportParams {
-    if sim.ctx.map.same_node(src, dst) {
-        &sim.ctx.intra
-    } else {
-        &sim.ctx.inter
-    }
-}
-
 /// Post a message; returns the sender-side CPU overhead to charge.
-fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> f64 {
-    let same = sim.ctx.map.same_node(src, dst);
+fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> SimDuration {
+    let same = sim.ctx.same_node(src, dst);
     if same {
         sim.intra_msgs += 1;
     } else {
         sim.inter_msgs += 1;
         sim.inter_bytes += bytes;
     }
-    let t = *transport_for(sim, src, dst);
-    if bytes > t.eager_threshold {
+    let t = *sim.ctx.transport(src, dst);
+    if bytes > t.params.eager_threshold {
         // rendezvous: the payload may move only once the receiver is ready
         if sim.ctx.same_domain(src, dst) {
             let m = sim.msgs.entry(mid).or_default();
             if m.recv_posted {
-                let handshake = 2.0 * (t.latency_s + 2.0 * t.overhead_s);
-                let hd = SimDuration::from_secs_f64(handshake);
+                let hd = t.handshake;
                 let now = sim.now();
                 sim.rec.span(
                     SpanCategory::Protocol,
@@ -1494,10 +1574,9 @@ fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> f
             }
         } else {
             // the receiver's message table lives on another shard: probe it
-            let probe = SimDuration::from_secs_f64(t.latency_s + 2.0 * t.overhead_s);
             let sent_at = sim.now();
             sim.sched_after(
-                probe,
+                sim.ctx.rdv_leg,
                 Ev::RdvProbe {
                     src,
                     dst,
@@ -1510,16 +1589,15 @@ fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> f
     } else {
         enqueue_transfer(sim, src, dst, bytes, mid);
     }
-    t.overhead_s
+    t.send_overhead
 }
 
 /// Queue the payload on the sending node's wire (NIC or intra pipe),
 /// passing first through the node's serialized bridge path if the job
 /// runs under Docker networking.
 fn enqueue_transfer(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) {
-    let serial = sim.ctx.bridge_serial_s;
-    if serial > 0.0 {
-        let node = sim.ctx.map.node_of(src);
+    if sim.ctx.bridge_serial_s > 0.0 {
+        let node = sim.ctx.node_of(src);
         if let Some(ev) = sim.bridges[node as usize].acquire(Ev::BridgeGranted {
             node,
             src,
@@ -1537,16 +1615,13 @@ fn enqueue_transfer(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64
 /// Queue the payload directly on the wire: the intra-node pipe, the whole
 /// same-leaf route, or the source segment of a cross-leaf route.
 fn enqueue_transfer_wire(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) {
-    let t = *transport_for(sim, src, dst);
-    if sim.ctx.map.same_node(src, dst) {
-        let node = sim.ctx.map.node_of(src);
-        let ser = SimDuration::from_secs_f64(t.serialization_seconds(bytes));
-        let lat = SimDuration::from_secs_f64(t.latency_s);
+    if sim.ctx.same_node(src, dst) {
+        let node = sim.ctx.node_of(src);
+        let ser = SimDuration::from_secs_f64(sim.ctx.intra.params.serialization_seconds(bytes));
         if let Some(ev) = sim.pipes[node as usize].acquire(Ev::PipeGranted {
             node,
             dst,
             ser,
-            lat,
             mid,
         }) {
             sim.sched_after(SimDuration::ZERO, ev);
@@ -1561,13 +1636,7 @@ fn enqueue_transfer_wire(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid
     }
     if route.links().len() < 4 {
         // same leaf: claim the whole route and stream across it at once
-        let mut rate = f64::INFINITY;
-        for &l in route.links() {
-            rate = rate.min(sim.ctx.link_rate[l.index()]);
-        }
-        let ser = SimDuration::from_secs_f64(bytes as f64 / rate);
-        let lat = SimDuration::from_secs_f64(t.latency_s + route.latency_s());
-        acquire_route(sim, route, 0, ser, lat, dst, mid);
+        acquire_route(sim, src, dst, bytes, 0, mid);
     } else {
         // cross-leaf: store-and-forward over two shard-local segments
         acquire_seg(sim, src, dst, bytes, 0, 0, mid);
@@ -1577,23 +1646,14 @@ fn enqueue_transfer_wire(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid
 /// Claim a same-leaf route's links one by one in traversal order (node-up,
 /// node-down — a fixed class order, so chained holds cannot deadlock), then
 /// hold them all for the serialization time.
-#[allow(clippy::too_many_arguments)]
-fn acquire_route(
-    sim: &mut ShardSim,
-    route: Route,
-    idx: usize,
-    ser: SimDuration,
-    lat: SimDuration,
-    dst: u32,
-    mid: u64,
-) {
+fn acquire_route(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, idx: usize, mid: u64) {
+    let route = sim.ctx.routes.route(src, dst);
     if let Some(&link) = route.links().get(idx) {
         if let Some(ev) = sim.links[link.index()].acquire(Ev::RouteGranted {
-            route,
-            idx: (idx + 1) as u8,
-            ser,
-            lat,
+            src,
             dst,
+            bytes,
+            idx: (idx + 1) as u8,
             mid,
         }) {
             sim.sched_after(SimDuration::ZERO, ev);
@@ -1602,6 +1662,7 @@ fn acquire_route(
     }
     // all links held: the payload streams across the whole route at the
     // narrowest per-slot rate
+    let ser = sim.ctx.route_ser(&route, bytes);
     let now = sim.now();
     let link_track_base = sim.ctx.map.ranks() + sim.ctx.map.nodes;
     for &l in route.links() {
@@ -1613,15 +1674,7 @@ fn acquire_route(
             now + ser,
         );
     }
-    sim.sched_after(
-        ser,
-        Ev::RouteSerDone {
-            route,
-            lat,
-            dst,
-            mid,
-        },
-    );
+    sim.sched_after(ser, Ev::RouteSerDone { src, dst, mid });
 }
 
 /// The per-segment hold times of a cross-leaf route: the full serialization
@@ -1689,8 +1742,7 @@ fn deliver(sim: &mut ShardSim, mid: u64) {
     let m = sim.msgs.entry(mid).or_default();
     if let Some((rank, posted_at, family)) = m.waiting.take() {
         sim.msgs.remove(&mid);
-        let o = sim.ctx.intra.overhead_s.max(sim.ctx.inter.overhead_s);
-        let od = SimDuration::from_secs_f64(o);
+        let od = sim.ctx.recv_overhead;
         let now = sim.now();
         // blocked-wait span: from the posted receive to delivery + overhead
         sim.rec

@@ -102,6 +102,10 @@ fn link_schedule_round_costing_allocates_exactly_zero() {
 }
 
 fn job(reps: u32) -> JobProfile {
+    job_with_halo(reps, 10_000)
+}
+
+fn job_with_halo(reps: u32, halo_bytes: u64) -> JobProfile {
     JobProfile::uniform(
         StepProfile {
             flops_per_rank: 1e7,
@@ -109,7 +113,7 @@ fn job(reps: u32) -> JobProfile {
             regions: 4.0,
             comm: vec![
                 CommPhase::Halo1D {
-                    bytes: 10_000,
+                    bytes: halo_bytes,
                     repeats: 4,
                 },
                 CommPhase::Allreduce {
@@ -123,10 +127,14 @@ fn job(reps: u32) -> JobProfile {
 }
 
 fn network() -> NetworkModel {
+    network_on(DataPath::Host)
+}
+
+fn network_on(path: DataPath) -> NetworkModel {
     NetworkModel::compose(
         harborsim_hw::InterconnectKind::GigabitEthernet,
         TransportSelection::Native,
-        DataPath::Host,
+        path,
         Topology::small_cluster(),
     )
 }
@@ -139,28 +147,38 @@ fn count_run(run: &dyn Fn(&JobProfile) -> harborsim_mpi::SimResult, job: &JobPro
     allocations() - before
 }
 
+/// Host networking with eager halos, and the Docker bridge with halos
+/// above the eager threshold: the second runs every zero-delay grant of
+/// the bridge, pipe and link resources and the rendezvous handshake, so
+/// the event core's zero-delay lane and the message table must reuse the
+/// pooled scratch too.
 #[test]
 fn des_engine_allocations_are_constant_in_step_count() {
-    let engine = DesEngine::new(
-        harborsim_hw::presets::lenox().node,
-        network(),
-        RankMap::block(4, 28, 1),
-        EngineConfig::default(),
-    );
-    let run = |j: &JobProfile| engine.run_traced(j, 1, &mut Recorder::off());
-    let (short, long) = (job(2), job(20));
-    // warm the scratch pool (and every lazily-grown buffer) with the
-    // larger variant first
-    run(&long);
-    run(&short);
-    let a_short = count_run(&run, &short);
-    let a_long = count_run(&run, &long);
-    assert_eq!(
-        a_short, a_long,
-        "10x the steps must not change the DES engine's allocation count \
-         (short={a_short}, long={a_long}): the event loop is leaking \
-         per-step allocations"
-    );
+    for (path, halo_bytes) in [
+        (DataPath::Host, 10_000),
+        (DataPath::docker_default_bridge(), 256 * 1024),
+    ] {
+        let engine = DesEngine::new(
+            harborsim_hw::presets::lenox().node,
+            network_on(path),
+            RankMap::block(4, 28, 1),
+            EngineConfig::default(),
+        );
+        let run = |j: &JobProfile| engine.run_traced(j, 1, &mut Recorder::off());
+        let (short, long) = (job_with_halo(2, halo_bytes), job_with_halo(20, halo_bytes));
+        // warm the scratch pool (and every lazily-grown buffer) with the
+        // larger variant first
+        run(&long);
+        run(&short);
+        let a_short = count_run(&run, &short);
+        let a_long = count_run(&run, &long);
+        assert_eq!(
+            a_short, a_long,
+            "10x the steps must not change the DES engine's allocation count \
+             (halo {halo_bytes} B, short={a_short}, long={a_long}): the event \
+             loop is leaking per-step allocations"
+        );
+    }
 }
 
 #[test]
