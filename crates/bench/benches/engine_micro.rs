@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the simulation substrates: DES event throughput,
 //! fair-share fluid links, RNG streams, the message-level MPI engine, the
-//! work-stealing pool against the fixed-chunk baseline, and the lab's
-//! plan-cache hit path.
+//! work-stealing pool against the fixed-chunk baseline, the lab's
+//! plan-cache hit path, and one warm open-system campaign.
 
 use harborsim_bench::baseline::churn_arena;
 use harborsim_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
@@ -464,6 +464,38 @@ fn bench_script_front_end(c: &mut Criterion) {
     g.finish();
 }
 
+/// One seed of the committed open-system storm at 0.15 jobs/s (the
+/// campaign-open workload's rate, 60-80% node utilization on Lenox) on a
+/// warm engine: per-campaign wall time, almost all of it the DES solves
+/// of the job classes the engines can tell apart.
+fn bench_open_campaign(c: &mut Criterion) {
+    use harborsim_core::experiments::ext_open_system;
+    use harborsim_core::lab::QueryEngine;
+    use harborsim_core::{run_open_campaign, script};
+    let storm = ext_open_system::SCRIPT.replace("rate=0.05", "rate=0.15");
+    assert_ne!(storm, ext_open_system::SCRIPT, "the storm's rate moved");
+    let scenario = script::compile_str(&storm)
+        .expect("the storm compiles")
+        .campaigns
+        .remove(0)
+        .runs
+        .remove(0)
+        .scenario;
+    let lab = QueryEngine::new();
+    let campaign = || {
+        run_open_campaign(&lab, &scenario, 1, &mut Recorder::off())
+            .expect("the storm runs")
+            .jobs
+    };
+    // compile every plan before timing
+    campaign();
+    let mut g = c.benchmark_group("open_campaign");
+    g.bench_function("ext_open_system_storm", |b| {
+        b.iter(|| black_box(campaign()))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_des_events,
@@ -478,6 +510,7 @@ criterion_group!(
     bench_pool_skew,
     bench_plan_cache,
     bench_execute_many,
-    bench_script_front_end
+    bench_script_front_end,
+    bench_open_campaign
 );
 criterion_main!(benches);

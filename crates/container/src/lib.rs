@@ -51,5 +51,5 @@ pub use image::{ImageFormat, ImageManifest, Layer};
 pub use launch::LaunchModel;
 pub use recipe::{ImageRecipe, Instruction};
 pub use registry::Registry;
-pub use runtime::{ExecutionEnvironment, RuntimeKind};
+pub use runtime::{EngineView, ExecutionEnvironment, RuntimeKind};
 pub use storm::StagePlan;

@@ -191,14 +191,16 @@ impl ExecutionEnvironment {
         }
     }
 
-    /// Compose the network model this environment observes.
-    pub fn network_model(&self, fabric: InterconnectKind, topology: Topology) -> NetworkModel {
-        NetworkModel::compose(
-            fabric,
-            self.transport_selection(fabric),
-            self.runtime.data_path(),
-            topology,
-        )
+    /// Everything the performance engines see of this environment on
+    /// `fabric`. Two environments with equal views run every job in the
+    /// same simulated time: the runtime's name itself never reaches an
+    /// engine.
+    pub fn engine_view(&self, fabric: InterconnectKind) -> EngineView {
+        EngineView {
+            transport: self.transport_selection(fabric),
+            data_path: self.runtime.data_path(),
+            compute_tax: self.runtime.compute_tax(),
+        }
     }
 
     /// Legend label ("Singularity system-specific", ...).
@@ -207,6 +209,30 @@ impl ExecutionEnvironment {
             RuntimeKind::BareMetal => "Bare-metal".to_string(),
             r => format!("{} {}", r.label(), self.containment.label()),
         }
+    }
+}
+
+/// What the performance engines see of an [`ExecutionEnvironment`] on one
+/// fabric ([`ExecutionEnvironment::engine_view`]): the MPI transport it
+/// selects, the data path its messages take, and its compute tax. A
+/// scenario builds its network model and engine configuration from this
+/// view alone, so environments with equal views are indistinguishable to
+/// both engines (image staging and deployment, which the runtime's name
+/// does change, are not part of it).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EngineView {
+    /// The MPI transport selected on the fabric.
+    pub transport: TransportSelection,
+    /// How the runtime's networking wraps that transport.
+    pub data_path: DataPath,
+    /// Multiplicative compute slowdown.
+    pub compute_tax: f64,
+}
+
+impl EngineView {
+    /// Compose the network model this view observes on `fabric`.
+    pub fn network_model(&self, fabric: InterconnectKind, topology: Topology) -> NetworkModel {
+        NetworkModel::compose(fabric, self.transport, self.data_path, topology)
     }
 }
 

@@ -797,10 +797,16 @@ impl QueryEngine {
         // cache; distinct ones compile in parallel.
         let resolved = harborsim_par::run(queries, |q| {
             let key = PlanKey::of(&q.scenario, self.fallback_taper);
-            let (plan, how) = self.resolve(key, &q.scenario);
-            (plan, how, q.seeds)
+            self.resolve_query(key, q)
         });
         self.run_resolved(resolved, rec)
+    }
+
+    /// Resolve one query's plan under `key`, its [`PlanKey::of`] under
+    /// this engine's taper fallback.
+    fn resolve_query(&self, key: Option<PlanKey>, q: Query) -> Resolved {
+        let (plan, how) = self.resolve(key, &q.scenario);
+        (plan, how, q.seeds)
     }
 
     /// Phase 2 of [`QueryEngine::run_batch`] over queries whose plans are
@@ -956,17 +962,15 @@ impl QueryEngine {
                 if scenario.spine_taper.is_none() {
                     scenario.spine_taper = script_taper;
                 }
-                // the fingerprint of the key actually resolved below
-                prints.push(
-                    PlanKey::of(&scenario, self.fallback_taper)
-                        .map(|k| k.fingerprint())
-                        .unwrap_or(0),
-                );
-                scenarios.push(scenario);
+                // the key resolved below, and its fingerprint
+                let key = PlanKey::of(&scenario, self.fallback_taper);
+                prints.push(key.as_ref().map_or(0, PlanKey::fingerprint));
+                scenarios.push((key, scenario));
             }
             let mut rows = Vec::with_capacity(scenarios.len());
-            if scenarios.iter().any(|s| s.open.is_some()) {
-                for ((label, scenario), print) in labels.into_iter().zip(scenarios).zip(prints) {
+            if scenarios.iter().any(|(_, s)| s.open.is_some()) {
+                for ((label, (_, scenario)), print) in labels.into_iter().zip(scenarios).zip(prints)
+                {
                     let mut wait = crate::sketch::QuantileSketch::new();
                     let mut jobs = 0u64;
                     let mut utilization = 0.0;
@@ -991,13 +995,15 @@ impl QueryEngine {
                     });
                 }
             } else {
-                let queries = scenarios
-                    .into_iter()
-                    .map(|s| Query::new(s, &seeds))
-                    .collect();
+                // each row's key is already in hand: resolve under it
+                // rather than through `run_batch`, which would render it
+                // again
+                let resolved = harborsim_par::run(scenarios, |(key, s)| {
+                    self.resolve_query(key, Query::new(s, &seeds))
+                });
                 for ((label, result), print) in labels
                     .into_iter()
-                    .zip(self.run_batch(queries, rec))
+                    .zip(self.run_resolved(resolved, rec))
                     .zip(prints)
                 {
                     let outcomes = result?;

@@ -12,12 +12,17 @@
 //!   [`Scenario`] carries (see [`Scenario::open_campaign`] and the
 //!   `.hsim` directives `arrivals`, `mix`, `tenants`, `horizon`);
 //! - [`class_table`] — the cross product of the mixes, each class a
-//!   plain closed scenario resolved through the lab (so N seeds × M
-//!   classes share compiled plans, and solver times inherit the sharded
-//!   DES's bit-identical guarantee);
-//! - [`run_open_campaign`] — sample the arrival stream, price each job's
-//!   staging demand ([`StagePlan`]), drive `harborsim_batch::open`, and
-//!   fold per-job samples into per-runtime [`QuantileSketch`]es.
+//!   plain closed scenario, grouped by what the performance engines can
+//!   tell apart: classes with the same size, workload and
+//!   [`EngineView`](harborsim_container::EngineView) on the cluster's
+//!   fabric share one *solver* class (Shifter and Singularity
+//!   self-contained on the storm's Ethernet, say);
+//! - [`run_open_campaign`] — solve each distinct solver class once per
+//!   seed through the lab (compiled plans are shared across seeds, and
+//!   solver times inherit the sharded DES's bit-identical guarantee),
+//!   sample the arrival stream, price each job's staging demand
+//!   ([`StagePlan`]), drive `harborsim_batch::open`, and fold per-job
+//!   samples into per-runtime [`QuantileSketch`]es.
 //!
 //! Determinism: the sampler is a splitmix-derived [`RngStream`], the
 //! open engine is a serial DES, and each class's solver time is a lab
@@ -88,6 +93,10 @@ pub struct OpenSpec {
 
 /// One job class of an open campaign: a point of the size × case ×
 /// runtime cross product, as a plain closed scenario.
+///
+/// Classes keep their own label and environment (staging and per-runtime
+/// statistics depend on the runtime), but a class's solver time is its
+/// [`OpenClass::solver`]'s.
 pub struct OpenClass {
     /// Human label ("cfd-small ×2 Docker").
     pub label: String,
@@ -98,6 +107,11 @@ pub struct OpenClass {
     /// The closed scenario whose elapsed time is this class's solver
     /// time.
     pub scenario: Scenario,
+    /// Index of the class whose solve this class shares: the first class
+    /// with the same node count, the same workload and an equal engine
+    /// view on the cluster's fabric. A class that is first of its kind
+    /// is its own solver.
+    pub solver: usize,
 }
 
 /// Per-runtime tail statistics of one (or several merged) open runs.
@@ -177,6 +191,16 @@ pub struct OpenReport {
 /// deployment is always off (staging is the open engine's job), and
 /// degraded uplinks outside a class's node count are dropped.
 ///
+/// Every class scenario differs from the others only in node count,
+/// workload and environment, and the engines see an environment only
+/// through its [`EngineView`](harborsim_container::EngineView) on the
+/// cluster's fabric. So two classes that agree on all three (engine view
+/// in place of environment) compile to plans that give equal outcomes for
+/// every seed, and each points its [`OpenClass::solver`] at the first of
+/// them. Which environments collapse depends on the fabric: on Ethernet
+/// containment selects no different transport, so self-contained and
+/// system-specific images of one host-network runtime collapse too.
+///
 /// # Panics
 /// Panics if the scenario has no open spec or a workload name is not in
 /// the registry (script compilation validates both).
@@ -199,12 +223,18 @@ pub fn class_table(base: &Scenario) -> Vec<OpenClass> {
             }
         }
     }
+    let fabric = cluster.interconnect;
     let mut classes = Vec::new();
+    // what each class is to the engines, in class order
+    let mut kinds = Vec::new();
     for &nodes in &spec.node_mix.values {
         for workload in &spec.workload_mix.values {
             for &env in &spec.env_mix.values {
                 let case = workloads::by_name(workload)
                     .unwrap_or_else(|| panic!("unknown workload `{workload}` in an open mix"));
+                let kind = (nodes, workload, env.engine_view(fabric));
+                let solver = kinds.iter().position(|k| *k == kind).unwrap_or(kinds.len());
+                kinds.push(kind);
                 classes.push(OpenClass {
                     label: format!("{workload} \u{d7}{nodes} {}", env.label()),
                     nodes,
@@ -229,6 +259,7 @@ pub fn class_table(base: &Scenario) -> Vec<OpenClass> {
                         shards: base.shards,
                         open: None,
                     },
+                    solver,
                 });
             }
         }
@@ -236,14 +267,20 @@ pub fn class_table(base: &Scenario) -> Vec<OpenClass> {
     classes
 }
 
-/// Run one open campaign: resolve every class's solver time through the
-/// lab (shared plans, bit-identical under sharded DES), sample the
-/// arrival stream from `seed`, and drive the open scheduler. Spans flow
-/// through `rec` on per-job tracks.
+/// Run one open campaign: solve each distinct [`OpenClass::solver`] once
+/// for `seed` in one lab batch (shared plans, bit-identical under sharded
+/// DES), give every class its solver's time, sample the arrival stream
+/// from `seed`, and drive the open scheduler. Spans flow through `rec` on
+/// per-job tracks.
+///
+/// A class that shares a solver is never compiled here. That hides no
+/// error: the only compile check that reads the runtime itself is its
+/// availability, which [`class_table`]'s pretend-installed stack grants
+/// every class.
 ///
 /// # Errors
-/// Any class scenario that fails to compile (placement, runtime
-/// availability, image build) surfaces here.
+/// Any solver scenario that fails to compile (placement, image build)
+/// surfaces here.
 ///
 /// # Panics
 /// Panics if the scenario has no open spec.
@@ -257,16 +294,27 @@ pub fn run_open_campaign(
         .open
         .clone()
         .expect("run_open_campaign needs a scenario with an open-campaign spec");
-    let classes = class_table(scenario);
     let n_env = spec.env_mix.values.len();
-    // one lab batch resolves every class's solver time for this seed
-    let queries: Vec<Query> = classes
-        .into_iter()
-        .map(|c| Query::new(c.scenario, &[seed]))
-        .collect();
-    let mut solver_s = Vec::with_capacity(queries.len());
-    for result in lab.run_batch(queries, &mut Recorder::off()) {
-        solver_s.push(result?[0].elapsed.as_secs_f64());
+    // one lab batch solves each distinct solver class for this seed
+    let mut solvers = Vec::new();
+    let mut queries = Vec::new();
+    for (i, class) in class_table(scenario).into_iter().enumerate() {
+        if class.solver == i {
+            queries.push(Query::new(class.scenario, &[seed]));
+        }
+        solvers.push(class.solver);
+    }
+    let mut solved = lab.run_batch(queries, &mut Recorder::off()).into_iter();
+    let mut solver_s: Vec<f64> = Vec::with_capacity(solvers.len());
+    for (i, &solver) in solvers.iter().enumerate() {
+        // a solver precedes every class that shares it
+        let s = if solver == i {
+            let outcomes = solved.next().expect("one batch result per solver")?;
+            outcomes[0].elapsed.as_secs_f64()
+        } else {
+            solver_s[solver]
+        };
+        solver_s.push(s);
     }
     let image = shared_alya_image(&scenario.cluster.node.cpu)?;
     let registry_bps = REGISTRY_UPLINK_BPS;
@@ -413,6 +461,10 @@ mod tests {
         assert_eq!(classes[1].env.runtime, RuntimeKind::Shifter);
         assert_eq!(classes[0].nodes, 1);
         assert_eq!(classes[2].nodes, 2);
+        // Docker's bridge and Shifter's host network are told apart
+        for (i, c) in classes.iter().enumerate() {
+            assert_eq!(c.solver, i, "{}", c.label);
+        }
     }
 
     #[test]

@@ -235,10 +235,14 @@ impl Scenario {
         self.network_model_with(None)
     }
 
-    /// The composed network model under an engine-level taper fallback.
+    /// The composed network model under an engine-level taper fallback,
+    /// built from the environment's
+    /// [`EngineView`](harborsim_container::EngineView) on this cluster's
+    /// fabric.
     pub fn network_model_with(&self, fallback_taper: Option<f64>) -> NetworkModel {
-        self.env.network_model(
-            self.cluster.interconnect,
+        let fabric = self.cluster.interconnect;
+        self.env.engine_view(fabric).network_model(
+            fabric,
             Topology::from_layout(&self.fabric_layout_with(fallback_taper)),
         )
     }
@@ -281,9 +285,11 @@ impl Scenario {
             placement: self.placement,
         };
         let job = job_profile_cached(self.case.as_ref(), map.ranks());
+        // the engines see the environment only through its view: network
+        // and compute tax both come from it
         let network = self.network_model_with(fallback_taper);
         let config = EngineConfig {
-            compute_tax: self.env.runtime.compute_tax(),
+            compute_tax: self.env.engine_view(self.cluster.interconnect).compute_tax,
             ..EngineConfig::default()
         };
         // One route table per plan: built here, shared by whichever engine

@@ -13,11 +13,16 @@ use harborsim::des::trace::Recorder;
 use harborsim::hw::presets;
 use harborsim::study::lab::QueryEngine;
 use harborsim::study::scenario::{EngineKind, Execution, Scenario};
-use harborsim::study::{run_open_campaign, workloads, MixSpec, OpenSpec};
+use harborsim::study::{class_table, run_open_campaign, workloads, MixSpec, OpenSpec};
 
 /// A short MareNostrum4 open campaign whose node mix straddles two leaf
 /// groups. Low rate keeps the job count (and test time) small.
 fn mn4_open(shards: u32) -> Scenario {
+    mn4_open_over(vec![Execution::docker(), Execution::shifter()], shards)
+}
+
+/// [`mn4_open`] over another env mix.
+fn mn4_open_over(envs: Vec<Execution>, shards: u32) -> Scenario {
     let spec = OpenSpec {
         rate_per_s: 0.004,
         horizon_s: 1500.0,
@@ -29,7 +34,7 @@ fn mn4_open(shards: u32) -> Scenario {
         workload_mix: MixSpec::single("cfd-small".to_string()),
         env_mix: MixSpec {
             s: 1.1,
-            values: vec![Execution::docker(), Execution::shifter()],
+            values: envs,
         },
     };
     Scenario::new(presets::marenostrum4(), workloads::artery_cfd_small())
@@ -43,11 +48,38 @@ fn mn4_open(shards: u32) -> Scenario {
 
 #[test]
 fn open_campaigns_are_bit_identical_across_shard_counts() {
+    assert_bit_identical_across_shard_counts(mn4_open);
+}
+
+/// Shifter and Singularity self-contained share a view on Omni-Path (both
+/// fall back to TCP on the host network), so their classes share one
+/// solve: the shared solver times must stay shard-invariant on jobs that
+/// span leaf groups.
+#[test]
+fn shared_solver_campaigns_are_bit_identical_across_shard_counts() {
+    let envs = || {
+        vec![
+            Execution::shifter(),
+            Execution::singularity_self_contained(),
+        ]
+    };
+    let classes = class_table(&mn4_open_over(envs(), 1));
+    assert_eq!(
+        classes.iter().map(|c| c.solver).collect::<Vec<_>>(),
+        [0, 0, 2, 2],
+        "one solver per node count"
+    );
+    assert_bit_identical_across_shard_counts(|shards| mn4_open_over(envs(), shards));
+}
+
+/// Run `campaign(shards)` at 1, 2 and 4 shards; the report and the
+/// captured trace must not change.
+fn assert_bit_identical_across_shard_counts(campaign: impl Fn(u32) -> Scenario) {
     let lab = QueryEngine::new();
     let mut renders = Vec::new();
     let mut traces = Vec::new();
     for shards in [1, 2, 4] {
-        let scenario = mn4_open(shards);
+        let scenario = campaign(shards);
         let mut rec = Recorder::capturing();
         let report = run_open_campaign(&lab, &scenario, 7, &mut rec).expect("open campaign runs");
         assert!(report.jobs > 0, "shards {shards}: campaign sampled no jobs");
