@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the simulation substrates: DES event throughput,
 //! fair-share fluid links, RNG streams, the message-level MPI engine, the
 //! work-stealing pool against the fixed-chunk baseline, the lab's
-//! plan-cache hit path, and one warm open-system campaign.
+//! plan-cache hit path and key, the wire's reply encoder, and one warm
+//! open-system campaign.
 
 use harborsim_bench::baseline::churn_arena;
 use harborsim_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
@@ -413,10 +414,12 @@ fn bench_pool_skew(c: &mut Criterion) {
 }
 
 /// The lab's plan-cache hit path: after one compile, every further
-/// resolve of the same scenario is a fingerprint + LRU lookup, orders of
+/// resolve of the same scenario is a key build + LRU lookup, orders of
 /// magnitude under a compile (route table, image build, validation).
+/// `key_of` is the key build alone, on a daemon menu scenario.
 fn bench_plan_cache(c: &mut Criterion) {
-    use harborsim_core::lab::QueryEngine;
+    use harborsim_bench::loadgen::menu_scenario;
+    use harborsim_core::lab::{PlanKey, QueryEngine};
     use harborsim_core::scenario::{Execution, Scenario};
     let mk = || {
         Scenario::new(
@@ -438,6 +441,33 @@ fn bench_plan_cache(c: &mut Criterion) {
             let lab = QueryEngine::new();
             black_box(lab.plan(&mk()).expect("compiles"))
         });
+    });
+    g.bench_function("key_of", |b| {
+        let scenario = menu_scenario(6);
+        b.iter(|| black_box(PlanKey::of(black_box(&scenario), None)));
+    });
+    g.finish();
+}
+
+/// The wire's reply encoder on the daemon's hot path: the Execute reply
+/// for the 2-node MareNostrum4 menu scenario, six links long.
+fn bench_wire(c: &mut Criterion) {
+    use harborsim_bench::loadgen::menu_scenario;
+    use harborsim_core::lab::wire::encode_response;
+    use harborsim_core::lab::{LabRequest, LabResponse, QueryEngine};
+    let reply = QueryEngine::new().handle(LabRequest::execute(menu_scenario(6), 0));
+    let LabResponse::Execute(outcome) = &reply else {
+        panic!("the menu scenario executes");
+    };
+    assert_eq!(
+        outcome.result.links.len(),
+        6,
+        "the row times a 6-link reply"
+    );
+    let mut g = c.benchmark_group("wire");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("encode_execute_reply", |b| {
+        b.iter(|| black_box(encode_response(black_box(&reply)).len()));
     });
     g.finish();
 }
@@ -509,6 +539,7 @@ criterion_group!(
     bench_recorder_modes,
     bench_pool_skew,
     bench_plan_cache,
+    bench_wire,
     bench_execute_many,
     bench_script_front_end,
     bench_open_campaign

@@ -1,5 +1,7 @@
 //! A vendored JSON value type: recursive-descent parser plus a
-//! deterministic compact writer.
+//! deterministic compact writer, and `JsonWriter`, the streaming form
+//! of that writer that the wire encoders use to emit text without
+//! building a value first.
 //!
 //! The repo already *writes* JSON in several places (figure exports,
 //! `BENCH_baseline.json`, chrome://tracing dumps) but never had to read
@@ -20,8 +22,8 @@
 //!
 //! Numbers are `f64`. Integers up to 2^53 round-trip exactly, which
 //! covers every counter the protocol carries; full-width `u64`
-//! fingerprints travel as fixed-width hex *strings* (see
-//! [`Json::fingerprint`]) so no bits are ever squeezed through a float.
+//! fingerprints travel as fixed-width 16-digit hex *strings* so no bits
+//! are ever squeezed through a float.
 
 use std::fmt::Write as _;
 use std::hash::{BuildHasher, RandomState};
@@ -77,62 +79,43 @@ impl Json {
 
     /// Compact deterministic rendering: no whitespace, object fields in
     /// insertion order, floats via the same `{x}` formatting the report
-    /// writers use.
+    /// writers use. Written through the crate's streaming writer, which
+    /// the wire encoders also use, so a tree and a stream of the same
+    /// values render the same bytes.
     pub fn write(&self) -> String {
-        let mut out = String::new();
-        self.write_into(&mut out);
-        out
+        let mut w = JsonWriter::new();
+        self.write_to(&mut w);
+        w.finish()
     }
 
-    fn write_into(&self, out: &mut String) {
+    fn write_to(&self, w: &mut JsonWriter) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => {
+                w.null();
+            }
+            Json::Bool(b) => {
+                w.bool(*b);
+            }
             Json::Num(x) => {
-                if x.is_finite() {
-                    let _ = write!(out, "{x}");
-                } else {
-                    out.push_str("null");
-                }
+                w.f64(*x);
             }
             Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
+                w.str(s);
             }
             Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_into(out);
+                w.begin_arr();
+                for item in items {
+                    item.write_to(w);
                 }
-                out.push(']');
+                w.end_arr();
             }
             Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write_into(out);
-                    out.push(':');
-                    v.write_into(out);
+                w.begin_obj();
+                for (k, v) in fields {
+                    w.key(k);
+                    v.write_to(w);
                 }
-                out.push('}');
+                w.end_obj();
             }
         }
     }
@@ -155,12 +138,6 @@ impl Json {
             None => fields.push((key.to_string(), value)),
         }
         self
-    }
-
-    /// A full-width `u64` rendered as a fixed 16-digit hex string —
-    /// the wire form of [`crate::lab::PlanKey::fingerprint`] digests.
-    pub fn fingerprint(fp: u64) -> Json {
-        Json::Str(format!("{fp:016x}"))
     }
 
     /// Field `key` of an object, if present.
@@ -237,7 +214,7 @@ impl From<u64> for Json {
     fn from(x: u64) -> Json {
         debug_assert!(
             x <= 9_007_199_254_740_992,
-            "u64 above 2^53 must travel as Json::fingerprint"
+            "u64 above 2^53 must travel as a hex string"
         );
         Json::Num(x as f64)
     }
@@ -265,6 +242,184 @@ impl From<Vec<Json>> for Json {
     fn from(items: Vec<Json>) -> Json {
         Json::Arr(items)
     }
+}
+
+/// Largest integer every `u64` below it shares with its `f64`: 2^53.
+const MAX_EXACT_INT: u64 = 1 << 53;
+
+/// A streaming compact JSON writer over one `String`: values go out as
+/// they are produced, with no tree in between. It is the one
+/// implementation of JSON text in the crate: [`Json::write`] renders
+/// through it, so the escaper and the number formatting cannot fork.
+///
+/// The caller keeps the nesting well formed (every `begin_*` matched by
+/// its `end_*`, a [`JsonWriter::key`] before each object value); the
+/// writer places the commas. Numbers follow [`Json::Num`]: a float as
+/// `{x}`, non-finite as `null`, and an integer as its `f64` would be, so
+/// a `u64` above 2^53 is written rounded, exactly as the tree writes it.
+#[derive(Debug, Default)]
+pub(crate) struct JsonWriter {
+    out: String,
+    /// Whether the next key or value follows a sibling.
+    comma: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub(crate) fn new() -> JsonWriter {
+        JsonWriter::default()
+    }
+
+    /// An empty writer whose output already holds `bytes`: a caller that
+    /// knows its size bound writes with one allocation.
+    pub(crate) fn with_capacity(bytes: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            comma: false,
+        }
+    }
+
+    /// The text written so far.
+    pub(crate) fn finish(self) -> String {
+        self.out
+    }
+
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+    }
+
+    /// Open an object.
+    pub(crate) fn begin_obj(&mut self) -> &mut JsonWriter {
+        self.sep();
+        self.out.push('{');
+        self.comma = false;
+        self
+    }
+
+    /// Close the innermost object.
+    pub(crate) fn end_obj(&mut self) -> &mut JsonWriter {
+        self.out.push('}');
+        self.comma = true;
+        self
+    }
+
+    /// Open an array.
+    pub(crate) fn begin_arr(&mut self) -> &mut JsonWriter {
+        self.sep();
+        self.out.push('[');
+        self.comma = false;
+        self
+    }
+
+    /// Close the innermost array.
+    pub(crate) fn end_arr(&mut self) -> &mut JsonWriter {
+        self.out.push(']');
+        self.comma = true;
+        self
+    }
+
+    /// The key of the next object field; its value is written next.
+    pub(crate) fn key(&mut self, key: &str) -> &mut JsonWriter {
+        self.sep();
+        write_escaped(&mut self.out, key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// A string value.
+    pub(crate) fn str(&mut self, s: &str) -> &mut JsonWriter {
+        self.sep();
+        write_escaped(&mut self.out, s);
+        self.comma = true;
+        self
+    }
+
+    /// A float value: `{x}`, or `null` when not finite.
+    pub(crate) fn f64(&mut self, x: f64) -> &mut JsonWriter {
+        self.sep();
+        write_f64(&mut self.out, x);
+        self.comma = true;
+        self
+    }
+
+    /// An integer value, written as `x as f64` would be: exact up to
+    /// 2^53, rounded above.
+    pub(crate) fn u64(&mut self, x: u64) -> &mut JsonWriter {
+        self.sep();
+        if x <= MAX_EXACT_INT {
+            // an integral f64 up to 2^53 formats as this integer does
+            let _ = write!(self.out, "{x}");
+        } else {
+            write_f64(&mut self.out, x as f64);
+        }
+        self.comma = true;
+        self
+    }
+
+    /// A boolean value.
+    pub(crate) fn bool(&mut self, b: bool) -> &mut JsonWriter {
+        self.sep();
+        self.out.push_str(if b { "true" } else { "false" });
+        self.comma = true;
+        self
+    }
+
+    /// `null`.
+    pub(crate) fn null(&mut self) -> &mut JsonWriter {
+        self.sep();
+        self.out.push_str("null");
+        self.comma = true;
+        self
+    }
+
+    /// A full-width `u64` as a fixed 16-digit hex string — the wire
+    /// form of [`crate::lab::PlanKey::fingerprint`] digests.
+    pub(crate) fn fingerprint(&mut self, fp: u64) -> &mut JsonWriter {
+        self.sep();
+        let _ = write!(self.out, "\"{fp:016x}\"");
+        self.comma = true;
+        self
+    }
+}
+
+/// `x` as a JSON number: `{x}`, or `null` when not finite.
+fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// `s` as a quoted JSON string. Runs of bytes that need no escape are
+/// copied whole; every escaped byte is ASCII, so a run never splits a
+/// multi-byte scalar.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Nesting depth cap: protects the daemon from stack exhaustion on
@@ -574,6 +729,67 @@ mod tests {
     }
 
     #[test]
+    fn the_stream_writes_what_the_tree_writes() {
+        let tree = Json::obj()
+            .set("a", Json::obj())
+            .set("b", Json::Arr(Vec::new()))
+            .set(
+                "c",
+                Json::Arr(vec![Json::obj().set("k", "v\"\n"), Json::Null, 1.5.into()]),
+            )
+            .set("é\t", Json::Arr(vec![Json::Arr(vec![]), Json::obj()]))
+            .set("n", f64::NAN)
+            .set("z", -0.0);
+        let mut w = JsonWriter::new();
+        w.begin_obj()
+            .key("a")
+            .begin_obj()
+            .end_obj()
+            .key("b")
+            .begin_arr()
+            .end_arr()
+            .key("c")
+            .begin_arr()
+            .begin_obj()
+            .key("k")
+            .str("v\"\n")
+            .end_obj()
+            .null()
+            .f64(1.5)
+            .end_arr()
+            .key("é\t")
+            .begin_arr()
+            .begin_arr()
+            .end_arr()
+            .begin_obj()
+            .end_obj()
+            .end_arr()
+            .key("n")
+            .f64(f64::NAN)
+            .key("z")
+            .f64(-0.0)
+            .end_obj();
+        let text = w.finish();
+        assert_eq!(text, tree.write());
+        assert_eq!(
+            text,
+            r#"{"a":{},"b":[],"c":[{"k":"v\"\n"},null,1.5],"é\t":[[],{}],"n":null,"z":-0}"#
+        );
+    }
+
+    #[test]
+    fn stream_integers_are_written_as_their_f64() {
+        for x in [0, 7, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let mut w = JsonWriter::new();
+            w.u64(x);
+            assert_eq!(w.finish(), Json::Num(x as f64).write(), "{x}");
+        }
+        let mut w = JsonWriter::new();
+        w.begin_arr().fingerprint(0xab).bool(false).end_arr();
+        assert_eq!(w.finish(), r#"["00000000000000ab",false]"#);
+    }
+
+    #[test]
     fn field_order_is_insertion_order() {
         let v = Json::obj().set("z", 1.0).set("a", 2.0).set("z", 3.0);
         assert_eq!(v.write(), r#"{"z":3,"a":2}"#);
@@ -614,8 +830,11 @@ mod tests {
 
     #[test]
     fn fingerprints_travel_as_fixed_width_hex() {
-        let j = Json::fingerprint(0x00ab_cdef_0123_4567);
-        assert_eq!(j.write(), r#""00abcdef01234567""#);
+        let mut w = JsonWriter::new();
+        w.fingerprint(0x00ab_cdef_0123_4567);
+        let text = w.finish();
+        assert_eq!(text, r#""00abcdef01234567""#);
+        let j = Json::parse(&text).unwrap();
         let back = u64::from_str_radix(j.as_str().unwrap(), 16).unwrap();
         assert_eq!(back, 0x00ab_cdef_0123_4567);
     }

@@ -84,10 +84,13 @@ impl Query {
 /// in at least one
 /// field. Floats are fingerprinted as bit patterns; the degraded-link
 /// multiset is sorted (degradation is multiplicative, so order does not
-/// matter to the compiled route table).
+/// matter to the compiled route table). The cluster is held by value and
+/// compared through its structural
+/// [`identity`](harborsim_hw::ClusterSpec::identity), so building,
+/// hashing and comparing a key renders nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    cluster: String,
+    cluster: ClusterKey,
     case: String,
     env: ExecutionEnvironment,
     nodes: u32,
@@ -144,10 +147,7 @@ impl PlanKey {
             .collect();
         degraded.sort_unstable();
         Some(PlanKey {
-            // ClusterSpec is plain data with a total Debug view and no
-            // Hash impl; its debug string covers every field (node model,
-            // interconnect, fabric layout, software, storage).
-            cluster: format!("{:?}", scenario.cluster),
+            cluster: ClusterKey(scenario.cluster.clone()),
             case,
             env: scenario.env,
             nodes: scenario.nodes,
@@ -173,7 +173,10 @@ impl PlanKey {
     /// `Debug` rendering, which covers every field. This is what the
     /// script layer's golden tests compare — two scenarios fingerprint
     /// identically exactly when they compile to observably identical
-    /// plans. It is computed only where it is reported (plan responses,
+    /// plans. The rendering is the one keys had when they held the
+    /// cluster as its `Debug` string: the cluster component renders as
+    /// that string, quoted, so every recorded fingerprint still holds.
+    /// It is computed only where it is reported (plan responses,
     /// campaign rows); the cache never renders it and picks shards by a
     /// cheaper key hash instead.
     pub fn fingerprint(&self) -> u64 {
@@ -181,6 +184,35 @@ impl PlanKey {
         let mut fnv = Fnv1a(0xcbf2_9ce4_8422_2325);
         write!(fnv, "{self:?}").expect("hashing a Debug rendering cannot fail");
         fnv.0
+    }
+}
+
+/// The cluster component of a [`PlanKey`]: equal and hashed through
+/// [`ClusterSpec::identity`](harborsim_hw::ClusterSpec::identity), which
+/// is never coarser than the spec's `Debug` rendering.
+#[derive(Clone)]
+struct ClusterKey(harborsim_hw::ClusterSpec);
+
+impl PartialEq for ClusterKey {
+    fn eq(&self, other: &ClusterKey) -> bool {
+        self.0.identity() == other.0.identity()
+    }
+}
+
+impl Eq for ClusterKey {}
+
+impl Hash for ClusterKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.identity().hash(state);
+    }
+}
+
+impl std::fmt::Debug for ClusterKey {
+    /// The spec's `Debug` rendering as a quoted string: the bytes the
+    /// field wrote when it held that string, which
+    /// [`PlanKey::fingerprint`] digests.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&format!("{:?}", self.0), f)
     }
 }
 

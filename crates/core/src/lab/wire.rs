@@ -8,9 +8,10 @@
 //!
 //! Encoding conventions, chosen for determinism and exact round-trips:
 //!
-//! - **Field order is fixed** (the hand-rolled [`Json`] writer preserves
-//!   insertion order), so equal values encode to byte-identical strings
-//!   — what the golden tests pin.
+//! - **Field order is fixed**: every encoder streams its fields through
+//!   one streaming `JsonWriter` in a fixed order, building no [`Json`]
+//!   tree, so equal values encode to byte-identical strings — what the
+//!   golden tests pin. Decoding parses into a [`Json`] tree.
 //! - **Durations travel as integer nanoseconds** (`*_ns`), the same
 //!   `u64` the simulator counts in — no float rounding on the wire.
 //! - **64-bit fingerprints travel as 16-digit hex strings** (JSON
@@ -29,7 +30,7 @@ use super::protocol::{
 };
 use super::{CacheStats, Query};
 use crate::error::HarborError;
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use crate::open::{MixSpec, OpenSpec};
 use crate::scenario::{EngineKind, Execution, Outcome, Scenario};
 use crate::script::{ScriptError, ScriptStage, Span};
@@ -39,6 +40,7 @@ use harborsim_des::SimDuration;
 use harborsim_mpi::result::{CommBreakdown, LinkUsage, SimResult};
 use harborsim_mpi::Placement;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The one protocol version this build speaks.
 pub const WIRE_VERSION: u64 = 1;
@@ -74,35 +76,45 @@ fn err<T>(msg: impl Into<String>) -> Result<T, WireError> {
 /// Only scenarios built from the cluster/workload registries are
 /// encodable (the wire names them by registry name).
 pub fn encode_request(req: &LabRequest) -> Result<String, WireError> {
-    let envelope = Json::obj().set("v", WIRE_VERSION);
-    let json = match req {
-        LabRequest::Plan { scenario } => envelope
-            .set("kind", "plan")
-            .set("scenario", encode_scenario(scenario)?),
-        LabRequest::Execute { scenario, seed } => envelope
-            .set("kind", "execute")
-            .set("scenario", encode_scenario(scenario)?)
-            .set("seed", *seed),
-        LabRequest::Batch { queries } => {
-            let mut arr = Vec::with_capacity(queries.len());
-            for q in queries {
-                arr.push(
-                    Json::obj()
-                        .set("scenario", encode_scenario(&q.scenario)?)
-                        .set(
-                            "seeds",
-                            Json::Arr(q.seeds.iter().map(|&s| s.into()).collect()),
-                        ),
-                );
-            }
-            envelope.set("kind", "batch").set("queries", Json::Arr(arr))
-        }
-        LabRequest::Campaign { script } => envelope
-            .set("kind", "campaign")
-            .set("script", script.as_str()),
-        LabRequest::Stats => envelope.set("kind", "stats"),
+    let scenarios = match req {
+        LabRequest::Plan { .. } | LabRequest::Execute { .. } => 1,
+        LabRequest::Batch { queries } => queries.len(),
+        LabRequest::Campaign { .. } | LabRequest::Stats => 0,
     };
-    Ok(json.write())
+    let mut w = JsonWriter::with_capacity(64 + SCENARIO_BYTES * scenarios);
+    w.begin_obj().key("v").u64(WIRE_VERSION).key("kind");
+    match req {
+        LabRequest::Plan { scenario } => {
+            w.str("plan").key("scenario");
+            encode_scenario(&mut w, scenario)?;
+        }
+        LabRequest::Execute { scenario, seed } => {
+            w.str("execute").key("scenario");
+            encode_scenario(&mut w, scenario)?;
+            w.key("seed").u64(*seed);
+        }
+        LabRequest::Batch { queries } => {
+            w.str("batch").key("queries").begin_arr();
+            for q in queries {
+                w.begin_obj().key("scenario");
+                encode_scenario(&mut w, &q.scenario)?;
+                w.key("seeds").begin_arr();
+                for &seed in &q.seeds {
+                    w.u64(seed);
+                }
+                w.end_arr().end_obj();
+            }
+            w.end_arr();
+        }
+        LabRequest::Campaign { script } => {
+            w.str("campaign").key("script").str(script);
+        }
+        LabRequest::Stats => {
+            w.str("stats");
+        }
+    }
+    w.end_obj();
+    Ok(w.finish())
 }
 
 /// Decode a request from its wire string.
@@ -144,63 +156,111 @@ pub fn decode_request(src: &str) -> Result<LabRequest, WireError> {
 /// Encode a response to its canonical wire string. Responses are always
 /// encodable (they carry no open-world types).
 pub fn encode_response(resp: &LabResponse) -> String {
-    let envelope = Json::obj().set("v", WIRE_VERSION);
-    let json = match resp {
-        LabResponse::Plan(info) => envelope.set("kind", "plan").set(
-            "plan",
-            Json::obj()
-                .set(
-                    "fingerprint",
-                    match info.fingerprint {
-                        Some(fp) => Json::fingerprint(fp),
-                        None => Json::Null,
-                    },
-                )
-                .set("engine", info.engine.as_str())
-                .set("ranks", info.ranks)
-                .set("deployment", info.deployment),
-        ),
-        LabResponse::Execute(outcome) => envelope
-            .set("kind", "execute")
-            .set("outcome", encode_outcome(outcome)),
-        LabResponse::Batch(results) => envelope.set("kind", "batch").set(
-            "results",
-            Json::Arr(
-                results
-                    .iter()
-                    .map(|r| match r {
-                        Ok(outcomes) => Json::obj().set(
-                            "ok",
-                            Json::Arr(outcomes.iter().map(encode_outcome).collect()),
-                        ),
-                        Err(e) => Json::obj().set("err", encode_error(e)),
-                    })
-                    .collect(),
-            ),
-        ),
-        LabResponse::Campaign(report) => envelope.set("kind", "campaign").set(
-            "campaigns",
-            Json::Arr(report.campaigns.iter().map(encode_campaign).collect()),
-        ),
+    let bytes = match resp {
+        LabResponse::Execute(outcome) => outcome_bytes(outcome),
+        LabResponse::Batch(results) => results
+            .iter()
+            .map(|r| match r {
+                Ok(outcomes) => outcomes.iter().map(outcome_bytes).sum(),
+                Err(_) => SMALL_BYTES,
+            })
+            .sum(),
+        _ => SMALL_BYTES,
+    };
+    let mut w = JsonWriter::with_capacity(64 + bytes);
+    w.begin_obj().key("v").u64(WIRE_VERSION).key("kind");
+    match resp {
+        LabResponse::Plan(info) => {
+            w.str("plan").key("plan").begin_obj().key("fingerprint");
+            match info.fingerprint {
+                Some(fp) => w.fingerprint(fp),
+                None => w.null(),
+            };
+            w.key("engine")
+                .str(&info.engine)
+                .key("ranks")
+                .u64(u64::from(info.ranks))
+                .key("deployment")
+                .bool(info.deployment)
+                .end_obj();
+        }
+        LabResponse::Execute(outcome) => {
+            w.str("execute").key("outcome");
+            encode_outcome(&mut w, outcome);
+        }
+        LabResponse::Batch(results) => {
+            w.str("batch").key("results").begin_arr();
+            for r in results {
+                w.begin_obj();
+                match r {
+                    Ok(outcomes) => {
+                        w.key("ok").begin_arr();
+                        for o in outcomes {
+                            encode_outcome(&mut w, o);
+                        }
+                        w.end_arr();
+                    }
+                    Err(e) => {
+                        w.key("err");
+                        encode_error(&mut w, e);
+                    }
+                }
+                w.end_obj();
+            }
+            w.end_arr();
+        }
+        LabResponse::Campaign(report) => {
+            w.str("campaign").key("campaigns").begin_arr();
+            for c in &report.campaigns {
+                encode_campaign(&mut w, c);
+            }
+            w.end_arr();
+        }
         LabResponse::Stats(stats) => {
-            let json = envelope
-                .set("kind", "stats")
-                .set("cache", encode_cache_stats(&stats.cache))
-                .set(
-                    "per_shard",
-                    Json::Arr(stats.per_shard.iter().map(encode_cache_stats).collect()),
-                )
-                .set("batched_executes", stats.batched_executes);
+            w.str("stats").key("cache");
+            encode_cache_stats(&mut w, &stats.cache);
+            w.key("per_shard").begin_arr();
+            for s in &stats.per_shard {
+                encode_cache_stats(&mut w, s);
+            }
+            w.end_arr()
+                .key("batched_executes")
+                .u64(stats.batched_executes);
             // The daemon field is optional on the wire: in-process
             // stats omit it entirely, keeping their bytes pinned.
-            match &stats.daemon {
-                Some(d) => json.set("daemon", encode_daemon_stats(d)),
-                None => json,
+            if let Some(d) = &stats.daemon {
+                w.key("daemon");
+                encode_daemon_stats(&mut w, d);
             }
         }
-        LabResponse::Error(e) => envelope.set("kind", "error").set("error", encode_error(e)),
-    };
-    json.write()
+        LabResponse::Error(e) => {
+            w.str("error").key("error");
+            encode_error(&mut w, e);
+        }
+    }
+    w.end_obj();
+    w.finish()
+}
+
+/// Room reserved for one encoded scenario: the longest registry names
+/// with every knob set fit with margin.
+const SCENARIO_BYTES: usize = 512;
+
+/// Room reserved for a reply with no outcome in it (plan, stats, error,
+/// one campaign row set).
+const SMALL_BYTES: usize = 512;
+
+/// Room reserved for one encoded outcome: the fixed fields with a
+/// deployment report, plus each link's label and three fields. A reply
+/// written within it makes exactly one allocation.
+fn outcome_bytes(outcome: &Outcome) -> usize {
+    let links: usize = outcome
+        .result
+        .links
+        .iter()
+        .map(|l| 96 + l.label.len())
+        .sum();
+    640 + links
 }
 
 /// Decode a response from its wire string.
@@ -337,18 +397,23 @@ fn duration_ns(json: &Json, key: &str) -> Result<SimDuration, WireError> {
 // ------------------------------------------------------------- scenarios
 
 /// The cluster registry the wire names clusters by — same canonical
-/// names and aliases as the `.hsim` DSL.
+/// names and aliases as the `.hsim` DSL. A cluster is named when its
+/// structural identity matches a preset's.
 fn cluster_name(cluster: &harborsim_hw::ClusterSpec) -> Option<&'static str> {
-    let debug = format!("{cluster:?}");
-    [
-        ("lenox", harborsim_hw::presets::lenox()),
-        ("marenostrum4", harborsim_hw::presets::marenostrum4()),
-        ("cte-power", harborsim_hw::presets::cte_power()),
-        ("thunderx", harborsim_hw::presets::thunderx()),
-    ]
-    .into_iter()
-    .find(|(_, preset)| format!("{preset:?}") == debug)
-    .map(|(name, _)| name)
+    static PRESETS: OnceLock<[(&str, harborsim_hw::ClusterSpec); 4]> = OnceLock::new();
+    let presets = PRESETS.get_or_init(|| {
+        [
+            ("lenox", harborsim_hw::presets::lenox()),
+            ("marenostrum4", harborsim_hw::presets::marenostrum4()),
+            ("cte-power", harborsim_hw::presets::cte_power()),
+            ("thunderx", harborsim_hw::presets::thunderx()),
+        ]
+    });
+    let identity = cluster.identity();
+    presets
+        .iter()
+        .find(|(_, preset)| preset.identity() == identity)
+        .map(|&(name, _)| name)
 }
 
 fn cluster_by_name(name: &str) -> Result<harborsim_hw::ClusterSpec, WireError> {
@@ -373,11 +438,22 @@ const WORKLOAD_NAMES: [&str; 6] = [
 ];
 
 fn workload_name(case: &dyn harborsim_alya::workload::AlyaCase) -> Option<&'static str> {
+    static KEYS: OnceLock<Vec<(&str, Option<String>)>> = OnceLock::new();
+    let keys = KEYS.get_or_init(|| {
+        WORKLOAD_NAMES
+            .into_iter()
+            .map(|name| {
+                (
+                    name,
+                    crate::workloads::by_name(name).and_then(|w| w.memo_key()),
+                )
+            })
+            .collect()
+    });
     let key = case.memo_key()?;
-    WORKLOAD_NAMES.into_iter().find(|name| {
-        crate::workloads::by_name(name)
-            .is_some_and(|w| w.memo_key().as_deref() == Some(key.as_str()))
-    })
+    keys.iter()
+        .find(|(_, k)| k.as_deref() == Some(key.as_str()))
+        .map(|&(name, _)| name)
 }
 
 fn env_name(env: Execution) -> Result<&'static str, WireError> {
@@ -406,62 +482,65 @@ fn env_by_name(name: &str) -> Result<Execution, WireError> {
     }
 }
 
-fn encode_scenario(s: &Scenario) -> Result<Json, WireError> {
+fn encode_scenario(w: &mut JsonWriter, s: &Scenario) -> Result<(), WireError> {
     let cluster = cluster_name(&s.cluster).ok_or_else(|| WireError {
         msg: "only the four paper-cluster presets are wire-encodable".into(),
     })?;
     let workload = workload_name(s.case.as_ref()).ok_or_else(|| WireError {
         msg: "only registry workloads are wire-encodable".into(),
     })?;
-    let mut json = Json::obj()
-        .set("cluster", cluster)
-        .set("workload", workload)
-        .set("env", env_name(s.env)?)
-        .set("nodes", s.nodes)
-        .set("rpn", s.ranks_per_node)
-        .set("tpr", s.threads_per_rank)
-        .set(
-            "engine",
-            match s.engine {
-                EngineKind::Analytic => Json::obj().set("kind", "analytic"),
-                EngineKind::Des { max_steps_per_kind } => Json::obj()
-                    .set("kind", "des")
-                    .set("max_steps_per_kind", max_steps_per_kind),
-            },
-        )
-        .set("deploy", s.deploy)
-        .set(
-            "placement",
-            match s.placement {
-                Placement::Block => "block",
-                Placement::RoundRobin => "round-robin",
-            },
-        )
-        .set(
-            "taper",
-            match s.spine_taper {
-                Some(t) => Json::from(t),
-                None => Json::Null,
-            },
-        )
-        .set(
-            "degraded",
-            Json::Arr(
-                s.degraded_uplinks
-                    .iter()
-                    .map(|&(node, factor)| Json::Arr(vec![Json::from(node), Json::from(factor)]))
-                    .collect(),
-            ),
-        )
-        .set("shards", s.shards);
-    json = json.set(
-        "open",
-        match &s.open {
-            Some(spec) => encode_open(spec)?,
-            None => Json::Null,
-        },
-    );
-    Ok(json)
+    w.begin_obj()
+        .key("cluster")
+        .str(cluster)
+        .key("workload")
+        .str(workload)
+        .key("env")
+        .str(env_name(s.env)?)
+        .key("nodes")
+        .u64(u64::from(s.nodes))
+        .key("rpn")
+        .u64(u64::from(s.ranks_per_node))
+        .key("tpr")
+        .u64(u64::from(s.threads_per_rank))
+        .key("engine")
+        .begin_obj()
+        .key("kind");
+    match s.engine {
+        EngineKind::Analytic => w.str("analytic"),
+        EngineKind::Des { max_steps_per_kind } => w
+            .str("des")
+            .key("max_steps_per_kind")
+            .u64(u64::from(max_steps_per_kind)),
+    };
+    w.end_obj()
+        .key("deploy")
+        .bool(s.deploy)
+        .key("placement")
+        .str(match s.placement {
+            Placement::Block => "block",
+            Placement::RoundRobin => "round-robin",
+        })
+        .key("taper");
+    match s.spine_taper {
+        Some(t) => w.f64(t),
+        None => w.null(),
+    };
+    w.key("degraded").begin_arr();
+    for &(node, factor) in &s.degraded_uplinks {
+        w.begin_arr().u64(u64::from(node)).f64(factor).end_arr();
+    }
+    w.end_arr()
+        .key("shards")
+        .u64(u64::from(s.shards))
+        .key("open");
+    match &s.open {
+        Some(spec) => encode_open(w, spec)?,
+        None => {
+            w.null();
+        }
+    }
+    w.end_obj();
+    Ok(())
 }
 
 fn decode_scenario(json: &Json) -> Result<Scenario, WireError> {
@@ -524,41 +603,47 @@ fn decode_scenario(json: &Json) -> Result<Scenario, WireError> {
     Ok(scenario)
 }
 
-fn encode_open(spec: &OpenSpec) -> Result<Json, WireError> {
-    let mut envs = Vec::with_capacity(spec.env_mix.values.len());
-    for &env in &spec.env_mix.values {
-        envs.push(Json::from(env_name(env)?));
+fn encode_open(w: &mut JsonWriter, spec: &OpenSpec) -> Result<(), WireError> {
+    w.begin_obj()
+        .key("rate_per_s")
+        .f64(spec.rate_per_s)
+        .key("horizon_s")
+        .f64(spec.horizon_s)
+        .key("tenants")
+        .u64(u64::from(spec.tenants))
+        .key("node_mix")
+        .begin_obj()
+        .key("s")
+        .f64(spec.node_mix.s)
+        .key("values")
+        .begin_arr();
+    for &v in &spec.node_mix.values {
+        w.u64(u64::from(v));
     }
-    Ok(Json::obj()
-        .set("rate_per_s", spec.rate_per_s)
-        .set("horizon_s", spec.horizon_s)
-        .set("tenants", spec.tenants)
-        .set(
-            "node_mix",
-            Json::obj().set("s", spec.node_mix.s).set(
-                "values",
-                Json::Arr(spec.node_mix.values.iter().map(|&v| v.into()).collect()),
-            ),
-        )
-        .set(
-            "workload_mix",
-            Json::obj().set("s", spec.workload_mix.s).set(
-                "values",
-                Json::Arr(
-                    spec.workload_mix
-                        .values
-                        .iter()
-                        .map(|v| v.as_str().into())
-                        .collect(),
-                ),
-            ),
-        )
-        .set(
-            "env_mix",
-            Json::obj()
-                .set("s", spec.env_mix.s)
-                .set("values", Json::Arr(envs)),
-        ))
+    w.end_arr()
+        .end_obj()
+        .key("workload_mix")
+        .begin_obj()
+        .key("s")
+        .f64(spec.workload_mix.s)
+        .key("values")
+        .begin_arr();
+    for v in &spec.workload_mix.values {
+        w.str(v);
+    }
+    w.end_arr()
+        .end_obj()
+        .key("env_mix")
+        .begin_obj()
+        .key("s")
+        .f64(spec.env_mix.s)
+        .key("values")
+        .begin_arr();
+    for &env in &spec.env_mix.values {
+        w.str(env_name(env)?);
+    }
+    w.end_arr().end_obj().end_obj();
+    Ok(())
 }
 
 fn decode_open(json: &Json) -> Result<OpenSpec, WireError> {
@@ -608,57 +693,72 @@ fn decode_open(json: &Json) -> Result<OpenSpec, WireError> {
 
 // -------------------------------------------------------------- outcomes
 
-fn encode_outcome(outcome: &Outcome) -> Json {
+fn encode_outcome(w: &mut JsonWriter, outcome: &Outcome) {
     let r = &outcome.result;
-    let mut json = Json::obj()
-        .set("elapsed_ns", outcome.elapsed.as_nanos())
-        .set(
-            "result",
-            Json::obj()
-                .set("elapsed_ns", r.elapsed.as_nanos())
-                .set("compute_ns", r.compute.as_nanos())
-                .set(
-                    "comm",
-                    Json::obj()
-                        .set("halo_ns", r.comm.halo.as_nanos())
-                        .set("allreduce_ns", r.comm.allreduce.as_nanos())
-                        .set("pairs_ns", r.comm.pairs.as_nanos())
-                        .set("other_ns", r.comm.other.as_nanos()),
-                )
-                .set("inter_node_msgs", r.inter_node_msgs)
-                .set("intra_node_msgs", r.intra_node_msgs)
-                .set("inter_node_bytes", r.inter_node_bytes)
-                .set(
-                    "links",
-                    Json::Arr(
-                        r.links
-                            .iter()
-                            .map(|l| {
-                                Json::obj()
-                                    .set("label", l.label.as_str())
-                                    .set("busy_s", l.busy_s)
-                                    .set("bytes", l.bytes)
-                            })
-                            .collect(),
-                    ),
-                )
-                .set("engine", r.engine),
-        );
-    json = json.set(
-        "deployment",
-        match &outcome.deployment {
-            Some(d) => Json::obj()
-                .set("makespan_ns", d.makespan.as_nanos())
-                .set("first_ready_ns", d.first_ready.as_nanos())
-                .set("mean_ready_s", d.mean_ready_s)
-                .set("gateway_seconds", d.gateway_seconds)
-                .set("bytes_pulled", d.bytes_pulled)
-                .set("bytes_from_pfs", d.bytes_from_pfs)
-                .set("image_bytes", d.image_bytes),
-            None => Json::Null,
-        },
-    );
-    json
+    w.begin_obj()
+        .key("elapsed_ns")
+        .u64(outcome.elapsed.as_nanos())
+        .key("result")
+        .begin_obj()
+        .key("elapsed_ns")
+        .u64(r.elapsed.as_nanos())
+        .key("compute_ns")
+        .u64(r.compute.as_nanos())
+        .key("comm")
+        .begin_obj()
+        .key("halo_ns")
+        .u64(r.comm.halo.as_nanos())
+        .key("allreduce_ns")
+        .u64(r.comm.allreduce.as_nanos())
+        .key("pairs_ns")
+        .u64(r.comm.pairs.as_nanos())
+        .key("other_ns")
+        .u64(r.comm.other.as_nanos())
+        .end_obj()
+        .key("inter_node_msgs")
+        .u64(r.inter_node_msgs)
+        .key("intra_node_msgs")
+        .u64(r.intra_node_msgs)
+        .key("inter_node_bytes")
+        .u64(r.inter_node_bytes)
+        .key("links")
+        .begin_arr();
+    for l in &r.links {
+        w.begin_obj()
+            .key("label")
+            .str(&l.label)
+            .key("busy_s")
+            .f64(l.busy_s)
+            .key("bytes")
+            .u64(l.bytes)
+            .end_obj();
+    }
+    w.end_arr()
+        .key("engine")
+        .str(r.engine)
+        .end_obj()
+        .key("deployment");
+    match &outcome.deployment {
+        Some(d) => w
+            .begin_obj()
+            .key("makespan_ns")
+            .u64(d.makespan.as_nanos())
+            .key("first_ready_ns")
+            .u64(d.first_ready.as_nanos())
+            .key("mean_ready_s")
+            .f64(d.mean_ready_s)
+            .key("gateway_seconds")
+            .f64(d.gateway_seconds)
+            .key("bytes_pulled")
+            .u64(d.bytes_pulled)
+            .key("bytes_from_pfs")
+            .u64(d.bytes_from_pfs)
+            .key("image_bytes")
+            .u64(d.image_bytes)
+            .end_obj(),
+        None => w.null(),
+    };
+    w.end_obj();
 }
 
 fn decode_outcome(json: &Json) -> Result<Outcome, WireError> {
@@ -711,38 +811,44 @@ fn decode_outcome(json: &Json) -> Result<Outcome, WireError> {
 
 // ------------------------------------------------------------- campaigns
 
-fn encode_campaign(c: &CampaignResult) -> Json {
-    Json::obj().set("name", c.name.as_str()).set(
-        "rows",
-        Json::Arr(
-            c.rows
-                .iter()
-                .map(|row| {
-                    let json = Json::obj()
-                        .set("label", row.label.as_str())
-                        .set("fingerprint", Json::fingerprint(row.fingerprint));
-                    match &row.kind {
-                        CampaignRowKind::Closed { mean_elapsed_s } => {
-                            json.set("closed", Json::obj().set("mean_elapsed_s", *mean_elapsed_s))
-                        }
-                        CampaignRowKind::Open {
-                            jobs,
-                            utilization,
-                            wait_p50_s,
-                            wait_p99_s,
-                        } => json.set(
-                            "open",
-                            Json::obj()
-                                .set("jobs", *jobs)
-                                .set("utilization", *utilization)
-                                .set("wait_p50_s", *wait_p50_s)
-                                .set("wait_p99_s", *wait_p99_s),
-                        ),
-                    }
-                })
-                .collect(),
-        ),
-    )
+fn encode_campaign(w: &mut JsonWriter, c: &CampaignResult) {
+    w.begin_obj()
+        .key("name")
+        .str(&c.name)
+        .key("rows")
+        .begin_arr();
+    for row in &c.rows {
+        w.begin_obj()
+            .key("label")
+            .str(&row.label)
+            .key("fingerprint")
+            .fingerprint(row.fingerprint);
+        match &row.kind {
+            CampaignRowKind::Closed { mean_elapsed_s } => w
+                .key("closed")
+                .begin_obj()
+                .key("mean_elapsed_s")
+                .f64(*mean_elapsed_s),
+            CampaignRowKind::Open {
+                jobs,
+                utilization,
+                wait_p50_s,
+                wait_p99_s,
+            } => w
+                .key("open")
+                .begin_obj()
+                .key("jobs")
+                .u64(*jobs)
+                .key("utilization")
+                .f64(*utilization)
+                .key("wait_p50_s")
+                .f64(*wait_p50_s)
+                .key("wait_p99_s")
+                .f64(*wait_p99_s),
+        };
+        w.end_obj().end_obj();
+    }
+    w.end_arr().end_obj();
 }
 
 fn decode_campaign(json: &Json) -> Result<CampaignResult, WireError> {
@@ -775,14 +881,21 @@ fn decode_campaign(json: &Json) -> Result<CampaignResult, WireError> {
 
 // ----------------------------------------------------------------- stats
 
-fn encode_cache_stats(s: &CacheStats) -> Json {
-    Json::obj()
-        .set("hits", s.hits)
-        .set("misses", s.misses)
-        .set("waits", s.waits)
-        .set("uncached", s.uncached)
-        .set("contended", s.contended)
-        .set("entries", s.entries)
+fn encode_cache_stats(w: &mut JsonWriter, s: &CacheStats) {
+    w.begin_obj()
+        .key("hits")
+        .u64(s.hits)
+        .key("misses")
+        .u64(s.misses)
+        .key("waits")
+        .u64(s.waits)
+        .key("uncached")
+        .u64(s.uncached)
+        .key("contended")
+        .u64(s.contended)
+        .key("entries")
+        .u64(s.entries as u64)
+        .end_obj();
 }
 
 fn decode_cache_stats(json: &Json) -> Result<CacheStats, WireError> {
@@ -796,12 +909,17 @@ fn decode_cache_stats(json: &Json) -> Result<CacheStats, WireError> {
     })
 }
 
-fn encode_daemon_stats(d: &DaemonStats) -> Json {
-    Json::obj()
-        .set("mode", d.mode.as_str())
-        .set("accept_errors", d.accept_errors)
-        .set("late_503s", d.late_503s)
-        .set("open_conns", d.open_conns)
+fn encode_daemon_stats(w: &mut JsonWriter, d: &DaemonStats) {
+    w.begin_obj()
+        .key("mode")
+        .str(&d.mode)
+        .key("accept_errors")
+        .u64(d.accept_errors)
+        .key("late_503s")
+        .u64(d.late_503s)
+        .key("open_conns")
+        .u64(d.open_conns)
+        .end_obj();
 }
 
 fn decode_daemon_stats(json: &Json) -> Result<DaemonStats, WireError> {
@@ -815,26 +933,30 @@ fn decode_daemon_stats(json: &Json) -> Result<DaemonStats, WireError> {
 
 // ---------------------------------------------------------------- errors
 
-fn encode_error(e: &HarborError) -> Json {
+fn encode_error(w: &mut JsonWriter, e: &HarborError) {
+    w.begin_obj().key("type");
     match e {
-        HarborError::Script(se) => Json::obj()
-            .set("type", "script")
-            .set("stage", se.stage.to_string())
-            .set("line", se.span.line)
-            .set("col", se.span.col)
-            .set("msg", se.msg.as_str()),
-        HarborError::RuntimeUnavailable { runtime, cluster } => Json::obj()
-            .set("type", "runtime-unavailable")
-            .set("runtime", runtime.as_str())
-            .set("cluster", cluster.as_str()),
-        HarborError::Placement(p) => Json::obj()
-            .set("type", "placement")
-            .set("msg", p.to_string()),
-        HarborError::Build(b) => Json::obj().set("type", "build").set("msg", b.to_string()),
-        HarborError::Remote { kind, msg } => Json::obj()
-            .set("type", kind.as_str())
-            .set("msg", msg.as_str()),
-    }
+        HarborError::Script(se) => w
+            .str("script")
+            .key("stage")
+            .str(&se.stage.to_string())
+            .key("line")
+            .u64(u64::from(se.span.line))
+            .key("col")
+            .u64(u64::from(se.span.col))
+            .key("msg")
+            .str(&se.msg),
+        HarborError::RuntimeUnavailable { runtime, cluster } => w
+            .str("runtime-unavailable")
+            .key("runtime")
+            .str(runtime)
+            .key("cluster")
+            .str(cluster),
+        HarborError::Placement(p) => w.str("placement").key("msg").str(&p.to_string()),
+        HarborError::Build(b) => w.str("build").key("msg").str(&b.to_string()),
+        HarborError::Remote { kind, msg } => w.str(kind).key("msg").str(msg),
+    };
+    w.end_obj();
 }
 
 fn decode_error(json: &Json) -> Result<HarborError, WireError> {
@@ -869,6 +991,21 @@ mod tests {
     use crate::workloads;
     use harborsim_hw::presets;
 
+    /// `s` encoded, and parsed back into the tree the decoder reads.
+    fn scenario_json(s: &Scenario) -> Result<(String, Json), WireError> {
+        let mut w = JsonWriter::new();
+        encode_scenario(&mut w, s)?;
+        let text = w.finish();
+        let json = Json::parse(&text)?;
+        Ok((text, json))
+    }
+
+    fn error_json(e: &HarborError) -> Json {
+        let mut w = JsonWriter::new();
+        encode_error(&mut w, e);
+        Json::parse(&w.finish()).unwrap()
+    }
+
     fn scenario() -> Scenario {
         Scenario::new(presets::lenox(), workloads::artery_cfd_small())
             .execution(Execution::singularity_self_contained())
@@ -889,12 +1026,13 @@ mod tests {
             .degrade_node_uplink(3, 0.1)
             .shards(4);
         let key = super::super::PlanKey::of(&s, None).unwrap();
-        let json = encode_scenario(&s).unwrap();
+        let (text, json) = scenario_json(&s).unwrap();
         let back = decode_scenario(&json).unwrap();
         let back_key = super::super::PlanKey::of(&back, None).unwrap();
         assert_eq!(key, back_key, "wire round-trip must preserve the plan key");
         // and the encoding itself is deterministic
-        assert_eq!(json.write(), encode_scenario(&back).unwrap().write());
+        assert_eq!(text, scenario_json(&back).unwrap().0);
+        assert_eq!(json.write(), text, "the tree writer renders the same bytes");
     }
 
     #[test]
@@ -914,7 +1052,7 @@ mod tests {
             },
         });
         let key = super::super::PlanKey::of(&s, None).unwrap();
-        let back = decode_scenario(&encode_scenario(&s).unwrap()).unwrap();
+        let back = decode_scenario(&scenario_json(&s).unwrap().1).unwrap();
         assert_eq!(key, super::super::PlanKey::of(&back, None).unwrap());
     }
 
@@ -923,7 +1061,7 @@ mod tests {
         let mut custom = presets::lenox();
         custom.node_count += 1;
         let s = Scenario::new(custom, workloads::artery_cfd_small());
-        assert!(encode_scenario(&s).is_err());
+        assert!(scenario_json(&s).is_err());
     }
 
     #[test]
@@ -938,12 +1076,12 @@ mod tests {
             cluster: "MareNostrum4".into(),
         };
         for e in [&script, &rt] {
-            let back = decode_error(&encode_error(e)).unwrap();
+            let back = decode_error(&error_json(e)).unwrap();
             assert_eq!(&back, e, "typed errors must round-trip exactly");
         }
         // placement errors degrade to Remote but keep the rendered text
         let placement = HarborError::Placement(harborsim_hw::PlacementError::ZeroDimension);
-        let back = decode_error(&encode_error(&placement)).unwrap();
+        let back = decode_error(&error_json(&placement)).unwrap();
         match &back {
             HarborError::Remote { kind, msg } => {
                 assert_eq!(kind, "placement");

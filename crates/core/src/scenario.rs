@@ -28,7 +28,6 @@ use harborsim_mpi::{
     SimResult, TruncatingDes,
 };
 use harborsim_net::{NetworkModel, Topology};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -548,20 +547,25 @@ impl ScenarioPlan {
 /// sweep workers that miss together wait for one build instead of each
 /// running their own. A build runs once per CPU model per process, so
 /// serializing the misses costs nothing measurable.
+///
+/// Models are told apart by [`CpuModel::identity`]. The paper's clusters
+/// have four, so a scan of the built ones is the whole lookup.
 pub(crate) fn shared_alya_image(cpu: &CpuModel) -> Result<ImageManifest, BuildError> {
-    static IMAGES: OnceLock<Mutex<HashMap<String, ImageManifest>>> = OnceLock::new();
-    let key = format!("{cpu:?}");
+    static IMAGES: Mutex<Vec<(CpuModel, ImageManifest)>> = Mutex::new(Vec::new());
     let mut images = IMAGES
-        .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
         .expect("an image build panicked while holding the image cache");
-    if let Some(hit) = images.get(&key) {
+    let identity = cpu.identity();
+    if let Some((_, hit)) = images
+        .iter()
+        .find(|(built, _)| built.identity() == identity)
+    {
         return Ok(hit.clone());
     }
     let manifest = BuildEngine::self_contained(cpu.clone())
         .build(&harborsim_container::build::alya_recipe())?
         .manifest;
-    images.insert(key, manifest.clone());
+    images.push((cpu.clone(), manifest.clone()));
     Ok(manifest)
 }
 

@@ -1,8 +1,10 @@
 //! Cluster descriptions: homogeneous pools of nodes joined by an
 //! interconnect, with shared storage and an installed software stack.
 
+use crate::cpu::CpuIdentity;
 use crate::node::NodeSpec;
-use crate::storage::StorageSpec;
+use crate::storage::{StorageKind, StorageSpec};
+use crate::threading::ThreadingModel;
 use std::fmt;
 
 /// The interconnect family of a cluster. The `net` crate maps each kind to
@@ -247,6 +249,121 @@ impl ClusterSpec {
             });
         }
         Ok(())
+    }
+
+    /// This cluster's structural identity: every field, borrowed, with
+    /// floats as bit patterns. Equal identities imply equal `Debug`
+    /// renderings; the converse holds unless a float is NaN (bit
+    /// patterns tell NaN payloads apart, and `-0.0` from `0.0`, where
+    /// `PartialEq` would merge the zeros). So a key built on it is never
+    /// coarser than one built on the rendering, and costs no rendering.
+    pub fn identity(&self) -> ClusterIdentity<'_> {
+        // no `..` anywhere below: a new field fails to compile until it
+        // is covered here
+        let ClusterSpec {
+            name,
+            node_count,
+            node,
+            interconnect,
+            fabric_layout,
+            shared_storage,
+            local_storage,
+            software,
+        } = self;
+        let NodeSpec {
+            cpu,
+            sockets,
+            mem_gib,
+            threading,
+        } = node;
+        let ThreadingModel {
+            serial_fraction,
+            barrier_base_us,
+            regions_per_unit,
+        } = threading;
+        let FabricLayout {
+            nodes_per_leaf,
+            hop_latency_s,
+            spine_taper,
+        } = fabric_layout;
+        let SoftwareStack {
+            docker,
+            singularity,
+            shifter,
+        } = software;
+        ClusterIdentity {
+            name,
+            node_count: *node_count,
+            cpu: cpu.identity(),
+            node: (*sockets, *mem_gib),
+            threading: [
+                serial_fraction.to_bits(),
+                barrier_base_us.to_bits(),
+                regions_per_unit.to_bits(),
+            ],
+            interconnect: *interconnect,
+            fabric: (
+                *nodes_per_leaf,
+                hop_latency_s.to_bits(),
+                spine_taper.to_bits(),
+            ),
+            shared_storage: StorageIdentity::of(shared_storage),
+            local_storage: local_storage.as_ref().map(StorageIdentity::of),
+            software: [docker, singularity, shifter].map(Option::as_deref),
+        }
+    }
+}
+
+/// A [`ClusterSpec`]'s structural identity (see [`ClusterSpec::identity`]):
+/// compare or hash it wherever a cluster is a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ClusterIdentity<'a> {
+    name: &'a str,
+    node_count: u32,
+    cpu: CpuIdentity<'a>,
+    /// Sockets and memory per node.
+    node: (u32, u32),
+    threading: [u64; 3],
+    interconnect: InterconnectKind,
+    /// Leaf size, hop latency and spine taper.
+    fabric: (Option<u32>, u64, u64),
+    shared_storage: StorageIdentity<'a>,
+    local_storage: Option<StorageIdentity<'a>>,
+    /// Docker, Singularity and Shifter versions.
+    software: [Option<&'a str>; 3],
+}
+
+/// A [`StorageSpec`]'s part of a [`ClusterIdentity`]: its name, and its
+/// kind as a variant tag over that variant's fields as bit patterns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct StorageIdentity<'a> {
+    name: &'a str,
+    kind: (u8, [u64; 3]),
+}
+
+impl StorageIdentity<'_> {
+    fn of(spec: &StorageSpec) -> StorageIdentity<'_> {
+        let StorageSpec { name, kind } = spec;
+        let kind = match *kind {
+            StorageKind::ParallelFs {
+                aggregate_bps,
+                per_client_bps,
+                metadata_op_s,
+            } => (
+                0,
+                [aggregate_bps, per_client_bps, metadata_op_s].map(f64::to_bits),
+            ),
+            StorageKind::LocalDisk {
+                read_bps,
+                write_bps,
+                op_latency_s,
+            } => (1, [read_bps, write_bps, op_latency_s].map(f64::to_bits)),
+            StorageKind::Nfs {
+                server_bps,
+                metadata_op_s,
+            } => (2, [server_bps.to_bits(), metadata_op_s.to_bits(), 0]),
+        };
+        StorageIdentity { name, kind }
     }
 }
 

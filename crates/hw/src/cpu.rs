@@ -136,6 +136,49 @@ impl CpuModel {
         debug_assert!(flops >= 0.0);
         flops / (self.cg_gflops_per_core * 1e9)
     }
+
+    /// This model's structural identity: every field, borrowed, with
+    /// floats as bit patterns. Two models with equal identities have
+    /// equal `Debug` renderings; the converse holds unless a field is
+    /// NaN (bit patterns tell NaN payloads apart, and `-0.0` from `0.0`,
+    /// where `PartialEq` would merge the zeros).
+    pub fn identity(&self) -> CpuIdentity<'_> {
+        // no `..`: a new field fails to compile until it is covered here
+        let CpuModel {
+            name,
+            arch,
+            uarch,
+            clock_ghz,
+            cores_per_socket,
+            cg_gflops_per_core,
+            mem_bw_gbs_per_socket,
+            isa_level,
+        } = self;
+        CpuIdentity {
+            name,
+            arch: *arch,
+            uarch,
+            clock_ghz: clock_ghz.to_bits(),
+            cores_per_socket: *cores_per_socket,
+            cg_gflops_per_core: cg_gflops_per_core.to_bits(),
+            mem_bw_gbs_per_socket: mem_bw_gbs_per_socket.to_bits(),
+            isa_level: *isa_level,
+        }
+    }
+}
+
+/// A [`CpuModel`]'s structural identity (see [`CpuModel::identity`]):
+/// compare or hash it wherever a model is a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CpuIdentity<'a> {
+    name: &'a str,
+    arch: CpuArch,
+    uarch: &'a str,
+    clock_ghz: u64,
+    cores_per_socket: u32,
+    cg_gflops_per_core: u64,
+    mem_bw_gbs_per_socket: u64,
+    isa_level: u8,
 }
 
 #[cfg(test)]

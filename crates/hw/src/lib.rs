@@ -18,8 +18,10 @@ pub mod presets;
 pub mod storage;
 pub mod threading;
 
-pub use cluster::{ClusterSpec, FabricLayout, InterconnectKind, PlacementError, SoftwareStack};
-pub use cpu::{CpuArch, CpuModel};
+pub use cluster::{
+    ClusterIdentity, ClusterSpec, FabricLayout, InterconnectKind, PlacementError, SoftwareStack,
+};
+pub use cpu::{CpuArch, CpuIdentity, CpuModel};
 pub use node::NodeSpec;
 pub use storage::{StorageKind, StorageSpec};
 pub use threading::ThreadingModel;

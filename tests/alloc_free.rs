@@ -13,6 +13,10 @@
 //!    the scratch, assembling `SimResult`) may allocate, but only O(1) per
 //!    run.
 //!
+//! A third guarantee covers the daemon's reply path: encoding an Execute
+//! reply streams into one buffer sized up front, so it makes **exactly
+//! one** allocation, the output itself.
+//!
 //! The counter is per thread, so a measurement sees only the allocations
 //! of the thread running it, never those of sibling tests running
 //! concurrently in the same binary.
@@ -200,5 +204,35 @@ fn analytic_engine_allocations_are_constant_in_step_count() {
         "10x the steps must not change the analytic engine's allocation \
          count (short={a_short}, long={a_long}): round costing is leaking \
          per-step allocations"
+    );
+}
+
+#[test]
+fn encoding_an_execute_reply_allocates_only_its_output() {
+    use harborsim_core::lab::wire::encode_response;
+    use harborsim_core::scenario::{Execution, Scenario};
+    use harborsim_core::{LabRequest, LabResponse, QueryEngine};
+    // the daemon menu's 2-node MareNostrum4 entry: a six-link reply
+    let scenario = Scenario::new(
+        harborsim_hw::presets::marenostrum4(),
+        harborsim_core::workloads::artery_cfd_small(),
+    )
+    .execution(Execution::singularity_system_specific())
+    .nodes(2)
+    .ranks_per_node(48);
+    let reply = QueryEngine::new().handle(LabRequest::execute(scenario, 0));
+    let LabResponse::Execute(outcome) = &reply else {
+        panic!("the scenario executes");
+    };
+    assert_eq!(outcome.result.links.len(), 6);
+    let before = allocations();
+    let wire = encode_response(&reply);
+    let made = allocations() - before;
+    assert_eq!(
+        made,
+        1,
+        "a {}-byte reply took {made} allocations: the encoder builds \
+         something besides its output, or sized it too small",
+        wire.len()
     );
 }
