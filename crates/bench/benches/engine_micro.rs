@@ -449,12 +449,14 @@ fn bench_plan_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// The wire's reply encoder on the daemon's hot path: the Execute reply
-/// for the 2-node MareNostrum4 menu scenario, six links long.
+/// The wire on the daemon's hot path, for the 2-node MareNostrum4 menu
+/// scenario: decoding its Execute request, and encoding the Execute
+/// reply, six links long.
 fn bench_wire(c: &mut Criterion) {
     use harborsim_bench::loadgen::menu_scenario;
-    use harborsim_core::lab::wire::encode_response;
+    use harborsim_core::lab::wire::{decode_request, encode_request, encode_response};
     use harborsim_core::lab::{LabRequest, LabResponse, QueryEngine};
+    let request = encode_request(&LabRequest::execute(menu_scenario(6), 0)).expect("encodes");
     let reply = QueryEngine::new().handle(LabRequest::execute(menu_scenario(6), 0));
     let LabResponse::Execute(outcome) = &reply else {
         panic!("the menu scenario executes");
@@ -466,6 +468,12 @@ fn bench_wire(c: &mut Criterion) {
     );
     let mut g = c.benchmark_group("wire");
     g.throughput(Throughput::Elements(1));
+    g.bench_function("decode_execute_request", |b| {
+        b.iter(|| {
+            let decoded = decode_request(black_box(&request)).expect("decodes");
+            black_box(matches!(decoded, LabRequest::Execute { .. }))
+        });
+    });
     g.bench_function("encode_execute_reply", |b| {
         b.iter(|| black_box(encode_response(black_box(&reply)).len()));
     });

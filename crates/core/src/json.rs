@@ -25,6 +25,7 @@
 //! fingerprints travel as fixed-width 16-digit hex *strings* so no bits
 //! are ever squeezed through a float.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::hash::{BuildHasher, RandomState};
 
@@ -74,7 +75,7 @@ impl Json {
     /// [`JsonError`] with the 1-based position of the first offending
     /// byte.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
-        Parser::new(src).document()
+        parse_tree(src, &mut 0)
     }
 
     /// Compact deterministic rendering: no whitespace, object fields in
@@ -167,12 +168,7 @@ impl Json {
     /// The numeric payload as an exact unsigned integer (rejects
     /// fractions, negatives, and anything above 2^53).
     pub fn as_u64(&self) -> Option<u64> {
-        let x = self.as_f64()?;
-        if (0.0..=9_007_199_254_740_992.0).contains(&x) && x.fract() == 0.0 {
-            Some(x as u64)
-        } else {
-            None
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -246,6 +242,12 @@ impl From<Vec<Json>> for Json {
 
 /// Largest integer every `u64` below it shares with its `f64`: 2^53.
 const MAX_EXACT_INT: u64 = 1 << 53;
+
+/// `x` as an exact unsigned integer: `None` for fractions, negatives and
+/// anything above 2^53. `4.0`, `1e3` and `-0` are integers.
+fn exact_u64(x: f64) -> Option<u64> {
+    ((0.0..=MAX_EXACT_INT as f64).contains(&x) && x.fract() == 0.0).then_some(x as u64)
+}
 
 /// A streaming compact JSON writer over one `String`: values go out as
 /// they are produced, with no tree in between. It is the one
@@ -422,19 +424,601 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Nesting depth cap: protects the daemon from stack exhaustion on
-/// adversarially deep documents (the protocol never nests past ~6).
+/// Nesting depth cap: protects the daemon from adversarially deep
+/// documents (the protocol never nests past ~6). A value may sit at depth
+/// 64 at most, the root value being at depth 0.
 const MAX_DEPTH: usize = 64;
 
-struct Parser<'a> {
+/// One token of a JSON document, borrowed from its text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
+    BeginObj,
+    EndObj,
+    BeginArr,
+    EndArr,
+    /// An object key; its value is the next value.
+    Key(JsonStr<'a>),
+    Str(JsonStr<'a>),
+    Num(f64),
+    Bool(bool),
+    Null,
+    /// The document is complete: only whitespace followed its root value.
+    End,
+}
+
+/// What the tokenizer reads next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Next {
+    /// The root value.
+    Root,
+    /// The first item of an array just opened, or its `]`.
+    FirstItem,
+    /// The first key of an object just opened, or its `}`.
+    FirstKey,
+    /// The `:` after a key, then the field's value.
+    Colon,
+    /// After a value in a container: `,` or the container's closer.
+    Sep,
+    /// After the root value: nothing but whitespace.
+    End,
+}
+
+/// The pull tokenizer: the crate's one JSON reader. Each call to `next`
+/// yields the next token and checks the grammar as it goes, with no tree
+/// and no allocation (except for an error); a string token borrows its
+/// still-escaped text from the source.
+///
+/// The first syntax error comes back from the call that reaches it, with
+/// the position and message the grammar has always reported: the depth
+/// cap, malformed or non-finite numbers, bad escapes, control characters
+/// in strings, and trailing characters after the root value.
+#[derive(Debug, Clone)]
+struct Tokens<'a> {
     src: &'a str,
     pos: usize,
-    /// Hashes object keys for duplicate detection. Keyed per document,
-    /// so a client cannot pick keys that all land in one probe chain.
-    keys: RandomState,
-    /// Key comparisons made finding duplicates; the linearity test
-    /// reads it.
-    key_compares: u64,
+    /// Where the token last returned starts.
+    start: usize,
+    /// One bit per open container, the innermost lowest: set for an
+    /// object. The depth cap keeps at most 65 open.
+    stack: u128,
+    depth: usize,
+    next: Next,
+}
+
+// The functions a token passes through are inlined into each reader
+// (`#[inline(always)]`): left to the compiler, a token cost twice as much.
+impl<'a> Tokens<'a> {
+    fn new(src: &'a str) -> Tokens<'a> {
+        Tokens {
+            src,
+            pos: 0,
+            start: 0,
+            stack: 0,
+            depth: 0,
+            next: Next::Root,
+        }
+    }
+
+    #[inline(always)]
+    fn next(&mut self) -> Result<Token<'a>, JsonError> {
+        self.skip_ws();
+        match self.next {
+            Next::Root => self.value(),
+            Next::FirstItem if self.peek() == Some(b']') => Ok(self.close(Token::EndArr)),
+            Next::FirstItem => self.value(),
+            Next::FirstKey if self.peek() == Some(b'}') => Ok(self.close(Token::EndObj)),
+            Next::FirstKey => self.key(),
+            Next::Colon => {
+                self.expect(b':')?;
+                self.skip_ws();
+                self.value()
+            }
+            Next::Sep => {
+                let in_object = self.stack & 1 == 1;
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        if in_object {
+                            self.key()
+                        } else {
+                            self.value()
+                        }
+                    }
+                    Some(b'}') if in_object => Ok(self.close(Token::EndObj)),
+                    Some(b']') if !in_object => Ok(self.close(Token::EndArr)),
+                    _ if in_object => Err(self.error("expected ',' or '}' in object")),
+                    _ => Err(self.error("expected ',' or ']' in array")),
+                }
+            }
+            Next::End if self.pos == self.src.len() => Ok(Token::End),
+            Next::End => Err(self.error("trailing characters after document")),
+        }
+    }
+
+    /// The rest of the value whose first token `first` was just read:
+    /// every token of it checked and none kept.
+    #[inline(always)]
+    fn finish_value(&mut self, first: Token<'a>) -> Result<Raw<'a>, JsonError> {
+        let start = self.start;
+        if matches!(first, Token::BeginObj | Token::BeginArr) {
+            let outer = self.depth - 1;
+            while self.depth > outer {
+                self.next()?;
+            }
+        }
+        Ok(Raw {
+            text: &self.src[start..self.pos],
+            first,
+        })
+    }
+
+    /// The next value, whole.
+    #[inline(always)]
+    fn read_value(&mut self) -> Result<Raw<'a>, JsonError> {
+        let first = self.next()?;
+        self.finish_value(first)
+    }
+
+    /// Reads the next value whole. If it is an object, the value of each
+    /// field `schema` names lands in that field's slot (the last value
+    /// where a name repeats), and a field with a nested schema has its
+    /// object value read the same way into its block of slots. Other
+    /// fields are checked but their keys are not kept.
+    fn read_object(
+        &mut self,
+        schema: &Schema,
+        slots: &mut [Option<Raw<'a>>],
+    ) -> Result<Raw<'a>, JsonError> {
+        let first = self.next()?;
+        if first != Token::BeginObj {
+            return self.finish_value(first);
+        }
+        let start = self.start;
+        let names = schema.names;
+        // the name after the last found is tried first, so fields in the
+        // schema's order cost one comparison each
+        let mut hint = 0;
+        while let Token::Key(key) = self.next()? {
+            let found = match names.get(hint) {
+                Some(name) if key.eq_str(name) => Some(hint),
+                _ => names.iter().position(|name| key.eq_str(name)),
+            };
+            let Some(i) = found else {
+                self.read_value()?;
+                continue;
+            };
+            hint = i + 1;
+            slots[i] = Some(match schema.nested_at(i) {
+                Some((at, nested)) => {
+                    // a repeated field forgets the fields of its earlier value
+                    let block = &mut slots[at..at + nested.slots()];
+                    block.fill(None);
+                    self.read_object(nested, block)?
+                }
+                None => self.read_value()?,
+            });
+        }
+        Ok(Raw {
+            text: &self.src[start..self.pos],
+            first,
+        })
+    }
+
+    /// A value starts here, at the depth of the containers now open.
+    #[inline(always)]
+    fn value(&mut self) -> Result<Token<'a>, JsonError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.error("document nests too deeply"));
+        }
+        self.start = self.pos;
+        let token = match self.peek() {
+            Some(b'{') => return Ok(self.open(true)),
+            Some(b'[') => return Ok(self.open(false)),
+            Some(b'"') => Token::Str(self.string()?),
+            Some(b't') => self.literal("true", Token::Bool(true))?,
+            Some(b'f') => self.literal("false", Token::Bool(false))?,
+            Some(b'n') => self.literal("null", Token::Null)?,
+            Some(b'-' | b'0'..=b'9') => self.number()?,
+            Some(c) => return Err(self.error(format!("unexpected character '{}'", c as char))),
+            None => return Err(self.error("unexpected end of document")),
+        };
+        self.after_value();
+        Ok(token)
+    }
+
+    #[inline(always)]
+    fn key(&mut self) -> Result<Token<'a>, JsonError> {
+        self.start = self.pos;
+        let key = self.string()?;
+        self.next = Next::Colon;
+        Ok(Token::Key(key))
+    }
+
+    fn open(&mut self, object: bool) -> Token<'a> {
+        self.pos += 1;
+        self.stack = self.stack << 1 | u128::from(object);
+        self.depth += 1;
+        if object {
+            self.next = Next::FirstKey;
+            Token::BeginObj
+        } else {
+            self.next = Next::FirstItem;
+            Token::BeginArr
+        }
+    }
+
+    fn close(&mut self, token: Token<'a>) -> Token<'a> {
+        self.start = self.pos;
+        self.pos += 1;
+        self.stack >>= 1;
+        self.depth -= 1;
+        self.after_value();
+        token
+    }
+
+    fn after_value(&mut self) {
+        self.next = if self.depth == 0 {
+            Next::End
+        } else {
+            Next::Sep
+        };
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn error(&self, msg: impl Into<String>) -> JsonError {
+        let mut line = 1u32;
+        let mut col = 1u32;
+        for &b in &self.src.as_bytes()[..self.pos.min(self.src.len())] {
+            if b == b'\n' {
+                line += 1;
+                col = 1;
+            } else {
+                col += 1;
+            }
+        }
+        JsonError {
+            line,
+            col,
+            msg: msg.into(),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.error(format!("expected '{}'", b as char)))
+        }
+    }
+
+    fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(token)
+        } else {
+            Err(self.error(format!("expected '{word}'")))
+        }
+    }
+
+    #[inline(always)]
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        let text = &self.src[start..self.pos];
+        // up to 15 digits is below 2^53, so the integer is the number
+        if text.len() <= 15 && text.bytes().all(|b| b.is_ascii_digit()) {
+            let int = text.bytes().fold(0, |n, b| n * 10 + u64::from(b - b'0'));
+            return Ok(Token::Num(int as f64));
+        }
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Token::Num(x)),
+            _ => Err(self.error(format!("malformed number '{text}'"))),
+        }
+    }
+
+    /// A string, checked and left escaped. Runs of bytes that need no
+    /// decoding are skipped whole, so a long string costs linear time.
+    #[inline(always)]
+    fn string(&mut self) -> Result<JsonStr<'a>, JsonError> {
+        self.expect(b'"')?;
+        let begin = self.pos;
+        let mut escaped = false;
+        loop {
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    // every stop byte is ASCII, so `begin..pos` cannot
+                    // split a scalar
+                    let raw = &self.src[begin..self.pos];
+                    self.pos += 1;
+                    return Ok(JsonStr { raw, escaped });
+                }
+                Some(b'\\') => {
+                    escaped = true;
+                    self.pos += 1;
+                    match escape(self.src, self.pos) {
+                        Ok((_, len)) => self.pos += len,
+                        Err(msg) => return Err(self.error(msg)),
+                    }
+                }
+                Some(_) => return Err(self.error("unescaped control character in string")),
+            }
+        }
+    }
+}
+
+/// The escape whose letter is at `at`, just past a backslash: the char it
+/// stands for and its length from the letter on.
+fn escape(src: &str, at: usize) -> Result<(char, usize), &'static str> {
+    let bytes = src.as_bytes();
+    let c = match bytes.get(at) {
+        Some(b'"') => '"',
+        Some(b'\\') => '\\',
+        Some(b'/') => '/',
+        Some(b'n') => '\n',
+        Some(b'r') => '\r',
+        Some(b't') => '\t',
+        Some(b'b') => '\u{8}',
+        Some(b'f') => '\u{c}',
+        Some(b'u') => {
+            let hex = bytes
+                .get(at + 1..at + 5)
+                .and_then(|h| std::str::from_utf8(h).ok())
+                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                .ok_or("malformed \\u escape")?;
+            // Surrogate pairs are out of protocol scope; lone surrogates
+            // decode to the replacement character rather than failing the
+            // document.
+            return Ok((char::from_u32(hex).unwrap_or('\u{fffd}'), 5));
+        }
+        _ => return Err("malformed escape"),
+    };
+    Ok((c, 1))
+}
+
+/// A string's text between its quotes, as written: checked, not yet
+/// unescaped. It compares and converts as the unescaped text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct JsonStr<'a> {
+    raw: &'a str,
+    /// Whether `raw` holds any escape.
+    escaped: bool,
+}
+
+impl<'a> JsonStr<'a> {
+    /// Calls `f` with each piece of the unescaped text in order: the runs
+    /// between escapes, and each escape's char.
+    fn for_each_piece(self, mut f: impl FnMut(&str)) {
+        let mut rest = self.raw;
+        if self.escaped {
+            while let Some(i) = rest.find('\\') {
+                f(&rest[..i]);
+                let (c, len) = escape(rest, i + 1).expect(CHECKED);
+                f(c.encode_utf8(&mut [0; 4]));
+                rest = &rest[i + 1 + len..];
+            }
+        }
+        f(rest);
+    }
+
+    /// Whether the unescaped text is `s`.
+    #[inline]
+    pub(crate) fn eq_str(self, s: &str) -> bool {
+        if !self.escaped {
+            return self.raw == s;
+        }
+        let mut rest = Some(s);
+        self.for_each_piece(|piece| rest = rest.and_then(|r| r.strip_prefix(piece)));
+        rest == Some("")
+    }
+
+    /// The unescaped text, borrowed from the source when it has no escape.
+    pub(crate) fn to_cow(self) -> Cow<'a, str> {
+        if !self.escaped {
+            return Cow::Borrowed(self.raw);
+        }
+        let mut out = String::with_capacity(self.raw.len());
+        self.for_each_piece(|piece| out.push_str(piece));
+        Cow::Owned(out)
+    }
+}
+
+/// Why a `Raw` read cannot fail: its document was checked whole first.
+const CHECKED: &str = "the document was checked whole before any part of it was read";
+
+/// The fields a reader keeps from an object, by name, and the fields
+/// whose object values it reads the same way in the same pass.
+///
+/// A read fills one slot per name, in the order of `names`, then each
+/// nested schema's slots in the order of `nested`: [`Schema::slots`] in
+/// all.
+#[derive(Debug)]
+pub(crate) struct Schema {
+    names: &'static [&'static str],
+    /// `(field, schema)`: the index in `names` of a field whose object
+    /// value is read with `schema`.
+    nested: &'static [(usize, &'static Schema)],
+}
+
+impl Schema {
+    pub(crate) const fn new(
+        names: &'static [&'static str],
+        nested: &'static [(usize, &'static Schema)],
+    ) -> Schema {
+        Schema { names, nested }
+    }
+
+    /// The slots a read with this schema fills.
+    pub(crate) const fn slots(&self) -> usize {
+        let mut slots = self.names.len();
+        let mut i = 0;
+        while i < self.nested.len() {
+            slots += self.nested[i].1.slots();
+            i += 1;
+        }
+        slots
+    }
+
+    /// Where the slots of field `field`'s nested schema start, and that
+    /// schema.
+    fn nested_at(&self, field: usize) -> Option<(usize, &'static Schema)> {
+        let k = self.nested.iter().position(|&(f, _)| f == field)?;
+        let before = self.nested[..k].iter().map(|(_, schema)| schema.slots());
+        Some((self.names.len() + before.sum::<usize>(), self.nested[k].1))
+    }
+}
+
+/// Reads `src` as one JSON document, checking all of it, and keeps the
+/// fields of its root object that `schema` names in `slots`, which start
+/// empty: where a name is absent, or the root is not an object, its slot
+/// stays `None`. Nothing is allocated.
+///
+/// # Errors
+/// The document's first syntax error, as [`Json::parse`] reports it.
+pub(crate) fn read_document<'s, 'a>(
+    src: &'a str,
+    schema: &'static Schema,
+    slots: &'s mut [Option<Raw<'a>>],
+) -> Result<Fields<'s, 'a>, JsonError> {
+    let mut tokens = Tokens::new(src);
+    tokens.read_object(schema, slots)?;
+    tokens.next()?;
+    Ok(Fields { schema, slots })
+}
+
+/// An object's fields as a read with `schema` kept them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fields<'s, 'a> {
+    schema: &'static Schema,
+    slots: &'s [Option<Raw<'a>>],
+}
+
+impl<'s, 'a> Fields<'s, 'a> {
+    /// The value of each field the schema names, in its order.
+    pub(crate) fn values<const N: usize>(self) -> [Option<Raw<'a>>; N] {
+        assert_eq!(N, self.schema.names.len(), "one value per name");
+        self.slots[..N].try_into().expect("N slots")
+    }
+
+    /// The fields of field `name`'s object value, read with its nested
+    /// schema: all `None` if the value is not an object.
+    pub(crate) fn nested(self, name: &str) -> Fields<'s, 'a> {
+        let field = self.schema.names.iter().position(|&n| n == name);
+        let (at, schema) = field
+            .and_then(|f| self.schema.nested_at(f))
+            .expect("the schema reads this field's object");
+        Fields {
+            schema,
+            slots: &self.slots[at..at + schema.slots()],
+        }
+    }
+}
+
+/// One value of a document that [`read_document`] checked whole: its text
+/// and its first token. A scalar is read from that token; an array or
+/// object is tokenized again from its text. Nothing is built and no read
+/// can fail; a read of the wrong type is `None`, as on [`Json`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Raw<'a> {
+    text: &'a str,
+    first: Token<'a>,
+}
+
+impl<'a> Raw<'a> {
+    /// Reads this value's fields as [`read_document`] reads a root
+    /// object's, into `slots`, which start empty.
+    pub(crate) fn read<'s>(
+        self,
+        schema: &'static Schema,
+        slots: &'s mut [Option<Raw<'a>>],
+    ) -> Fields<'s, 'a> {
+        if self.first == Token::BeginObj {
+            Tokens::new(self.text)
+                .read_object(schema, slots)
+                .expect(CHECKED);
+        }
+        Fields { schema, slots }
+    }
+
+    /// The items, if this is an array.
+    pub(crate) fn items(self) -> Option<Items<'a>> {
+        let mut tokens = Tokens::new(self.text);
+        (tokens.next().expect(CHECKED) == Token::BeginArr).then_some(Items(tokens))
+    }
+
+    /// The string, if this is one.
+    pub(crate) fn as_str(self) -> Option<JsonStr<'a>> {
+        match self.first {
+            Token::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number, if this is one.
+    pub(crate) fn as_f64(self) -> Option<f64> {
+        match self.first {
+            Token::Num(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// The number as an exact unsigned integer, by [`Json::as_u64`]'s rule.
+    pub(crate) fn as_u64(self) -> Option<u64> {
+        self.as_f64().and_then(exact_u64)
+    }
+
+    /// The boolean, if this is one.
+    pub(crate) fn as_bool(self) -> Option<bool> {
+        match self.first {
+            Token::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// Whether this is `null`.
+    pub(crate) fn is_null(self) -> bool {
+        self.first == Token::Null
+    }
+}
+
+/// The items of a [`Raw`] array, each read whole in turn.
+#[derive(Debug, Clone)]
+pub(crate) struct Items<'a>(Tokens<'a>);
+
+impl<'a> Iterator for Items<'a> {
+    type Item = Raw<'a>;
+
+    fn next(&mut self) -> Option<Raw<'a>> {
+        let first = self.0.next().expect(CHECKED);
+        if matches!(first, Token::EndArr | Token::End) {
+            return None;
+        }
+        Some(self.0.finish_value(first).expect(CHECKED))
+    }
 }
 
 /// The positions of one object's fields by key hash: open addressing
@@ -495,216 +1079,62 @@ impl KeyIndex {
     }
 }
 
-impl Parser<'_> {
-    fn new(src: &str) -> Parser<'_> {
-        Parser {
-            src,
-            pos: 0,
-            keys: RandomState::new(),
-            key_compares: 0,
-        }
-    }
+/// A container of the tree under construction.
+enum Frame {
+    Arr(Vec<Json>),
+    /// The fields so far, their index, and the key of the value to come.
+    Obj(Vec<(String, Json)>, KeyIndex, String),
+}
 
-    /// One whole document: a value with optional surrounding whitespace.
-    fn document(&mut self) -> Result<Json, JsonError> {
-        self.skip_ws();
-        let v = self.value(0)?;
-        self.skip_ws();
-        if self.pos != self.src.len() {
-            return Err(self.error("trailing characters after document"));
-        }
-        Ok(v)
-    }
-
-    fn error(&self, msg: impl Into<String>) -> JsonError {
-        let mut line = 1u32;
-        let mut col = 1u32;
-        for &b in &self.bytes()[..self.pos.min(self.src.len())] {
-            if b == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
+/// `src` as a tree built from its tokens, counting the key comparisons
+/// made finding duplicate keys (the linearity test reads them). Keys are
+/// hashed with a `RandomState` of this document's own, so a client cannot
+/// pick keys that all land in one probe chain.
+fn parse_tree(src: &str, key_compares: &mut u64) -> Result<Json, JsonError> {
+    let keys = RandomState::new();
+    let mut tokens = Tokens::new(src);
+    let mut stack: Vec<Frame> = Vec::new();
+    loop {
+        let value = match tokens.next()? {
+            Token::BeginArr => {
+                stack.push(Frame::Arr(Vec::new()));
+                continue;
             }
-        }
-        JsonError {
-            line,
-            col,
-            msg: msg.into(),
-        }
-    }
-
-    fn bytes(&self) -> &[u8] {
-        self.src.as_bytes()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes().get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.error("document nests too deeply"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
-            None => Err(self.error("unexpected end of document")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes()[start..self.pos]).unwrap();
-        match text.parse::<f64>() {
-            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
-            _ => Err(self.error(format!("malformed number '{text}'"))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the maximal run of bytes that need no decoding in one
-            // step. Every stop byte is ASCII, so the run ends on a char
-            // boundary and slicing `src` cannot split a scalar.
-            let run = self.pos;
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
-                self.pos += 1;
+            Token::BeginObj => {
+                stack.push(Frame::Obj(Vec::new(), KeyIndex::default(), String::new()));
+                continue;
             }
-            out.push_str(&self.src[run..self.pos]);
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            Token::Key(key) => {
+                if let Some(Frame::Obj(_, _, next_key)) = stack.last_mut() {
+                    *next_key = key.to_cow().into_owned();
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes()
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("malformed \\u escape"))?;
-                            // Surrogate pairs are out of protocol scope;
-                            // lone surrogates decode to the replacement
-                            // character rather than failing the document.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("malformed escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => return Err(self.error("unescaped control character in string")),
+                continue;
             }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']' in array")),
+            Token::EndArr | Token::EndObj => match stack.pop() {
+                Some(Frame::Arr(items)) => Json::Arr(items),
+                Some(Frame::Obj(fields, ..)) => Json::Obj(fields),
+                None => unreachable!("the tokenizer matches brackets"),
+            },
+            Token::Str(s) => Json::Str(s.to_cow().into_owned()),
+            Token::Num(x) => Json::Num(x),
+            Token::Bool(b) => Json::Bool(b),
+            Token::Null => Json::Null,
+            Token::End => unreachable!("the root value comes before the end"),
+        };
+        match stack.last_mut() {
+            None => {
+                tokens.next()?;
+                return Ok(value);
             }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        let mut index = KeyIndex::default();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            let hash = self.keys.hash_one(key.as_str());
-            match index.find_or_insert(&fields, hash, &key, &mut self.key_compares) {
-                // the last duplicate wins, at the first one's position
-                Some(i) => fields[i].1 = value,
-                None => fields.push((key, value)),
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
+            Some(Frame::Arr(items)) => items.push(value),
+            Some(Frame::Obj(fields, index, next_key)) => {
+                let key = std::mem::take(next_key);
+                let hash = keys.hash_one(key.as_str());
+                match index.find_or_insert(fields, hash, &key, key_compares) {
+                    // the last duplicate wins, at the first one's position
+                    Some(i) => fields[i].1 = value,
+                    None => fields.push((key, value)),
                 }
-                _ => return Err(self.error("expected ',' or '}' in object")),
             }
         }
     }
@@ -894,15 +1324,15 @@ mod tests {
         let keys: Vec<String> = (0..n).map(|i| format!("\"key{i}\":{i}")).collect();
         let repeats: Vec<String> = (0..n).rev().map(|i| format!("\"key{i}\":-{i}")).collect();
         let src = format!("{{{},{}}}", keys.join(","), repeats.join(","));
-        let mut p = Parser::new(&src);
-        let v = p.document().unwrap();
+        let mut compares = 0;
+        let v = parse_tree(&src, &mut compares).unwrap();
         let Json::Obj(fields) = &v else {
             panic!("an object parses to an object");
         };
         assert_eq!(fields.len(), n);
         assert_eq!(fields[n - 1].0, format!("key{}", n - 1), "first positions");
         assert_eq!(fields[n - 1].1, Json::Num(-((n - 1) as f64)), "last value");
-        p.key_compares
+        compares
     }
 
     #[test]

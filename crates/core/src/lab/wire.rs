@@ -30,7 +30,7 @@ use super::protocol::{
 };
 use super::{CacheStats, Query};
 use crate::error::HarborError;
-use crate::json::{Json, JsonWriter};
+use crate::json::{read_document, Fields, Items, Json, JsonWriter, Raw, Schema};
 use crate::open::{MixSpec, OpenSpec};
 use crate::scenario::{EngineKind, Execution, Outcome, Scenario};
 use crate::script::{ScriptError, ScriptStage, Span};
@@ -39,6 +39,7 @@ use harborsim_container::runtime::RuntimeKind;
 use harborsim_des::SimDuration;
 use harborsim_mpi::result::{CommBreakdown, LinkUsage, SimResult};
 use harborsim_mpi::Placement;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -119,34 +120,53 @@ pub fn encode_request(req: &LabRequest) -> Result<String, WireError> {
 
 /// Decode a request from its wire string.
 ///
+/// The document is checked whole first, so a syntax error anywhere wins
+/// over any field error; the fields are then read from their text in a
+/// fixed order, with no tree built. A repeated key takes its last value.
+///
 /// # Errors
-/// Malformed JSON, an unsupported version, an unknown kind, or any
-/// out-of-registry name.
+/// Malformed JSON, an unsupported version, an unknown kind, any
+/// out-of-registry name, or an integer too large for its field.
 pub fn decode_request(src: &str) -> Result<LabRequest, WireError> {
-    let json = Json::parse(src)?;
-    check_version(&json)?;
-    match get_str(&json, "kind")? {
-        "plan" => Ok(LabRequest::plan(decode_scenario(get(&json, "scenario")?)?)),
-        "execute" => Ok(LabRequest::Execute {
-            scenario: Box::new(decode_scenario(get(&json, "scenario")?)?),
-            seed: get_u64(&json, "seed")?,
-        }),
+    let mut slots = [None; REQUEST.slots()];
+    let doc = read_document(src, &REQUEST, &mut slots)?;
+    let [v, kind, scenario, seed, queries, script] = doc.values();
+    check_request_version(v)?;
+    match &*field_str(kind, "kind")? {
+        "plan" => {
+            field(scenario, "scenario")?;
+            Ok(LabRequest::plan(decode_scenario(doc.nested("scenario"))?))
+        }
+        "execute" => {
+            field(scenario, "scenario")?;
+            Ok(LabRequest::Execute {
+                scenario: Box::new(decode_scenario(doc.nested("scenario"))?),
+                seed: field_u64(seed, "seed")?,
+            })
+        }
         "batch" => {
-            let mut queries = Vec::new();
-            for q in get_arr(&json, "queries")? {
-                let scenario = decode_scenario(get(q, "scenario")?)?;
-                let mut seeds = Vec::new();
-                for s in get_arr(q, "seeds")? {
-                    seeds.push(s.as_u64().ok_or_else(|| WireError {
+            let mut decoded = Vec::new();
+            for q in field_items(queries, "queries")? {
+                let mut slots = [None; QUERY.slots()];
+                let q = q.read(&QUERY, &mut slots);
+                let [scenario, seeds] = q.values();
+                field(scenario, "scenario")?;
+                let scenario = decode_scenario(q.nested("scenario"))?;
+                let mut decoded_seeds = Vec::new();
+                for s in field_items(seeds, "seeds")? {
+                    decoded_seeds.push(s.as_u64().ok_or_else(|| WireError {
                         msg: "seeds must be unsigned integers".into(),
                     })?);
                 }
-                queries.push(Query { scenario, seeds });
+                decoded.push(Query {
+                    scenario,
+                    seeds: decoded_seeds,
+                });
             }
-            Ok(LabRequest::Batch { queries })
+            Ok(LabRequest::Batch { queries: decoded })
         }
         "campaign" => Ok(LabRequest::Campaign {
-            script: get_str(&json, "script")?.to_string(),
+            script: field_str(script, "script")?.into_owned(),
         }),
         "stats" => Ok(LabRequest::Stats),
         other => err(format!("unknown request kind `{other}`")),
@@ -340,6 +360,111 @@ fn check_version(json: &Json) -> Result<(), WireError> {
             "unsupported wire version {v} (this build speaks {WIRE_VERSION})"
         )),
     }
+}
+
+fn check_request_version(v: Option<Raw<'_>>) -> Result<(), WireError> {
+    match field_u64(v, "v")? {
+        WIRE_VERSION => Ok(()),
+        v => err(format!(
+            "unsupported wire version {v} (this build speaks {WIRE_VERSION})"
+        )),
+    }
+}
+
+/// What a request decoder reads: every field of every object in a plan
+/// or execute request, read in the pass that checks the document. A
+/// batch's queries are read again from their text, one at a time.
+static REQUEST: Schema = Schema::new(
+    &["v", "kind", "scenario", "seed", "queries", "script"],
+    &[(2, &SCENARIO)],
+);
+
+/// One query of a batch request.
+static QUERY: Schema = Schema::new(&["scenario", "seeds"], &[(0, &SCENARIO)]);
+
+static SCENARIO: Schema = Schema::new(
+    &[
+        "cluster",
+        "workload",
+        "env",
+        "nodes",
+        "rpn",
+        "tpr",
+        "engine",
+        "deploy",
+        "placement",
+        "taper",
+        "shards",
+        "open",
+        "degraded",
+    ],
+    &[(6, &ENGINE), (11, &OPEN)],
+);
+
+static ENGINE: Schema = Schema::new(&["kind", "max_steps_per_kind"], &[]);
+
+static OPEN: Schema = Schema::new(
+    &[
+        "rate_per_s",
+        "horizon_s",
+        "tenants",
+        "node_mix",
+        "workload_mix",
+        "env_mix",
+    ],
+    &[(3, &MIX), (4, &MIX), (5, &MIX)],
+);
+
+static MIX: Schema = Schema::new(&["s", "values"], &[]);
+
+/// The value of request field `key`, if the document had it.
+fn field<'a>(value: Option<Raw<'a>>, key: &str) -> Result<Raw<'a>, WireError> {
+    value.ok_or_else(|| WireError {
+        msg: format!("missing field `{key}`"),
+    })
+}
+
+fn field_str<'a>(value: Option<Raw<'a>>, key: &str) -> Result<Cow<'a, str>, WireError> {
+    match field(value, key)?.as_str() {
+        Some(s) => Ok(s.to_cow()),
+        None => err(format!("field `{key}` must be a string")),
+    }
+}
+
+fn field_u64(value: Option<Raw<'_>>, key: &str) -> Result<u64, WireError> {
+    field(value, key)?.as_u64().ok_or_else(|| WireError {
+        msg: format!("field `{key}` must be an unsigned integer"),
+    })
+}
+
+/// A 32-bit scenario field: an unsigned integer that also fits `u32`.
+fn field_u32(value: Option<Raw<'_>>, key: &str) -> Result<u32, WireError> {
+    u32::try_from(field_u64(value, key)?).map_err(|_| WireError {
+        msg: format!("field `{key}` must fit in 32 bits"),
+    })
+}
+
+fn field_f64(value: Option<Raw<'_>>, key: &str) -> Result<f64, WireError> {
+    field(value, key)?.as_f64().ok_or_else(|| WireError {
+        msg: format!("field `{key}` must be a number"),
+    })
+}
+
+fn field_bool(value: Option<Raw<'_>>, key: &str) -> Result<bool, WireError> {
+    field(value, key)?.as_bool().ok_or_else(|| WireError {
+        msg: format!("field `{key}` must be a boolean"),
+    })
+}
+
+fn field_items<'a>(value: Option<Raw<'a>>, key: &str) -> Result<Items<'a>, WireError> {
+    field(value, key)?.items().ok_or_else(|| WireError {
+        msg: format!("field `{key}` must be an array"),
+    })
+}
+
+/// `x` narrowed to `u32`, or the error `msg`.
+fn fit_u32(x: u64, msg: &str) -> Result<u32, WireError> {
+    u32::try_from(x).map_err(|_| WireError { msg: msg.into() })
 }
 
 fn get<'a>(json: &'a Json, key: &str) -> Result<&'a Json, WireError> {
@@ -543,62 +668,64 @@ fn encode_scenario(w: &mut JsonWriter, s: &Scenario) -> Result<(), WireError> {
     Ok(())
 }
 
-fn decode_scenario(json: &Json) -> Result<Scenario, WireError> {
-    let cluster = cluster_by_name(get_str(json, "cluster")?)?;
-    let workload_name = get_str(json, "workload")?;
-    let case = crate::workloads::by_name(workload_name).ok_or_else(|| WireError {
+fn decode_scenario(json: Fields<'_, '_>) -> Result<Scenario, WireError> {
+    let [cluster, workload, env, nodes, rpn, tpr, engine, deploy, placement, taper, shards, open, degraded] =
+        json.values();
+    let cluster = cluster_by_name(&field_str(cluster, "cluster")?)?;
+    let workload_name = field_str(workload, "workload")?;
+    let case = crate::workloads::by_name(&workload_name).ok_or_else(|| WireError {
         msg: format!("unknown workload `{workload_name}`"),
     })?;
     let mut scenario = Scenario {
         cluster,
         case,
-        env: env_by_name(get_str(json, "env")?)?,
-        nodes: get_u64(json, "nodes")? as u32,
-        ranks_per_node: get_u64(json, "rpn")? as u32,
-        threads_per_rank: get_u64(json, "tpr")? as u32,
+        env: env_by_name(&field_str(env, "env")?)?,
+        nodes: field_u32(nodes, "nodes")?,
+        ranks_per_node: field_u32(rpn, "rpn")?,
+        threads_per_rank: field_u32(tpr, "tpr")?,
         engine: {
-            let e = get(json, "engine")?;
-            match get_str(e, "kind")? {
+            field(engine, "engine")?;
+            let [kind, steps] = json.nested("engine").values();
+            match &*field_str(kind, "kind")? {
                 "analytic" => EngineKind::Analytic,
                 "des" => EngineKind::Des {
-                    max_steps_per_kind: get_u64(e, "max_steps_per_kind")? as u32,
+                    max_steps_per_kind: field_u32(steps, "max_steps_per_kind")?,
                 },
                 other => return err(format!("unknown engine kind `{other}`")),
             }
         },
-        deploy: get_bool(json, "deploy")?,
-        placement: match get_str(json, "placement")? {
+        deploy: field_bool(deploy, "deploy")?,
+        placement: match &*field_str(placement, "placement")? {
             "block" => Placement::Block,
             "round-robin" => Placement::RoundRobin,
             other => return err(format!("unknown placement `{other}`")),
         },
-        spine_taper: match get(json, "taper")? {
-            Json::Null => None,
+        spine_taper: match field(taper, "taper")? {
+            t if t.is_null() => None,
             t => Some(t.as_f64().ok_or_else(|| WireError {
                 msg: "`taper` must be a number".into(),
             })?),
         },
         degraded_uplinks: Vec::new(),
-        shards: get_u64(json, "shards")? as u32,
-        open: match get(json, "open")? {
-            Json::Null => None,
-            spec => Some(decode_open(spec)?),
+        shards: field_u32(shards, "shards")?,
+        open: match field(open, "open")? {
+            spec if spec.is_null() => None,
+            _ => Some(decode_open(json.nested("open"))?),
         },
     };
-    for pair in get_arr(json, "degraded")? {
-        let pair = pair
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| WireError {
-                msg: "`degraded` entries must be [node, factor] pairs".into(),
-            })?;
-        let node = pair[0].as_u64().ok_or_else(|| WireError {
+    for pair in field_items(degraded, "degraded")? {
+        let mut items = pair.items().into_iter().flatten();
+        let (Some(node), Some(factor), None) = (items.next(), items.next(), items.next()) else {
+            return err("`degraded` entries must be [node, factor] pairs");
+        };
+        let node = node.as_u64().ok_or_else(|| WireError {
             msg: "degraded node must be an unsigned integer".into(),
         })?;
-        let factor = pair[1].as_f64().ok_or_else(|| WireError {
+        let node = fit_u32(node, "degraded node must fit in 32 bits")?;
+        let factor = factor.as_f64().ok_or_else(|| WireError {
             msg: "degraded factor must be a number".into(),
         })?;
-        scenario.degraded_uplinks.push((node as u32, factor));
+        scenario.degraded_uplinks.push((node, factor));
     }
     Ok(scenario)
 }
@@ -646,46 +773,49 @@ fn encode_open(w: &mut JsonWriter, spec: &OpenSpec) -> Result<(), WireError> {
     Ok(())
 }
 
-fn decode_open(json: &Json) -> Result<OpenSpec, WireError> {
-    let node_mix = get(json, "node_mix")?;
-    let workload_mix = get(json, "workload_mix")?;
-    let env_mix = get(json, "env_mix")?;
+fn decode_open(json: Fields<'_, '_>) -> Result<OpenSpec, WireError> {
+    let [rate_per_s, horizon_s, tenants, node_mix, workload_mix, env_mix] = json.values();
+    field(node_mix, "node_mix")?;
+    field(workload_mix, "workload_mix")?;
+    field(env_mix, "env_mix")?;
+    let [node_s, node_values] = json.nested("node_mix").values();
+    let [workload_s, workload_values] = json.nested("workload_mix").values();
+    let [env_s, env_values] = json.nested("env_mix").values();
     let mut nodes = Vec::new();
-    for v in get_arr(node_mix, "values")? {
-        nodes.push(v.as_u64().ok_or_else(|| WireError {
+    for v in field_items(node_values, "values")? {
+        let v = v.as_u64().ok_or_else(|| WireError {
             msg: "node mix values must be unsigned integers".into(),
-        })? as u32);
+        })?;
+        nodes.push(fit_u32(v, "node mix values must fit in 32 bits")?);
     }
     let mut workloads = Vec::new();
-    for v in get_arr(workload_mix, "values")? {
-        workloads.push(
-            v.as_str()
-                .ok_or_else(|| WireError {
-                    msg: "workload mix values must be strings".into(),
-                })?
-                .to_string(),
-        );
+    for v in field_items(workload_values, "values")? {
+        let name = v.as_str().ok_or_else(|| WireError {
+            msg: "workload mix values must be strings".into(),
+        })?;
+        workloads.push(name.to_cow().into_owned());
     }
     let mut envs = Vec::new();
-    for v in get_arr(env_mix, "values")? {
-        envs.push(env_by_name(v.as_str().ok_or_else(|| WireError {
+    for v in field_items(env_values, "values")? {
+        let name = v.as_str().ok_or_else(|| WireError {
             msg: "env mix values must be strings".into(),
-        })?)?);
+        })?;
+        envs.push(env_by_name(&name.to_cow())?);
     }
     Ok(OpenSpec {
-        rate_per_s: get_f64(json, "rate_per_s")?,
-        horizon_s: get_f64(json, "horizon_s")?,
-        tenants: get_u64(json, "tenants")? as u32,
+        rate_per_s: field_f64(rate_per_s, "rate_per_s")?,
+        horizon_s: field_f64(horizon_s, "horizon_s")?,
+        tenants: field_u32(tenants, "tenants")?,
         node_mix: MixSpec {
-            s: get_f64(node_mix, "s")?,
+            s: field_f64(node_s, "s")?,
             values: nodes,
         },
         workload_mix: MixSpec {
-            s: get_f64(workload_mix, "s")?,
+            s: field_f64(workload_s, "s")?,
             values: workloads,
         },
         env_mix: MixSpec {
-            s: get_f64(env_mix, "s")?,
+            s: field_f64(env_s, "s")?,
             values: envs,
         },
     })
@@ -991,13 +1121,14 @@ mod tests {
     use crate::workloads;
     use harborsim_hw::presets;
 
-    /// `s` encoded, and parsed back into the tree the decoder reads.
-    fn scenario_json(s: &Scenario) -> Result<(String, Json), WireError> {
+    /// `s` encoded, and decoded back from that text.
+    fn round_trip(s: &Scenario) -> Result<(String, Scenario), WireError> {
         let mut w = JsonWriter::new();
         encode_scenario(&mut w, s)?;
         let text = w.finish();
-        let json = Json::parse(&text)?;
-        Ok((text, json))
+        let mut slots = [None; SCENARIO.slots()];
+        let back = decode_scenario(read_document(&text, &SCENARIO, &mut slots)?)?;
+        Ok((text, back))
     }
 
     fn error_json(e: &HarborError) -> Json {
@@ -1026,13 +1157,13 @@ mod tests {
             .degrade_node_uplink(3, 0.1)
             .shards(4);
         let key = super::super::PlanKey::of(&s, None).unwrap();
-        let (text, json) = scenario_json(&s).unwrap();
-        let back = decode_scenario(&json).unwrap();
+        let (text, back) = round_trip(&s).unwrap();
         let back_key = super::super::PlanKey::of(&back, None).unwrap();
         assert_eq!(key, back_key, "wire round-trip must preserve the plan key");
         // and the encoding itself is deterministic
-        assert_eq!(text, scenario_json(&back).unwrap().0);
-        assert_eq!(json.write(), text, "the tree writer renders the same bytes");
+        assert_eq!(text, round_trip(&back).unwrap().0);
+        let tree = Json::parse(&text).unwrap();
+        assert_eq!(tree.write(), text, "the tree writer renders the same bytes");
     }
 
     #[test]
@@ -1052,7 +1183,7 @@ mod tests {
             },
         });
         let key = super::super::PlanKey::of(&s, None).unwrap();
-        let back = decode_scenario(&scenario_json(&s).unwrap().1).unwrap();
+        let back = round_trip(&s).unwrap().1;
         assert_eq!(key, super::super::PlanKey::of(&back, None).unwrap());
     }
 
@@ -1061,7 +1192,7 @@ mod tests {
         let mut custom = presets::lenox();
         custom.node_count += 1;
         let s = Scenario::new(custom, workloads::artery_cfd_small());
-        assert!(scenario_json(&s).is_err());
+        assert!(round_trip(&s).is_err());
     }
 
     #[test]
@@ -1117,5 +1248,58 @@ mod tests {
             Ok(_) => panic!("a future wire version must be rejected"),
         };
         assert!(e.msg.contains("version"), "{e}");
+    }
+
+    /// The decode error of `wire`, which must not decode.
+    fn decode_error_of(wire: &str) -> String {
+        match decode_request(wire) {
+            Err(e) => e.msg,
+            Ok(req) => panic!("{wire} decoded to {}", encode_request(&req).unwrap()),
+        }
+    }
+
+    #[test]
+    fn integers_too_wide_for_their_field_are_rejected_not_truncated() {
+        let s = scenario()
+            .engine(EngineKind::Des {
+                max_steps_per_kind: 5,
+            })
+            .degrade_node_uplink(3, 0.5)
+            .open_campaign(OpenSpec {
+                rate_per_s: 0.04,
+                horizon_s: 900.0,
+                tenants: 6,
+                node_mix: MixSpec {
+                    s: 1.2,
+                    values: vec![1, 2],
+                },
+                workload_mix: MixSpec::single("cfd-small".to_string()),
+                env_mix: MixSpec::single(Execution::docker()),
+            });
+        let wire = encode_request(&LabRequest::execute(s, 7)).unwrap();
+        // each field's text, that text with `N` for the field's value,
+        // and what the error for a value past 32 bits names
+        let cases = [
+            ("\"nodes\":4,", "\"nodes\":N,", "field `nodes`"),
+            ("\"rpn\":14,", "\"rpn\":N,", "field `rpn`"),
+            ("\"tpr\":1,", "\"tpr\":N,", "field `tpr`"),
+            ("\"shards\":1,", "\"shards\":N,", "field `shards`"),
+            ("_kind\":5}", "_kind\":N}", "field `max_steps_per_kind`"),
+            ("[3,0.5]", "[N,0.5]", "degraded node"),
+            ("\"tenants\":6,", "\"tenants\":N,", "field `tenants`"),
+            ("\"values\":[1,2]", "\"values\":[1,N]", "node mix values"),
+        ];
+        for (field, template, what) in cases {
+            assert_eq!(wire.matches(field).count(), 1, "{field} in {wire}");
+            let with = |n: u64| wire.replacen(field, &template.replace('N', &n.to_string()), 1);
+            // 2^32 + 2 once decoded as 2; 2^32 - 1 still fits
+            assert_eq!(
+                decode_error_of(&with((1 << 32) + 2)),
+                format!("{what} must fit in 32 bits")
+            );
+            let widest = with(u64::from(u32::MAX));
+            let back = decode_request(&widest).map(|r| encode_request(&r).unwrap());
+            assert_eq!(back.as_deref(), Ok(widest.as_str()), "{field}");
+        }
     }
 }

@@ -4,6 +4,7 @@
 //! Everything is dependency-free and deterministic: the same data renders
 //! to byte-identical artifacts, which lets EXPERIMENTS.md pin outputs.
 
+use crate::json::JsonWriter;
 use std::fmt::Write as _;
 
 /// One plotted series.
@@ -277,61 +278,34 @@ fn xml_escape(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
-/// Escape a string for embedding in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a float as a JSON number (`null` for non-finite values).
-pub(crate) fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl FigureData {
     /// Machine-readable JSON rendering (used by `summary.json`).
     pub fn to_json(&self) -> String {
-        let series: Vec<String> = self
-            .series
-            .iter()
-            .map(|s| {
-                let pts: Vec<String> = s
-                    .points
-                    .iter()
-                    .map(|&(x, y)| format!("[{},{}]", json_num(x), json_num(y)))
-                    .collect();
-                format!(
-                    r#"{{"label":"{}","points":[{}]}}"#,
-                    json_escape(&s.label),
-                    pts.join(",")
-                )
-            })
-            .collect();
-        format!(
-            r#"{{"id":"{}","title":"{}","x_label":"{}","y_label":"{}","series":[{}]}}"#,
-            json_escape(&self.id),
-            json_escape(&self.title),
-            json_escape(&self.x_label),
-            json_escape(&self.y_label),
-            series.join(",")
-        )
+        let mut w = JsonWriter::new();
+        w.begin_obj()
+            .key("id")
+            .str(&self.id)
+            .key("title")
+            .str(&self.title)
+            .key("x_label")
+            .str(&self.x_label)
+            .key("y_label")
+            .str(&self.y_label)
+            .key("series")
+            .begin_arr();
+        for s in &self.series {
+            w.begin_obj()
+                .key("label")
+                .str(&s.label)
+                .key("points")
+                .begin_arr();
+            for &(x, y) in &s.points {
+                w.begin_arr().f64(x).f64(y).end_arr();
+            }
+            w.end_arr().end_obj();
+        }
+        w.end_arr().end_obj();
+        w.finish()
     }
 }
 
@@ -402,25 +376,27 @@ impl TableData {
 
     /// Machine-readable JSON rendering (used by `summary.json`).
     pub fn to_json(&self) -> String {
-        let strings = |items: &[String]| {
-            items
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect::<Vec<_>>()
-                .join(",")
+        let strings = |w: &mut JsonWriter, items: &[String]| {
+            w.begin_arr();
+            for s in items {
+                w.str(s);
+            }
+            w.end_arr();
         };
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| format!("[{}]", strings(r)))
-            .collect();
-        format!(
-            r#"{{"id":"{}","title":"{}","headers":[{}],"rows":[{}]}}"#,
-            json_escape(&self.id),
-            json_escape(&self.title),
-            strings(&self.headers),
-            rows.join(",")
-        )
+        let mut w = JsonWriter::new();
+        w.begin_obj()
+            .key("id")
+            .str(&self.id)
+            .key("title")
+            .str(&self.title)
+            .key("headers");
+        strings(&mut w, &self.headers);
+        w.key("rows").begin_arr();
+        for row in &self.rows {
+            strings(&mut w, row);
+        }
+        w.end_arr().end_obj();
+        w.finish()
     }
 }
 

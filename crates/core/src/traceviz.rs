@@ -9,17 +9,10 @@
 //! events with microsecond timestamps. [`summary`] rolls the same buffers
 //! up into an ASCII-renderable table.
 
-use crate::report::{fmt_seconds, json_escape, json_num, TableData};
+use crate::json::JsonWriter;
+use crate::report::{fmt_seconds, TableData};
 use harborsim_des::trace::{AttrValue, SpanCategory, TraceBuffer};
 use harborsim_mpi::SimResult;
-
-fn json_attr(v: &AttrValue) -> String {
-    match v {
-        AttrValue::Text(s) => format!("\"{}\"", json_escape(s)),
-        AttrValue::Int(i) => format!("{i}"),
-        AttrValue::Num(x) => json_num(*x),
-    }
-}
 
 /// Render named trace buffers as one chrome://tracing JSON document.
 ///
@@ -29,31 +22,56 @@ fn json_attr(v: &AttrValue) -> String {
 /// categories become the event `cat` field — the tracing UI can filter on
 /// `compute`, `halo`, `bridge`, ….
 pub fn chrome_trace_json(parts: &[(String, TraceBuffer)]) -> String {
-    let mut events: Vec<String> = Vec::new();
+    let mut w = JsonWriter::new();
+    w.begin_obj().key("traceEvents").begin_arr();
     for (pid, (label, buf)) in parts.iter().enumerate() {
-        events.push(format!(
-            r#"{{"name":"process_name","ph":"M","pid":{pid},"tid":0,"args":{{"name":"{}"}}}}"#,
-            json_escape(label)
-        ));
+        let pid = pid as u64;
+        w.begin_obj()
+            .key("name")
+            .str("process_name")
+            .key("ph")
+            .str("M")
+            .key("pid")
+            .u64(pid)
+            .key("tid")
+            .u64(0)
+            .key("args")
+            .begin_obj()
+            .key("name")
+            .str(label)
+            .end_obj()
+            .end_obj();
         for s in buf.sorted_spans() {
-            let args = s
-                .attrs
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_attr(v)))
-                .collect::<Vec<_>>()
-                .join(",");
-            events.push(format!(
-                r#"{{"name":"{}","cat":"{}","ph":"X","ts":{},"dur":{},"pid":{pid},"tid":{},"args":{{{}}}}}"#,
-                json_escape(s.name),
-                s.category.label(),
-                json_num(s.start.as_nanos() as f64 / 1e3),
-                json_num(s.duration().as_nanos() as f64 / 1e3),
-                s.track,
-                args
-            ));
+            w.begin_obj()
+                .key("name")
+                .str(s.name)
+                .key("cat")
+                .str(s.category.label())
+                .key("ph")
+                .str("X")
+                .key("ts")
+                .f64(s.start.as_nanos() as f64 / 1e3)
+                .key("dur")
+                .f64(s.duration().as_nanos() as f64 / 1e3)
+                .key("pid")
+                .u64(pid)
+                .key("tid")
+                .u64(u64::from(s.track))
+                .key("args")
+                .begin_obj();
+            for (k, v) in &s.attrs {
+                w.key(k);
+                match v {
+                    AttrValue::Text(text) => w.str(text),
+                    AttrValue::Int(i) => w.u64(*i),
+                    AttrValue::Num(x) => w.f64(*x),
+                };
+            }
+            w.end_obj().end_obj();
         }
     }
-    format!(r#"{{"traceEvents":[{}]}}"#, events.join(","))
+    w.end_arr().end_obj();
+    w.finish()
 }
 
 /// Roll named buffers up into a per-category summary table: span count and

@@ -13,9 +13,12 @@
 //!    the scratch, assembling `SimResult`) may allocate, but only O(1) per
 //!    run.
 //!
-//! A third guarantee covers the daemon's reply path: encoding an Execute
-//! reply streams into one buffer sized up front, so it makes **exactly
-//! one** allocation, the output itself.
+//! Two more cover the daemon's wire: encoding an Execute reply streams
+//! into one buffer sized up front, so it makes **exactly one**
+//! allocation, the output itself; and decoding an Execute request reads
+//! its fields straight from the text, so it allocates exactly what
+//! building the same `Scenario` from the registries does, plus the `Box`
+//! the request holds it in.
 //!
 //! The counter is per thread, so a measurement sees only the allocations
 //! of the thread running it, never those of sibling tests running
@@ -235,4 +238,53 @@ fn encoding_an_execute_reply_allocates_only_its_output() {
          something besides its output, or sized it too small",
         wire.len()
     );
+}
+
+#[test]
+fn decoding_an_execute_request_allocates_only_its_scenario() {
+    use harborsim_bench::loadgen::menu_scenario;
+    use harborsim_core::lab::wire::{decode_request, encode_request};
+    use harborsim_core::scenario::{EngineKind, Execution, Scenario};
+    use harborsim_core::LabRequest;
+    // the daemon menu's 2-node MareNostrum4 entry, built from the
+    // registries by the names its request carries
+    let from_registries = || Scenario {
+        cluster: harborsim_hw::presets::marenostrum4(),
+        case: harborsim_core::workloads::by_name("cfd-small").expect("registry workload"),
+        env: Execution::singularity_system_specific(),
+        nodes: 2,
+        ranks_per_node: 48,
+        threads_per_rank: 1,
+        engine: EngineKind::Analytic,
+        deploy: false,
+        placement: harborsim_mpi::Placement::Block,
+        spine_taper: None,
+        degraded_uplinks: Vec::new(),
+        shards: 1,
+        open: None,
+    };
+    let wire = encode_request(&LabRequest::execute(menu_scenario(6), 0)).unwrap();
+    assert_eq!(
+        encode_request(&LabRequest::execute(from_registries(), 0)).unwrap(),
+        wire,
+        "the registries build the menu scenario"
+    );
+    // warm every table the first decode fills
+    decode_request(&wire).unwrap();
+    let before = allocations();
+    let scenario = from_registries();
+    let built = allocations() - before;
+    let before = allocations();
+    let decoded = decode_request(&wire).unwrap();
+    let made = allocations() - before;
+    assert!(built > 0, "a scenario owns heap data");
+    assert_eq!(
+        made,
+        built + 1,
+        "decoding a {}-byte request took {made} allocations where its \
+         scenario takes {built} and its box one: the decoder builds \
+         something besides its output",
+        wire.len()
+    );
+    drop((scenario, decoded));
 }
