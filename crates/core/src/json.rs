@@ -1,24 +1,29 @@
-//! A vendored JSON value type: recursive-descent parser plus a
-//! deterministic compact writer, and `JsonWriter`, the streaming form
-//! of that writer that the wire encoders use to emit text without
-//! building a value first.
+//! The crate's JSON: one pull tokenizer that everything reading JSON
+//! goes through, one streaming writer that everything writing JSON goes
+//! through, and a small value type between them.
 //!
-//! The repo already *writes* JSON in several places (figure exports,
-//! `BENCH_baseline.json`, chrome://tracing dumps) but never had to read
-//! it back. The lab daemon's wire protocol ([`crate::lab::wire`]) needs
-//! both directions, so this module provides the one in-tree value type
-//! both sides share. Like the rest of the vendored stack it is
-//! deliberately small: strings, finite numbers, booleans, null, arrays,
-//! and objects with **insertion-ordered** fields — order preservation is
-//! what makes the writer deterministic and the protocol golden tests
-//! byte-stable.
+//! - **Reading.** A private tokenizer yields tokens from the text and
+//!   builds nothing; it checks the grammar as it goes and reports the
+//!   first syntax error with its `line:col`. [`Json::parse`] builds a tree
+//!   from its tokens. The lab's request decoder builds none: it checks a
+//!   document in one pass while keeping the text of the fields a
+//!   `Schema` names (`read_document`), then reads those as `Raw` values.
+//! - **Writing.** `JsonWriter` streams compact text into one `String`;
+//!   [`Json::write`], the wire encoders, and the figure, table and trace
+//!   exports all write through it, so there is one escaper and one
+//!   number formatter.
+//! - **Values.** [`Json`] holds strings, finite numbers, booleans, null,
+//!   arrays, and objects with **insertion-ordered** fields — order
+//!   preservation is what makes the writer deterministic and the
+//!   protocol golden tests byte-stable.
 //!
-//! Strings parse in linear time: each run of bytes between escapes is
-//! copied with one `push_str`, so a long string at the daemon's body cap
-//! costs milliseconds. Objects do too: duplicate keys are found through
-//! a per-object hash index (see `KeyIndex`), so a 50,000-key object
-//! costs milliseconds rather than the seconds a scan of the fields
-//! parsed so far took.
+//! Strings read in linear time: runs of bytes between escapes are
+//! skipped whole, so a long string at the daemon's body cap costs
+//! milliseconds. Objects do too: the tree finds duplicate keys through a
+//! per-object hash index (see `KeyIndex`), and the request decoder keeps
+//! no keys but the few its schema names, so a 150,000-key object costs
+//! milliseconds rather than the seconds a scan of the fields read so far
+//! took.
 //!
 //! Numbers are `f64`. Integers up to 2^53 round-trip exactly, which
 //! covers every counter the protocol carries; full-width `u64`
@@ -75,7 +80,7 @@ impl Json {
     /// [`JsonError`] with the 1-based position of the first offending
     /// byte.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
-        parse_tree(src, &mut 0)
+        parse_tree(src, &mut 0).map_err(|fault| fault.report(src))
     }
 
     /// Compact deterministic rendering: no whitespace, object fields in
@@ -446,6 +451,69 @@ enum Token<'a> {
     End,
 }
 
+/// A syntax error as the tokenizer finds it: where, and why. It is a
+/// small value while it travels up the reader; [`Fault::report`] turns it
+/// into the [`JsonError`] a caller sees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fault {
+    /// The offending byte's offset.
+    at: usize,
+    why: Why,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Why {
+    TooDeep,
+    Unexpected(u8),
+    EndOfDocument,
+    Expected(u8),
+    Literal(&'static str),
+    /// A number that starts at `start` and ends at the fault.
+    Number {
+        start: usize,
+    },
+    Unterminated,
+    UnicodeEscape,
+    Escape,
+    Control,
+    ObjectSeparator,
+    ArraySeparator,
+    Trailing,
+}
+
+impl Fault {
+    /// The error in `src` as reported: its 1-based `line:col` and message.
+    #[cold]
+    fn report(self, src: &str) -> JsonError {
+        let mut line = 1u32;
+        let mut col = 1u32;
+        for &b in &src.as_bytes()[..self.at.min(src.len())] {
+            if b == b'\n' {
+                line += 1;
+                col = 1;
+            } else {
+                col += 1;
+            }
+        }
+        let msg = match self.why {
+            Why::TooDeep => "document nests too deeply".to_string(),
+            Why::Unexpected(c) => format!("unexpected character '{}'", c as char),
+            Why::EndOfDocument => "unexpected end of document".to_string(),
+            Why::Expected(b) => format!("expected '{}'", b as char),
+            Why::Literal(word) => format!("expected '{word}'"),
+            Why::Number { start } => format!("malformed number '{}'", &src[start..self.at]),
+            Why::Unterminated => "unterminated string".to_string(),
+            Why::UnicodeEscape => "malformed \\u escape".to_string(),
+            Why::Escape => "malformed escape".to_string(),
+            Why::Control => "unescaped control character in string".to_string(),
+            Why::ObjectSeparator => "expected ',' or '}' in object".to_string(),
+            Why::ArraySeparator => "expected ',' or ']' in array".to_string(),
+            Why::Trailing => "trailing characters after document".to_string(),
+        };
+        JsonError { line, col, msg }
+    }
+}
+
 /// What the tokenizer reads next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Next {
@@ -485,8 +553,11 @@ struct Tokens<'a> {
     next: Next,
 }
 
-// The functions a token passes through are inlined into each reader
-// (`#[inline(always)]`): left to the compiler, a token cost twice as much.
+// `next` is inlined into the few loops that pull tokens, and each step a
+// token passes through is inlined into `next` from one place
+// (`#[inline(always)]`): left to the compiler, a token cost about twice
+// as much, and an inlined step reached from several places multiplied
+// the code.
 impl<'a> Tokens<'a> {
     fn new(src: &'a str) -> Tokens<'a> {
         Tokens {
@@ -500,18 +571,20 @@ impl<'a> Tokens<'a> {
     }
 
     #[inline(always)]
-    fn next(&mut self) -> Result<Token<'a>, JsonError> {
+    fn next(&mut self) -> Result<Token<'a>, Fault> {
         self.skip_ws();
-        match self.next {
-            Next::Root => self.value(),
-            Next::FirstItem if self.peek() == Some(b']') => Ok(self.close(Token::EndArr)),
-            Next::FirstItem => self.value(),
-            Next::FirstKey if self.peek() == Some(b'}') => Ok(self.close(Token::EndObj)),
-            Next::FirstKey => self.key(),
+        // settle what the state lets come next, then read it: a key or a
+        // value, each from one place
+        let key = match self.next {
+            Next::Root => false,
+            Next::FirstItem if self.peek() == Some(b']') => return Ok(self.close(Token::EndArr)),
+            Next::FirstItem => false,
+            Next::FirstKey if self.peek() == Some(b'}') => return Ok(self.close(Token::EndObj)),
+            Next::FirstKey => true,
             Next::Colon => {
                 self.expect(b':')?;
                 self.skip_ws();
-                self.value()
+                false
             }
             Next::Sep => {
                 let in_object = self.stack & 1 == 1;
@@ -519,33 +592,31 @@ impl<'a> Tokens<'a> {
                     Some(b',') => {
                         self.pos += 1;
                         self.skip_ws();
-                        if in_object {
-                            self.key()
-                        } else {
-                            self.value()
-                        }
+                        in_object
                     }
-                    Some(b'}') if in_object => Ok(self.close(Token::EndObj)),
-                    Some(b']') if !in_object => Ok(self.close(Token::EndArr)),
-                    _ if in_object => Err(self.error("expected ',' or '}' in object")),
-                    _ => Err(self.error("expected ',' or ']' in array")),
+                    Some(b'}') if in_object => return Ok(self.close(Token::EndObj)),
+                    Some(b']') if !in_object => return Ok(self.close(Token::EndArr)),
+                    _ if in_object => return Err(self.fault(Why::ObjectSeparator)),
+                    _ => return Err(self.fault(Why::ArraySeparator)),
                 }
             }
-            Next::End if self.pos == self.src.len() => Ok(Token::End),
-            Next::End => Err(self.error("trailing characters after document")),
+            Next::End if self.pos == self.src.len() => return Ok(Token::End),
+            Next::End => return Err(self.fault(Why::Trailing)),
+        };
+        if key {
+            self.key()
+        } else {
+            self.value()
         }
     }
 
     /// The rest of the value whose first token `first` was just read:
     /// every token of it checked and none kept.
     #[inline(always)]
-    fn finish_value(&mut self, first: Token<'a>) -> Result<Raw<'a>, JsonError> {
+    fn finish_value(&mut self, first: Token<'a>) -> Result<Raw<'a>, Fault> {
         let start = self.start;
         if matches!(first, Token::BeginObj | Token::BeginArr) {
-            let outer = self.depth - 1;
-            while self.depth > outer {
-                self.next()?;
-            }
+            self.skip_container()?;
         }
         Ok(Raw {
             text: &self.src[start..self.pos],
@@ -553,9 +624,18 @@ impl<'a> Tokens<'a> {
         })
     }
 
+    /// Reads on past the end of the container just opened.
+    fn skip_container(&mut self) -> Result<(), Fault> {
+        let outer = self.depth - 1;
+        while self.depth > outer {
+            self.next()?;
+        }
+        Ok(())
+    }
+
     /// The next value, whole.
     #[inline(always)]
-    fn read_value(&mut self) -> Result<Raw<'a>, JsonError> {
+    fn read_value(&mut self) -> Result<Raw<'a>, Fault> {
         let first = self.next()?;
         self.finish_value(first)
     }
@@ -569,7 +649,7 @@ impl<'a> Tokens<'a> {
         &mut self,
         schema: &Schema,
         slots: &mut [Option<Raw<'a>>],
-    ) -> Result<Raw<'a>, JsonError> {
+    ) -> Result<Raw<'a>, Fault> {
         let first = self.next()?;
         if first != Token::BeginObj {
             return self.finish_value(first);
@@ -584,20 +664,22 @@ impl<'a> Tokens<'a> {
                 Some(name) if key.eq_str(name) => Some(hint),
                 _ => names.iter().position(|name| key.eq_str(name)),
             };
-            let Some(i) = found else {
-                self.read_value()?;
-                continue;
-            };
-            hint = i + 1;
-            slots[i] = Some(match schema.nested_at(i) {
-                Some((at, nested)) => {
-                    // a repeated field forgets the fields of its earlier value
+            let value = match found.and_then(|i| schema.nested_at(i).map(|n| (i, n))) {
+                Some((i, (at, nested))) => {
+                    let repeated = slots[i].is_some();
                     let block = &mut slots[at..at + nested.slots()];
-                    block.fill(None);
+                    if repeated {
+                        // a repeated field forgets its earlier value's fields
+                        block.fill(None);
+                    }
                     self.read_object(nested, block)?
                 }
                 None => self.read_value()?,
-            });
+            };
+            if let Some(i) = found {
+                slots[i] = Some(value);
+                hint = i + 1;
+            }
         }
         Ok(Raw {
             text: &self.src[start..self.pos],
@@ -607,9 +689,9 @@ impl<'a> Tokens<'a> {
 
     /// A value starts here, at the depth of the containers now open.
     #[inline(always)]
-    fn value(&mut self) -> Result<Token<'a>, JsonError> {
+    fn value(&mut self) -> Result<Token<'a>, Fault> {
         if self.depth > MAX_DEPTH {
-            return Err(self.error("document nests too deeply"));
+            return Err(self.fault(Why::TooDeep));
         }
         self.start = self.pos;
         let token = match self.peek() {
@@ -620,15 +702,15 @@ impl<'a> Tokens<'a> {
             Some(b'f') => self.literal("false", Token::Bool(false))?,
             Some(b'n') => self.literal("null", Token::Null)?,
             Some(b'-' | b'0'..=b'9') => self.number()?,
-            Some(c) => return Err(self.error(format!("unexpected character '{}'", c as char))),
-            None => return Err(self.error("unexpected end of document")),
+            Some(c) => return Err(self.fault(Why::Unexpected(c))),
+            None => return Err(self.fault(Why::EndOfDocument)),
         };
         self.after_value();
         Ok(token)
     }
 
     #[inline(always)]
-    fn key(&mut self) -> Result<Token<'a>, JsonError> {
+    fn key(&mut self) -> Result<Token<'a>, Fault> {
         self.start = self.pos;
         let key = self.string()?;
         self.next = Next::Colon;
@@ -665,24 +747,8 @@ impl<'a> Tokens<'a> {
         };
     }
 
-    #[cold]
-    #[inline(never)]
-    fn error(&self, msg: impl Into<String>) -> JsonError {
-        let mut line = 1u32;
-        let mut col = 1u32;
-        for &b in &self.src.as_bytes()[..self.pos.min(self.src.len())] {
-            if b == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-        }
-        JsonError {
-            line,
-            col,
-            msg: msg.into(),
-        }
+    fn fault(&self, why: Why) -> Fault {
+        Fault { at: self.pos, why }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -695,26 +761,26 @@ impl<'a> Tokens<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn expect(&mut self, b: u8) -> Result<(), Fault> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.error(format!("expected '{}'", b as char)))
+            Err(self.fault(Why::Expected(b)))
         }
     }
 
-    fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
+    fn literal(&mut self, word: &'static str, token: Token<'a>) -> Result<Token<'a>, Fault> {
         if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(token)
         } else {
-            Err(self.error(format!("expected '{word}'")))
+            Err(self.fault(Why::Literal(word)))
         }
     }
 
     #[inline(always)]
-    fn number(&mut self) -> Result<Token<'a>, JsonError> {
+    fn number(&mut self) -> Result<Token<'a>, Fault> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -733,23 +799,21 @@ impl<'a> Tokens<'a> {
         }
         match text.parse::<f64>() {
             Ok(x) if x.is_finite() => Ok(Token::Num(x)),
-            _ => Err(self.error(format!("malformed number '{text}'"))),
+            _ => Err(self.fault(Why::Number { start })),
         }
     }
 
     /// A string, checked and left escaped. Runs of bytes that need no
     /// decoding are skipped whole, so a long string costs linear time.
     #[inline(always)]
-    fn string(&mut self) -> Result<JsonStr<'a>, JsonError> {
+    fn string(&mut self) -> Result<JsonStr<'a>, Fault> {
         self.expect(b'"')?;
         let begin = self.pos;
         let mut escaped = false;
         loop {
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
-                self.pos += 1;
-            }
+            self.pos += plain_run(&self.src.as_bytes()[self.pos..]);
             match self.peek() {
-                None => return Err(self.error("unterminated string")),
+                None => return Err(self.fault(Why::Unterminated)),
                 Some(b'"') => {
                     // every stop byte is ASCII, so `begin..pos` cannot
                     // split a scalar
@@ -762,18 +826,46 @@ impl<'a> Tokens<'a> {
                     self.pos += 1;
                     match escape(self.src, self.pos) {
                         Ok((_, len)) => self.pos += len,
-                        Err(msg) => return Err(self.error(msg)),
+                        Err(why) => return Err(self.fault(why)),
                     }
                 }
-                Some(_) => return Err(self.error("unescaped control character in string")),
+                Some(_) => return Err(self.fault(Why::Control)),
             }
         }
     }
 }
 
+/// How many bytes at the start of `bytes` a string copies as they are:
+/// those before the first `"`, `\` or control byte. Eight bytes are
+/// tested at a time: a byte's high bit is set in `stops` where it equals
+/// a quote or backslash (its XOR with one is zero) or is below 0x20. A
+/// subtraction's borrow can set a false flag only above a true one, so
+/// the lowest flag is the first stop.
+#[inline(always)]
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let below = |x: u64, n: u64| x.wrapping_sub(ONES * n) & !x;
+    let mut run = 0;
+    while let Some(chunk) = bytes.get(run..run + 8) {
+        let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let quote = x ^ (ONES * u64::from(b'"'));
+        let backslash = x ^ (ONES * u64::from(b'\\'));
+        let stops = (below(quote, 1) | below(backslash, 1) | below(x, 0x20)) & HIGH;
+        if stops != 0 {
+            return run + stops.trailing_zeros() as usize / 8;
+        }
+        run += 8;
+    }
+    let tail = bytes[run..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+    run + tail.unwrap_or(bytes.len() - run)
+}
+
 /// The escape whose letter is at `at`, just past a backslash: the char it
 /// stands for and its length from the letter on.
-fn escape(src: &str, at: usize) -> Result<(char, usize), &'static str> {
+fn escape(src: &str, at: usize) -> Result<(char, usize), Why> {
     let bytes = src.as_bytes();
     let c = match bytes.get(at) {
         Some(b'"') => '"',
@@ -789,13 +881,13 @@ fn escape(src: &str, at: usize) -> Result<(char, usize), &'static str> {
                 .get(at + 1..at + 5)
                 .and_then(|h| std::str::from_utf8(h).ok())
                 .and_then(|h| u32::from_str_radix(h, 16).ok())
-                .ok_or("malformed \\u escape")?;
+                .ok_or(Why::UnicodeEscape)?;
             // Surrogate pairs are out of protocol scope; lone surrogates
             // decode to the replacement character rather than failing the
             // document.
             return Ok((char::from_u32(hex).unwrap_or('\u{fffd}'), 5));
         }
-        _ => return Err("malformed escape"),
+        _ => return Err(Why::Escape),
     };
     Ok((c, 1))
 }
@@ -905,8 +997,10 @@ pub(crate) fn read_document<'s, 'a>(
     slots: &'s mut [Option<Raw<'a>>],
 ) -> Result<Fields<'s, 'a>, JsonError> {
     let mut tokens = Tokens::new(src);
-    tokens.read_object(schema, slots)?;
-    tokens.next()?;
+    let read = tokens
+        .read_object(schema, slots)
+        .and_then(|_| tokens.next());
+    read.map_err(|fault| fault.report(src))?;
     Ok(Fields { schema, slots })
 }
 
@@ -1090,7 +1184,7 @@ enum Frame {
 /// made finding duplicate keys (the linearity test reads them). Keys are
 /// hashed with a `RandomState` of this document's own, so a client cannot
 /// pick keys that all land in one probe chain.
-fn parse_tree(src: &str, key_compares: &mut u64) -> Result<Json, JsonError> {
+fn parse_tree(src: &str, key_compares: &mut u64) -> Result<Json, Fault> {
     let keys = RandomState::new();
     let mut tokens = Tokens::new(src);
     let mut stack: Vec<Frame> = Vec::new();
@@ -1306,6 +1400,30 @@ mod tests {
             (e.line, e.col, e.msg.as_str()),
             (1, 5, "unterminated string")
         );
+    }
+
+    #[test]
+    fn plain_runs_stop_at_the_first_quote_backslash_or_control_byte() {
+        let naive = |b: &[u8]| {
+            let stop = b.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+            stop.unwrap_or(b.len())
+        };
+        // neighbours of the stop bytes, and bytes with the high bit set
+        let fill = [0x20, b'!', b'#', b'[', b']', 0x7f, 0x80, 0xff];
+        for stop in [b'"', b'\\', 0x00, b'\n', 0x1f] {
+            for len in 0..26 {
+                for at in 0..=len {
+                    let mut bytes: Vec<u8> = (0..len).map(|i| fill[i % fill.len()]).collect();
+                    if at < len {
+                        bytes[at] = stop;
+                    }
+                    if at + 3 < len {
+                        bytes[at + 3] = b'"';
+                    }
+                    assert_eq!(plain_run(&bytes), naive(&bytes), "{bytes:?}");
+                }
+            }
+        }
     }
 
     #[test]

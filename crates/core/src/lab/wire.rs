@@ -11,7 +11,12 @@
 //! - **Field order is fixed**: every encoder streams its fields through
 //!   one streaming `JsonWriter` in a fixed order, building no [`Json`]
 //!   tree, so equal values encode to byte-identical strings — what the
-//!   golden tests pin. Decoding parses into a [`Json`] tree.
+//!   golden tests pin.
+//! - **Requests decode without a tree**: [`decode_request`] checks the
+//!   whole document in one pass of the JSON tokenizer, keeping the text
+//!   of each field it knows (the last value where a key repeats), then
+//!   decodes those in a fixed order. Responses decode through a [`Json`]
+//!   tree built from the same tokenizer.
 //! - **Durations travel as integer nanoseconds** (`*_ns`), the same
 //!   `u64` the simulator counts in — no float rounding on the wire.
 //! - **64-bit fingerprints travel as 16-digit hex strings** (JSON
