@@ -533,13 +533,13 @@ enum Next {
 
 /// The pull tokenizer: the crate's one JSON reader. Each call to `next`
 /// yields the next token and checks the grammar as it goes, with no tree
-/// and no allocation (except for an error); a string token borrows its
-/// still-escaped text from the source.
+/// and no allocation; a string token borrows its still-escaped text from
+/// the source.
 ///
-/// The first syntax error comes back from the call that reaches it, with
-/// the position and message the grammar has always reported: the depth
-/// cap, malformed or non-finite numbers, bad escapes, control characters
-/// in strings, and trailing characters after the root value.
+/// The first syntax error comes back, as a [`Fault`], from the call that
+/// reaches it: the depth cap, malformed or non-finite numbers, bad
+/// escapes, control characters in strings, a missing separator, and
+/// trailing characters after the root value.
 #[derive(Debug, Clone)]
 struct Tokens<'a> {
     src: &'a str,

@@ -136,7 +136,7 @@ pub fn decode_request(src: &str) -> Result<LabRequest, WireError> {
     let mut slots = [None; REQUEST.slots()];
     let doc = read_document(src, &REQUEST, &mut slots)?;
     let [v, kind, scenario, seed, queries, script] = doc.values();
-    check_request_version(v)?;
+    check_version(field_u64(v, "v")?)?;
     match &*field_str(kind, "kind")? {
         "plan" => {
             field(scenario, "scenario")?;
@@ -294,7 +294,7 @@ fn outcome_bytes(outcome: &Outcome) -> usize {
 /// Malformed JSON, an unsupported version, or an unknown kind.
 pub fn decode_response(src: &str) -> Result<LabResponse, WireError> {
     let json = Json::parse(src)?;
-    check_version(&json)?;
+    check_version(get_u64(&json, "v")?)?;
     match get_str(&json, "kind")? {
         "plan" => {
             let p = get(&json, "plan")?;
@@ -358,17 +358,8 @@ pub fn decode_response(src: &str) -> Result<LabResponse, WireError> {
 
 // ---------------------------------------------------------------- helpers
 
-fn check_version(json: &Json) -> Result<(), WireError> {
-    match get_u64(json, "v")? {
-        WIRE_VERSION => Ok(()),
-        v => err(format!(
-            "unsupported wire version {v} (this build speaks {WIRE_VERSION})"
-        )),
-    }
-}
-
-fn check_request_version(v: Option<Raw<'_>>) -> Result<(), WireError> {
-    match field_u64(v, "v")? {
+fn check_version(v: u64) -> Result<(), WireError> {
+    match v {
         WIRE_VERSION => Ok(()),
         v => err(format!(
             "unsupported wire version {v} (this build speaks {WIRE_VERSION})"
