@@ -450,8 +450,8 @@ fn bench_plan_cache(c: &mut Criterion) {
 }
 
 /// The wire on the daemon's hot path, for the 2-node MareNostrum4 menu
-/// scenario: decoding its Execute request, and encoding the Execute
-/// reply, six links long.
+/// scenario: decoding its Execute request (dropping the decoded request
+/// is timed too), and encoding the Execute reply, six links long.
 fn bench_wire(c: &mut Criterion) {
     use harborsim_bench::loadgen::menu_scenario;
     use harborsim_core::lab::wire::{decode_request, encode_request, encode_response};
