@@ -2,13 +2,13 @@
 //!
 //! `reproduce_all --bench-baseline` measures the simulator's hot
 //! paths — DES event churn, the Alya CFD step, cached-plan
-//! execute-many throughput, the sharded 256-node campaign, the
-//! open-system campaign engine, and the lab daemon under its built-in
-//! load generator — and writes them to
+//! execute-many throughput, the sharded 256-node campaign and the
+//! open-system campaign engine — and writes them to
 //! `target/study/BENCH_baseline.json`. A copy committed at the repository
 //! root (`BENCH_baseline.json`) records the trajectory PR-over-PR; the CI
 //! smoke job re-measures and fails if a gated metric regresses against
-//! the committed numbers.
+//! the committed numbers. The lab daemon is measured end to end by
+//! perfbench's serve-hot and serve-sweep workloads, not here.
 //!
 //! Every metric is one row of [`METRICS`]: its JSON key, how it prints,
 //! and the [`Gate`] that compares it. Serialization, parsing, the report
@@ -42,8 +42,6 @@ const CHURN_BATCH: usize = 512;
 const TIMING_REPS: usize = 5;
 /// Allowed drop of a gated rate or ratio before the gate fails.
 const REGRESSION_TOLERANCE: f64 = 0.20;
-/// Growth of a tail metric that earns a warning.
-const TAIL_WARN_FACTOR: f64 = 3.0;
 /// The calibration row every rate is normalized by.
 const SPIN_MOPS: &str = "spin_mops";
 /// The context row a same-host ratio is compared under.
@@ -59,12 +57,6 @@ pub enum Gate {
     /// only when both runs saw the same `host_threads`; fails past a
     /// 20% drop.
     SameHostRatio,
-    /// A capability floor: no normalization, any drop fails.
-    Floor,
-    /// A tail latency: warns when it grows past 3×, never fails (the
-    /// p99 of a loopback socket on a shared runner is scheduler noise as
-    /// much as code).
-    TailWarn,
     /// Recorded for context, never compared.
     Context,
 }
@@ -123,11 +115,6 @@ pub const METRICS: &[Metric] = &[
     row(HOST_THREADS, "host threads", "hardware threads", 0, Gate::Context),
     // open-system engine (arrivals + EASY backfill + staging flows)
     row("open_system_eps", "open-system storm", "events/s", 0, Gate::Context),
-    // lab daemon, closed loop, 4 clients x 4 pipelined requests
-    row("daemon_mux_qps", "lab daemon (depth 4)", "queries/s", 1, Gate::Rate),
-    row("daemon_mux_p99_ms", "lab daemon p99 (depth 4)", "ms", 2, Gate::TailWarn),
-    // keep-alive sockets the reactor held at once over 4 workers
-    row("daemon_open_conns", "reactor open conns", "connections", 0, Gate::Floor),
 ];
 
 fn index(name: &str) -> Option<usize> {
@@ -401,64 +388,6 @@ fn open_system_eps() -> f64 {
     })
 }
 
-/// Daemon throughput and tail latency under the built-in load
-/// generator: bind a warm-started daemon on a loopback port, drive it
-/// closed-loop (no think time — the regression gate wants the throughput
-/// ceiling, not an arrival-rate echo) with 4 pipelined requests in
-/// flight per connection, and read qps + p99 off the report.
-/// `--serve-bench` runs the same generator with Poisson pacing for the
-/// arrival-process view.
-fn daemon_mux_rates() -> (f64, f64) {
-    use harborsim_core::lab::daemon::LabDaemon;
-    use harborsim_core::lab::QueryEngine;
-    use std::sync::Arc;
-    let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 4)
-        .expect("bind the baseline daemon on loopback");
-    let handle = daemon.spawn();
-    let report = crate::loadgen::run_with(
-        handle.addr(),
-        4,
-        96,
-        crate::loadgen::Drive::Closed { in_flight: 4 },
-    );
-    handle.shutdown();
-    assert_eq!(report.errors, 0, "baseline loadgen run errored: {report:?}");
-    (report.qps, report.p99_ms)
-}
-
-/// How many simultaneous keep-alive connections the reactor holds over
-/// a 4-worker pool: open 256, query every one, then query every one
-/// *again* (proving none were dropped to make room), and read the
-/// daemon's own `open_conns` counter with all of them still connected.
-fn daemon_open_conns() -> f64 {
-    use harborsim_core::lab::daemon::{LabClient, LabDaemon};
-    use harborsim_core::lab::{LabRequest, QueryEngine};
-    use std::sync::Arc;
-    const CONNS: usize = 256;
-    let daemon = LabDaemon::bind("127.0.0.1:0", Arc::new(QueryEngine::new()), 4)
-        .expect("bind the baseline daemon on loopback");
-    let handle = daemon.spawn();
-    let mut clients: Vec<LabClient> = (0..CONNS)
-        .map(|i| LabClient::connect(handle.addr()).unwrap_or_else(|e| panic!("connect {i}: {e}")))
-        .collect();
-    for pass in 0..2 {
-        for (i, client) in clients.iter_mut().enumerate() {
-            let req = LabRequest::plan(crate::loadgen::menu_scenario(i % crate::loadgen::MENU_LEN));
-            client
-                .query(&req)
-                .unwrap_or_else(|e| panic!("pass {pass} conn {i}: {e}"));
-        }
-    }
-    let stats = clients[0]
-        .stats()
-        .expect("stats over a held connection")
-        .into_stats();
-    let open = stats.daemon.map_or(0, |d| d.open_conns);
-    drop(clients);
-    handle.shutdown();
-    open as f64
-}
-
 /// Cached-plan `execute` throughput, runs/sec (untraced, as the batch
 /// sharding of the query engine drives it).
 fn execute_many_rps() -> f64 {
@@ -487,8 +416,6 @@ fn execute_many_rps() -> f64 {
 /// `reproduce_all --bench-baseline` and the CI smoke job.
 pub fn measure() -> BenchBaseline {
     let spin = spin_mops();
-    let (daemon_mux_qps, daemon_mux_p99_ms) = daemon_mux_rates();
-    let daemon_open_conns = daemon_open_conns();
     let churn_events = (CHURN_ROUNDS * CHURN_BATCH) as f64;
     let churn_eps = rate_of(churn_events, || churn_arena(CHURN_ROUNDS, CHURN_BATCH));
     let serial_eps = par_des_eps(1);
@@ -508,9 +435,6 @@ pub fn measure() -> BenchBaseline {
             std::thread::available_parallelism().map_or(1.0, |n| n.get() as f64),
         ),
         ("open_system_eps", open_system_eps()),
-        ("daemon_mux_qps", daemon_mux_qps),
-        ("daemon_mux_p99_ms", daemon_mux_p99_ms),
-        ("daemon_open_conns", daemon_open_conns),
     ])
 }
 
@@ -581,8 +505,8 @@ impl BenchBaseline {
 
     /// Compare against a committed baseline, row by row under each
     /// row's [`Gate`]. Returns `(violations, warnings)`: empty
-    /// violations = pass; warnings are tail moves and comparisons that
-    /// were skipped rather than failed, each naming its metric.
+    /// violations = pass; warnings are comparisons that were skipped
+    /// rather than failed, each naming its metric.
     pub fn check_regression(&self, committed: &BenchBaseline) -> (Vec<String>, Vec<String>) {
         let mut violations = Vec::new();
         let mut warnings = Vec::new();
@@ -637,22 +561,6 @@ impl BenchBaseline {
                         ));
                     }
                 }
-                Gate::Floor => {
-                    if now < then {
-                        violations.push(format!(
-                            "{name} fell to {now:.0} {}, below the committed floor of {then:.0}",
-                            m.unit
-                        ));
-                    }
-                }
-                Gate::TailWarn => {
-                    if now > TAIL_WARN_FACTOR * then {
-                        warnings.push(format!(
-                            "{name} moved {then:.2} -> {now:.2} {} (tracked, not gated)",
-                            m.unit
-                        ));
-                    }
-                }
                 Gate::Context => unreachable!("context rows are skipped above"),
             }
         }
@@ -694,9 +602,6 @@ mod tests {
             ("par_des_speedup", 2.0),
             (HOST_THREADS, 4.0),
             ("open_system_eps", 1.0e5),
-            ("daemon_mux_qps", 800.0),
-            ("daemon_mux_p99_ms", 8.0),
-            ("daemon_open_conns", 256.0),
         ]);
         for &(name, value) in edits {
             b.values[index(name).expect("known metric")] = Some(value);
@@ -716,7 +621,7 @@ mod tests {
             (SPIN_MOPS, 1234.5),
             ("cfd_momentum_speedup", 1.4),
             ("par_des_speedup", 3.0),
-            ("daemon_mux_p99_ms", 9.5),
+            ("execute_many_rps", 9.5),
         ]);
         let parsed = BenchBaseline::from_json(&b.to_json()).expect("parses");
         assert_eq!(parsed, b);
@@ -726,11 +631,11 @@ mod tests {
         // a file lacking rows parses with exactly those rows empty
         let partial = b
             .to_json()
-            .replace("  \"open_system_eps\": 100000,\n", "")
-            .replace("  \"daemon_mux_qps\": 800.0,\n", "");
+            .replace("  \"cfd_large_cups\": 1,\n", "")
+            .replace("  \"execute_many_rps\": 9.5,\n", "");
         let parsed = BenchBaseline::from_json(&partial).expect("partial file parses");
-        assert_eq!(parsed.get("open_system_eps"), None);
-        assert_eq!(parsed.get("daemon_mux_qps"), None);
+        assert_eq!(parsed.get("cfd_large_cups"), None);
+        assert_eq!(parsed.get("execute_many_rps"), None);
         assert_eq!(parsed.get("par_des_speedup"), Some(3.0));
         assert_eq!(parsed.to_json(), partial);
     }
@@ -770,11 +675,7 @@ mod tests {
     fn regression_gate_normalizes_by_spin_rate() {
         let base = sample(&[]);
         // a machine half as fast across the board is NOT a regression
-        let slower_machine = sample(&[
-            (SPIN_MOPS, 500.0),
-            ("des_churn_new_eps", 5.0e6),
-            ("daemon_mux_qps", 400.0),
-        ]);
+        let slower_machine = sample(&[(SPIN_MOPS, 500.0), ("des_churn_new_eps", 5.0e6)]);
         let (violations, warnings) = slower_machine.check_regression(&base);
         assert!(violations.is_empty() && warnings.is_empty());
         // same machine, 30% fewer events/sec IS one
@@ -819,26 +720,16 @@ mod tests {
     }
 
     #[test]
-    fn daemon_gate_normalizes_skips_missing_keys_and_warns_on_tails() {
+    fn each_missing_gated_key_skips_with_its_own_warning() {
         let base = sample(&[]);
-        // 30% fewer queries/sec on the same machine: a violation
-        let slow = sample(&[("daemon_mux_qps", 560.0)]);
-        let (violations, _) = slow.check_regression(&base);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("daemon_mux_qps"));
-        // a machine half as fast across the board is not one
-        let slower_machine = sample(&[(SPIN_MOPS, 500.0), ("daemon_mux_qps", 400.0)]);
-        assert!(slower_machine.check_regression(&base).0.is_empty());
-        // a committed baseline without the daemon rows skips each gated
-        // one with a warning naming it, instead of dividing by zero
-        let mut legacy = base.clone();
-        for name in ["daemon_mux_qps", "daemon_mux_p99_ms", "daemon_open_conns"] {
-            legacy = without(legacy, name);
-        }
+        // a committed baseline without the gated rows skips each one with
+        // a warning naming it, instead of dividing by zero
+        let gated = ["des_churn_new_eps", "par_des_speedup"];
+        let legacy = gated.iter().fold(base.clone(), |b, name| without(b, name));
         let (violations, warnings) = base.check_regression(&legacy);
         assert!(violations.is_empty(), "{violations:?}");
-        assert_eq!(warnings.len(), 3, "{warnings:?}");
-        for name in ["daemon_mux_qps", "daemon_mux_p99_ms", "daemon_open_conns"] {
+        assert_eq!(warnings.len(), gated.len(), "{warnings:?}");
+        for name in gated {
             assert!(
                 warnings
                     .iter()
@@ -846,29 +737,5 @@ mod tests {
                 "{warnings:?}"
             );
         }
-        // a 4x tail-latency move is a warning, never a violation
-        let spiky = sample(&[("daemon_mux_p99_ms", 32.0)]);
-        let (violations, warnings) = spiky.check_regression(&base);
-        assert!(violations.is_empty(), "{violations:?}");
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("daemon_mux_p99_ms"));
-    }
-
-    #[test]
-    fn connection_floor_is_absolute() {
-        let base = sample(&[]);
-        // the connection floor is absolute: fewer sockets held is a
-        // violation even on a slower machine
-        let shrunk = sample(&[
-            (SPIN_MOPS, 500.0),
-            ("daemon_mux_qps", 400.0),
-            ("daemon_open_conns", 64.0),
-        ]);
-        let (violations, _) = shrunk.check_regression(&base);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("daemon_open_conns"));
-        // holding more than the committed floor passes
-        let grown = sample(&[("daemon_open_conns", 512.0)]);
-        assert!(grown.check_regression(&base).0.is_empty());
     }
 }

@@ -33,30 +33,21 @@
 //!   serial engine at any shard count; the knob only changes how the event
 //!   loop is executed. Equivalent to the `shards <n>` script directive.
 //! - `--bench-baseline` — measure the simulator's hot-path throughput (DES
-//!   event churn, CFD cell-updates, cached-plan execute-many, lab-daemon
-//!   queries/sec under the built-in load generator), write it to
+//!   event churn, CFD cell-updates, cached-plan execute-many, the sharded
+//!   DES campaign, the open-system engine), write it to
 //!   `target/study/BENCH_baseline.json`, and fail if a gated metric
 //!   regresses against the committed `BENCH_baseline.json` at the
-//!   repository root — DES events/sec or daemon queries/sec down more than
-//!   20% (spin-calibrated, so the gate is machine-independent), or the
-//!   reactor's connection floor shrinking.
+//!   repository root — DES events/sec down more than 20%
+//!   (spin-calibrated, so the gate is machine-independent), or the
+//!   sharded-DES speedup down more than 20% on a host with the same
+//!   thread count. The daemon is measured by perfbench, not here.
 //! - `--serve <addr>` — skip the reproduction and run the lab as a
 //!   resident daemon on `addr` (e.g. `127.0.0.1:7878`): plan cache
 //!   warm-started for the four paper clusters, queries answered over the
 //!   versioned JSON wire protocol (`POST /v1/lab`, `GET /v1/stats`,
-//!   `POST /v1/shutdown`). Runs until a shutdown request arrives.
-//! - `--serve-bench` — start daemons on ephemeral loopback ports and turn
-//!   the built-in load generator on them: the closed loop (fixed in-flight
-//!   pipelined requests per connection, depths 1 and 4), then an
-//!   open-loop Poisson run (latency-corrected, so slow responses cannot
-//!   hide behind coordinated omission) and a connection-count sweep.
-//!   Prints throughput, latency tails (p50/p99/p999), the
-//!   per-connection error breakdown, and the per-shard cache counters.
-//! - `--burst <addr>` — pipelined burst against an *already running*
-//!   daemon at `addr`: 64 connections, pipeline depth 4, 16 queries each.
-//!   Exits nonzero on any error and never shuts the target down (the CI
-//!   smoke uses this to probe the reactor's multiplexing under a real
-//!   socket storm before asking it to shut down).
+//!   `POST /v1/shutdown`). Runs until a shutdown request arrives. To
+//!   measure the daemon under load, run perfbench's serve-hot and
+//!   serve-sweep workloads (`perfbench/README.md`).
 //!
 //! Artifacts land in `target/study/` (CSV + SVG + ASCII per figure, CSV +
 //! ASCII per table, plus a machine-readable `summary.json`), and every
@@ -87,143 +78,8 @@ fn report_shapes(name: &str, violations: &[String]) -> bool {
     }
 }
 
-/// One labelled loadgen run, printed as a table row. Returns the error
-/// count so the caller can fail the process at the end.
-fn bench_row(label: &str, report: &harborsim_bench::loadgen::LoadgenReport) -> u64 {
-    println!(
-        "  {label:<34} {:>6} ok {:>4} err {:>9.1} q/s  p50 {:>7.2} ms  p99 {:>7.2} ms  p999 {:>7.2} ms",
-        report.requests, report.errors, report.qps, report.p50_ms, report.p99_ms, report.p999_ms
-    );
-    if report.errors > 0 || report.per_client.iter().any(|c| c.connect_failed) {
-        print!("{}", report.error_breakdown());
-    }
-    report.errors
-}
-
-/// `--serve-bench`: daemon + load generator in one process. Runs the
-/// closed loop at pipeline depths 1 and 4, an open-loop Poisson run,
-/// and a connection-count sweep; reports throughput, latency tails
-/// (p50/p99/p999), the per-connection error breakdown, and the
-/// per-shard cache counters (the Zipf hot-head skew made visible).
-fn serve_bench_run() {
-    use harborsim_bench::loadgen::{connection_sweep, run_with, Drive};
-    use harborsim_core::lab::daemon::LabDaemon;
-    const CLIENTS: usize = 8;
-    const REQUESTS_PER_CLIENT: u64 = 64;
-    const POISSON_RATE_PER_S: f64 = 2000.0;
-    const WORKERS: usize = 4;
-    const SWEEP_CONNS: &[usize] = &[1, 8, 32, 64];
-    const SWEEP_REQUESTS_PER_CONN: u64 = 16;
-    let mut errors = 0u64;
-
-    println!("== Lab daemon under the built-in load generator ==");
-    println!(
-        "{CLIENTS} clients x {REQUESTS_PER_CLIENT} queries per run, Zipf query mix over {} \
-         scenarios, {WORKERS} compute workers",
-        harborsim_bench::loadgen::MENU_LEN
-    );
-
-    // Closed loop, a fresh daemon per depth: same connections, the only
-    // change is how many requests each keeps in flight.
-    println!("closed loop (fixed in-flight per connection):");
-    for in_flight in [1, 4] {
-        let engine = std::sync::Arc::new(QueryEngine::new());
-        let daemon = LabDaemon::bind("127.0.0.1:0", engine, WORKERS)
-            .expect("bind the serve-bench daemon on loopback");
-        let addr = daemon.local_addr();
-        let handle = daemon.spawn();
-        let report = run_with(
-            addr,
-            CLIENTS,
-            REQUESTS_PER_CLIENT,
-            Drive::Closed { in_flight },
-        );
-        errors += bench_row(&format!("reactor / pipeline depth {in_flight}"), &report);
-        handle.shutdown();
-    }
-
-    // Open loop + sweep on one reactor daemon, whose engine then shows
-    // the accumulated shard skew.
-    let engine = std::sync::Arc::new(QueryEngine::new());
-    let daemon = LabDaemon::bind("127.0.0.1:0", std::sync::Arc::clone(&engine), WORKERS)
-        .expect("bind the serve-bench daemon on loopback");
-    let addr = daemon.local_addr();
-    let handle = daemon.spawn();
-    println!(
-        "open loop (Poisson arrivals at {POISSON_RATE_PER_S}/s aggregate, latency-corrected):"
-    );
-    let report = run_with(
-        addr,
-        CLIENTS,
-        REQUESTS_PER_CLIENT,
-        Drive::Open {
-            rate_per_s: POISSON_RATE_PER_S,
-        },
-    );
-    errors += bench_row("reactor / open", &report);
-    println!(
-        "connection sweep (closed loop, {SWEEP_REQUESTS_PER_CONN} queries per connection, \
-         pipeline depth 2):"
-    );
-    for (conns, report) in connection_sweep(addr, SWEEP_CONNS, SWEEP_REQUESTS_PER_CONN, 2) {
-        errors += bench_row(&format!("reactor / {conns} connections"), &report);
-    }
-    println!("  {}", engine.stats().summary_line());
-    println!(
-        "  admission batching: {} executes answered from an in-flight twin",
-        engine.batched_executes()
-    );
-    print_shard_skew(&engine);
-    handle.shutdown();
-    if errors > 0 {
-        std::process::exit(1);
-    }
-}
-
-/// `--burst <addr>`: pipelined burst against an already-running daemon
-/// (64 connections, pipeline depth 4, 16 queries each). Exits nonzero
-/// on any error; never shuts the target down — that stays the caller's
-/// decision. This is the CI smoke's concurrency probe.
-fn burst_run(addr_text: &str) {
-    use harborsim_bench::loadgen::{run_with, Drive};
-    const CONNS: usize = 64;
-    const REQUESTS_PER_CONN: u64 = 16;
-    const IN_FLIGHT: usize = 4;
-    let addr: std::net::SocketAddr = addr_text.parse().unwrap_or_else(|e| {
-        eprintln!("--burst needs a socket address (got {addr_text}: {e})");
-        std::process::exit(2);
-    });
-    println!(
-        "== Pipelined burst against http://{addr} ({CONNS} connections x \
-         {REQUESTS_PER_CONN} queries, pipeline depth {IN_FLIGHT}) =="
-    );
-    let report = run_with(
-        addr,
-        CONNS,
-        REQUESTS_PER_CONN,
-        Drive::Closed {
-            in_flight: IN_FLIGHT,
-        },
-    );
-    println!(
-        "  {} answered, {} errors, {:.1}s wall: {:.1} queries/s, p50 {:.2} ms, \
-         p99 {:.2} ms, p999 {:.2} ms",
-        report.requests,
-        report.errors,
-        report.wall_s,
-        report.qps,
-        report.p50_ms,
-        report.p99_ms,
-        report.p999_ms
-    );
-    print!("{}", report.error_breakdown());
-    if report.errors > 0 || report.per_client.iter().any(|c| c.connect_failed) {
-        std::process::exit(1);
-    }
-}
-
-/// Per-shard cache counters: the skew a Zipf-over-plan-keys workload
-/// leaves behind (hot shards pile up hits, cold shards stay near-empty).
+/// Per-shard cache counters, printed under `--trace`: how the
+/// reproduction's plan keys spread over the cache shards.
 fn print_shard_skew(lab: &QueryEngine) {
     println!("  per-shard plan cache (hits/misses/waits/entries):");
     for (i, s) in lab.shard_stats().iter().enumerate() {
@@ -238,8 +94,6 @@ fn main() {
     let mut quick = false;
     let mut bench_baseline = false;
     let mut serve_addr: Option<String> = None;
-    let mut serve_bench = false;
-    let mut burst_addr: Option<String> = None;
     let mut trace_dir: Option<PathBuf> = None;
     let mut taper: Option<f64> = None;
     let mut shards: u32 = 1;
@@ -255,14 +109,6 @@ fn main() {
                     std::process::exit(2);
                 });
                 serve_addr = Some(addr);
-            }
-            "--serve-bench" => serve_bench = true,
-            "--burst" => {
-                let addr = args.next().unwrap_or_else(|| {
-                    eprintln!("--burst needs a target address argument (e.g. 127.0.0.1:7878)");
-                    std::process::exit(2);
-                });
-                burst_addr = Some(addr);
             }
             "--trace" => {
                 let dir = args.next().unwrap_or_else(|| {
@@ -304,14 +150,14 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "unknown flag {other} (usage: reproduce_all [--quick] [--bench-baseline] [--serve <addr>] [--serve-bench] [--burst <addr>] [--trace <dir>] [--ablate-taper | --oversub <taper>] [--shards <n>] [--script <file>])"
+                    "unknown flag {other} (usage: reproduce_all [--quick] [--bench-baseline] [--serve <addr>] [--trace <dir>] [--ablate-taper | --oversub <taper>] [--shards <n>] [--script <file>])"
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    // Daemon modes replace the reproduction entirely: the lab *is* the
+    // Serving replaces the reproduction entirely: the lab *is* the
     // artifact.
     if let Some(addr) = serve_addr {
         let engine = std::sync::Arc::new(QueryEngine::new());
@@ -326,14 +172,6 @@ fn main() {
         );
         daemon.serve();
         println!("lab daemon: shutdown request received, drained, exiting.");
-        return;
-    }
-    if serve_bench {
-        serve_bench_run();
-        return;
-    }
-    if let Some(addr) = burst_addr {
-        burst_run(&addr);
         return;
     }
 

@@ -31,9 +31,9 @@
 //!
 //! [`LabClient`] is the matching blocking client (one keep-alive
 //! connection, with an explicit [pipelined](LabClient::query_pipelined)
-//! mode); the load generator and the integration tests drive the
-//! daemon through it, exercising the same code path as any external
-//! HTTP client.
+//! mode); the integration tests drive the daemon through it, exercising
+//! the same code path as any external HTTP client. perfbench's load
+//! generator speaks the same wire protocol over its own sockets.
 
 // Off Linux `bind` refuses, so the serving half of this module is never
 // reached there.

@@ -304,7 +304,7 @@ pub fn decode_response(src: &str) -> Result<LabResponse, WireError> {
                     j => Some(decode_fingerprint(j)?),
                 },
                 engine: get_str(p, "engine")?.to_string(),
-                ranks: get_u64(p, "ranks")? as u32,
+                ranks: get_u32(p, "ranks")?,
                 deployment: get_bool(p, "deployment")?,
             }))
         }
@@ -478,6 +478,13 @@ fn get_str<'a>(json: &'a Json, key: &str) -> Result<&'a str, WireError> {
 fn get_u64(json: &Json, key: &str) -> Result<u64, WireError> {
     get(json, key)?.as_u64().ok_or_else(|| WireError {
         msg: format!("field `{key}` must be an unsigned integer"),
+    })
+}
+
+/// A 32-bit reply field: an unsigned integer that also fits `u32`.
+fn get_u32(json: &Json, key: &str) -> Result<u32, WireError> {
+    u32::try_from(get_u64(json, key)?).map_err(|_| WireError {
+        msg: format!("field `{key}` must fit in 32 bits"),
     })
 }
 
@@ -1095,8 +1102,8 @@ fn decode_error(json: &Json) -> Result<HarborError, WireError> {
                 other => return err(format!("unknown script stage `{other}`")),
             },
             span: Span {
-                line: get_u64(json, "line")? as u32,
-                col: get_u64(json, "col")? as u32,
+                line: get_u32(json, "line")?,
+                col: get_u32(json, "col")?,
             },
             msg: get_str(json, "msg")?.to_string(),
         })),
@@ -1295,6 +1302,39 @@ mod tests {
             );
             let widest = with(u64::from(u32::MAX));
             let back = decode_request(&widest).map(|r| encode_request(&r).unwrap());
+            assert_eq!(back.as_deref(), Ok(widest.as_str()), "{field}");
+        }
+    }
+
+    #[test]
+    fn reply_integers_too_wide_for_their_field_are_rejected_not_truncated() {
+        let plan = encode_response(&LabResponse::Plan(PlanInfo {
+            fingerprint: Some(42),
+            engine: "analytic".into(),
+            ranks: 7,
+            deployment: false,
+        }));
+        let script = encode_response(&LabResponse::Error(HarborError::Script(ScriptError {
+            stage: ScriptStage::Parse,
+            span: Span { line: 3, col: 11 },
+            msg: "unexpected `}`".into(),
+        })));
+        // the reply, its field's text, and that text with `N` for the value
+        let cases = [
+            (&plan, "\"ranks\":7,", "\"ranks\":N,", "ranks"),
+            (&script, "\"line\":3,", "\"line\":N,", "line"),
+            (&script, "\"col\":11,", "\"col\":N,", "col"),
+        ];
+        for (wire, field, template, key) in cases {
+            assert_eq!(wire.matches(field).count(), 1, "{field} in {wire}");
+            let with = |n: u64| wire.replacen(field, &template.replace('N', &n.to_string()), 1);
+            // 2^32 + 2 once decoded as 2; 2^32 - 1 still fits
+            match decode_response(&with((1 << 32) + 2)) {
+                Err(e) => assert_eq!(e.msg, format!("field `{key}` must fit in 32 bits")),
+                Ok(r) => panic!("{key} past 32 bits decoded to {r:?}"),
+            }
+            let widest = with(u64::from(u32::MAX));
+            let back = decode_response(&widest).map(|r| encode_response(&r));
             assert_eq!(back.as_deref(), Ok(widest.as_str()), "{field}");
         }
     }

@@ -27,6 +27,8 @@ use std::time::Duration;
 
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 12;
+/// Requests each client keeps in flight in the concurrent-clients test.
+const PIPELINE_DEPTH: usize = 4;
 
 /// A small grid of distinct scenarios; index i picks scenario and seed.
 fn grid_scenario(i: usize) -> (Scenario, u64) {
@@ -53,10 +55,11 @@ fn assert_same_outcome(label: &str, over_wire: &Outcome, direct: &Outcome) {
     assert_eq!(over_wire.deployment.is_some(), direct.deployment.is_some());
 }
 
-/// The tentpole acceptance test: CLIENTS threads hammer one daemon over
-/// real sockets; every response must be bit-identical to a serial
-/// in-process replay of the same (scenario, seed) schedule, and the
-/// per-shard cache counters must add up exactly to the aggregate.
+/// CLIENTS threads hammer one daemon over real sockets, each pipelining
+/// its requests PIPELINE_DEPTH at a time; every response must be
+/// bit-identical to a serial in-process replay of the same (scenario,
+/// seed) schedule, and the per-shard cache counters must add up exactly
+/// to the aggregate.
 #[test]
 fn concurrent_clients_match_the_serial_replay_on_the_reactor() {
     let engine = Arc::new(QueryEngine::new());
@@ -71,18 +74,33 @@ fn concurrent_clients_match_the_serial_replay_on_the_reactor() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let mut client = LabClient::connect(addr).expect("connect");
+                // overlapping schedules: clients collide on both plans
+                // and (plan, seed) pairs
+                let schedule: Vec<usize> = (0..REQUESTS_PER_CLIENT)
+                    .map(|r| (c + r) % (4 * 3))
+                    .collect();
                 barrier.wait();
-                (0..REQUESTS_PER_CLIENT)
-                    .map(|r| {
-                        // overlapping schedules: clients collide on both
-                        // plans and (plan, seed) pairs
-                        let i = (c + r) % (4 * 3);
-                        let (scenario, seed) = grid_scenario(i);
-                        let outcome = client
-                            .query(&LabRequest::execute(scenario, seed))
-                            .expect("query succeeds")
-                            .into_outcome();
-                        (i, outcome)
+                // every connection pipelines PIPELINE_DEPTH requests at a
+                // time, so cold compiles on the pool and warm executes on
+                // the reactor interleave within one connection
+                schedule
+                    .chunks(PIPELINE_DEPTH)
+                    .flat_map(|group| {
+                        let requests: Vec<LabRequest> = group
+                            .iter()
+                            .map(|&i| {
+                                let (scenario, seed) = grid_scenario(i);
+                                LabRequest::execute(scenario, seed)
+                            })
+                            .collect();
+                        let responses = client
+                            .query_pipelined(&requests)
+                            .expect("pipelined queries succeed");
+                        group
+                            .iter()
+                            .zip(responses)
+                            .map(|(&i, response)| (i, response.into_outcome()))
+                            .collect::<Vec<_>>()
                     })
                     .collect::<Vec<_>>()
             })
