@@ -100,6 +100,8 @@ pub(crate) struct Shared {
     pub(crate) open_conns: AtomicU64,
     /// Warm executes the reactor answered itself, without the pool.
     pub(crate) inline_answers: AtomicU64,
+    /// `write(2)` calls that carried reply bytes.
+    pub(crate) reply_writes: AtomicU64,
 }
 
 impl Shared {
@@ -188,6 +190,7 @@ impl LabDaemon {
             late_503s: AtomicU64::new(0),
             open_conns: AtomicU64::new(0),
             inline_answers: AtomicU64::new(0),
+            reply_writes: AtomicU64::new(0),
         });
         (self.listener, self.epoll, shared, self.workers)
     }
@@ -224,6 +227,13 @@ impl DaemonHandle {
     /// [`reactor`]). In process only: the wire stats do not carry it.
     pub fn inline_answers(&self) -> u64 {
         self.shared.inline_answers.load(Ordering::Relaxed)
+    }
+
+    /// `write(2)` calls that carried reply bytes so far: the reactor
+    /// flushes once per readiness event, so pipelined replies share
+    /// writes. In process only: the wire stats do not carry it.
+    pub fn reply_writes(&self) -> u64 {
+        self.shared.reply_writes.load(Ordering::Relaxed)
     }
 
     /// Stop accepting, drain in-flight connections, and join.

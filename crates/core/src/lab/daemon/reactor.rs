@@ -47,10 +47,20 @@
 //! query's bytes do not depend on where it ran. The reactor files
 //! every reply by sequence number, so pipelined requests are answered
 //! strictly in request order: an answer given here waits in the reorder
-//! buffer behind earlier pooled requests on its connection. `wbuf`
-//! drains to the socket under `EPOLLOUT` when a write would block
-//! (partial writes keep their position; interest is re-armed until the
-//! buffer empties).
+//! buffer behind earlier pooled requests on its connection, and one
+//! that is next in line renders straight into `wbuf`. `wbuf` drains to
+//! the socket under `EPOLLOUT` when a write would block (partial writes
+//! keep their position; interest is re-armed until the buffer empties).
+//!
+//! One write per readiness event: a parse pass handles every complete
+//! request in `rbuf` and then flushes once, and a batch of completions
+//! is filed whole before each connection it touched flushes once. So
+//! replies to requests pipelined in one read share a `write(2)`, and
+//! the first of them waits for the rest of that read's inline work —
+//! at most one 16 KiB read's worth (see Fairness). A pass paused on
+//! the write backlog runs again when its flush frees budget, so it
+//! never stalls with an empty socket and nothing in flight. Framing
+//! errors and close-after-drain flush through the same point.
 //!
 //! Fairness: once a read has produced answers given here, the reactor
 //! stops reading that connection and returns to `epoll_wait`; the
@@ -285,6 +295,23 @@ impl Conn {
         self.outstanding() == 0 && self.write_backlog() == 0
     }
 
+    /// File a reply given here. In sequence it renders straight into
+    /// `wbuf`: every earlier reply is already there and no later request
+    /// has been parsed, so the reorder buffer is empty. Out of sequence
+    /// it waits, rendered, in the reorder buffer.
+    fn file_reply(&mut self, seq: u64, status: u16, body: &str) {
+        if seq == self.next_write_seq {
+            debug_assert!(
+                self.reorder.is_empty(),
+                "nothing can follow the newest request"
+            );
+            http::render_response(&mut self.wbuf, status, body);
+            self.next_write_seq += 1;
+        } else {
+            self.file_response(seq, rendered(status, body));
+        }
+    }
+
     /// File a completed response; contiguous sequence numbers flow into
     /// `wbuf` immediately, gaps wait in the reorder buffer.
     fn file_response(&mut self, seq: u64, bytes: Vec<u8>) {
@@ -350,6 +377,43 @@ fn rendered(status: u16, body: &str) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(body.len() + 128);
     http::render_response(&mut bytes, status, body);
     bytes
+}
+
+/// What one parse pass did.
+struct Pass {
+    /// Some request was answered here, on the reactor thread.
+    answered_here: bool,
+    /// The pass stopped on the connection's pipeline or write budget.
+    paused: bool,
+}
+
+/// Hand one routed request to the pool; the worker runs it and rings
+/// the wake pipe with the rendered response.
+fn dispatch(
+    pool: &WorkerPool,
+    shared: &Arc<Shared>,
+    completions: &Arc<Mutex<Vec<Completion>>>,
+    slot: usize,
+    gen: u64,
+    seq: u64,
+    job: Job,
+) {
+    let shared = Arc::clone(shared);
+    let completions = Arc::clone(completions);
+    pool.submit(move || {
+        let (status, body) = run(job, &shared);
+        let bytes = rendered(status, &body);
+        completions
+            .lock()
+            .expect("completion queue")
+            .push(Completion {
+                slot,
+                gen,
+                seq,
+                bytes,
+            });
+        shared.wake.ring();
+    });
 }
 
 /// Serve the daemon through the reactor until it stops and drains.
@@ -585,16 +649,11 @@ impl Reactor {
             }
         }
         if mask & sys::EPOLLOUT != 0 {
-            self.try_flush(slot);
-            // A connection paused on its write backlog may hold requests
-            // that no completion will come back to resume: requests
-            // answered here leave nothing in flight.
-            if self.conns[slot]
-                .as_ref()
-                .is_some_and(|c| !c.rbuf.is_empty())
-            {
-                self.pump_parse(slot);
-            }
+            // Flush through a parse pass: a connection paused on its
+            // write backlog may hold requests that no completion will
+            // come back to resume, since requests answered here leave
+            // nothing in flight.
+            self.pump_parse(slot);
         }
         self.update_interest(slot);
     }
@@ -648,34 +707,62 @@ impl Reactor {
         }
     }
 
-    /// Parse every complete request out of `rbuf`, answering each here
-    /// or dispatching it to the pool (see [`step`]; once stopping, every
-    /// request is answered 503 here). Leaves partial bytes for the next
-    /// read and manages the slow-loris deadline. True if any request was
+    /// Parse every complete request out of `rbuf`, then flush the
+    /// replies given here in one write. A pass paused on the write
+    /// backlog runs again if that flush freed budget: nothing else would
+    /// resume it while nothing is in flight. True if any request was
     /// answered here.
     fn pump_parse(&mut self, slot: usize) -> bool {
         let mut answered_here = false;
         loop {
-            let conn = self.conns[slot].as_mut().expect("live conn");
+            let pass = self.parse_pass(slot);
+            answered_here |= pass.answered_here;
+            self.try_flush(slot);
+            let resume = pass.paused
+                && self.conns[slot]
+                    .as_ref()
+                    .is_some_and(|c| !c.over_budget() && !c.rbuf.is_empty());
+            if !resume {
+                return answered_here;
+            }
+        }
+    }
+
+    /// One pass over `rbuf`: answer each complete request here or
+    /// dispatch it to the pool (see [`step`]; once stopping, every
+    /// request is answered 503 here), until the bytes run out, the
+    /// connection goes over budget, or it will parse no more. Consumes
+    /// `rbuf` by offset and compacts it once; leaves partial bytes for
+    /// the next read and manages the slow-loris deadline. Writes
+    /// nothing.
+    fn parse_pass(&mut self, slot: usize) -> Pass {
+        let mut pass = Pass {
+            answered_here: false,
+            paused: false,
+        };
+        let conn = self.conns[slot].as_mut().expect("live conn");
+        let mut pos = 0;
+        loop {
             if conn.close_after_drain {
                 conn.rbuf.clear();
                 conn.head_deadline = None;
-                return answered_here;
+                return pass;
             }
             if conn.over_budget() {
                 // Paused on purpose: the buffered partial is not the
                 // peer's fault, so no slow-loris deadline.
                 conn.head_deadline = None;
-                return answered_here;
+                pass.paused = true;
+                break;
             }
-            match http::parse_head(&conn.rbuf) {
+            match http::parse_head(&conn.rbuf[pos..]) {
                 Ok(Some((head, consumed))) => {
-                    let total = consumed + head.content_length;
-                    if conn.rbuf.len() < total {
+                    let (body, end) = (pos + consumed, pos + consumed + head.content_length);
+                    if conn.rbuf.len() < end {
                         // Head complete, body still arriving.
                         let deadline = Instant::now() + self.shared.read_timeout;
                         conn.head_deadline.get_or_insert(deadline);
-                        return answered_here;
+                        break;
                     }
                     conn.head_deadline = None;
                     let seq = conn.next_seq;
@@ -691,76 +778,63 @@ impl Reactor {
                         conn.close_after_drain = true;
                         Step::Now(503, wire_error("daemon is shutting down"))
                     } else {
-                        step(&self.shared, &head, &conn.rbuf[consumed..total])
+                        step(&self.shared, &head, &conn.rbuf[body..end])
                     };
-                    conn.rbuf.drain(..total);
+                    pos = end;
                     match next {
                         Step::Now(status, body) => {
-                            conn.file_response(seq, rendered(status, &body));
-                            answered_here = true;
+                            conn.file_reply(seq, status, &body);
+                            pass.answered_here = true;
                         }
-                        Step::Pool(job) => self.dispatch(slot, seq, job),
-                    }
-                    self.try_flush(slot);
-                    if self.conns[slot].is_none() {
-                        return answered_here;
+                        Step::Pool(job) => {
+                            conn.in_flight += 1;
+                            self.total_in_flight += 1;
+                            dispatch(
+                                &self.pool,
+                                &self.shared,
+                                &self.completions,
+                                slot,
+                                conn.gen,
+                                seq,
+                                job,
+                            );
+                        }
                     }
                 }
                 Ok(None) => {
-                    let conn = self.conns[slot].as_mut().expect("live conn");
-                    if conn.rbuf.is_empty() {
+                    if conn.rbuf.len() == pos {
                         conn.head_deadline = None;
                     } else {
                         let deadline = Instant::now() + self.shared.read_timeout;
                         conn.head_deadline.get_or_insert(deadline);
                     }
-                    return answered_here;
+                    break;
                 }
                 Err(e) => {
                     // Hostile framing: answer the mapped status (431/
                     // 413/400) in sequence, then drain and close.
                     let (status, msg) = e.status();
-                    let conn = self.conns[slot].as_mut().expect("live conn");
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
-                    conn.file_response(seq, rendered(status, &wire_error(msg)));
+                    conn.file_reply(seq, status, &wire_error(msg));
                     conn.close_after_drain = true;
                     conn.rbuf.clear();
                     conn.head_deadline = None;
-                    self.try_flush(slot);
-                    return true;
+                    pass.answered_here = true;
+                    return pass;
                 }
             }
         }
+        conn.rbuf.drain(..pos);
+        pass
     }
 
-    /// Hand one routed request to the pool; the worker runs it and
-    /// rings the wake pipe with the rendered response.
-    fn dispatch(&mut self, slot: usize, seq: u64, job: Job) {
-        let conn = self.conns[slot].as_mut().expect("live conn");
-        conn.in_flight += 1;
-        self.total_in_flight += 1;
-        let gen = conn.gen;
-        let shared = Arc::clone(&self.shared);
-        let completions = Arc::clone(&self.completions);
-        self.pool.submit(move || {
-            let (status, body) = run(job, &shared);
-            let bytes = rendered(status, &body);
-            completions
-                .lock()
-                .expect("completion queue")
-                .push(Completion {
-                    slot,
-                    gen,
-                    seq,
-                    bytes,
-                });
-            shared.wake.ring();
-        });
-    }
-
+    /// File every completion the workers queued, then flush, resume
+    /// parsing and re-arm interest once per connection the batch
+    /// touched.
     fn drain_completions(&mut self) {
         let batch = std::mem::take(&mut *self.completions.lock().expect("completion queue"));
+        let mut touched = Vec::new();
         for c in batch {
             self.total_in_flight -= 1;
             let Some(conn) = self.conns.get_mut(c.slot).and_then(Option::as_mut) else {
@@ -771,12 +845,15 @@ impl Reactor {
             }
             conn.in_flight -= 1;
             conn.file_response(c.seq, c.bytes);
-            self.try_flush(c.slot);
-            if self.conns[c.slot].is_some() {
-                // Capacity freed: resume parsing buffered pipeline.
-                self.pump_parse(c.slot);
-            }
-            self.update_interest(c.slot);
+            touched.push(c.slot);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for slot in touched {
+            // Capacity freed: resume parsing buffered pipeline, and
+            // flush what the batch filed with what that answers here.
+            self.pump_parse(slot);
+            self.update_interest(slot);
         }
     }
 
@@ -790,7 +867,10 @@ impl Reactor {
         while conn.wpos < conn.wbuf.len() {
             match (&conn.stream).write(&conn.wbuf[conn.wpos..]) {
                 Ok(0) => break,
-                Ok(n) => conn.wpos += n,
+                Ok(n) => {
+                    conn.wpos += n;
+                    self.shared.reply_writes.fetch_add(1, Ordering::Relaxed);
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -849,7 +929,7 @@ impl Reactor {
                 let (status, msg) = http::FrameError::Timeout.status();
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
-                conn.file_response(seq, rendered(status, &wire_error(msg)));
+                conn.file_reply(seq, status, &wire_error(msg));
                 conn.close_after_drain = true;
                 conn.rbuf.clear();
                 conn.head_deadline = None;

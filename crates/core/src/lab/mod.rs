@@ -916,11 +916,12 @@ impl QueryEngine {
     /// Admission batching: if an identical `(plan, seed, mode)` execution
     /// is already in flight, wait for it and clone its outcome and trace
     /// instead of executing again; otherwise run `execute` and publish
-    /// the result to any duplicates that arrive before it finishes. The
-    /// batching window is exactly the in-flight duration — nothing is
-    /// retained once the winner finishes, so this is a rendezvous, not a
-    /// result cache (the plan cache already de-duplicates compiles;
-    /// executions stay seed-exact).
+    /// the result to any duplicates that arrive before it finishes (an
+    /// execute nobody waits for is not cloned). The batching window is
+    /// exactly the in-flight duration — nothing is retained once the
+    /// winner finishes, so this is a rendezvous, not a result cache (the
+    /// plan cache already de-duplicates compiles; executions stay
+    /// seed-exact).
     fn execute_shared(
         &self,
         plan: &Arc<ScenarioPlan>,
@@ -956,9 +957,15 @@ impl QueryEngine {
             }
         };
         let (outcome, local) = execute();
-        *flight.done.lock().unwrap() = Some((outcome.clone(), local.clone()));
-        flight.cv.notify_all();
         self.exec_flights.lock().unwrap().remove(&key);
+        // Duplicates take their `Arc` under the map's lock, and the
+        // flight has left the map: a count of 1 proves nobody waits, so
+        // nothing is cloned for nobody. (`waiters` is no such proof: a
+        // duplicate counts itself only after dropping the lock.)
+        if Arc::strong_count(&flight) > 1 {
+            *flight.done.lock().unwrap() = Some((outcome.clone(), local.clone()));
+            flight.cv.notify_all();
+        }
         (outcome, local)
     }
 
@@ -1401,6 +1408,64 @@ mod tests {
             lab.exec_flights.lock().unwrap().is_empty(),
             "flights are a rendezvous, not a cache"
         );
+    }
+
+    #[test]
+    fn racing_duplicate_executes_get_the_serial_outcome_and_never_hang() {
+        // THREADS threads execute one (plan, seed) at once, round after
+        // round: each gets the serial outcome, each either ran the
+        // execute or shared one, and no duplicate is left waiting on a
+        // flight whose winner published to nobody
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 2000;
+        let lab = Arc::new(QueryEngine::new());
+        let plan = lab.plan(&scenario(1)).unwrap();
+        let serial = plan.execute(7, &mut Recorder::off());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let barrier = Arc::new(std::sync::Barrier::new(THREADS));
+            for round in 0..ROUNDS {
+                let executes = Arc::new(AtomicU64::new(0));
+                let batched = lab.batched_executes();
+                let racers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        let (lab, plan) = (Arc::clone(&lab), Arc::clone(&plan));
+                        let (barrier, executes) = (Arc::clone(&barrier), Arc::clone(&executes));
+                        std::thread::spawn(move || {
+                            barrier.wait();
+                            lab.execute_shared(&plan, 7, 0, || {
+                                executes.fetch_add(1, Ordering::Relaxed);
+                                let mut rec = Recorder::off();
+                                (plan.execute(7, &mut rec), rec)
+                            })
+                            .0
+                        })
+                    })
+                    .collect();
+                for racer in racers {
+                    let outcome = racer.join().unwrap();
+                    assert_eq!(outcome.elapsed, serial.elapsed, "round {round}");
+                    assert_eq!(outcome.result, serial.result, "round {round}");
+                }
+                let shared = lab.batched_executes() - batched;
+                assert_eq!(
+                    executes.load(Ordering::Relaxed) + shared,
+                    THREADS as u64,
+                    "round {round}: every racer runs or shares exactly one execute"
+                );
+            }
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(120)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("a duplicate execute is waiting on a flight nobody published")
+            }
+            _ => {
+                if let Err(panic) = runner.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! reactor thread itself: in request order behind pooled requests, never
 //! for a DES, over-budget or cold plan, never blocked behind a long
 //! execute on the pool, and never at the cost of starving another
-//! connection.
+//! connection. Replies to requests pipelined in one read share a write.
 
 use harborsim::hw::presets;
 use harborsim::study::lab::daemon::{DaemonHandle, LabClient, LabDaemon};
@@ -19,11 +19,12 @@ use harborsim::study::lab::{
 };
 use harborsim::study::scenario::{EngineKind, Execution, Outcome, Scenario};
 use harborsim::study::workloads;
+use harborsim_bench::loadgen::{menu_scenario, MENU_LEN};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 12;
@@ -149,6 +150,16 @@ fn concurrent_clients_match_the_serial_replay_on_the_reactor() {
     assert_eq!(d.mode, "reactor");
     assert_eq!(d.accept_errors, 0);
     assert!(d.open_conns >= 1, "the stats connection itself is open");
+
+    // inline and pooled answers interleaved: each client's first group
+    // covers all 4 plans (`i % 4`), so its later 8 requests are warm and
+    // answered on the reactor, while at least the 4 compiles took the pool
+    let inline = handle.inline_answers();
+    assert!(
+        (64..=92).contains(&inline),
+        "{inline} of {} requests answered on the reactor",
+        CLIENTS * REQUESTS_PER_CLIENT
+    );
 
     handle.shutdown();
     // in-process view agrees with the wire view
@@ -311,8 +322,8 @@ fn raw_roundtrip(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
 }
 
 /// Hostile framing gets the right status and a close: oversized heads
-/// 431, oversized declared bodies 413, garbled Content-Length 400 —
-/// never a hang, never a wedged worker.
+/// 431, oversized declared bodies 413, garbled or conflicting
+/// Content-Length 400 — never a hang, never a wedged worker.
 #[test]
 fn hostile_framing_is_rejected_on_the_reactor() {
     let daemon =
@@ -333,6 +344,16 @@ fn hostile_framing_is_rejected_on_the_reactor() {
 
     let garbled = "POST /v1/lab HTTP/1.1\r\nContent-Length: banana\r\n\r\n";
     let reply = raw_roundtrip(addr, garbled.as_bytes());
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
+
+    // the first length frames a whole stats request; the second disagrees
+    let body = r#"{"v":1,"kind":"stats"}"#;
+    let conflicting = format!(
+        "POST /v1/lab HTTP/1.1\r\nContent-Length: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len(),
+        body.len() + 1
+    );
+    let reply = raw_roundtrip(addr, conflicting.as_bytes());
     assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
 
     // the daemon is still healthy afterwards
@@ -647,6 +668,58 @@ fn a_warm_execute_is_answered_while_a_des_execute_holds_the_only_worker() {
     let reply = String::from_utf8_lossy(&out);
     assert!(reply.starts_with("HTTP/1.1 200"), "{reply:?}");
     assert!(reply.contains(r#""kind":"execute""#), "{reply:?}");
+    handle.shutdown();
+}
+
+/// Warm executes pipelined in one write come back in request order, each
+/// byte-equal to the in-process reply, in a handful of writes: the
+/// reactor flushes once per readiness event, not once per reply.
+#[test]
+fn pipelined_warm_executes_are_flushed_together() {
+    const PIPELINED: usize = 32;
+    let handle = spawn(2);
+    let addr = handle.addr();
+    let mut client = LabClient::connect(addr).expect("connect");
+    for m in 0..MENU_LEN {
+        warm(&mut client, menu_scenario(m));
+    }
+    let requests: Vec<LabRequest> = (0..PIPELINED)
+        .map(|i| LabRequest::execute(menu_scenario(i % MENU_LEN), i as u64))
+        .collect();
+    let bytes: Vec<u8> = requests
+        .iter()
+        .flat_map(|req| lab_post(addr, req, false))
+        .collect();
+    let direct = QueryEngine::new();
+    let expected: Vec<String> = requests
+        .into_iter()
+        .map(|req| wire::encode_response(&direct.handle(req)))
+        .collect();
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let before = handle.reply_writes();
+    (&stream)
+        .write_all(&bytes)
+        .expect("every request in one write");
+    let mut reader = BufReader::new(&stream);
+    for (i, expect) in expected.iter().enumerate() {
+        assert_eq!(&read_reply(&mut reader), expect, "reply {i}");
+    }
+    // a write is counted just after it returns, so the client can see
+    // its bytes first
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.reply_writes() == before && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let writes = handle.reply_writes() - before;
+    assert!(
+        (1..=4).contains(&writes),
+        "{PIPELINED} pipelined replies took {writes} writes"
+    );
+    assert_eq!(handle.inline_answers(), PIPELINED as u64);
     handle.shutdown();
 }
 
