@@ -3,15 +3,19 @@
 //! Costs a [`JobProfile`] against a node model, a composed network model and
 //! a rank placement using LogGP closed forms over the routed link graph
 //! shared with the DES engine ([`harborsim_net::link`]). Each communication
-//! round deposits its messages on their routes in a fluid [`LinkSchedule`];
-//! the round's wire time is the busiest link's drain time. Total work is
-//! `O(phases × ranks·log ranks)` regardless of how many timesteps the job
-//! has (steps are run-length encoded), which is what lets HarborSim sweep
-//! the MareNostrum4 FSI case to 12,288 ranks in microseconds.
+//! round counts its messages per link in a fluid [`LinkSchedule`] and
+//! settles them once at the round's message size; the round's wire time is
+//! the busiest link's drain time. Total work is `O(phases × ranks·log
+//! ranks)` regardless of how many timesteps the job has (steps are
+//! run-length encoded), and the per-rank part is integer counting. A plan's
+//! first execute of the MareNostrum4 CFD case at 128 × 48 = 6,144 ranks
+//! takes about 0.56 ms on a 2-thread host (`engine_micro`'s
+//! `fresh_plan_first_execute_mn4_128x48`, median of 8 runs; 1.33 ms with a
+//! float deposit per message).
 //!
 //! A run splits in two. [`AnalyticEngine::cost`] does everything that does
-//! not depend on the seed, once per plan: it deposits every round's
-//! messages on the link graph (the only per-rank work) and keeps the result
+//! not depend on the seed, once per plan: it counts every round's messages
+//! on the link graph (the only per-rank work) and keeps the result
 //! as an [`AnalyticCost`] table: each step's compute seconds, each phase's
 //! seconds and bridge share, the message and byte totals, and per-link busy
 //! seconds and bytes. [`AnalyticEngine::replay`] does the per-seed work: it
@@ -36,11 +40,11 @@
 use crate::collectives::{log2_rounds, AllreduceAlgo};
 use crate::mapping::{route_table, RankMap};
 use crate::result::{CommBreakdown, LinkUsage, SimResult};
-use crate::workload::{CommPhase, JobProfile, StepProfile};
+use crate::workload::{for_each_grid_face, CommPhase, JobProfile, StepProfile};
 use harborsim_des::trace::{Recorder, SpanCategory};
 use harborsim_des::{RngStream, SimDuration, SimTime};
 use harborsim_hw::NodeSpec;
-use harborsim_net::{LinkId, LinkSchedule, NetworkModel, RouteTable};
+use harborsim_net::{LinkGraph, LinkId, LinkSchedule, NetworkModel, RouteTable};
 use std::sync::Arc;
 
 /// Knobs common to both engines.
@@ -97,19 +101,16 @@ impl PhaseCost {
     }
 }
 
-/// Working state of one costing: the round being counted (per-node message
-/// tallies + the fluid link schedule), the current phase's per-link
-/// accumulators, and the whole job's per-link accumulators.
+/// Working state of one costing, `O(links + nodes)`: the round being
+/// counted (per-node message tallies + the fluid link schedule), the
+/// current phase's per-link accumulators, and the whole job's per-link
+/// accumulators.
 #[derive(Debug)]
 struct Scratch {
     /// Fluid schedule of the round being counted.
     sched: LinkSchedule,
-    /// Outbound inter-node messages per source node, this round.
-    out: Vec<u32>,
     /// Intra-node messages per node, this round.
     intra: Vec<u32>,
-    total_cut: u64,
-    total_intra: u64,
     /// Per-link busy seconds deposited by the current phase.
     phase_busy: Vec<f64>,
     /// Per-link payload bytes deposited by the current phase.
@@ -121,14 +122,12 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Zeroed state for a plan with `links` links over `nodes` nodes.
-    fn new(links: usize, nodes: usize) -> Scratch {
+    /// Zeroed state for a plan over `graph`, whose job spans `nodes` nodes.
+    fn new(graph: &LinkGraph, nodes: usize) -> Scratch {
+        let links = graph.len();
         Scratch {
-            sched: LinkSchedule::new(links),
-            out: vec![0; nodes],
+            sched: LinkSchedule::new(graph),
             intra: vec![0; nodes],
-            total_cut: 0,
-            total_intra: 0,
             phase_busy: vec![0.0; links],
             phase_bytes: vec![0; links],
             link_busy: vec![0.0; links],
@@ -138,10 +137,7 @@ impl Scratch {
 
     /// Start counting a fresh communication round.
     fn begin_round(&mut self) {
-        self.out.fill(0);
         self.intra.fill(0);
-        self.total_cut = 0;
-        self.total_intra = 0;
         self.sched.reset();
     }
 
@@ -270,7 +266,7 @@ impl AnalyticEngine {
     /// `O(phases × ranks·log ranks)`, the engine's only per-rank work.
     pub fn cost(&self, job: &JobProfile) -> AnalyticCost {
         let nlinks = self.routes.graph().len();
-        let mut s = Scratch::new(nlinks, self.map.nodes as usize);
+        let mut s = Scratch::new(self.routes.graph(), self.map.nodes as usize);
         let mut segments =
             Vec::with_capacity(job.steps.iter().map(|(step, _)| 1 + step.comm.len()).sum());
         let mut inter_msgs = 0u64;
@@ -445,22 +441,35 @@ impl AnalyticEngine {
         }
     }
 
-    /// Deposit one message on the round being counted in `s`.
-    fn round_add(&self, s: &mut Scratch, src: u32, dst: u32, bytes: u64) {
-        let route = self.routes.route(src, dst);
-        let n = self.routes.node_of(src) as usize;
-        if route.is_local() {
-            s.intra[n] += 1;
-            s.total_intra += 1;
+    /// Count one message on the round being counted in `s`. Its size is
+    /// the round's, given once to [`AnalyticEngine::round_cost`].
+    #[inline]
+    fn round_add(&self, s: &mut Scratch, src: u32, dst: u32) {
+        let (a, b) = (self.routes.node_of(src), self.routes.node_of(dst));
+        if a == b {
+            s.intra[a as usize] += 1;
         } else {
-            s.out[n] += 1;
-            s.total_cut += 1;
-            s.sched.add(self.routes.graph(), &route, bytes);
+            s.sched.deposit(self.routes.graph(), a, b);
         }
     }
 
-    /// Cost the round counted in `s`, scaled by `mult` identical repeats,
-    /// and fold its link tallies (×`mult`) into the phase accumulators.
+    /// Count the two messages `r → q` and `q → r`, looking each rank's
+    /// node up once.
+    #[inline]
+    fn round_exchange(&self, s: &mut Scratch, r: u32, q: u32) {
+        let (a, b) = (self.routes.node_of(r), self.routes.node_of(q));
+        if a == b {
+            s.intra[a as usize] += 2;
+        } else {
+            let g = self.routes.graph();
+            s.sched.deposit(g, a, b);
+            s.sched.deposit(g, b, a);
+        }
+    }
+
+    /// Cost the round counted in `s` at `bytes` per message, scaled by
+    /// `mult` identical repeats, and fold its link tallies (×`mult`) into
+    /// the phase accumulators.
     ///
     /// The inter-node part is LogGP alpha + the schedule's busiest-link
     /// drain time + the longest route's switch latency; the intra-node part
@@ -468,13 +477,15 @@ impl AnalyticEngine {
     /// container-bridge term (every message of the busiest node queuing
     /// through one softirq path) does not overlap with either.
     fn round_cost(&self, s: &mut Scratch, bytes: u64, mult: u64) -> PhaseCost {
-        let out_max = s.out.iter().copied().max().unwrap_or(0);
         let intra_max = s.intra.iter().copied().max().unwrap_or(0);
+        let intra_msgs: u64 = s.intra.iter().map(|&n| n as u64).sum();
+        let round = s.sched.settle(self.routes.graph(), bytes);
+        let (inter_msgs, out_max) = (round.messages(), round.max_node_sends());
         let mut seconds: f64 = 0.0;
-        if s.total_cut > 0 {
+        if inter_msgs > 0 {
             let t = self.network.inter.alpha_seconds(bytes)
-                + s.sched.wire_seconds()
-                + s.sched.max_latency_s();
+                + round.wire_seconds()
+                + round.max_latency_s();
             seconds = seconds.max(t);
         }
         if intra_max > 0 {
@@ -486,19 +497,18 @@ impl AnalyticEngine {
         let serialized =
             self.network.node_serialized_per_msg_s * (out_max as f64 + intra_max as f64);
         seconds += serialized;
+        // an unloaded link would add 0.0, which leaves its tally as is
         let mf = mult as f64;
-        for (pb, &b) in s.phase_busy.iter_mut().zip(s.sched.busy_s()) {
-            *pb += b * mf;
-        }
-        for (pb, &b) in s.phase_bytes.iter_mut().zip(s.sched.bytes()) {
-            *pb += b * mult;
+        for l in round.loads() {
+            s.phase_busy[l.link.index()] += l.busy_s * mf;
+            s.phase_bytes[l.link.index()] += l.bytes * mult;
         }
         PhaseCost {
             seconds,
             bridge_s: serialized,
-            inter_msgs: s.total_cut,
-            intra_msgs: s.total_intra,
-            inter_bytes: s.total_cut * bytes,
+            inter_msgs,
+            intra_msgs,
+            inter_bytes: inter_msgs * bytes,
         }
         .times(mult)
     }
@@ -511,8 +521,7 @@ impl AnalyticEngine {
         // directed messages along the chain: r -> r+1 and r+1 -> r
         s.begin_round();
         for r in 0..p - 1 {
-            self.round_add(s, r, r + 1, bytes);
-            self.round_add(s, r + 1, r, bytes);
+            self.round_exchange(s, r, r + 1);
         }
         self.round_cost(s, bytes, 1)
     }
@@ -527,23 +536,22 @@ impl AnalyticEngine {
         if p <= 1 {
             return PhaseCost::default();
         }
+        // every rank sends to each face neighbour: each face both ways
         s.begin_round();
-        for r in 0..p {
-            for nb in crate::workload::grid_neighbors(r, dims) {
-                self.round_add(s, r, nb, bytes);
-            }
-        }
+        for_each_grid_face(dims, |r, q| self.round_exchange(s, r, q));
         self.round_cost(s, bytes, 1)
     }
 
-    /// One pairwise-exchange round at XOR distance `dist`, ×`mult`.
+    /// One pairwise-exchange round at XOR distance `dist` (a power of
+    /// two), ×`mult`: every rank `r` with `r ^ dist < p` sends to it.
     fn pairwise_round_cost(&self, s: &mut Scratch, dist: u32, bytes: u64, mult: u64) -> PhaseCost {
         let p = self.map.ranks();
         s.begin_round();
-        for r in 0..p {
-            let partner = r ^ dist;
-            if partner < p {
-                self.round_add(s, r, partner, bytes);
+        // the ranks with bit `dist` clear come in blocks of `dist`; each
+        // exchanges with `r + dist` when that rank exists
+        for lo in (0..p).step_by(2 * dist as usize) {
+            for r in lo..(lo + dist).min(p.saturating_sub(dist)) {
+                self.round_exchange(s, r, r + dist);
             }
         }
         self.round_cost(s, bytes, mult)
@@ -566,7 +574,7 @@ impl AnalyticEngine {
                 let chunk = bytes.div_ceil(p as u64).max(1);
                 s.begin_round();
                 for r in 0..p {
-                    self.round_add(s, r, (r + 1) % p, chunk);
+                    self.round_add(s, r, (r + 1) % p);
                 }
                 let rounds = 2 * (p as u64 - 1);
                 total.accumulate(self.round_cost(s, chunk, rounds));
@@ -588,8 +596,7 @@ impl AnalyticEngine {
         }
         s.begin_round();
         for &(a, b) in pairs {
-            self.round_add(s, a, b, bytes);
-            self.round_add(s, b, a, bytes);
+            self.round_exchange(s, a, b);
         }
         self.round_cost(s, bytes, 1)
     }
@@ -605,7 +612,7 @@ impl AnalyticEngine {
         for round in crate::collectives::bcast_rounds(p, bytes) {
             s.begin_round();
             for m in &round {
-                self.round_add(s, m.src, m.dst, bytes);
+                self.round_add(s, m.src, m.dst);
             }
             total.accumulate(self.round_cost(s, bytes, 1));
         }
@@ -620,7 +627,7 @@ impl AnalyticEngine {
         // everyone sends to rank 0; the root's downlink serializes the incast
         s.begin_round();
         for r in 1..p {
-            self.round_add(s, r, 0, bytes_per_rank);
+            self.round_add(s, r, 0);
         }
         self.round_cost(s, bytes_per_rank, 1)
     }
@@ -636,7 +643,7 @@ impl AnalyticEngine {
             // dissemination round: r -> (r + dist) % p
             s.begin_round();
             for r in 0..p {
-                self.round_add(s, r, (r + dist) % p, 8);
+                self.round_add(s, r, (r + dist) % p);
             }
             total.accumulate(self.round_cost(s, 8, 1));
         }

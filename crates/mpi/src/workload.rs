@@ -175,31 +175,101 @@ pub fn grid_coords(rank: u32, dims: (u32, u32, u32)) -> (u32, u32, u32) {
     (rank % a, (rank / a) % b, rank / (a * b))
 }
 
-/// The up-to-six face neighbours of `rank` in a 3D rank grid.
-pub fn grid_neighbors(rank: u32, dims: (u32, u32, u32)) -> Vec<u32> {
+/// The up-to-six face neighbours of `rank` in a 3D rank grid, in axis
+/// order (x−, x+, y−, y+, z−, z+), held inline so a walk over the ranks
+/// allocates nothing per rank.
+pub fn grid_neighbors(rank: u32, dims: (u32, u32, u32)) -> Neighbors {
     let (a, b, c) = dims;
     let (x, y, z) = grid_coords(rank, dims);
     let idx = |x: u32, y: u32, z: u32| x + a * (y + b * z);
-    let mut out = Vec::with_capacity(6);
+    let mut out = Neighbors {
+        ranks: [0; 6],
+        len: 0,
+    };
+    let mut push = |r: u32| {
+        out.ranks[out.len as usize] = r;
+        out.len += 1;
+    };
     if x > 0 {
-        out.push(idx(x - 1, y, z));
+        push(idx(x - 1, y, z));
     }
     if x + 1 < a {
-        out.push(idx(x + 1, y, z));
+        push(idx(x + 1, y, z));
     }
     if y > 0 {
-        out.push(idx(x, y - 1, z));
+        push(idx(x, y - 1, z));
     }
     if y + 1 < b {
-        out.push(idx(x, y + 1, z));
+        push(idx(x, y + 1, z));
     }
     if z > 0 {
-        out.push(idx(x, y, z - 1));
+        push(idx(x, y, z - 1));
     }
     if z + 1 < c {
-        out.push(idx(x, y, z + 1));
+        push(idx(x, y, z + 1));
     }
     out
+}
+
+/// Call `f(rank, neighbour)` once for every face two ranks of a 3D rank
+/// grid share, with `rank < neighbour`, walking the grid first axis
+/// fastest so no rank's coordinates need a division. Both directions of
+/// every face are exactly the messages [`grid_neighbors`] lists over all
+/// ranks.
+#[inline]
+pub fn for_each_grid_face(dims: (u32, u32, u32), mut f: impl FnMut(u32, u32)) {
+    let (a, b, c) = dims;
+    let mut r = 0;
+    for z in 0..c {
+        for y in 0..b {
+            for x in 0..a {
+                if x + 1 < a {
+                    f(r, r + 1);
+                }
+                if y + 1 < b {
+                    f(r, r + a);
+                }
+                if z + 1 < c {
+                    f(r, r + a * b);
+                }
+                r += 1;
+            }
+        }
+    }
+}
+
+/// A rank's face neighbours: at most six, inline. Derefs to the slice of
+/// the present ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Neighbors {
+    ranks: [u32; 6],
+    len: u8,
+}
+
+impl std::ops::Deref for Neighbors {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.ranks[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Neighbors {
+    type Item = u32;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u32, 6>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ranks.into_iter().take(self.len as usize)
+    }
+}
+
+impl<'a> IntoIterator for &'a Neighbors {
+    type Item = &'a u32;
+    type IntoIter = std::slice::Iter<'a, u32>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 /// A whole job: a run-length-encoded sequence of step profiles.
@@ -331,6 +401,43 @@ mod tests {
                     "neighbourhood must be symmetric: {r} <-> {nb}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn grid_neighbors_come_in_axis_order() {
+        // the centre of a 3x3x3 grid: x-, x+, y-, y+, z-, z+
+        assert_eq!(*grid_neighbors(13, (3, 3, 3)), [12, 14, 10, 16, 4, 22]);
+        // a corner has one neighbour per axis, and a chain has no y or z
+        assert_eq!(*grid_neighbors(0, (3, 3, 3)), [1, 3, 9]);
+        assert_eq!(
+            grid_neighbors(4, (5, 1, 1)).into_iter().collect::<Vec<_>>(),
+            [3]
+        );
+    }
+
+    #[test]
+    fn grid_faces_are_the_neighbour_lists_both_ways() {
+        for dims in [
+            (1, 1, 1),
+            (5, 1, 1),
+            (3, 3, 3),
+            (4, 3, 2),
+            factor3(48),
+            factor3(97),
+        ] {
+            let p = dims.0 * dims.1 * dims.2;
+            let mut listed: Vec<(u32, u32)> = (0..p)
+                .flat_map(|r| grid_neighbors(r, dims).into_iter().map(move |nb| (r, nb)))
+                .collect();
+            let mut faces = Vec::new();
+            for_each_grid_face(dims, |r, q| {
+                assert!(r < q);
+                faces.extend([(r, q), (q, r)]);
+            });
+            listed.sort_unstable();
+            faces.sort_unstable();
+            assert_eq!(faces, listed, "dims {dims:?}");
         }
     }
 

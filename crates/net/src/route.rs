@@ -8,12 +8,18 @@
 //!
 //! [`LinkSchedule`] is the analytic engine's costing device: a fluid
 //! (max-min sharing, no packet granularity) schedule where every message of
-//! a round deposits `bytes / capacity` of busy time on each link it
-//! crosses, and the round's wire time is the busiest link. The DES engine
-//! uses the same routes but materializes the links as FIFO resources, so
-//! both engines disagree only about queueing, never about topology.
+//! a round keeps each link it crosses busy for `bytes / capacity`, and the
+//! round's wire time is the busiest link. All messages of a round have one
+//! size, so the schedule counts messages per link while the round is built
+//! (integers only, keyed by node pair, no [`Route`] built) and folds each
+//! link's count into busy seconds once, when the round is settled at its
+//! size. The fold adds the same quantum `count` times from `0.0`, which is
+//! bit for bit what a per-message deposit computes in any order. The DES
+//! engine uses the same routes but materializes the links as FIFO
+//! resources, so both engines disagree only about queueing, never about
+//! topology.
 
-use crate::link::{LinkGraph, LinkId};
+use crate::link::{LinkClass, LinkGraph, LinkId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How many [`RouteTable`]s have been built, process-wide. Route tables are
@@ -48,12 +54,6 @@ impl Route {
     #[inline]
     pub fn links(&self) -> &[LinkId] {
         &self.links[..self.len as usize]
-    }
-
-    /// True when src and dst share a node: no links, no switch latency.
-    #[inline]
-    pub fn is_local(&self) -> bool {
-        self.len == 0
     }
 
     /// Total switch-traversal latency along the route, seconds.
@@ -134,41 +134,70 @@ impl RouteTable {
     }
 }
 
-/// Fluid costing of one communication round over a [`LinkGraph`].
+/// Fluid costing of one communication round over a [`LinkGraph`], by
+/// counting messages per link.
 ///
-/// `add` deposits a message on its route; [`wire_seconds`](Self::wire_seconds)
-/// then reads off the round's serialization time as the busiest link — every
-/// link drains its queued bytes at full capacity, concurrently. The per-link
-/// busy and byte tallies survive for utilization reporting.
+/// Every message of a round has the same size, so each link's busy time is
+/// one quantum, `bytes / capacity`, added once per message crossing it. A
+/// round therefore needs only integers while its messages arrive:
+/// [`deposit`](Self::deposit) adds 1 to the count of each link between two
+/// nodes and notes whether the pair shares a leaf. The size comes once, at
+/// [`settle`](Self::settle), which folds each loaded link's count into its
+/// busy seconds and bytes and reads off the round's serialization time as
+/// the busiest link: every link drains its queued bytes at full capacity,
+/// concurrently.
+///
+/// The fold is exact, not an approximation of per-message deposits: a
+/// link's busy time is the left fold from `0.0` of `count` copies of its
+/// quantum, which is what adding the quantum once per message computes, in
+/// any message order. Settling sorts the loaded links by (quantum, count)
+/// and extends one running sum through each run of equal quanta, so a
+/// round's floating-point work is `O(links · log links)` plus the largest
+/// count of each distinct quantum, however many messages it carried. A
+/// degraded link has a quantum of its own and gets its own sum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkSchedule {
-    busy_s: Vec<f64>,
-    bytes: Vec<u64>,
+    /// Leaf switch of each node, so a deposit divides nothing.
+    leaf_of: Box<[u32]>,
+    /// Messages deposited on each link this round, by [`LinkId::index`].
+    count: Vec<u32>,
+    /// Some deposited pair shares a leaf.
+    same_leaf: bool,
+    /// Some deposited pair crosses the spine.
+    cross_leaf: bool,
+    /// The loaded links of the last settle, in (quantum, count) order.
+    loads: Vec<LinkLoad>,
+}
+
+/// One loaded link of a settled round.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkLoad {
+    /// The link.
+    pub link: LinkId,
+    /// Messages that crossed it this round.
+    pub messages: u32,
+    /// Seconds one message keeps it busy: `bytes / capacity`.
+    pub quantum_s: f64,
+    /// Busy seconds: `messages` quanta, added one at a time from `0.0`.
+    pub busy_s: f64,
+    /// Payload bytes it carried: `messages × bytes`.
+    pub bytes: u64,
+}
+
+/// A round of a [`LinkSchedule`] settled at one message size.
+#[derive(Debug, Clone, Copy)]
+pub struct SettledRound<'a> {
+    loads: &'a [LinkLoad],
+    messages: u64,
+    max_node_sends: u32,
+    wire_s: f64,
     max_latency_s: f64,
 }
 
-impl LinkSchedule {
-    /// An empty schedule over `links` links (see [`LinkGraph::len`]).
-    pub fn new(links: usize) -> LinkSchedule {
-        LinkSchedule {
-            busy_s: vec![0.0; links],
-            bytes: vec![0; links],
-            max_latency_s: 0.0,
-        }
-    }
-
-    /// Deposit one `bytes`-sized message on `route`.
-    pub fn add(&mut self, graph: &LinkGraph, route: &Route, bytes: u64) {
-        for &l in route.links() {
-            self.busy_s[l.index()] += bytes as f64 / graph.capacity_bps(l);
-            self.bytes[l.index()] += bytes;
-        }
-        self.max_latency_s = self.max_latency_s.max(route.latency_s());
-    }
-
+impl SettledRound<'_> {
     /// The round's wire time: the busiest link's drain time.
     pub fn wire_seconds(&self) -> f64 {
-        self.busy_s.iter().copied().fold(0.0, f64::max)
+        self.wire_s
     }
 
     /// The longest switch latency any message of the round pays.
@@ -176,21 +205,117 @@ impl LinkSchedule {
         self.max_latency_s
     }
 
-    /// Per-link busy seconds, indexed by [`LinkId::index`].
-    pub fn busy_s(&self) -> &[f64] {
-        &self.busy_s
+    /// Messages deposited this round.
+    pub fn messages(&self) -> u64 {
+        self.messages
     }
 
-    /// Per-link bytes carried, indexed by [`LinkId::index`].
-    pub fn bytes(&self) -> &[u64] {
-        &self.bytes
+    /// The most messages any one node put on the fabric this round.
+    pub fn max_node_sends(&self) -> u32 {
+        self.max_node_sends
     }
 
-    /// Clear the schedule for the next round, keeping the allocation.
+    /// Every link that carried a message, in no particular link order.
+    pub fn loads(&self) -> &[LinkLoad] {
+        self.loads
+    }
+}
+
+impl LinkSchedule {
+    /// An empty schedule over `graph`'s links, with its leaf table.
+    pub fn new(graph: &LinkGraph) -> LinkSchedule {
+        LinkSchedule {
+            leaf_of: (0..graph.nodes()).map(|n| graph.leaf_of(n)).collect(),
+            count: vec![0; graph.len()],
+            same_leaf: false,
+            cross_leaf: false,
+            loads: Vec::with_capacity(graph.len()),
+        }
+    }
+
+    /// Deposit one message from node `a` to node `b` (`a != b`; same-node
+    /// traffic never reaches the fabric): its route's links each count
+    /// one more message.
+    #[inline]
+    pub fn deposit(&mut self, graph: &LinkGraph, a: u32, b: u32) {
+        debug_assert_ne!(a, b, "same-node messages cross no link");
+        let (la, lb) = (self.leaf_of[a as usize], self.leaf_of[b as usize]);
+        self.count[graph.node_up(a).index()] += 1;
+        self.count[graph.node_down(b).index()] += 1;
+        if la == lb {
+            self.same_leaf = true;
+        } else {
+            self.cross_leaf = true;
+            self.count[graph.leaf_up(la).index()] += 1;
+            self.count[graph.leaf_down(lb).index()] += 1;
+        }
+    }
+
+    /// Settle the round at `bytes` per message: fold every loaded link's
+    /// count into busy seconds and bytes over `graph`'s capacities (the
+    /// graph this schedule was built for). Allocates nothing.
+    pub fn settle(&mut self, graph: &LinkGraph, bytes: u64) -> SettledRound<'_> {
+        debug_assert_eq!(
+            self.count.len(),
+            graph.len(),
+            "schedule built for another graph"
+        );
+        self.loads.clear();
+        let (mut sent, mut max_node_sends) = (0u64, 0u32);
+        for (i, &messages) in self.count.iter().enumerate() {
+            if messages > 0 {
+                let link = LinkId(i as u32);
+                // every message leaves through exactly one node uplink
+                if graph.link(link).class == LinkClass::NodeUp {
+                    sent += messages as u64;
+                    max_node_sends = max_node_sends.max(messages);
+                }
+                self.loads.push(LinkLoad {
+                    link,
+                    messages,
+                    quantum_s: bytes as f64 / graph.capacity_bps(link),
+                    busy_s: 0.0,
+                    bytes: messages as u64 * bytes,
+                });
+            }
+        }
+        self.loads
+            .sort_unstable_by_key(|l| (l.quantum_s.to_bits(), l.messages));
+        let (mut quantum_bits, mut sum, mut added) = (None, 0.0, 0u32);
+        let mut wire_s: f64 = 0.0;
+        for l in &mut self.loads {
+            if quantum_bits != Some(l.quantum_s.to_bits()) {
+                (quantum_bits, sum, added) = (Some(l.quantum_s.to_bits()), 0.0, 0);
+            }
+            while added < l.messages {
+                sum += l.quantum_s;
+                added += 1;
+            }
+            l.busy_s = sum;
+            wire_s = wire_s.max(sum);
+        }
+        let hop = graph.hop_latency_s();
+        let mut max_latency_s: f64 = 0.0;
+        if self.same_leaf {
+            max_latency_s = max_latency_s.max(hop);
+        }
+        if self.cross_leaf {
+            max_latency_s = max_latency_s.max(3.0 * hop);
+        }
+        SettledRound {
+            loads: &self.loads,
+            messages: sent,
+            max_node_sends,
+            wire_s,
+            max_latency_s,
+        }
+    }
+
+    /// Clear the counts for the next round, keeping the allocations.
     pub fn reset(&mut self) {
-        self.busy_s.fill(0.0);
-        self.bytes.fill(0);
-        self.max_latency_s = 0.0;
+        self.count.fill(0);
+        self.same_leaf = false;
+        self.cross_leaf = false;
     }
 }
 
@@ -226,7 +351,6 @@ mod tests {
     fn same_node_routes_nothing() {
         let t = table();
         let r = t.route(0, 1);
-        assert!(r.is_local());
         assert!(r.links().is_empty());
         assert_eq!(r.latency_s(), 0.0);
     }
@@ -256,28 +380,141 @@ mod tests {
     fn schedule_finds_the_busiest_link() {
         let t = table();
         let g = t.graph();
-        let mut s = LinkSchedule::new(g.len());
+        let mut s = LinkSchedule::new(g);
         // two cross-leaf flows out of leaf 0 share its spine uplink
         // (capacity 0.5 * 2 * 1e9 = 1e9): uplink carries 2000 bytes
-        s.add(g, &t.route(0, 4), 1000);
-        s.add(g, &t.route(2, 6), 1000);
-        let up = g.leaf_up(0).index();
-        assert_eq!(s.bytes()[up], 2000);
-        assert!((s.busy_s()[up] - 2000.0 / 1e9).abs() < 1e-18);
-        assert!((s.wire_seconds() - 2000.0 / 1e9).abs() < 1e-18);
-        assert!((s.max_latency_s() - 3e-6).abs() < 1e-15);
+        s.deposit(g, t.node_of(0), t.node_of(4));
+        s.deposit(g, t.node_of(2), t.node_of(6));
+        let round = s.settle(g, 1000);
+        let up = round
+            .loads()
+            .iter()
+            .find(|l| l.link == g.leaf_up(0))
+            .expect("the spine uplink is loaded");
+        assert_eq!((up.messages, up.bytes), (2, 2000));
+        assert_eq!((round.messages(), round.max_node_sends()), (2, 1));
+        assert!((up.busy_s - 2000.0 / 1e9).abs() < 1e-18);
+        assert!((round.wire_seconds() - 2000.0 / 1e9).abs() < 1e-18);
+        assert!((round.max_latency_s() - 3e-6).abs() < 1e-15);
         s.reset();
-        assert_eq!(s.wire_seconds(), 0.0);
-        assert_eq!(s.bytes()[up], 0);
+        let round = s.settle(g, 1000);
+        assert_eq!(round.wire_seconds(), 0.0);
+        assert_eq!(round.max_latency_s(), 0.0);
+        assert!(round.loads().is_empty());
     }
 
     #[test]
-    fn local_messages_cost_no_wire_time() {
+    fn same_leaf_rounds_pay_one_hop() {
         let t = table();
         let g = t.graph();
-        let mut s = LinkSchedule::new(g.len());
-        s.add(g, &t.route(0, 1), 1_000_000);
-        assert_eq!(s.wire_seconds(), 0.0);
-        assert_eq!(s.max_latency_s(), 0.0);
+        let mut s = LinkSchedule::new(g);
+        s.deposit(g, 0, 1);
+        let round = s.settle(g, 1_000_000);
+        assert_eq!(round.loads().len(), 2, "node-up and node-down only");
+        assert!((round.max_latency_s() - 1e-6).abs() < 1e-15);
+    }
+
+    /// A small xorshift generator: the crate has no RNG of its own to lean
+    /// on below the DES kernel's streams.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// What a schedule that deposits `bytes / capacity` per message on
+    /// each link of its route computes: per-link busy seconds and bytes,
+    /// the busiest link and the longest route latency.
+    fn per_message_fold(
+        t: &RouteTable,
+        pairs: &[(u32, u32)],
+        bytes: u64,
+    ) -> (Vec<f64>, Vec<u64>, f64, f64) {
+        let g = t.graph();
+        let (mut busy, mut carried) = (vec![0.0; g.len()], vec![0u64; g.len()]);
+        let mut latency: f64 = 0.0;
+        for &(a, b) in pairs {
+            let route = t.route_between_nodes(a, b);
+            for &l in route.links() {
+                busy[l.index()] += bytes as f64 / g.capacity_bps(l);
+                carried[l.index()] += bytes;
+            }
+            latency = latency.max(route.latency_s());
+        }
+        let wire = busy.iter().copied().fold(0.0, f64::max);
+        (busy, carried, wire, latency)
+    }
+
+    #[test]
+    fn counting_equals_the_per_message_fold_bit_for_bit() {
+        // 13 nodes under 4-node leaves (a ragged last leaf), 1.1 GB/s
+        // nodes: quanta are not powers of two, so a multiplied fold would
+        // round differently
+        let mut g = LinkGraph::build(
+            &Topology::FatTree {
+                nodes_per_leaf: 4,
+                hop_latency_s: 0.3e-6,
+                taper: 0.7,
+            },
+            13,
+            1.1e9,
+            3.3e9,
+        );
+        g.degrade(g.node_up(2), 0.3);
+        g.degrade(g.node_down(7), 0.55);
+        g.degrade(g.leaf_up(1), 0.9);
+        let t = RouteTable::build(g, (0..13).collect());
+        let g = t.graph();
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let mut s = LinkSchedule::new(g);
+        let mut pairs = Vec::new();
+        for round in 0..400 {
+            pairs.clear();
+            // a whole leaf talking to itself, or the whole machine
+            let span = if round % 3 == 0 { 4 } else { 13 };
+            for _ in 0..rng.below(600) {
+                let a = rng.below(span) as u32;
+                let b = rng.below(span) as u32;
+                if a != b {
+                    pairs.push((a, b));
+                }
+            }
+            let bytes = 1 + rng.below(1 << (1 + round % 30));
+            let (busy, carried, wire, latency) = per_message_fold(&t, &pairs, bytes);
+            s.reset();
+            for &(a, b) in &pairs {
+                s.deposit(g, a, b);
+            }
+            let settled = s.settle(g, bytes);
+            let (mut got_busy, mut got_bytes) = (vec![0.0; g.len()], vec![0u64; g.len()]);
+            for l in settled.loads() {
+                got_busy[l.link.index()] = l.busy_s;
+                got_bytes[l.link.index()] = l.bytes;
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got_busy), bits(&busy), "round {round}: busy");
+            assert_eq!(got_bytes, carried, "round {round}: bytes");
+            assert_eq!(
+                settled.wire_seconds().to_bits(),
+                wire.to_bits(),
+                "round {round}"
+            );
+            assert_eq!(
+                settled.max_latency_s().to_bits(),
+                latency.to_bits(),
+                "round {round}"
+            );
+            assert_eq!(settled.messages(), pairs.len() as u64, "round {round}");
+            let mut sends = [0u32; 13];
+            for &(a, _) in &pairs {
+                sends[a as usize] += 1;
+            }
+            assert_eq!(settled.max_node_sends(), sends.into_iter().max().unwrap());
+        }
     }
 }

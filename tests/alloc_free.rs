@@ -2,8 +2,8 @@
 //!
 //! Two guarantees, asserted with a counting global allocator:
 //!
-//! 1. `LinkSchedule` round costing reuses its buffers — a reset + deposit
-//!    cycle on a warmed schedule allocates **exactly zero**.
+//! 1. `LinkSchedule` round costing reuses its buffers — a reset, deposit
+//!    and settle cycle on a warmed schedule allocates **exactly zero**.
 //! 2. Both engines' `run_traced` cost is constant in the step count: a run
 //!    with 10x the steps performs the *same number* of allocations as a
 //!    short run, because everything that scales with steps (events, link
@@ -85,14 +85,15 @@ fn link_schedule_round_costing_allocates_exactly_zero() {
         1e9,
     );
     let table = RouteTable::build(graph, (0..16).map(|r| r / 2).collect());
-    let mut sched = LinkSchedule::new(table.graph().len());
+    let g = table.graph();
+    let mut sched = LinkSchedule::new(g);
     let round = |sched: &mut LinkSchedule| {
         sched.reset();
         for src in 0..16u32 {
             let dst = (src + 2) % 16;
-            sched.add(table.graph(), &table.route(src, dst), 64 * 1024);
+            sched.deposit(g, table.node_of(src), table.node_of(dst));
         }
-        sched.wire_seconds()
+        sched.settle(g, 64 * 1024).wire_seconds()
     };
     let warm = round(&mut sched);
     let before = allocations();
@@ -104,7 +105,7 @@ fn link_schedule_round_costing_allocates_exactly_zero() {
     assert!(acc > 0.0 && warm > 0.0);
     assert_eq!(
         during, 0,
-        "LinkSchedule reset+deposit must reuse its buffers (saw {during} allocations)"
+        "LinkSchedule reset+deposit+settle must reuse its buffers (saw {during} allocations)"
     );
 }
 
