@@ -29,7 +29,6 @@ pub mod cfd;
 pub mod dist;
 pub mod fsi;
 pub mod fsi_dist;
-pub mod memo;
 pub mod mesh;
 pub mod pulse1d;
 pub mod wall;

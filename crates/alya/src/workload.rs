@@ -17,10 +17,11 @@ pub trait AlyaCase {
     /// The job profile at `ranks` MPI ranks.
     fn job_profile(&self, ranks: u32) -> JobProfile;
     /// A string uniquely identifying every parameter that influences
-    /// [`AlyaCase::job_profile`], enabling the process-wide cache in
-    /// [`crate::memo`]. The default (`None`) opts out of caching; cases
-    /// that opt in must include *all* profile-relevant state (floats by
-    /// bit pattern) or the cache will serve stale profiles.
+    /// [`AlyaCase::job_profile`]: the case's identity in plan-cache keys,
+    /// and how a registry workload is recognised by name. The default
+    /// (`None`) makes the case uncacheable; cases that return a key must
+    /// include *all* profile-relevant state (floats by bit pattern), or
+    /// two different cases would share cached plans.
     fn memo_key(&self) -> Option<String> {
         None
     }
@@ -275,6 +276,16 @@ impl AlyaCase for ArteryFsi {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parameter_change_changes_key() {
+        let a = ArteryCfd::small();
+        let mut b = a.clone();
+        b.cg_iters += 1;
+        // same label, different profile: the keys must not collide
+        assert_ne!(a.job_profile(8), b.job_profile(8));
+        assert_ne!(a.memo_key(), b.memo_key());
+    }
 
     #[test]
     fn cfd_total_flops_independent_of_ranks() {

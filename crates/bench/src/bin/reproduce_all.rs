@@ -59,7 +59,7 @@ use harborsim_core::experiments::{
     ext_breakdown, ext_campaign, ext_degraded, ext_io, ext_locality, ext_open_system, ext_oversub,
     ext_weak, fig1, fig2, fig3, tables, validation,
 };
-use harborsim_core::lab::QueryEngine;
+use harborsim_core::lab::{CampaignRow, CampaignRowKind, QueryEngine};
 use harborsim_core::script::ast::ExperimentsSpec;
 use harborsim_core::script::{compile_str, flags_script, CompiledScript};
 use std::path::PathBuf;
@@ -437,71 +437,47 @@ fn main() {
     // The generic campaign runner: every `campaign` block in the script
     // becomes a labelled grid of (mean elapsed, canonical plan-key
     // fingerprint) rows, executed through the same lab and plan cache as
-    // the paper experiments.
-    let fallback_seeds = compiled.seeds.clone();
-    for campaign in compiled.campaigns {
+    // the paper experiments. An open campaign (`arrivals poisson …`)
+    // runs through the open-system engine and reports tail latency
+    // instead of means.
+    let report = lab
+        .run_script(compiled, &mut harborsim_des::trace::Recorder::off())
+        .unwrap_or_else(|e| {
+            eprintln!("campaign failed: {e}");
+            std::process::exit(1);
+        });
+    for campaign in &report.campaigns {
         println!("\n== Campaign: {} ==", campaign.name);
-        let campaign_seeds: Vec<u64> = campaign.seeds_or(&fallback_seeds).to_vec();
-        let mut labels = Vec::with_capacity(campaign.runs.len());
-        let mut prints = Vec::with_capacity(campaign.runs.len());
-        let mut scenarios = Vec::with_capacity(campaign.runs.len());
-        for run in campaign.runs {
-            let label = if run.labels.is_empty() {
-                "(base)".to_string()
-            } else {
-                run.labels.join(" / ")
-            };
-            labels.push(label);
-            prints.push(run.fingerprint(taper));
-            scenarios.push(run.scenario);
-        }
-        // An open campaign (`arrivals poisson …`) is not a grid of solver
-        // runs but a stochastic arrival process: route it through the
-        // open-system engine and report tail latency instead of means.
-        if scenarios.iter().any(|s| s.open.is_some()) {
+        let open = matches!(
+            campaign.rows.first(),
+            Some(CampaignRow {
+                kind: CampaignRowKind::Open { .. },
+                ..
+            })
+        );
+        if open {
             println!(
                 "{:<44} {:>7} {:>7} {:>10} {:>10}   {:<16}",
                 "open run", "jobs", "util", "wait p50", "wait p99", "plan key"
             );
-            for ((label, scenario), print) in labels.iter().zip(&scenarios).zip(&prints) {
-                let mut wait = harborsim_core::QuantileSketch::new();
-                let mut jobs = 0u64;
-                let mut util = 0.0;
-                for &seed in &campaign_seeds {
-                    let report = harborsim_core::run_open_campaign(
-                        &lab,
-                        scenario,
-                        seed,
-                        &mut harborsim_des::trace::Recorder::off(),
-                    )
-                    .unwrap_or_else(|e| {
-                        eprintln!("open campaign {label} failed: {e}");
-                        std::process::exit(1);
-                    });
-                    jobs += report.jobs;
-                    util += report.utilization;
-                    for s in &report.per_runtime {
-                        wait.merge(&s.wait);
-                    }
-                }
-                util /= campaign_seeds.len().max(1) as f64;
-                println!(
-                    "{label:<44} {jobs:>7} {:>6.0}% {:>9.1}s {:>9.1}s   {print:016x}",
-                    util * 100.0,
-                    wait.p50(),
-                    wait.p99()
-                );
-            }
         } else {
-            let means = lab
-                .handle(harborsim_core::lab::LabRequest::batch(
-                    scenarios,
-                    &campaign_seeds,
-                ))
-                .means();
             println!("{:<44} {:>12}   {:<16}", "run", "mean [s]", "plan key");
-            for ((label, mean), print) in labels.iter().zip(&means).zip(&prints) {
-                println!("{label:<44} {mean:>12.2}   {print:016x}");
+        }
+        for row in &campaign.rows {
+            let (label, print) = (&row.label, row.fingerprint);
+            match row.kind {
+                CampaignRowKind::Closed { mean_elapsed_s } => {
+                    println!("{label:<44} {mean_elapsed_s:>12.2}   {print:016x}");
+                }
+                CampaignRowKind::Open {
+                    jobs,
+                    utilization,
+                    wait_p50_s,
+                    wait_p99_s,
+                } => println!(
+                    "{label:<44} {jobs:>7} {:>6.0}% {wait_p50_s:>9.1}s {wait_p99_s:>9.1}s   {print:016x}",
+                    utilization * 100.0
+                ),
             }
         }
     }

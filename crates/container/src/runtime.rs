@@ -142,8 +142,42 @@ pub struct ExecutionEnvironment {
 }
 
 impl ExecutionEnvironment {
+    /// The five environments of the study under the names scripts, the
+    /// wire and the CLI give them, in the order the paper introduces them.
+    /// A two-word name is a runtime and the containment it needs.
+    pub const NAMED: [(&'static str, ExecutionEnvironment); 5] = [
+        ("bare-metal", ExecutionEnvironment::bare_metal()),
+        ("docker", ExecutionEnvironment::docker()),
+        ("shifter", ExecutionEnvironment::shifter()),
+        (
+            "singularity self-contained",
+            ExecutionEnvironment::singularity_self_contained(),
+        ),
+        (
+            "singularity system-specific",
+            ExecutionEnvironment::singularity_system_specific(),
+        ),
+    ];
+
+    /// The environment `name` names. `None` for unknown names.
+    pub fn by_name(name: &str) -> Option<Self> {
+        Self::NAMED
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, env)| env)
+    }
+
+    /// This environment's name, if it is one of the five named ones
+    /// (Docker with a system-specific image, say, has none).
+    pub fn name(&self) -> Option<&'static str> {
+        Self::NAMED
+            .iter()
+            .find(|(_, env)| env == self)
+            .map(|&(n, _)| n)
+    }
+
     /// Bare metal control.
-    pub fn bare_metal() -> Self {
+    pub const fn bare_metal() -> Self {
         ExecutionEnvironment {
             runtime: RuntimeKind::BareMetal,
             containment: Containment::SystemSpecific,
@@ -152,7 +186,7 @@ impl ExecutionEnvironment {
 
     /// Docker with a self-contained image (the only way Docker was run in
     /// the study — it exists only on Lenox, whose fabric is plain TCP).
-    pub fn docker() -> Self {
+    pub const fn docker() -> Self {
         ExecutionEnvironment {
             runtime: RuntimeKind::Docker,
             containment: Containment::SelfContained,
@@ -160,7 +194,7 @@ impl ExecutionEnvironment {
     }
 
     /// Singularity with a host-integrated image.
-    pub fn singularity_system_specific() -> Self {
+    pub const fn singularity_system_specific() -> Self {
         ExecutionEnvironment {
             runtime: RuntimeKind::Singularity,
             containment: Containment::SystemSpecific,
@@ -168,7 +202,7 @@ impl ExecutionEnvironment {
     }
 
     /// Singularity with a fully portable image.
-    pub fn singularity_self_contained() -> Self {
+    pub const fn singularity_self_contained() -> Self {
         ExecutionEnvironment {
             runtime: RuntimeKind::Singularity,
             containment: Containment::SelfContained,
@@ -176,7 +210,7 @@ impl ExecutionEnvironment {
     }
 
     /// Shifter with a self-contained image.
-    pub fn shifter() -> Self {
+    pub const fn shifter() -> Self {
         ExecutionEnvironment {
             runtime: RuntimeKind::Shifter,
             containment: Containment::SelfContained,
@@ -321,6 +355,20 @@ mod tests {
         };
         assert_eq!(e.label(), "Singularity self-contained");
         assert_eq!(ExecutionEnvironment::bare_metal().label(), "Bare-metal");
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for (name, env) in ExecutionEnvironment::NAMED {
+            assert_eq!(ExecutionEnvironment::by_name(name), Some(env));
+            assert_eq!(env.name(), Some(name));
+        }
+        let unnamed = ExecutionEnvironment {
+            runtime: RuntimeKind::Docker,
+            containment: Containment::SystemSpecific,
+        };
+        assert_eq!(unnamed.name(), None);
+        assert_eq!(ExecutionEnvironment::by_name("singularity"), None);
     }
 
     #[test]

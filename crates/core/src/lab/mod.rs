@@ -46,6 +46,7 @@ pub use protocol::{
 
 use crate::error::HarborError;
 use crate::scenario::{EngineKind, Outcome, Scenario, ScenarioPlan};
+use crate::script::CompiledScript;
 use harborsim_container::runtime::ExecutionEnvironment;
 use harborsim_des::trace::{Recorder, SpanCategory};
 use harborsim_des::{SimDuration, SimTime};
@@ -735,7 +736,10 @@ impl QueryEngine {
                 execute_response(self.run_batch(vec![Query::new(*scenario, &[seed])], rec))
             }
             LabRequest::Batch { queries } => LabResponse::Batch(self.run_batch(queries, rec)),
-            LabRequest::Campaign { script } => match self.run_campaign(&script, rec) {
+            LabRequest::Campaign { script } => match crate::script::compile_str(&script)
+                .map_err(HarborError::from)
+                .and_then(|compiled| self.run_script(compiled, rec))
+            {
                 Ok(report) => LabResponse::Campaign(report),
                 Err(e) => LabResponse::Error(e),
             },
@@ -969,20 +973,24 @@ impl QueryEngine {
         (outcome, local)
     }
 
-    /// Run a `.hsim` campaign script as a query: compile it server-side,
-    /// then run every campaign's grid through the same cache and pool as
-    /// a flag-driven run — closed grids as one batch per campaign, open
+    /// Run the campaigns of a compiled `.hsim` script — the engine behind
+    /// [`LabRequest::Campaign`] and `reproduce_all --script`. Every
+    /// campaign's grid runs through the same cache and pool as a
+    /// flag-driven run: closed grids as one batch per campaign, open
     /// campaigns through the open-system engine. The script's own
     /// `taper` directive is honoured by pinning it onto runs that did
     /// not pin their own (sound because the *resolved* taper is what a
-    /// [`PlanKey`] fingerprints, not its provenance), so the reported
-    /// fingerprints match `reproduce_all --script` exactly.
-    fn run_campaign(
+    /// [`PlanKey`] fingerprints, not its provenance), so a row's
+    /// fingerprint does not depend on this engine's taper fallback when
+    /// the script sets one.
+    ///
+    /// # Errors
+    /// The first run that fails to compile or execute.
+    pub fn run_script(
         &self,
-        script: &str,
+        compiled: CompiledScript,
         rec: &mut Recorder,
     ) -> Result<CampaignReport, HarborError> {
-        let compiled = crate::script::compile_str(script)?;
         let script_taper = compiled.taper;
         let fallback_seeds = compiled.seeds.clone();
         let mut campaigns = Vec::with_capacity(compiled.campaigns.len());

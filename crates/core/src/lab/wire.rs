@@ -39,14 +39,11 @@ use crate::json::{read_document, Fields, Items, Json, JsonWriter, Raw, Schema};
 use crate::open::{MixSpec, OpenSpec};
 use crate::scenario::{EngineKind, Execution, Outcome, Scenario};
 use crate::script::{ScriptError, ScriptStage, Span};
-use harborsim_container::containment::Containment;
-use harborsim_container::runtime::RuntimeKind;
 use harborsim_des::SimDuration;
 use harborsim_mpi::result::{CommBreakdown, LinkUsage, SimResult};
 use harborsim_mpi::Placement;
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// The one protocol version this build speaks.
 pub const WIRE_VERSION: u64 = 1;
@@ -524,97 +521,26 @@ fn duration_ns(json: &Json, key: &str) -> Result<SimDuration, WireError> {
 
 // ------------------------------------------------------------- scenarios
 
-/// The cluster registry the wire names clusters by — same canonical
-/// names and aliases as the `.hsim` DSL. A cluster is named when its
-/// structural identity matches a preset's.
-fn cluster_name(cluster: &harborsim_hw::ClusterSpec) -> Option<&'static str> {
-    static PRESETS: OnceLock<[(&str, harborsim_hw::ClusterSpec); 4]> = OnceLock::new();
-    let presets = PRESETS.get_or_init(|| {
-        [
-            ("lenox", harborsim_hw::presets::lenox()),
-            ("marenostrum4", harborsim_hw::presets::marenostrum4()),
-            ("cte-power", harborsim_hw::presets::cte_power()),
-            ("thunderx", harborsim_hw::presets::thunderx()),
-        ]
-    });
-    let identity = cluster.identity();
-    presets
-        .iter()
-        .find(|(_, preset)| preset.identity() == identity)
-        .map(|&(name, _)| name)
-}
-
-fn cluster_by_name(name: &str) -> Result<harborsim_hw::ClusterSpec, WireError> {
-    match name {
-        "lenox" => Ok(harborsim_hw::presets::lenox()),
-        "marenostrum4" | "mn4" => Ok(harborsim_hw::presets::marenostrum4()),
-        "cte-power" | "cte" => Ok(harborsim_hw::presets::cte_power()),
-        "thunderx" => Ok(harborsim_hw::presets::thunderx()),
-        other => err(format!("unknown cluster `{other}`")),
-    }
-}
-
-/// The workload registry names, resolved by comparing memo keys (a
-/// workload's identity on the wire is its registry name).
-const WORKLOAD_NAMES: [&str; 6] = [
-    "cfd-small",
-    "cfd-lenox",
-    "cfd-cte",
-    "fsi-small",
-    "fsi-mn4",
-    "chain-halo",
-];
-
-fn workload_name(case: &dyn harborsim_alya::workload::AlyaCase) -> Option<&'static str> {
-    static KEYS: OnceLock<Vec<(&str, Option<String>)>> = OnceLock::new();
-    let keys = KEYS.get_or_init(|| {
-        WORKLOAD_NAMES
-            .into_iter()
-            .map(|name| {
-                (
-                    name,
-                    crate::workloads::by_name(name).and_then(|w| w.memo_key()),
-                )
-            })
-            .collect()
-    });
-    let key = case.memo_key()?;
-    keys.iter()
-        .find(|(_, k)| k.as_deref() == Some(key.as_str()))
-        .map(|&(name, _)| name)
-}
-
 fn env_name(env: Execution) -> Result<&'static str, WireError> {
-    match (env.runtime, env.containment) {
-        (RuntimeKind::BareMetal, Containment::SystemSpecific) => Ok("bare-metal"),
-        (RuntimeKind::Docker, Containment::SelfContained) => Ok("docker"),
-        (RuntimeKind::Shifter, Containment::SelfContained) => Ok("shifter"),
-        (RuntimeKind::Singularity, Containment::SelfContained) => Ok("singularity self-contained"),
-        (RuntimeKind::Singularity, Containment::SystemSpecific) => {
-            Ok("singularity system-specific")
-        }
-        (runtime, containment) => err(format!(
-            "execution environment {runtime:?}/{containment:?} has no wire name"
-        )),
-    }
+    env.name().ok_or_else(|| WireError {
+        msg: format!(
+            "execution environment {:?}/{:?} has no wire name",
+            env.runtime, env.containment
+        ),
+    })
 }
 
 fn env_by_name(name: &str) -> Result<Execution, WireError> {
-    match name {
-        "bare-metal" => Ok(Execution::bare_metal()),
-        "docker" => Ok(Execution::docker()),
-        "shifter" => Ok(Execution::shifter()),
-        "singularity self-contained" => Ok(Execution::singularity_self_contained()),
-        "singularity system-specific" => Ok(Execution::singularity_system_specific()),
-        other => err(format!("unknown execution environment `{other}`")),
-    }
+    Execution::by_name(name).ok_or_else(|| WireError {
+        msg: format!("unknown execution environment `{name}`"),
+    })
 }
 
 fn encode_scenario(w: &mut JsonWriter, s: &Scenario) -> Result<(), WireError> {
-    let cluster = cluster_name(&s.cluster).ok_or_else(|| WireError {
+    let cluster = harborsim_hw::presets::name_of(&s.cluster).ok_or_else(|| WireError {
         msg: "only the four paper-cluster presets are wire-encodable".into(),
     })?;
-    let workload = workload_name(s.case.as_ref()).ok_or_else(|| WireError {
+    let workload = crate::workloads::name_of(s.case.as_ref()).ok_or_else(|| WireError {
         msg: "only registry workloads are wire-encodable".into(),
     })?;
     w.begin_obj()
@@ -674,7 +600,10 @@ fn encode_scenario(w: &mut JsonWriter, s: &Scenario) -> Result<(), WireError> {
 fn decode_scenario(json: Fields<'_, '_>) -> Result<Scenario, WireError> {
     let [cluster, workload, env, nodes, rpn, tpr, engine, deploy, placement, taper, shards, open, degraded] =
         json.values();
-    let cluster = cluster_by_name(&field_str(cluster, "cluster")?)?;
+    let cluster_name = field_str(cluster, "cluster")?;
+    let cluster = harborsim_hw::presets::by_name(&cluster_name).ok_or_else(|| WireError {
+        msg: format!("unknown cluster `{cluster_name}`"),
+    })?;
     let workload_name = field_str(workload, "workload")?;
     let case = crate::workloads::by_name(&workload_name).ok_or_else(|| WireError {
         msg: format!("unknown workload `{workload_name}`"),

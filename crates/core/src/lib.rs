@@ -48,6 +48,7 @@ pub mod traceviz;
 pub mod workloads {
     pub use harborsim_alya::workload::{AlyaCase, ArteryCfd, ArteryFsi};
     use harborsim_mpi::workload::{CommPhase, JobProfile, StepProfile};
+    use std::sync::OnceLock;
 
     /// A 1D chain-halo case with enough bytes per edge that placement
     /// decides how much traffic hits the wire (the 3D CFD partitions can
@@ -107,19 +108,40 @@ pub mod workloads {
         ArteryFsi::small()
     }
 
-    /// Look a preset up by its script-facing registry name (the same
-    /// names the `.hsim` `workload` directive accepts). `None` for
-    /// unknown names.
+    /// The constructor of one registry workload.
+    type Build = fn() -> Box<dyn AlyaCase + Send + Sync>;
+
+    /// The presets under the names scripts, the wire and the CLI give
+    /// them, in registry order.
+    pub const NAMED: [(&str, Build); 6] = [
+        ("cfd-small", || Box::new(artery_cfd_small())),
+        ("cfd-lenox", || Box::new(artery_cfd_lenox())),
+        ("cfd-cte", || Box::new(artery_cfd_cte())),
+        ("fsi-small", || Box::new(artery_fsi_small())),
+        ("fsi-mn4", || Box::new(artery_fsi_mn4())),
+        ("chain-halo", || Box::new(ChainHaloCase)),
+    ];
+
+    /// Look a preset up by its registry name. `None` for unknown names.
     pub fn by_name(name: &str) -> Option<Box<dyn AlyaCase + Send + Sync>> {
-        match name {
-            "cfd-small" => Some(Box::new(artery_cfd_small())),
-            "cfd-lenox" => Some(Box::new(artery_cfd_lenox())),
-            "cfd-cte" => Some(Box::new(artery_cfd_cte())),
-            "fsi-small" => Some(Box::new(artery_fsi_small())),
-            "fsi-mn4" => Some(Box::new(artery_fsi_mn4())),
-            "chain-halo" => Some(Box::new(ChainHaloCase)),
-            _ => None,
-        }
+        NAMED
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, build)| build())
+    }
+
+    /// The registry name of `case`, matched by
+    /// [`memo_key`](AlyaCase::memo_key): a preset edited in any
+    /// profile-relevant field has no name.
+    pub fn name_of(case: &dyn AlyaCase) -> Option<&'static str> {
+        static KEYS: OnceLock<Vec<Option<String>>> = OnceLock::new();
+        let key = case.memo_key()?;
+        let keys = KEYS.get_or_init(|| NAMED.iter().map(|(_, build)| build().memo_key()).collect());
+        NAMED
+            .iter()
+            .zip(keys)
+            .find(|(_, k)| k.as_deref() == Some(key.as_str()))
+            .map(|(&(name, _), _)| name)
     }
 }
 

@@ -13,7 +13,6 @@
 
 use crate::error::HarborError;
 use crate::open::OpenSpec;
-use harborsim_alya::memo::job_profile_cached;
 use harborsim_alya::workload::AlyaCase;
 use harborsim_container::deploy::deployment_overhead;
 use harborsim_container::image::ImageManifest;
@@ -24,8 +23,8 @@ use harborsim_hw::{ClusterSpec, CpuModel, FabricLayout};
 use harborsim_mpi::analytic::EngineConfig;
 use harborsim_mpi::workload::JobProfile;
 use harborsim_mpi::{
-    route_table, AnalyticCost, AnalyticEngine, DesEngine, PerfEngine, Placement, RankMap,
-    SimResult, TruncatingDes,
+    route_table, AnalyticCost, AnalyticEngine, DesEngine, Placement, RankMap, SimResult,
+    TruncatingDes,
 };
 use harborsim_net::{NetworkModel, Topology};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -283,7 +282,7 @@ impl Scenario {
             threads_per_rank: self.threads_per_rank,
             placement: self.placement,
         };
-        let job = job_profile_cached(self.case.as_ref(), map.ranks());
+        let job = self.case.job_profile(map.ranks());
         // the engines see the environment only through its view: network
         // and compute tax both come from it
         let network = self.network_model_with(fallback_taper);
@@ -515,7 +514,7 @@ impl ScenarioPlan {
     pub fn engine_name(&self) -> &'static str {
         match &self.engine {
             PlanEngine::Analytic { .. } => "analytic",
-            PlanEngine::Des(des) => des.name(),
+            PlanEngine::Des(_) => "des",
         }
     }
 

@@ -8,6 +8,7 @@
 //! deterministic script generator a fuzz surface: it builds trees, prints
 //! them, and feeds the text back through the full pipeline.
 
+use crate::scenario::Execution;
 use crate::script::{Span, Spanned};
 use std::fmt;
 
@@ -78,8 +79,9 @@ pub enum Setting {
     Cluster(String),
     /// `workload cfd-lenox`
     Workload(String),
-    /// `env singularity self-contained`
-    Env(EnvSpec),
+    /// `env singularity self-contained` — one of the environments named
+    /// in [`Execution::NAMED`] (the printer writes its name).
+    Env(Execution),
     /// `nodes 4`
     Nodes(u64),
     /// `rpn 28` — MPI ranks per node.
@@ -120,21 +122,6 @@ pub enum Setting {
     Tenants(u64),
     /// `horizon 1200.0` — the open campaign's submission window, seconds.
     Horizon(f64),
-}
-
-/// A container runtime + containment choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnvSpec {
-    /// `bare-metal`
-    BareMetal,
-    /// `docker`
-    Docker,
-    /// `shifter`
-    Shifter,
-    /// `singularity self-contained`
-    SingularitySelfContained,
-    /// `singularity system-specific`
-    SingularitySystemSpecific,
 }
 
 /// Engine selection.
@@ -229,19 +216,6 @@ impl SweepPoint {
     }
 }
 
-impl EnvSpec {
-    /// The canonical source form.
-    pub fn words(self) -> &'static str {
-        match self {
-            EnvSpec::BareMetal => "bare-metal",
-            EnvSpec::Docker => "docker",
-            EnvSpec::Shifter => "shifter",
-            EnvSpec::SingularitySelfContained => "singularity self-contained",
-            EnvSpec::SingularitySystemSpecific => "singularity system-specific",
-        }
-    }
-}
-
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -325,7 +299,7 @@ impl fmt::Display for Setting {
         match self {
             Setting::Cluster(name) => write!(f, "cluster {name}"),
             Setting::Workload(name) => write!(f, "workload {name}"),
-            Setting::Env(env) => write!(f, "env {}", env.words()),
+            Setting::Env(env) => write!(f, "env {}", env.name().ok_or(fmt::Error)?),
             Setting::Nodes(n) => write!(f, "nodes {n}"),
             Setting::Rpn(n) => write!(f, "rpn {n}"),
             Setting::Threads(n) => write!(f, "threads {n}"),
@@ -431,7 +405,7 @@ mod tests {
                     body: vec![
                         synth(Setting::Cluster("lenox".into())),
                         synth(Setting::Workload("cfd-small".into())),
-                        synth(Setting::Env(EnvSpec::SingularitySelfContained)),
+                        synth(Setting::Env(Execution::singularity_self_contained())),
                         synth(Setting::Sweep(Sweep {
                             knobs: vec![synth("nodes".into())],
                             values: SweepValues::Range(2, 4),

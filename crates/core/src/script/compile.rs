@@ -14,13 +14,12 @@ use crate::open::{MixSpec, OpenSpec};
 use crate::runner::default_seeds;
 use crate::scenario::{EngineKind, Execution, Scenario};
 use crate::script::ast::{
-    Atom, Campaign, EngineSpec, EnvSpec, ExperimentsSpec, Item, PlacementSpec, Script, SeedsSpec,
-    Setting, Sweep, SweepValues,
+    Atom, Campaign, EngineSpec, ExperimentsSpec, Item, PlacementSpec, Script, SeedsSpec, Setting,
+    Sweep, SweepValues,
 };
-use crate::script::parser::parse;
+use crate::script::parser::{env_words, needs_containment, or_list, parse};
 use crate::script::{ScriptError, Span};
 use crate::workloads;
-use harborsim_alya::workload::AlyaCase;
 use harborsim_hw::presets;
 use harborsim_mpi::Placement;
 
@@ -30,8 +29,9 @@ type KnobBind = (String, Vec<Atom>, Span);
 /// One expanded sweep dimension: its labelled points, in source order.
 type SweepDim = Vec<(String, Vec<KnobBind>)>;
 
-/// The experiment names `experiments` may select, in `reproduce_all`'s
-/// execution order.
+/// The experiment names `experiments` may select. `reproduce_all` runs a
+/// selection in an order of its own, not this one; the order here is
+/// fixed because the script generator picks from the list by index.
 pub const EXPERIMENT_NAMES: [&str; 13] = [
     "fig1",
     "fig2",
@@ -46,24 +46,6 @@ pub const EXPERIMENT_NAMES: [&str; 13] = [
     "ext-degraded",
     "ext-locality",
     "ext-open-system",
-];
-
-/// The cluster registry: canonical name, aliases, constructor.
-const CLUSTERS: [(&str, &[&str]); 4] = [
-    ("lenox", &[]),
-    ("marenostrum4", &["mn4"]),
-    ("cte-power", &["cte"]),
-    ("thunderx", &[]),
-];
-
-/// The workload registry names.
-const WORKLOADS: [&str; 6] = [
-    "cfd-small",
-    "cfd-lenox",
-    "cfd-cte",
-    "fsi-small",
-    "fsi-mn4",
-    "chain-halo",
 ];
 
 /// A whole script, compiled: the run protocol plus one scenario grid per
@@ -256,7 +238,7 @@ fn resolve_seeds(spec: &SeedsSpec, span: Span) -> Result<Vec<u64>, ScriptError> 
 struct Cfg {
     cluster: Option<String>,
     workload: Option<String>,
-    env: EnvSpec,
+    env: Execution,
     nodes: u32,
     rpn: Option<u32>,
     threads: u32,
@@ -280,7 +262,7 @@ struct OpenCfg {
     tenants: Option<u32>,
     node_mix: Option<(f64, Vec<u32>)>,
     workload_mix: Option<(f64, Vec<String>)>,
-    env_mix: Option<(f64, Vec<EnvSpec>)>,
+    env_mix: Option<(f64, Vec<Execution>)>,
 }
 
 impl Cfg {
@@ -288,7 +270,7 @@ impl Cfg {
         Cfg {
             cluster: None,
             workload: None,
-            env: EnvSpec::BareMetal,
+            env: Execution::bare_metal(),
             nodes: 1,
             rpn: None,
             threads: 1,
@@ -315,11 +297,11 @@ fn compile_campaign(
         let at = setting.span;
         match &setting.value {
             Setting::Cluster(name) => {
-                resolve_cluster(name, at)?;
+                check_cluster(name, at)?;
                 base.cluster = Some(name.clone());
             }
             Setting::Workload(name) => {
-                resolve_workload(name, at)?;
+                check_workload(name, at)?;
                 base.workload = Some(name.clone());
             }
             Setting::Env(env) => base.env = *env,
@@ -468,12 +450,12 @@ fn apply_knob(cfg: &mut Cfg, knob: &str, atoms: &[Atom], at: Span) -> Result<(),
     match knob {
         "cluster" => {
             let name = one_word(atoms, at, "a cluster name")?;
-            resolve_cluster(&name, at)?;
+            check_cluster(&name, at)?;
             cfg.cluster = Some(name);
         }
         "workload" => {
             let name = one_word(atoms, at, "a workload name")?;
-            resolve_workload(&name, at)?;
+            check_workload(&name, at)?;
             cfg.workload = Some(name);
         }
         "env" => cfg.env = env_from_atoms(atoms, at)?,
@@ -536,8 +518,10 @@ fn build_scenario(cfg: &Cfg, span: Span) -> Result<Scenario, ScriptError> {
     let workload_name = cfg.workload.as_deref().ok_or_else(|| {
         ScriptError::compile(span, "campaign needs a `workload` (set it or sweep it)")
     })?;
-    let cluster = resolve_cluster(cluster_name, span)?;
-    let case = resolve_workload(workload_name, span)?;
+    let cluster =
+        presets::by_name(cluster_name).ok_or_else(|| unknown_cluster(cluster_name, span))?;
+    let case =
+        workloads::by_name(workload_name).ok_or_else(|| unknown_workload(workload_name, span))?;
     let ranks_per_node = cfg.rpn.unwrap_or_else(|| cluster.node.cores());
     for &(node, _) in &cfg.degraded {
         if node >= cfg.nodes {
@@ -556,7 +540,7 @@ fn build_scenario(cfg: &Cfg, span: Span) -> Result<Scenario, ScriptError> {
     Ok(Scenario {
         cluster,
         case,
-        env: execution(cfg.env),
+        env: cfg.env,
         nodes: cfg.nodes,
         ranks_per_node,
         threads_per_rank: cfg.threads,
@@ -599,7 +583,7 @@ fn apply_mix(
             let mut menu = Vec::with_capacity(values.len());
             for atoms in values {
                 let name = one_word(atoms, at, "a workload name")?;
-                resolve_workload(&name, at)?;
+                check_workload(&name, at)?;
                 menu.push(name);
             }
             open.workload_mix = Some((s, menu));
@@ -686,9 +670,9 @@ fn open_spec(cfg: &Cfg, workload: &str, span: Span) -> Result<Option<OpenSpec>, 
     let env_mix = match &o.env_mix {
         Some((s, menu)) => MixSpec {
             s: *s,
-            values: menu.iter().map(|e| execution(*e)).collect(),
+            values: menu.clone(),
         },
-        None => MixSpec::single(execution(cfg.env)),
+        None => MixSpec::single(cfg.env),
     };
     Ok(Some(OpenSpec {
         rate_per_s: rate,
@@ -700,55 +684,35 @@ fn open_spec(cfg: &Cfg, workload: &str, span: Span) -> Result<Option<OpenSpec>, 
     }))
 }
 
-fn resolve_cluster(name: &str, span: Span) -> Result<harborsim_hw::ClusterSpec, ScriptError> {
-    match name {
-        "lenox" => Ok(presets::lenox()),
-        "marenostrum4" | "mn4" => Ok(presets::marenostrum4()),
-        "cte-power" | "cte" => Ok(presets::cte_power()),
-        "thunderx" => Ok(presets::thunderx()),
-        other => Err(ScriptError::compile(
-            span,
-            format!(
-                "unknown cluster `{other}` (known: {})",
-                CLUSTERS
-                    .iter()
-                    .map(|(name, _)| *name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        )),
+fn check_cluster(name: &str, span: Span) -> Result<(), ScriptError> {
+    match presets::canonical_name(name) {
+        Some(_) => Ok(()),
+        None => Err(unknown_cluster(name, span)),
     }
 }
 
-fn resolve_workload(
-    name: &str,
-    span: Span,
-) -> Result<Box<dyn AlyaCase + Send + Sync>, ScriptError> {
-    match name {
-        "cfd-small" => Ok(Box::new(workloads::artery_cfd_small())),
-        "cfd-lenox" => Ok(Box::new(workloads::artery_cfd_lenox())),
-        "cfd-cte" => Ok(Box::new(workloads::artery_cfd_cte())),
-        "fsi-small" => Ok(Box::new(workloads::artery_fsi_small())),
-        "fsi-mn4" => Ok(Box::new(workloads::artery_fsi_mn4())),
-        "chain-halo" => Ok(Box::new(workloads::ChainHaloCase)),
-        other => Err(ScriptError::compile(
-            span,
-            format!(
-                "unknown workload `{other}` (known: {})",
-                WORKLOADS.join(", ")
-            ),
-        )),
+fn unknown_cluster(name: &str, span: Span) -> ScriptError {
+    let known: Vec<&str> = presets::NAMED.iter().map(|&(n, _, _)| n).collect();
+    ScriptError::compile(
+        span,
+        format!("unknown cluster `{name}` (known: {})", known.join(", ")),
+    )
+}
+
+fn check_workload(name: &str, span: Span) -> Result<(), ScriptError> {
+    if workloads::NAMED.iter().any(|&(n, _)| n == name) {
+        Ok(())
+    } else {
+        Err(unknown_workload(name, span))
     }
 }
 
-fn execution(env: EnvSpec) -> Execution {
-    match env {
-        EnvSpec::BareMetal => Execution::bare_metal(),
-        EnvSpec::Docker => Execution::docker(),
-        EnvSpec::Shifter => Execution::shifter(),
-        EnvSpec::SingularitySelfContained => Execution::singularity_self_contained(),
-        EnvSpec::SingularitySystemSpecific => Execution::singularity_system_specific(),
-    }
+fn unknown_workload(name: &str, span: Span) -> ScriptError {
+    let known: Vec<&str> = workloads::NAMED.iter().map(|&(n, _)| n).collect();
+    ScriptError::compile(
+        span,
+        format!("unknown workload `{name}` (known: {})", known.join(", ")),
+    )
 }
 
 fn engine_kind(spec: &EngineSpec, span: Span) -> Result<EngineKind, ScriptError> {
@@ -767,7 +731,7 @@ fn placement(spec: &PlacementSpec) -> Placement {
     }
 }
 
-fn env_from_atoms(atoms: &[Atom], span: Span) -> Result<EnvSpec, ScriptError> {
+fn env_from_atoms(atoms: &[Atom], span: Span) -> Result<Execution, ScriptError> {
     let words: Vec<&str> = atoms
         .iter()
         .map(|a| match a {
@@ -778,21 +742,16 @@ fn env_from_atoms(atoms: &[Atom], span: Span) -> Result<EnvSpec, ScriptError> {
             )),
         })
         .collect::<Result<_, _>>()?;
-    match words.as_slice() {
-        ["bare-metal"] => Ok(EnvSpec::BareMetal),
-        ["docker"] => Ok(EnvSpec::Docker),
-        ["shifter"] => Ok(EnvSpec::Shifter),
-        ["singularity", "self-contained"] => Ok(EnvSpec::SingularitySelfContained),
-        ["singularity", "system-specific"] => Ok(EnvSpec::SingularitySystemSpecific),
-        ["singularity"] => Err(ScriptError::compile(
-            span,
-            "singularity needs a containment (self-contained or system-specific)",
-        )),
-        other => Err(ScriptError::compile(
-            span,
-            format!("unknown execution environment `{}`", other.join(" ")),
-        )),
-    }
+    let name = words.join(" ");
+    Execution::by_name(&name).ok_or_else(|| {
+        let msg = match words[..] {
+            [runtime] if needs_containment(runtime) => {
+                format!("{runtime} needs a containment ({})", or_list(&env_words(1)))
+            }
+            _ => format!("unknown execution environment `{name}`"),
+        };
+        ScriptError::compile(span, msg)
+    })
 }
 
 fn check_positive(x: f64, span: Span, what: &str) -> Result<(), ScriptError> {

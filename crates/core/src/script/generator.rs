@@ -13,29 +13,15 @@
 //! it with a spanned [`ScriptError`](crate::script::ScriptError) or
 //! compile it — never panic.
 
+use crate::scenario::Execution;
 use crate::script::ast::{
-    synth, Atom, Campaign, EngineSpec, EnvSpec, ExperimentsSpec, Item, PlacementSpec, Script,
-    SeedsSpec, Setting, Sweep, SweepPoint, SweepValues,
+    synth, Atom, Campaign, EngineSpec, ExperimentsSpec, Item, PlacementSpec, Script, SeedsSpec,
+    Setting, Sweep, SweepPoint, SweepValues,
 };
 use crate::script::compile::EXPERIMENT_NAMES;
+use crate::workloads;
 use harborsim_des::RngStream;
-
-const CLUSTERS: [&str; 4] = ["lenox", "marenostrum4", "cte-power", "thunderx"];
-const WORKLOADS: [&str; 6] = [
-    "cfd-small",
-    "cfd-lenox",
-    "cfd-cte",
-    "fsi-small",
-    "fsi-mn4",
-    "chain-halo",
-];
-const ENVS: [EnvSpec; 5] = [
-    EnvSpec::BareMetal,
-    EnvSpec::Docker,
-    EnvSpec::Shifter,
-    EnvSpec::SingularitySelfContained,
-    EnvSpec::SingularitySystemSpecific,
-];
+use harborsim_hw::presets;
 
 fn pick<'a, T>(rng: &mut RngStream, items: &'a [T]) -> &'a T {
     &items[rng.below(items.len() as u64) as usize]
@@ -81,9 +67,11 @@ pub fn random_script(rng: &mut RngStream) -> Script {
 
 fn random_campaign(rng: &mut RngStream, idx: u64) -> Campaign {
     let mut body = Vec::new();
-    body.push(synth(Setting::Cluster((*pick(rng, &CLUSTERS)).to_string())));
+    body.push(synth(Setting::Cluster(
+        pick(rng, &presets::NAMED).0.to_string(),
+    )));
     body.push(synth(Setting::Workload(
-        (*pick(rng, &WORKLOADS)).to_string(),
+        pick(rng, &workloads::NAMED).0.to_string(),
     )));
     // nodes first: a generated degrade-uplink must stay inside the job
     let nodes = rng.below(15) + 2;
@@ -95,7 +83,7 @@ fn random_campaign(rng: &mut RngStream, idx: u64) -> Campaign {
         body.push(synth(Setting::Threads(rng.below(4) + 1)));
     }
     if rng.below(4) == 0 {
-        body.push(synth(Setting::Env(*pick(rng, &ENVS))));
+        body.push(synth(Setting::Env(pick(rng, &Execution::NAMED).1)));
     }
     if rng.below(4) == 0 {
         body.push(synth(Setting::Placement(if rng.below(2) == 0 {
@@ -153,11 +141,11 @@ fn random_campaign(rng: &mut RngStream, idx: u64) -> Campaign {
         }
         if rng.below(2) == 0 {
             let count = rng.below(2) + 2;
-            let offset = rng.below(ENVS.len() as u64);
+            let offset = rng.below(Execution::NAMED.len() as u64);
             let values = (0..count)
                 .map(|i| {
-                    ENVS[((offset + i) % ENVS.len() as u64) as usize]
-                        .words()
+                    Execution::NAMED[((offset + i) % Execution::NAMED.len() as u64) as usize]
+                        .0
                         .split_whitespace()
                         .map(|w| Atom::Word(w.to_string()))
                         .collect()
@@ -201,12 +189,12 @@ fn random_sweep(rng: &mut RngStream, dim: u64) -> Sweep {
         }
         2 => {
             let count = rng.below(3) + 2;
-            let offset = rng.below(ENVS.len() as u64);
+            let offset = rng.below(Execution::NAMED.len() as u64);
             let points = (0..count)
                 .map(|i| {
-                    let env = ENVS[((offset + i) % ENVS.len() as u64) as usize];
-                    let atoms = env
-                        .words()
+                    let (name, _) =
+                        Execution::NAMED[((offset + i) % Execution::NAMED.len() as u64) as usize];
+                    let atoms = name
                         .split_whitespace()
                         .map(|w| Atom::Word(w.to_string()))
                         .collect();

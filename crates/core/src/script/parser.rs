@@ -5,9 +5,10 @@
 //! needed. All diagnostics are [`ScriptError`]s (stage `Parse`) carrying
 //! the span of the offending token.
 
+use crate::scenario::Execution;
 use crate::script::ast::{
-    Atom, Campaign, EngineSpec, EnvSpec, ExperimentsSpec, Item, PlacementSpec, Script, SeedsSpec,
-    Setting, Sweep, SweepPoint, SweepValues,
+    Atom, Campaign, EngineSpec, ExperimentsSpec, Item, PlacementSpec, Script, SeedsSpec, Setting,
+    Sweep, SweepPoint, SweepValues,
 };
 use crate::script::lexer::{lex, Tok, Token};
 use crate::script::{ScriptError, Span, Spanned};
@@ -312,12 +313,33 @@ impl Parser {
         Ok(Setting::Mix { s, knob, values })
     }
 
-    fn env_spec(&mut self) -> Result<EnvSpec, ScriptError> {
-        let (word, span) = self.word("a runtime (bare-metal, docker, shifter, singularity)")?;
-        env_from_words(&word, || {
-            self.word("a containment (self-contained, system-specific)")
+    fn env_spec(&mut self) -> Result<Execution, ScriptError> {
+        let runtimes = env_words(0);
+        let (first, span) = self.word(&format!("a runtime ({})", runtimes.join(", ")))?;
+        if !needs_containment(&first) {
+            return Execution::by_name(&first).ok_or_else(|| {
+                ScriptError::parse(
+                    span,
+                    format!(
+                        "unknown runtime `{first}` (expected {})",
+                        or_list(&runtimes)
+                    ),
+                )
+            });
+        }
+        let containments = env_words(1);
+        let (second, _) = self
+            .word(&format!("a containment ({})", containments.join(", ")))
+            .map_err(|e| ScriptError::parse(span, e.msg))?;
+        Execution::by_name(&format!("{first} {second}")).ok_or_else(|| {
+            ScriptError::parse(
+                span,
+                format!(
+                    "unknown containment `{second}` (expected {})",
+                    or_list(&containments)
+                ),
+            )
         })
-        .map_err(|msg| ScriptError::parse(span, msg))
     }
 
     fn engine_spec(&mut self) -> Result<EngineSpec, ScriptError> {
@@ -493,32 +515,33 @@ fn is_keyword(w: &str) -> bool {
     )
 }
 
-/// Resolve 1–2 words into an [`EnvSpec`]; `second` is only called when the
-/// runtime is `singularity`.
-pub(crate) fn env_from_words<E>(
-    first: &str,
-    second: impl FnOnce() -> Result<(String, Span), E>,
-) -> Result<EnvSpec, String>
-where
-    E: Into<ScriptError>,
-{
-    match first {
-        "bare-metal" => Ok(EnvSpec::BareMetal),
-        "docker" => Ok(EnvSpec::Docker),
-        "shifter" => Ok(EnvSpec::Shifter),
-        "singularity" => {
-            let (containment, _) = second().map_err(|e| e.into().msg)?;
-            match containment.as_str() {
-                "self-contained" => Ok(EnvSpec::SingularitySelfContained),
-                "system-specific" => Ok(EnvSpec::SingularitySystemSpecific),
-                other => Err(format!(
-                    "unknown containment `{other}` (expected self-contained or system-specific)"
-                )),
+/// Whether `runtime` names environments only together with a
+/// containment word (as `singularity` does): an `env` value is the words
+/// of one [`Execution::NAMED`] name, a runtime word and, for such
+/// runtimes, a containment word.
+pub(crate) fn needs_containment(runtime: &str) -> bool {
+    Execution::by_name(runtime).is_none() && env_words(0).contains(&runtime)
+}
+
+/// The distinct words at `position` (0: runtime, 1: containment) of the
+/// environment names, in table order.
+pub(crate) fn env_words(position: usize) -> Vec<&'static str> {
+    let mut words = Vec::new();
+    for (name, _) in Execution::NAMED {
+        if let Some(word) = name.split(' ').nth(position) {
+            if !words.contains(&word) {
+                words.push(word);
             }
         }
-        other => Err(format!(
-            "unknown runtime `{other}` (expected bare-metal, docker, shifter, or singularity)"
-        )),
+    }
+    words
+}
+
+/// `a or b`, `a, b, or c`.
+pub(crate) fn or_list(words: &[&str]) -> String {
+    match words.split_last() {
+        Some((last, rest)) if rest.len() > 1 => format!("{}, or {last}", rest.join(", ")),
+        _ => words.join(" or "),
     }
 }
 

@@ -13,6 +13,7 @@ use crate::cluster::{ClusterSpec, FabricLayout, InterconnectKind, SoftwareStack}
 use crate::cpu::CpuModel;
 use crate::node::NodeSpec;
 use crate::storage::StorageSpec;
+use std::sync::OnceLock;
 
 /// Lenox: the four-node Lenovo cluster with administrative rights — the only
 /// machine where Docker can run, hence the venue for the Fig. 1 comparison.
@@ -78,9 +79,52 @@ pub fn thunderx() -> ClusterSpec {
     }
 }
 
+/// One named preset: canonical name, aliases and constructor.
+pub type Named = (&'static str, &'static [&'static str], fn() -> ClusterSpec);
+
+/// The presets under the names scripts, the wire and the CLI give them,
+/// in the order the paper introduces the machines.
+pub const NAMED: [Named; 4] = [
+    ("lenox", &[], lenox),
+    ("marenostrum4", &["mn4"], marenostrum4),
+    ("cte-power", &["cte"], cte_power),
+    ("thunderx", &[], thunderx),
+];
+
+fn entry(name: &str) -> Option<&'static Named> {
+    NAMED
+        .iter()
+        .find(|(canonical, aliases, _)| *canonical == name || aliases.contains(&name))
+}
+
+/// The canonical name `name` resolves to (itself, or the name it is an
+/// alias of), without building the preset. `None` for unknown names.
+pub fn canonical_name(name: &str) -> Option<&'static str> {
+    entry(name).map(|&(canonical, _, _)| canonical)
+}
+
+/// The preset a canonical name or alias names. `None` for unknown names.
+pub fn by_name(name: &str) -> Option<ClusterSpec> {
+    entry(name).map(|(_, _, build)| build())
+}
+
+/// The canonical name of the preset `cluster` is, matched by structural
+/// identity ([`ClusterSpec::identity`]): a preset edited in any field has
+/// no name.
+pub fn name_of(cluster: &ClusterSpec) -> Option<&'static str> {
+    static PRESETS: OnceLock<Vec<ClusterSpec>> = OnceLock::new();
+    let identity = cluster.identity();
+    PRESETS
+        .get_or_init(all)
+        .iter()
+        .zip(NAMED)
+        .find(|(preset, _)| preset.identity() == identity)
+        .map(|(_, (name, _, _))| name)
+}
+
 /// All four presets, in the order the paper introduces them.
 pub fn all() -> Vec<ClusterSpec> {
-    vec![lenox(), marenostrum4(), cte_power(), thunderx()]
+    NAMED.iter().map(|(_, _, build)| build()).collect()
 }
 
 #[cfg(test)]
@@ -136,6 +180,20 @@ mod tests {
     #[test]
     fn all_returns_four() {
         assert_eq!(all().len(), 4);
+    }
+
+    #[test]
+    fn names_resolve_and_round_trip() {
+        for (name, aliases, _) in NAMED {
+            for n in std::iter::once(name).chain(aliases.iter().copied()) {
+                assert_eq!(canonical_name(n), Some(name));
+                assert_eq!(name_of(&by_name(n).unwrap()), Some(name));
+            }
+        }
+        assert!(by_name("Lenox").is_none());
+        let mut edited = lenox();
+        edited.node_count += 1;
+        assert_eq!(name_of(&edited), None);
     }
 
     #[test]

@@ -27,15 +27,13 @@
 pub mod analytic;
 pub mod collectives;
 pub mod des_engine;
-pub mod engine;
 pub mod mapping;
 pub mod result;
 pub mod thread_mpi;
 pub mod workload;
 
 pub use analytic::{AnalyticCost, AnalyticEngine};
-pub use des_engine::DesEngine;
-pub use engine::{PerfEngine, TruncatingDes};
+pub use des_engine::{DesEngine, TruncatingDes};
 pub use mapping::{route_table, Placement, RankMap};
 pub use result::{CommBreakdown, LinkUsage, SimResult};
 pub use workload::{CommPhase, JobProfile, StepProfile};

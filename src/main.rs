@@ -1,12 +1,15 @@
 //! The `harborsim` command-line interface.
 //!
 //! ```text
-//! harborsim list                          # clusters, workloads, runtimes
+//! harborsim list                          # clusters, workloads, environments
 //! harborsim run --cluster cte-power --workload cfd-cte \
 //!               --runtime singularity --containment self-contained \
 //!               --nodes 8 --rpn 40 [--threads 1] [--seed 42] [--deploy] [--des]
-//! harborsim reproduce [fig1|fig2|fig3|tables|ext-io|all]
 //! ```
+//!
+//! Clusters and workloads are looked up by the names scripts and the lab
+//! wire use (`harborsim list` prints them). The figures and tables are
+//! regenerated by `reproduce_all`, not by this binary.
 //!
 //! Argument parsing is deliberately hand-rolled (no CLI dependency): the
 //! interface is small and stable.
@@ -14,8 +17,6 @@
 use harborsim::container::Containment;
 use harborsim::container::RuntimeKind;
 use harborsim::hw::presets;
-use harborsim::hw::ClusterSpec;
-use harborsim::study::experiments::{ext_io, fig1, fig2, fig3, tables};
 use harborsim::study::report::fmt_seconds;
 use harborsim::study::scenario::{EngineKind, Execution, Scenario};
 use harborsim::study::workloads;
@@ -25,21 +26,32 @@ use std::process::exit;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  harborsim list\n  harborsim run --cluster <name> --workload <name> \
-         [--runtime <bare|docker|singularity|shifter>] [--containment <self-contained|system-specific>] \
-         [--nodes N] [--rpn N] [--threads N] [--seed N] [--deploy] [--des]\n  \
-         harborsim reproduce [fig1|fig2|fig3|tables|ext-io|all]"
+         [--runtime <runtime>] [--containment <containment>] \
+         [--nodes N] [--rpn N] [--threads N] [--seed N] [--deploy] [--des]\n\
+         `harborsim list` names the clusters, workloads, runtimes and containments.\n\
+         to regenerate the paper's figures and tables: \
+         cargo run --release -p harborsim-bench --bin reproduce_all"
     );
     exit(2);
 }
 
-fn cluster_by_name(name: &str) -> Option<ClusterSpec> {
-    match name {
-        "lenox" => Some(presets::lenox()),
-        "marenostrum4" | "mn4" => Some(presets::marenostrum4()),
-        "cte-power" | "cte" => Some(presets::cte_power()),
-        "thunderx" => Some(presets::thunderx()),
-        _ => None,
-    }
+const RUNTIMES: [RuntimeKind; 4] = [
+    RuntimeKind::BareMetal,
+    RuntimeKind::Docker,
+    RuntimeKind::Singularity,
+    RuntimeKind::Shifter,
+];
+
+const CONTAINMENTS: [Containment; 2] = [Containment::SelfContained, Containment::SystemSpecific];
+
+/// The word `--runtime` takes for `runtime`: the first word of the
+/// environment names that use it (`bare` is accepted for bare metal too).
+fn runtime_word(runtime: RuntimeKind) -> &'static str {
+    Execution::NAMED
+        .iter()
+        .find(|(_, env)| env.runtime == runtime)
+        .and_then(|(name, _)| name.split(' ').next())
+        .expect("every runtime has a named environment")
 }
 
 fn main() {
@@ -47,45 +59,49 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("list") => list(),
         Some("run") => run(&args[1..]),
-        Some("reproduce") => reproduce(args.get(1).map(String::as_str).unwrap_or("all")),
         _ => usage(),
     }
 }
 
 fn list() {
     println!("clusters:");
-    for c in presets::all() {
+    for (name, aliases, build) in presets::NAMED {
+        let c = build();
+        // the container runtimes (bare metal runs everywhere)
+        let installed: Vec<&str> = RUNTIMES[1..]
+            .iter()
+            .filter(|r| r.available_on(&c.software))
+            .map(|&r| runtime_word(r))
+            .collect();
+        let aliases = if aliases.is_empty() {
+            String::new()
+        } else {
+            format!("  (also {})", aliases.join(", "))
+        };
         println!(
-            "  {:<14} {:>4} nodes x {:>2} cores  {:<16} [{}{}{}]",
-            c.name.to_lowercase(),
+            "  {:<14} {:>4} nodes x {:>2} cores  {:<16} [{}]{aliases}",
+            name,
             c.node_count,
             c.node.cores(),
             c.interconnect.to_string(),
-            if c.software.docker.is_some() {
-                "docker "
-            } else {
-                ""
-            },
-            if c.software.singularity.is_some() {
-                "singularity "
-            } else {
-                ""
-            },
-            if c.software.shifter.is_some() {
-                "shifter"
-            } else {
-                ""
-            },
+            installed.join(" "),
         );
     }
     println!("\nworkloads:");
-    println!("  cfd-small   tiny artery CFD case (tests/demos)");
-    println!("  cfd-lenox   the Fig. 1 CFD case");
-    println!("  cfd-cte     the Fig. 2 CFD case");
-    println!("  fsi-small   tiny coupled FSI case");
-    println!("  fsi-mn4     the Fig. 3 FSI case (12,288 cores at full scale)");
-    println!("\nruntimes: bare, docker, singularity, shifter");
-    println!("containment: self-contained, system-specific");
+    for (name, build) in workloads::NAMED {
+        println!("  {:<11} {}", name, build().name());
+    }
+    println!("\nenvironments (scripts and the lab wire):");
+    for (name, _) in Execution::NAMED {
+        println!("  {name}");
+    }
+    let runtimes: Vec<&str> = RUNTIMES.iter().map(|&r| runtime_word(r)).collect();
+    let containments: Vec<&str> = CONTAINMENTS.iter().map(|c| c.label()).collect();
+    println!("\nruntimes (--runtime): bare, {}", runtimes.join(", "));
+    println!(
+        "containments (--containment): self, system, {}",
+        containments.join(", ")
+    );
 }
 
 fn parse_flags(args: &[String]) -> HashMap<String, String> {
@@ -109,28 +125,35 @@ fn run(args: &[String]) {
     let flags = parse_flags(args);
     let get = |k: &str, default: &str| flags.get(k).cloned().unwrap_or_else(|| default.to_string());
 
-    let cluster_name = get("cluster", "marenostrum4");
-    let Some(cluster) = cluster_by_name(&cluster_name) else {
-        eprintln!("unknown cluster {cluster_name:?} (try `harborsim list`)");
-        exit(2);
-    };
-    let runtime = match get("runtime", "singularity").as_str() {
-        "bare" | "bare-metal" => RuntimeKind::BareMetal,
-        "docker" => RuntimeKind::Docker,
-        "singularity" => RuntimeKind::Singularity,
-        "shifter" => RuntimeKind::Shifter,
-        other => {
-            eprintln!("unknown runtime {other:?}");
+    let cluster = match flags.get("cluster") {
+        None => presets::marenostrum4(),
+        Some(name) => presets::by_name(name).unwrap_or_else(|| {
+            eprintln!("unknown cluster {name:?} (try `harborsim list`)");
             exit(2);
-        }
+        }),
     };
-    let containment = match get("containment", "system-specific").as_str() {
-        "self-contained" | "self" => Containment::SelfContained,
-        "system-specific" | "system" => Containment::SystemSpecific,
-        other => {
-            eprintln!("unknown containment {other:?}");
-            exit(2);
-        }
+    let runtime = match flags.get("runtime").map(String::as_str) {
+        None => RuntimeKind::Singularity,
+        Some("bare") => RuntimeKind::BareMetal,
+        Some(word) => RUNTIMES
+            .into_iter()
+            .find(|&r| runtime_word(r) == word)
+            .unwrap_or_else(|| {
+                eprintln!("unknown runtime {word:?}");
+                exit(2);
+            }),
+    };
+    let containment = match flags.get("containment").map(String::as_str) {
+        None => Containment::SystemSpecific,
+        Some("self") => Containment::SelfContained,
+        Some("system") => Containment::SystemSpecific,
+        Some(word) => CONTAINMENTS
+            .into_iter()
+            .find(|c| c.label() == word)
+            .unwrap_or_else(|| {
+                eprintln!("unknown containment {word:?}");
+                exit(2);
+            }),
     };
     let nodes: u32 = get("nodes", "2").parse().unwrap_or_else(|_| usage());
     let rpn: u32 = get("rpn", &cluster.node.cores().to_string())
@@ -139,18 +162,7 @@ fn run(args: &[String]) {
     let threads: u32 = get("threads", "1").parse().unwrap_or_else(|_| usage());
     let seed: u64 = get("seed", "42").parse().unwrap_or_else(|_| usage());
 
-    let mut scenario = match get("workload", "cfd-small").as_str() {
-        "cfd-small" => Scenario::new(cluster, workloads::artery_cfd_small()),
-        "cfd-lenox" => Scenario::new(cluster, workloads::artery_cfd_lenox()),
-        "cfd-cte" => Scenario::new(cluster, workloads::artery_cfd_cte()),
-        "fsi-small" => Scenario::new(cluster, workloads::artery_fsi_small()),
-        "fsi-mn4" => Scenario::new(cluster, workloads::artery_fsi_mn4()),
-        other => {
-            eprintln!("unknown workload {other:?} (try `harborsim list`)");
-            exit(2);
-        }
-    };
-    scenario = scenario
+    let mut scenario = Scenario::new(cluster, workloads::artery_cfd_small())
         .execution(Execution {
             runtime,
             containment,
@@ -158,6 +170,12 @@ fn run(args: &[String]) {
         .nodes(nodes)
         .ranks_per_node(rpn)
         .threads_per_rank(threads);
+    if let Some(name) = flags.get("workload") {
+        scenario.case = workloads::by_name(name).unwrap_or_else(|| {
+            eprintln!("unknown workload {name:?} (try `harborsim list`)");
+            exit(2);
+        });
+    }
     if flags.contains_key("des") {
         scenario = scenario.engine(EngineKind::Des {
             max_steps_per_kind: 5,
@@ -205,64 +223,5 @@ fn run(args: &[String]) {
                 harborsim::study::report::fmt_bytes(outcome.result.inter_node_bytes)
             );
         }
-    }
-}
-
-fn reproduce(which: &str) {
-    let seeds = harborsim::study::runner::default_seeds();
-    // one lab for the whole subcommand: figures and tables that revisit a
-    // configuration (e.g. the 2-node portability points) share its plans
-    let lab = harborsim::study::lab::QueryEngine::new();
-    let mut failures = Vec::new();
-    let want = |name: &str| which == name || which == "all";
-    let check = |name: &str, violations: Vec<String>, failures: &mut Vec<String>| {
-        if violations.is_empty() {
-            println!("[ok] {name}");
-        } else {
-            for v in &violations {
-                println!("[!!] {name}: {v}");
-            }
-            failures.push(name.to_string());
-        }
-    };
-    if want("fig1") {
-        let f = fig1::run(&lab, seeds);
-        println!("{}", f.to_ascii(72, 18));
-        check("fig1", fig1::check_shape(&f), &mut failures);
-    }
-    if want("fig2") {
-        let f = fig2::run(&lab, seeds);
-        println!("{}", f.to_ascii(72, 18));
-        check("fig2", fig2::check_shape(&f), &mut failures);
-    }
-    if want("fig3") {
-        let f = fig3::run(&lab, seeds);
-        println!("{}", f.to_ascii(72, 18));
-        check("fig3", fig3::check_shape(&f), &mut failures);
-    }
-    if want("tables") {
-        let d = tables::deployment(&lab, seeds);
-        println!("{}", d.to_ascii());
-        check(
-            "table-deployment",
-            tables::check_deployment_shape(&d),
-            &mut failures,
-        );
-        let p = tables::portability(&lab, seeds);
-        println!("{}", p.to_ascii());
-        check(
-            "table-portability",
-            tables::check_portability_shape(&p),
-            &mut failures,
-        );
-    }
-    if want("ext-io") {
-        let f = ext_io::run();
-        println!("{}", f.to_ascii(72, 18));
-        check("ext-io", ext_io::check_shape(&f), &mut failures);
-    }
-    if !failures.is_empty() {
-        eprintln!("shape checks failed: {failures:?}");
-        exit(1);
     }
 }
