@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the simulation substrates: DES event throughput,
 //! fair-share fluid links, RNG streams, the message-level MPI engine, the
-//! work-stealing pool against the fixed-chunk baseline, the lab's
+//! work-stealing pool on a skewed workload, the lab's
 //! plan-cache hit path and key, the wire's reply encoder, and one warm
 //! open-system campaign.
 
@@ -382,10 +382,10 @@ fn guard_recorder_overhead(engine: &DesEngine, job: &JobProfile) {
     );
 }
 
-/// Work-stealing vs the fixed-chunk baseline on a skewed workload: item 0
-/// costs ~64x the rest, the shape that strands a fixed chunking's first
-/// worker while its siblings idle. Stealing should never lose, and wins
-/// outright once the skew exceeds one chunk's worth of work.
+/// The work-stealing pool on a skewed workload: item 0 costs ~64x the
+/// rest, the shape that would strand a fixed chunking's first worker
+/// while its siblings idle. Stealing keeps the siblings busy on the
+/// cheap items.
 fn bench_pool_skew(c: &mut Criterion) {
     const ITEMS: usize = 256;
     fn spin(iters: u64) -> u64 {
@@ -402,12 +402,6 @@ fn bench_pool_skew(c: &mut Criterion) {
         b.iter(|| {
             let items: Vec<usize> = (0..ITEMS).collect();
             black_box(harborsim_par::run(items, |i| spin(cost(i))))
-        });
-    });
-    g.bench_function("skewed_fixed_chunk", |b| {
-        b.iter(|| {
-            let items: Vec<usize> = (0..ITEMS).collect();
-            black_box(harborsim_par::run_chunked(items, |i| spin(cost(i))))
         });
     });
     g.finish();

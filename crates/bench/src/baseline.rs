@@ -388,8 +388,8 @@ fn open_system_eps() -> f64 {
     })
 }
 
-/// Cached-plan `execute` throughput, runs/sec (untraced, as the batch
-/// sharding of the query engine drives it).
+/// Cached-plan `execute` throughput, runs/sec (untraced, calling
+/// `plan.execute` directly as the query engine's batches do).
 fn execute_many_rps() -> f64 {
     use harborsim_core::lab::QueryEngine;
     use harborsim_core::scenario::{Execution, Scenario};

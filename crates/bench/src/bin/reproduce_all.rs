@@ -78,18 +78,6 @@ fn report_shapes(name: &str, violations: &[String]) -> bool {
     }
 }
 
-/// Per-shard cache counters, printed under `--trace`: how the
-/// reproduction's plan keys spread over the cache shards.
-fn print_shard_skew(lab: &QueryEngine) {
-    println!("  per-shard plan cache (hits/misses/waits/entries):");
-    for (i, s) in lab.shard_stats().iter().enumerate() {
-        println!(
-            "    shard {i}: {:>6} hits {:>4} misses {:>4} waits {:>4} entries",
-            s.hits, s.misses, s.waits, s.entries
-        );
-    }
-}
-
 fn main() {
     let mut quick = false;
     let mut bench_baseline = false;
@@ -491,9 +479,6 @@ fn main() {
         .expect("write summary");
 
     println!("\n{}", lab.stats().summary_line());
-    if trace_dir.is_some() {
-        print_shard_skew(&lab);
-    }
     println!(
         "Done in {:.1}s. Artifacts in {} (summary.json, per-figure csv/svg/txt).",
         t0.elapsed().as_secs_f64(),

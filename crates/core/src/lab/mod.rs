@@ -1,8 +1,8 @@
 //! The lab: a concurrent query engine over scenario plans.
 //!
 //! Every consumer of many scenario executions — the experiments, the
-//! `reproduce_all` binary, [`crate::runner::sweep`], a remote client of
-//! the [`daemon`] — routes through one [`QueryEngine`] and its single
+//! `reproduce_all` binary, a campaign script, a remote client of the
+//! [`daemon`] — routes through one [`QueryEngine`] and its single
 //! typed entry point, [`QueryEngine::handle`]: a [`LabRequest`] goes in
 //! (plan / execute / batch / campaign / stats), a [`LabResponse`] comes
 //! out. The [`wire`] module serializes exactly these types, so the
@@ -11,21 +11,19 @@
 //! A batch request is resolved in two concurrent phases:
 //!
 //! 1. **Plan resolution.** Each query's scenario is fingerprinted into a
-//!    canonical [`PlanKey`] and looked up in a [`PlanCache`]: an LRU of
-//!    `Arc<ScenarioPlan>` *sharded N ways by key hash* (so concurrent
-//!    resolves of different keys rarely share a mutex), with
-//!    *single-flight* deduplication per key — N concurrent identical
-//!    queries trigger exactly one compile (and, for deployment
-//!    scenarios, one image build) while the other N−1 block on the
-//!    in-flight slot. Cache activity is exported through the trace layer
-//!    as [`SpanCategory::Cache`] spans plus `plan_cache_*` counters.
-//! 2. **Execution.** The resolved `(plan, seed)` work items are sharded
-//!    across the `harborsim-par` work-stealing pool, with *admission
-//!    batching* on top: identical `(plan, seed)` items in flight at the
-//!    same moment share one execute — the winner runs the simulation,
-//!    the rest clone its outcome and trace (sound because execution is
-//!    deterministic). Results return in submission order; per-query
-//!    trace attribution flows through the caller's [`Recorder`].
+//!    canonical [`PlanKey`] and looked up in the engine's plan cache: an
+//!    LRU of `Arc<ScenarioPlan>` behind one mutex, with *single-flight*
+//!    deduplication per key — N concurrent identical queries trigger
+//!    exactly one compile (and, for deployment scenarios, one image
+//!    build) while the other N−1 block on the in-flight slot. Compiles
+//!    run outside the lock. Cache activity is exported through the trace
+//!    layer as [`SpanCategory::Cache`] spans plus `plan_cache_*`
+//!    counters.
+//! 2. **Execution.** The resolved `(plan, seed)` work items are spread
+//!    across the `harborsim-par` work-stealing pool, and each runs its
+//!    own [`ScenarioPlan::execute`]. Results return in submission order;
+//!    per-query trace attribution flows through the caller's
+//!    [`Recorder`].
 //!
 //! Fingerprinting is sound because plans are a pure function of the
 //! scenario builder plus the engine-level taper fallback (see
@@ -178,8 +176,8 @@ impl PlanKey {
     /// cluster as its `Debug` string: the cluster component renders as
     /// that string, quoted, so every recorded fingerprint still holds.
     /// It is computed only where it is reported (plan responses,
-    /// campaign rows); the cache never renders it and picks shards by a
-    /// cheaper key hash instead.
+    /// campaign rows); the cache never renders it and hashes the key
+    /// itself instead.
     pub fn fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
         let mut fnv = Fnv1a(0xcbf2_9ce4_8422_2325);
@@ -232,9 +230,9 @@ impl std::fmt::Write for Fnv1a {
 }
 
 /// A [`PlanKey`] with its hash under the cache's [`RandomState`],
-/// computed once per resolve: the shard is picked from it and the shard
-/// map reuses it through [`PassThrough`] rather than hashing the key a
-/// second time.
+/// computed once per resolve: the cache map reuses it through
+/// [`PassThrough`], so a lookup, its insert and the compile's re-insert
+/// hash the structural key once between them.
 #[derive(Clone, PartialEq, Eq)]
 struct HashedKey {
     hash: u64,
@@ -247,13 +245,13 @@ impl Hash for HashedKey {
     }
 }
 
-/// The shard maps' hasher: hands back the hash a [`HashedKey`] carries.
+/// The cache map's hasher: hands back the hash a [`HashedKey`] carries.
 #[derive(Default)]
 struct PassThrough(u64);
 
 impl Hasher for PassThrough {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("shard maps hash only HashedKey, which writes one u64");
+        unreachable!("the cache map hashes only HashedKey, which writes one u64");
     }
 
     fn write_u64(&mut self, hash: u64) {
@@ -265,11 +263,9 @@ impl Hasher for PassThrough {
     }
 }
 
-type ShardMap = HashMap<HashedKey, (Slot, u64), BuildHasherDefault<PassThrough>>;
+type CacheMap = HashMap<HashedKey, (Slot, u64), BuildHasherDefault<PassThrough>>;
 
-/// Point-in-time cache statistics — one shard's (via
-/// [`PlanCache::shard_stats`]) or the aggregate over all shards (via
-/// [`PlanCache::stats`]).
+/// Point-in-time plan cache statistics (see [`QueryEngine::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries served an already-compiled plan.
@@ -279,34 +275,22 @@ pub struct CacheStats {
     /// Queries that blocked on another query's in-flight compile.
     pub waits: u64,
     /// Queries whose workload opted out of fingerprinting (compiled
-    /// fresh, never cached). Always attributed to the aggregate — a
-    /// keyless query touches no shard.
+    /// fresh, never cached).
     pub uncached: u64,
-    /// Lock acquisitions that found the shard mutex already held (a
-    /// `try_lock` failed and the caller had to block). The sharding
-    /// exists to drive this toward zero.
+    /// Lock acquisitions that found the cache mutex already held (a
+    /// `try_lock` failed and the caller had to block).
     pub contended: u64,
     /// Plans currently resident.
     pub entries: usize,
 }
 
 impl CacheStats {
-    /// The one-line form `reproduce_all` prints and CI asserts on,
-    /// aggregated across every shard.
+    /// The one-line form `reproduce_all` prints and CI asserts on.
     pub fn summary_line(&self) -> String {
         format!(
             "plan cache: {} hits, {} misses, {} in-flight waits, {} uncacheable ({} plans cached)",
             self.hits, self.misses, self.waits, self.uncached, self.entries
         )
-    }
-
-    fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.waits += other.waits;
-        self.uncached += other.uncached;
-        self.contended += other.contended;
-        self.entries += other.entries;
     }
 }
 
@@ -333,101 +317,40 @@ struct Flight {
     cv: Condvar,
 }
 
-/// One cache shard: its own mutex, map, and traffic counters. A key
-/// belongs to the shard its [`HashedKey`] hash selects, so the per-shard
-/// counters double as a map of where the Zipf-hot keys land.
-struct CacheShard {
-    map: Mutex<ShardMap>,
+/// LRU plan cache with single-flight deduplication: one keyed map behind
+/// one mutex. Compiles run outside the lock, so resolves of other keys
+/// proceed while a plan builds; the lock covers only map lookups,
+/// inserts and eviction.
+struct PlanCache {
+    capacity: usize,
+    map: Mutex<CacheMap>,
+    /// Keyed per cache, so clients cannot aim keys at one map slot.
+    hasher: RandomState,
+    /// LRU clock, ticked by every lookup; an entry's stamp is its last
+    /// use.
+    clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     waits: AtomicU64,
+    uncached: AtomicU64,
     contended: AtomicU64,
 }
 
-impl CacheShard {
-    fn new() -> CacheShard {
-        CacheShard {
-            map: Mutex::new(ShardMap::default()),
+impl PlanCache {
+    /// An empty cache holding at most `capacity` compiled plans.
+    fn new(capacity: usize) -> PlanCache {
+        assert!(capacity > 0, "a zero-capacity cache cannot single-flight");
+        PlanCache {
+            capacity,
+            map: Mutex::new(CacheMap::default()),
+            hasher: RandomState::new(),
+            clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             waits: AtomicU64::new(0),
+            uncached: AtomicU64::new(0),
             contended: AtomicU64::new(0),
         }
-    }
-
-    /// Lock this shard's map, counting acquisitions that had to block
-    /// behind another holder.
-    fn lock(&self) -> std::sync::MutexGuard<'_, ShardMap> {
-        match self.map.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                self.map.lock().unwrap()
-            }
-            Err(std::sync::TryLockError::Poisoned(e)) => panic!("poisoned cache shard: {e}"),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
-            uncached: 0,
-            contended: self.contended.load(Ordering::Relaxed),
-            entries: self.map.lock().unwrap().len(),
-        }
-    }
-}
-
-/// Default shard count: enough that the four paper clusters' hot keys
-/// spread out, small enough that an eviction sweep stays cheap.
-const DEFAULT_SHARDS: usize = 8;
-
-/// Sharded LRU plan cache with single-flight deduplication. Usually used
-/// through [`QueryEngine`]; standalone only in tests and benches.
-///
-/// Keys are distributed over shards by a hash of the key, computed once
-/// per resolve and reused by the shard's map; each shard has its own
-/// mutex, so resolves of different keys contend only when their hashes
-/// pick the same shard. The LRU *budget* stays global: one capacity, one
-/// logical clock, and eviction scans every shard for the globally
-/// coldest ready plan — so capacity semantics are identical to the old
-/// single-mutex cache.
-pub struct PlanCache {
-    capacity: usize,
-    shards: Vec<CacheShard>,
-    /// Keyed per cache, so clients cannot aim keys at one shard or slot.
-    hasher: RandomState,
-    /// Global LRU clock: stamps are comparable across shards.
-    clock: AtomicU64,
-    uncached: AtomicU64,
-}
-
-impl PlanCache {
-    /// An empty cache holding at most `capacity` compiled plans, over
-    /// the default shard count.
-    pub fn new(capacity: usize) -> PlanCache {
-        PlanCache::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with an explicit shard count (1 = the old
-    /// single-mutex layout; tests compare against it).
-    pub fn with_shards(capacity: usize, n_shards: usize) -> PlanCache {
-        assert!(capacity > 0, "a zero-capacity cache cannot single-flight");
-        assert!(n_shards > 0, "a cache needs at least one shard");
-        PlanCache {
-            capacity,
-            shards: (0..n_shards).map(|_| CacheShard::new()).collect(),
-            hasher: RandomState::new(),
-            clock: AtomicU64::new(0),
-            uncached: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of shards (fixed at construction).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     fn hashed(&self, key: PlanKey) -> HashedKey {
@@ -437,10 +360,17 @@ impl PlanCache {
         }
     }
 
-    /// The shard a key hash selects. It reads the high half, so the
-    /// choice is independent of the low bits the shard map's slots use.
-    fn shard_index(&self, hash: u64) -> usize {
-        ((hash >> 32) % self.shards.len() as u64) as usize
+    /// Lock the map, counting acquisitions that had to block behind
+    /// another holder.
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheMap> {
+        match self.map.try_lock() {
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::WouldBlock) => {
+                self.contended.fetch_add(1, Ordering::Relaxed);
+                self.map.lock().expect("a plan cache holder panicked")
+            }
+            Err(std::sync::TryLockError::Poisoned(e)) => panic!("poisoned plan cache: {e}"),
+        }
     }
 
     /// Resolve `key` to a plan, compiling via `compile` on a miss. At most
@@ -453,20 +383,19 @@ impl PlanCache {
         compile: impl FnOnce() -> Result<ScenarioPlan, HarborError>,
     ) -> (Result<Arc<ScenarioPlan>, HarborError>, Resolution) {
         let key = self.hashed(key);
-        let shard = &self.shards[self.shard_index(key.hash)];
         let flight: Arc<Flight>;
         {
-            let mut map = shard.lock();
+            let mut map = self.lock();
             let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
             match map.get_mut(&key) {
                 Some((Slot::Ready(plan), last_use)) => {
                     *last_use = stamp;
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                     return (Ok(Arc::clone(plan)), Resolution::Hit);
                 }
                 Some((Slot::InFlight(f), _)) => {
                     flight = Arc::clone(f);
-                    // fall through to wait, outside the shard lock
+                    // fall through to wait, outside the lock
                 }
                 None => {
                     let f = Arc::new(Flight {
@@ -475,28 +404,26 @@ impl PlanCache {
                     });
                     map.insert(key.clone(), (Slot::InFlight(Arc::clone(&f)), stamp));
                     drop(map);
-                    // compile outside any lock: every shard keeps
-                    // resolving other keys while this one builds
+                    // compile outside the lock: other keys keep
+                    // resolving while this one builds
                     let t0 = Instant::now();
                     let compiled = compile().map(Arc::new);
                     let took = t0.elapsed();
-                    let mut map = shard.lock();
+                    let mut map = self.lock();
                     match &compiled {
                         Ok(plan) => {
                             let stamp = self.clock.load(Ordering::Relaxed);
                             map.insert(key, (Slot::Ready(Arc::clone(plan)), stamp));
+                            self.evict_to_capacity(&mut map);
                         }
                         Err(_) => {
                             map.remove(&key);
                         }
                     }
                     drop(map);
-                    if compiled.is_ok() {
-                        self.enforce_capacity();
-                    }
                     *f.done.lock().unwrap() = Some(compiled.clone());
                     f.cv.notify_all();
-                    shard.misses.fetch_add(1, Ordering::Relaxed);
+                    self.misses.fetch_add(1, Ordering::Relaxed);
                     return (compiled, Resolution::Miss(took));
                 }
             }
@@ -506,7 +433,7 @@ impl PlanCache {
         while done.is_none() {
             done = flight.cv.wait(done).unwrap();
         }
-        shard.waits.fetch_add(1, Ordering::Relaxed);
+        self.waits.fetch_add(1, Ordering::Relaxed);
         (done.clone().unwrap(), Resolution::Wait(t0.elapsed()))
     }
 
@@ -521,83 +448,46 @@ impl PlanCache {
         accept: impl FnOnce(&ScenarioPlan) -> bool,
     ) -> Option<Arc<ScenarioPlan>> {
         let key = self.hashed(key);
-        let shard = &self.shards[self.shard_index(key.hash)];
-        let mut map = shard.lock();
+        let mut map = self.lock();
         match map.get_mut(&key) {
             Some((Slot::Ready(plan), last_use)) if accept(plan) => {
                 *last_use = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-                shard.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(plan))
             }
             _ => None,
         }
     }
 
-    /// Evict least-recently-used *ready* plans until the global residency
-    /// fits the capacity; in-flight slots are never evicted (waiters hold
-    /// their rendezvous). Takes the shard locks in index order — this is
-    /// the only multi-shard lock path, so the fixed order is a total
-    /// deadlock-freedom argument.
-    fn enforce_capacity(&self) {
-        let mut maps: Vec<_> = self.shards.iter().map(|s| s.map.lock().unwrap()).collect();
-        loop {
-            let total: usize = maps.iter().map(|m| m.len()).sum();
-            if total <= self.capacity {
-                return;
-            }
-            let victim = maps
+    /// Evict least-recently-used *ready* plans until residency fits the
+    /// capacity; in-flight slots are never evicted (waiters hold their
+    /// rendezvous).
+    fn evict_to_capacity(&self, map: &mut CacheMap) {
+        while map.len() > self.capacity {
+            let victim = map
                 .iter()
-                .enumerate()
-                .flat_map(|(si, m)| m.iter().map(move |(k, (slot, stamp))| (si, k, slot, stamp)))
-                .filter(|(_, _, slot, _)| matches!(slot, Slot::Ready(_)))
-                .min_by_key(|(_, _, _, stamp)| **stamp)
-                .map(|(si, k, _, _)| (si, k.clone()));
+                .filter(|(_, (slot, _))| matches!(slot, Slot::Ready(_)))
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(k, _)| k.clone());
             match victim {
-                Some((si, k)) => {
-                    maps[si].remove(&k);
+                Some(k) => {
+                    map.remove(&k);
                 }
                 None => return,
             }
         }
     }
 
-    /// Aggregated counters and residency over every shard.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats {
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            waits: self.waits.load(Ordering::Relaxed),
             uncached: self.uncached.load(Ordering::Relaxed),
-            ..CacheStats::default()
-        };
-        for shard in &self.shards {
-            total.absorb(&shard.stats());
+            contended: self.contended.load(Ordering::Relaxed),
+            entries: self.map.lock().expect("a plan cache holder panicked").len(),
         }
-        total
     }
-
-    /// Per-shard counters and residency, in shard order. The spread of
-    /// `hits` across entries is the Zipf hot-head skew that
-    /// `reproduce_all --trace` prints.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(CacheShard::stats).collect()
-    }
-}
-
-/// The key identical in-flight executions rendezvous on: the plan's
-/// allocation address (identical queries share one `Arc` through the
-/// cache, so pointer identity *is* plan identity — and the winner holds
-/// the `Arc` alive for as long as the key is registered, so the address
-/// cannot be recycled underneath a waiter), the seed, and the recorder
-/// mode (an off-mode waiter must not inherit a capture-mode trace).
-type ExecKey = (usize, u64, u8);
-
-/// The rendezvous duplicate `(plan, seed)` executions block on while the
-/// first runs the simulation. Deterministic execution makes the clone
-/// indistinguishable from a replay — outcome *and* trace.
-struct ExecFlight {
-    done: Mutex<Option<(Outcome, Recorder)>>,
-    cv: Condvar,
-    /// Duplicates currently blocked on this flight (tests rendezvous on
-    /// it to make the sharing deterministic rather than timing-lucky).
-    waiters: AtomicU64,
 }
 
 /// Most ranks a plan may have for [`QueryEngine::handle_warm`] to run
@@ -616,7 +506,7 @@ pub const INLINE_MAX_RANKS: u32 = 256;
 /// [`LabRequest`] in, a typed [`LabResponse`] out, identically callable
 /// in-process or over the [`daemon`]'s wire protocol.
 ///
-/// Holds the sharded [`PlanCache`] and the engine-level spine-taper
+/// Holds the plan cache and the engine-level spine-taper
 /// fallback (the explicit replacement for the old process-global
 /// override knob): the fallback applies to every query compiled here
 /// whose scenario did not pin its own taper, and is part of each
@@ -625,10 +515,6 @@ pub const INLINE_MAX_RANKS: u32 = 256;
 pub struct QueryEngine {
     cache: PlanCache,
     fallback_taper: Option<f64>,
-    /// Admission batching: in-flight `(plan, seed, mode)` executions.
-    exec_flights: Mutex<HashMap<ExecKey, Arc<ExecFlight>>>,
-    /// Executions served by cloning another execution's result.
-    batched: AtomicU64,
     /// Plans this engine compiled successfully (cached or not).
     compiled: AtomicU64,
 }
@@ -640,25 +526,17 @@ impl Default for QueryEngine {
 }
 
 impl QueryEngine {
-    /// An engine with the default plan capacity (256), the default shard
-    /// count, and no taper fallback.
+    /// An engine with the default plan capacity (256) and no taper
+    /// fallback.
     pub fn new() -> QueryEngine {
         QueryEngine::with_capacity(256)
     }
 
     /// An engine whose cache holds at most `capacity` plans.
     pub fn with_capacity(capacity: usize) -> QueryEngine {
-        QueryEngine::with_cache(PlanCache::new(capacity))
-    }
-
-    /// An engine over an explicitly configured cache (shard count,
-    /// capacity) — the constructor the sharding tests drive.
-    pub fn with_cache(cache: PlanCache) -> QueryEngine {
         QueryEngine {
-            cache,
+            cache: PlanCache::new(capacity),
             fallback_taper: None,
-            exec_flights: Mutex::new(HashMap::new()),
-            batched: AtomicU64::new(0),
             compiled: AtomicU64::new(0),
         }
     }
@@ -743,20 +621,23 @@ impl QueryEngine {
                 Ok(report) => LabResponse::Campaign(report),
                 Err(e) => LabResponse::Error(e),
             },
-            LabRequest::Stats => LabResponse::Stats(EngineStats {
-                cache: self.stats(),
-                per_shard: self.shard_stats(),
-                batched_executes: self.batched_executes(),
-                daemon: None,
-            }),
+            LabRequest::Stats => {
+                let cache = self.stats();
+                LabResponse::Stats(EngineStats {
+                    cache,
+                    per_shard: vec![cache],
+                    batched_executes: self.batched_executes(),
+                    daemon: None,
+                })
+            }
         }
     }
 
     /// Answer `req` now only if that is cheap and bounded: an `Execute`
     /// whose plan is already resident, on the analytic engine, with at
     /// most [`INLINE_MAX_RANKS`] ranks. The answer is the one
-    /// [`QueryEngine::handle`] gives, with the same spans, counters and
-    /// admission batching. Any other request comes back untouched as
+    /// [`QueryEngine::handle`] gives, with the same spans and counters.
+    /// Any other request comes back untouched as
     /// `Err`, having counted nothing, so a later `handle` of it resolves
     /// through the cache exactly once. The daemon's reactor answers warm
     /// queries through this without a thread hand-off.
@@ -818,8 +699,8 @@ impl QueryEngine {
     }
 
     /// Run a batch of queries: plans resolve concurrently through the
-    /// sharded cache, then every `(plan, seed)` item runs on the
-    /// work-stealing pool with admission batching. Results come back in
+    /// single-flight cache, then every `(plan, seed)` item runs on the
+    /// work-stealing pool. Results come back in
     /// submission order, one `Vec<Outcome>` (seed order) per query; a
     /// query whose scenario fails to compile yields its error without
     /// sinking the batch. The engine behind [`LabRequest::Batch`].
@@ -878,8 +759,6 @@ impl QueryEngine {
         // Flatten to (query, seed) items and shard. Each item
         // records into its own sibling recorder; merging back in item
         // order keeps the roll-up deterministic regardless of stealing.
-        // Identical (plan, seed) items in flight at the same moment
-        // share one execute via the admission-batching rendezvous.
         let mut failures: Vec<Option<HarborError>> = Vec::with_capacity(resolved.len());
         let mut items: Vec<(usize, Arc<ScenarioPlan>, u64)> = Vec::new();
         for (qi, (plan, _, seeds)) in resolved.into_iter().enumerate() {
@@ -892,13 +771,9 @@ impl QueryEngine {
             }
         }
         let template = Recorder::like(rec);
-        let mode = recorder_mode_tag(&template);
         let executed = harborsim_par::run(items, |(qi, plan, seed)| {
-            let (outcome, local) = self.execute_shared(&plan, seed, mode, || {
-                let mut local = template.clone();
-                let outcome = plan.execute(seed, &mut local);
-                (outcome, local)
-            });
+            let mut local = template.clone();
+            let outcome = plan.execute(seed, &mut local);
             (qi, outcome, local)
         });
         let mut results: Vec<Result<Vec<Outcome>, HarborError>> = failures
@@ -915,62 +790,6 @@ impl QueryEngine {
             }
         }
         results
-    }
-
-    /// Admission batching: if an identical `(plan, seed, mode)` execution
-    /// is already in flight, wait for it and clone its outcome and trace
-    /// instead of executing again; otherwise run `execute` and publish
-    /// the result to any duplicates that arrive before it finishes (an
-    /// execute nobody waits for is not cloned). The batching window is
-    /// exactly the in-flight duration — nothing is retained once the
-    /// winner finishes, so this is a rendezvous, not a result cache (the
-    /// plan cache already de-duplicates compiles; executions stay
-    /// seed-exact).
-    fn execute_shared(
-        &self,
-        plan: &Arc<ScenarioPlan>,
-        seed: u64,
-        mode: u8,
-        execute: impl FnOnce() -> (Outcome, Recorder),
-    ) -> (Outcome, Recorder) {
-        let key: ExecKey = (Arc::as_ptr(plan) as usize, seed, mode);
-        let flight = {
-            let mut flights = self.exec_flights.lock().unwrap();
-            match flights.get(&key) {
-                Some(f) => {
-                    let f = Arc::clone(f);
-                    drop(flights);
-                    f.waiters.fetch_add(1, Ordering::Relaxed);
-                    let mut done = f.done.lock().unwrap();
-                    while done.is_none() {
-                        done = f.cv.wait(done).unwrap();
-                    }
-                    self.batched.fetch_add(1, Ordering::Relaxed);
-                    let (outcome, local) = done.clone().unwrap();
-                    return (outcome, local);
-                }
-                None => {
-                    let f = Arc::new(ExecFlight {
-                        done: Mutex::new(None),
-                        cv: Condvar::new(),
-                        waiters: AtomicU64::new(0),
-                    });
-                    flights.insert(key, Arc::clone(&f));
-                    f
-                }
-            }
-        };
-        let (outcome, local) = execute();
-        self.exec_flights.lock().unwrap().remove(&key);
-        // Duplicates take their `Arc` under the map's lock, and the
-        // flight has left the map: a count of 1 proves nobody waits, so
-        // nothing is cloned for nobody. (`waiters` is no such proof: a
-        // duplicate counts itself only after dropping the lock.)
-        if Arc::strong_count(&flight) > 1 {
-            *flight.done.lock().unwrap() = Some((outcome.clone(), local.clone()));
-            flight.cv.notify_all();
-        }
-        (outcome, local)
     }
 
     /// Run the campaigns of a compiled `.hsim` script — the engine behind
@@ -1077,20 +896,17 @@ impl QueryEngine {
         Ok(CampaignReport { campaigns })
     }
 
-    /// Current cache statistics, aggregated over every shard.
+    /// Current plan cache statistics.
     pub fn stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
-    /// Per-shard cache statistics (see [`PlanCache::shard_stats`]).
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.cache.shard_stats()
-    }
-
-    /// Executions served by admission batching (cloned from a concurrent
-    /// identical execution instead of running the simulation again).
+    /// Always 0: every `(plan, seed)` item runs its own execute, none is
+    /// served from another's. The stats wire's `batched_executes` field
+    /// and the perfbench counter of that name read it, so it stays until
+    /// a versioned wire change drops the field.
     pub fn batched_executes(&self) -> u64 {
-        self.batched.load(Ordering::Relaxed)
+        0
     }
 
     /// Plans this engine has compiled successfully, cached or uncached:
@@ -1105,17 +921,6 @@ fn execute_response(mut batch: Vec<Result<Vec<Outcome>, HarborError>>) -> LabRes
     match batch.remove(0) {
         Ok(mut outcomes) => LabResponse::Execute(Box::new(outcomes.remove(0))),
         Err(e) => LabResponse::Error(e),
-    }
-}
-
-/// Collapse a recorder's mode into the admission-batching key tag: off,
-/// aggregating, and capturing executions record different trace
-/// payloads, so only like-moded duplicates may share one.
-fn recorder_mode_tag(rec: &Recorder) -> u8 {
-    match (rec.is_enabled(), rec.is_capturing()) {
-        (false, _) => 0,
-        (true, false) => 1,
-        (true, true) => 2,
     }
 }
 
@@ -1206,8 +1011,7 @@ mod tests {
             2.0
         );
         assert_eq!(ru.count(SpanCategory::Cache), 3);
-        // every query run is attributed through the same recorder, even
-        // when admission batching collapsed the executions to one
+        // every query run is attributed through the same recorder
         assert!(ru.count(SpanCategory::Run) == 3);
     }
 
@@ -1247,23 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_the_coldest_plan() {
-        // capacity is a *global* budget: sharding must not change what
-        // gets evicted, so this runs on the default multi-shard layout
-        let lab = QueryEngine::with_capacity(2);
-        for nodes in [1u32, 2, 4] {
-            lab.plan(&scenario(nodes)).unwrap();
-        }
-        assert_eq!(lab.stats().entries, 2);
-        // node-1 was coldest; re-resolving it is a miss, node-4 a hit
-        let before = lab.stats();
-        lab.plan(&scenario(4)).unwrap();
-        assert_eq!(lab.stats().hits, before.hits + 1);
-        lab.plan(&scenario(1)).unwrap();
-        assert_eq!(lab.stats().misses, before.misses + 1);
-    }
-
-    #[test]
     fn taper_fallback_is_part_of_the_key() {
         let mk = || {
             Scenario::new(presets::marenostrum4(), workloads::artery_cfd_small())
@@ -1297,55 +1084,11 @@ mod tests {
     }
 
     #[test]
-    fn equal_keys_share_a_shard_and_distinct_keys_spread() {
-        let cache = PlanCache::new(64);
-        let shard = |s: &Scenario| {
-            let key = cache.hashed(PlanKey::of(s, None).unwrap());
-            cache.shard_index(key.hash)
-        };
-        let mut used = std::collections::BTreeSet::new();
-        for cluster in presets::all() {
-            for (nodes, rpn) in [(1u32, 4u32), (2, 4), (4, 2)] {
-                let mk = || {
-                    Scenario::new(cluster.clone(), workloads::artery_cfd_small())
-                        .nodes(nodes)
-                        .ranks_per_node(rpn)
-                };
-                assert_eq!(shard(&mk()), shard(&mk()), "equal keys, one shard");
-                used.insert(shard(&mk()));
-            }
-        }
-        assert!(used.len() >= 2, "12 distinct keys on shards {used:?}");
-    }
-
-    #[test]
-    fn shard_counters_conserve_the_aggregate() {
-        let lab = QueryEngine::with_cache(PlanCache::with_shards(64, 4));
-        let queries = (0..6)
-            .flat_map(|i| (0..3).map(move |_| Query::new(keyed(i), &[1])))
-            .collect();
-        lab.handle(LabRequest::Batch { queries });
-        let total = lab.stats();
-        let per_shard = lab.shard_stats();
-        assert_eq!(per_shard.len(), 4);
-        let sum = |f: fn(&CacheStats) -> u64| per_shard.iter().map(f).sum::<u64>();
-        assert_eq!(sum(|s| s.hits), total.hits);
-        assert_eq!(sum(|s| s.misses), total.misses);
-        assert_eq!(sum(|s| s.waits), total.waits);
-        assert_eq!(
-            per_shard.iter().map(|s| s.entries).sum::<usize>(),
-            total.entries
-        );
-        assert_eq!(total.hits + total.waits + total.misses, 18);
-        assert_eq!(total.misses, 6, "six distinct keys, one compile each");
-    }
-
-    #[test]
-    fn eviction_is_globally_coldest_across_shards() {
-        // 5 distinct keys into a 4-shard, capacity-3 cache: whichever
-        // shards they land on, residency must settle at 3 and the
-        // evicted plans must be exactly the least-recently-used ones.
-        let lab = QueryEngine::with_cache(PlanCache::with_shards(3, 4));
+    fn lru_evicts_the_coldest_plan() {
+        // 5 distinct keys into a capacity-3 cache: residency settles at
+        // 3, and the evicted plans are exactly the least-recently-used
+        // ones
+        let lab = QueryEngine::with_capacity(3);
         for i in 0..5 {
             lab.plan(&keyed(i)).unwrap();
         }
@@ -1364,123 +1107,9 @@ mod tests {
     }
 
     #[test]
-    fn admission_batching_shares_an_in_flight_execute() {
-        use std::sync::mpsc;
-        let lab = Arc::new(QueryEngine::new());
-        let plan = lab.plan(&scenario(1)).unwrap();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let winner = {
-            let lab = Arc::clone(&lab);
-            let plan = Arc::clone(&plan);
-            std::thread::spawn(move || {
-                lab.execute_shared(&plan, 7, 0, || {
-                    started_tx.send(()).unwrap();
-                    release_rx.recv().unwrap(); // hold the flight open
-                    let mut rec = Recorder::off();
-                    (plan.execute(7, &mut rec), rec)
-                })
-            })
-        };
-        // wait until the winner is inside its execute (flight registered)
-        started_rx.recv().unwrap();
-        let follower = {
-            let lab = Arc::clone(&lab);
-            let plan = Arc::clone(&plan);
-            std::thread::spawn(move || {
-                lab.execute_shared(&plan, 7, 0, || {
-                    panic!("the follower must share the in-flight execute, not run its own")
-                })
-            })
-        };
-        // wait until the follower is provably blocked on the rendezvous,
-        // then release the winner
-        loop {
-            let flights = lab.exec_flights.lock().unwrap();
-            let arrived = flights
-                .values()
-                .next()
-                .is_some_and(|f| f.waiters.load(Ordering::Relaxed) > 0);
-            drop(flights);
-            if arrived {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        release_tx.send(()).unwrap();
-        let (a, _) = winner.join().unwrap();
-        let (b, _) = follower.join().unwrap();
-        assert_eq!(a.elapsed, b.elapsed, "follower clones the winner's outcome");
-        assert_eq!(lab.batched_executes(), 1);
-        assert!(
-            lab.exec_flights.lock().unwrap().is_empty(),
-            "flights are a rendezvous, not a cache"
-        );
-    }
-
-    #[test]
-    fn racing_duplicate_executes_get_the_serial_outcome_and_never_hang() {
-        // THREADS threads execute one (plan, seed) at once, round after
-        // round: each gets the serial outcome, each either ran the
-        // execute or shared one, and no duplicate is left waiting on a
-        // flight whose winner published to nobody
-        const THREADS: usize = 4;
-        const ROUNDS: usize = 2000;
-        let lab = Arc::new(QueryEngine::new());
-        let plan = lab.plan(&scenario(1)).unwrap();
-        let serial = plan.execute(7, &mut Recorder::off());
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let runner = std::thread::spawn(move || {
-            let barrier = Arc::new(std::sync::Barrier::new(THREADS));
-            for round in 0..ROUNDS {
-                let executes = Arc::new(AtomicU64::new(0));
-                let batched = lab.batched_executes();
-                let racers: Vec<_> = (0..THREADS)
-                    .map(|_| {
-                        let (lab, plan) = (Arc::clone(&lab), Arc::clone(&plan));
-                        let (barrier, executes) = (Arc::clone(&barrier), Arc::clone(&executes));
-                        std::thread::spawn(move || {
-                            barrier.wait();
-                            lab.execute_shared(&plan, 7, 0, || {
-                                executes.fetch_add(1, Ordering::Relaxed);
-                                let mut rec = Recorder::off();
-                                (plan.execute(7, &mut rec), rec)
-                            })
-                            .0
-                        })
-                    })
-                    .collect();
-                for racer in racers {
-                    let outcome = racer.join().unwrap();
-                    assert_eq!(outcome.elapsed, serial.elapsed, "round {round}");
-                    assert_eq!(outcome.result, serial.result, "round {round}");
-                }
-                let shared = lab.batched_executes() - batched;
-                assert_eq!(
-                    executes.load(Ordering::Relaxed) + shared,
-                    THREADS as u64,
-                    "round {round}: every racer runs or shares exactly one execute"
-                );
-            }
-            let _ = done_tx.send(());
-        });
-        match done_rx.recv_timeout(std::time::Duration::from_secs(120)) {
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                panic!("a duplicate execute is waiting on a flight nobody published")
-            }
-            _ => {
-                if let Err(panic) = runner.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn admission_batching_is_invisible_in_results_and_traces() {
-        // same scenario, same seed, many times in one batch: outcomes
-        // and the merged trace must be identical whether or not
-        // executions were shared, and run-span counts stay per-query
+    fn duplicate_items_in_a_batch_match_the_direct_run_and_trace_per_query() {
+        // same scenario, same seed, many times in one batch: every
+        // outcome equals the direct run, and run spans stay per query
         let lab = QueryEngine::new();
         let mut rec = Recorder::aggregating();
         let queries = (0..4).map(|_| Query::new(scenario(2), &[9])).collect();

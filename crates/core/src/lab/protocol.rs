@@ -1,18 +1,16 @@
 //! The lab's one typed query protocol.
 //!
 //! [`LabRequest`] and [`LabResponse`] are the *entire* public query
-//! surface of [`QueryEngine`](super::QueryEngine): the old ad-hoc entry
-//! points (`mean_elapsed_s`, `means`, `outcome`, public `run_batch`)
-//! collapsed into one request enum handled by one method,
+//! surface of [`QueryEngine`](super::QueryEngine): one request enum
+//! handled by one method,
 //! [`QueryEngine::handle`](super::QueryEngine::handle). The
 //! [`wire`](super::wire) module serializes exactly these types, so an
 //! in-process caller and a socket client of the
 //! [`daemon`](super::daemon) execute the same code path.
 //!
 //! The response helpers ([`LabResponse::means`],
-//! [`LabResponse::into_outcome`], ...) keep call sites as terse as the
-//! old methods were, with the old panic semantics on configuration
-//! errors.
+//! [`LabResponse::into_outcome`], ...) keep call sites terse; they panic
+//! on configuration errors.
 
 use super::Query;
 use crate::error::HarborError;
@@ -38,7 +36,8 @@ pub enum LabRequest {
         /// The seed to run it under.
         seed: u64,
     },
-    /// Execute many scenario × seed grids as one sharded batch.
+    /// Execute many scenario × seed grids as one batch on the
+    /// work-stealing pool.
     Batch {
         /// The queries, answered in submission order.
         queries: Vec<Query>,
@@ -49,8 +48,7 @@ pub enum LabRequest {
         /// file).
         script: String,
     },
-    /// Report engine statistics (cache counters, per-shard skew,
-    /// admission batching).
+    /// Report engine statistics (plan cache counters).
     Stats,
 }
 
@@ -200,9 +198,13 @@ pub struct EngineStats {
     /// Aggregate cache counters (what
     /// [`summary_line`](CacheStats::summary_line) prints).
     pub cache: CacheStats,
-    /// Per-shard counters, in shard order — the Zipf hot-head skew.
+    /// The cache counters again, as the one entry of a list. The cache
+    /// is not split, so the engine always answers `vec![cache]`; the
+    /// field stays for the wire shape until a versioned change drops it.
     pub per_shard: Vec<CacheStats>,
-    /// Executions served by admission batching.
+    /// Always 0 from the engine: no execute is served from another's
+    /// (see [`QueryEngine::batched_executes`](super::QueryEngine::batched_executes)).
+    /// The field stays for the wire shape, as `per_shard` does.
     pub batched_executes: u64,
     /// Daemon front-end counters — `Some` only when the stats were
     /// served over the wire by a daemon (the in-process engine has no

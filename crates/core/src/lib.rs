@@ -10,10 +10,11 @@
 //! - [`error`] — [`HarborError`], the typed study-level error wrapping the
 //!   substrate errors.
 //! - [`lab`] — the concurrent query engine: batched queries fingerprinted
-//!   into a single-flight LRU plan cache and sharded across the
-//!   work-stealing pool. Every sweep routes through it.
-//! - [`runner`] — repetition, averaging, and parallel parameter sweeps,
-//!   built on compile-once plans and routed through the lab.
+//!   into a single-flight LRU plan cache and spread across the
+//!   work-stealing pool. Every sweep routes through it, and its batch
+//!   responses average elapsed time over seeds.
+//! - [`runner`] — the default seeds of the paper's five-repetition
+//!   protocol.
 //! - [`workloads`] — the Alya case presets re-exported for convenience.
 //! - [`experiments`] — one function per figure/table of the paper
 //!   (Fig. 1 containerization, Fig. 2 portability, Fig. 3 scalability,
@@ -150,7 +151,7 @@ pub use error::HarborError;
 pub use lab::daemon::{DaemonHandle, LabClient, LabDaemon};
 pub use lab::{
     CacheStats, CampaignReport, CampaignResult, CampaignRow, CampaignRowKind, EngineStats,
-    LabRequest, LabResponse, PlanCache, PlanInfo, PlanKey, Query, QueryEngine,
+    LabRequest, LabResponse, PlanInfo, PlanKey, Query, QueryEngine,
 };
 pub use open::{
     class_table, run_open_campaign, MixSpec, OpenClass, OpenReport, OpenSpec, RuntimeOpenStats,

@@ -1,164 +1,12 @@
-//! Repetition, averaging, and parallel sweeps.
+//! The repetition protocol.
 //!
-//! The paper reports *average* elapsed times over repeated runs; the
-//! runner reproduces that protocol on top of the compile-once API: each
-//! scenario is compiled into a [`ScenarioPlan`] exactly once, then the
-//! plan executes every seed — validation, job-profile construction and
-//! (for deployment scenarios) the image build are never repeated per
-//! seed. Sweeps route through the [`QueryEngine`],
-//! so identical points dedup to one compile and the (plan, seed) grid
-//! shards across the work-stealing pool.
-
-use crate::lab::{LabRequest, QueryEngine};
-use crate::scenario::{Scenario, ScenarioPlan};
-use harborsim_des::stats::Summary;
-use harborsim_des::trace::Recorder;
+//! The paper reports *average* elapsed times over repeated runs. A
+//! [`LabRequest::batch`](crate::lab::LabRequest::batch) over these seeds,
+//! read through [`LabResponse::means`](crate::lab::LabResponse::means),
+//! is that protocol: each scenario compiles once and its plan executes
+//! every seed.
 
 /// Default seeds — "five repetitions", as typical for the cluster runs.
 pub fn default_seeds() -> &'static [u64] {
     &[11, 22, 33, 44, 55]
-}
-
-/// Average elapsed seconds of a scenario over the given seeds.
-pub fn mean_elapsed_s(scenario: &Scenario, seeds: &[u64]) -> f64 {
-    summarize_elapsed(scenario, seeds).mean()
-}
-
-/// Full summary (mean/min/max/σ) of elapsed seconds over seeds. The
-/// scenario is compiled once; each seed only executes the plan.
-pub fn summarize_elapsed(scenario: &Scenario, seeds: &[u64]) -> Summary {
-    let plan = match scenario.compile() {
-        Ok(plan) => plan,
-        Err(e) => panic!("scenario configuration: {e}"),
-    };
-    summarize_plan(&plan, seeds)
-}
-
-/// Summary of elapsed seconds of an already-compiled plan over seeds.
-pub fn summarize_plan(plan: &ScenarioPlan, seeds: &[u64]) -> Summary {
-    let mut s = Summary::new();
-    for &seed in seeds {
-        s.record(
-            plan.execute(seed, &mut Recorder::off())
-                .elapsed
-                .as_secs_f64(),
-        );
-    }
-    s
-}
-
-/// Run a set of independent scenario constructors through a fresh
-/// [`QueryEngine`] and collect their mean elapsed times, preserving
-/// order. Accepts any iterable of closures — a `Vec`, an array,
-/// `iter::map` output — without boxing. Identical points share one
-/// compiled plan; use [`sweep_with`] to also share the cache with other
-/// sweeps.
-pub fn sweep<C, F>(points: C, seeds: &[u64]) -> Vec<f64>
-where
-    C: IntoIterator<Item = F>,
-    F: Fn() -> Scenario + Send + Sync,
-{
-    sweep_with(&QueryEngine::new(), points, seeds)
-}
-
-/// [`sweep`] against a caller-owned engine, so consecutive sweeps hit
-/// each other's cached plans.
-pub fn sweep_with<C, F>(lab: &QueryEngine, points: C, seeds: &[u64]) -> Vec<f64>
-where
-    C: IntoIterator<Item = F>,
-    F: Fn() -> Scenario + Send + Sync,
-{
-    lab.handle(LabRequest::batch(points.into_iter().map(|mk| mk()), seeds))
-        .means()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scenario::Execution;
-    use crate::workloads;
-    use harborsim_hw::presets;
-
-    fn scenario() -> Scenario {
-        Scenario::new(presets::lenox(), workloads::artery_cfd_small())
-            .execution(Execution::singularity_self_contained())
-            .nodes(2)
-            .ranks_per_node(14)
-    }
-
-    #[test]
-    fn averaging_is_tight() {
-        let s = summarize_elapsed(&scenario(), default_seeds());
-        assert_eq!(s.count(), 5);
-        assert!(s.mean() > 0.0);
-        // run-to-run jitter is small by design
-        assert!(s.relative_spread() < 0.1, "spread {}", s.relative_spread());
-    }
-
-    #[test]
-    fn sweep_preserves_order_and_parallelizes() {
-        // a compute-heavy case so strong scaling is unambiguous on 1GbE
-        let heavy = || harborsim_alya::workload::ArteryCfd {
-            label: "sweep-probe".into(),
-            active_cells: 5.0e6,
-            timesteps: 3,
-            cg_iters: 10,
-        };
-        // InfiniBand machine: communication cannot mask the scaling
-        let mk = move |nodes: u32| {
-            Scenario::new(harborsim_hw::presets::cte_power(), heavy())
-                .execution(Execution::singularity_self_contained())
-                .nodes(nodes)
-                .ranks_per_node(14)
-        };
-        // an unboxed array of distinct-but-unifiable closures via map
-        let times = sweep([1u32, 2, 4].map(|n| move || mk(n)), &[1, 2]);
-        assert_eq!(times.len(), 3);
-        // strong scaling: more nodes, less time (compute dominates here)
-        assert!(times[0] > times[1] && times[1] > times[2], "{times:?}");
-    }
-
-    #[test]
-    fn sweep_accepts_boxed_closures_too() {
-        let mks: Vec<Box<dyn Fn() -> Scenario + Send + Sync>> =
-            vec![Box::new(scenario), Box::new(|| scenario().nodes(4))];
-        let times = sweep(mks, &[3]);
-        assert_eq!(times.len(), 2);
-        assert!(times.iter().all(|t| *t > 0.0));
-    }
-
-    #[test]
-    fn same_seeds_same_mean() {
-        let a = mean_elapsed_s(&scenario(), &[9, 8, 7]);
-        let b = mean_elapsed_s(&scenario(), &[9, 8, 7]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sweep_matches_one_off_runs() {
-        let direct = mean_elapsed_s(&scenario(), &[5, 6]);
-        let swept = sweep([scenario], &[5, 6]);
-        assert_eq!(swept, vec![direct]);
-    }
-
-    #[test]
-    fn sweep_with_shares_the_cache_across_sweeps() {
-        let lab = QueryEngine::new();
-        let a = sweep_with(&lab, [scenario], &[1]);
-        let b = sweep_with(&lab, [scenario], &[1]);
-        assert_eq!(a, b);
-        let stats = lab.stats();
-        assert!(stats.hits >= 1, "second sweep should hit: {stats:?}");
-    }
-
-    #[test]
-    fn plan_reuse_matches_per_seed_compiles() {
-        let sc = scenario();
-        let plan = sc.compile().unwrap();
-        let via_plan = summarize_plan(&plan, default_seeds());
-        let via_scenario = summarize_elapsed(&sc, default_seeds());
-        assert_eq!(via_plan.mean(), via_scenario.mean());
-        assert_eq!(via_plan.min(), via_scenario.min());
-        assert_eq!(via_plan.max(), via_scenario.max());
-    }
 }

@@ -15,9 +15,7 @@
 //! carry their index and are reassembled in input order at the end.
 //! Every adapter is eager, so the item list is materialized before the
 //! parallel stage runs; the implementation stays dependency-free and
-//! deterministic in output order. The old fixed-chunk strategy survives
-//! as [`run_chunked`] — the baseline the `engine_micro` bench compares
-//! against.
+//! deterministic in output order.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -158,43 +156,6 @@ where
         handles
             .into_iter()
             .map(|h| h.join().expect("gang worker panicked"))
-            .collect()
-    })
-}
-
-/// The pre-stealing strategy: split items into one contiguous fixed chunk
-/// per core, one thread per chunk, no load balancing. Kept as the
-/// benchmark baseline for the work-stealing pool (see the `engine_micro`
-/// bench's skewed-workload comparison); sweeps should use [`run`].
-pub fn run_chunked<I, U, F>(items: Vec<I>, f: F) -> Vec<U>
-where
-    I: Send,
-    U: Send,
-    F: Fn(I) -> U + Sync,
-{
-    let workers = worker_count(items.len());
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let per = items.len().div_ceil(workers);
-    let mut batches: Vec<Vec<I>> = Vec::with_capacity(workers);
-    let mut it = items.into_iter();
-    loop {
-        let batch: Vec<I> = it.by_ref().take(per).collect();
-        if batch.is_empty() {
-            break;
-        }
-        batches.push(batch);
-    }
-    let f = &f;
-    thread::scope(|scope| {
-        let handles: Vec<_> = batches
-            .into_iter()
-            .map(|batch| scope.spawn(move || batch.into_iter().map(f).collect::<Vec<U>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("parallel worker panicked"))
             .collect()
     })
 }
@@ -441,14 +402,6 @@ mod tests {
             x * 3
         });
         assert_eq!(ys, (0..257).map(|x| x * 3).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn stealing_and_chunked_agree() {
-        let xs: Vec<u64> = (0..1000).collect();
-        let a = run(xs.clone(), |x| x * x + 1);
-        let b = run_chunked(xs, |x| x * x + 1);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -7,9 +7,18 @@
 
 use harborsim::container::builds_executed;
 use harborsim::hw::presets;
-use harborsim::study::runner::{default_seeds, sweep};
+use harborsim::study::lab::{LabRequest, QueryEngine};
+use harborsim::study::runner::default_seeds;
 use harborsim::study::scenario::{Execution, Scenario};
 use harborsim::study::workloads;
+
+/// Mean elapsed seconds per scenario, as one batch through a fresh engine
+/// (no plan shared with any other sweep).
+fn sweep(scenarios: impl IntoIterator<Item = Scenario>, seeds: &[u64]) -> Vec<f64> {
+    QueryEngine::new()
+        .handle(LabRequest::batch(scenarios, seeds))
+        .means()
+}
 
 #[test]
 fn multi_seed_deployment_sweep_builds_one_image() {
@@ -22,7 +31,7 @@ fn multi_seed_deployment_sweep_builds_one_image() {
     };
 
     let before = builds_executed();
-    let times = sweep([1u32, 2, 4].map(|n| move || mk(n)), default_seeds());
+    let times = sweep([1u32, 2, 4].map(mk), default_seeds());
     let after = builds_executed();
 
     assert_eq!(times.len(), 3);
@@ -35,7 +44,7 @@ fn multi_seed_deployment_sweep_builds_one_image() {
 
     // and a second sweep on the same CPU model reuses the cached image:
     // zero further builds
-    let again = sweep([2u32, 3].map(|n| move || mk(n)), &[1, 2, 3]);
+    let again = sweep([2u32, 3].map(mk), &[1, 2, 3]);
     assert_eq!(again.len(), 2);
     assert_eq!(
         builds_executed() - after,

@@ -9,7 +9,8 @@
 use harborsim::des::trace::Recorder;
 use harborsim::hw::presets;
 use harborsim::net::route_tables_built;
-use harborsim::study::runner::{default_seeds, sweep};
+use harborsim::study::lab::{LabRequest, QueryEngine};
+use harborsim::study::runner::default_seeds;
 use harborsim::study::scenario::{EngineKind, Execution, Scenario};
 use harborsim::study::workloads;
 
@@ -53,17 +54,15 @@ fn one_route_table_per_plan_zero_per_execute() {
 
     // and a multi-point multi-seed sweep builds one table per point
     let before = route_tables_built();
-    let times = sweep(
-        [2u32, 3, 4].map(|n| {
-            move || {
-                Scenario::new(presets::lenox(), workloads::artery_cfd_small())
-                    .execution(Execution::singularity_self_contained())
-                    .nodes(n)
-                    .ranks_per_node(14)
-            }
-        }),
-        default_seeds(),
-    );
+    let points = [2u32, 3, 4].map(|n| {
+        Scenario::new(presets::lenox(), workloads::artery_cfd_small())
+            .execution(Execution::singularity_self_contained())
+            .nodes(n)
+            .ranks_per_node(14)
+    });
+    let times = QueryEngine::new()
+        .handle(LabRequest::batch(points, default_seeds()))
+        .means();
     assert_eq!(times.len(), 3);
     assert_eq!(
         route_tables_built() - before,
