@@ -2,7 +2,10 @@
 //! fair-share fluid links, RNG streams, the message-level MPI engine, the
 //! work-stealing pool on a skewed workload, the lab's
 //! plan-cache hit path and key, the wire's reply encoder, and one warm
-//! open-system campaign.
+//! open-system campaign; and of the real mini-Alya solvers: CFD step cost
+//! (serial vs threaded), the coupled FSI step, and the functional
+//! thread-MPI collectives. This is the crate's only bench target: the
+//! paper's figures and tables are written by `reproduce_all` alone.
 
 use harborsim_bench::baseline::churn_arena;
 use harborsim_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
@@ -78,7 +81,9 @@ fn bench_event_churn(c: &mut Criterion) {
 }
 
 /// One full CFD solver step (momentum + divergence + CG projection +
-/// correction) at two mesh sizes, in cell-updates/sec.
+/// correction) at two mesh sizes, then serial against threaded on a
+/// 33×33×64 mesh with the CG capped at 40 iterations, in
+/// cell-updates/sec.
 fn bench_cfd_step(c: &mut Criterion) {
     use harborsim_alya::mesh::TubeMesh;
     use harborsim_alya::{CfdConfig, CfdSolver};
@@ -90,13 +95,72 @@ fn bench_cfd_step(c: &mut Criterion) {
         let mut s = CfdSolver::new(mesh, cfg);
         s.run(5); // settle the CG warm start
         g.throughput(Throughput::Elements(active));
-        g.bench_function(format!("step_{nx}x{ny}x{nz}").as_str(), |b| {
+        g.bench_function(&format!("step_{nx}x{ny}x{nz}"), |b| {
             b.iter(|| {
                 s.step();
                 black_box(s.stats.steps)
             });
         });
     }
+    let mesh = TubeMesh::cylinder(33, 33, 64, 14.0);
+    g.throughput(Throughput::Elements(mesh.active_cells() as u64));
+    for (label, parallel) in [("serial", false), ("threaded", true)] {
+        let mut cfg = CfdConfig::stable(&mesh, 30.0, 0.1);
+        cfg.parallel = parallel;
+        cfg.cg_max_iters = 40;
+        let mut s = CfdSolver::new(mesh.clone(), cfg);
+        s.run(3); // warm up the pressure field
+        g.bench_function(&format!("step_33x33x64_{label}"), |b| {
+            b.iter(|| {
+                s.step();
+                black_box(s.stats.steps)
+            });
+        });
+    }
+    g.finish();
+}
+
+/// One coupled FSI step (1D pulse fluid + wall, sub-iterated) against the
+/// fluid step alone, both on 200 stations.
+fn bench_fsi_step(c: &mut Criterion) {
+    use harborsim_alya::fsi::{CoupledFsi, FsiConfig};
+    use harborsim_alya::pulse1d::{cardiac_inflow, PulseConfig, PulseSolver};
+    let mut g = c.benchmark_group("fsi_step");
+    g.bench_function("coupled_200_stations", |b| {
+        let mut fsi = CoupledFsi::new(
+            PulseConfig::artery(200),
+            40.0,
+            FsiConfig::default(),
+            cardiac_inflow,
+        );
+        b.iter(|| black_box(fsi.step()));
+    });
+    g.bench_function("fluid_only_200_stations", |b| {
+        let mut fluid = PulseSolver::new(PulseConfig::artery(200), cardiac_inflow);
+        b.iter(|| {
+            fluid.step();
+            black_box(fluid.time)
+        });
+    });
+    g.finish();
+}
+
+/// The functional thread-backed MPI: 100 scalar allreduces over 8 ranks.
+fn bench_thread_mpi(c: &mut Criterion) {
+    use harborsim_mpi::thread_mpi::ThreadComm;
+    let mut g = c.benchmark_group("thread_mpi");
+    g.bench_function("allreduce_8_ranks_x100", |b| {
+        b.iter(|| {
+            let sums = ThreadComm::run(8, |comm| {
+                let mut acc = 0.0;
+                for i in 0..100 {
+                    acc += comm.allreduce_sum_scalar(i as f64);
+                }
+                acc
+            });
+            black_box(sums)
+        });
+    });
     g.finish();
 }
 
@@ -314,7 +378,7 @@ fn bench_par_des(c: &mut Criterion) {
         let (check, check_events) = sharded.run_counted(&job, 1, &mut Recorder::off());
         assert_eq!(check, probe, "{shards} shards drifted from serial");
         assert_eq!(check_events, events);
-        g.bench_function(format!("campaign_256n_{shards}shards").as_str(), |b| {
+        g.bench_function(&format!("campaign_256n_{shards}shards"), |b| {
             b.iter(|| black_box(sharded.run_counted(&job, 1, &mut Recorder::off()).1));
         });
     }
@@ -533,6 +597,8 @@ criterion_group!(
     bench_des_events,
     bench_event_churn,
     bench_cfd_step,
+    bench_fsi_step,
+    bench_thread_mpi,
     bench_fluid,
     bench_rng,
     bench_route_table,

@@ -217,6 +217,7 @@ fn main() {
             write_trace(dir, name, parts);
         }
     };
+    let out = out_dir();
     let t0 = Instant::now();
     let mut all_ok = true;
     let mut summary: Vec<(&str, String)> = Vec::new();
@@ -225,7 +226,7 @@ fn main() {
         println!("== Performance baseline (hot-path throughput) ==");
         let measured = harborsim_bench::baseline::measure();
         println!("{}", measured.to_ascii());
-        let path = out_dir().join("BENCH_baseline.json");
+        let path = out.join("BENCH_baseline.json");
         std::fs::write(&path, measured.to_json()).expect("write bench baseline");
         println!("  written to {}", path.display());
         let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json");
@@ -277,7 +278,7 @@ fn main() {
     if selected("fig1") {
         println!("== Fig. 1: containerization solutions (Lenox) ==");
         let f1 = fig1::run(&lab, seeds);
-        write_figure(&f1);
+        write_figure(&out, &f1);
         println!("{}", f1.to_ascii(72, 18));
         all_ok &= report_shapes("fig1", &fig1::check_shape(&f1));
         summary.push(("fig1", f1.to_json()));
@@ -287,7 +288,7 @@ fn main() {
     if selected("fig2") {
         println!("\n== Fig. 2: portability (CTE-POWER) ==");
         let f2 = fig2::run(&lab, seeds);
-        write_figure(&f2);
+        write_figure(&out, &f2);
         println!("{}", f2.to_ascii(72, 18));
         all_ok &= report_shapes("fig2", &fig2::check_shape(&f2));
         summary.push(("fig2", f2.to_json()));
@@ -297,7 +298,7 @@ fn main() {
     if selected("fig3") {
         println!("\n== Fig. 3: scalability (MareNostrum4, up to 12,288 cores) ==");
         let f3 = fig3::run(&lab, seeds);
-        write_figure(&f3);
+        write_figure(&out, &f3);
         println!("{}", f3.to_ascii(72, 18));
         all_ok &= report_shapes("fig3", &fig3::check_shape(&f3));
         summary.push(("fig3", f3.to_json()));
@@ -307,7 +308,7 @@ fn main() {
     if selected("tables") {
         println!("\n== Table: deployment overhead / image size / execution time ==");
         let td = tables::deployment(&lab, seeds);
-        write_table(&td);
+        write_table(&out, &td);
         println!("{}", td.to_ascii());
         all_ok &= report_shapes("table-deployment", &tables::check_deployment_shape(&td));
         summary.push(("table_deployment", td.to_json()));
@@ -315,7 +316,7 @@ fn main() {
 
         println!("\n== Table: portability across three architectures ==");
         let tp = tables::portability(&lab, seeds);
-        write_table(&tp);
+        write_table(&out, &tp);
         println!("{}", tp.to_ascii());
         all_ok &= report_shapes("table-portability", &tables::check_portability_shape(&tp));
         summary.push(("table_portability", tp.to_json()));
@@ -324,7 +325,7 @@ fn main() {
     if selected("ext-io") {
         println!("\n== Extension: I/O & distributed storage (image-startup storm) ==");
         let fe = ext_io::run();
-        write_figure(&fe);
+        write_figure(&out, &fe);
         println!("{}", fe.to_ascii(72, 18));
         all_ok &= report_shapes("ext-io", &ext_io::check_shape(&fe));
         summary.push(("ext_io", fe.to_json()));
@@ -335,7 +336,7 @@ fn main() {
         println!("\n== Extension: time decomposition + Docker --net=host ablation ==");
         let rows = ext_breakdown::run(&lab, seeds[0]);
         let tb = ext_breakdown::table(&rows);
-        write_table(&tb);
+        write_table(&out, &tb);
         println!("{}", tb.to_ascii());
         all_ok &= report_shapes("ext-breakdown", &ext_breakdown::check_shape(&rows));
         summary.push(("ext_breakdown", tb.to_json()));
@@ -346,7 +347,7 @@ fn main() {
         println!("\n== Extension: campaign turnaround under the batch scheduler ==");
         let rows = ext_campaign::run(&lab, seeds);
         let tc = ext_campaign::table(&rows);
-        write_table(&tc);
+        write_table(&out, &tc);
         println!("{}", tc.to_ascii());
         all_ok &= report_shapes("ext-campaign", &ext_campaign::check_shape(&rows));
         summary.push(("ext_campaign", tc.to_json()));
@@ -357,7 +358,7 @@ fn main() {
         println!("\n== Extension: open-system campaign (arrivals, mix, storms) ==");
         let data = ext_open_system::run(&lab, seeds);
         let to = ext_open_system::table(&data);
-        write_table(&to);
+        write_table(&out, &to);
         println!("{}", to.to_ascii());
         all_ok &= report_shapes("ext-open-system", &ext_open_system::check_shape(&data));
         summary.push(("ext_open_system", to.to_json()));
@@ -367,7 +368,7 @@ fn main() {
     if selected("ext-weak") {
         println!("\n== Extension: weak scaling ==");
         let fw = ext_weak::run(&lab, seeds);
-        write_figure(&fw);
+        write_figure(&out, &fw);
         println!("{}", fw.to_ascii(72, 18));
         all_ok &= report_shapes("ext-weak", &ext_weak::check_shape(&fw));
         summary.push(("ext_weak", fw.to_json()));
@@ -377,10 +378,10 @@ fn main() {
     if selected("ext-oversub") {
         println!("\n== Extension: spine oversubscription ==");
         let study = ext_oversub::run(&lab, seeds);
-        write_figure(&study.fig);
+        write_figure(&out, &study.fig);
         println!("{}", study.fig.to_ascii(72, 18));
         let tl = ext_oversub::table(&study);
-        write_table(&tl);
+        write_table(&out, &tl);
         println!("{}", tl.to_ascii());
         all_ok &= report_shapes("ext-oversub", &ext_oversub::check_shape(&study));
         summary.push(("ext_oversub", study.fig.to_json()));
@@ -389,7 +390,7 @@ fn main() {
     if selected("ext-degraded") {
         println!("\n== Extension: degraded-link robustness ==");
         let fd = ext_degraded::run(&lab, seeds);
-        write_figure(&fd);
+        write_figure(&out, &fd);
         println!("{}", fd.to_ascii(72, 18));
         all_ok &= report_shapes("ext-degraded", &ext_degraded::check_shape(&fd));
         summary.push(("ext_degraded", fd.to_json()));
@@ -398,7 +399,7 @@ fn main() {
     if selected("ext-locality") {
         println!("\n== Extension: placement locality on the fat tree ==");
         let fl = ext_locality::run(&lab, seeds);
-        write_figure(&fl);
+        write_figure(&out, &fl);
         println!("{}", fl.to_ascii(72, 18));
         all_ok &= report_shapes("ext-locality", &ext_locality::check_shape(&fl));
         summary.push(("ext_locality", fl.to_json()));
@@ -415,7 +416,7 @@ fn main() {
         }
         let vrows = validation::run_with_shards(&lab, compiled.shards);
         let tv = validation::table(&vrows);
-        write_table(&tv);
+        write_table(&out, &tv);
         println!("{}", tv.to_ascii());
         all_ok &= report_shapes("ext-validation", &validation::check_shape(&vrows));
         summary.push(("validation", tv.to_json()));
@@ -474,7 +475,7 @@ fn main() {
         .iter()
         .map(|(k, v)| format!("  \"{k}\": {v}"))
         .collect();
-    let summary_path = out_dir().join("summary.json");
+    let summary_path = out.join("summary.json");
     std::fs::write(&summary_path, format!("{{\n{}\n}}\n", body.join(",\n")))
         .expect("write summary");
 
@@ -482,7 +483,7 @@ fn main() {
     println!(
         "Done in {:.1}s. Artifacts in {} (summary.json, per-figure csv/svg/txt).",
         t0.elapsed().as_secs_f64(),
-        out_dir().display()
+        out.display()
     );
     if let Some(dir) = &trace_dir {
         println!(

@@ -25,27 +25,6 @@ pub enum Throughput {
     Elements(u64),
 }
 
-/// A `group/function` benchmark label.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    name: String,
-}
-
-impl BenchmarkId {
-    /// Label composed of a function name and a parameter value.
-    pub fn new(function: impl Into<String>, parameter: impl std::fmt::Display) -> BenchmarkId {
-        BenchmarkId {
-            name: format!("{}/{}", function.into(), parameter),
-        }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> BenchmarkId {
-        BenchmarkId { name: s.into() }
-    }
-}
-
 impl Criterion {
     /// Start a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
@@ -78,28 +57,19 @@ impl BenchmarkGroup {
         self
     }
 
-    /// Time a benchmark function.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
+    /// Time a benchmark function, reported as `group/name`.
+    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
         let mut b = Bencher {
             max_samples: self.sample_size as u64,
             iters: 0,
             total: Duration::ZERO,
         };
         f(&mut b);
-        self.report(&id.name, &b);
+        self.report(name, &b);
         self
-    }
-
-    /// Time a benchmark function against an explicit input.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.bench_function(id, |b| f(b, input))
     }
 
     /// End the group (kept for API parity; reporting is per-function).
@@ -244,11 +214,5 @@ mod tests {
         g.finish();
         assert_eq!(built, runs);
         assert!((2..=4).contains(&runs), "runs={runs}");
-    }
-
-    #[test]
-    fn benchmark_id_formats() {
-        let id = BenchmarkId::new("cost_model", "Ring");
-        assert_eq!(id.name, "cost_model/Ring");
     }
 }

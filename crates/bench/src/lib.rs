@@ -1,10 +1,9 @@
 //! # harborsim-bench
 //!
-//! The benchmark harness: benches on the in-tree, Criterion-shaped
-//! [`harness`] (one per figure/table plus the
-//! DESIGN.md §5 ablations and engine micro-benchmarks) and the
-//! `reproduce_all` binary that regenerates every artifact of the paper into
-//! `target/study/`.
+//! The `reproduce_all` binary, the only writer of the paper's artifacts in
+//! `target/study/`, with the perf [`baseline`] it gates; and the
+//! `engine_micro` bench on the in-tree, Criterion-shaped [`harness`]. The
+//! DESIGN.md §5 ablations are tier-1 tests (`tests/ablations.rs`).
 
 pub mod baseline;
 pub mod harness;
@@ -12,7 +11,7 @@ pub mod loadgen;
 
 use harborsim_core::report::{FigureData, TableData};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Where reproduction artifacts land.
 pub fn out_dir() -> PathBuf {
@@ -21,35 +20,23 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Persist a figure as CSV + SVG + ASCII.
-pub fn write_figure(fig: &FigureData) {
-    let dir = out_dir();
+/// Persist a figure as CSV + SVG + ASCII in `dir`.
+pub fn write_figure(dir: &Path, fig: &FigureData) {
     fs::write(dir.join(format!("{}.csv", fig.id)), fig.to_csv()).expect("csv");
     fs::write(dir.join(format!("{}.svg", fig.id)), fig.to_svg(720, 440)).expect("svg");
     fs::write(dir.join(format!("{}.txt", fig.id)), fig.to_ascii(72, 22)).expect("txt");
 }
 
-/// Persist a table as CSV + ASCII.
-pub fn write_table(t: &TableData) {
-    let dir = out_dir();
+/// Persist a table as CSV + ASCII in `dir`.
+pub fn write_table(dir: &Path, t: &TableData) {
     fs::write(dir.join(format!("{}.csv", t.id)), t.to_csv()).expect("csv");
     fs::write(dir.join(format!("{}.txt", t.id)), t.to_ascii()).expect("txt");
-}
-
-/// Seeds used by every reproduction (five repetitions, as in the paper's
-/// averaging protocol).
-pub fn repro_seeds() -> &'static [u64] {
-    harborsim_core::runner::default_seeds()
 }
 
 /// Persist captured traces for one experiment as a chrome://tracing JSON
 /// document (`<dir>/<name>.trace.json`, loadable in `chrome://tracing` or
 /// Perfetto).
-pub fn write_trace(
-    dir: &std::path::Path,
-    name: &str,
-    parts: &[(String, harborsim_des::trace::TraceBuffer)],
-) {
+pub fn write_trace(dir: &Path, name: &str, parts: &[(String, harborsim_des::trace::TraceBuffer)]) {
     fs::create_dir_all(dir).expect("create trace dir");
     fs::write(
         dir.join(format!("{name}.trace.json")),
@@ -72,12 +59,14 @@ mod tests {
             y_label: "y".into(),
             series: vec![Series::new("s", vec![(1.0, 2.0), (2.0, 1.0)])],
         };
-        write_figure(&fig);
-        let dir = out_dir();
+        // a directory of its own: `target/study/` belongs to `reproduce_all`
+        let dir = std::env::temp_dir().join(format!("harborsim-selftest-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("create selftest dir");
+        write_figure(&dir, &fig);
         for ext in ["csv", "svg", "txt"] {
             let p = dir.join(format!("selftest-fig.{ext}"));
             assert!(p.exists(), "{p:?}");
-            fs::remove_file(p).ok();
         }
+        fs::remove_dir_all(&dir).ok();
     }
 }

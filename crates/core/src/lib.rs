@@ -53,7 +53,7 @@ pub mod workloads {
 
     /// A 1D chain-halo case with enough bytes per edge that placement
     /// decides how much traffic hits the wire (the 3D CFD partitions can
-    /// tie under stride aliasing; see the `ablate_mapping` bench). Used
+    /// tie under stride aliasing; see `tests/ablations.rs`). Used
     /// by the `ext-locality` experiment and addressable from scripts as
     /// `workload chain-halo`.
     pub struct ChainHaloCase;

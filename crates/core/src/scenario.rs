@@ -667,7 +667,7 @@ mod tests {
 
     /// A chain-halo case heavy enough that placement decides how many
     /// bytes hit the wire (the 3D CFD cases can tie under stride aliasing;
-    /// see `ablate_mapping`).
+    /// see `tests/ablations.rs`).
     struct ChainHalo;
 
     impl workloads::AlyaCase for ChainHalo {

@@ -39,7 +39,6 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod timeline;
 pub mod trace;
 
 pub use crate::core::{EventCore, EventId};
@@ -48,5 +47,4 @@ pub use fluid::FluidLink;
 pub use resource::CoreResource;
 pub use rng::RngStream;
 pub use time::{SimDuration, SimTime};
-pub use timeline::Timeline;
 pub use trace::{AttrValue, Recorder, Rollup, Span, SpanCategory, TraceBuffer};
