@@ -25,17 +25,14 @@
 //! construction and stay zero, which is exactly what the old
 //! write-zero-every-sweep kernels produced, so the full-array dot products
 //! and axpy updates of the CG solve are untouched and every result is
-//! bit-for-bit identical. The serial path fuses each momentum plane with
-//! the divergence of the plane below it so the tentative field is consumed
-//! while still in cache; the parallel path runs plane-parallel momentum and
-//! a cache-blocked CG matvec through `harborsim-par` (dot products stay
-//! serial, keeping results independent of thread count).
+//! bit-for-bit identical. Each momentum plane is fused with the divergence
+//! of the plane below it so the tentative field is consumed while still in
+//! cache.
 //!
 //! The solver counts its floating-point work; those counters are the ground
 //! truth behind [`crate::workload`]'s flop constants.
 
 use crate::mesh::{TubeMesh, NB_XM, NB_XP, NB_YM, NB_YP};
-use harborsim_par::prelude::*;
 
 /// Flop cost per active interior cell of one momentum evaluation
 /// (3 components × (upwind advection + diffusion + update)).
@@ -47,11 +44,6 @@ pub const FLOPS_DIVERGENCE: f64 = 12.0;
 pub const FLOPS_CG_ITER: f64 = 27.0;
 /// Flop cost per active cell of the velocity correction.
 pub const FLOPS_CORRECTION: f64 = 18.0;
-
-/// Planes per task of the cache-blocked parallel CG matvec: adjacent planes
-/// share their z-neighbour reads, so a small block keeps them resident
-/// while amortizing per-task scheduling cost.
-const LAP_KBLOCK: usize = 4;
 
 /// Solver configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,9 +58,6 @@ pub struct CfdConfig {
     pub cg_tol: f64,
     /// CG iteration cap per step.
     pub cg_max_iters: usize,
-    /// Use Rayon for the element-wise kernels (dot products stay serial so
-    /// results are bit-reproducible regardless of thread count).
-    pub parallel: bool,
     /// Pulsatile inflow `(relative amplitude, period)`: the inflow peak is
     /// modulated as `1 + amp·sin(2πt/T)`. `None` = steady inflow.
     pub pulsatile: Option<(f64, f64)>,
@@ -86,7 +75,6 @@ impl CfdConfig {
             inflow_peak,
             cg_tol: 1e-8,
             cg_max_iters: 500,
-            parallel: false,
             pulsatile: None,
         }
     }
@@ -139,53 +127,6 @@ pub struct CfdSolver {
     cg_r: Vec<f64>,
     cg_d: Vec<f64>,
     cg_ap: Vec<f64>,
-}
-
-/// Tentative-velocity kernel for one interior plane `k`, over the fluid
-/// cross-section only.
-#[allow(clippy::too_many_arguments)]
-fn momentum_plane_kernel(
-    mesh: &TubeMesh,
-    u: &[f64],
-    v: &[f64],
-    w: &[f64],
-    nu: f64,
-    dt: f64,
-    k: usize,
-    us_k: &mut [f64],
-    vs_k: &mut [f64],
-    ws_k: &mut [f64],
-) {
-    let nx = mesh.nx;
-    let plane = nx * mesh.ny;
-    let base = plane * k;
-    for c in mesh.cross_cells() {
-        let o = c.o as usize;
-        let idx = base + o;
-        let nb = c.nb;
-        let (uc, vc, wc) = (u[idx], v[idx], w[idx]);
-        // neighbour fetch with no-slip (0) ghosts at walls; z-neighbours of
-        // an interior-plane fluid cell are always fluid (z-invariant mask)
-        let upd = |f: &[f64]| -> f64 {
-            let cv = f[idx];
-            let xm = if nb & NB_XM != 0 { f[idx - 1] } else { 0.0 };
-            let xp = if nb & NB_XP != 0 { f[idx + 1] } else { 0.0 };
-            let ym = if nb & NB_YM != 0 { f[idx - nx] } else { 0.0 };
-            let yp = if nb & NB_YP != 0 { f[idx + nx] } else { 0.0 };
-            let zm = f[idx - plane];
-            let zp = f[idx + plane];
-            // upwind advection
-            let dfdx = if uc > 0.0 { cv - xm } else { xp - cv };
-            let dfdy = if vc > 0.0 { cv - ym } else { yp - cv };
-            let dfdz = if wc > 0.0 { cv - zm } else { zp - cv };
-            let adv = uc * dfdx + vc * dfdy + wc * dfdz;
-            let lap = xm + xp + ym + yp + zm + zp - 6.0 * cv;
-            cv + dt * (nu * lap - adv)
-        };
-        us_k[o] = upd(u);
-        vs_k[o] = upd(v);
-        ws_k[o] = upd(w);
-    }
 }
 
 impl CfdSolver {
@@ -270,63 +211,59 @@ impl CfdSolver {
     }
 
     /// Tentative velocity for interior planes `1..nz-1` plus the Poisson
-    /// RHS `div(u*)/dt` for planes `0..nz-1`.
-    ///
-    /// Serial: a fused sweep — each momentum plane is followed immediately
-    /// by the divergence of the plane below it (its last dependency), so
-    /// the freshly written tentative planes are consumed while still hot.
-    /// Parallel: plane-parallel momentum, then the divergence sweep; each
-    /// cell's arithmetic is identical either way, so the two paths agree
-    /// bitwise.
+    /// RHS `div(u*)/dt` for planes `0..nz-1`, in one fused sweep: each
+    /// momentum plane is followed immediately by the divergence of the
+    /// plane below it (its last dependency), so the freshly written
+    /// tentative planes are consumed while still hot.
     fn tentative_and_rhs(&mut self) {
         let (nz, plane) = (self.mesh.nz, self.mesh.nx * self.mesh.ny);
         // inlet plane of the tentative field: keep BC values
         self.us[..plane].copy_from_slice(&self.u[..plane]);
         self.vs[..plane].copy_from_slice(&self.v[..plane]);
         self.ws[..plane].copy_from_slice(&self.w[..plane]);
-        if self.cfg.parallel {
-            let mesh = &self.mesh;
-            let (u, v, w) = (&self.u, &self.v, &self.w);
-            let (nu, dt) = (self.cfg.nu, self.cfg.dt);
-            self.us
-                .par_chunks_mut(plane)
-                .zip(self.vs.par_chunks_mut(plane))
-                .zip(self.ws.par_chunks_mut(plane))
-                .enumerate()
-                .filter(|(k, _)| *k >= 1 && *k < nz - 1)
-                .for_each(|(k, ((us_k, vs_k), ws_k))| {
-                    momentum_plane_kernel(mesh, u, v, w, nu, dt, k, us_k, vs_k, ws_k)
-                });
-            self.copy_outflow_tentative();
-            for k in 0..nz - 1 {
-                self.divergence_plane(k);
-            }
-        } else {
-            for m in 1..nz - 1 {
-                self.momentum_plane(m);
-                self.divergence_plane(m - 1);
-            }
-            self.copy_outflow_tentative();
-            self.divergence_plane(nz - 2);
+        for m in 1..nz - 1 {
+            self.momentum_plane(m);
+            self.divergence_plane(m - 1);
         }
+        self.copy_outflow_tentative();
+        self.divergence_plane(nz - 2);
     }
 
-    /// One serial momentum plane.
+    /// Tentative velocity of interior plane `k`, over the fluid
+    /// cross-section only.
     fn momentum_plane(&mut self, k: usize) {
-        let plane = self.mesh.nx * self.mesh.ny;
-        let range = k * plane..(k + 1) * plane;
-        momentum_plane_kernel(
-            &self.mesh,
-            &self.u,
-            &self.v,
-            &self.w,
-            self.cfg.nu,
-            self.cfg.dt,
-            k,
-            &mut self.us[range.clone()],
-            &mut self.vs[range.clone()],
-            &mut self.ws[range],
-        );
+        let nx = self.mesh.nx;
+        let plane = nx * self.mesh.ny;
+        let base = plane * k;
+        let (nu, dt) = (self.cfg.nu, self.cfg.dt);
+        let (u, v, w) = (&self.u, &self.v, &self.w);
+        let (us, vs, ws) = (&mut self.us, &mut self.vs, &mut self.ws);
+        for c in self.mesh.cross_cells() {
+            let idx = base + c.o as usize;
+            let nb = c.nb;
+            let (uc, vc, wc) = (u[idx], v[idx], w[idx]);
+            // neighbour fetch with no-slip (0) ghosts at walls; z-neighbours of
+            // an interior-plane fluid cell are always fluid (z-invariant mask)
+            let upd = |f: &[f64]| -> f64 {
+                let cv = f[idx];
+                let xm = if nb & NB_XM != 0 { f[idx - 1] } else { 0.0 };
+                let xp = if nb & NB_XP != 0 { f[idx + 1] } else { 0.0 };
+                let ym = if nb & NB_YM != 0 { f[idx - nx] } else { 0.0 };
+                let yp = if nb & NB_YP != 0 { f[idx + nx] } else { 0.0 };
+                let zm = f[idx - plane];
+                let zp = f[idx + plane];
+                // upwind advection
+                let dfdx = if uc > 0.0 { cv - xm } else { xp - cv };
+                let dfdy = if vc > 0.0 { cv - ym } else { yp - cv };
+                let dfdz = if wc > 0.0 { cv - zm } else { zp - cv };
+                let adv = uc * dfdx + vc * dfdy + wc * dfdz;
+                let lap = xm + xp + ym + yp + zm + zp - 6.0 * cv;
+                cv + dt * (nu * lap - adv)
+            };
+            us[idx] = upd(u);
+            vs[idx] = upd(v);
+            ws[idx] = upd(w);
+        }
     }
 
     /// Zero-gradient outflow plane of the tentative field.
@@ -379,18 +316,14 @@ impl CfdSolver {
     /// `y = A x` where `A` is the negated mask-aware Laplacian (SPD), over
     /// the fluid cells of the unknown planes only. Masked cells and the
     /// outlet plane of `y` are never written — zero from construction.
-    fn apply_laplacian(mesh: &TubeMesh, x: &[f64], y: &mut [f64], parallel: bool) {
-        let (nx, ny, nz) = (mesh.nx, mesh.ny, mesh.nz);
-        let plane = nx * ny;
-        let kernel = |k: usize, y_k: &mut [f64]| {
-            if k >= nz - 1 {
-                return;
-            }
+    fn apply_laplacian(mesh: &TubeMesh, x: &[f64], y: &mut [f64]) {
+        let (nx, nz) = (mesh.nx, mesh.nz);
+        let plane = nx * mesh.ny;
+        for k in 0..nz - 1 {
             let base = plane * k;
             let outlet_above = k + 1 == nz - 1;
             for c in mesh.cross_cells() {
-                let o = c.o as usize;
-                let idx = base + o;
+                let idx = base + c.o as usize;
                 let nb = c.nb;
                 let xc = x[idx];
                 let mut acc = 0.0;
@@ -419,21 +352,7 @@ impl CfdSolver {
                 } else {
                     acc += xc - x[idx + plane];
                 }
-                y_k[o] = acc;
-            }
-        };
-        if parallel {
-            // cache-blocked: LAP_KBLOCK adjacent planes per task
-            y.par_chunks_mut(plane * LAP_KBLOCK)
-                .enumerate()
-                .for_each(|(b, y_b)| {
-                    for (dk, y_k) in y_b.chunks_mut(plane).enumerate() {
-                        kernel(b * LAP_KBLOCK + dk, y_k);
-                    }
-                });
-        } else {
-            for (k, y_k) in y.chunks_mut(plane).enumerate() {
-                kernel(k, y_k);
+                y[idx] = acc;
             }
         }
     }
@@ -444,11 +363,10 @@ impl CfdSolver {
 
     /// CG on `A p = -rhs`; returns iterations used.
     fn pressure_solve(&mut self) -> usize {
-        let parallel = self.cfg.parallel;
         // r = b - A p with b = -rhs, warm-started from the previous
         // pressure; the negation happens term-by-term, exactly as the
         // former explicit b vector
-        Self::apply_laplacian(&self.mesh, &self.p, &mut self.cg_ap, parallel);
+        Self::apply_laplacian(&self.mesh, &self.p, &mut self.cg_ap);
         for i in 0..self.cg_r.len() {
             self.cg_r[i] = -self.rhs[i] - self.cg_ap[i];
         }
@@ -472,7 +390,7 @@ impl CfdSolver {
             return 0;
         }
         for it in 1..=self.cfg.cg_max_iters {
-            Self::apply_laplacian(&self.mesh, &self.cg_d, &mut self.cg_ap, parallel);
+            Self::apply_laplacian(&self.mesh, &self.cg_d, &mut self.cg_ap);
             let dad = Self::dot(&self.cg_d, &self.cg_ap);
             if dad <= 0.0 {
                 return it; // numerically singular direction; accept current p
@@ -693,21 +611,6 @@ mod tests {
         let q2 = s.mean_axial_velocity(30);
         let rel = (q1 - q2).abs() / q1.abs().max(1e-12);
         assert!(rel < 0.08, "flux drift {rel}: q1={q1} q2={q2}");
-    }
-
-    #[test]
-    fn threaded_matches_serial_bitwise() {
-        let mesh = TubeMesh::cylinder(11, 11, 20, 4.0);
-        let mut cfg = CfdConfig::stable(&mesh, 30.0, 0.1);
-        cfg.parallel = false;
-        let mut serial = CfdSolver::new(mesh.clone(), cfg.clone());
-        cfg.parallel = true;
-        let mut par = CfdSolver::new(mesh, cfg);
-        serial.run(10);
-        par.run(10);
-        assert_eq!(serial.w, par.w, "element-wise kernels must be exact");
-        assert_eq!(serial.p, par.p);
-        assert_eq!(serial.stats.cg_iters, par.stats.cg_iters);
     }
 
     #[test]

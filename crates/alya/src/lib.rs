@@ -9,8 +9,8 @@
 //! - [`cfd`] — the **CFD artery case**: 3D incompressible Navier–Stokes
 //!   (fractional-step/Chorin projection, upwind advection, conjugate-
 //!   gradient pressure solve), validated against Poiseuille flow. Runs
-//!   sequentially, with Rayon shared-memory parallelism, or slab-decomposed
-//!   over the functional thread MPI.
+//!   sequentially or slab-decomposed over the functional thread MPI
+//!   ([`dist`]).
 //! - [`pulse1d`] — the 1D arterial pulse-wave fluid solver (area/flow
 //!   formulation with an elastic tube law) used by the FSI pair.
 //! - [`wall`] — the wall-mechanics "solid code": a viscoelastic radial

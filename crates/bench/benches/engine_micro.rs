@@ -3,7 +3,7 @@
 //! work-stealing pool on a skewed workload, the lab's
 //! plan-cache hit path and key, the wire's reply encoder, and one warm
 //! open-system campaign; and of the real mini-Alya solvers: CFD step cost
-//! (serial vs threaded), the coupled FSI step, and the functional
+//! at three mesh sizes, the coupled FSI step, and the functional
 //! thread-MPI collectives. This is the crate's only bench target: the
 //! paper's figures and tables are written by `reproduce_all` alone.
 
@@ -81,9 +81,8 @@ fn bench_event_churn(c: &mut Criterion) {
 }
 
 /// One full CFD solver step (momentum + divergence + CG projection +
-/// correction) at two mesh sizes, then serial against threaded on a
-/// 33×33×64 mesh with the CG capped at 40 iterations, in
-/// cell-updates/sec.
+/// correction) at two mesh sizes, then on a 33×33×64 mesh with the CG
+/// capped at 40 iterations, in cell-updates/sec.
 fn bench_cfd_step(c: &mut Criterion) {
     use harborsim_alya::mesh::TubeMesh;
     use harborsim_alya::{CfdConfig, CfdSolver};
@@ -104,19 +103,16 @@ fn bench_cfd_step(c: &mut Criterion) {
     }
     let mesh = TubeMesh::cylinder(33, 33, 64, 14.0);
     g.throughput(Throughput::Elements(mesh.active_cells() as u64));
-    for (label, parallel) in [("serial", false), ("threaded", true)] {
-        let mut cfg = CfdConfig::stable(&mesh, 30.0, 0.1);
-        cfg.parallel = parallel;
-        cfg.cg_max_iters = 40;
-        let mut s = CfdSolver::new(mesh.clone(), cfg);
-        s.run(3); // warm up the pressure field
-        g.bench_function(&format!("step_33x33x64_{label}"), |b| {
-            b.iter(|| {
-                s.step();
-                black_box(s.stats.steps)
-            });
+    let mut cfg = CfdConfig::stable(&mesh, 30.0, 0.1);
+    cfg.cg_max_iters = 40;
+    let mut s = CfdSolver::new(mesh, cfg);
+    s.run(3); // warm up the pressure field
+    g.bench_function("step_33x33x64_cg40", |b| {
+        b.iter(|| {
+            s.step();
+            black_box(s.stats.steps)
         });
-    }
+    });
     g.finish();
 }
 

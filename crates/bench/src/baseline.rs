@@ -21,7 +21,7 @@
 //! spin rate of its own run, cancelling the machine out (the same
 //! normalization the paper's cross-machine tables rely on).
 
-use harborsim_alya::mesh::{TubeMesh, NB_XM, NB_XP, NB_YM, NB_YP};
+use harborsim_alya::mesh::TubeMesh;
 use harborsim_alya::{CfdConfig, CfdSolver};
 use harborsim_batch::{run_open, OpenCluster, OpenJob};
 use harborsim_container::StagePlan;
@@ -102,8 +102,6 @@ pub const METRICS: &[Metric] = &[
     // CFD step at 13x13x24 (radius 5) and 21x21x48 (radius 8)
     row("cfd_small_cups", "CFD step 13x13x24", "cell-updates/s", 0, Gate::Context),
     row("cfd_large_cups", "CFD step 21x21x48", "cell-updates/s", 0, Gate::Context),
-    // cross-section-list momentum sweep vs the full-plane scan it replaced
-    row("cfd_momentum_speedup", "CFD momentum sweep speedup", "x", 2, Gate::Context),
     // `ScenarioPlan::execute` on a cached plan
     row("execute_many_rps", "cached-plan execute", "runs/s", 1, Gate::Context),
     // the 256-node fat-tree campaign, serial and on 4 shards (bit-identical)
@@ -203,93 +201,6 @@ fn cfd_rate(nx: usize, ny: usize, nz: usize, radius: f64, steps: usize) -> f64 {
         s.run(steps);
         s.stats.steps
     })
-}
-
-/// The branch-tested full-plane momentum sweep the cross-section list
-/// replaced: every cell of every interior plane is visited and the mask is
-/// probed per neighbour. Kept here as the measured "before" of the kernel
-/// restructuring.
-fn momentum_reference(mesh: &TubeMesh, u: &[f64], out: &mut [f64]) {
-    let (nx, ny, nz) = (mesh.nx, mesh.ny, mesh.nz);
-    let plane = nx * ny;
-    for k in 1..nz - 1 {
-        for j in 0..ny {
-            for i in 0..nx {
-                let idx = i + nx * j + plane * k;
-                if !mesh.active_flat(idx) {
-                    out[idx] = 0.0;
-                    continue;
-                }
-                let get = |di: isize, dj: isize, dk: isize| -> f64 {
-                    let (ii, jj, kk) = (i as isize + di, j as isize + dj, k as isize + dk);
-                    if mesh.is_active(ii, jj, kk) {
-                        u[(ii as usize) + nx * (jj as usize) + plane * (kk as usize)]
-                    } else {
-                        0.0
-                    }
-                };
-                let c = u[idx];
-                let lap = get(-1, 0, 0)
-                    + get(1, 0, 0)
-                    + get(0, -1, 0)
-                    + get(0, 1, 0)
-                    + get(0, 0, -1)
-                    + get(0, 0, 1)
-                    - 6.0 * c;
-                out[idx] = c + 0.01 * lap;
-            }
-        }
-    }
-}
-
-/// The same diffusion sweep over the precomputed cross-section list.
-fn momentum_crosslist(mesh: &TubeMesh, u: &[f64], out: &mut [f64]) {
-    let nx = mesh.nx;
-    let plane = nx * mesh.ny;
-    for k in 1..mesh.nz - 1 {
-        let base = plane * k;
-        for c in mesh.cross_cells() {
-            let idx = base + c.o as usize;
-            let nb = c.nb;
-            let cv = u[idx];
-            let xm = if nb & NB_XM != 0 { u[idx - 1] } else { 0.0 };
-            let xp = if nb & NB_XP != 0 { u[idx + 1] } else { 0.0 };
-            let ym = if nb & NB_YM != 0 { u[idx - nx] } else { 0.0 };
-            let yp = if nb & NB_YP != 0 { u[idx + nx] } else { 0.0 };
-            let lap = xm + xp + ym + yp + u[idx - plane] + u[idx + plane] - 6.0 * cv;
-            out[idx] = cv + 0.01 * lap;
-        }
-    }
-}
-
-/// Measured speedup of the cross-section-list sweep over the full-plane
-/// branch-tested scan, on identical data (results are asserted equal).
-fn momentum_speedup() -> f64 {
-    let mesh = TubeMesh::cylinder(21, 21, 48, 8.0);
-    let n = mesh.total_cells();
-    let mut u = vec![0.0; n];
-    for (i, x) in u.iter_mut().enumerate() {
-        if mesh.active_flat(i) {
-            *x = (i % 97) as f64 * 0.013;
-        }
-    }
-    let mut a = vec![0.0; n];
-    let mut b = vec![0.0; n];
-    const SWEEPS: usize = 40;
-    let slow = rate_of(SWEEPS as f64, || {
-        for _ in 0..SWEEPS {
-            momentum_reference(&mesh, &u, &mut a);
-        }
-        SWEEPS as u64
-    });
-    let fast = rate_of(SWEEPS as f64, || {
-        for _ in 0..SWEEPS {
-            momentum_crosslist(&mesh, &u, &mut b);
-        }
-        SWEEPS as u64
-    });
-    assert_eq!(a, b, "reference and cross-list sweeps must agree exactly");
-    fast / slow
 }
 
 /// The 256-node parallel-DES campaign: MareNostrum4's tapered fat tree
@@ -425,7 +336,6 @@ pub fn measure() -> BenchBaseline {
         ("des_churn_new_eps", churn_eps),
         ("cfd_small_cups", cfd_rate(13, 13, 24, 5.0, 20)),
         ("cfd_large_cups", cfd_rate(21, 21, 48, 8.0, 5)),
-        ("cfd_momentum_speedup", momentum_speedup()),
         ("execute_many_rps", execute_many_rps()),
         ("par_des_serial_eps", serial_eps),
         ("par_des_eps", sharded_eps),
@@ -595,7 +505,6 @@ mod tests {
             ("des_churn_new_eps", 1.0e7),
             ("cfd_small_cups", 1.0),
             ("cfd_large_cups", 1.0),
-            ("cfd_momentum_speedup", 1.0),
             ("execute_many_rps", 1.0),
             ("par_des_serial_eps", 1.0e6),
             ("par_des_eps", 2.0e6),
@@ -619,7 +528,6 @@ mod tests {
     fn json_round_trips() {
         let b = sample(&[
             (SPIN_MOPS, 1234.5),
-            ("cfd_momentum_speedup", 1.4),
             ("par_des_speedup", 3.0),
             ("execute_many_rps", 9.5),
         ]);

@@ -14,7 +14,6 @@ use harborsim_container::build::{alya_recipe, BuildEngine};
 use harborsim_container::deploy::DeployPlan;
 use harborsim_des::trace::Recorder;
 use harborsim_hw::{presets, StorageSpec};
-use harborsim_par::prelude::*;
 
 /// Node counts of the storm sweep.
 pub const NODES: [u32; 5] = [4, 16, 64, 128, 256];
@@ -28,22 +27,19 @@ pub fn run() -> FigureData {
         .expect("builds")
         .manifest;
     let storm = |env: Execution, storage: StorageSpec, cached: bool| -> Vec<(f64, f64)> {
-        NODES
-            .par_iter()
-            .map(|&n| {
-                let rep = DeployPlan {
-                    nodes: n,
-                    env,
-                    image: image.clone(),
-                    shared_storage: storage.clone(),
-                    registry_uplink_bps: 1.2e9,
-                    shifter_udi_cached: cached,
-                    docker_layers_cached: cached,
-                }
-                .run(&mut Recorder::off());
-                (n as f64, rep.makespan.as_secs_f64())
-            })
-            .collect()
+        harborsim_par::run(NODES.to_vec(), |n| {
+            let rep = DeployPlan {
+                nodes: n,
+                env,
+                image: image.clone(),
+                shared_storage: storage.clone(),
+                registry_uplink_bps: 1.2e9,
+                shifter_udi_cached: cached,
+                docker_layers_cached: cached,
+            }
+            .run(&mut Recorder::off());
+            (n as f64, rep.makespan.as_secs_f64())
+        })
     };
     let series = vec![
         Series::new(

@@ -1,32 +1,28 @@
 //! # harborsim-par
 //!
-//! Minimal data-parallel iterators over [`std::thread::scope`], covering
-//! exactly the surface HarborSim uses: order-preserving `map().collect()`
-//! over slices and vectors, and mutable chunk iteration for the solver
-//! kernels (`par_chunks_mut` + `zip`/`enumerate`/`filter`/`for_each`).
+//! Three dependency-free parallel primitives over [`std::thread`]:
 //!
-//! Execution is a **work-stealing pool**: every worker owns a deque
-//! seeded with a contiguous block of item indices, pops its own work from
-//! the back, and — once drained — steals from the *front* of its
-//! neighbours. Scenario sweeps are skewed (a 256-node plan costs orders
-//! of magnitude more than a 2-node plan), and the old one-fixed-chunk-
-//! per-core split left most cores idle behind whichever chunk drew the
-//! big points; stealing keeps them busy without giving up order: results
-//! carry their index and are reassembled in input order at the end.
-//! Every adapter is eager, so the item list is materialized before the
-//! parallel stage runs; the implementation stays dependency-free and
-//! deterministic in output order.
+//! - [`run`] maps a materialized batch on a work-stealing pool and returns
+//!   the results in input order (scenario sweeps, batched executes);
+//! - [`gang`] gives every item its own thread, for tasks that block on
+//!   each other (the sharded DES driver);
+//! - [`WorkerPool`] is a resident pool for work that arrives over time
+//!   (the lab daemon's engine workers).
+//!
+//! [`run`]'s pool: every worker owns a deque seeded with a contiguous
+//! block of item indices, pops its own work from the back, and — once
+//! drained — steals from the *front* of its neighbours. Scenario sweeps
+//! are skewed (a 256-node plan costs orders of magnitude more than a
+//! 2-node plan), and the old one-fixed-chunk-per-core split left most
+//! cores idle behind whichever chunk drew the big points; stealing keeps
+//! them busy without giving up order: results carry their index and are
+//! reassembled in input order at the end.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
-
-/// Everything call sites need: the three extension traits.
-pub mod prelude {
-    pub use crate::{IntoParIter, ParChunksMutExt, ParIterExt};
-}
 
 fn worker_count(items: usize) -> usize {
     if items <= 1 {
@@ -160,115 +156,6 @@ where
     })
 }
 
-/// An eager parallel iterator: adapters restructure the item list, the
-/// terminal `for_each`/`map().collect()` runs it across threads.
-pub struct ParItems<I> {
-    items: Vec<I>,
-}
-
-impl<I: Send> ParItems<I> {
-    /// Pair items positionally with another parallel iterator (truncates
-    /// to the shorter side, like [`Iterator::zip`]).
-    pub fn zip<J: Send>(self, other: ParItems<J>) -> ParItems<(I, J)> {
-        ParItems {
-            items: self.items.into_iter().zip(other.items).collect(),
-        }
-    }
-
-    /// Attach each item's index.
-    pub fn enumerate(self) -> ParItems<(usize, I)> {
-        ParItems {
-            items: self.items.into_iter().enumerate().collect(),
-        }
-    }
-
-    /// Keep only items matching `pred`.
-    pub fn filter<P: FnMut(&I) -> bool>(self, pred: P) -> ParItems<I> {
-        ParItems {
-            items: self.items.into_iter().filter(pred).collect(),
-        }
-    }
-
-    /// Defer `f` to the parallel stage; finish with [`ParMap::collect`].
-    pub fn map<U, F>(self, f: F) -> ParMap<I, F>
-    where
-        F: Fn(I) -> U + Sync,
-        U: Send,
-    {
-        ParMap {
-            items: self.items,
-            f,
-        }
-    }
-
-    /// Run `f` on every item in parallel.
-    pub fn for_each<F: Fn(I) + Sync>(self, f: F) {
-        run(self.items, f);
-    }
-}
-
-/// A pending parallel map; [`ParMap::collect`] executes it.
-pub struct ParMap<I, F> {
-    items: Vec<I>,
-    f: F,
-}
-
-impl<I: Send, F> ParMap<I, F> {
-    /// Execute the map across threads and collect in input order.
-    pub fn collect<U, B>(self) -> B
-    where
-        F: Fn(I) -> U + Sync,
-        U: Send,
-        B: FromIterator<U>,
-    {
-        run(self.items, self.f).into_iter().collect()
-    }
-}
-
-/// `par_iter()` over shared slices (and anything that derefs to one).
-pub trait ParIterExt<T> {
-    /// Parallel iterator of `&T` in slice order.
-    fn par_iter(&self) -> ParItems<&T>;
-}
-
-impl<T: Sync> ParIterExt<T> for [T] {
-    fn par_iter(&self) -> ParItems<&T> {
-        ParItems {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-/// `into_par_iter()` over owned collections.
-pub trait IntoParIter {
-    /// Item type handed to the parallel stage.
-    type Item: Send;
-    /// Consume `self` into a parallel iterator.
-    fn into_par_iter(self) -> ParItems<Self::Item>;
-}
-
-impl<T: Send> IntoParIter for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParItems<T> {
-        ParItems { items: self }
-    }
-}
-
-/// `par_chunks_mut()` over mutable slices: disjoint windows that threads
-/// may write concurrently.
-pub trait ParChunksMutExt<T> {
-    /// Parallel iterator of `&mut [T]` chunks of at most `size` elements.
-    fn par_chunks_mut(&mut self, size: usize) -> ParItems<&mut [T]>;
-}
-
-impl<T: Send> ParChunksMutExt<T> for [T] {
-    fn par_chunks_mut(&mut self, size: usize) -> ParItems<&mut [T]> {
-        ParItems {
-            items: self.chunks_mut(size).collect(),
-        }
-    }
-}
-
 /// A resident pool of worker threads consuming boxed jobs from one
 /// shared queue — the long-lived sibling of the scoped [`run`] pool,
 /// for servers whose work arrives over time (the lab daemon's
@@ -340,50 +227,14 @@ mod tests {
 
     #[test]
     fn map_collect_preserves_order() {
-        let xs: Vec<u64> = (0..1000).collect();
-        let ys: Vec<u64> = xs.par_iter().map(|&x| x * 2).collect();
+        let ys: Vec<u64> = run((0..1000).collect(), |x: u64| x * 2);
         assert_eq!(ys, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
-    fn into_par_iter_owned() {
-        let xs: Vec<String> = (0..64).map(|i| format!("item-{i}")).collect();
-        let lens: Vec<usize> = xs.into_par_iter().map(|s| s.len()).collect();
-        assert_eq!(lens.len(), 64);
-        assert_eq!(lens[0], 6);
-        assert_eq!(lens[10], 7);
-    }
-
-    #[test]
     fn empty_and_single_inputs() {
-        let none: Vec<i32> = Vec::<i32>::new().into_par_iter().map(|x| x).collect();
-        assert!(none.is_empty());
-        let one: Vec<i32> = vec![7].into_par_iter().map(|x| x + 1).collect();
-        assert_eq!(one, vec![8]);
-    }
-
-    #[test]
-    fn chunks_zip_enumerate_filter_matches_serial() {
-        let plane = 16;
-        let planes = 9;
-        let mut a = vec![0.0_f64; plane * planes];
-        let mut b = vec![0.0_f64; plane * planes];
-        a.par_chunks_mut(plane)
-            .zip(b.par_chunks_mut(plane))
-            .enumerate()
-            .filter(|(k, _)| *k >= 1 && *k < planes - 1)
-            .for_each(|(k, (a_k, b_k))| {
-                for (o, (x, y)) in a_k.iter_mut().zip(b_k.iter_mut()).enumerate() {
-                    *x = (k * plane + o) as f64;
-                    *y = -*x;
-                }
-            });
-        // boundary planes untouched
-        assert!(a[..plane].iter().all(|&x| x == 0.0));
-        assert!(a[plane * (planes - 1)..].iter().all(|&x| x == 0.0));
-        // interior written
-        assert_eq!(a[plane + 3], (plane + 3) as f64);
-        assert_eq!(b[plane + 3], -((plane + 3) as f64));
+        assert!(run(Vec::<i32>::new(), |x| x).is_empty());
+        assert_eq!(run(vec![7], |x| x + 1), vec![8]);
     }
 
     #[test]
@@ -421,17 +272,6 @@ mod tests {
             i * 10
         });
         assert_eq!(out, vec![0, 10, 20, 30]);
-    }
-
-    #[test]
-    fn for_each_visits_every_item_once() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let hits = AtomicU64::new(0);
-        let xs: Vec<u64> = (1..=100).collect();
-        xs.into_par_iter().for_each(|x| {
-            hits.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 5050);
     }
 
     #[test]

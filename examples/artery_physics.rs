@@ -25,8 +25,7 @@ fn main() {
         mesh.active_cells(),
         mesh.cross_section_cells()
     );
-    let mut cfg = CfdConfig::stable(&mesh, 25.0, 0.08);
-    cfg.parallel = true; // threaded kernels
+    let cfg = CfdConfig::stable(&mesh, 25.0, 0.08);
     let mut solver = CfdSolver::new(mesh.clone(), cfg.clone());
     for block in 1..=6 {
         solver.run(150);
