@@ -1,11 +1,15 @@
 //! Micro-benchmarks of the simulation substrates: DES event throughput,
 //! fair-share fluid links, RNG streams, the message-level MPI engine, the
 //! work-stealing pool on a skewed workload, the lab's
-//! plan-cache hit path and key, the wire's reply encoder, and one warm
-//! open-system campaign; and of the real mini-Alya solvers: CFD step cost
-//! at three mesh sizes, the coupled FSI step, and the functional
-//! thread-MPI collectives. This is the crate's only bench target: the
-//! paper's figures and tables are written by `reproduce_all` alone.
+//! plan-cache hit path and key, the wire's request decoder and reply
+//! encoder, a whole warm query as the daemon's reactor answers it, and
+//! one warm open-system campaign; and of the real mini-Alya solvers: CFD
+//! step cost at three mesh sizes, the coupled FSI step, and the
+//! functional thread-MPI collectives. This is the crate's only bench
+//! target: the paper's figures and tables are written by `reproduce_all`
+//! alone. A filter argument runs only the rows whose `group/function`
+//! contains it (`cargo bench -p harborsim-bench --bench engine_micro --
+//! wire`).
 
 use harborsim_bench::baseline::churn_arena;
 use harborsim_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
@@ -534,6 +538,32 @@ fn bench_wire(c: &mut Criterion) {
     g.finish();
 }
 
+/// A whole warm query as the daemon's reactor answers it, for the same
+/// menu entry: decode the Execute request, answer it through
+/// `handle_warm` on an engine whose plan is resident, and encode the
+/// reply.
+fn bench_warm_query(c: &mut Criterion) {
+    use harborsim_bench::loadgen::menu_scenario;
+    use harborsim_core::lab::wire::{decode_request, encode_request, encode_response};
+    use harborsim_core::lab::{LabRequest, QueryEngine};
+    let request = encode_request(&LabRequest::execute(menu_scenario(6), 0)).expect("encodes");
+    let lab = QueryEngine::new();
+    lab.plan(&menu_scenario(6)).expect("compiles");
+    let answer = || {
+        let req = decode_request(black_box(&request)).expect("decodes");
+        let reply = lab.handle_warm(req).ok().expect("the plan is resident");
+        encode_response(&reply).len()
+    };
+    // the first execute costs the plan's job
+    answer();
+    let mut g = c.benchmark_group("lab");
+    // a query takes microseconds: time thousands, within the budget
+    g.sample_size(10_000);
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("warm_execute_query", |b| b.iter(|| black_box(answer())));
+    g.finish();
+}
+
 /// The scenario-DSL front end: parse-only and parse+compile of the
 /// largest committed campaign (Fig. 3's 21-run grid), in scripts/sec.
 /// Compilation expands the full grid and builds every scenario, so this
@@ -604,6 +634,7 @@ criterion_group!(
     bench_pool_skew,
     bench_plan_cache,
     bench_wire,
+    bench_warm_query,
     bench_execute_many,
     bench_script_front_end,
     bench_open_campaign

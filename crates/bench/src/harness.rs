@@ -6,6 +6,12 @@
 //! targets build and run with no external crates. Each benchmark runs a
 //! warm-up pass and then samples under a wall-clock budget, printing
 //! `ns/iter` (and elements/s when a throughput was declared).
+//!
+//! Like Criterion, a bench binary takes a filter as its first argument
+//! that does not start with `--`, and runs only the benchmarks whose
+//! `group/function` name contains it:
+//! `cargo bench -p harborsim-bench --bench engine_micro -- wire` times
+//! the `wire` group alone.
 
 use std::time::{Duration, Instant};
 
@@ -15,7 +21,8 @@ const BENCH_BUDGET: Duration = Duration::from_millis(300);
 /// Entry point state; mirrors `criterion::Criterion`.
 #[derive(Debug, Default)]
 pub struct Criterion {
-    _private: (),
+    /// Run only benchmarks whose `group/function` contains this.
+    filter: Option<String>,
 }
 
 /// Declared work per iteration, for rate reporting.
@@ -26,12 +33,21 @@ pub enum Throughput {
 }
 
 impl Criterion {
+    /// A harness filtered by a bench binary's arguments: the first one
+    /// that does not start with `--` (cargo passes `--bench`), if any.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Criterion {
+        Criterion {
+            filter: args.into_iter().find(|a| !a.starts_with("--")),
+        }
+    }
+
     /// Start a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
         BenchmarkGroup {
             name: name.into(),
             sample_size: 10,
             throughput: None,
+            filter: self.filter.clone(),
         }
     }
 }
@@ -42,6 +58,7 @@ pub struct BenchmarkGroup {
     name: String,
     sample_size: usize,
     throughput: Option<Throughput>,
+    filter: Option<String>,
 }
 
 impl BenchmarkGroup {
@@ -57,11 +74,17 @@ impl BenchmarkGroup {
         self
     }
 
-    /// Time a benchmark function, reported as `group/name`.
+    /// Time a benchmark function, reported as `group/name`; skipped
+    /// unless that name contains the harness's filter.
     pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
+        if let Some(filter) = &self.filter {
+            if !format!("{}/{name}", self.name).contains(filter.as_str()) {
+                return self;
+            }
+        }
         let mut b = Bencher {
             max_samples: self.sample_size as u64,
             iters: 0,
@@ -154,7 +177,7 @@ impl Bencher {
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         fn $group() {
-            let mut c = $crate::harness::Criterion::default();
+            let mut c = $crate::harness::Criterion::from_args(std::env::args().skip(1));
             $($target(&mut c);)+
         }
     };
@@ -191,6 +214,31 @@ mod tests {
         g.finish();
         // one warm-up + at most three samples
         assert!((2..=4).contains(&runs), "runs={runs}");
+    }
+
+    #[test]
+    fn the_filter_selects_by_group_and_function() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let mut c = Criterion::from_args(args(&["--bench", "test/al"]));
+        let mut g = c.benchmark_group("selftest");
+        g.sample_size(1);
+        let mut ran = Vec::new();
+        for name in ["alpha", "beta"] {
+            g.bench_function(name, |b| b.iter(|| ran.push(name)));
+        }
+        assert!(
+            ran.iter().all(|&n| n == "alpha") && !ran.is_empty(),
+            "{ran:?}"
+        );
+        // no filter runs everything
+        let mut c = Criterion::from_args(args(&["--bench"]));
+        let mut g = c.benchmark_group("selftest");
+        g.sample_size(1);
+        let mut ran = 0;
+        for name in ["alpha", "beta"] {
+            g.bench_function(name, |b| b.iter(|| ran += 1));
+        }
+        assert_eq!(ran, 4, "a warm-up and one sample each");
     }
 
     #[test]

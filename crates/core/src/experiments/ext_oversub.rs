@@ -120,7 +120,7 @@ pub fn busiest_link(result: &SimResult) -> Option<&str> {
         .links
         .iter()
         .max_by(|a, b| a.busy_s.total_cmp(&b.busy_s))
-        .map(|l| l.label.as_str())
+        .map(|l| &*l.label)
 }
 
 /// The mechanism claims.

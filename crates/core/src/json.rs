@@ -358,7 +358,7 @@ impl JsonWriter {
         self.sep();
         if x <= MAX_EXACT_INT {
             // an integral f64 up to 2^53 formats as this integer does
-            let _ = write!(self.out, "{x}");
+            write_u64(&mut self.out, x);
         } else {
             write_f64(&mut self.out, x as f64);
         }
@@ -401,31 +401,50 @@ fn write_f64(out: &mut String, x: f64) {
     }
 }
 
+/// `x` in decimal, digit by digit, with no formatter in between.
+fn write_u64(out: &mut String, mut x: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
 /// `s` as a quoted JSON string. Runs of bytes that need no escape are
-/// copied whole; every escaped byte is ASCII, so a run never splits a
+/// found eight at a time by the decoder's [`plain_run`] and copied
+/// whole; every escaped byte is ASCII, so a run never splits a
 /// multi-byte scalar.
 fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(escape);
+    let bytes = s.as_bytes();
+    let mut at = 0;
+    loop {
+        let run = plain_run(&bytes[at..]);
+        out.push_str(&s[at..at + run]);
+        at += run;
+        let Some(&b) = bytes.get(at) else { break };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            // the other control bytes, as `\u00xx`
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
         }
-        run = i + 1;
+        at += 1;
     }
-    out.push_str(&s[run..]);
     out.push('"');
 }
 

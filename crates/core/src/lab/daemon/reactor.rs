@@ -33,9 +33,11 @@
 //!   most of a warm round trip while the execute itself takes
 //!   microseconds. The two caps bound what this thread can spend on one
 //!   request: a body at the 8 MiB cap would stall every connection for
-//!   its decode, and the analytic engine's cost grows with ranks (the
-//!   largest plan on the benchmark's hot menu, 192 ranks, executes in
-//!   about 41 µs; a 256-node FSI plan takes milliseconds).
+//!   its decode, and the analytic engine's first execute of a plan
+//!   costs its job, which grows with ranks (the largest plan on the
+//!   benchmark's hot menu, 192 ranks, costs in about 41 µs and replays
+//!   in about 1 µs after that; a 256-node FSI plan's costing takes
+//!   milliseconds).
 //! - **On the pool,** for everything else: cold, DES or large plans,
 //!   plans, batches, campaigns, stats, shutdown, 404s and large bodies.
 //!   A request decoded here travels as its `LabRequest`, so it is never

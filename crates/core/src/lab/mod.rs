@@ -25,6 +25,20 @@
 //!    per-query trace attribution flows through the caller's
 //!    [`Recorder`].
 //!
+//! A single `Execute` takes neither phase's machinery: [`QueryEngine::handle`],
+//! [`QueryEngine::handle_traced`] and [`QueryEngine::handle_warm`]
+//! resolve its plan and call [`ScenarioPlan::execute`] directly, through
+//! one function. Only `handle_traced` records the cache resolution, into
+//! the caller's recorder; `Batch` and `Campaign` keep the pool.
+//!
+//! Resolving a warm execute builds nothing the process already holds.
+//! Clusters and workloads named by the wire or a script are the
+//! registries' shared values ([`harborsim_hw::presets::by_name`],
+//! [`crate::workloads::by_name`]); a [`PlanKey`] holds the scenario's
+//! cluster and memo key by reference count, and hashes the cluster by
+//! its name and node count, so building, hashing and comparing a key
+//! clones, formats and allocates nothing.
+//!
 //! Fingerprinting is sound because plans are a pure function of the
 //! scenario builder plus the engine-level taper fallback (see
 //! [`Scenario::compile_with`]): there is no process-global state left to
@@ -53,7 +67,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One unit of lab work: a scenario and the seeds to execute it under.
 pub struct Query {
@@ -83,14 +97,16 @@ impl Query {
 /// in at least one
 /// field. Floats are fingerprinted as bit patterns; the degraded-link
 /// multiset is sorted (degradation is multiplicative, so order does not
-/// matter to the compiled route table). The cluster is held by value and
-/// compared through its structural
+/// matter to the compiled route table). The cluster and the case's memo
+/// key are the scenario's own, held by reference count: building a key
+/// clones no cluster and formats no memo key. The cluster is compared
+/// through its structural
 /// [`identity`](harborsim_hw::ClusterSpec::identity), so building,
 /// hashing and comparing a key renders nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     cluster: ClusterKey,
-    case: String,
+    case: Arc<str>,
     env: ExecutionEnvironment,
     nodes: u32,
     ranks_per_node: u32,
@@ -138,7 +154,7 @@ impl PlanKey {
     /// `None` when the workload opted out of memoization (no
     /// [`memo_key`](harborsim_alya::workload::AlyaCase::memo_key)).
     pub fn of(scenario: &Scenario, fallback_taper: Option<f64>) -> Option<PlanKey> {
-        let case = scenario.case.memo_key()?;
+        let case = Arc::clone(scenario.case.key()?);
         let mut degraded: Vec<(u32, u64)> = scenario
             .degraded_uplinks
             .iter()
@@ -146,7 +162,7 @@ impl PlanKey {
             .collect();
         degraded.sort_unstable();
         Some(PlanKey {
-            cluster: ClusterKey(scenario.cluster.clone()),
+            cluster: ClusterKey(Arc::clone(&scenario.cluster)),
             case,
             env: scenario.env,
             nodes: scenario.nodes,
@@ -186,23 +202,27 @@ impl PlanKey {
     }
 }
 
-/// The cluster component of a [`PlanKey`]: equal and hashed through
+/// The cluster component of a [`PlanKey`]: equal through
 /// [`ClusterSpec::identity`](harborsim_hw::ClusterSpec::identity), which
-/// is never coarser than the spec's `Debug` rendering.
+/// is never coarser than the spec's `Debug` rendering. Two handles on one
+/// shared spec are equal without a field compared.
 #[derive(Clone)]
-struct ClusterKey(harborsim_hw::ClusterSpec);
+struct ClusterKey(Arc<harborsim_hw::ClusterSpec>);
 
 impl PartialEq for ClusterKey {
     fn eq(&self, other: &ClusterKey) -> bool {
-        self.0.identity() == other.0.identity()
+        Arc::ptr_eq(&self.0, &other.0) || self.0.identity() == other.0.identity()
     }
 }
 
 impl Eq for ClusterKey {}
 
 impl Hash for ClusterKey {
+    /// Hashes two fields the identity compares, so equal keys hash
+    /// equal; a lookup hashes a name and a count, not every field.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.identity().hash(state);
+        self.0.name.hash(state);
+        self.0.node_count.hash(state);
     }
 }
 
@@ -301,9 +321,9 @@ type Resolved = (Result<Arc<ScenarioPlan>, HarborError>, Resolution, Vec<u64>);
 /// How a query's plan was obtained, with the wall-clock cost.
 enum Resolution {
     Hit,
-    Miss(std::time::Duration),
-    Wait(std::time::Duration),
-    Uncached(std::time::Duration),
+    Miss(Duration),
+    Wait(Duration),
+    Uncached(Duration),
 }
 
 enum Slot {
@@ -495,8 +515,10 @@ impl PlanCache {
 /// and every later execute only replays that table, whatever the rank
 /// count; so the cap bounds only a first execute's costing, which grows
 /// with ranks. On the daemon's hot menu the largest plan (192 ranks)
-/// costs in about 41 µs, while a 256-node FSI plan takes milliseconds,
-/// which a caller on a latency-critical thread must never pay.
+/// costs its job in about 41 µs on its first execute and replays in
+/// about 1 µs after that, while a 256-node FSI plan's costing takes
+/// milliseconds, which a caller on a latency-critical thread must never
+/// pay.
 pub const INLINE_MAX_RANKS: u32 = 256;
 
 /// The concurrent query engine every sweep routes through.
@@ -567,8 +589,11 @@ impl QueryEngine {
     /// clusters were primed. Idempotent (re-priming is all cache hits).
     pub fn warm_start(&self) -> usize {
         let mut primed = 0;
-        for cluster in harborsim_hw::presets::all() {
-            let scenario = Scenario::new(cluster, crate::workloads::artery_cfd_small());
+        // the shared values a request naming them decodes to
+        let case = crate::workloads::by_name("cfd-small").expect("a registry workload");
+        for (name, _, _) in harborsim_hw::presets::NAMED {
+            let cluster = harborsim_hw::presets::by_name(name).expect("a table name resolves");
+            let scenario = Scenario::new(cluster, case.clone());
             if self.plan(&scenario).is_ok() {
                 primed += 1;
             }
@@ -583,17 +608,18 @@ impl QueryEngine {
     /// to a caller-owned recorder instead.
     pub fn handle(&self, req: LabRequest) -> LabResponse {
         match req {
-            LabRequest::Execute { .. } => self.handle_traced(req, &mut Recorder::aggregating()),
+            LabRequest::Execute { scenario, seed } => {
+                execute(self.plan(&scenario), seed, &mut Recorder::aggregating())
+            }
             req => self.handle_traced(req, &mut Recorder::off()),
         }
     }
 
     /// [`QueryEngine::handle`] with explicit trace attribution: cache
     /// activity lands in `rec` as [`SpanCategory::Cache`] spans and
-    /// `plan_cache_*` counters, and each execution records into a
-    /// [`Recorder::like`] sibling merged back in submission order — so
-    /// an aggregating `rec` sees every run and an off `rec` costs
-    /// nothing.
+    /// `plan_cache_*` counters, and each execution records into `rec`
+    /// too, in submission order — so an aggregating `rec` sees every run
+    /// and an off `rec` costs nothing.
     pub fn handle_traced(&self, req: LabRequest, rec: &mut Recorder) -> LabResponse {
         match req {
             LabRequest::Plan { scenario } => {
@@ -611,7 +637,10 @@ impl QueryEngine {
                 }
             }
             LabRequest::Execute { scenario, seed } => {
-                execute_response(self.run_batch(vec![Query::new(*scenario, &[seed])], rec))
+                let key = PlanKey::of(&scenario, self.fallback_taper);
+                let (plan, how) = self.resolve(key, &scenario);
+                record_resolution(&how, rec);
+                execute(plan, seed, rec)
             }
             LabRequest::Batch { queries } => LabResponse::Batch(self.run_batch(queries, rec)),
             LabRequest::Campaign { script } => match crate::script::compile_str(&script)
@@ -636,7 +665,8 @@ impl QueryEngine {
     /// Answer `req` now only if that is cheap and bounded: an `Execute`
     /// whose plan is already resident, on the analytic engine, with at
     /// most [`INLINE_MAX_RANKS`] ranks. The answer is the one
-    /// [`QueryEngine::handle`] gives, with the same spans and counters.
+    /// [`QueryEngine::handle`] gives, through the same execute path, and
+    /// the lookup counts as the cache hit it is.
     /// Any other request comes back untouched as
     /// `Err`, having counted nothing, so a later `handle` of it resolves
     /// through the cache exactly once. The daemon's reactor answers warm
@@ -656,9 +686,7 @@ impl QueryEngine {
         let Some(plan) = plan else {
             return Err(LabRequest::Execute { scenario, seed });
         };
-        let resolved = vec![(Ok(plan), Resolution::Hit, vec![seed])];
-        let mut rec = Recorder::aggregating();
-        Ok(execute_response(self.run_resolved(resolved, &mut rec)))
+        Ok(execute(Ok(plan), seed, &mut Recorder::aggregating()))
     }
 
     /// Resolve one scenario to its (possibly shared) compiled plan — the
@@ -735,26 +763,7 @@ impl QueryEngine {
         rec: &mut Recorder,
     ) -> Vec<Result<Vec<Outcome>, HarborError>> {
         for (_, how, _) in &resolved {
-            let (name, dur) = match how {
-                Resolution::Hit => ("plan-cache-hit", std::time::Duration::ZERO),
-                Resolution::Miss(d) => ("plan-compile", *d),
-                Resolution::Wait(d) => ("plan-cache-wait", *d),
-                Resolution::Uncached(d) => ("plan-compile-uncached", *d),
-            };
-            let counter = match how {
-                Resolution::Hit => "plan_cache_hits",
-                Resolution::Miss(_) => "plan_cache_misses",
-                Resolution::Wait(_) => "plan_cache_waits",
-                Resolution::Uncached(_) => "plan_uncached",
-            };
-            rec.span(
-                SpanCategory::Cache,
-                name,
-                0,
-                SimTime::ZERO,
-                SimTime::ZERO + SimDuration::from_secs_f64(dur.as_secs_f64()),
-            );
-            rec.counter(counter, 1.0);
+            record_resolution(how, rec);
         }
         // Flatten to (query, seed) items and shard. Each item
         // records into its own sibling recorder; merging back in item
@@ -916,12 +925,37 @@ impl QueryEngine {
     }
 }
 
-/// The response to a one-query, one-seed batch: its outcome or its error.
-fn execute_response(mut batch: Vec<Result<Vec<Outcome>, HarborError>>) -> LabResponse {
-    match batch.remove(0) {
-        Ok(mut outcomes) => LabResponse::Execute(Box::new(outcomes.remove(0))),
+/// The one execute path of an `Execute` request, however it was
+/// resolved: run `seed` on the plan straight into `rec`, or answer the
+/// compile error.
+fn execute(
+    plan: Result<Arc<ScenarioPlan>, HarborError>,
+    seed: u64,
+    rec: &mut Recorder,
+) -> LabResponse {
+    match plan {
+        Ok(plan) => LabResponse::Execute(Box::new(plan.execute(seed, rec))),
         Err(e) => LabResponse::Error(e),
     }
+}
+
+/// Record how a query's plan was obtained: a [`SpanCategory::Cache`]
+/// span as long as the resolution took, and one `plan_cache_*` counter.
+fn record_resolution(how: &Resolution, rec: &mut Recorder) {
+    let (name, counter, dur) = match how {
+        Resolution::Hit => ("plan-cache-hit", "plan_cache_hits", Duration::ZERO),
+        Resolution::Miss(d) => ("plan-compile", "plan_cache_misses", *d),
+        Resolution::Wait(d) => ("plan-cache-wait", "plan_cache_waits", *d),
+        Resolution::Uncached(d) => ("plan-compile-uncached", "plan_uncached", *d),
+    };
+    rec.span(
+        SpanCategory::Cache,
+        name,
+        0,
+        SimTime::ZERO,
+        SimTime::ZERO + SimDuration::from_secs_f64(dur.as_secs_f64()),
+    );
+    rec.counter(counter, 1.0);
 }
 
 #[cfg(test)]
@@ -1013,6 +1047,28 @@ mod tests {
         assert_eq!(ru.count(SpanCategory::Cache), 3);
         // every query run is attributed through the same recorder
         assert!(ru.count(SpanCategory::Run) == 3);
+    }
+
+    #[test]
+    fn a_traced_execute_records_its_resolution_and_run_into_the_callers_recorder() {
+        let lab = QueryEngine::new();
+        let mut rec = Recorder::aggregating();
+        for _ in 0..2 {
+            let traced = lab
+                .handle_traced(LabRequest::execute(scenario(2), 7), &mut rec)
+                .into_outcome();
+            let plain = lab
+                .handle(LabRequest::execute(scenario(2), 7))
+                .into_outcome();
+            assert_eq!(traced, plain, "tracing changes no answer");
+        }
+        let ru = rec.rollup();
+        assert_eq!(ru.counter("plan_cache_misses"), 1.0);
+        assert_eq!(ru.counter("plan_cache_hits"), 1.0);
+        assert_eq!(ru.count(SpanCategory::Cache), 2);
+        assert_eq!(ru.count(SpanCategory::Run), 2);
+        // `handle` counted its two hits in the cache, not in `rec`
+        assert_eq!(lab.stats().hits, 3);
     }
 
     #[test]

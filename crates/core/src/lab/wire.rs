@@ -829,7 +829,7 @@ fn decode_outcome(json: &Json) -> Result<Outcome, WireError> {
     let mut links = Vec::new();
     for l in get_arr(r, "links")? {
         links.push(LinkUsage {
-            label: get_str(l, "label")?.to_string(),
+            label: get_str(l, "label")?.to_string().into(),
             busy_s: get_f64(l, "busy_s")?,
             bytes: get_u64(l, "bytes")?,
         });

@@ -49,7 +49,8 @@ pub mod traceviz;
 pub mod workloads {
     pub use harborsim_alya::workload::{AlyaCase, ArteryCfd, ArteryFsi};
     use harborsim_mpi::workload::{CommPhase, JobProfile, StepProfile};
-    use std::sync::OnceLock;
+    use std::ops::Deref;
+    use std::sync::{Arc, OnceLock};
 
     /// A 1D chain-halo case with enough bytes per edge that placement
     /// decides how much traffic hits the wire (the 3D CFD partitions can
@@ -109,39 +110,89 @@ pub mod workloads {
         ArteryFsi::small()
     }
 
+    /// A workload case shared by reference count, with its
+    /// [`memo_key`](AlyaCase::memo_key) computed once when it is wrapped.
+    /// A [`Scenario`](crate::Scenario) holds its case this way, so a
+    /// registry case resolved by name is one shared value, and
+    /// fingerprinting a scenario clones no case and formats no key.
+    #[derive(Clone)]
+    pub struct SharedCase {
+        case: Arc<dyn AlyaCase + Send + Sync>,
+        key: Option<Arc<str>>,
+    }
+
+    impl SharedCase {
+        /// Wrap `case`, computing its memo key now.
+        pub fn new(case: impl AlyaCase + Send + Sync + 'static) -> SharedCase {
+            let key = case.memo_key().map(Arc::from);
+            SharedCase {
+                case: Arc::new(case),
+                key,
+            }
+        }
+
+        /// The memo key computed when the case was wrapped: `None` for a
+        /// case that opted out of fingerprinting.
+        pub fn key(&self) -> Option<&Arc<str>> {
+            self.key.as_ref()
+        }
+    }
+
+    impl<C: AlyaCase + Send + Sync + 'static> From<C> for SharedCase {
+        fn from(case: C) -> SharedCase {
+            SharedCase::new(case)
+        }
+    }
+
+    impl Deref for SharedCase {
+        type Target = dyn AlyaCase + Send + Sync;
+
+        fn deref(&self) -> &Self::Target {
+            &*self.case
+        }
+    }
+
+    impl AsRef<dyn AlyaCase + Send + Sync> for SharedCase {
+        fn as_ref(&self) -> &(dyn AlyaCase + Send + Sync + 'static) {
+            &*self.case
+        }
+    }
+
     /// The constructor of one registry workload.
-    type Build = fn() -> Box<dyn AlyaCase + Send + Sync>;
+    type Build = fn() -> SharedCase;
 
     /// The presets under the names scripts, the wire and the CLI give
     /// them, in registry order.
     pub const NAMED: [(&str, Build); 6] = [
-        ("cfd-small", || Box::new(artery_cfd_small())),
-        ("cfd-lenox", || Box::new(artery_cfd_lenox())),
-        ("cfd-cte", || Box::new(artery_cfd_cte())),
-        ("fsi-small", || Box::new(artery_fsi_small())),
-        ("fsi-mn4", || Box::new(artery_fsi_mn4())),
-        ("chain-halo", || Box::new(ChainHaloCase)),
+        ("cfd-small", || artery_cfd_small().into()),
+        ("cfd-lenox", || artery_cfd_lenox().into()),
+        ("cfd-cte", || artery_cfd_cte().into()),
+        ("fsi-small", || artery_fsi_small().into()),
+        ("fsi-mn4", || artery_fsi_mn4().into()),
+        ("chain-halo", || ChainHaloCase.into()),
     ];
 
-    /// Look a preset up by its registry name. `None` for unknown names.
-    pub fn by_name(name: &str) -> Option<Box<dyn AlyaCase + Send + Sync>> {
-        NAMED
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, build)| build())
+    /// The registry cases, built once per process in [`NAMED`] order.
+    fn shared() -> &'static [SharedCase] {
+        static SHARED: OnceLock<Vec<SharedCase>> = OnceLock::new();
+        SHARED.get_or_init(|| NAMED.iter().map(|(_, build)| build()).collect())
+    }
+
+    /// The shared preset under a registry name. `None` for unknown names.
+    pub fn by_name(name: &str) -> Option<SharedCase> {
+        let i = NAMED.iter().position(|(n, _)| *n == name)?;
+        Some(shared()[i].clone())
     }
 
     /// The registry name of `case`, matched by
     /// [`memo_key`](AlyaCase::memo_key): a preset edited in any
     /// profile-relevant field has no name.
     pub fn name_of(case: &dyn AlyaCase) -> Option<&'static str> {
-        static KEYS: OnceLock<Vec<Option<String>>> = OnceLock::new();
         let key = case.memo_key()?;
-        let keys = KEYS.get_or_init(|| NAMED.iter().map(|(_, build)| build().memo_key()).collect());
         NAMED
             .iter()
-            .zip(keys)
-            .find(|(_, k)| k.as_deref() == Some(key.as_str()))
+            .zip(shared())
+            .find(|(_, shared)| shared.key().map(|k| &**k) == Some(key.as_str()))
             .map(|(&(name, _), _)| name)
     }
 }

@@ -40,7 +40,9 @@ use harborsim_container::runtime::RuntimeKind;
 use harborsim_container::StagePlan;
 use harborsim_des::trace::Recorder;
 use harborsim_des::RngStream;
+use harborsim_hw::ClusterSpec;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Registry uplink capacity every open campaign assumes, bytes/s — the
 /// same 117 MB/s convention the deployment pipeline uses.
@@ -209,7 +211,7 @@ pub fn class_table(base: &Scenario) -> Vec<OpenClass> {
         .open
         .as_ref()
         .expect("class_table needs a scenario with an open-campaign spec");
-    let mut cluster = base.cluster.clone();
+    let mut cluster = ClusterSpec::clone(&base.cluster);
     for env in &spec.env_mix.values {
         let slot = match env.runtime {
             RuntimeKind::BareMetal => None,
@@ -224,6 +226,7 @@ pub fn class_table(base: &Scenario) -> Vec<OpenClass> {
         }
     }
     let fabric = cluster.interconnect;
+    let cluster = Arc::new(cluster);
     let mut classes = Vec::new();
     // what each class is to the engines, in class order
     let mut kinds = Vec::new();
@@ -240,7 +243,7 @@ pub fn class_table(base: &Scenario) -> Vec<OpenClass> {
                     nodes,
                     env,
                     scenario: Scenario {
-                        cluster: cluster.clone(),
+                        cluster: Arc::clone(&cluster),
                         case,
                         env,
                         nodes,

@@ -13,7 +13,7 @@
 
 use crate::error::HarborError;
 use crate::open::OpenSpec;
-use harborsim_alya::workload::AlyaCase;
+use crate::workloads::SharedCase;
 use harborsim_container::deploy::deployment_overhead;
 use harborsim_container::image::ImageManifest;
 use harborsim_container::{BuildEngine, BuildError, DeploymentReport};
@@ -66,10 +66,11 @@ pub struct Outcome {
 
 /// A configured scenario.
 pub struct Scenario {
-    /// The machine.
-    pub cluster: ClusterSpec,
-    /// The workload.
-    pub case: Box<dyn AlyaCase + Send + Sync>,
+    /// The machine, shared: a preset resolved by name is one value per
+    /// process.
+    pub cluster: Arc<ClusterSpec>,
+    /// The workload, with its memo key computed once.
+    pub case: SharedCase,
     /// Runtime + containment.
     pub env: Execution,
     /// Nodes used.
@@ -104,12 +105,15 @@ pub struct Scenario {
 
 impl Scenario {
     /// A bare-metal scenario using one full node; customize via the
-    /// builder methods.
-    pub fn new(cluster: ClusterSpec, case: impl AlyaCase + Send + Sync + 'static) -> Scenario {
+    /// builder methods. Takes the cluster by value or already shared, and
+    /// any [`AlyaCase`](crate::workloads::AlyaCase) or a
+    /// [`SharedCase`].
+    pub fn new(cluster: impl Into<Arc<ClusterSpec>>, case: impl Into<SharedCase>) -> Scenario {
+        let cluster = cluster.into();
         let rpn = cluster.node.cores();
         Scenario {
             cluster,
-            case: Box::new(case),
+            case: case.into(),
             env: Execution::bare_metal(),
             nodes: 1,
             ranks_per_node: rpn,
@@ -474,9 +478,17 @@ impl ScenarioPlan {
             }
             PlanEngine::Des(des) => des.run_traced(&self.job, seed, rec),
         };
-        let mut attrs = self.attrs.clone();
-        attrs.push(("engine", AttrValue::Text(result.engine.to_string())));
-        attrs.push(("seed", AttrValue::Int(seed)));
+        // only a capturing recorder keeps attributes: render them for no
+        // other (an empty `Vec` allocates nothing)
+        let attrs = if rec.is_capturing() {
+            let mut attrs = Vec::with_capacity(self.attrs.len() + 2);
+            attrs.extend_from_slice(&self.attrs);
+            attrs.push(("engine", AttrValue::Text(result.engine.to_string())));
+            attrs.push(("seed", AttrValue::Int(seed)));
+            attrs
+        } else {
+            Vec::new()
+        };
         rec.span_with(
             SpanCategory::Run,
             "scenario-run",

@@ -535,8 +535,8 @@ fn build_scenario(cfg: &Cfg, span: Span) -> Result<Scenario, ScriptError> {
         }
     }
     let open = open_spec(cfg, workload_name, span)?;
-    // built as a struct literal: the case is already boxed, and
-    // Scenario::new would re-box the box and lose its memo key
+    // built as a struct literal: cluster and case are the registry's
+    // shared values already
     Ok(Scenario {
         cluster,
         case,

@@ -134,7 +134,7 @@ pub fn link_utilization(result: &SimResult) -> TableData {
                     0.0
                 };
                 vec![
-                    l.label.clone(),
+                    l.label.to_string(),
                     fmt_seconds(l.busy_s),
                     l.bytes.to_string(),
                     format!("{:.1}%", util * 100.0),

@@ -13,7 +13,7 @@ use crate::cluster::{ClusterSpec, FabricLayout, InterconnectKind, SoftwareStack}
 use crate::cpu::CpuModel;
 use crate::node::NodeSpec;
 use crate::storage::StorageSpec;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Lenox: the four-node Lenovo cluster with administrative rights — the only
 /// machine where Docker can run, hence the venue for the Fig. 1 comparison.
@@ -91,35 +91,53 @@ pub const NAMED: [Named; 4] = [
     ("thunderx", &[], thunderx),
 ];
 
-fn entry(name: &str) -> Option<&'static Named> {
+fn index(name: &str) -> Option<usize> {
     NAMED
         .iter()
-        .find(|(canonical, aliases, _)| *canonical == name || aliases.contains(&name))
+        .position(|(canonical, aliases, _)| *canonical == name || aliases.contains(&name))
+}
+
+/// The presets, built once per process in [`NAMED`] order and shared by
+/// reference count: every front end that resolves a name gets the same
+/// spec, and resolving one clones no cluster.
+fn shared() -> &'static [Arc<ClusterSpec>] {
+    static SHARED: OnceLock<Vec<Arc<ClusterSpec>>> = OnceLock::new();
+    SHARED.get_or_init(|| {
+        NAMED
+            .iter()
+            .map(|(_, _, build)| Arc::new(build()))
+            .collect()
+    })
 }
 
 /// The canonical name `name` resolves to (itself, or the name it is an
 /// alias of), without building the preset. `None` for unknown names.
 pub fn canonical_name(name: &str) -> Option<&'static str> {
-    entry(name).map(|&(canonical, _, _)| canonical)
+    index(name).map(|i| NAMED[i].0)
 }
 
-/// The preset a canonical name or alias names. `None` for unknown names.
-pub fn by_name(name: &str) -> Option<ClusterSpec> {
-    entry(name).map(|(_, _, build)| build())
+/// The shared preset a canonical name or alias names. `None` for unknown
+/// names.
+pub fn by_name(name: &str) -> Option<Arc<ClusterSpec>> {
+    index(name).map(|i| Arc::clone(&shared()[i]))
 }
 
 /// The canonical name of the preset `cluster` is, matched by structural
 /// identity ([`ClusterSpec::identity`]): a preset edited in any field has
 /// no name.
 pub fn name_of(cluster: &ClusterSpec) -> Option<&'static str> {
-    static PRESETS: OnceLock<Vec<ClusterSpec>> = OnceLock::new();
+    preset_index(cluster).map(|i| NAMED[i].0)
+}
+
+/// Where `cluster` sits in [`NAMED`], matched by structural identity. A
+/// shared preset is recognised by address before any field is compared.
+fn preset_index(cluster: &ClusterSpec) -> Option<usize> {
+    let presets = shared();
+    if let Some(i) = presets.iter().position(|p| std::ptr::eq(&**p, cluster)) {
+        return Some(i);
+    }
     let identity = cluster.identity();
-    PRESETS
-        .get_or_init(all)
-        .iter()
-        .zip(NAMED)
-        .find(|(preset, _)| preset.identity() == identity)
-        .map(|(_, (name, _, _))| name)
+    presets.iter().position(|p| p.identity() == identity)
 }
 
 /// All four presets, in the order the paper introduces them.
@@ -180,6 +198,14 @@ mod tests {
     #[test]
     fn all_returns_four() {
         assert_eq!(all().len(), 4);
+    }
+
+    #[test]
+    fn names_resolve_to_one_shared_spec() {
+        let a = by_name("marenostrum4").unwrap();
+        let b = by_name("mn4").unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "an alias shares its preset");
+        assert_eq!(a.identity(), marenostrum4().identity());
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::workload::{for_each_grid_face, CommPhase, JobProfile, StepProfile};
 use harborsim_des::trace::{Recorder, SpanCategory};
 use harborsim_des::{RngStream, SimDuration, SimTime};
 use harborsim_hw::NodeSpec;
-use harborsim_net::{LinkGraph, LinkId, LinkSchedule, NetworkModel, RouteTable};
+use harborsim_net::{LinkGraph, LinkSchedule, NetworkModel, RouteTable};
 use std::sync::Arc;
 
 /// Knobs common to both engines.
@@ -324,14 +324,17 @@ impl AnalyticEngine {
         // one multiplicative run-to-run factor (machine state, turbo, ...)
         let run_factor = rng.lognormal_factor(0.004);
 
-        let mut local = Recorder::like(rec);
-        local.declare_tracks(1);
+        // one track, so the roll-up of these spans is their per-category
+        // sum: kept here, the result needs no recorder of its own
+        rec.declare_tracks(1);
+        let mut totals = [0u64; SpanCategory::COUNT];
         let mut t = SimTime::ZERO;
         for segment in &cost.segments {
             match *segment {
                 Segment::Compute(seconds) => {
                     let d = SimDuration::from_secs_f64(seconds * run_factor);
-                    local.span(SpanCategory::Compute, "solver-compute", 0, t, t + d);
+                    rec.span(SpanCategory::Compute, "solver-compute", 0, t, t + d);
+                    totals[SpanCategory::Compute.index()] += d.as_nanos();
                     t += d;
                 }
                 Segment::Phase {
@@ -341,42 +344,54 @@ impl AnalyticEngine {
                     name,
                 } => {
                     let d = SimDuration::from_secs_f64(seconds * run_factor);
-                    local.span(cat, name, 0, t, t + d);
+                    rec.span(cat, name, 0, t, t + d);
+                    totals[cat.index()] += d.as_nanos();
                     if bridge_s > 0.0 {
                         // nested inside the phase span: the serialized
                         // bridge share, already part of `d` — informational
                         let bd = SimDuration::from_secs_f64(bridge_s * run_factor);
-                        local.span(SpanCategory::Bridge, "bridge-serialization", 0, t, t + bd);
+                        rec.span(SpanCategory::Bridge, "bridge-serialization", 0, t, t + bd);
                     }
                     t += d;
                 }
             }
         }
-
-        let g = self.routes.graph();
-        let links = cost
-            .link_busy
-            .iter()
-            .zip(&cost.link_bytes)
-            .enumerate()
-            .map(|(i, (&busy_s, &bytes))| LinkUsage {
-                label: g.label(LinkId(i as u32)),
-                busy_s,
-                bytes,
+        // attribution comes from the recorded spans: none when it is off
+        let attributed = |cat: SpanCategory| {
+            SimDuration::from_nanos(if rec.is_enabled() {
+                totals[cat.index()]
+            } else {
+                0
             })
-            .collect();
-        let result = SimResult {
+        };
+
+        let links = self.routes.graph().with_labels(|labels| {
+            cost.link_busy
+                .iter()
+                .zip(&cost.link_bytes)
+                .zip(labels)
+                .map(|((&busy_s, &bytes), label)| LinkUsage {
+                    label: label.into(),
+                    busy_s,
+                    bytes,
+                })
+                .collect()
+        });
+        SimResult {
             elapsed: t - SimTime::ZERO,
-            compute: local.rollup().max_track(SpanCategory::Compute),
-            comm: CommBreakdown::from_trace(local.rollup()),
+            compute: attributed(SpanCategory::Compute),
+            comm: CommBreakdown {
+                halo: attributed(SpanCategory::Halo),
+                allreduce: attributed(SpanCategory::Allreduce),
+                pairs: attributed(SpanCategory::Pairs),
+                other: attributed(SpanCategory::Other),
+            },
             inter_node_msgs: cost.inter_msgs,
             intra_node_msgs: cost.intra_msgs,
             inter_node_bytes: cost.inter_bytes,
             links,
             engine: "analytic",
-        };
-        rec.merge(local);
-        result
+        }
     }
 
     /// Compute time of the slowest rank in one step.

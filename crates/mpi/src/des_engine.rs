@@ -1104,16 +1104,19 @@ impl DesEngine {
         assert_eq!(live, 0, "ranks deadlocked: {live} still live");
 
         let links = if inter_bytes > 0 {
-            (0..graph.len())
-                .map(|i| {
-                    let id = LinkId(i as u32);
-                    LinkUsage {
-                        label: graph.label(id),
-                        busy_s: link_bytes[i] as f64 / graph.capacity_bps(id),
-                        bytes: link_bytes[i],
-                    }
-                })
-                .collect()
+            graph.with_labels(|labels| {
+                labels
+                    .enumerate()
+                    .map(|(i, label)| {
+                        let id = LinkId(i as u32);
+                        LinkUsage {
+                            label: label.into(),
+                            busy_s: link_bytes[i] as f64 / graph.capacity_bps(id),
+                            bytes: link_bytes[i],
+                        }
+                    })
+                    .collect()
+            })
         } else {
             Vec::new()
         };

@@ -2,6 +2,7 @@
 
 use harborsim_des::trace::{Rollup, SpanCategory};
 use harborsim_des::SimDuration;
+use std::borrow::Cow;
 
 /// Where communication time went, by phase family.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -45,8 +46,11 @@ impl CommBreakdown {
 /// bit-identical at every shard count.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkUsage {
-    /// Link label from the graph, e.g. `node3:up`, `leaf0:spine-up`.
-    pub label: String,
+    /// Link label from the graph, e.g. `node3:up`, `leaf0:spine-up`:
+    /// borrowed from the process-wide table an engine labels links
+    /// from ([`LinkGraph::with_labels`](harborsim_net::LinkGraph::with_labels)),
+    /// owned when decoded or built by hand.
+    pub label: Cow<'static, str>,
     /// Seconds the link spent draining payload bytes at full capacity.
     pub busy_s: f64,
     /// Payload bytes carried.

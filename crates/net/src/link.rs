@@ -29,6 +29,7 @@
 //! per node-stream share. One graph, two engines, one source of truth.
 
 use crate::topology::Topology;
+use std::sync::{RwLock, RwLockReadGuard};
 
 /// Index of one directed link in a [`LinkGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -212,15 +213,119 @@ impl LinkGraph {
         self.links[id.index()].capacity_bps *= factor;
     }
 
-    /// Human-readable label, e.g. `node3:up`, `leaf0:spine-down`.
-    pub fn label(&self, id: LinkId) -> String {
-        let l = self.link(id);
-        match l.class {
-            LinkClass::NodeUp => format!("node{}:up", l.index),
-            LinkClass::NodeDown => format!("node{}:down", l.index),
-            LinkClass::LeafUp => format!("leaf{}:spine-up", l.index),
-            LinkClass::LeafDown => format!("leaf{}:spine-down", l.index),
+    /// Call `f` with every link's human-readable label, e.g. `node3:up`,
+    /// `leaf0:spine-down`, in id order. The text lives in one
+    /// process-wide table that grows to the largest graph labelled and is
+    /// never freed, so a label is formatted once per process, shared by
+    /// every graph and plan, and costs a result nothing to hold. `f`
+    /// reads the table under one shared lock, held until it returns, so
+    /// `f` must not call `with_labels` itself: that nested read can wait
+    /// forever behind a thread growing the table for a larger graph.
+    pub fn with_labels<R>(&self, f: impl FnOnce(Labels<'_>) -> R) -> R {
+        let table = LabelTable::covering(self);
+        f(Labels {
+            table: &table,
+            links: self.links.iter(),
+        })
+    }
+}
+
+/// The labels of one [`LinkGraph`], in id order: see
+/// [`LinkGraph::with_labels`].
+pub struct Labels<'a> {
+    table: &'a LabelTable,
+    links: std::slice::Iter<'a, Link>,
+}
+
+impl Iterator for Labels<'_> {
+    type Item = &'static str;
+
+    fn next(&mut self) -> Option<&'static str> {
+        let l = self.links.next()?;
+        Some(self.table.get(l.class, l.index))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.links.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Labels<'_> {}
+
+/// The label text of every node index and every leaf index up to the
+/// largest yet labelled: `[up, down]` per node, `[spine-up, spine-down]`
+/// per leaf. Grows under the write lock, so concurrent growers format
+/// each label once; entries are never removed.
+struct LabelTable {
+    nodes: Vec<[&'static str; 2]>,
+    leaves: Vec<[&'static str; 2]>,
+}
+
+static LABELS: RwLock<LabelTable> = RwLock::new(LabelTable {
+    nodes: Vec::new(),
+    leaves: Vec::new(),
+});
+
+impl LabelTable {
+    /// The table, read-locked, once it covers every link of `graph`.
+    fn covering(graph: &LinkGraph) -> RwLockReadGuard<'static, LabelTable> {
+        let covers = |t: &LabelTable| {
+            t.nodes.len() >= graph.nodes as usize && t.leaves.len() >= graph.leaves as usize
+        };
+        let table = LABELS
+            .read()
+            .expect("the link label table is never poisoned");
+        if covers(&table) {
+            return table;
         }
+        drop(table);
+        let mut table = LABELS
+            .write()
+            .expect("the link label table is never poisoned");
+        grow(&mut table.nodes, graph.nodes, ["node", ":up", ":down"]);
+        grow(
+            &mut table.leaves,
+            graph.leaves,
+            ["leaf", ":spine-up", ":spine-down"],
+        );
+        drop(table);
+        LABELS
+            .read()
+            .expect("the link label table is never poisoned")
+    }
+
+    fn get(&self, class: LinkClass, index: u32) -> &'static str {
+        let i = index as usize;
+        match class {
+            LinkClass::NodeUp => self.nodes[i][0],
+            LinkClass::NodeDown => self.nodes[i][1],
+            LinkClass::LeafUp => self.leaves[i][0],
+            LinkClass::LeafDown => self.leaves[i][1],
+        }
+    }
+}
+
+/// Extend `rows` to `len` rows of `[{prefix}{i}{up}, {prefix}{i}{down}]`,
+/// the new text in one leaked allocation.
+fn grow(rows: &mut Vec<[&'static str; 2]>, len: u32, [prefix, up, down]: [&str; 3]) {
+    use std::fmt::Write as _;
+    let from = rows.len() as u32;
+    if len <= from {
+        return;
+    }
+    let mut text = String::new();
+    let mut ends = Vec::with_capacity(2 * (len - from) as usize);
+    for i in from..len {
+        for suffix in [up, down] {
+            let _ = write!(text, "{prefix}{i}{suffix}");
+            ends.push(text.len());
+        }
+    }
+    let text: &'static str = Box::leak(text.into_boxed_str());
+    let mut start = 0;
+    for pair in ends.chunks(2) {
+        rows.push([&text[start..pair[0]], &text[pair[0]..pair[1]]]);
+        start = pair[1];
     }
 }
 
@@ -289,9 +394,17 @@ mod tests {
     #[test]
     fn labels_name_the_endpoint() {
         let g = mn4_graph(96);
-        assert_eq!(g.label(g.node_up(3)), "node3:up");
-        assert_eq!(g.label(g.node_down(0)), "node0:down");
-        assert_eq!(g.label(g.leaf_up(1)), "leaf1:spine-up");
-        assert_eq!(g.label(g.leaf_down(0)), "leaf0:spine-down");
+        let labels: Vec<&str> = g.with_labels(|l| l.collect());
+        let label = |id: LinkId| labels[id.index()];
+        assert_eq!(labels.len(), g.len());
+        assert_eq!(label(g.node_up(3)), "node3:up");
+        assert_eq!(label(g.node_down(0)), "node0:down");
+        assert_eq!(label(g.leaf_up(1)), "leaf1:spine-up");
+        assert_eq!(label(g.leaf_down(0)), "leaf0:spine-down");
+        // a smaller graph shares the grown table's text
+        let small = mn4_graph(2);
+        let small_up: Vec<&str> = small.with_labels(|l| l.take(2).collect());
+        assert_eq!(small_up, ["node0:up", "node1:up"]);
+        assert!(std::ptr::eq(small_up[1], label(g.node_up(1))));
     }
 }

@@ -125,13 +125,11 @@ fn run(args: &[String]) {
     let flags = parse_flags(args);
     let get = |k: &str, default: &str| flags.get(k).cloned().unwrap_or_else(|| default.to_string());
 
-    let cluster = match flags.get("cluster") {
-        None => presets::marenostrum4(),
-        Some(name) => presets::by_name(name).unwrap_or_else(|| {
-            eprintln!("unknown cluster {name:?} (try `harborsim list`)");
-            exit(2);
-        }),
-    };
+    let name = get("cluster", "marenostrum4");
+    let cluster = presets::by_name(&name).unwrap_or_else(|| {
+        eprintln!("unknown cluster {name:?} (try `harborsim list`)");
+        exit(2);
+    });
     let runtime = match flags.get("runtime").map(String::as_str) {
         None => RuntimeKind::Singularity,
         Some("bare") => RuntimeKind::BareMetal,

@@ -16,9 +16,14 @@
 //! Two more cover the daemon's wire: encoding an Execute reply streams
 //! into one buffer sized up front, so it makes **exactly one**
 //! allocation, the output itself; and decoding an Execute request reads
-//! its fields straight from the text, so it allocates exactly what
-//! building the same `Scenario` from the registries does, plus the `Box`
-//! the request holds it in.
+//! its fields straight from the text and takes its cluster and workload
+//! from the registries' shared values, so it makes **exactly one**, the
+//! `Box` the request holds its scenario in.
+//!
+//! The last two pin whole queries: a warm execute as the daemon's
+//! reactor answers it (decode, `handle_warm`, encode), for one menu entry
+//! and over the 36 serve-hot menu requests, and a cold execute through
+//! `handle` on a fresh engine, compile included.
 //!
 //! The counter is per thread, so a measurement sees only the allocations
 //! of the thread running it, never those of sibling tests running
@@ -249,8 +254,8 @@ fn decoding_an_execute_request_allocates_only_its_scenario() {
     use harborsim_core::LabRequest;
     // the daemon menu's 2-node MareNostrum4 entry, built from the
     // registries by the names its request carries
-    let from_registries = || Scenario {
-        cluster: harborsim_hw::presets::marenostrum4(),
+    let from_registries = Scenario {
+        cluster: harborsim_hw::presets::by_name("marenostrum4").expect("registry cluster"),
         case: harborsim_core::workloads::by_name("cfd-small").expect("registry workload"),
         env: Execution::singularity_system_specific(),
         nodes: 2,
@@ -266,26 +271,91 @@ fn decoding_an_execute_request_allocates_only_its_scenario() {
     };
     let wire = encode_request(&LabRequest::execute(menu_scenario(6), 0)).unwrap();
     assert_eq!(
-        encode_request(&LabRequest::execute(from_registries(), 0)).unwrap(),
+        encode_request(&LabRequest::execute(from_registries, 0)).unwrap(),
         wire,
         "the registries build the menu scenario"
     );
     // warm every table the first decode fills
     decode_request(&wire).unwrap();
     let before = allocations();
-    let scenario = from_registries();
-    let built = allocations() - before;
-    let before = allocations();
     let decoded = decode_request(&wire).unwrap();
     let made = allocations() - before;
-    assert!(built > 0, "a scenario owns heap data");
+    // the cluster and the case are the registries' shared values, so
+    // the scenario owns no heap data of its own: the box is all
     assert_eq!(
         made,
-        built + 1,
+        1,
         "decoding a {}-byte request took {made} allocations where its \
-         scenario takes {built} and its box one: the decoder builds \
-         something besides its output",
+         box takes one: the decoder builds something besides its output",
         wire.len()
     );
-    drop((scenario, decoded));
+    drop(decoded);
+}
+
+/// The wire request of menu entry `i` under `seed`.
+fn menu_request(i: usize, seed: u64) -> String {
+    use harborsim_bench::loadgen::menu_scenario;
+    use harborsim_core::lab::wire::encode_request;
+    use harborsim_core::LabRequest;
+    encode_request(&LabRequest::execute(menu_scenario(i), seed)).unwrap()
+}
+
+/// Allocations of one whole warm query on `lab`: decode `wire`, answer
+/// it through `handle_warm`, encode the reply.
+fn warm_query_allocations(lab: &harborsim_core::QueryEngine, wire: &str) -> u64 {
+    use harborsim_core::lab::wire::{decode_request, encode_response};
+    let before = allocations();
+    let req = decode_request(wire).unwrap();
+    let reply = lab
+        .handle_warm(req)
+        .ok()
+        .expect("a resident analytic plan answers warm");
+    let out = encode_response(&reply);
+    let made = allocations() - before;
+    assert!(out.len() > 100);
+    made
+}
+
+#[test]
+fn a_warm_execute_query_allocates_only_its_reply() {
+    use harborsim_bench::loadgen::{menu_scenario, MENU_LEN};
+    use harborsim_core::QueryEngine;
+    let lab = QueryEngine::new();
+    for i in 0..MENU_LEN {
+        lab.plan(&menu_scenario(i)).unwrap();
+    }
+    // first executes cost each plan's job and size every shared table
+    for i in 0..MENU_LEN {
+        warm_query_allocations(&lab, &menu_request(i, 0));
+    }
+    // menu entry 6 (two MareNostrum4 nodes, six links): the request's
+    // box, the recorder's one roll-up track, the link list, the reply's
+    // box and the encoded reply; the link labels are shared text
+    let made = warm_query_allocations(&lab, &menu_request(6, 1));
+    assert_eq!(made, 5, "a warm menu-6 query took {made} allocations");
+    // and over the 36 requests of the serve-hot menu
+    let total: u64 = (0..MENU_LEN)
+        .flat_map(|i| (0..3).map(move |seed| (i, seed)))
+        .map(|(i, seed)| warm_query_allocations(&lab, &menu_request(i, seed)))
+        .sum();
+    assert_eq!(total, 168, "36 warm menu queries took {total} allocations");
+}
+
+#[test]
+fn a_cold_execute_allocates_a_pinned_count() {
+    use harborsim_bench::loadgen::menu_scenario;
+    use harborsim_core::{LabRequest, QueryEngine};
+    let cold = || {
+        let lab = QueryEngine::new();
+        let req = LabRequest::execute(menu_scenario(6), 0);
+        let before = allocations();
+        let reply = lab.handle(req);
+        let made = allocations() - before;
+        assert!(matches!(reply, harborsim_core::LabResponse::Execute(_)));
+        made
+    };
+    // the first fills the process-wide tables a compile reads
+    cold();
+    let made = cold();
+    assert_eq!(made, 28, "a cold menu-6 execute took {made} allocations");
 }

@@ -72,7 +72,7 @@ fn outcome(label: &str, int: u64, float: f64, deployment: bool) -> Outcome {
             inter_node_bytes: int,
             links: vec![
                 LinkUsage {
-                    label: label.to_string(),
+                    label: label.to_string().into(),
                     busy_s: float,
                     bytes: int,
                 },
@@ -464,6 +464,35 @@ fn menu_replies_are_pinned() {
         reply_digest(&lab, requests),
         (0x0e65_4a8f_ea5b_5559, 21_795),
         "the 36 menu replies drifted"
+    );
+}
+
+#[test]
+fn warm_menu_replies_are_pinned() {
+    // the same 36 requests, decoded from their wire bodies and answered
+    // on the warm path the daemon's reactor takes: same bytes
+    let lab = QueryEngine::new();
+    for m in 0..MENU_LEN {
+        lab.plan(&menu_scenario(m)).unwrap();
+    }
+    let mut h = FNV_OFFSET;
+    let mut bytes = 0;
+    for m in 0..MENU_LEN {
+        for seed in 0..3 {
+            let body = encode_request(&LabRequest::execute(menu_scenario(m), seed)).unwrap();
+            let reply = lab
+                .handle_warm(decode_request(&body).unwrap())
+                .ok()
+                .expect("every menu plan is resident, analytic and small");
+            let wire = encode_response(&reply);
+            bytes += wire.len();
+            h = fnv(fnv(h, wire.as_bytes()), b"\n");
+        }
+    }
+    assert_eq!(
+        (h, bytes),
+        (0x0e65_4a8f_ea5b_5559, 21_795),
+        "the 36 warm menu replies drifted"
     );
 }
 
