@@ -8,17 +8,17 @@
 //! - Docker's per-rank daemon launch is paid by *every* job;
 //! - queue dynamics (FIFO + backfill) sit on top.
 //!
-//! [`Campaign::run`] composes the deployment DES, the launch model and the
-//! scheduler into per-job turnarounds.
+//! [`Campaign::run`] simulates each job's deployment and launch, then
+//! hands the jobs to the open-system engine ([`run_open`]) as ordinary
+//! traffic on its one queue. Staging is already paid inside each job's
+//! runtime, so the jobs carry an empty [`StagePlan`].
 
-use crate::job::Job;
-use crate::scheduler::Scheduler;
+use crate::open::{run_open, OpenCluster, OpenJob};
 use harborsim_container::deploy::DeployPlan;
 use harborsim_container::launch::LaunchModel;
 use harborsim_container::runtime::{ExecutionEnvironment, RuntimeKind};
-use harborsim_container::ImageManifest;
+use harborsim_container::{ImageManifest, StagePlan};
 use harborsim_des::trace::Recorder;
-use harborsim_des::SimDuration;
 use harborsim_hw::ClusterSpec;
 
 /// A campaign of identical jobs under one technology.
@@ -71,9 +71,8 @@ impl Campaign {
     pub fn run(&self, rec: &mut Recorder) -> CampaignReport {
         assert!(self.jobs > 0);
         let launch = LaunchModel::default();
-        let mut scheduler = Scheduler::new(self.cluster.node_count);
         let mut staging_s = Vec::with_capacity(self.jobs as usize);
-        let mut submits = Vec::with_capacity(self.jobs as usize);
+        let mut jobs = Vec::with_capacity(self.jobs as usize);
         for j in 0..self.jobs {
             let warm = j > 0;
             let deploy = DeployPlan {
@@ -88,30 +87,41 @@ impl Campaign {
             .run(rec);
             let stage = deploy.makespan.as_secs_f64()
                 + launch.launch_seconds(self.env.runtime, self.nodes_per_job, self.ranks_per_node);
+            // staging is billed inside the job's runtime, not as its own
+            // fixed latency: the runtime rounds to nanoseconds once
             let runtime = stage + self.solver_seconds;
-            let submit = j as f64 * self.submit_interval_s;
             staging_s.push(stage);
-            submits.push(submit);
-            scheduler.submit(Job {
+            jobs.push(OpenJob {
                 id: j,
-                name: format!("{}-{j}", self.env.label()),
+                tenant: 0,
+                class: 0,
                 nodes: self.nodes_per_job,
-                walltime: SimDuration::from_secs_f64(runtime * 1.3 + 60.0),
-                runtime: SimDuration::from_secs_f64(runtime),
-                submit: harborsim_des::SimTime::ZERO + SimDuration::from_secs_f64(submit),
+                submit_s: j as f64 * self.submit_interval_s,
+                solver_s: runtime,
+                walltime_s: runtime * 1.3 + 60.0,
+                stage: StagePlan {
+                    registry_bytes: 0.0,
+                    pfs_bytes: 0.0,
+                    fixed_s: 0.0,
+                },
             });
         }
-        let res = scheduler.run(rec);
-        let turnaround_s: Vec<f64> = res
-            .outcomes
-            .iter()
-            .map(|o| o.end.as_secs_f64() - submits[o.id as usize])
-            .collect();
+        // the engine's pipes carry no bytes here; they get the machine's
+        // capacities all the same
+        let cluster = OpenCluster {
+            total_nodes: self.cluster.node_count,
+            registry_bps: self.registry_uplink_bps,
+            pfs_bps: self
+                .cluster
+                .shared_storage
+                .shared_bandwidth_bps(self.cluster.node_count),
+        };
+        let out = run_open(&cluster, jobs, rec);
         CampaignReport {
             staging_s,
-            turnaround_s,
-            makespan_s: res.makespan.as_secs_f64(),
-            utilization: res.utilization,
+            turnaround_s: out.records.iter().map(|r| r.turnaround_s()).collect(),
+            makespan_s: out.makespan_s,
+            utilization: out.utilization,
         }
     }
 }

@@ -5,25 +5,19 @@
 //! the solver time but the *turnaround*: queue wait + image staging + job
 //! launch + execution. This crate supplies:
 //!
-//! - [`job`] — job descriptions (node request, walltime estimate, actual
-//!   runtime) and per-job outcome records;
-//! - [`scheduler`] — a discrete-event cluster scheduler with FIFO order and
-//!   EASY backfilling (the standard production policy: the queue head gets
+//! - [`open`] — the one scheduler loop: arrivals drive a FIFO + EASY
+//!   backfill core (the standard production policy: the queue head gets
 //!   a reservation, later jobs may jump ahead only if they cannot delay
-//!   it);
+//!   it), and each job stages its container through shared
+//!   registry/filesystem pipes before solving (deployment storms);
 //! - [`campaign`] — containerized campaign modelling: a sequence of jobs
 //!   under one technology, with cross-job cache effects (Shifter's gateway
-//!   conversion and Docker's node-layer caches pay once);
-//! - [`open`] — the open-system engine: sampled arrivals drive the same
-//!   FIFO + EASY core, and each job stages its container through shared
-//!   registry/filesystem pipes before solving (deployment storms).
+//!   conversion and Docker's node-layer caches pay once), run on the same
+//!   loop.
 
 pub mod campaign;
-pub mod job;
 pub mod open;
-pub mod scheduler;
+mod scheduler;
 
 pub use campaign::{Campaign, CampaignReport};
-pub use job::{Job, JobOutcome};
 pub use open::{run_open, OpenCluster, OpenJob, OpenJobRecord, OpenOutcome};
-pub use scheduler::Scheduler;

@@ -1,27 +1,32 @@
-//! The open-system campaign engine: jobs arrive by a stochastic process,
-//! stage their containers through two shared pipes, run, and leave.
+//! The open-system campaign engine, the crate's one batch-scheduler
+//! loop: jobs arrive, queue, stage their containers through two shared
+//! pipes, run, and leave.
 //!
-//! The closed [`crate::scheduler::Scheduler`] drains a fixed submission
-//! list. Production systems are *open*: tenants keep submitting, and the
+//! Production systems are *open*: tenants keep submitting, and the
 //! interesting dynamics — queue-wait tails, deployment storms where
 //! co-arriving jobs throttle each other's image pulls — only exist when
-//! arrival pressure is part of the model. This module drives the same
+//! arrival pressure is part of the model. This module drives the
 //! FIFO + EASY decision core (`SchedCore`) from an arrival list sampled
 //! upstream (Poisson interarrivals, Zipf job mix — see
-//! `harborsim_core::open`), and inserts a *staging phase* between node
-//! grant and solver start: each job's [`StagePlan`] bytes contend
-//! fair-share on a registry uplink and a parallel-filesystem
-//! [`FluidLink`], while its fixed latency (metadata, unpack, gateway
-//! pack, launcher fan-out) runs in parallel. The job's nodes are held —
-//! and billed — for the whole stage, exactly as on the real machines.
+//! `harborsim_core::open`) or built by a closed [`crate::Campaign`], and
+//! inserts a *staging phase* between node grant and solver start: each
+//! job's [`StagePlan`] bytes contend fair-share on a registry uplink and
+//! a parallel-filesystem [`FluidLink`], while its fixed latency
+//! (metadata, unpack, gateway pack, launcher fan-out) runs in parallel.
+//! The job's nodes are held — and billed — for the whole stage, exactly
+//! as on the real machines. A job with an empty `StagePlan` starts its
+//! solver the instant it is granted.
+//!
+//! Arrival is an event source, not a pre-enqueued list: each arrival
+//! event enqueues its job, runs a grant pass, and schedules the next
+//! arrival, so jobs materialize mid-simulation.
 //!
 //! Everything is a serial discrete-event simulation over one clock, so
 //! results are bit-identical for a given job list whatever the host.
 //!
 //! [`FluidLink`]: harborsim_des::FluidLink
 
-use crate::job::Job;
-use crate::scheduler::SchedCore;
+use crate::scheduler::{Queued, SchedCore};
 use harborsim_container::StagePlan;
 use harborsim_des::trace::{Recorder, SpanCategory};
 use harborsim_des::{Engine, Event, FluidLink, SimDuration, SimTime};
@@ -246,13 +251,11 @@ fn arrive(eng: &mut Engine<St, Ev>, st: &mut St) {
         .pop()
         .expect("arrival event with no job pending");
     let id = job.id;
-    st.core.enqueue(Job::new(
+    st.core.enqueue(Queued {
         id,
-        job.nodes,
-        job.walltime_s,
-        job.walltime_s,
-        job.submit_s,
-    ));
+        nodes: job.nodes,
+        walltime: SimDuration::from_secs_f64(job.walltime_s),
+    });
     assert!(
         st.slots[id as usize].is_none(),
         "duplicate open job id {id}"
@@ -271,8 +274,8 @@ fn arrive(eng: &mut Engine<St, Ev>, st: &mut St) {
 /// Grant pass: every job the core starts begins its staging phase.
 fn dispatch(eng: &mut Engine<St, Ev>, st: &mut St) {
     let now = eng.now();
-    for (job, backfilled) in st.core.grants(now) {
-        begin_stage(eng, st, job.id, backfilled);
+    for (id, backfilled) in st.core.grants(now) {
+        begin_stage(eng, st, id, backfilled);
     }
 }
 
@@ -478,5 +481,199 @@ mod tests {
         for r in &a.records {
             assert!(r.turnaround_s() >= r.run_s);
         }
+    }
+
+    // The FIFO + EASY behaviours below use `pull(0.0)`: every job stages
+    // for a fixed 2 s and holds its nodes through it, so a job that holds
+    // nodes for `t` seconds solves for `t - 2`. Records are in id order.
+
+    #[test]
+    fn a_single_job_runs_at_once() {
+        let jobs = vec![OpenJob {
+            solver_s: 58.0,
+            walltime_s: 100.0,
+            ..job(0, 2, 0.0, pull(0.0))
+        }];
+        let out = run_open(&cluster(), jobs, &mut Recorder::off());
+        let r = &out.records[0];
+        assert_eq!(r.wait_s, 0.0);
+        assert!((r.turnaround_s() - 60.0).abs() < 1e-9);
+        assert!((out.utilization - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fifo_order_without_a_backfill_opportunity() {
+        // two full-machine jobs: strictly sequential
+        let full = |id| OpenJob {
+            solver_s: 98.0,
+            walltime_s: 100.0,
+            ..job(id, 4, 0.0, pull(0.0))
+        };
+        let out = run_open(&cluster(), vec![full(0), full(1)], &mut Recorder::off());
+        assert_eq!(out.records[0].wait_s, 0.0);
+        assert!((out.records[1].wait_s - 100.0).abs() < 1e-9);
+        assert!(!out.records[1].backfilled);
+        assert!((out.makespan_s - 200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn easy_backfill_fills_the_hole() {
+        let jobs = vec![
+            // runs on 2 nodes until 100
+            OpenJob {
+                solver_s: 98.0,
+                walltime_s: 100.0,
+                ..job(0, 2, 0.0, pull(0.0))
+            },
+            // head: must wait for all 4, reservation at 100
+            OpenJob {
+                solver_s: 98.0,
+                walltime_s: 100.0,
+                ..job(1, 4, 0.0, pull(0.0))
+            },
+            // fits the hole and ends before the reservation
+            OpenJob {
+                solver_s: 48.0,
+                walltime_s: 50.0,
+                ..job(2, 2, 0.0, pull(0.0))
+            },
+        ];
+        let out = run_open(&cluster(), jobs, &mut Recorder::off());
+        assert!(out.records[2].backfilled);
+        assert_eq!(out.records[2].wait_s, 0.0, "backfilled at once");
+        assert!(
+            (out.records[1].wait_s - 100.0).abs() < 1e-9,
+            "head undelayed"
+        );
+    }
+
+    #[test]
+    fn backfill_never_delays_the_head() {
+        let jobs = vec![
+            OpenJob {
+                solver_s: 98.0,
+                walltime_s: 100.0,
+                ..job(0, 2, 0.0, pull(0.0))
+            },
+            // head, reservation at 100
+            OpenJob {
+                solver_s: 98.0,
+                walltime_s: 100.0,
+                ..job(1, 4, 0.0, pull(0.0))
+            },
+            // fits the hole now but would run past the reservation
+            OpenJob {
+                solver_s: 198.0,
+                walltime_s: 200.0,
+                ..job(2, 2, 0.0, pull(0.0))
+            },
+        ];
+        let out = run_open(&cluster(), jobs, &mut Recorder::off());
+        assert!((out.records[1].wait_s - 100.0).abs() < 1e-9);
+        assert!(!out.records[2].backfilled);
+        assert!(out.records[2].wait_s >= 100.0);
+    }
+
+    #[test]
+    fn an_early_finish_releases_nodes_early() {
+        let jobs = vec![
+            // estimates 100 but holds its nodes for 30
+            OpenJob {
+                solver_s: 28.0,
+                walltime_s: 100.0,
+                ..job(0, 4, 0.0, pull(0.0))
+            },
+            OpenJob {
+                solver_s: 48.0,
+                walltime_s: 100.0,
+                ..job(1, 4, 0.0, pull(0.0))
+            },
+        ];
+        let out = run_open(&cluster(), jobs, &mut Recorder::off());
+        assert!((out.records[1].wait_s - 30.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn staggered_submissions() {
+        let jobs = vec![
+            OpenJob {
+                solver_s: 58.0,
+                walltime_s: 60.0,
+                ..job(0, 4, 0.0, pull(0.0))
+            },
+            // the machine is idle when it arrives
+            OpenJob {
+                solver_s: 58.0,
+                walltime_s: 60.0,
+                ..job(1, 2, 100.0, pull(0.0))
+            },
+        ];
+        let out = run_open(&cluster(), jobs, &mut Recorder::off());
+        assert_eq!(out.records[1].wait_s, 0.0);
+        assert!((out.makespan_s - 160.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_arrival_after_an_idle_gap_still_runs() {
+        // the machine drains completely, then a late job arrives: the
+        // arrival chain must still be alive to deliver it
+        let jobs = vec![
+            OpenJob {
+                solver_s: 48.0,
+                walltime_s: 50.0,
+                ..job(0, 4, 0.0, pull(0.0))
+            },
+            OpenJob {
+                solver_s: 48.0,
+                walltime_s: 50.0,
+                ..job(1, 4, 500.0, pull(0.0))
+            },
+        ];
+        let out = run_open(&cluster(), jobs, &mut Recorder::off());
+        assert_eq!(out.records[1].wait_s, 0.0);
+        assert!((out.makespan_s - 550.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn utilization_is_bounded_and_every_job_runs_its_time() {
+        let c = OpenCluster {
+            total_nodes: 8,
+            ..cluster()
+        };
+        let jobs: Vec<OpenJob> = (0..10)
+            .map(|i| OpenJob {
+                solver_s: 40.0 + 5.0 * i as f64,
+                walltime_s: 150.0,
+                ..job(i, 1 + i % 4, 10.0 * i as f64, pull(0.0))
+            })
+            .collect();
+        let out = run_open(&c, jobs, &mut Recorder::off());
+        assert!(out.utilization > 0.0 && out.utilization <= 1.0);
+        assert_eq!(out.records.len(), 10);
+        for (i, r) in out.records.iter().enumerate() {
+            assert!((r.stage_s - 2.0).abs() < 1e-9, "job {i}");
+            assert!((r.run_s - (40.0 + 5.0 * i as f64)).abs() < 1e-9, "job {i}");
+        }
+    }
+
+    #[test]
+    fn a_backfilling_mix_is_deterministic() {
+        let build = || {
+            let c = OpenCluster {
+                total_nodes: 6,
+                ..cluster()
+            };
+            let jobs: Vec<OpenJob> = (0..12)
+                .map(|i| OpenJob {
+                    solver_s: 100.0 + (i * 13) as f64 % 150.0,
+                    walltime_s: 300.0,
+                    ..job(i, 1 + (i * 7) % 5, (i * 31) as f64 % 200.0, pull(0.0))
+                })
+                .collect();
+            run_open(&c, jobs, &mut Recorder::off())
+        };
+        let a = build();
+        assert!(a.records.iter().any(|r| r.backfilled));
+        assert_eq!(a, build());
     }
 }

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the simulation substrates: DES event throughput,
 //! fair-share fluid links, RNG streams, the message-level MPI engine, the
-//! work-stealing pool on a skewed workload, the lab's
+//! batch pool on a skewed workload, the lab's
 //! plan-cache hit path and key, the wire's request decoder and reply
 //! encoder, a whole warm query as the daemon's reactor answers it, and
 //! one warm open-system campaign; and of the real mini-Alya solvers: CFD
@@ -446,10 +446,11 @@ fn guard_recorder_overhead(engine: &DesEngine, job: &JobProfile) {
     );
 }
 
-/// The work-stealing pool on a skewed workload: item 0 costs ~64x the
-/// rest, the shape that would strand a fixed chunking's first worker
-/// while its siblings idle. Stealing keeps the siblings busy on the
-/// cheap items.
+/// The batch pool on a skewed workload: item 0 costs ~64x the rest, the
+/// shape that would strand a fixed chunking's first worker while its
+/// siblings idle. Claiming one item at a time keeps the siblings busy on
+/// the cheap items. The row keeps its name from the work-stealing pool
+/// it replaced, so its history stays comparable.
 fn bench_pool_skew(c: &mut Criterion) {
     const ITEMS: usize = 256;
     fn spin(iters: u64) -> u64 {

@@ -11,9 +11,8 @@
 use crate::experiments::{expect, ShapeReport};
 use crate::lab::QueryEngine;
 use crate::report::{fmt_seconds, TableData};
-use crate::scenario::{Execution, Scenario};
+use crate::scenario::{shared_alya_image, Execution, Scenario};
 use harborsim_batch::Campaign;
-use harborsim_container::build::{alya_recipe, BuildEngine};
 use harborsim_des::trace::Recorder;
 use harborsim_hw::presets;
 
@@ -31,6 +30,26 @@ fn campaign_case() -> harborsim_alya::workload::ArteryCfd {
         active_cells: 20.0e6,
         timesteps: 5_000,
         cg_iters: 35,
+    }
+}
+
+/// The campaign every row and trace runs: [`JOBS`] jobs of
+/// [`NODES_PER_JOB`] CTE-POWER nodes at 40 ranks each, submitted 30 s
+/// apart, all on the shared Alya image, under `env` with a solver time
+/// of `solver_s` per job.
+fn campaign(env: Execution, solver_s: f64) -> Campaign {
+    let cluster = presets::cte_power();
+    let image = shared_alya_image(&cluster.node.cpu).expect("builds");
+    Campaign {
+        cluster,
+        env,
+        image,
+        jobs: JOBS,
+        nodes_per_job: NODES_PER_JOB,
+        ranks_per_node: 40,
+        solver_seconds: solver_s,
+        submit_interval_s: 30.0,
+        registry_uplink_bps: 117e6,
     }
 }
 
@@ -53,10 +72,6 @@ pub struct CampaignRow {
 /// modelled as if it were installed, for contrast).
 pub fn run(lab: &QueryEngine, seeds: &[u64]) -> Vec<CampaignRow> {
     let cluster = presets::cte_power();
-    let image = BuildEngine::self_contained(cluster.node.cpu.clone())
-        .build(&alya_recipe())
-        .expect("builds")
-        .manifest;
     let mut rows = Vec::new();
     for env in [
         Execution::bare_metal(),
@@ -81,18 +96,7 @@ pub fn run(lab: &QueryEngine, seeds: &[u64]) -> Vec<CampaignRow> {
             ))
             .means()[0]
         };
-        let report = Campaign {
-            cluster: cluster.clone(),
-            env,
-            image: image.clone(),
-            jobs: JOBS,
-            nodes_per_job: NODES_PER_JOB,
-            ranks_per_node: 40,
-            solver_seconds: solver_s,
-            submit_interval_s: 30.0,
-            registry_uplink_bps: 117e6,
-        }
-        .run(&mut Recorder::off());
+        let report = campaign(env, solver_s).run(&mut Recorder::off());
         rows.push(CampaignRow {
             label: env.label(),
             first_staging_s: report.staging_s[0],
@@ -108,11 +112,6 @@ pub fn run(lab: &QueryEngine, seeds: &[u64]) -> Vec<CampaignRow> {
 /// spans) for two contrasting technologies, with a short solver time so
 /// the scheduler dynamics dominate the picture.
 pub fn traces() -> Vec<(String, harborsim_des::trace::TraceBuffer)> {
-    let cluster = presets::cte_power();
-    let image = BuildEngine::self_contained(cluster.node.cpu.clone())
-        .build(&alya_recipe())
-        .expect("builds")
-        .manifest;
     [
         Execution::singularity_system_specific(),
         Execution::docker(),
@@ -120,18 +119,7 @@ pub fn traces() -> Vec<(String, harborsim_des::trace::TraceBuffer)> {
     .iter()
     .map(|env| {
         let mut rec = Recorder::capturing();
-        Campaign {
-            cluster: cluster.clone(),
-            env: *env,
-            image: image.clone(),
-            jobs: JOBS,
-            nodes_per_job: NODES_PER_JOB,
-            ranks_per_node: 40,
-            solver_seconds: 240.0,
-            submit_interval_s: 30.0,
-            registry_uplink_bps: 117e6,
-        }
-        .run(&mut rec);
+        campaign(*env, 240.0).run(&mut rec);
         (env.label(), rec.take_buffer())
     })
     .collect()

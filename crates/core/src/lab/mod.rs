@@ -20,7 +20,7 @@
 //!    layer as [`SpanCategory::Cache`] spans plus `plan_cache_*`
 //!    counters.
 //! 2. **Execution.** The resolved `(plan, seed)` work items are spread
-//!    across the `harborsim-par` work-stealing pool, and each runs its
+//!    across the `harborsim-par` batch pool, and each runs its
 //!    own [`ScenarioPlan::execute`]. Results return in submission order;
 //!    per-query trace attribution flows through the caller's
 //!    [`Recorder`].
@@ -728,7 +728,7 @@ impl QueryEngine {
 
     /// Run a batch of queries: plans resolve concurrently through the
     /// single-flight cache, then every `(plan, seed)` item runs on the
-    /// work-stealing pool. Results come back in
+    /// `harborsim-par` batch pool. Results come back in
     /// submission order, one `Vec<Outcome>` (seed order) per query; a
     /// query whose scenario fails to compile yields its error without
     /// sinking the batch. The engine behind [`LabRequest::Batch`].
@@ -767,7 +767,7 @@ impl QueryEngine {
         }
         // Flatten to (query, seed) items and shard. Each item
         // records into its own sibling recorder; merging back in item
-        // order keeps the roll-up deterministic regardless of stealing.
+        // order keeps the roll-up deterministic whichever worker ran it.
         let mut failures: Vec<Option<HarborError>> = Vec::with_capacity(resolved.len());
         let mut items: Vec<(usize, Arc<ScenarioPlan>, u64)> = Vec::new();
         for (qi, (plan, _, seeds)) in resolved.into_iter().enumerate() {

@@ -37,7 +37,7 @@ pub enum LabRequest {
         seed: u64,
     },
     /// Execute many scenario × seed grids as one batch on the
-    /// work-stealing pool.
+    /// `harborsim-par` batch pool.
     Batch {
         /// The queries, answered in submission order.
         queries: Vec<Query>,

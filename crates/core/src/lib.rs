@@ -11,7 +11,7 @@
 //!   substrate errors.
 //! - [`lab`] — the concurrent query engine: batched queries fingerprinted
 //!   into a single-flight LRU plan cache and spread across the
-//!   work-stealing pool. Every sweep routes through it, and its batch
+//!   `harborsim-par` batch pool. Every sweep routes through it, and its batch
 //!   responses average elapsed time over seeds.
 //! - [`runner`] — the default seeds of the paper's five-repetition
 //!   protocol.

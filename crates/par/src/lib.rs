@@ -2,23 +2,21 @@
 //!
 //! Three dependency-free parallel primitives over [`std::thread`]:
 //!
-//! - [`run`] maps a materialized batch on a work-stealing pool and returns
-//!   the results in input order (scenario sweeps, batched executes);
+//! - [`run`] maps a materialized batch on a scoped pool and returns the
+//!   results in input order (scenario sweeps, batched executes);
 //! - [`gang`] gives every item its own thread, for tasks that block on
 //!   each other (the sharded DES driver);
 //! - [`WorkerPool`] is a resident pool for work that arrives over time
 //!   (the lab daemon's engine workers).
 //!
-//! [`run`]'s pool: every worker owns a deque seeded with a contiguous
-//! block of item indices, pops its own work from the back, and — once
-//! drained — steals from the *front* of its neighbours. Scenario sweeps
-//! are skewed (a 256-node plan costs orders of magnitude more than a
-//! 2-node plan), and the old one-fixed-chunk-per-core split left most
-//! cores idle behind whichever chunk drew the big points; stealing keeps
-//! them busy without giving up order: results carry their index and are
+//! [`run`]'s pool: the workers share one atomic claim cursor and each
+//! takes the next unclaimed index until the cursor passes the end.
+//! Scenario sweeps are skewed (a 256-node plan costs orders of magnitude
+//! more than a 2-node plan); claiming one item at a time keeps every
+//! worker busy until the batch is exhausted, whichever items are heavy,
+//! without giving up order: results carry their index and are
 //! reassembled in input order at the end.
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -34,8 +32,8 @@ fn worker_count(items: usize) -> usize {
         .min(items)
 }
 
-/// Apply `f` to every item in parallel on the work-stealing pool,
-/// returning results in input order.
+/// Apply `f` to every item in parallel on the scoped pool, returning
+/// results in input order.
 pub fn run<I, U, F>(items: Vec<I>, f: F) -> Vec<U>
 where
     I: Send,
@@ -46,7 +44,7 @@ where
 }
 
 /// [`run`] on exactly `workers` threads (at most one per item), whatever
-/// the host's parallelism — the seam tests use to force stealing.
+/// the host's parallelism — the seam tests use to force contention.
 fn run_on<I, U, F>(workers: usize, items: Vec<I>, f: F) -> Vec<U>
 where
     I: Send,
@@ -61,52 +59,30 @@ where
     // Items live in index-addressed slots so a worker holding only a
     // shared reference can move one out once it has claimed the index.
     let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    // Per-worker deques, block-seeded: worker w starts with a contiguous
-    // index range, so the no-contention fast path preserves the locality
-    // of the old fixed-chunk split.
-    let per = n.div_ceil(workers);
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w * per..((w + 1) * per).min(n)).collect()))
-        .collect();
-    // Unclaimed-item count: workers exit once every index is claimed,
-    // even while the final items are still executing elsewhere.
-    let unclaimed = AtomicUsize::new(n);
-    let (slots, deques, unclaimed, f) = (&slots, &deques, &unclaimed, &f);
+    // The claim cursor: `fetch_add` hands every index to exactly one
+    // worker, and a worker exits once the cursor passes `n`. `Relaxed`
+    // suffices: the read-modify-write alone makes each index unique, and
+    // the slot's mutex orders the hand-off of the item itself.
+    let next = AtomicUsize::new(0);
+    let (slots, next, f) = (&slots, &next, &f);
     let mut results: Vec<Option<U>> = (0..n).map(|_| None).collect();
     thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 scope.spawn(move || {
                     let mut done: Vec<(usize, U)> = Vec::new();
                     loop {
-                        // Own deque first (pop back: LIFO keeps the block
-                        // warm), then steal from the front of the others
-                        // (FIFO: take the victim's coldest work). The own
-                        // pop is a statement of its own so its guard drops
-                        // before any steal: holding it while locking a
-                        // victim lets two stealers wait on each other.
-                        let own = deques[w].lock().expect("deque lock poisoned").pop_back();
-                        let idx = own.or_else(|| {
-                            (1..workers)
-                                .find_map(|d| deques[(w + d) % workers].lock().unwrap().pop_front())
-                        });
-                        match idx {
-                            Some(i) => {
-                                unclaimed.fetch_sub(1, Ordering::AcqRel);
-                                let item = slots[i]
-                                    .lock()
-                                    .unwrap()
-                                    .take()
-                                    .expect("index dequeued twice");
-                                done.push((i, f(item)));
-                            }
-                            None if unclaimed.load(Ordering::Acquire) == 0 => break,
-                            // Queues momentarily empty mid-claim: let the
-                            // claimant finish its pop before re-scanning.
-                            None => thread::yield_now(),
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break done;
                         }
+                        let item = slots[i]
+                            .lock()
+                            .expect("slot lock poisoned")
+                            .take()
+                            .expect("index claimed twice");
+                        done.push((i, f(item)));
                     }
-                    done
                 })
             })
             .collect();

@@ -34,7 +34,7 @@
 //! // Run the artery CFD case inside a Singularity container on a model of
 //! // the MareNostrum4 supercomputer, using 2 nodes x 48 ranks. The lab
 //! // compiles the scenario into a plan once (cached by fingerprint) and
-//! // executes every seed across the work-stealing pool.
+//! // executes every seed across the batch pool.
 //! let lab = QueryEngine::new();
 //! let scenario = Scenario::new(presets::marenostrum4(), workloads::artery_cfd_small())
 //!     .execution(Execution::singularity_system_specific())
