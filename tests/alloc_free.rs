@@ -359,3 +359,59 @@ fn a_cold_execute_allocates_a_pinned_count() {
     let made = cold();
     assert_eq!(made, 28, "a cold menu-6 execute took {made} allocations");
 }
+
+/// Allocations of resolving `scenario` through a fresh engine, engine
+/// construction not included.
+fn fresh_compile_allocations(scenario: &harborsim_core::scenario::Scenario) -> u64 {
+    let lab = harborsim_core::QueryEngine::new();
+    let before = allocations();
+    lab.plan(scenario).expect("the scenario compiles");
+    allocations() - before
+}
+
+/// What a campaign's set-up pays before its first execute: a fresh
+/// engine, then one compile per grid point or open class. Neither may
+/// grow with analytic costing, which belongs to executes.
+#[test]
+fn campaign_set_up_allocates_a_pinned_count() {
+    use harborsim_core::scenario::{EngineKind, Execution, Scenario};
+    use harborsim_core::QueryEngine;
+    let before = allocations();
+    let lab = QueryEngine::new();
+    let made = allocations() - before;
+    drop(lab);
+    assert_eq!(made, 0, "a fresh engine took {made} allocations");
+
+    // campaign-des's grid point, with the registries' shared values a
+    // script resolves
+    let des = Scenario::new(
+        harborsim_hw::presets::by_name("marenostrum4").expect("registry cluster"),
+        harborsim_core::workloads::by_name("fsi-mn4").expect("registry workload"),
+    )
+    .nodes(4)
+    .ranks_per_node(1)
+    .engine(EngineKind::Des {
+        max_steps_per_kind: 2,
+    });
+    // a Lenox open-campaign class shape on the analytic engine
+    let analytic = Scenario::new(
+        harborsim_hw::presets::by_name("lenox").expect("registry cluster"),
+        harborsim_core::workloads::by_name("cfd-small").expect("registry workload"),
+    )
+    .execution(Execution::singularity_self_contained())
+    .nodes(2)
+    .ranks_per_node(14);
+    // the first compiles fill the process-wide tables a compile reads
+    fresh_compile_allocations(&des);
+    fresh_compile_allocations(&analytic);
+    let made = fresh_compile_allocations(&des);
+    assert_eq!(
+        made, 22,
+        "compiling the DES grid point took {made} allocations"
+    );
+    let made = fresh_compile_allocations(&analytic);
+    assert_eq!(
+        made, 16,
+        "compiling the analytic class took {made} allocations"
+    );
+}
