@@ -168,7 +168,7 @@ fn bench_thread_mpi(c: &mut Criterion) {
 /// engine's sharded batches are made of (ties into the plan-cache benches
 /// below — this is the cost of each cache *hit*'s payload).
 fn bench_execute_many(c: &mut Criterion) {
-    use harborsim_core::lab::QueryEngine;
+    use harborsim_core::lab::{QueryEngine, TrafficTable};
     use harborsim_core::scenario::{Execution, Scenario};
     let scenario = Scenario::new(
         harborsim_hw::presets::lenox(),
@@ -204,6 +204,33 @@ fn bench_execute_many(c: &mut Criterion) {
             },
         );
     });
+    // the same first execute when a sibling plan (same shape, another
+    // environment) has already counted the traffic into a shared table:
+    // only the per-link cost level runs
+    let table = TrafficTable::new();
+    let sibling = Scenario::new(
+        harborsim_hw::presets::marenostrum4(),
+        harborsim_core::workloads::artery_cfd_small(),
+    )
+    .execution(Execution::singularity_self_contained())
+    .nodes(128)
+    .ranks_per_node(48)
+    .compile()
+    .expect("scenario compiles");
+    sibling.execute_sharing(1, &mut Recorder::off(), &table);
+    g.bench_function("first_execute_shared_traffic_mn4_128x48", |b| {
+        b.iter_with_setup(
+            || fresh.compile().expect("scenario compiles"),
+            |plan| {
+                black_box(
+                    plan.execute_sharing(1, &mut Recorder::off(), &table)
+                        .elapsed,
+                );
+                plan
+            },
+        );
+    });
+    assert_eq!(table.stats().counted, 1, "the sibling counted once");
     g.finish();
 }
 

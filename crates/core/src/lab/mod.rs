@@ -31,6 +31,14 @@
 //! one function. Only `handle_traced` records the cache resolution, into
 //! the caller's recorder; `Batch` and `Campaign` keep the pool.
 //!
+//! Analytic plans that differ only in their network (environment, spine
+//! taper, degraded links) send the same messages over the same links, so
+//! the engine's [`TrafficTable`] lets them count that traffic once: every
+//! execute path passes it to [`ScenarioPlan::execute_sharing`], and a
+//! plan's first execute settles the shared counts at its own capacities.
+//! The table holds an entry only while some plan holds it (see
+//! [`traffic`]).
+//!
 //! Resolving a warm execute builds nothing the process already holds.
 //! Clusters and workloads named by the wire or a script are the
 //! registries' shared values ([`harborsim_hw::presets::by_name`],
@@ -49,12 +57,14 @@
 
 pub mod daemon;
 pub mod protocol;
+pub mod traffic;
 pub mod wire;
 
 pub use protocol::{
     CampaignReport, CampaignResult, CampaignRow, CampaignRowKind, DaemonStats, EngineStats,
     LabRequest, LabResponse, PlanInfo,
 };
+pub use traffic::{TrafficStats, TrafficTable};
 
 use crate::error::HarborError;
 use crate::scenario::{EngineKind, Outcome, Scenario, ScenarioPlan};
@@ -528,7 +538,8 @@ pub const INLINE_MAX_RANKS: u32 = 256;
 /// [`LabRequest`] in, a typed [`LabResponse`] out, identically callable
 /// in-process or over the [`daemon`]'s wire protocol.
 ///
-/// Holds the plan cache and the engine-level spine-taper
+/// Holds the plan cache, the [`TrafficTable`] its analytic plans share
+/// counts through, and the engine-level spine-taper
 /// fallback (the explicit replacement for the old process-global
 /// override knob): the fallback applies to every query compiled here
 /// whose scenario did not pin its own taper, and is part of each
@@ -536,6 +547,7 @@ pub const INLINE_MAX_RANKS: u32 = 256;
 /// through a common cache.
 pub struct QueryEngine {
     cache: PlanCache,
+    traffic: TrafficTable,
     fallback_taper: Option<f64>,
     /// Plans this engine compiled successfully (cached or not).
     compiled: AtomicU64,
@@ -558,6 +570,7 @@ impl QueryEngine {
     pub fn with_capacity(capacity: usize) -> QueryEngine {
         QueryEngine {
             cache: PlanCache::new(capacity),
+            traffic: TrafficTable::new(),
             fallback_taper: None,
             compiled: AtomicU64::new(0),
         }
@@ -609,7 +622,7 @@ impl QueryEngine {
     pub fn handle(&self, req: LabRequest) -> LabResponse {
         match req {
             LabRequest::Execute { scenario, seed } => {
-                execute(self.plan(&scenario), seed, &mut Recorder::aggregating())
+                self.execute(self.plan(&scenario), seed, &mut Recorder::aggregating())
             }
             req => self.handle_traced(req, &mut Recorder::off()),
         }
@@ -640,7 +653,7 @@ impl QueryEngine {
                 let key = PlanKey::of(&scenario, self.fallback_taper);
                 let (plan, how) = self.resolve(key, &scenario);
                 record_resolution(&how, rec);
-                execute(plan, seed, rec)
+                self.execute(plan, seed, rec)
             }
             LabRequest::Batch { queries } => LabResponse::Batch(self.run_batch(queries, rec)),
             LabRequest::Campaign { script } => match crate::script::compile_str(&script)
@@ -686,7 +699,7 @@ impl QueryEngine {
         let Some(plan) = plan else {
             return Err(LabRequest::Execute { scenario, seed });
         };
-        Ok(execute(Ok(plan), seed, &mut Recorder::aggregating()))
+        Ok(self.execute(Ok(plan), seed, &mut Recorder::aggregating()))
     }
 
     /// Resolve one scenario to its (possibly shared) compiled plan — the
@@ -782,7 +795,7 @@ impl QueryEngine {
         let template = Recorder::like(rec);
         let executed = harborsim_par::run(items, |(qi, plan, seed)| {
             let mut local = template.clone();
-            let outcome = plan.execute(seed, &mut local);
+            let outcome = plan.execute_sharing(seed, &mut local, &self.traffic);
             (qi, outcome, local)
         });
         let mut results: Vec<Result<Vec<Outcome>, HarborError>> = failures
@@ -923,19 +936,30 @@ impl QueryEngine {
     pub fn plans_compiled(&self) -> u64 {
         self.compiled.load(Ordering::Relaxed)
     }
-}
 
-/// The one execute path of an `Execute` request, however it was
-/// resolved: run `seed` on the plan straight into `rec`, or answer the
-/// compile error.
-fn execute(
-    plan: Result<Arc<ScenarioPlan>, HarborError>,
-    seed: u64,
-    rec: &mut Recorder,
-) -> LabResponse {
-    match plan {
-        Ok(plan) => LabResponse::Execute(Box::new(plan.execute(seed, rec))),
-        Err(e) => LabResponse::Error(e),
+    /// The shared traffic table's statistics: how often a job's traffic
+    /// was counted here, and what the table holds. In process only; the
+    /// wire's stats reply does not carry them.
+    pub fn traffic_stats(&self) -> TrafficStats {
+        self.traffic.stats()
+    }
+
+    /// The one execute path of an `Execute` request, however it was
+    /// resolved: run `seed` on the plan straight into `rec`, sharing
+    /// traffic counts through this engine's table, or answer the compile
+    /// error.
+    fn execute(
+        &self,
+        plan: Result<Arc<ScenarioPlan>, HarborError>,
+        seed: u64,
+        rec: &mut Recorder,
+    ) -> LabResponse {
+        match plan {
+            Ok(plan) => {
+                LabResponse::Execute(Box::new(plan.execute_sharing(seed, rec, &self.traffic)))
+            }
+            Err(e) => LabResponse::Error(e),
+        }
     }
 }
 

@@ -9,9 +9,13 @@
 //! is what the repetition-and-sweep layer in [`crate::runner`] leans on. On
 //! the analytic engine the first execute also costs the job, once per plan
 //! ([`harborsim_mpi::AnalyticCost`]); every execute after it only replays
-//! that table under its seed.
+//! that table under its seed. A first execute through a
+//! [`TrafficTable`] ([`ScenarioPlan::execute_sharing`], which every
+//! [`crate::lab::QueryEngine`] execute takes) reuses the message counts
+//! of any plan that differs only in its network.
 
 use crate::error::HarborError;
+use crate::lab::traffic::{TrafficEntry, TrafficKey, TrafficTable};
 use crate::open::OpenSpec;
 use crate::workloads::SharedCase;
 use harborsim_container::deploy::deployment_overhead;
@@ -26,7 +30,7 @@ use harborsim_mpi::{
     route_table, AnalyticCost, AnalyticEngine, DesEngine, Placement, RankMap, SimResult,
     TruncatingDes,
 };
-use harborsim_net::{NetworkModel, Topology};
+use harborsim_net::{NetworkModel, RouteTable, Topology};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -316,8 +320,12 @@ impl Scenario {
                     config,
                     routes,
                 ),
+                // the memo key names the job in a traffic key; a case
+                // without one counts its own traffic
+                case_key: self.case.key().cloned(),
                 // filled by the first execute, not here: a plan that is
                 // only described (a lab `Plan` request) never pays for it
+                traffic: OnceLock::new(),
                 cost: OnceLock::new(),
                 costings: AtomicU64::new(0),
             },
@@ -411,6 +419,12 @@ enum PlanEngine {
     /// The analytic engine and its job's seed-independent cost.
     Analytic {
         engine: AnalyticEngine,
+        /// The case's memo key, if it has one.
+        case_key: Option<Arc<str>>,
+        /// The shared traffic this plan's cost was settled from, when its
+        /// first execute went through a [`TrafficTable`]; held for the
+        /// plan's life, so sibling plans find it counted.
+        traffic: OnceLock<Arc<TrafficEntry>>,
         /// The job's cost table, filled by the first execute.
         cost: OnceLock<AnalyticCost>,
         /// Cost tables computed for this plan (see
@@ -448,10 +462,27 @@ impl ScenarioPlan {
     /// exact but compute/comm attribution comes out zero.
     ///
     /// On the analytic engine the first execute costs the job and keeps
-    /// the table; later executes only replay it. The table is published
-    /// without a lock: executes that race to be first each compute the
-    /// same table, one is kept, and none waits for another.
+    /// the table; later executes only replay it. Costing counts the job's
+    /// traffic rank by rank, then settles it at the plan's capacities.
+    /// This execute counts privately; [`ScenarioPlan::execute_sharing`]
+    /// shares the count with sibling plans. The table is published
+    /// without a lock: executes that race to be first each cost the job,
+    /// one table is kept, and none waits for another.
     pub fn execute(&self, seed: u64, rec: &mut Recorder) -> Outcome {
+        self.execute_in(seed, rec, None)
+    }
+
+    /// [`ScenarioPlan::execute`], with a first analytic costing that takes
+    /// its traffic counts from `table`: counted there already by a plan
+    /// with the same case, placement, fabric shape and allreduce
+    /// algorithm, or counted now and left there for the next. The plan
+    /// then holds that entry for its life. Bit-identical to `execute`; a
+    /// case without a memo key counts privately, as `execute` does.
+    pub fn execute_sharing(&self, seed: u64, rec: &mut Recorder, table: &TrafficTable) -> Outcome {
+        self.execute_in(seed, rec, Some(table))
+    }
+
+    fn execute_in(&self, seed: u64, rec: &mut Recorder, table: Option<&TrafficTable>) -> Outcome {
         if rec.is_enabled() {
             if let Some(buf) = &self.deployment_trace {
                 rec.absorb(buf);
@@ -460,6 +491,8 @@ impl ScenarioPlan {
         let result = match &self.engine {
             PlanEngine::Analytic {
                 engine,
+                case_key,
+                traffic,
                 cost,
                 costings,
             } => {
@@ -467,10 +500,25 @@ impl ScenarioPlan {
                     Some(table) => table,
                     None => {
                         costings.fetch_add(1, Ordering::Relaxed);
+                        let count = || engine.count(&self.job);
+                        let computed = match (table, case_key) {
+                            (Some(table), Some(case)) => {
+                                let entry = traffic.get_or_init(|| {
+                                    table.entry(TrafficKey {
+                                        case: Arc::clone(case),
+                                        map: engine.map,
+                                        nodes_per_leaf: engine.routes().graph().nodes_per_leaf(),
+                                        algo: engine.config.allreduce_algo,
+                                    })
+                                });
+                                engine.cost_from(&self.job, entry.traffic(count))
+                            }
+                            _ => engine.cost_from(&self.job, &count()),
+                        };
                         // a racing execute may have filled the cell
                         // meanwhile; its table is the same, so losing the
                         // `set` is harmless
-                        let _ = cost.set(engine.cost(&self.job));
+                        let _ = cost.set(computed);
                         cost.get().expect("the cost cell was just filled")
                     }
                 };
@@ -512,6 +560,15 @@ impl ScenarioPlan {
         rec.take_buffer()
     }
 
+    /// The route table the plan's engine costs over, built once at
+    /// compile and shared by every execute.
+    pub fn routes(&self) -> &Arc<RouteTable> {
+        match &self.engine {
+            PlanEngine::Analytic { engine, .. } => engine.routes(),
+            PlanEngine::Des(des) => des.inner.routes(),
+        }
+    }
+
     /// The validated rank placement.
     pub fn rank_map(&self) -> RankMap {
         self.map
@@ -533,8 +590,9 @@ impl ScenarioPlan {
     /// How many times this plan has costed its job on the analytic
     /// engine: 0 until the first execute, then 1 however many executes
     /// follow, unless first executes raced (each of those costs the job,
-    /// and one table is kept). The costing is an execute's only per-rank
-    /// work. Always 0 on the DES, which keeps no per-plan cost.
+    /// and one table is kept). A costing counts the job's traffic, an
+    /// execute's only per-rank work, unless a [`TrafficTable`] already
+    /// held it. Always 0 on the DES, which keeps no per-plan cost.
     pub fn costings(&self) -> u64 {
         match &self.engine {
             PlanEngine::Analytic { costings, .. } => costings.load(Ordering::Relaxed),

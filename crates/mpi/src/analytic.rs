@@ -7,23 +7,41 @@
 //! settles them once at the round's message size; the round's wire time is
 //! the busiest link's drain time. Total work is `O(phases × ranks·log
 //! ranks)` regardless of how many timesteps the job has (steps are
-//! run-length encoded), and the per-rank part is integer counting. A plan's
-//! first execute of the MareNostrum4 CFD case at 128 × 48 = 6,144 ranks
-//! takes about 0.56 ms on a 2-thread host (`engine_micro`'s
-//! `fresh_plan_first_execute_mn4_128x48`, median of 8 runs; 1.33 ms with a
-//! float deposit per message).
+//! run-length encoded), and the per-rank part is integer counting.
 //!
-//! A run splits in two. [`AnalyticEngine::cost`] does everything that does
-//! not depend on the seed, once per plan: it counts every round's messages
-//! on the link graph (the only per-rank work) and keeps the result
-//! as an [`AnalyticCost`] table: each step's compute seconds, each phase's
-//! seconds and bridge share, the message and byte totals, and per-link busy
-//! seconds and bytes. [`AnalyticEngine::replay`] does the per-seed work: it
-//! draws the run factor, walks the table emitting spans, and renders the
-//! link labels, in `O(phases + links)`. The round-counting scratch is a
-//! local of `cost`; nothing is pooled. Every floating-point operation keeps
-//! the order of a single pass (`(compute × reps) × run_factor`), so a
-//! replayed table is bit-identical to costing the seed from scratch.
+//! A run splits in three, by what each level depends on:
+//!
+//! - **Count** ([`AnalyticEngine::count`], per rank): walk every round of
+//!   every phase over the placement and keep, as a [`Traffic`], each
+//!   round's message counts per link (run-length encoded), its intra-node
+//!   maximum and sum, and whether it stays under one leaf or crosses the
+//!   spine. This depends on the job, the placement, the fabric's shape
+//!   and the allreduce algorithm, and on nothing an environment, a spine
+//!   taper or a degraded link changes, so plans that differ only in their
+//!   network can share one count. Within a job, a phase whose pattern
+//!   equals an earlier one's (the CFD and FSI cases' two halo exchanges
+//!   on one grid, FSI's two coupling exchanges) reuses its rounds.
+//! - **Cost** ([`AnalyticEngine::cost_from`], per link): settle the counted
+//!   rounds at this engine's capacities and message sizes into an
+//!   [`AnalyticCost`] table: each step's compute seconds, each phase's
+//!   seconds and bridge share, the message and byte totals, and per-link
+//!   busy seconds and bytes. [`AnalyticEngine::cost`] counts and costs in
+//!   one call.
+//! - **Replay** ([`AnalyticEngine::replay`], per seed): draw the run
+//!   factor, walk the table emitting spans, and render the link labels,
+//!   in `O(phases + links)`.
+//!
+//! A plan's first execute of the MareNostrum4 CFD case at 128 × 48 =
+//! 6,144 ranks counts and costs in 0.29–0.51 ms on a 2-thread host
+//! (`engine_micro`'s `fresh_plan_first_execute_mn4_128x48`, four runs;
+//! the host's pace moves that much between runs). When a sibling plan has
+//! already counted the traffic, the cost level alone takes about a sixth
+//! of that, 0.06–0.09 ms in the same runs
+//! (`first_execute_shared_traffic_mn4_128x48`).
+//! Every floating-point operation keeps the order of a single pass
+//! (`(compute × reps) × run_factor`), so a replayed table is bit-identical
+//! to costing the seed from scratch, and a cost from shared counts is
+//! bit-identical to one from the engine's own.
 //!
 //! Modelling decisions (shared with the DES engine where applicable):
 //!
@@ -44,7 +62,7 @@ use crate::workload::{for_each_grid_face, CommPhase, JobProfile, StepProfile};
 use harborsim_des::trace::{Recorder, SpanCategory};
 use harborsim_des::{RngStream, SimDuration, SimTime};
 use harborsim_hw::NodeSpec;
-use harborsim_net::{LinkGraph, LinkSchedule, NetworkModel, RouteTable};
+use harborsim_net::{LinkGraph, LinkSchedule, NetworkModel, RoundCounts, RouteTable};
 use std::sync::Arc;
 
 /// Knobs common to both engines.
@@ -101,16 +119,77 @@ impl PhaseCost {
     }
 }
 
-/// Working state of one costing, `O(links + nodes)`: the round being
-/// counted (per-node message tallies + the fluid link schedule), the
+/// The message counts of one job on one placement, before any capacity,
+/// latency or message size applies: built by [`AnalyticEngine::count`]
+/// and settled by [`AnalyticEngine::cost_from`] on any engine whose
+/// placement, fabric shape (nodes and nodes per leaf) and allreduce
+/// algorithm match the counting engine's. Stores every distinct round
+/// once, in two flat tables.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Traffic {
+    /// Each communication phase of the job, in job order: its rounds,
+    /// as a range of round indices.
+    phases: Vec<(u32, u32)>,
+    /// Each round's intra-node messages: the most on any node, and the
+    /// sum over nodes.
+    intra: Vec<(u32, u64)>,
+    /// Each round's per-link message counts.
+    links: RoundCounts,
+}
+
+impl Traffic {
+    /// Rounds counted (a phase that reuses another's rounds adds none).
+    pub fn rounds(&self) -> usize {
+        self.intra.len()
+    }
+
+    /// Heap bytes the counts hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.phases.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.intra.capacity() * std::mem::size_of::<(u32, u64)>()
+            + self.links.heap_bytes()
+    }
+}
+
+/// Runs a counted round is first given room for: a halo or pairwise
+/// round over a block placement loads the links in a handful of equal
+/// stretches.
+const RUNS_PER_ROUND: usize = 8;
+
+/// Working state of one count, `O(links + nodes)`: the round being
+/// counted (per-node intra-node tallies and the link schedule), and the
+/// traffic recorded so far.
+struct Counter {
+    /// Link counts of the round being counted.
+    sched: LinkSchedule,
+    /// Intra-node messages per node, this round.
+    intra: Vec<u32>,
+    traffic: Traffic,
+}
+
+impl Counter {
+    /// Start counting a fresh communication round.
+    fn begin_round(&mut self) {
+        self.intra.fill(0);
+        self.sched.reset();
+    }
+
+    /// Keep the round counted since [`Counter::begin_round`].
+    fn end_round(&mut self) {
+        let max = self.intra.iter().copied().max().unwrap_or(0);
+        let sum = self.intra.iter().map(|&n| u64::from(n)).sum();
+        self.traffic.intra.push((max, sum));
+        self.sched.record(&mut self.traffic.links);
+    }
+}
+
+/// Working state of one costing, `O(links)`: the settling buffer, the
 /// current phase's per-link accumulators, and the whole job's per-link
 /// accumulators.
 #[derive(Debug)]
 struct Scratch {
-    /// Fluid schedule of the round being counted.
+    /// Settles each counted round.
     sched: LinkSchedule,
-    /// Intra-node messages per node, this round.
-    intra: Vec<u32>,
     /// Per-link busy seconds deposited by the current phase.
     phase_busy: Vec<f64>,
     /// Per-link payload bytes deposited by the current phase.
@@ -122,23 +201,16 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Zeroed state for a plan over `graph`, whose job spans `nodes` nodes.
-    fn new(graph: &LinkGraph, nodes: usize) -> Scratch {
+    /// Zeroed state for a plan over `graph`.
+    fn new(graph: &LinkGraph) -> Scratch {
         let links = graph.len();
         Scratch {
             sched: LinkSchedule::new(graph),
-            intra: vec![0; nodes],
             phase_busy: vec![0.0; links],
             phase_bytes: vec![0; links],
             link_busy: vec![0.0; links],
             link_bytes: vec![0; links],
         }
-    }
-
-    /// Start counting a fresh communication round.
-    fn begin_round(&mut self) {
-        self.intra.fill(0);
-        self.sched.reset();
     }
 
     /// Multiply the current phase's link tallies by a repeat count.
@@ -150,6 +222,24 @@ impl Scratch {
         for b in &mut self.phase_bytes {
             *b *= k;
         }
+    }
+}
+
+/// Whether two phases send the same messages between the same ranks in
+/// every round, whatever their sizes and repeat counts: then one count
+/// serves both. An allreduce's rounds follow the engine's one algorithm,
+/// and a broadcast's rounds do not depend on its size.
+fn same_pattern(a: &CommPhase, b: &CommPhase) -> bool {
+    use CommPhase::*;
+    match (a, b) {
+        (Halo3D { dims: x, .. }, Halo3D { dims: y, .. }) => x == y,
+        (Pairs { pairs: x, .. }, Pairs { pairs: y, .. }) => x == y,
+        (Halo1D { .. }, Halo1D { .. })
+        | (Allreduce { .. }, Allreduce { .. })
+        | (Bcast { .. }, Bcast { .. })
+        | (Gather { .. }, Gather { .. })
+        | (Barrier, Barrier) => true,
+        _ => false,
     }
 }
 
@@ -263,15 +353,73 @@ impl AnalyticEngine {
     }
 
     /// Cost everything about `job` that does not depend on the seed:
-    /// `O(phases × ranks·log ranks)`, the engine's only per-rank work.
+    /// [`AnalyticEngine::count`] then [`AnalyticEngine::cost_from`].
     pub fn cost(&self, job: &JobProfile) -> AnalyticCost {
-        let nlinks = self.routes.graph().len();
-        let mut s = Scratch::new(self.routes.graph(), self.map.nodes as usize);
+        self.cost_from(job, &self.count(job))
+    }
+
+    /// Count every communication round of `job` on this engine's
+    /// placement: `O(phases × ranks·log ranks)`, the engine's only
+    /// per-rank work. The result depends on the job, the placement, the
+    /// link graph's shape and the allreduce algorithm, and on no capacity
+    /// or latency, so any engine that agrees on those four can cost from
+    /// it.
+    pub fn count(&self, job: &JobProfile) -> Traffic {
+        let graph = self.routes.graph();
+        let phases = || job.steps.iter().flat_map(|(step, _)| &step.comm);
+        // no phase counts more rounds than this, and a regular round
+        // encodes in a few runs: sized so that counting seldom regrows
+        let nphases = phases().count();
+        let rounds = nphases * log2_rounds(self.map.ranks()).max(1) as usize;
+        let mut c = Counter {
+            sched: LinkSchedule::new(graph),
+            intra: vec![0; self.map.nodes as usize],
+            traffic: Traffic {
+                phases: Vec::with_capacity(nphases),
+                intra: Vec::with_capacity(rounds),
+                links: RoundCounts::with_capacity(graph, rounds, RUNS_PER_ROUND * rounds),
+            },
+        };
+        for (i, phase) in phases().enumerate() {
+            let rounds = match phases().take(i).position(|p| same_pattern(p, phase)) {
+                Some(earlier) => c.traffic.phases[earlier],
+                None => {
+                    let start = c.traffic.intra.len() as u32;
+                    self.count_phase(&mut c, phase);
+                    (start, c.traffic.intra.len() as u32)
+                }
+            };
+            c.traffic.phases.push(rounds);
+        }
+        c.traffic.links.shrink_to_fit();
+        c.traffic.intra.shrink_to_fit();
+        c.traffic
+    }
+
+    /// Settle `traffic`, counted for `job` by [`AnalyticEngine::count`] on
+    /// this engine or on one with the same placement, graph shape and
+    /// allreduce algorithm, at this engine's capacities, latencies and
+    /// message sizes: `O(rounds × links · log links)`, with no per-rank
+    /// work. Bit-identical to costing from this engine's own count.
+    ///
+    /// # Panics
+    /// If `traffic` was counted for a job with another number of phases,
+    /// or over a graph with another number of links.
+    pub fn cost_from(&self, job: &JobProfile, traffic: &Traffic) -> AnalyticCost {
+        let graph = self.routes.graph();
+        let nlinks = graph.len();
+        assert_eq!(
+            traffic.links.links(),
+            nlinks,
+            "traffic counted over a graph of another shape"
+        );
+        let mut s = Scratch::new(graph);
         let mut segments =
             Vec::with_capacity(job.steps.iter().map(|(step, _)| 1 + step.comm.len()).sum());
         let mut inter_msgs = 0u64;
         let mut intra_msgs = 0u64;
         let mut inter_bytes = 0u64;
+        let mut rounds = traffic.phases.iter();
 
         for (step, reps) in &job.steps {
             let reps = *reps as u64;
@@ -279,7 +427,8 @@ impl AnalyticEngine {
                 self.step_compute_seconds(step) * reps as f64,
             ));
             for phase in &step.comm {
-                let (cost, cat, name) = self.phase_cost(&mut s, phase);
+                let &(first, end) = rounds.next().expect("traffic counted for a shorter job");
+                let (cost, cat, name) = self.phase_cost(&mut s, traffic, first..end, phase);
                 let cost = cost.times(reps);
                 s.scale_phase(reps);
                 inter_msgs += cost.inter_msgs;
@@ -299,6 +448,7 @@ impl AnalyticEngine {
                 });
             }
         }
+        assert!(rounds.next().is_none(), "traffic counted for a longer job");
 
         let (link_busy, link_bytes) = if inter_bytes > 0 {
             (s.link_busy, s.link_bytes)
@@ -404,103 +554,220 @@ impl AnalyticEngine {
             .rank_compute_seconds(worst_rank_flops, self.map.threads_per_rank, step.regions)
     }
 
-    /// Cost one phase. On return the phase's per-link tallies sit in
-    /// `s.phase_busy` / `s.phase_bytes` (including any internal repeat
-    /// multipliers); the caller applies the step repeat count and folds
-    /// them into the run accumulators.
-    fn phase_cost(
-        &self,
-        s: &mut Scratch,
-        phase: &CommPhase,
-    ) -> (PhaseCost, SpanCategory, &'static str) {
-        s.phase_busy.fill(0.0);
-        s.phase_bytes.fill(0);
+    /// Count every round of one phase into `c`.
+    fn count_phase(&self, c: &mut Counter, phase: &CommPhase) {
+        let p = self.map.ranks();
         match phase {
-            CommPhase::Halo1D { bytes, repeats } => {
-                let c = self.halo_cost(s, *bytes);
-                s.scale_phase(*repeats as u64);
-                (c.times(*repeats as u64), SpanCategory::Halo, "halo1d")
+            CommPhase::Pairs { pairs, .. } => {
+                if !pairs.is_empty() {
+                    // every coupling pair exchanges both ways
+                    c.begin_round();
+                    for &(a, b) in pairs {
+                        self.count_exchange(c, a, b);
+                    }
+                    c.end_round();
+                }
             }
-            CommPhase::Halo3D {
-                dims,
-                bytes,
-                repeats,
-            } => {
-                let c = self.halo3d_cost(s, *dims, *bytes);
-                s.scale_phase(*repeats as u64);
-                (c.times(*repeats as u64), SpanCategory::Halo, "halo3d")
+            _ if p <= 1 => {}
+            CommPhase::Halo1D { .. } => {
+                // directed messages along the chain: r -> r+1 and r+1 -> r
+                c.begin_round();
+                for r in 0..p - 1 {
+                    self.count_exchange(c, r, r + 1);
+                }
+                c.end_round();
             }
-            CommPhase::Allreduce { bytes, repeats } => {
-                let c = self.allreduce_cost(s, *bytes);
-                s.scale_phase(*repeats as u64);
-                (
-                    c.times(*repeats as u64),
-                    SpanCategory::Allreduce,
-                    "allreduce",
-                )
+            CommPhase::Halo3D { dims, .. } => {
+                debug_assert_eq!(
+                    dims.0 * dims.1 * dims.2,
+                    p,
+                    "rank grid must cover all ranks"
+                );
+                // every rank sends to each face neighbour: each face both
+                // ways
+                c.begin_round();
+                for_each_grid_face(*dims, |r, q| self.count_exchange(c, r, q));
+                c.end_round();
             }
-            CommPhase::Pairs { pairs, bytes } => (
-                self.pairs_cost(s, pairs, *bytes),
-                SpanCategory::Pairs,
-                "pairs",
-            ),
-            CommPhase::Bcast { bytes } => {
-                (self.bcast_cost(s, *bytes), SpanCategory::Other, "bcast")
+            CommPhase::Allreduce { .. } => match self.config.allreduce_algo {
+                // a reduce-scatter round and its mirrored allgather round
+                // send along the same pairs, so Rabenseifner counts the
+                // recursive-doubling rounds and costs each twice
+                AllreduceAlgo::RecursiveDoubling | AllreduceAlgo::Rabenseifner => {
+                    for k in 0..log2_rounds(p) {
+                        self.count_pairwise_round(c, 1 << k);
+                    }
+                }
+                AllreduceAlgo::Ring => {
+                    // every round identical: ring neighbour sends
+                    c.begin_round();
+                    for r in 0..p {
+                        self.count_send(c, r, (r + 1) % p);
+                    }
+                    c.end_round();
+                }
+            },
+            CommPhase::Bcast { .. } => {
+                // the binomial rounds of `collectives::bcast_rounds`:
+                // structural message accounting matches the DES engine
+                // exactly
+                for k in 0..log2_rounds(p) {
+                    let dist = 1u32 << k;
+                    c.begin_round();
+                    for r in (0..dist.min(p)).filter(|r| r + dist < p) {
+                        self.count_send(c, r, r + dist);
+                    }
+                    c.end_round();
+                }
             }
-            CommPhase::Gather { bytes_per_rank } => (
-                self.gather_cost(s, *bytes_per_rank),
-                SpanCategory::Other,
-                "gather",
-            ),
-            CommPhase::Barrier => (self.barrier_cost(s), SpanCategory::Other, "barrier"),
+            CommPhase::Gather { .. } => {
+                // everyone sends to rank 0; the root's downlink
+                // serializes the incast
+                c.begin_round();
+                for r in 1..p {
+                    self.count_send(c, r, 0);
+                }
+                c.end_round();
+            }
+            CommPhase::Barrier => {
+                for k in 0..log2_rounds(p) {
+                    let dist = 1u32 << k;
+                    // dissemination round: r -> (r + dist) % p
+                    c.begin_round();
+                    for r in 0..p {
+                        self.count_send(c, r, (r + dist) % p);
+                    }
+                    c.end_round();
+                }
+            }
         }
     }
 
-    /// Count one message on the round being counted in `s`. Its size is
-    /// the round's, given once to [`AnalyticEngine::round_cost`].
+    /// One pairwise-exchange round at XOR distance `dist` (a power of
+    /// two): every rank `r` with `r ^ dist < p` sends to it.
+    fn count_pairwise_round(&self, c: &mut Counter, dist: u32) {
+        let p = self.map.ranks();
+        c.begin_round();
+        // the ranks with bit `dist` clear come in blocks of `dist`; each
+        // exchanges with `r + dist` when that rank exists
+        for lo in (0..p).step_by(2 * dist as usize) {
+            for r in lo..(lo + dist).min(p.saturating_sub(dist)) {
+                self.count_exchange(c, r, r + dist);
+            }
+        }
+        c.end_round();
+    }
+
+    /// Count one message on the round being counted in `c`.
     #[inline]
-    fn round_add(&self, s: &mut Scratch, src: u32, dst: u32) {
+    fn count_send(&self, c: &mut Counter, src: u32, dst: u32) {
         let (a, b) = (self.routes.node_of(src), self.routes.node_of(dst));
         if a == b {
-            s.intra[a as usize] += 1;
+            c.intra[a as usize] += 1;
         } else {
-            s.sched.deposit(self.routes.graph(), a, b);
+            c.sched.deposit(self.routes.graph(), a, b);
         }
     }
 
     /// Count the two messages `r → q` and `q → r`, looking each rank's
     /// node up once.
     #[inline]
-    fn round_exchange(&self, s: &mut Scratch, r: u32, q: u32) {
+    fn count_exchange(&self, c: &mut Counter, r: u32, q: u32) {
         let (a, b) = (self.routes.node_of(r), self.routes.node_of(q));
         if a == b {
-            s.intra[a as usize] += 2;
+            c.intra[a as usize] += 2;
         } else {
             let g = self.routes.graph();
-            s.sched.deposit(g, a, b);
-            s.sched.deposit(g, b, a);
+            c.sched.deposit(g, a, b);
+            c.sched.deposit(g, b, a);
         }
     }
 
-    /// Cost the round counted in `s` at `bytes` per message, scaled by
-    /// `mult` identical repeats, and fold its link tallies (×`mult`) into
-    /// the phase accumulators.
+    /// Cost one phase from its counted `rounds`. On return the phase's
+    /// per-link tallies sit in `s.phase_busy` / `s.phase_bytes`
+    /// (including any internal repeat multipliers); the caller applies
+    /// the step repeat count and folds them into the run accumulators.
+    fn phase_cost(
+        &self,
+        s: &mut Scratch,
+        traffic: &Traffic,
+        rounds: std::ops::Range<u32>,
+        phase: &CommPhase,
+    ) -> (PhaseCost, SpanCategory, &'static str) {
+        s.phase_busy.fill(0.0);
+        s.phase_bytes.fill(0);
+        use SpanCategory as Cat;
+        let (bytes, repeats, cat, name) = match phase {
+            CommPhase::Halo1D { bytes, repeats } => (*bytes, *repeats, Cat::Halo, "halo1d"),
+            CommPhase::Halo3D { bytes, repeats, .. } => (*bytes, *repeats, Cat::Halo, "halo3d"),
+            CommPhase::Allreduce { bytes, repeats } => {
+                (*bytes, *repeats, Cat::Allreduce, "allreduce")
+            }
+            CommPhase::Pairs { bytes, .. } => (*bytes, 1, Cat::Pairs, "pairs"),
+            CommPhase::Bcast { bytes } => (*bytes, 1, Cat::Other, "bcast"),
+            CommPhase::Gather { bytes_per_rank } => (*bytes_per_rank, 1, Cat::Other, "gather"),
+            CommPhase::Barrier => (8, 1, Cat::Other, "barrier"),
+        };
+        let algo =
+            matches!(phase, CommPhase::Allreduce { .. }).then_some(self.config.allreduce_algo);
+        let p = u64::from(self.map.ranks());
+        let cost = self.rounds_cost(s, traffic, rounds, |k| match algo {
+            // one counted round, sent 2(p − 1) times at bytes/p
+            Some(AllreduceAlgo::Ring) => (bytes.div_ceil(p).max(1), 2 * (p - 1)),
+            // round k halves the volume, and runs twice (reduce-scatter
+            // + mirrored allgather)
+            Some(AllreduceAlgo::Rabenseifner) => ((bytes >> (k + 1)).max(1), 2),
+            _ => (bytes, 1),
+        });
+        let repeats = u64::from(repeats);
+        s.scale_phase(repeats);
+        (cost.times(repeats), cat, name)
+    }
+
+    /// The summed cost of `rounds`, round `k` of them settled at the
+    /// `(bytes, mult)` that `size(k)` gives.
+    fn rounds_cost(
+        &self,
+        s: &mut Scratch,
+        traffic: &Traffic,
+        rounds: std::ops::Range<u32>,
+        size: impl Fn(u32) -> (u64, u64),
+    ) -> PhaseCost {
+        let mut total = PhaseCost::default();
+        for (k, round) in rounds.enumerate() {
+            let (bytes, mult) = size(k as u32);
+            total.accumulate(self.round_cost(s, traffic, round as usize, bytes, mult));
+        }
+        total
+    }
+
+    /// Cost counted round `round` of `traffic` at `bytes` per message,
+    /// scaled by `mult` identical repeats, and fold its link tallies
+    /// (×`mult`) into the phase accumulators.
     ///
     /// The inter-node part is LogGP alpha + the schedule's busiest-link
     /// drain time + the longest route's switch latency; the intra-node part
     /// shares the node pipe; the two overlap. The serialized
     /// container-bridge term (every message of the busiest node queuing
     /// through one softirq path) does not overlap with either.
-    fn round_cost(&self, s: &mut Scratch, bytes: u64, mult: u64) -> PhaseCost {
-        let intra_max = s.intra.iter().copied().max().unwrap_or(0);
-        let intra_msgs: u64 = s.intra.iter().map(|&n| n as u64).sum();
-        let round = s.sched.settle(self.routes.graph(), bytes);
-        let (inter_msgs, out_max) = (round.messages(), round.max_node_sends());
+    fn round_cost(
+        &self,
+        s: &mut Scratch,
+        traffic: &Traffic,
+        round: usize,
+        bytes: u64,
+        mult: u64,
+    ) -> PhaseCost {
+        let (intra_max, intra_msgs) = traffic.intra[round];
+        let settled = s
+            .sched
+            .settle_recorded(self.routes.graph(), &traffic.links, round, bytes);
+        let (inter_msgs, out_max) = (settled.messages(), settled.max_node_sends());
         let mut seconds: f64 = 0.0;
         if inter_msgs > 0 {
             let t = self.network.inter.alpha_seconds(bytes)
-                + round.wire_seconds()
-                + round.max_latency_s();
+                + settled.wire_seconds()
+                + settled.max_latency_s();
             seconds = seconds.max(t);
         }
         if intra_max > 0 {
@@ -514,7 +781,7 @@ impl AnalyticEngine {
         seconds += serialized;
         // an unloaded link would add 0.0, which leaves its tally as is
         let mf = mult as f64;
-        for l in round.loads() {
+        for l in settled.loads() {
             s.phase_busy[l.link.index()] += l.busy_s * mf;
             s.phase_bytes[l.link.index()] += l.bytes * mult;
         }
@@ -527,148 +794,12 @@ impl AnalyticEngine {
         }
         .times(mult)
     }
-
-    fn halo_cost(&self, s: &mut Scratch, bytes: u64) -> PhaseCost {
-        let p = self.map.ranks();
-        if p <= 1 {
-            return PhaseCost::default();
-        }
-        // directed messages along the chain: r -> r+1 and r+1 -> r
-        s.begin_round();
-        for r in 0..p - 1 {
-            self.round_exchange(s, r, r + 1);
-        }
-        self.round_cost(s, bytes, 1)
-    }
-
-    fn halo3d_cost(&self, s: &mut Scratch, dims: (u32, u32, u32), bytes: u64) -> PhaseCost {
-        let p = self.map.ranks();
-        debug_assert_eq!(
-            dims.0 * dims.1 * dims.2,
-            p,
-            "rank grid must cover all ranks"
-        );
-        if p <= 1 {
-            return PhaseCost::default();
-        }
-        // every rank sends to each face neighbour: each face both ways
-        s.begin_round();
-        for_each_grid_face(dims, |r, q| self.round_exchange(s, r, q));
-        self.round_cost(s, bytes, 1)
-    }
-
-    /// One pairwise-exchange round at XOR distance `dist` (a power of
-    /// two), ×`mult`: every rank `r` with `r ^ dist < p` sends to it.
-    fn pairwise_round_cost(&self, s: &mut Scratch, dist: u32, bytes: u64, mult: u64) -> PhaseCost {
-        let p = self.map.ranks();
-        s.begin_round();
-        // the ranks with bit `dist` clear come in blocks of `dist`; each
-        // exchanges with `r + dist` when that rank exists
-        for lo in (0..p).step_by(2 * dist as usize) {
-            for r in lo..(lo + dist).min(p.saturating_sub(dist)) {
-                self.round_exchange(s, r, r + dist);
-            }
-        }
-        self.round_cost(s, bytes, mult)
-    }
-
-    fn allreduce_cost(&self, s: &mut Scratch, bytes: u64) -> PhaseCost {
-        let p = self.map.ranks();
-        if p <= 1 {
-            return PhaseCost::default();
-        }
-        let mut total = PhaseCost::default();
-        match self.config.allreduce_algo {
-            AllreduceAlgo::RecursiveDoubling => {
-                for k in 0..log2_rounds(p) {
-                    total.accumulate(self.pairwise_round_cost(s, 1 << k, bytes, 1));
-                }
-            }
-            AllreduceAlgo::Ring => {
-                // every round identical: ring neighbour sends of bytes/p
-                let chunk = bytes.div_ceil(p as u64).max(1);
-                s.begin_round();
-                for r in 0..p {
-                    self.round_add(s, r, (r + 1) % p);
-                }
-                let rounds = 2 * (p as u64 - 1);
-                total.accumulate(self.round_cost(s, chunk, rounds));
-            }
-            AllreduceAlgo::Rabenseifner => {
-                for k in 0..log2_rounds(p) {
-                    let vol = (bytes >> (k + 1)).max(1);
-                    // reduce-scatter + mirrored allgather round
-                    total.accumulate(self.pairwise_round_cost(s, 1 << k, vol, 2));
-                }
-            }
-        }
-        total
-    }
-
-    fn pairs_cost(&self, s: &mut Scratch, pairs: &[(u32, u32)], bytes: u64) -> PhaseCost {
-        if pairs.is_empty() {
-            return PhaseCost::default();
-        }
-        s.begin_round();
-        for &(a, b) in pairs {
-            self.round_exchange(s, a, b);
-        }
-        self.round_cost(s, bytes, 1)
-    }
-
-    fn bcast_cost(&self, s: &mut Scratch, bytes: u64) -> PhaseCost {
-        let p = self.map.ranks();
-        if p <= 1 {
-            return PhaseCost::default();
-        }
-        // cost the actual binomial rounds: structural message accounting
-        // matches the DES engine exactly
-        let mut total = PhaseCost::default();
-        for round in crate::collectives::bcast_rounds(p, bytes) {
-            s.begin_round();
-            for m in &round {
-                self.round_add(s, m.src, m.dst);
-            }
-            total.accumulate(self.round_cost(s, bytes, 1));
-        }
-        total
-    }
-
-    fn gather_cost(&self, s: &mut Scratch, bytes_per_rank: u64) -> PhaseCost {
-        let p = self.map.ranks();
-        if p <= 1 {
-            return PhaseCost::default();
-        }
-        // everyone sends to rank 0; the root's downlink serializes the incast
-        s.begin_round();
-        for r in 1..p {
-            self.round_add(s, r, 0);
-        }
-        self.round_cost(s, bytes_per_rank, 1)
-    }
-
-    fn barrier_cost(&self, s: &mut Scratch) -> PhaseCost {
-        let p = self.map.ranks();
-        if p <= 1 {
-            return PhaseCost::default();
-        }
-        let mut total = PhaseCost::default();
-        for k in 0..log2_rounds(p) {
-            let dist = 1u32 << k;
-            // dissemination round: r -> (r + dist) % p
-            s.begin_round();
-            for r in 0..p {
-                self.round_add(s, r, (r + dist) % p);
-            }
-            total.accumulate(self.round_cost(s, 8, 1));
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::log2_rounds;
     use crate::workload::StepProfile;
     use harborsim_hw::{CpuModel, InterconnectKind, NodeSpec};
     use harborsim_net::{DataPath, Topology, TransportSelection};
@@ -908,5 +1039,146 @@ mod tests {
             "busiest link should be a spine link, got {}",
             busiest.label
         );
+    }
+
+    /// A job that runs every kind of communication phase, twice each for
+    /// the ones whose pattern a later phase repeats (a second halo on the
+    /// same grid, a second coupling on the same pairs, an allreduce in
+    /// both steps), over `ranks` ranks.
+    fn every_phase_job(ranks: u32) -> JobProfile {
+        let pairs: Vec<(u32, u32)> = (0..ranks / 2).map(|r| (r, ranks - 1 - r)).collect();
+        let step = |comm| StepProfile {
+            flops_per_rank: 3e6,
+            imbalance: 1.01,
+            regions: 2.0,
+            comm,
+        };
+        JobProfile {
+            steps: vec![
+                (
+                    step(vec![
+                        CommPhase::Halo1D {
+                            bytes: 30_000,
+                            repeats: 3,
+                        },
+                        CommPhase::Halo3D {
+                            dims: crate::workload::factor3(ranks),
+                            bytes: 12_345,
+                            repeats: 2,
+                        },
+                        CommPhase::Allreduce {
+                            bytes: 1 << 20,
+                            repeats: 2,
+                        },
+                        CommPhase::Halo3D {
+                            dims: crate::workload::factor3(ranks),
+                            bytes: 777,
+                            repeats: 5,
+                        },
+                        CommPhase::Pairs {
+                            pairs: pairs.clone(),
+                            bytes: 7_777,
+                        },
+                        CommPhase::Pairs { pairs, bytes: 99 },
+                    ]),
+                    4,
+                ),
+                (
+                    step(vec![
+                        CommPhase::Bcast { bytes: 65_536 },
+                        CommPhase::Gather { bytes_per_rank: 96 },
+                        CommPhase::Barrier,
+                        CommPhase::Allreduce {
+                            bytes: 8,
+                            repeats: 3,
+                        },
+                    ]),
+                    2,
+                ),
+            ],
+        }
+    }
+
+    #[test]
+    fn a_cost_from_shared_traffic_is_a_fresh_costing_bit_for_bit() {
+        // 40 nodes under 16-node leaves (a ragged last leaf), scattered
+        // ranks: every phase crosses the spine
+        let map = RankMap {
+            nodes: 40,
+            ranks_per_node: 3,
+            threads_per_rank: 1,
+            placement: crate::Placement::RoundRobin,
+        };
+        let topology = |taper| Topology::FatTree {
+            nodes_per_leaf: 16,
+            hop_latency_s: 0.2e-6,
+            taper,
+        };
+        let node = NodeSpec::dual_socket(CpuModel::xeon_platinum_8160(), 96);
+        let net = |path, taper| {
+            NetworkModel::compose(
+                InterconnectKind::OmniPath100,
+                TransportSelection::Native,
+                path,
+                topology(taper),
+            )
+        };
+        let job = every_phase_job(map.ranks());
+        for algo in [
+            AllreduceAlgo::RecursiveDoubling,
+            AllreduceAlgo::Ring,
+            AllreduceAlgo::Rabenseifner,
+        ] {
+            let config = EngineConfig {
+                allreduce_algo: algo,
+                ..EngineConfig::default()
+            };
+            // counted on a healthy, untapered fabric
+            let counter =
+                AnalyticEngine::new(node.clone(), net(DataPath::Host, 1.0), map, config.clone());
+            let shared = counter.count(&job);
+            // costed behind the Docker bridge on a tapered fabric with
+            // three degraded links
+            let network = net(DataPath::docker_default_bridge(), 0.4);
+            let mut routes = route_table(&map, &network);
+            let g = routes.graph_mut();
+            let (up, down, spine) = (g.node_up(7), g.node_down(33), g.leaf_up(1));
+            g.degrade(up, 0.3);
+            g.degrade(down, 0.55);
+            g.degrade(spine, 0.9);
+            let engine =
+                AnalyticEngine::with_routes(node.clone(), network, map, config, Arc::new(routes));
+            assert_eq!(
+                engine.count(&job),
+                shared,
+                "{algo:?}: counts ignore capacities"
+            );
+            assert!(shared.rounds() > 0);
+            let from_shared = engine.cost_from(&job, &shared);
+            for seed in [0, 9, u64::MAX] {
+                let (mut a, mut b) = (Recorder::capturing(), Recorder::capturing());
+                let got = engine.replay(&from_shared, seed, &mut a);
+                let fresh = engine.run_traced(&job, seed, &mut b);
+                assert_eq!(got, fresh, "{algo:?}, seed {seed}");
+                let bits = |r: &SimResult| {
+                    r.links
+                        .iter()
+                        .map(|l| l.busy_s.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&got), bits(&fresh), "{algo:?}, seed {seed}");
+                assert_eq!(a.take_buffer(), b.take_buffer(), "{algo:?}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_patterns_are_counted_once() {
+        let e = engine(4, 6, 1, DataPath::Host);
+        let job = every_phase_job(24);
+        let log = log2_rounds(24) as usize;
+        // halo1d 1, halo3d 1, allreduce log p, pairs 1, bcast log p,
+        // gather 1, barrier log p; the repeats add nothing
+        assert_eq!(e.count(&job).rounds(), 4 + 3 * log);
     }
 }

@@ -21,7 +21,7 @@ pub struct RoundMsg {
 pub type Round = Vec<RoundMsg>;
 
 /// Allreduce algorithm choice (the ablation of DESIGN.md §5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AllreduceAlgo {
     /// Recursive doubling: `ceil(log2 p)` rounds of full-size pairwise
     /// exchanges. Optimal for small payloads (latency-bound) — MPI

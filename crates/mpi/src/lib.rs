@@ -32,7 +32,7 @@ pub mod result;
 pub mod thread_mpi;
 pub mod workload;
 
-pub use analytic::{AnalyticCost, AnalyticEngine};
+pub use analytic::{AnalyticCost, AnalyticEngine, Traffic};
 pub use des_engine::{DesEngine, TruncatingDes};
 pub use mapping::{route_table, Placement, RankMap};
 pub use result::{CommBreakdown, LinkUsage, SimResult};

@@ -3,7 +3,7 @@
 use harborsim_net::{LinkGraph, NetworkModel, RouteTable};
 
 /// How consecutive ranks are laid out on nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Ranks 0..rpn on node 0, the next rpn on node 1, ... (the batch-system
     /// default, and what Alya's 1D slab decomposition wants: neighbouring
@@ -16,7 +16,7 @@ pub enum Placement {
 
 /// A concrete placement of an MPI job: `nodes × ranks_per_node` ranks, each
 /// with `threads_per_rank` OpenMP threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RankMap {
     /// Number of nodes used.
     pub nodes: u32,

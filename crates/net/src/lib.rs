@@ -31,7 +31,7 @@ pub mod transport;
 pub use fabric::{fabric_transports, shm_transport, FabricTransports};
 pub use link::{Link, LinkClass, LinkGraph, LinkId};
 pub use model::{DataPath, NetworkModel, TransportSelection};
-pub use route::{route_tables_built, LinkLoad, LinkSchedule, Route, RouteTable, SettledRound};
+pub use route::{LinkLoad, LinkSchedule, RoundCounts, Route, RouteTable, SettledRound};
 pub use scratch::ScratchPool;
 pub use topology::Topology;
 pub use transport::TransportParams;

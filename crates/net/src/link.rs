@@ -155,6 +155,13 @@ impl LinkGraph {
         self.leaves
     }
 
+    /// Nodes under each leaf switch (the last leaf may hold fewer). With
+    /// [`nodes`](Self::nodes) it fixes the graph's shape: which links
+    /// exist and how nodes reach each other, whatever the capacities.
+    pub fn nodes_per_leaf(&self) -> u32 {
+        self.nodes_per_leaf
+    }
+
     /// Per-switch-traversal latency, seconds.
     pub fn hop_latency_s(&self) -> f64 {
         self.hop_latency_s

@@ -14,23 +14,14 @@
 //! (integers only, keyed by node pair, no [`Route`] built) and folds each
 //! link's count into busy seconds once, when the round is settled at its
 //! size. The fold adds the same quantum `count` times from `0.0`, which is
-//! bit for bit what a per-message deposit computes in any order. The DES
-//! engine uses the same routes but materializes the links as FIFO
-//! resources, so both engines disagree only about queueing, never about
-//! topology.
+//! bit for bit what a per-message deposit computes in any order. A counted
+//! round can also be recorded into [`RoundCounts`] and settled later, at
+//! any capacities over a graph of the same shape: the counts depend on the
+//! routes alone. The DES engine uses the same routes but materializes the
+//! links as FIFO resources, so both engines disagree only about queueing,
+//! never about topology.
 
 use crate::link::{LinkClass, LinkGraph, LinkId};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// How many [`RouteTable`]s have been built, process-wide. Route tables are
-/// per-plan artifacts: sweeps that rebuild them per seed are doing O(seeds)
-/// work that should be O(1), and the regression tests pin that.
-static ROUTE_TABLES_BUILT: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of [`RouteTable::build`] calls.
-pub fn route_tables_built() -> u64 {
-    ROUTE_TABLES_BUILT.load(Ordering::Relaxed)
-}
 
 /// The ordered links one message traverses, plus the switch latency it pays.
 ///
@@ -71,13 +62,12 @@ pub struct RouteTable {
 }
 
 impl RouteTable {
-    /// Bind a graph to a rank placement. Counted in [`route_tables_built`].
+    /// Bind a graph to a rank placement.
     pub fn build(graph: LinkGraph, node_of_rank: Vec<u32>) -> RouteTable {
         assert!(!node_of_rank.is_empty(), "a job has at least one rank");
         for (r, &n) in node_of_rank.iter().enumerate() {
             assert!(n < graph.nodes(), "rank {r} placed on absent node {n}");
         }
-        ROUTE_TABLES_BUILT.fetch_add(1, Ordering::Relaxed);
         RouteTable {
             graph,
             node_of_rank: node_of_rank.into_boxed_slice(),
@@ -146,6 +136,14 @@ impl RouteTable {
 /// busy seconds and bytes and reads off the round's serialization time as
 /// the busiest link: every link drains its queued bytes at full capacity,
 /// concurrently.
+///
+/// The counts depend only on which nodes talk and on the graph's shape
+/// (node count and nodes per leaf), never on a capacity or a latency. So
+/// a counted round can be kept: [`record`](Self::record) appends it to a
+/// [`RoundCounts`], and [`settle_recorded`](Self::settle_recorded) settles
+/// it later over any graph of the same shape (another environment,
+/// taper or degraded link) exactly as `settle` would have settled the
+/// live counts there, with no allocation.
 ///
 /// The fold is exact, not an approximation of per-message deposits: a
 /// link's busy time is the left fold from `0.0` of `count` copies of its
@@ -221,6 +219,78 @@ impl SettledRound<'_> {
     }
 }
 
+/// Counted rounds kept for settling later: each round's per-link message
+/// counts, run-length encoded in link order, and whether its pairs share
+/// a leaf or cross the spine. Rounds are stored back to back in two
+/// vectors, so recording a round allocates nothing of its own.
+///
+/// A link layout puts every node's uplink, then every downlink, then the
+/// leaf links, so a regular pattern (a halo, a pairwise exchange) loads
+/// long stretches of links equally and encodes in a few runs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RoundCounts {
+    /// Links in the graph the rounds were counted over.
+    links: u32,
+    /// `(count, links)` runs covering each round's links in order.
+    runs: Vec<(u32, u32)>,
+    /// Each round's end in `runs`, and its same-leaf and cross-leaf flags.
+    rounds: Vec<(u32, bool, bool)>,
+}
+
+impl RoundCounts {
+    /// No rounds, for a graph of `graph`'s shape.
+    pub fn new(graph: &LinkGraph) -> RoundCounts {
+        RoundCounts::with_capacity(graph, 0, 0)
+    }
+
+    /// No rounds, for a graph of `graph`'s shape, with room for `rounds`
+    /// rounds of `runs` runs in all before recording allocates.
+    pub fn with_capacity(graph: &LinkGraph, rounds: usize, runs: usize) -> RoundCounts {
+        RoundCounts {
+            links: graph.len() as u32,
+            runs: Vec::with_capacity(runs),
+            rounds: Vec::with_capacity(rounds),
+        }
+    }
+
+    /// Links in the graph the rounds were counted over.
+    pub fn links(&self) -> usize {
+        self.links as usize
+    }
+
+    /// Rounds recorded.
+    pub fn len(&self) -> usize {
+        self.rounds.len()
+    }
+
+    /// True when no round has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.rounds.is_empty()
+    }
+
+    /// Heap bytes the recorded rounds hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.rounds.capacity() * std::mem::size_of::<(u32, bool, bool)>()
+    }
+
+    /// Drop the spare capacity recording left behind.
+    pub fn shrink_to_fit(&mut self) {
+        self.runs.shrink_to_fit();
+        self.rounds.shrink_to_fit();
+    }
+
+    /// Round `round`'s runs and flags.
+    fn round(&self, round: usize) -> (&[(u32, u32)], bool, bool) {
+        let start = match round {
+            0 => 0,
+            r => self.rounds[r - 1].0 as usize,
+        };
+        let (end, same_leaf, cross_leaf) = self.rounds[round];
+        (&self.runs[start..end as usize], same_leaf, cross_leaf)
+    }
+}
+
 impl LinkSchedule {
     /// An empty schedule over `graph`'s links, with its leaf table.
     pub fn new(graph: &LinkGraph) -> LinkSchedule {
@@ -260,55 +330,67 @@ impl LinkSchedule {
             graph.len(),
             "schedule built for another graph"
         );
-        self.loads.clear();
-        let (mut sent, mut max_node_sends) = (0u64, 0u32);
-        for (i, &messages) in self.count.iter().enumerate() {
-            if messages > 0 {
-                let link = LinkId(i as u32);
-                // every message leaves through exactly one node uplink
-                if graph.link(link).class == LinkClass::NodeUp {
-                    sent += messages as u64;
-                    max_node_sends = max_node_sends.max(messages);
-                }
-                self.loads.push(LinkLoad {
-                    link,
-                    messages,
-                    quantum_s: bytes as f64 / graph.capacity_bps(link),
-                    busy_s: 0.0,
-                    bytes: messages as u64 * bytes,
-                });
+        let loaded = self
+            .count
+            .iter()
+            .enumerate()
+            .filter(|&(_, &messages)| messages > 0)
+            .map(|(i, &messages)| (i as u32, messages));
+        settle_loaded(
+            &mut self.loads,
+            graph,
+            bytes,
+            (self.same_leaf, self.cross_leaf),
+            loaded,
+        )
+    }
+
+    /// Append the round counted so far to `into`, run-length encoded, and
+    /// return its index there. The schedule keeps its counts until
+    /// [`reset`](Self::reset).
+    pub fn record(&self, into: &mut RoundCounts) -> usize {
+        debug_assert_eq!(into.links as usize, self.count.len(), "another shape");
+        let start = into.runs.len();
+        for &messages in &self.count {
+            match into.runs[start..].last_mut() {
+                Some((count, links)) if *count == messages => *links += 1,
+                _ => into.runs.push((messages, 1)),
             }
         }
-        self.loads
-            .sort_unstable_by_key(|l| (l.quantum_s.to_bits(), l.messages));
-        let (mut quantum_bits, mut sum, mut added) = (None, 0.0, 0u32);
-        let mut wire_s: f64 = 0.0;
-        for l in &mut self.loads {
-            if quantum_bits != Some(l.quantum_s.to_bits()) {
-                (quantum_bits, sum, added) = (Some(l.quantum_s.to_bits()), 0.0, 0);
-            }
-            while added < l.messages {
-                sum += l.quantum_s;
-                added += 1;
-            }
-            l.busy_s = sum;
-            wire_s = wire_s.max(sum);
-        }
-        let hop = graph.hop_latency_s();
-        let mut max_latency_s: f64 = 0.0;
-        if self.same_leaf {
-            max_latency_s = max_latency_s.max(hop);
-        }
-        if self.cross_leaf {
-            max_latency_s = max_latency_s.max(3.0 * hop);
-        }
-        SettledRound {
-            loads: &self.loads,
-            messages: sent,
-            max_node_sends,
-            wire_s,
-            max_latency_s,
-        }
+        into.rounds
+            .push((into.runs.len() as u32, self.same_leaf, self.cross_leaf));
+        into.rounds.len() - 1
+    }
+
+    /// Settle round `round` of `counts` at `bytes` per message over
+    /// `graph`'s capacities, bit for bit as [`settle`](Self::settle)
+    /// settles the same counts deposited live. `graph` may be any graph of
+    /// the shape the round was counted on; this schedule's own counts are
+    /// not read. Allocates nothing.
+    pub fn settle_recorded(
+        &mut self,
+        graph: &LinkGraph,
+        counts: &RoundCounts,
+        round: usize,
+        bytes: u64,
+    ) -> SettledRound<'_> {
+        debug_assert_eq!(counts.links as usize, graph.len(), "another shape");
+        let (runs, same_leaf, cross_leaf) = counts.round(round);
+        let mut first = 0u32;
+        let loaded = runs.iter().flat_map(move |&(messages, links)| {
+            let start = first;
+            first += links;
+            // an empty run yields no link
+            let end = if messages > 0 { first } else { start };
+            (start..end).map(move |i| (i, messages))
+        });
+        settle_loaded(
+            &mut self.loads,
+            graph,
+            bytes,
+            (same_leaf, cross_leaf),
+            loaded,
+        )
     }
 
     /// Clear the counts for the next round, keeping the allocations.
@@ -316,6 +398,65 @@ impl LinkSchedule {
         self.count.fill(0);
         self.same_leaf = false;
         self.cross_leaf = false;
+    }
+}
+
+/// Settle one round whose loaded links arrive in increasing link order as
+/// `(link index, messages)`: the fold behind both
+/// [`LinkSchedule::settle`] and [`LinkSchedule::settle_recorded`], into
+/// `loads`, whose capacity covers every link.
+fn settle_loaded<'a>(
+    loads: &'a mut Vec<LinkLoad>,
+    graph: &LinkGraph,
+    bytes: u64,
+    (same_leaf, cross_leaf): (bool, bool),
+    loaded: impl Iterator<Item = (u32, u32)>,
+) -> SettledRound<'a> {
+    loads.clear();
+    let (mut sent, mut max_node_sends) = (0u64, 0u32);
+    for (i, messages) in loaded {
+        let link = LinkId(i);
+        // every message leaves through exactly one node uplink
+        if graph.link(link).class == LinkClass::NodeUp {
+            sent += messages as u64;
+            max_node_sends = max_node_sends.max(messages);
+        }
+        loads.push(LinkLoad {
+            link,
+            messages,
+            quantum_s: bytes as f64 / graph.capacity_bps(link),
+            busy_s: 0.0,
+            bytes: messages as u64 * bytes,
+        });
+    }
+    loads.sort_unstable_by_key(|l| (l.quantum_s.to_bits(), l.messages));
+    let (mut quantum_bits, mut sum, mut added) = (None, 0.0, 0u32);
+    let mut wire_s: f64 = 0.0;
+    for l in loads.iter_mut() {
+        if quantum_bits != Some(l.quantum_s.to_bits()) {
+            (quantum_bits, sum, added) = (Some(l.quantum_s.to_bits()), 0.0, 0);
+        }
+        while added < l.messages {
+            sum += l.quantum_s;
+            added += 1;
+        }
+        l.busy_s = sum;
+        wire_s = wire_s.max(sum);
+    }
+    let hop = graph.hop_latency_s();
+    let mut max_latency_s: f64 = 0.0;
+    if same_leaf {
+        max_latency_s = max_latency_s.max(hop);
+    }
+    if cross_leaf {
+        max_latency_s = max_latency_s.max(3.0 * hop);
+    }
+    SettledRound {
+        loads,
+        messages: sent,
+        max_node_sends,
+        wire_s,
+        max_latency_s,
     }
 }
 
@@ -337,14 +478,6 @@ mod tests {
             1e9,
         );
         RouteTable::build(g, vec![0, 0, 1, 1, 2, 2, 3, 3])
-    }
-
-    #[test]
-    fn builds_are_counted() {
-        let before = route_tables_built();
-        let _a = table();
-        let _b = table();
-        assert!(route_tables_built() >= before + 2);
     }
 
     #[test]
@@ -515,6 +648,97 @@ mod tests {
                 sends[a as usize] += 1;
             }
             assert_eq!(settled.max_node_sends(), sends.into_iter().max().unwrap());
+        }
+    }
+
+    /// A settled round as bit patterns: every load, then the round's
+    /// wire time, latency, messages and busiest sender.
+    type Snapshot = (Vec<(LinkId, u32, u64, u64, u64)>, u64, u64, u64, u32);
+
+    fn snapshot(r: SettledRound<'_>) -> Snapshot {
+        let loads = r
+            .loads()
+            .iter()
+            .map(|l| {
+                (
+                    l.link,
+                    l.messages,
+                    l.quantum_s.to_bits(),
+                    l.busy_s.to_bits(),
+                    l.bytes,
+                )
+            })
+            .collect();
+        (
+            loads,
+            r.wire_seconds().to_bits(),
+            r.max_latency_s().to_bits(),
+            r.messages(),
+            r.max_node_sends(),
+        )
+    }
+
+    #[test]
+    fn a_recorded_round_settles_as_the_live_one_on_any_capacities() {
+        // one shape (13 nodes, 4-node leaves), two capacity sets: the
+        // counts recorded on the healthy graph settle on the degraded one
+        // exactly as counts deposited there
+        let graph = |degrade: bool| {
+            let mut g = LinkGraph::build(
+                &Topology::FatTree {
+                    nodes_per_leaf: 4,
+                    hop_latency_s: 0.3e-6,
+                    taper: 0.7,
+                },
+                13,
+                1.1e9,
+                3.3e9,
+            );
+            if degrade {
+                g.degrade(g.node_up(2), 0.3);
+                g.degrade(g.leaf_down(2), 0.55);
+            }
+            g
+        };
+        let graphs = [graph(false), graph(true)];
+        let mut live = graphs.each_ref().map(LinkSchedule::new);
+        let mut counts = RoundCounts::new(&graphs[0]);
+        let mut rng = XorShift(0x2545_f491_4f6c_dd1d);
+        let mut want = Vec::new();
+        for round in 0..300 {
+            // a leaf talking to itself, the whole machine, or nothing
+            let (span, n) = match round % 5 {
+                0 => (4, rng.below(80)),
+                4 => (13, 0),
+                _ => (13, rng.below(600)),
+            };
+            for s in &mut live {
+                s.reset();
+            }
+            for _ in 0..n {
+                let (a, b) = (rng.below(span) as u32, rng.below(span) as u32);
+                if a != b {
+                    for (s, g) in live.iter_mut().zip(&graphs) {
+                        s.deposit(g, a, b);
+                    }
+                }
+            }
+            assert_eq!(live[0].record(&mut counts), round);
+            let bytes = 1 + rng.below(1 << (1 + round % 30));
+            let settled: Vec<Snapshot> = live
+                .iter_mut()
+                .zip(&graphs)
+                .map(|(s, g)| snapshot(s.settle(g, bytes)))
+                .collect();
+            want.push((bytes, settled));
+        }
+        assert_eq!(counts.len(), 300);
+        let mut later = LinkSchedule::new(&graphs[0]);
+        for (round, (bytes, settled)) in want.iter().enumerate() {
+            for (g, want) in graphs.iter().zip(settled) {
+                let got = snapshot(later.settle_recorded(g, &counts, round, *bytes));
+                assert_eq!(&got, want, "round {round}");
+            }
         }
     }
 }

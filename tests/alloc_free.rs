@@ -20,10 +20,12 @@
 //! from the registries' shared values, so it makes **exactly one**, the
 //! `Box` the request holds its scenario in.
 //!
-//! The last two pin whole queries: a warm execute as the daemon's
-//! reactor answers it (decode, `handle_warm`, encode), for one menu entry
-//! and over the 36 serve-hot menu requests, and a cold execute through
-//! `handle` on a fresh engine, compile included.
+//! The last ones pin whole queries and set-ups: a warm execute as the
+//! daemon's reactor answers it (decode, `handle_warm`, encode), for one
+//! menu entry and over the 36 serve-hot menu requests; a cold execute
+//! through `handle` on a fresh engine, compile included, with its traffic
+//! counted afresh or already counted by a sibling plan; and a campaign's
+//! set-up, a fresh engine and its compiles.
 //!
 //! The counter is per thread, so a measurement sees only the allocations
 //! of the thread running it, never those of sibling tests running
@@ -352,12 +354,40 @@ fn a_cold_execute_allocates_a_pinned_count() {
         let reply = lab.handle(req);
         let made = allocations() - before;
         assert!(matches!(reply, harborsim_core::LabResponse::Execute(_)));
+        assert_eq!(lab.traffic_stats().counted, 1);
         made
     };
     // the first fills the process-wide tables a compile reads
     cold();
+    // compile, the engine's traffic table, the count and the cost
     let made = cold();
-    assert_eq!(made, 28, "a cold menu-6 execute took {made} allocations");
+    assert_eq!(made, 41, "a cold menu-6 execute took {made} allocations");
+}
+
+#[test]
+fn a_cold_execute_on_counted_traffic_allocates_a_pinned_count() {
+    use harborsim_bench::loadgen::menu_scenario;
+    use harborsim_core::{LabRequest, QueryEngine};
+    let cold = || {
+        let lab = QueryEngine::new();
+        // a sibling of menu entry 6 on a tapered spine: same traffic,
+        // other capacities
+        lab.handle(LabRequest::execute(menu_scenario(6).spine_taper(0.5), 0));
+        let req = LabRequest::execute(menu_scenario(6), 0);
+        let before = allocations();
+        let reply = lab.handle(req);
+        let made = allocations() - before;
+        assert!(matches!(reply, harborsim_core::LabResponse::Execute(_)));
+        assert_eq!(lab.traffic_stats().counted, 1, "the sibling counted it");
+        made
+    };
+    cold();
+    // compile and the cost only: the table and its entry already exist
+    let made = cold();
+    assert_eq!(
+        made, 26,
+        "a cold menu-6 execute on counted traffic took {made} allocations"
+    );
 }
 
 /// Allocations of resolving `scenario` through a fresh engine, engine
