@@ -607,15 +607,13 @@ impl AnalyticEngine {
                     c.end_round();
                 }
             },
-            CommPhase::Bcast { .. } => {
-                // the binomial rounds of `collectives::bcast_rounds`:
-                // structural message accounting matches the DES engine
-                // exactly
-                for k in 0..log2_rounds(p) {
-                    let dist = 1u32 << k;
+            CommPhase::Bcast { bytes } => {
+                // the actual binomial rounds: structural message
+                // accounting matches the DES engine exactly
+                for round in crate::collectives::bcast_rounds(p, *bytes) {
                     c.begin_round();
-                    for r in (0..dist.min(p)).filter(|r| r + dist < p) {
-                        self.count_send(c, r, r + dist);
+                    for m in &round {
+                        self.count_send(c, m.src, m.dst);
                     }
                     c.end_round();
                 }
