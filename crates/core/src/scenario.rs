@@ -312,7 +312,7 @@ impl Scenario {
         }
         let routes = Arc::new(table);
         let engine = match self.engine {
-            EngineKind::Analytic => PlanEngine::Analytic {
+            EngineKind::Analytic => PlanEngine::Analytic(AnalyticPlan {
                 engine: AnalyticEngine::with_routes(
                     self.cluster.node.clone(),
                     network,
@@ -328,7 +328,7 @@ impl Scenario {
                 traffic: OnceLock::new(),
                 cost: OnceLock::new(),
                 costings: AtomicU64::new(0),
-            },
+            }),
             EngineKind::Des { max_steps_per_kind } => PlanEngine::Des(TruncatingDes {
                 inner: DesEngine::with_routes(
                     self.cluster.node.clone(),
@@ -417,23 +417,64 @@ impl Scenario {
 /// The engine a plan executes on.
 enum PlanEngine {
     /// The analytic engine and its job's seed-independent cost.
-    Analytic {
-        engine: AnalyticEngine,
-        /// The case's memo key, if it has one.
-        case_key: Option<Arc<str>>,
-        /// The shared traffic this plan's cost was settled from, when its
-        /// first execute went through a [`TrafficTable`]; held for the
-        /// plan's life, so sibling plans find it counted.
-        traffic: OnceLock<Arc<TrafficEntry>>,
-        /// The job's cost table, filled by the first execute.
-        cost: OnceLock<AnalyticCost>,
-        /// Cost tables computed for this plan (see
-        /// [`ScenarioPlan::costings`]).
-        costings: AtomicU64,
-    },
+    Analytic(AnalyticPlan),
     /// The message-level engine under step truncation, which simulates
     /// every seed from scratch.
     Des(TruncatingDes),
+}
+
+/// An analytic plan's engine and the cost its first execute fills in.
+struct AnalyticPlan {
+    engine: AnalyticEngine,
+    /// The case's memo key, if it has one.
+    case_key: Option<Arc<str>>,
+    /// The shared traffic this plan's cost was settled from, when its
+    /// first execute went through a [`TrafficTable`]; held for the
+    /// plan's life, so sibling plans find it counted.
+    traffic: OnceLock<Arc<TrafficEntry>>,
+    /// The job's cost table, filled by the first execute.
+    cost: OnceLock<AnalyticCost>,
+    /// Cost tables computed for this plan (see
+    /// [`ScenarioPlan::costings`]).
+    costings: AtomicU64,
+}
+
+impl AnalyticPlan {
+    /// `job`'s cost table, costed by the first call.
+    fn cost(&self, job: &JobProfile, shared: Option<&TrafficTable>) -> &AnalyticCost {
+        match self.cost.get() {
+            Some(cost) => cost,
+            None => self.first_cost(job, shared),
+        }
+    }
+
+    /// Cost `job`, from `shared`'s counts when it is given and the case
+    /// has a memo key, else from a private count, and keep the table.
+    #[cold]
+    #[inline(never)]
+    fn first_cost(&self, job: &JobProfile, shared: Option<&TrafficTable>) -> &AnalyticCost {
+        self.costings.fetch_add(1, Ordering::Relaxed);
+        let engine = &self.engine;
+        let count = || engine.count(job);
+        let computed = match (shared, &self.case_key) {
+            (Some(shared), Some(case)) => {
+                let entry = self.traffic.get_or_init(|| {
+                    shared.entry(TrafficKey {
+                        case: Arc::clone(case),
+                        map: engine.map,
+                        nodes_per_leaf: engine.routes().graph().nodes_per_leaf(),
+                        algo: engine.config.allreduce_algo,
+                    })
+                });
+                engine.cost_from(job, entry.traffic(count))
+            }
+            _ => engine.cost_from(job, &count()),
+        };
+        // a racing execute may have filled the cell meanwhile; its table
+        // is the same, so losing the `set` is harmless
+        let _ = self.cost.set(computed);
+        self.cost.get().expect("the cost cell was just filled")
+    }
 }
 
 /// A compiled scenario: everything seed-independent resolved, ready to
@@ -482,47 +523,15 @@ impl ScenarioPlan {
         self.execute_in(seed, rec, Some(table))
     }
 
-    fn execute_in(&self, seed: u64, rec: &mut Recorder, table: Option<&TrafficTable>) -> Outcome {
+    fn execute_in(&self, seed: u64, rec: &mut Recorder, shared: Option<&TrafficTable>) -> Outcome {
         if rec.is_enabled() {
             if let Some(buf) = &self.deployment_trace {
                 rec.absorb(buf);
             }
         }
         let result = match &self.engine {
-            PlanEngine::Analytic {
-                engine,
-                case_key,
-                traffic,
-                cost,
-                costings,
-            } => {
-                let table = match cost.get() {
-                    Some(table) => table,
-                    None => {
-                        costings.fetch_add(1, Ordering::Relaxed);
-                        let count = || engine.count(&self.job);
-                        let computed = match (table, case_key) {
-                            (Some(table), Some(case)) => {
-                                let entry = traffic.get_or_init(|| {
-                                    table.entry(TrafficKey {
-                                        case: Arc::clone(case),
-                                        map: engine.map,
-                                        nodes_per_leaf: engine.routes().graph().nodes_per_leaf(),
-                                        algo: engine.config.allreduce_algo,
-                                    })
-                                });
-                                engine.cost_from(&self.job, entry.traffic(count))
-                            }
-                            _ => engine.cost_from(&self.job, &count()),
-                        };
-                        // a racing execute may have filled the cell
-                        // meanwhile; its table is the same, so losing the
-                        // `set` is harmless
-                        let _ = cost.set(computed);
-                        cost.get().expect("the cost cell was just filled")
-                    }
-                };
-                engine.replay(table, seed, rec)
+            PlanEngine::Analytic(plan) => {
+                plan.engine.replay(plan.cost(&self.job, shared), seed, rec)
             }
             PlanEngine::Des(des) => des.run_traced(&self.job, seed, rec),
         };
@@ -564,7 +573,7 @@ impl ScenarioPlan {
     /// compile and shared by every execute.
     pub fn routes(&self) -> &Arc<RouteTable> {
         match &self.engine {
-            PlanEngine::Analytic { engine, .. } => engine.routes(),
+            PlanEngine::Analytic(plan) => plan.engine.routes(),
             PlanEngine::Des(des) => des.inner.routes(),
         }
     }
@@ -582,7 +591,7 @@ impl ScenarioPlan {
     /// Short name of the selected engine ("analytic", "des").
     pub fn engine_name(&self) -> &'static str {
         match &self.engine {
-            PlanEngine::Analytic { .. } => "analytic",
+            PlanEngine::Analytic(_) => "analytic",
             PlanEngine::Des(_) => "des",
         }
     }
@@ -595,7 +604,7 @@ impl ScenarioPlan {
     /// held it. Always 0 on the DES, which keeps no per-plan cost.
     pub fn costings(&self) -> u64 {
         match &self.engine {
-            PlanEngine::Analytic { costings, .. } => costings.load(Ordering::Relaxed),
+            PlanEngine::Analytic(plan) => plan.costings.load(Ordering::Relaxed),
             PlanEngine::Des(_) => 0,
         }
     }

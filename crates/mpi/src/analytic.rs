@@ -123,8 +123,9 @@ impl PhaseCost {
 /// latency or message size applies: built by [`AnalyticEngine::count`]
 /// and settled by [`AnalyticEngine::cost_from`] on any engine whose
 /// placement, fabric shape (nodes and nodes per leaf) and allreduce
-/// algorithm match the counting engine's. Stores every distinct round
-/// once, in two flat tables.
+/// algorithm match the counting engine's. Stores each distinct round
+/// once, all rounds back to back, so no round has an allocation of its
+/// own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Traffic {
     /// Each communication phase of the job, in job order: its rounds,
