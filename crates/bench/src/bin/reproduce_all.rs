@@ -146,16 +146,17 @@ fn main() {
     }
 
     // Serving replaces the reproduction entirely: the lab *is* the
-    // artifact.
+    // artifact. One engine worker per CPU the process may run on.
     if let Some(addr) = serve_addr {
         let engine = std::sync::Arc::new(QueryEngine::new());
-        let daemon =
-            harborsim_core::lab::daemon::LabDaemon::bind(&addr, engine, 8).unwrap_or_else(|e| {
+        let workers = harborsim_par::parallelism();
+        let daemon = harborsim_core::lab::daemon::LabDaemon::bind(&addr, engine, workers)
+            .unwrap_or_else(|e| {
                 eprintln!("cannot bind {addr}: {e}");
                 std::process::exit(2);
             });
         println!(
-            "lab daemon serving on http://{} (plan cache warm-started; POST /v1/lab, GET /v1/stats, POST /v1/shutdown)",
+            "lab daemon serving on http://{} (plan cache warm-started, {workers}-worker pool; POST /v1/lab, GET /v1/stats, POST /v1/shutdown)",
             daemon.local_addr()
         );
         daemon.serve();

@@ -77,7 +77,9 @@ pub fn run(lab: &QueryEngine, seed: u64) -> Vec<Breakdown> {
             )
             .expect("breakdown scenario compiles");
         let mut rec = Recorder::capturing();
-        let outcome = plan.execute(seed, &mut rec);
+        // the four environments share one placement, so the lab counts
+        // their traffic once
+        let outcome = lab.execute_plan(&plan, seed, &mut rec);
         out.push(Breakdown {
             label: env.label(),
             result: outcome.result,
@@ -204,6 +206,16 @@ mod tests {
         let t = table(&rows);
         assert_eq!(t.rows.len(), 5);
         assert!(t.to_ascii().contains("net=host"));
+    }
+
+    #[test]
+    fn the_four_environments_count_their_traffic_once() {
+        // bare metal, Singularity, Shifter and Docker place the same 4x28
+        // job on the same fabric: one count serves all four plans
+        let lab = QueryEngine::new();
+        run(&lab, 1);
+        assert_eq!(lab.plans_compiled(), 4);
+        assert_eq!(lab.traffic_stats().counted, 1);
     }
 
     #[test]

@@ -143,7 +143,9 @@ impl LabDaemon {
     /// Bind to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port),
     /// warm-start `engine`'s plan cache for the four paper clusters, and
     /// create the reactor's epoll instance and wake pipe. `workers` is
-    /// the resident engine-worker pool size.
+    /// the resident engine-worker pool size (min 1); a daemon that owns
+    /// its process passes [`harborsim_par::parallelism`], one worker per
+    /// CPU it may run on, as `reproduce_all --serve` does.
     ///
     /// # Errors
     /// Socket errors from bind; the OS error if epoll or the wake pipe

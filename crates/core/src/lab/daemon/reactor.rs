@@ -3,14 +3,16 @@
 //!
 //! ```text
 //!                    epoll_wait
-//!   listener ──────┐     │
-//!   wake pipe ─────┤     ▼                     ┌────────────────┐
-//!   conn 0..N ─────┴─► reactor ───── Job ─────►│  WorkerPool    │
-//!                      │  ▲  parse/decode/     │  (engine runs  │
-//!                      │  │  flush             │   off-thread)  │
-//!       warm analytic  │  │                    └───────┬────────┘
-//!       execute: runs ─┘  └── completions ◄─ response ─┘
-//!       here, no hand-off     (queue + 1 byte on the wake pipe)
+//!   listener ──────┐     │                     ┌──────────────────┐
+//!   wake pipe ─────┤     ▼                     │  WorkerPool      │
+//!   conn 0..N ─────┴─► reactor ───── Job ─────►│  one FIFO queue, │
+//!                      │  ▲  parse/decode/     │  one worker per  │
+//!                      │  │  flush             │  CPU (engine     │
+//!       warm analytic  │  │                    │  runs off-thread)│
+//!       execute: runs ─┘  │                    └────────┬─────────┘
+//!       here, no hand-off └── completions ◄── response ─┘
+//!                             (queue; a wake-pipe byte only when
+//!                              the reactor has none undrained)
 //! ```
 //!
 //! Per connection, a small state machine over two reused buffers:
@@ -28,7 +30,7 @@
 //!   runs to completion here through
 //!   [`QueryEngine::handle_warm`](crate::lab::QueryEngine::handle_warm).
 //!   That skips both thread crossings of the pool path — a boxed job
-//!   through the pool's channel, and the reply back through the
+//!   through the pool's queue, and the reply back through the
 //!   completion queue, a wake-pipe byte and an epoll wake — which were
 //!   most of a warm round trip while the execute itself takes
 //!   microseconds. The two caps bound what this thread can spend on one
@@ -44,6 +46,18 @@
 //!   decoded twice; a large body travels undecoded. The worker runs
 //!   the job, renders the full HTTP response bytes, pushes them on the
 //!   completion queue, and rings the wake pipe.
+//!
+//! The pool is as large as the daemon's caller makes it, and
+//! `reproduce_all --serve` gives it one worker per CPU the process may
+//! run on ([`harborsim_par::parallelism`]). A hand-off costs at most
+//! one wake-up each way: a submit wakes a worker only if one is idle,
+//! and a worker's ring writes a wake-pipe byte only if the reactor has
+//! not yet drained the last one; it files every queued completion each
+//! loop turn. The pool runs jobs first in, first out. So on a one-CPU
+//! daemon a long campaign delays the cold requests queued behind it,
+//! where more workers than CPUs would have time-sliced them with it on
+//! the same CPU, at the cost of a thread, a malloc arena and a context
+//! switch each. Warm executes never queue: they are answered here.
 //!
 //! Both paths render replies through the same `answer` function, so a
 //! query's bytes do not depend on where it ran. The reactor files
@@ -80,7 +94,7 @@
 //! `408` and the connection closed — the slow-loris budget — while
 //! *idle* keep-alive connections with an empty `rbuf` are left open
 //! indefinitely, which is what lets one reactor hold hundreds of parked
-//! connections over a 4-worker pool.
+//! connections over a pool of one worker per CPU.
 //!
 //! Shutdown is cooperative and level-triggered: the stop flag goes up
 //! and the wake pipe rings, buffered requests are answered `503`, every
@@ -104,7 +118,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -184,9 +198,18 @@ impl Drop for Epoll {
 /// completion, and shutdown rings it to get the stop flag seen; the
 /// reactor drains the read end. Both ends nonblocking (a full pipe is
 /// still a wake-up; a spurious byte is harmless).
+///
+/// One byte per reactor wake-up, not one per ring: `rung` is set by the
+/// ring that writes and cleared only by `drain`, so the rings that
+/// follow it before the reactor wakes write nothing. Every completion
+/// queued before a ring is filed by the `drain_completions` that follows
+/// the next `drain`.
 pub(crate) struct WakePipe {
     r: i32,
     w: i32,
+    /// A byte is in the pipe, or about to be, that the reactor has not
+    /// drained.
+    rung: AtomicBool,
 }
 
 /// Create the reactor's epoll instance and wake pipe.
@@ -211,24 +234,39 @@ pub(crate) fn open() -> io::Result<(Epoll, WakePipe)> {
     let wake = WakePipe {
         r: fds[0],
         w: fds[1],
+        rung: AtomicBool::new(false),
     };
     Ok((epoll, wake))
 }
 
 impl WakePipe {
-    /// One byte down the pipe; EAGAIN (pipe already full) is a wake-up
-    /// too, so the result is ignored.
+    /// Wake the reactor: one byte down the pipe, unless an earlier ring's
+    /// byte is still undrained. EAGAIN (pipe already full) is a wake-up
+    /// too, so the write's result is ignored.
     pub(crate) fn ring(&self) {
+        if self.rung.swap(true, Ordering::SeqCst) {
+            return;
+        }
         let byte = 1u8;
+        // SAFETY: `w` is the pipe's open write end, owned by this value
+        // until drop, and `byte` is a live one-byte buffer.
         unsafe {
             let _ = sys::write(self.w, &byte, 1);
         }
     }
 
-    /// Swallow every pending wake byte.
+    /// Swallow every pending wake byte, then let the next ring write
+    /// again. The flag clears only after the pipe reads empty: a ring
+    /// that finds it still set happened before this clear, so the
+    /// completion it announces was queued before the reactor's next
+    /// `drain_completions`, which takes it. A ring after the clear writes
+    /// a fresh byte.
     fn drain(&self) {
         let mut buf = [0u8; 64];
+        // SAFETY: `r` is the pipe's open read end, owned by this value
+        // until drop, and `buf` is a live buffer of the length passed.
         while unsafe { sys::read(self.r, buf.as_mut_ptr(), buf.len()) } > 0 {}
+        self.rung.store(false, Ordering::SeqCst);
     }
 }
 

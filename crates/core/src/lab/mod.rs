@@ -73,6 +73,7 @@ use harborsim_container::runtime::ExecutionEnvironment;
 use harborsim_des::trace::{Recorder, SpanCategory};
 use harborsim_des::{SimDuration, SimTime};
 use harborsim_mpi::Placement;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -295,6 +296,71 @@ impl Hasher for PassThrough {
 
 type CacheMap = HashMap<HashedKey, (Slot, u64), BuildHasherDefault<PassThrough>>;
 
+/// How many of the oldest ready plans one eviction scan keeps as
+/// candidates for the evictions after it.
+const EVICTION_CANDIDATES: usize = 16;
+
+/// What the plan cache's mutex guards: the keyed map and the eviction
+/// candidates.
+#[derive(Default)]
+struct Resident {
+    map: CacheMap,
+    /// The oldest ready entries at the last scan, each with its stamp
+    /// then, oldest last. A candidate is still the coldest ready entry
+    /// while its stamp is unchanged: every entry left out of the scan,
+    /// and every entry inserted or hit since, has a newer stamp.
+    candidates: Vec<(u64, HashedKey)>,
+}
+
+impl Resident {
+    /// Refill the candidates with the [`EVICTION_CANDIDATES`] oldest
+    /// ready entries. False if no entry is ready.
+    fn rescan(&mut self) -> bool {
+        let mut ready: Vec<(u64, &HashedKey)> = self
+            .map
+            .iter()
+            .filter(|(_, (slot, _))| matches!(slot, Slot::Ready(_)))
+            .map(|(key, (_, stamp))| (*stamp, key))
+            .collect();
+        if ready.len() > EVICTION_CANDIDATES {
+            ready.select_nth_unstable_by_key(EVICTION_CANDIDATES, |&(stamp, _)| stamp);
+            ready.truncate(EVICTION_CANDIDATES);
+        }
+        ready.sort_unstable_by_key(|&(stamp, _)| std::cmp::Reverse(stamp));
+        self.candidates.clear();
+        self.candidates
+            .extend(ready.into_iter().map(|(stamp, key)| (stamp, key.clone())));
+        !self.candidates.is_empty()
+    }
+
+    /// Evict least-recently-used *ready* plans until at most `capacity`
+    /// entries remain, and hand them back for the caller to drop once
+    /// the lock is released. In-flight slots are never evicted (waiters
+    /// hold their rendezvous). Rescans only when no candidate from the
+    /// last scan is still unchanged.
+    fn evict_to(&mut self, capacity: usize) -> Vec<Arc<ScenarioPlan>> {
+        let mut evicted = Vec::new();
+        while self.map.len() > capacity {
+            let Some((stamp, key)) = self.candidates.pop() else {
+                if self.rescan() {
+                    continue;
+                }
+                break;
+            };
+            // a candidate hit, evicted or recompiled since the scan has
+            // a newer stamp or none: skip it
+            if let Entry::Occupied(entry) = self.map.entry(key) {
+                if matches!(entry.get(), (Slot::Ready(_), s) if *s == stamp) {
+                    if let (Slot::Ready(plan), _) = entry.remove() {
+                        evicted.push(plan);
+                    }
+                }
+            }
+        }
+        evicted
+    }
+}
+
 /// Point-in-time plan cache statistics (see [`QueryEngine::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -353,7 +419,7 @@ struct Flight {
 /// inserts and eviction.
 struct PlanCache {
     capacity: usize,
-    map: Mutex<CacheMap>,
+    resident: Mutex<Resident>,
     /// Keyed per cache, so clients cannot aim keys at one map slot.
     hasher: RandomState,
     /// LRU clock, ticked by every lookup; an entry's stamp is its last
@@ -372,7 +438,7 @@ impl PlanCache {
         assert!(capacity > 0, "a zero-capacity cache cannot single-flight");
         PlanCache {
             capacity,
-            map: Mutex::new(CacheMap::default()),
+            resident: Mutex::new(Resident::default()),
             hasher: RandomState::new(),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -392,12 +458,12 @@ impl PlanCache {
 
     /// Lock the map, counting acquisitions that had to block behind
     /// another holder.
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheMap> {
-        match self.map.try_lock() {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Resident> {
+        match self.resident.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
                 self.contended.fetch_add(1, Ordering::Relaxed);
-                self.map.lock().expect("a plan cache holder panicked")
+                self.resident.lock().expect("a plan cache holder panicked")
             }
             Err(std::sync::TryLockError::Poisoned(e)) => panic!("poisoned plan cache: {e}"),
         }
@@ -415,9 +481,9 @@ impl PlanCache {
         let key = self.hashed(key);
         let flight: Arc<Flight>;
         {
-            let mut map = self.lock();
+            let mut resident = self.lock();
             let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            match map.get_mut(&key) {
+            match resident.map.get_mut(&key) {
                 Some((Slot::Ready(plan), last_use)) => {
                     *last_use = stamp;
                     self.hits.fetch_add(1, Ordering::Relaxed);
@@ -432,25 +498,33 @@ impl PlanCache {
                         done: Mutex::new(None),
                         cv: Condvar::new(),
                     });
-                    map.insert(key.clone(), (Slot::InFlight(Arc::clone(&f)), stamp));
-                    drop(map);
+                    resident
+                        .map
+                        .insert(key.clone(), (Slot::InFlight(Arc::clone(&f)), stamp));
+                    drop(resident);
                     // compile outside the lock: other keys keep
                     // resolving while this one builds
                     let t0 = Instant::now();
                     let compiled = compile().map(Arc::new);
                     let took = t0.elapsed();
-                    let mut map = self.lock();
-                    match &compiled {
+                    let mut resident = self.lock();
+                    let evicted = match &compiled {
                         Ok(plan) => {
                             let stamp = self.clock.load(Ordering::Relaxed);
-                            map.insert(key, (Slot::Ready(Arc::clone(plan)), stamp));
-                            self.evict_to_capacity(&mut map);
+                            resident
+                                .map
+                                .insert(key, (Slot::Ready(Arc::clone(plan)), stamp));
+                            resident.evict_to(self.capacity)
                         }
                         Err(_) => {
-                            map.remove(&key);
+                            resident.map.remove(&key);
+                            Vec::new()
                         }
-                    }
-                    drop(map);
+                    };
+                    drop(resident);
+                    // an evicted plan drops its route, cost and traffic
+                    // tables here, outside the cache lock
+                    drop(evicted);
                     *f.done.lock().unwrap() = Some(compiled.clone());
                     f.cv.notify_all();
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -478,33 +552,14 @@ impl PlanCache {
         accept: impl FnOnce(&ScenarioPlan) -> bool,
     ) -> Option<Arc<ScenarioPlan>> {
         let key = self.hashed(key);
-        let mut map = self.lock();
-        match map.get_mut(&key) {
+        let mut resident = self.lock();
+        match resident.map.get_mut(&key) {
             Some((Slot::Ready(plan), last_use)) if accept(plan) => {
                 *last_use = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(plan))
             }
             _ => None,
-        }
-    }
-
-    /// Evict least-recently-used *ready* plans until residency fits the
-    /// capacity; in-flight slots are never evicted (waiters hold their
-    /// rendezvous).
-    fn evict_to_capacity(&self, map: &mut CacheMap) {
-        while map.len() > self.capacity {
-            let victim = map
-                .iter()
-                .filter(|(_, (slot, _))| matches!(slot, Slot::Ready(_)))
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    map.remove(&k);
-                }
-                None => return,
-            }
         }
     }
 
@@ -515,7 +570,12 @@ impl PlanCache {
             waits: self.waits.load(Ordering::Relaxed),
             uncached: self.uncached.load(Ordering::Relaxed),
             contended: self.contended.load(Ordering::Relaxed),
-            entries: self.map.lock().expect("a plan cache holder panicked").len(),
+            entries: self
+                .resident
+                .lock()
+                .expect("a plan cache holder panicked")
+                .map
+                .len(),
         }
     }
 }
@@ -795,7 +855,7 @@ impl QueryEngine {
         let template = Recorder::like(rec);
         let executed = harborsim_par::run(items, |(qi, plan, seed)| {
             let mut local = template.clone();
-            let outcome = plan.execute_sharing(seed, &mut local, &self.traffic);
+            let outcome = self.execute_plan(&plan, seed, &mut local);
             (qi, outcome, local)
         });
         let mut results: Vec<Result<Vec<Outcome>, HarborError>> = failures
@@ -944,10 +1004,18 @@ impl QueryEngine {
         self.traffic.stats()
     }
 
+    /// Run `seed` on `plan` into `rec`, sharing traffic counts through
+    /// this engine's table ([`ScenarioPlan::execute_sharing`]): the
+    /// execute every request this engine answers runs, for callers that
+    /// hold a plan from [`QueryEngine::plan`]. Plans that differ only in
+    /// environment, taper or degraded links count their traffic once.
+    pub fn execute_plan(&self, plan: &ScenarioPlan, seed: u64, rec: &mut Recorder) -> Outcome {
+        plan.execute_sharing(seed, rec, &self.traffic)
+    }
+
     /// The one execute path of an `Execute` request, however it was
-    /// resolved: run `seed` on the plan straight into `rec`, sharing
-    /// traffic counts through this engine's table, or answer the compile
-    /// error.
+    /// resolved: run `seed` on the plan straight into `rec`, or answer
+    /// the compile error.
     fn execute(
         &self,
         plan: Result<Arc<ScenarioPlan>, HarborError>,
@@ -955,9 +1023,7 @@ impl QueryEngine {
         rec: &mut Recorder,
     ) -> LabResponse {
         match plan {
-            Ok(plan) => {
-                LabResponse::Execute(Box::new(plan.execute_sharing(seed, rec, &self.traffic)))
-            }
+            Ok(plan) => LabResponse::Execute(Box::new(self.execute_plan(&plan, seed, rec))),
             Err(e) => LabResponse::Error(e),
         }
     }
@@ -1184,6 +1250,70 @@ mod tests {
             lab.plan(&keyed(i)).unwrap();
         }
         assert_eq!(lab.stats().misses, before.misses + 2);
+    }
+
+    #[test]
+    fn eviction_matches_a_reference_lru_step_for_step() {
+        // 64 distinct Lenox keys: 4 node counts x 16 ranks per node
+        let key = |i: usize| {
+            Scenario::new(presets::lenox(), workloads::artery_cfd_small())
+                .nodes(1 + (i % 4) as u32)
+                .ranks_per_node(1 + (i / 4) as u32)
+        };
+        // capacity 8 rescans all its entries; 40 selects the 16 oldest
+        // of 41
+        for capacity in [8, 40] {
+            let lab = QueryEngine::with_capacity(capacity);
+            // the reference: keys by recency, most recent first
+            let mut lru: Vec<usize> = Vec::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ capacity as u64;
+            let mut next = || {
+                // splitmix64
+                rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = rng;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            for step in 0..2000 {
+                let r = next();
+                // half the lookups go to the 12 hottest keys, so hits and
+                // misses interleave
+                let i = if r & 1 == 0 {
+                    (r >> 8) as usize % 12
+                } else {
+                    (r >> 8) as usize % 64
+                };
+                let resident = lru.iter().position(|&k| k == i);
+                if r & 2 == 0 {
+                    // a warm execute: answered exactly when resident
+                    let warm = lab.handle_warm(LabRequest::execute(key(i), step));
+                    assert_eq!(warm.is_ok(), resident.is_some(), "step {step}: key {i}");
+                    if let Some(at) = resident {
+                        lru.remove(at);
+                        lru.insert(0, i);
+                        hits += 1;
+                    }
+                } else {
+                    lab.plan(&key(i)).unwrap();
+                    match resident {
+                        Some(at) => {
+                            lru.remove(at);
+                            hits += 1;
+                        }
+                        None => misses += 1,
+                    }
+                    lru.insert(0, i);
+                    lru.truncate(capacity);
+                }
+                let stats = lab.stats();
+                assert_eq!(stats.entries, lru.len(), "step {step}");
+                assert_eq!((stats.hits, stats.misses), (hits, misses), "step {step}");
+                assert_eq!(lab.plans_compiled(), misses, "step {step}");
+            }
+            assert!(hits > 100 && misses > 100, "{hits} hits, {misses} misses");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! # harborsim-par
 //!
-//! Three dependency-free parallel primitives over [`std::thread`]:
+//! Three dependency-free parallel primitives over [`std::thread`], and
+//! the process's thread budget:
 //!
+//! - [`parallelism`] is how many CPUs this process may run on;
 //! - [`run`] maps a materialized batch on a scoped pool and returns the
 //!   results in input order (scenario sweeps, batched executes);
 //! - [`gang`] gives every item its own thread, for tasks that block on
@@ -17,19 +19,29 @@
 //! without giving up order: results carry their index and are
 //! reassembled in input order at the end.
 
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
+
+/// How many CPUs this process may run on, at least 1: the thread budget
+/// that sizes [`run`] and the lab daemon's [`WorkerPool`].
+///
+/// This is [`thread::available_parallelism`], which reads the process's
+/// CPU affinity mask and its cgroup's CPU quota, so a process pinned to
+/// one CPU (`taskset -c 0`, a container's cpuset) gets 1 however many
+/// the host has. More threads than that only time-slice the same CPUs,
+/// and each costs its stack and its own malloc arena.
+pub fn parallelism() -> usize {
+    thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
 
 fn worker_count(items: usize) -> usize {
     if items <= 1 {
         return 1;
     }
-    thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(items)
+    parallelism().min(items)
 }
 
 /// Apply `f` to every item in parallel on the scoped pool, returning
@@ -137,40 +149,96 @@ where
 /// for servers whose work arrives over time (the lab daemon's
 /// connection handlers) instead of as one materialized batch.
 ///
-/// Jobs are `FnOnce() + Send + 'static` closures; submission never
-/// blocks (the queue is unbounded — admission control belongs to the
-/// caller, e.g. a bounded listener backlog). Dropping the pool closes
-/// the queue, lets every queued job finish, and joins the workers.
+/// Jobs are `FnOnce() + Send + 'static` closures and run in submission
+/// order: a worker takes the oldest queued job. Submission never blocks
+/// (the queue is unbounded — admission control belongs to the caller,
+/// e.g. a bounded listener backlog), and a job may submit to its own
+/// pool. A job that panics is reported by the panic hook, and its
+/// worker goes on to the next job. Dropping the pool closes the queue,
+/// lets every queued job finish, and joins the workers.
+///
+/// The queue is one mutex-guarded deque with a condition variable that
+/// idle workers wait on. A submit wakes a worker only when one is
+/// waiting: a worker that finishes a job takes the next one without
+/// sleeping, so while every worker is busy a hand-off costs no wake-up
+/// at all, and otherwise exactly one.
 pub struct WorkerPool {
-    tx: Option<std::sync::mpsc::Sender<Job>>,
+    queue: Arc<Queue>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// The pool's queue, shared by the pool and its workers.
+struct Queue {
+    state: Mutex<QueueState>,
+    /// Idle workers wait here for a job or for the queue to close.
+    ready: Condvar,
+}
+
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Workers waiting on `ready`.
+    idle: usize,
+    /// Set by `Drop`: workers exit once `jobs` is empty.
+    closed: bool,
+}
+
+impl Queue {
+    /// The queue state. The lock is never held while a job runs, so no
+    /// job's panic can poison it.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state
+            .lock()
+            .expect("the pool queue is never held by a job")
+    }
+
+    /// A worker's life: run the oldest job, or wait while there is none,
+    /// until the queue is closed and empty.
+    fn work(&self) {
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                // jobs run unlocked; a panicking job (reported by the
+                // panic hook) must not take its worker along, or a
+                // one-worker pool would queue every later job forever
+                drop(state);
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                state = self.lock();
+            } else if state.closed {
+                return;
+            } else {
+                state.idle += 1;
+                state = self
+                    .ready
+                    .wait(state)
+                    .expect("the pool queue is never held by a job");
+                state.idle -= 1;
+            }
+        }
+    }
+}
+
 impl WorkerPool {
     /// A pool of exactly `workers` resident threads (min 1).
+    /// `reproduce_all --serve` sizes the lab daemon's pool with
+    /// [`parallelism`].
     pub fn new(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
-        let (tx, rx) = std::sync::mpsc::channel::<Job>();
-        let rx = std::sync::Arc::new(Mutex::new(rx));
-        let workers = (0..workers)
+        let queue = Arc::new(Queue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                idle: 0,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        });
+        let workers = (0..workers.max(1))
             .map(|_| {
-                let rx = std::sync::Arc::clone(&rx);
-                thread::spawn(move || loop {
-                    // hold the lock only to receive: jobs run unlocked
-                    let job = match rx.lock().unwrap().recv() {
-                        Ok(job) => job,
-                        Err(_) => return, // queue closed: drain done
-                    };
-                    job();
-                })
+                let queue = Arc::clone(&queue);
+                thread::spawn(move || queue.work())
             })
             .collect();
-        WorkerPool {
-            tx: Some(tx),
-            workers,
-        }
+        WorkerPool { queue, workers }
     }
 
     /// Number of resident worker threads.
@@ -178,19 +246,27 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Enqueue one job; some idle worker will run it.
+    /// Enqueue one job; it runs after every job submitted before it has
+    /// started. Wakes one worker if one is idle.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.tx
-            .as_ref()
-            .expect("pool queue lives as long as the pool")
-            .send(Box::new(job))
-            .expect("workers outlive the queue");
+        let mut state = self.queue.lock();
+        state.jobs.push_back(Box::new(job));
+        let idle = state.idle > 0;
+        drop(state);
+        if idle {
+            self.queue.ready.notify_one();
+        }
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        drop(self.tx.take()); // close the queue: workers drain and exit
+        // close the queue: workers drain it and exit (a poisoned lock
+        // still closes it, or the joins below would never return)
+        let mut state = self.queue.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.closed = true;
+        drop(state);
+        self.queue.ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -274,6 +350,99 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         pool.submit(move || tx.send(42u8).unwrap());
         assert_eq!(rx.recv().unwrap(), 42);
+    }
+
+    /// A 1-worker pool whose worker is held by a job until the returned
+    /// sender is dropped or sends.
+    fn held_pool() -> (WorkerPool, std::sync::mpsc::Sender<()>) {
+        let pool = WorkerPool::new(1);
+        let (started, running) = std::sync::mpsc::channel();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        pool.submit(move || {
+            started.send(()).expect("the test waits for the holder");
+            let _ = gate.recv();
+        });
+        running.recv().expect("the holder runs");
+        (pool, release)
+    }
+
+    #[test]
+    fn jobs_queued_behind_a_busy_worker_run_in_submission_order() {
+        let (pool, release) = held_pool();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..100 {
+            let order = Arc::clone(&order);
+            pool.submit(move || order.lock().unwrap().push(i));
+        }
+        assert!(order.lock().unwrap().is_empty(), "the only worker is busy");
+        release.send(()).unwrap();
+        drop(pool);
+        assert_eq!(*order.lock().unwrap(), (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_job_can_submit_to_its_own_pool() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let inner = Arc::clone(&pool);
+        pool.submit(move || {
+            let tx2 = tx.clone();
+            inner.submit(move || tx2.send("inner").unwrap());
+            // the last handle must drop on this thread, never on a worker
+            drop(inner);
+            tx.send("outer").unwrap();
+        });
+        let mut got = [rx.recv().unwrap(), rx.recv().unwrap()];
+        got.sort_unstable();
+        assert_eq!(got, ["inner", "outer"]);
+        Arc::try_unwrap(pool)
+            .ok()
+            .expect("the job dropped its handle before answering");
+    }
+
+    #[test]
+    fn dropping_the_pool_runs_every_queued_job() {
+        use std::sync::atomic::AtomicU64;
+        let (pool, release) = held_pool();
+        let ran = Arc::new(AtomicU64::new(0));
+        for _ in 0..100 {
+            let ran = Arc::clone(&ran);
+            pool.submit(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        // release the holder only once the drop has begun: every job is
+        // still queued when the pool closes
+        let pool = Arc::new(pool);
+        let watch = Arc::downgrade(&pool);
+        let releaser = {
+            let ran = Arc::clone(&ran);
+            thread::spawn(move || {
+                while watch.upgrade().is_some() {
+                    thread::yield_now();
+                }
+                assert_eq!(ran.load(Ordering::SeqCst), 0, "nothing ran yet");
+                release.send(()).unwrap();
+            })
+        };
+        drop(pool);
+        releaser.join().expect("the releaser saw every job queued");
+        assert_eq!(ran.load(Ordering::SeqCst), 100);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_worker_running() {
+        let pool = WorkerPool::new(1);
+        pool.submit(|| panic!("a job fails"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.submit(move || tx.send(7u8).unwrap());
+        let after = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert_eq!(after, Ok(7), "the only worker survives a panicking job");
+    }
+
+    #[test]
+    fn parallelism_is_at_least_one() {
+        assert!(parallelism() >= 1);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! for a DES, over-budget or cold plan, never blocked behind a long
 //! execute on the pool, and never at the cost of starving another
 //! connection. Replies to requests pipelined in one read share a write.
+//! On a one-worker daemon, pooled replies never wait for the reactor's
+//! tick, and a warm execute is answered while a DES campaign holds the
+//! only worker.
 
 use harborsim::hw::presets;
 use harborsim::study::lab::daemon::{DaemonHandle, LabClient, LabDaemon};
@@ -764,5 +767,125 @@ fn a_pipelined_flood_of_warm_executes_does_not_starve_another_connection() {
     receiver.join().expect("flood receiver");
     assert_eq!(answered.load(Ordering::SeqCst), FLOOD);
     assert_eq!(handle.inline_answers(), FLOOD as u64 + 1);
+    handle.shutdown();
+}
+
+/// Pooled requests on a one-worker daemon each cost a wake-pipe ring,
+/// and rings that find a byte already undrained write nothing. First
+/// 2,000 pooled plans, 4 deep on each of 2 connections, race rings
+/// against the reactor's drains; then 200 plans at depth 1 on one
+/// connection probe that the rings still wake it. A wake-up lost for
+/// good leaves each probe's reply for the reactor's next 50 ms tick,
+/// 10 s in all, where every request here takes well under a second
+/// when each ring wakes the reactor. The watchdog allows 5 s.
+#[test]
+fn pooled_replies_never_wait_for_the_reactor_tick() {
+    const CONNS: usize = 2;
+    const PER_CONN: usize = 1000;
+    const PROBES: usize = 200;
+    let handle = spawn(1);
+    let addr = handle.addr();
+    // 2,000 distinct plans: MareNostrum4, 1-42 nodes by 1-48 ranks each
+    let scenario = |i: usize| {
+        Scenario::new(presets::marenostrum4(), workloads::artery_cfd_small())
+            .nodes(1 + (i % 42) as u32)
+            .ranks_per_node(1 + (i / 42) as u32)
+    };
+    let plans = |client: &mut LabClient, requests: Vec<LabRequest>, depth: usize| {
+        for group in requests.chunks(depth) {
+            for reply in client.query_pipelined(group).expect("pipelined plans") {
+                assert!(matches!(reply, LabResponse::Plan(_)), "{reply:?}");
+            }
+        }
+    };
+    let (done, finished) = std::sync::mpsc::channel::<()>();
+    let storm = std::thread::spawn(move || {
+        let _done = done; // dropped on return or panic: wakes the watchdog
+        let clients: Vec<_> = (0..CONNS)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let mut client = LabClient::connect(addr).expect("connect");
+                    let requests = (0..PER_CONN)
+                        .map(|r| LabRequest::plan(scenario(c * PER_CONN + r)))
+                        .collect();
+                    plans(&mut client, requests, PIPELINE_DEPTH);
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().expect("every pipelined plan is answered");
+        }
+        let mut probe = LabClient::connect(addr).expect("connect the probe");
+        let requests = (0..PROBES).map(|i| LabRequest::plan(scenario(i))).collect();
+        plans(&mut probe, requests, 1);
+    });
+    let waited = finished.recv_timeout(Duration::from_secs(5));
+    assert!(
+        waited != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+        "2,200 pooled plans took over 5 s: replies waited for the reactor's tick"
+    );
+    storm.join().expect("every plan is answered");
+    assert_eq!(handle.inline_answers(), 0, "plans always take the pool");
+    handle.shutdown();
+}
+
+/// A one-worker daemon runs pooled requests first in, first out, so a
+/// long DES campaign holds its only worker; a warm execute on another
+/// connection is still answered, on the reactor, while the campaign
+/// runs.
+#[test]
+fn a_warm_execute_is_answered_while_a_des_campaign_holds_the_only_worker() {
+    let handle = spawn(1);
+    let addr = handle.addr();
+    let mut b = LabClient::connect(addr).expect("connect B");
+    warm(&mut b, grid_scenario(0).0);
+
+    let script = "seeds quick\n\
+                  campaign \"long\" {\n\
+                  \x20 cluster mn4\n\
+                  \x20 workload cfd-small\n\
+                  \x20 rpn 48\n\
+                  \x20 engine des 5\n\
+                  \x20 sweep nodes [8, 16]\n\
+                  }\n";
+    let resident = handle.engine().stats().entries;
+    let started = Instant::now();
+    let mut a = TcpStream::connect(addr).expect("connect A");
+    let campaign = LabRequest::Campaign {
+        script: script.into(),
+    };
+    a.write_all(&lab_post(addr, &campaign, true))
+        .expect("send the campaign");
+    // the campaign holds the only worker once its first plan's slot is
+    // in the cache
+    while handle.engine().stats().entries == resident {
+        std::thread::yield_now();
+    }
+
+    let reply = b.query(&LabRequest::execute(grid_scenario(0).0, 2));
+    let warm_at = started.elapsed();
+    assert!(matches!(reply, Ok(LabResponse::Execute(_))), "{reply:?}");
+    assert_eq!(handle.inline_answers(), 1);
+    a.set_nonblocking(true).expect("nonblocking probe");
+    let mut probe = [0u8; 1];
+    let pending = a.peek(&mut probe);
+    assert!(
+        matches!(&pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the campaign must still be running: {pending:?}"
+    );
+
+    a.set_nonblocking(false).expect("blocking read");
+    a.set_read_timeout(Some(Duration::from_secs(300)))
+        .expect("read timeout");
+    let mut out = Vec::new();
+    a.read_to_end(&mut out).expect("A's reply");
+    let campaign_took = started.elapsed();
+    let reply = String::from_utf8_lossy(&out);
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply:?}");
+    assert!(reply.contains(r#""kind":"campaign""#), "{reply:?}");
+    assert!(
+        warm_at * 2 < campaign_took,
+        "the warm execute came back at {warm_at:?}, the campaign at {campaign_took:?}"
+    );
     handle.shutdown();
 }
